@@ -1,17 +1,12 @@
-(* Micro-benchmarks (Bechamel) for the per-iteration algorithm costs that
-   Figures 7-8 are about: DTM update and prediction, candidate-pool
-   scoring, GP refit, Unicorn refit, configuration encoding, and
-   randconfig generation. *)
+(* Domain scaling: wall-clock speedup of the hot kernels (320x320
+   matmul, 512-candidate DTM pool scoring) at 4 domains, with a bitwise
+   check that the pooled results equal the sequential ones.  Per-call
+   kernel costs are perfbench's min-of-N kernel rows. *)
 
-open Bechamel
-open Toolkit
 module T = Wayfinder_tensor
 module CS = Wayfinder_configspace
 module S = Wayfinder_simos
 module D = Wayfinder_deeptune
-module G = Wayfinder_gp
-module C = Wayfinder_causal
-module K = Wayfinder_kconfig
 
 let make_dataset ~rows ~dim seed =
   let rng = T.Rng.create seed in
@@ -21,43 +16,6 @@ let make_dataset ~rows ~dim seed =
     T.Dataset.add ds x ~target:(T.Rng.float rng 1.0) ~crashed:(T.Rng.bernoulli rng 0.3)
   done;
   ds
-
-let tests () =
-  let sim = S.Sim_linux.create () in
-  let space = S.Sim_linux.space sim in
-  let encoding = CS.Encoding.create space in
-  let rng = T.Rng.create 1 in
-  let config = CS.Space.random space rng in
-  let dim = CS.Encoding.dim encoding in
-  let dataset = make_dataset ~rows:128 ~dim 2 in
-  let dtm = D.Dtm.create (T.Rng.create 3) ~in_dim:dim in
-  ignore (D.Dtm.train dtm ~epochs:2 dataset);
-  let encoded = CS.Encoding.encode encoding config in
-  (* GP refit at n = 128. *)
-  let gp_x =
-    T.Mat.init 128 8 (fun _ _ -> T.Rng.float rng 1.0)
-  in
-  let gp_y = Array.init 128 (fun _ -> T.Rng.float rng 1.0) in
-  (* Unicorn refit at n = 128, d = 12. *)
-  let unicorn = C.Unicorn.create ~n_vars:12 () in
-  for _ = 1 to 128 do
-    C.Unicorn.add_observation unicorn (Array.init 12 (fun _ -> T.Rng.normal rng ()))
-  done;
-  let tree = K.Synthetic.generate (K.Synthetic.scaled K.Synthetic.linux_6_0 ~factor:0.01) in
-  let rc_rng = T.Rng.create 4 in
-  [ Test.make ~name:"dtm-update-1epoch-128rows"
-      (Staged.stage (fun () -> ignore (D.Dtm.train dtm ~epochs:1 dataset)));
-    Test.make ~name:"dtm-predict" (Staged.stage (fun () -> ignore (D.Dtm.predict dtm encoded)));
-    Test.make ~name:"config-encode"
-      (Staged.stage (fun () -> ignore (CS.Encoding.encode encoding config)));
-    Test.make ~name:"gp-refit-128pts"
-      (Staged.stage (fun () -> ignore (G.Gp.fit G.Kernel.default gp_x gp_y)));
-    Test.make ~name:"unicorn-refit-128obs"
-      (Staged.stage (fun () -> ignore (C.Unicorn.refit unicorn)));
-    Test.make ~name:"sim-linux-evaluate"
-      (Staged.stage (fun () -> ignore (S.Sim_linux.evaluate sim ~app:S.App.Nginx config)));
-    Test.make ~name:"kconfig-randconfig-200opts"
-      (Staged.stage (fun () -> ignore (K.Randconfig.generate tree rc_rng))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Domain scaling: wall-clock speedup of the hot kernels at 4 domains   *)
@@ -160,27 +118,4 @@ let domain_scaling () =
   Printf.printf "max speedup %.2fx (%d domains, %d cores) -> %s\n" max_speedup scaling_domains
     cores json_path
 
-let run () =
-  Bench_common.section "Micro-benchmarks (Bechamel): per-iteration algorithm costs";
-  let test = Test.make_grouped ~name:"micro" ~fmt:"%s/%s" (tests ()) in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "%-38s %16s\n" "operation" "time per run";
-  let rows = Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results [] in
-  List.iter
-    (fun (name, ols_result) ->
-      let estimate =
-        match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | _ -> nan
-      in
-      let pretty =
-        if estimate > 1e9 then Printf.sprintf "%.2f s" (estimate /. 1e9)
-        else if estimate > 1e6 then Printf.sprintf "%.2f ms" (estimate /. 1e6)
-        else if estimate > 1e3 then Printf.sprintf "%.2f us" (estimate /. 1e3)
-        else Printf.sprintf "%.0f ns" estimate
-      in
-      Printf.printf "%-38s %16s\n" name pretty)
-    (List.sort compare rows);
-  domain_scaling ()
+let run = domain_scaling

@@ -26,7 +26,7 @@ let experiments =
     ("sensitivity", "workload sensitivity of the found optimum (§3.5)", Bench_sensitivity.run);
     ("trace", "single- vs multi-objective search on a flash-crowd trace", Bench_trace.run);
     ("transfer", "registry round-trip and warm-start sample efficiency", Bench_transfer.run);
-    ("micro", "Bechamel micro-benchmarks of per-iteration costs", Bench_micro.run);
+    ("micro", "Domain-scaling speedup of the hot kernels (bench_micro.json)", Bench_micro.run);
     ("ablation", "DeepTune design-choice ablations", Bench_ablation.run) ]
 
 let list_experiments () =

@@ -487,16 +487,12 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
           (match trace_channel with Some oc -> close_out oc | None -> ());
           Error e
         | Ok ledger_writer ->
-        (* The --ledger and --progress paths share one driver hook: the
-           ledger records the (entry, belief) pair, the progress line is
-           recomputed from the identical analytics series code — no
-           duplicated math. *)
-        let live = P.History.create target.P.Target.metric in
-        (* Streaming monitor state: a Live_series fed one row per record
-           powers the alert rules and the Prometheus export in O(1) per
-           iteration — no history rescans on the hot path. *)
+        (* Streaming monitor state: one Live_series fed one row per record
+           powers the progress line, the alert rules and the Prometheus
+           export in O(1) per iteration — no history rescans on the hot
+           path. *)
         let live_series =
-          if alert_rules = [] && metrics_out = None then None
+          if alert_rules = [] && metrics_out = None && progress_every = None then None
           else
             let params = CS.Space.params target.P.Target.space in
             Some
@@ -540,17 +536,18 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                 (P.Durable.io_error_to_string e))
         in
         let on_record =
-          if ledger_writer = None && progress_every = None && live_series = None then None
+          if ledger_writer = None && live_series = None then None
           else
             Some
               (fun entry belief ->
                 (match ledger_writer with
                 | Some w -> A.Ledger.record w entry belief
                 | None -> ());
-                P.History.add live entry;
-                (match live_series with
-                | Some ls ->
+                match live_series with
+                | None -> ()
+                | Some ls -> (
                   M.Live_series.observe ls (A.Ledger.row_of_entry entry belief);
+                  let n = M.Live_series.length ls in
                   List.iter
                     (fun (f : M.Rules.firing) ->
                       Wayfinder_obs.Recorder.alert obs ~rule:f.M.Rules.rule
@@ -558,21 +555,19 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                       Printf.eprintf "wayfinder: ALERT %s: %s\n%!" f.M.Rules.rule
                         f.M.Rules.message)
                     (M.Rules.evaluate rules_state ?worker_busy:(worker_busy ()) ls);
-                  if P.History.size live mod metrics_every = 0 then export_metrics ()
-                | None -> ());
-                match progress_every with
-                | Some n when P.History.size live mod n = 0 ->
-                  let series = A.Series.of_history ~space:target.P.Target.space live in
-                  let snap =
-                    A.Progress.of_series
-                      ~metrics:(Wayfinder_obs.Recorder.snapshot obs)
-                      ~workers series
-                  in
-                  Printf.eprintf "%s\n%!"
-                    (A.Progress.to_line
-                       ~alerts:(M.Rules.active rules_state)
-                       ~metric:target.P.Target.metric snap)
-                | Some _ | None -> ())
+                  if n mod metrics_every = 0 then export_metrics ();
+                  match progress_every with
+                  | Some k when n mod k = 0 ->
+                    let snap =
+                      A.Progress.with_metrics ~workers
+                        (Wayfinder_obs.Recorder.snapshot obs)
+                        (M.Live_series.progress ls)
+                    in
+                    Printf.eprintf "%s\n%!"
+                      (A.Progress.to_line
+                         ~alerts:(M.Rules.active rules_state)
+                         ~metric:target.P.Target.metric snap)
+                  | Some _ | None -> ()))
         in
         let resilience =
           policy_of_flags ~resilient ~retries ~build_timeout ~boot_timeout ~run_timeout

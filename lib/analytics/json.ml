@@ -24,26 +24,14 @@ let number_to_string v =
   else if Float.is_integer v && Float.abs v < 1e16 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
-let escape_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* Strings go through the one JSON escaper, shared with trace events. *)
+let add_string = Wayfinder_obs.Attr.add_json_string
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num v -> Buffer.add_string buf (number_to_string v)
-  | Str s -> escape_string buf s
+  | Str s -> add_string buf s
   | List items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -57,7 +45,7 @@ let rec write buf = function
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        escape_string buf k;
+        add_string buf k;
         Buffer.add_char buf ':';
         write buf v)
       fields;

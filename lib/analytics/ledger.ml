@@ -195,13 +195,25 @@ let with_writer ?seed ?objectives ~algo ~space ~metric path f =
   let w = create_writer ?seed ?objectives ~algo ~space ~metric path in
   Fun.protect ~finally:(fun () -> close_writer w) (fun () -> f w)
 
+let to_string t =
+  let lines =
+    Obs.Sink.schema_header ~kind
+    :: Json.to_string (meta_json t.meta)
+    :: List.map (fun r -> Json.to_string (row_json r)) t.rows
+  in
+  let body = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  if not t.sealed then body
+  else body ^ Json.to_string (fin_json ~rows:(List.length t.rows) ~crc:(Crc32.digest body)) ^ "\n"
+
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
 
-let req what = function Some v -> Ok v | None -> Error (Malformed ("missing or ill-typed " ^ what))
+(* Field projections report bare reasons; the reader anchors them to the
+   line and byte where they occurred. *)
+let req what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what)
 
 let parse_header line =
   match Json.parse line with
@@ -216,15 +228,14 @@ let parse_header line =
       | Some k -> Error (Malformed (Printf.sprintf "kind %S is not a ledger" k))
       | None -> Error (Malformed "header has no kind")))
 
-let parse_meta ~offset line =
-  let fail reason = Error (Malformed (Printf.sprintf "line 2 (byte %d): %s" offset reason)) in
+let parse_meta line =
   match Json.parse line with
-  | Error msg -> fail ("meta: " ^ msg)
+  | Error msg -> Error ("meta: " ^ msg)
   | Ok j ->
     let* () =
       match Option.bind (Json.member "type" j) Json.to_str with
       | Some "meta" -> Ok ()
-      | Some _ | None -> fail "second line is not a meta record"
+      | Some _ | None -> Error "second line is not a meta record"
     in
     let* algo = req "meta.algo" (Option.bind (Json.member "algo" j) Json.to_str) in
     let* name = req "meta.metric" (Option.bind (Json.member "metric" j) Json.to_str) in
@@ -241,7 +252,7 @@ let parse_meta ~offset line =
           let* stage =
             match Param.stage_of_string stage_s with
             | Some s -> Ok s
-            | None -> Error (Malformed (Printf.sprintf "unknown stage %S" stage_s))
+            | None -> Error (Printf.sprintf "unknown stage %S" stage_s)
           in
           Ok ((name, stage) :: acc))
         (Ok []) params
@@ -286,91 +297,178 @@ let parse_belief = function
            predicted_uncertainty = Option.bind (Json.member "sigma" j) Json.to_float;
            belief_source = source })
 
-(* Parse one iter record; reasons carry no position — the caller anchors
-   them to its line number and byte offset. *)
 let parse_row j =
   let* () =
-      match Option.bind (Json.member "type" j) Json.to_str with
-      | Some "iter" -> Ok ()
-      | Some _ | None -> Error (Malformed "not an iter record")
-    in
-    let* index = req "i" (Option.bind (Json.member "i" j) Json.to_int) in
-    let* config = req "config" (Option.bind (Json.member "config" j) Json.to_list) in
-    let* tokens =
-      List.fold_left
-        (fun acc t ->
-          let* acc = acc in
-          let* s = req "config token" (Json.to_str t) in
-          Ok (s :: acc))
-        (Ok []) config
-    in
-    let tokens = Array.of_list (List.rev tokens) in
-    let value = Option.bind (Json.member "value" j) Json.to_float in
-    let failure =
-      Option.map Failure.of_string (Option.bind (Json.member "failure" j) Json.to_str)
-    in
-    let* at_seconds = req "at_s" (Option.bind (Json.member "at_s" j) Json.to_float) in
-    let* eval_seconds = req "eval_s" (Option.bind (Json.member "eval_s" j) Json.to_float) in
-    let* built = req "built" (Option.bind (Json.member "built" j) Json.to_bool) in
-    let* decide_seconds =
-      req "decide_s" (Option.bind (Json.member "decide_s" j) Json.to_float)
-    in
-    let* belief =
-      parse_belief (Option.value ~default:Json.Null (Json.member "belief" j))
-    in
-    let* objectives =
-      match Json.member "obj" j with
-      | None -> Ok None
-      | Some l ->
-        let* items = req "obj" (Json.to_list l) in
-        let* vs =
-          List.fold_left
-            (fun acc x ->
-              let* acc = acc in
-              let* v = req "obj component" (Json.to_float x) in
-              Ok (v :: acc))
-            (Ok []) items
-        in
-        Ok (Some (Array.of_list (List.rev vs)))
-    in
-    Ok
-      { index;
-        tokens;
-        value;
-        failure;
-        at_seconds;
-        eval_seconds;
-        built;
-        decide_seconds;
-        belief;
-        objectives }
-
-(* One body line, classified — the incremental reader (Monitor.Tail)
-   consumes the file line-at-a-time through this instead of re-running
-   the whole-file readers below on every poll. *)
-type line =
-  | Iter_line of row
-  | Fin_line of { fin_rows : int option; fin_crc : Crc32.t option }
-  | Blank_line
-
-let parse_line s =
-  if String.trim s = "" then Ok Blank_line
-  else
-    match Json.parse s with
-    | Error msg -> Error (Malformed msg)
-    | Ok j -> (
-      match Option.bind (Json.member "type" j) Json.to_str with
-      | Some "fin" ->
-        Ok
-          (Fin_line
-             { fin_rows = Option.bind (Json.member "rows" j) Json.to_int;
-               fin_crc =
-                 Option.bind
-                   (Option.bind (Json.member "crc" j) Json.to_str)
-                   Crc32.of_hex })
-      | _ -> Result.map (fun r -> Iter_line r) (parse_row j))
+    match Option.bind (Json.member "type" j) Json.to_str with
+    | Some "iter" -> Ok ()
+    | Some _ | None -> Error "not an iter record"
+  in
+  let* index = req "i" (Option.bind (Json.member "i" j) Json.to_int) in
+  let* config = req "config" (Option.bind (Json.member "config" j) Json.to_list) in
+  let* tokens =
+    List.fold_left
+      (fun acc t ->
+        let* acc = acc in
+        let* s = req "config token" (Json.to_str t) in
+        Ok (s :: acc))
+      (Ok []) config
+  in
+  let tokens = Array.of_list (List.rev tokens) in
+  let value = Option.bind (Json.member "value" j) Json.to_float in
+  let failure =
+    Option.map Failure.of_string (Option.bind (Json.member "failure" j) Json.to_str)
+  in
+  let* at_seconds = req "at_s" (Option.bind (Json.member "at_s" j) Json.to_float) in
+  let* eval_seconds = req "eval_s" (Option.bind (Json.member "eval_s" j) Json.to_float) in
+  let* built = req "built" (Option.bind (Json.member "built" j) Json.to_bool) in
+  let* decide_seconds = req "decide_s" (Option.bind (Json.member "decide_s" j) Json.to_float) in
+  let* belief = parse_belief (Option.value ~default:Json.Null (Json.member "belief" j)) in
+  let* objectives =
+    match Json.member "obj" j with
+    | None -> Ok None
+    | Some l ->
+      let* items = req "obj" (Json.to_list l) in
+      let* vs =
+        List.fold_left
+          (fun acc x ->
+            let* acc = acc in
+            let* v = req "obj component" (Json.to_float x) in
+            Ok (v :: acc))
+          (Ok []) items
+      in
+      Ok (Some (Array.of_list (List.rev vs)))
+  in
+  Ok
+    { index;
+      tokens;
+      value;
+      failure;
+      at_seconds;
+      eval_seconds;
+      built;
+      decide_seconds;
+      belief;
+      objectives }
 
 type drop = { line : int; offset : int; reason : string }
+
+type seal =
+  | Unsealed
+  | Sealed
+  | Sealed_unverified
+
+type phase =
+  | Header
+  | Meta
+  | Rows
+
+(* The one incremental reader behind the strict and salvage readers and
+   Monitor.Tail.  It tracks the byte offset and a streaming CRC so (a)
+   every drop names the exact line and byte where it happened, (b) the
+   fin seal is verified against the bytes actually read, and (c) salvage
+   knows where the clean prefix ends.  Body damage becomes a drop;
+   header/meta damage is an error, since without the meta record the
+   rows cannot be interpreted. *)
+type reader = {
+  mutable phase : phase;
+  mutable offset : int;  (* Bytes consumed: the start of the next line. *)
+  mutable lineno : int;  (* 1-based number of the next line. *)
+  mutable crc : Crc32.t option;  (* Every consumed byte; [None] when resumed mid-file. *)
+  mutable meta : meta option;
+  mutable nrows : int;
+  mutable ndrops : int;
+  mutable rows : row list;  (* Not yet taken, newest first. *)
+  mutable drops : drop list;  (* Not yet taken, newest first. *)
+  mutable seal : seal;
+  (* Rows and bytes strictly before the first drop or the fin line — the
+     portion a repair keeps (and re-seals). *)
+  mutable prefix : (int * int) option;
+}
+
+let reader () =
+  { phase = Header; offset = 0; lineno = 1; crc = Some Crc32.init; meta = None; nrows = 0;
+    ndrops = 0; rows = []; drops = []; seal = Unsealed; prefix = None }
+
+let resume_reader ~rows_read ~offset meta =
+  { (reader ()) with phase = Rows; offset; crc = None; meta = Some meta; nrows = rows_read }
+
+let reader_meta r = r.meta
+let reader_seal r = r.seal
+let reader_offset r = r.offset
+let reader_rows r = r.nrows
+let reader_drops r = r.ndrops
+
+let take r =
+  let taken = (List.rev r.rows, List.rev r.drops) in
+  r.rows <- [];
+  r.drops <- [];
+  taken
+
+let mark_prefix r = if r.prefix = None then r.prefix <- Some (r.nrows, r.offset)
+
+let drop r reason =
+  mark_prefix r;
+  r.ndrops <- r.ndrops + 1;
+  r.drops <- { line = r.lineno; offset = r.offset; reason } :: r.drops
+
+let check_fin r j =
+  let stored_rows = Option.bind (Json.member "rows" j) Json.to_int in
+  let stored_crc = Option.bind (Option.bind (Json.member "crc" j) Json.to_str) Crc32.of_hex in
+  match (stored_rows, stored_crc, r.crc) with
+  | None, _, _ | _, None, _ -> drop r "fin seal is missing rows or crc"
+  | Some n, _, _ when n <> r.nrows ->
+    drop r (Printf.sprintf "fin seal claims %d rows but %d were read (truncated body?)" n r.nrows)
+  | Some _, Some _, None ->
+    mark_prefix r;
+    r.seal <- Sealed_unverified
+  | Some _, Some stored, Some crc ->
+    let computed = Crc32.finish crc in
+    if stored <> computed then
+      drop r
+        (Printf.sprintf "fin seal crc mismatch (stored %s, computed %s)" (Crc32.to_hex stored)
+           (Crc32.to_hex computed))
+    else begin
+      mark_prefix r;
+      r.seal <- Sealed
+    end
+
+let body_line r line =
+  if String.trim line = "" then ()
+  else if r.seal <> Unsealed then drop r "content after fin seal"
+  else
+    match Json.parse line with
+    | Error msg -> drop r msg
+    | Ok j -> (
+      match Option.bind (Json.member "type" j) Json.to_str with
+      | Some "fin" -> check_fin r j
+      | _ -> (
+        match parse_row j with
+        | Ok row ->
+          r.rows <- row :: r.rows;
+          r.nrows <- r.nrows + 1
+        | Error reason -> drop r reason))
+
+let feed r line =
+  let* () =
+    match r.phase with
+    | Header ->
+      let* () = parse_header line in
+      r.phase <- Meta;
+      Ok ()
+    | Meta -> (
+      match parse_meta line with
+      | Ok meta ->
+        r.meta <- Some meta;
+        r.phase <- Rows;
+        Ok ()
+      | Error reason ->
+        Error (Malformed (Printf.sprintf "line %d (byte %d): %s" r.lineno r.offset reason)))
+    | Rows -> Ok (body_line r line)
+  in
+  r.crc <- Option.map (fun c -> Crc32.update (Crc32.update c line) "\n") r.crc;
+  r.offset <- r.offset + String.length line + 1;
+  r.lineno <- r.lineno + 1;
+  Ok ()
 
 type salvage = {
   ledger : t;
@@ -379,118 +477,32 @@ type salvage = {
   clean_prefix_bytes : int;
 }
 
-(* Shared core of the strict reader and the salvage reader.  Tracks the
-   byte offset and a streaming CRC so (a) every error names the exact
-   line and byte where parsing stopped, (b) the fin seal can be verified
-   against the actual bytes read, and (c) salvage knows where the clean
-   prefix ends.  In lenient mode bad lines become [drop]s instead of
-   fatal errors; header/meta damage is unsalvageable either way, since
-   without the meta record the rows cannot be interpreted. *)
-let parse_body ~lenient lines =
-  match lines with
-  | [] -> Error Missing_header
-  | header :: rest ->
-    let* () = parse_header header in
-    let offset0 = String.length header + 1 in
-    (match rest with
-    | [] ->
-      Error
-        (Malformed
-           (Printf.sprintf "line 2 (byte %d): ledger has no meta record (truncated after header)"
-              offset0))
-    | meta_line :: rows_lines ->
-      let* meta = parse_meta ~offset:offset0 meta_line in
-      let crc =
-        ref
-          (List.fold_left Crc32.update Crc32.init [ header; "\n"; meta_line; "\n" ])
-      in
-      let offset = ref (offset0 + String.length meta_line + 1) in
-      let lineno = ref 3 in
-      let rows = ref [] in
-      let nrows = ref 0 in
-      let drops = ref [] in
-      let sealed = ref false in
-      (* Rows and bytes strictly before the first drop or the fin line —
-         the portion a repair keeps (and re-seals). *)
-      let prefix_end = ref None in
-      let mark_prefix () =
-        if !prefix_end = None then prefix_end := Some (!nrows, !offset)
-      in
-      let fail reason =
-        if lenient then begin
-          mark_prefix ();
-          drops := { line = !lineno; offset = !offset; reason } :: !drops;
-          Ok ()
-        end
-        else Error (Malformed (Printf.sprintf "line %d (byte %d): %s" !lineno !offset reason))
-      in
-      let handle_fin j =
-        let stored_rows = Option.bind (Json.member "rows" j) Json.to_int in
-        let stored_crc =
-          Option.bind (Option.bind (Json.member "crc" j) Json.to_str) Crc32.of_hex
-        in
-        match (stored_rows, stored_crc) with
-        | None, _ | _, None -> fail "fin seal is missing rows or crc"
-        | Some r, Some c ->
-          if r <> !nrows then
-            fail
-              (Printf.sprintf "fin seal claims %d rows but %d were read (truncated body?)" r
-                 !nrows)
-          else begin
-            let computed = Crc32.finish !crc in
-            if c <> computed then
-              fail
-                (Printf.sprintf "fin seal crc mismatch (stored %s, computed %s)"
-                   (Crc32.to_hex c) (Crc32.to_hex computed))
-            else begin
-              mark_prefix ();
-              sealed := true;
-              Ok ()
-            end
-          end
-      in
-      let rec go = function
-        | [] -> Ok ()
-        | line :: rest ->
-          let* () =
-            if String.trim line = "" then Ok ()
-            else if !sealed then fail "content after fin seal"
-            else
-              match Json.parse line with
-              | Error msg -> fail msg
-              | Ok j -> (
-                match Option.bind (Json.member "type" j) Json.to_str with
-                | Some "fin" -> handle_fin j
-                | _ -> (
-                  match parse_row j with
-                  | Ok row ->
-                    rows := row :: !rows;
-                    incr nrows;
-                    Ok ()
-                  | Error (Malformed reason) -> fail reason
-                  | Error e -> Error e))
-          in
-          crc := Crc32.update (Crc32.update !crc line) "\n";
-          offset := !offset + String.length line + 1;
-          incr lineno;
-          go rest
-      in
-      let* () = go rows_lines in
-      let clean_prefix_rows, clean_prefix_bytes =
-        match !prefix_end with Some p -> p | None -> (!nrows, !offset)
-      in
-      Ok
-        ( { meta; rows = List.rev !rows; sealed = !sealed },
-          List.rev !drops,
-          clean_prefix_rows,
-          clean_prefix_bytes ))
+(* A whole-file read: every '\n'-separated piece is fed, the final
+   unterminated one included — there is nothing more to wait for.
+   Strictly, the first drop is the error. *)
+let read_lines ~strict lines =
+  let r = reader () in
+  let rec go = function
+    | [] -> Ok ()
+    | line :: rest -> (
+      let* () = feed r line in
+      match r.drops with
+      | d :: _ when strict ->
+        Error (Malformed (Printf.sprintf "line %d (byte %d): %s" d.line d.offset d.reason))
+      | _ -> go rest)
+  in
+  let* () = go lines in
+  match r.meta with
+  | Some meta -> Ok (r, { meta; rows = List.rev r.rows; sealed = r.seal = Sealed })
+  | None when r.phase = Header -> Error Missing_header
+  | None ->
+    Error
+      (Malformed
+         (Printf.sprintf "line 2 (byte %d): ledger has no meta record (truncated after header)"
+            r.offset))
 
-let of_lines lines =
-  let* ledger, _, _, _ = parse_body ~lenient:false lines in
-  Ok ledger
-
-let of_string s =
-  of_lines (String.split_on_char '\n' s)
+let of_lines lines = Result.map snd (read_lines ~strict:true lines)
+let of_string s = of_lines (String.split_on_char '\n' s)
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -498,14 +510,13 @@ let load path =
   | exception Sys_error msg -> Error (Malformed msg)
 
 let salvage_string s =
-  let* ledger, dropped, clean_prefix_rows, clean_prefix_bytes =
-    parse_body ~lenient:true (String.split_on_char '\n' s)
-  in
-  (* The scanner overcounts the final offset by one when the file lacks a
+  let* r, ledger = read_lines ~strict:false (String.split_on_char '\n' s) in
+  let clean_prefix_rows, clean_prefix_bytes = Option.value r.prefix ~default:(r.nrows, r.offset) in
+  (* The reader overcounts the final offset by one when the file lacks a
      trailing newline; clamp so the prefix is always a real substring. *)
   Ok
     { ledger;
-      dropped;
+      dropped = List.rev r.drops;
       clean_prefix_rows;
       clean_prefix_bytes = min clean_prefix_bytes (String.length s) }
 

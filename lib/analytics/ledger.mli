@@ -128,6 +128,11 @@ val with_writer :
   (writer -> 'a) ->
   'a
 
+val to_string : t -> string
+(** The bytes a writer produces for [t]: header, meta, one line per row,
+    and a [fin] seal when [t.sealed].  [of_string (to_string t)] reads
+    back [t]. *)
+
 (** {1 Reading} *)
 
 val load : string -> (t, error) result
@@ -137,34 +142,6 @@ val of_lines : string list -> (t, error) result
     is rejected with {!Unsupported_schema} before any row is parsed.
     {!Malformed} messages name the line number and byte offset where
     parsing stopped (["line 17 (byte 2310): ..."]). *)
-
-(** {1 Incremental reading}
-
-    The pieces a line-at-a-time reader (e.g. [Monitor.Tail]) needs to
-    consume a growing ledger without re-parsing the whole file on every
-    poll.  They accept exactly what the whole-file readers accept. *)
-
-val parse_header : string -> (unit, error) result
-(** Validate line 1: schema version and ["ledger"] kind. *)
-
-val parse_meta : offset:int -> string -> (meta, error) result
-(** Parse line 2.  [offset] is the byte offset of the line's start, used
-    only to anchor error messages. *)
-
-type line =
-  | Iter_line of row
-  | Fin_line of {
-      fin_rows : int option;  (** [None] when the seal is missing it. *)
-      fin_crc : Wayfinder_platform.Crc32.t option;
-          (** [None] when missing or not valid hex. *)
-    }  (** A [fin] seal — {e unverified}: the caller checks row count and
-           CRC against what it actually read. *)
-  | Blank_line
-
-val parse_line : string -> (line, error) result
-(** Classify one body line (line 3 onwards, no trailing newline).
-    Errors are [Malformed] with no position anchor — the caller knows its
-    own line number and byte offset. *)
 
 (** {1 Salvage}
 
@@ -202,3 +179,52 @@ val repair_string : string -> (string * salvage, error) result
     [fin] record over exactly those bytes — plus the salvage report that
     produced it.  Loading the repaired content always yields a sealed
     ledger with [clean_prefix_rows] rows. *)
+
+(** {1 Incremental reading}
+
+    The one reader behind {!of_string}, {!load}, {!salvage} and the
+    follow-mode [Monitor.Tail].  It consumes a ledger one complete line
+    at a time and keeps the phase (header, meta, rows), the byte offset
+    and line number, a streaming CRC-32, the rows, the positioned drops,
+    the seal and the clean prefix.  Body damage becomes a {!drop}; only
+    header or meta damage (or an unknown schema) is an error.  The
+    whole-file readers fold it: {!of_string} strictly, where the first
+    drop is the [line N (byte M): ...] error, and {!salvage_string}
+    leniently. *)
+
+type seal =
+  | Unsealed  (** No [fin] yet — a live or killed run. *)
+  | Sealed  (** [fin] present, row count and CRC both verified. *)
+  | Sealed_unverified
+      (** [fin] present with a matching row count, read by a reader
+          resumed mid-file, which cannot recompute the CRC. *)
+
+type reader
+
+val reader : unit -> reader
+(** A reader at byte 0, expecting the schema header. *)
+
+val resume_reader : rows_read:int -> offset:int -> meta -> reader
+(** A reader at byte [offset] inside the row region, for a caller that
+    already consumed the prefix (and its meta record).  [rows_read] is
+    the number of iter rows in that prefix, so a later
+    [fin] seal's row count can still be checked.  Line numbers count from
+    the resume point. *)
+
+val feed : reader -> string -> (unit, error) result
+(** Consume one complete line, without its newline.  On [Error] the
+    line is not consumed. *)
+
+val take : reader -> row list * drop list
+(** The rows and drops fed since the previous [take], in file order. *)
+
+val reader_meta : reader -> meta option
+val reader_seal : reader -> seal
+
+val reader_offset : reader -> int
+(** Bytes consumed. *)
+
+val reader_rows : reader -> int
+(** Iter rows consumed in total ([rows_read] included). *)
+
+val reader_drops : reader -> int

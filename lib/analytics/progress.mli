@@ -29,6 +29,11 @@ val default_window : int
 val of_series :
   ?window:int -> ?metrics:Obs.Metrics.snapshot -> ?workers:int -> Series.t -> snapshot
 
+val with_metrics : workers:int -> Obs.Metrics.snapshot -> snapshot -> snapshot
+(** Fill [cache_hit_rate] and [worker_busy] from a metrics snapshot —
+    how {!of_series} does it with [?metrics], and how a live series'
+    progress projection gets the same two fields. *)
+
 val to_line : ?alerts:string list -> metric:Metric.t -> snapshot -> string
 (** e.g. [[iter 120] best 812.300 req/s | slope +0.42/it | crash 18% |
     cache 37% | busy 86% | vt 3.4h].  [alerts] (default none) appends the

@@ -85,6 +85,49 @@ let value_token = function
   | Vint n -> "i" ^ string_of_int n
   | Vcat i -> "c" ^ string_of_int i
 
+let float_field = Printf.sprintf "%h"
+
+let float_of_field s =
+  match float_of_string_opt s with Some f -> Ok f | None -> Error ("bad float field " ^ s)
+
+let percent_encode ~plain s =
+  if String.for_all plain s then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        if plain c then Buffer.add_char buf c
+        else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
+      s;
+    Buffer.contents buf
+  end
+
+let percent_decode s =
+  if not (String.contains s '%') then s
+  else begin
+    let hex c =
+      match c with
+      | '0' .. '9' -> Some (Char.code c - 48)
+      | 'A' .. 'F' -> Some (Char.code c - 55)
+      | 'a' .. 'f' -> Some (Char.code c - 87)
+      | _ -> None
+    in
+    let n = String.length s in
+    let buf = Buffer.create n in
+    let rec go i =
+      if i < n then
+        match if s.[i] = '%' && i + 2 < n then (hex s.[i + 1], hex s.[i + 2]) else (None, None) with
+        | Some hi, Some lo ->
+          Buffer.add_char buf (Char.chr ((hi * 16) + lo));
+          go (i + 3)
+        | _ ->
+          Buffer.add_char buf s.[i];
+          go (i + 1)
+    in
+    go 0;
+    Buffer.contents buf
+  end
+
 (* Canonical, collision-free identity of a whole configuration: the
    comma-joined value tokens.  Tokens contain no commas and [value_token]
    is injective on values, so two configurations share a key iff they are

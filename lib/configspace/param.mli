@@ -58,6 +58,25 @@ val value_token : value -> string
 val value_of_token : string -> value option
 (** Total inverse of {!value_token}; [None] on malformed tokens. *)
 
+val float_field : float -> string
+(** ["%h"] hex float: every double round-trips bitwise through
+    {!float_of_field}, infinities and [-0.] included; a NaN round-trips
+    as a NaN of the same sign (the text carries no payload bits).  The
+    float codec of every line format: checkpoints, registry entries and
+    workload traces. *)
+
+val float_of_field : string -> (float, string) result
+
+val percent_encode : plain:(char -> bool) -> string -> string
+(** Escape every byte [plain] rejects as [%XX] (uppercase hex); [s]
+    itself when nothing needs escaping.  The one percent codec behind
+    canonical space names and the sealed-envelope string fields. *)
+
+val percent_decode : string -> string
+(** Inverse of {!percent_encode} for any [plain]: each [%XX] with two hex
+    digits becomes its byte, every other byte (a stray [%] included) is
+    kept as is. *)
+
 val config_key : value array -> string
 (** Canonical identity of a whole configuration: the comma-joined
     {!value_token}s.  Injective — two configurations share a key iff they

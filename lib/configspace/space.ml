@@ -201,19 +201,10 @@ let stage_key t config =
    the text (and its CRC) can key a persistent model registry.  Labels
    and names are percent-escaped so the encoding stays injective whatever
    characters they contain. *)
-let canonical_escape s =
-  let plain c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '_' || c = '.' || c = '-' || c = '/' || c = ':'
-  in
-  if String.for_all plain s then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c -> if plain c then Buffer.add_char buf c else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-      s;
-    Buffer.contents buf
-  end
+let canonical_escape =
+  Param.percent_encode ~plain:(fun c ->
+      (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+      || c = '_' || c = '.' || c = '-' || c = '/' || c = ':')
 
 let canonical_kind = function
   | Param.Kbool -> "bool"

@@ -94,4 +94,5 @@ val pareto : t -> Pareto.t option
 val progress : t -> A.Progress.snapshot
 (** The [--progress] projection ({!A.Progress.of_series} shape) computed
     from live state; [cache_hit_rate] and [worker_busy] are [None] — a
-    ledger consumer has no metrics registry. *)
+    ledger consumer has no metrics registry; a live run fills them with
+    {!A.Progress.with_metrics}. *)

@@ -1,39 +1,18 @@
 module A = Wayfinder_analytics
-module Crc32 = Wayfinder_platform.Crc32
 
-(* Follow-mode ledger reader.  Each {!step} reopens the file, seeks to
-   the first unconsumed byte and parses every newly-completed line —
-   a line is consumed only once its terminating '\n' is on disk, so a
-   writer killed mid-record never yields a half-parsed row (it stays
-   pending until the file grows past it or forever).  Damage inside the
-   body follows the salvage discipline of {!A.Ledger}: bad lines become
-   positioned drops, never crashes; only header/meta damage is fatal,
-   because without the meta record the rows cannot be interpreted. *)
+(* Follow-mode ledger polling over {!A.Ledger}'s incremental reader.
+   Each {!step} reopens the file, seeks to the first unconsumed byte,
+   reads to EOF and feeds every newly-completed line — a line is
+   consumed only once its terminating '\n' is on disk, so a writer
+   killed mid-record never yields a half-parsed row (it stays pending
+   until the file grows past it or forever). *)
 
-type seal =
+type seal = A.Ledger.seal =
   | Unsealed
   | Sealed
   | Sealed_unverified
 
-type state =
-  | Expect_header
-  | Expect_meta
-  | Rows
-
-type t = {
-  path : string;
-  mutable state : state;
-  mutable offset : int;
-  mutable lineno : int;
-  (* Streaming CRC over every consumed line (newline included), exactly
-     as the batch reader accumulates it; [None] when resumed mid-file,
-     where the seal can only ever be [Sealed_unverified]. *)
-  mutable crc : Crc32.t option;
-  mutable meta : A.Ledger.meta option;
-  mutable nrows : int;
-  mutable ndrops : int;
-  mutable seal : seal;
-}
+type t = { path : string; mutable reader : A.Ledger.reader }
 
 type step = {
   rows : A.Ledger.row list;
@@ -41,115 +20,40 @@ type step = {
   truncated : bool;
 }
 
-let create path =
-  { path; state = Expect_header; offset = 0; lineno = 1;
-    crc = Some Crc32.init; meta = None; nrows = 0; ndrops = 0;
-    seal = Unsealed }
+let create path = { path; reader = A.Ledger.reader () }
 
 let resume ?(rows_read = 0) ~path ~offset ~meta () =
-  { path; state = Rows; offset; lineno = 1; crc = None; meta = Some meta;
-    nrows = rows_read; ndrops = 0; seal = Unsealed }
+  { path; reader = A.Ledger.resume_reader ~rows_read ~offset meta }
 
-let meta t = t.meta
-let seal t = t.seal
-let offset t = t.offset
-let rows_read t = t.nrows
-let dropped t = t.ndrops
-
-let reset t =
-  t.state <- Expect_header;
-  t.offset <- 0;
-  t.lineno <- 1;
-  t.crc <- Some Crc32.init;
-  t.meta <- None;
-  t.nrows <- 0;
-  t.ndrops <- 0;
-  t.seal <- Unsealed
+let meta t = A.Ledger.reader_meta t.reader
+let seal t = A.Ledger.reader_seal t.reader
+let offset t = A.Ledger.reader_offset t.reader
+let rows_read t = A.Ledger.reader_rows t.reader
+let dropped t = A.Ledger.reader_drops t.reader
 
 let ( let* ) = Result.bind
 
-(* Consume one complete line (no trailing newline).  [Ok] carries the
-   parsed rows/drops accumulated so far in reverse. *)
-let consume t acc line =
-  let rows, drops = acc in
-  let drop reason =
-    t.ndrops <- t.ndrops + 1;
-    Ok (rows, { A.Ledger.line = t.lineno; offset = t.offset; reason } :: drops)
-  in
-  let* acc =
-    match t.state with
-    | Expect_header ->
-      let* () = A.Ledger.parse_header line in
-      t.state <- Expect_meta;
-      Ok acc
-    | Expect_meta ->
-      let* meta = A.Ledger.parse_meta ~offset:t.offset line in
-      t.meta <- Some meta;
-      t.state <- Rows;
-      Ok acc
-    | Rows -> (
-      match A.Ledger.parse_line line with
-      | Ok A.Ledger.Blank_line -> Ok acc
-      | _ when t.seal <> Unsealed -> drop "content after fin seal"
-      | Error (A.Ledger.Malformed reason) -> drop reason
-      | Error e -> Error e
-      | Ok (A.Ledger.Iter_line row) ->
-        t.nrows <- t.nrows + 1;
-        Ok (row :: rows, drops)
-      | Ok (A.Ledger.Fin_line { fin_rows; fin_crc }) -> (
-        match (fin_rows, fin_crc) with
-        | None, _ | _, None -> drop "fin seal is missing rows or crc"
-        | Some r, Some c ->
-          if r <> t.nrows then
-            drop
-              (Printf.sprintf
-                 "fin seal claims %d rows but %d were read (truncated body?)" r
-                 t.nrows)
-          else (
-            match t.crc with
-            | None ->
-              t.seal <- Sealed_unverified;
-              Ok acc
-            | Some crc ->
-              let computed = Crc32.finish crc in
-              if c <> computed then
-                drop
-                  (Printf.sprintf "fin seal crc mismatch (stored %s, computed %s)"
-                     (Crc32.to_hex c) (Crc32.to_hex computed))
-              else begin
-                t.seal <- Sealed;
-                Ok acc
-              end)))
-  in
-  t.crc <- Option.map (fun c -> Crc32.update (Crc32.update c line) "\n") t.crc;
-  t.offset <- t.offset + String.length line + 1;
-  t.lineno <- t.lineno + 1;
-  Ok acc
-
 let step t =
   match
-    let ic = open_in_bin t.path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let size = in_channel_length ic in
-        let truncated = size < t.offset in
-        if truncated then reset t;
-        seek_in ic t.offset;
-        let chunk = really_input_string ic (size - t.offset) in
-        (truncated, chunk))
+    In_channel.with_open_bin t.path (fun ic ->
+        let truncated = In_channel.length ic < Int64.of_int (offset t) in
+        if truncated then t.reader <- A.Ledger.reader ();
+        In_channel.seek ic (Int64.of_int (offset t));
+        (* Read to EOF rather than a length measured up front: the file
+           may shrink in between. *)
+        (truncated, In_channel.input_all ic))
   with
   | exception Sys_error msg -> Error (A.Ledger.Malformed msg)
   | truncated, chunk ->
-    (* Only lines whose '\n' is present are consumed; the final
-       newline-less fragment stays on disk for the next poll. *)
-    let rec go acc from =
+    (* Only lines whose '\n' is present are fed; the final newline-less
+       fragment stays on disk for the next poll. *)
+    let rec go from =
       match String.index_from_opt chunk from '\n' with
-      | None -> Ok acc
+      | None -> Ok ()
       | Some nl ->
-        let line = String.sub chunk from (nl - from) in
-        let* acc = consume t acc line in
-        go acc (nl + 1)
+        let* () = A.Ledger.feed t.reader (String.sub chunk from (nl - from)) in
+        go (nl + 1)
     in
-    let* rows, drops = go ([], []) 0 in
-    Ok { rows = List.rev rows; drops = List.rev drops; truncated }
+    let* () = go 0 in
+    let rows, drops = A.Ledger.take t.reader in
+    Ok { rows; drops; truncated }

@@ -1,24 +1,23 @@
-(** Follow-mode ledger reader.
+(** Follow-mode ledger reader: file polling over
+    {!Wayfinder_analytics.Ledger}'s incremental reader.
 
-    Polls a growing JSONL ledger: each {!step} reads every line whose
-    terminating newline has reached the disk since the previous step and
-    parses it incrementally — a writer killed mid-record never yields a
+    Polls a growing JSONL ledger: each {!step} feeds the reader every
+    line whose terminating newline has reached the disk since the
+    previous step — a writer killed mid-record never yields a
     half-parsed row (the torn fragment stays pending until the file
-    grows past it).  Body damage follows the salvage discipline of
-    {!Wayfinder_analytics.Ledger}: bad lines become positioned drops;
-    only header/meta damage (or an unknown schema) is a fatal error,
-    since without the meta record the rows cannot be interpreted.
+    grows past it).  Parsing, drops and seal verification are the
+    reader's, so a tail and a whole-file salvage of the same bytes agree
+    drop for drop.
 
-    When the tail starts at byte 0 it maintains the same streaming
-    CRC-32 the batch reader computes, so a [fin] seal is fully verified
+    A tail that starts at byte 0 fully verifies a [fin] seal
     ({!Sealed}); a tail {!resume}d mid-file can check the seal's row
-    count but not its checksum and reports {!Sealed_unverified}.  A file
-    that shrinks under the reader (truncation/rewrite) resets the tail
-    to the beginning and is flagged in the step result. *)
+    count but not its checksum ({!Sealed_unverified}).  A file that
+    shrinks under the reader (truncation/rewrite) resets the tail to the
+    beginning and is flagged in the step result. *)
 
 module A = Wayfinder_analytics
 
-type seal =
+type seal = A.Ledger.seal =
   | Unsealed  (** No [fin] yet — a live or killed run. *)
   | Sealed  (** [fin] present, row count and CRC both verified. *)
   | Sealed_unverified

@@ -11,8 +11,8 @@ let bool k v = (k, Bool v)
 
 let find t k = Option.map snd (List.find_opt (fun (k', _) -> k' = k) t)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_json_string buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -24,6 +24,11 @@ let escape_string s =
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"'
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_json_string buf s;
   Buffer.contents buf
 
 (* Exact round-trip: a reader that sums trace durations must recover the
@@ -37,13 +42,10 @@ let json_of_float v =
     if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
 let json_of_value = function
-  | String s -> Printf.sprintf "\"%s\"" (escape_string s)
+  | String s -> json_string s
   | Float v -> json_of_float v
   | Int i -> string_of_int i
   | Bool b -> if b then "true" else "false"
 
 let to_json t =
-  let fields =
-    List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape_string k) (json_of_value v)) t
-  in
-  "{" ^ String.concat "," fields ^ "}"
+  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ json_of_value v) t) ^ "}"

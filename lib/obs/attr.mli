@@ -20,6 +20,12 @@ val bool : string -> bool -> string * value
 
 val find : t -> string -> value option
 
+val add_json_string : Buffer.t -> string -> unit
+(** Append [s] as a quoted JSON string literal: double quote and
+    backslash escaped, newline, carriage return and tab by name, other
+    control bytes as [\u00XX], every other byte verbatim.  The one JSON
+    string escaper — the analytics JSON codec renders with it too. *)
+
 val json_of_value : value -> string
 (** JSON fragment for a value: strings are escaped and quoted; non-finite
     floats become [null] (JSON has no NaN/infinity). *)

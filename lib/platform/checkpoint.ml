@@ -47,28 +47,14 @@ let version = 5
 (* Field encodings                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Hex float literals ("%h") round-trip every finite double exactly, so a
-   resumed virtual clock is bit-identical to the interrupted one. *)
-let float_field = Printf.sprintf "%h"
-
-let float_of_field s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Malformed ("bad float " ^ s))
-
-(* The token codec is shared with the analytics run ledger. *)
-let value_token = Param.value_token
-
-let value_of_token s =
-  match Param.value_of_token s with
-  | Some v -> Ok v
-  | None -> Error (Malformed ("bad value token " ^ s))
-
-(* "." denotes the empty configuration so a config field is never an empty
-   string (which a whitespace split could not distinguish). *)
-let config_field config =
-  if Array.length config = 0 then "."
-  else String.concat " " (Array.to_list (Array.map value_token config))
+(* The line codecs are {!Envelope}'s, shared with registry entries; hex
+   float fields make a resumed virtual clock bit-identical to the
+   interrupted one. *)
+let float_field = Envelope.float_field
+let encode_string = Envelope.encode_string
+let decode_string = Envelope.decode_string
+let field r = Result.map_error (fun msg -> Malformed msg) r
+let float_of_field s = field (Envelope.float_of_field s)
 
 (* Objective vectors are comma-joined %h floats; "." is the empty vector
    (mirroring the empty-config marker) and "-" in an entry line means no
@@ -87,47 +73,6 @@ let vec_of_field s =
     in
     go [] (String.split_on_char ',' s)
 
-let config_of_field s =
-  if s = "." then Ok [||]
-  else
-    let tokens = String.split_on_char ' ' s in
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | tok :: rest -> ( match value_of_token tok with Ok v -> go (v :: acc) rest | Error e -> Error e)
-    in
-    go [] tokens
-
-(* Failure strings may be user-supplied ([Other _]); percent-encode the
-   characters the line format reserves. *)
-let encode_string s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '\t' | '\n' | '\r' | ' ' -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let decode_string s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        (match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-        | Some code -> Buffer.add_char buf (Char.chr code)
-        | None -> Buffer.add_string buf (String.sub s i 3));
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -141,7 +86,7 @@ let entry_line (e : History.entry) =
       float_field e.History.eval_seconds;
       (if e.History.built then "1" else "0");
       float_field e.History.decide_seconds;
-      config_field e.History.config;
+      Envelope.config_field e.History.config;
       (match e.History.objectives with Some v -> vec_field v | None -> "-") ]
 
 let body_string t =
@@ -184,13 +129,11 @@ let body_string t =
   line "end";
   Buffer.contents buf
 
-(* The sealed envelope: the format-4 body followed by a CRC-32 trailer
-   line over the body bytes.  The trailer is mandatory on read, so a
-   truncation that happens to cut exactly after the "end" marker is
-   still detected. *)
-let to_string t =
-  let body = body_string t in
-  body ^ Printf.sprintf "crc %s\n" (Crc32.to_hex (Crc32.digest body))
+(* The sealed envelope: the body followed by a CRC-32 trailer line over
+   the body bytes.  The trailer is mandatory on read, so a truncation
+   that happens to cut exactly after the "end" marker is still
+   detected. *)
+let to_string t = Envelope.seal (body_string t)
 
 let generation_path = Durable.generation_path
 let max_generations = 64
@@ -234,7 +177,7 @@ let parse_entry rest =
       | _ -> Error (Malformed "bad entry built flag")
     in
     let* decide_seconds = float_of_field decide in
-    let* config = config_of_field config in
+    let* config = field (Envelope.config_of_field config) in
     let* objectives =
       if objectives = "-" then Ok None
       else
@@ -265,34 +208,6 @@ let parse_inflight rest =
     let* entry = parse_entry (String.concat "\t" entry_fields) in
     Ok { index = entry.History.index; slot; start_seconds; entry }
   | _ -> Error (Malformed "bad inflight field count")
-
-(* Peel the CRC trailer off the envelope: the body (everything up to and
-   including the newline that ends the "end" marker) and the stored
-   checksum.  Trailing newlines after the trailer are tolerated. *)
-let split_envelope s =
-  let e =
-    let i = ref (String.length s) in
-    while !i > 0 && s.[!i - 1] = '\n' do decr i done;
-    !i
-  in
-  if e = 0 then Error (Malformed "empty checkpoint")
-  else
-    let start = match String.rindex_from_opt s (e - 1) '\n' with Some i -> i + 1 | None -> 0 in
-    let last_line = String.sub s start (e - start) in
-    match String.split_on_char ' ' last_line with
-    | [ "crc"; hex ] -> (
-      match Crc32.of_hex hex with
-      | None -> Error (Malformed ("bad crc trailer " ^ hex))
-      | Some stored ->
-        let body = String.sub s 0 start in
-        let computed = Crc32.digest body in
-        if computed = stored then Ok body
-        else
-          Error
-            (Malformed
-               (Printf.sprintf "crc mismatch (stored %s, computed %s): corrupt checkpoint" hex
-                  (Crc32.to_hex computed))))
-    | _ -> Error (Malformed "missing crc trailer (unsealed or truncated checkpoint)")
 
 let of_body s =
   let lines =
@@ -327,11 +242,7 @@ let of_body s =
     and trace_cursor = ref None
     and ended = ref false in
     let parse_line line =
-      let key, rest =
-        match String.index_opt line ' ' with
-        | Some i -> (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-        | None -> (line, "")
-      in
+      let key, rest = Envelope.split_tag line in
       let int_ref r =
         match int_of_string_opt rest with
         | Some v ->
@@ -492,7 +403,10 @@ let of_string s =
       | _ -> Ok ())
     | _ -> Ok ()
   in
-  match split_envelope s with Ok body -> of_body body | Error _ as e -> e
+  match Envelope.unseal s with
+  | Envelope.Sealed body -> of_body body
+  | Envelope.No_trailer -> Error (Malformed "missing crc trailer (unsealed or truncated checkpoint)")
+  | Envelope.Corrupt msg -> Error (Malformed (msg ^ ": corrupt checkpoint"))
 
 let load_from ~backend ~path =
   match backend.Durable.read path with

@@ -51,6 +51,20 @@ let diverged_msg index =
      than the checkpointed run?)"
     index
 
+(* A resume replays every proposal the checkpoint launched (completed and
+   in flight), so an [Iterations] budget below that count can neither stop
+   short of the replay nor make progress past it. *)
+let check_resume_budget budget (ck : Checkpoint.t) =
+  let launched = ck.Checkpoint.iterations + List.length ck.Checkpoint.inflight in
+  match budget with
+  | Iterations n when n < launched ->
+    invalid_arg
+      (Printf.sprintf
+         "Driver.run: iteration budget %d is below the %d iterations the checkpoint already \
+          launched"
+         n launched)
+  | Iterations _ | Virtual_seconds _ -> ()
+
 (* Per-phase virtual timeouts: a phase whose duration exceeds its cap is
    charged at the cap, later phases never ran, and the outcome is the
    corresponding timeout failure — a hung boot costs [boot_timeout_s],
@@ -159,6 +173,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
   (match resume_from with
   | None -> ()
   | Some ck ->
+    check_resume_budget budget ck;
     if Vclock.now clock <> ck.Checkpoint.budget_start_seconds then
       invalid_arg
         "Driver.run: resume requires a clock at the checkpoint's budget origin (pass a fresh \
@@ -680,6 +695,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
   (match resume_from with
   | None -> ()
   | Some ck ->
+    check_resume_budget budget ck;
     if Vclock.now clock <> ck.Checkpoint.budget_start_seconds then
       invalid_arg
         "Driver.run: resume requires a clock at the checkpoint's budget origin (pass a fresh \

@@ -91,23 +91,6 @@ let fs =
 (* Protocols                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let atomic_write ?(backend = fs) ~path data =
-  let tmp = path ^ ".tmp" in
-  match
-    backend.write tmp data;
-    backend.fsync tmp;
-    backend.rename ~src:tmp ~dst:path;
-    backend.fsync_dir path
-  with
-  | () -> Ok ()
-  | exception Io_error e ->
-    (* Never leave the staging file behind — not even on disk-full. *)
-    (try backend.remove tmp with Io_error _ -> ());
-    Error e
-
-let atomic_write_exn ?backend ~path data =
-  match atomic_write ?backend ~path data with Ok () -> () | Error e -> raise (Io_error e)
-
 let generation_path path i = if i = 0 then path else Printf.sprintf "%s.%d" path i
 
 let atomic_publish ?(backend = fs) ?(keep = 1) ~path data =
@@ -135,6 +118,13 @@ let atomic_publish ?(backend = fs) ?(keep = 1) ~path data =
        staging file behind; the previous generations are untouched. *)
     (try backend.remove tmp with Io_error _ -> ());
     raise e
+
+(* With [keep = 1] a publish is exactly tmp-write, fsync, rename,
+   fsync-dir: the same primitives, so the same fault-backend cost. *)
+let atomic_write ?backend ~path data =
+  match atomic_publish ?backend ~path data with () -> Ok () | exception Io_error e -> Error e
+
+let atomic_write_exn ?backend ~path data = atomic_publish ?backend ~path data
 
 let read_file ?(backend = fs) path =
   match backend.read path with s -> Ok s | exception Io_error e -> Error e

@@ -71,10 +71,11 @@ val fs : backend
 (** {1 Protocols} *)
 
 val atomic_write : ?backend:backend -> path:string -> string -> (unit, io_error) result
-(** Durable atomic publication of [data] at [path]: stage to
-    [path ^ ".tmp"], fsync, rename, fsync the directory.  On failure the
-    staging file is removed (best-effort) and the previous content of
-    [path], if any, is untouched. *)
+(** Durable atomic publication of [data] at [path]: {!atomic_publish}
+    with [keep = 1] (stage to [path ^ ".tmp"], fsync, rename, fsync the
+    directory), returning the I/O error instead of raising it.  On
+    failure the staging file is removed (best-effort) and the previous
+    content of [path], if any, is untouched. *)
 
 val atomic_write_exn : ?backend:backend -> path:string -> string -> unit
 (** @raise Io_error instead of returning it. *)
@@ -84,7 +85,7 @@ val generation_path : string -> int -> string
     ["path.i"] for [i >= 1] — the naming scheme of rotated generations. *)
 
 val atomic_publish : ?backend:backend -> ?keep:int -> path:string -> string -> unit
-(** {!atomic_write} plus {e generation rotation}: stage to
+(** The one staged-write protocol, with {e generation rotation}: stage to
     [path ^ ".tmp"], fsync, then (when [keep > 1] and [path] exists)
     shift [path] → [path.1] → … → [path.(keep-1)] before renaming the
     staging file into place and fsyncing the directory.  A crash at any

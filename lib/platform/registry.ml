@@ -48,65 +48,13 @@ let error_to_string = function
 
 let version = 1
 
-(* ------------------------------------------------------------------ *)
-(* Field codecs (shared conventions with Checkpoint)                   *)
-(* ------------------------------------------------------------------ *)
-
-(* %h hex floats: every double round-trips bitwise. *)
-let float_field x = Printf.sprintf "%h" x
-
-let float_of_field s =
-  match float_of_string_opt s with
-  | Some x -> Ok x
-  | None -> Error (Malformed ("bad float field " ^ s))
-
-(* Percent-encode the characters the line format reserves. *)
-let encode_string s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '\t' | '\n' | '\r' | ' ' ->
-        Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let decode_string s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        (match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-        | Some code -> Buffer.add_char buf (Char.chr code)
-        | None -> Buffer.add_string buf (String.sub s i 3));
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents buf
-
-(* "." denotes the empty configuration (a config field is never ""). *)
-let config_field config =
-  if Array.length config = 0 then "."
-  else String.concat " " (Array.to_list (Array.map Param.value_token config))
-
-let config_of_field s =
-  if s = "." then Ok [||]
-  else
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | tok :: rest -> (
-        match Param.value_of_token tok with
-        | Some v -> go (v :: acc) rest
-        | None -> Error (Malformed ("bad value token " ^ tok)))
-    in
-    go [] (String.split_on_char ' ' s)
+(* The line codecs and the CRC seal are {!Envelope}'s, shared with
+   checkpoints. *)
+let float_field = Envelope.float_field
+let encode_string = Envelope.encode_string
+let decode_string = Envelope.decode_string
+let field r = Result.map_error (fun msg -> Malformed msg) r
+let float_of_field s = field (Envelope.float_of_field s)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
@@ -152,44 +100,16 @@ let to_string t =
       (String.concat " " (List.init k (fun j -> float_field t.model.(!i + j))));
     i := !i + k
   done;
-  List.iter (fun c -> line "incumbent %s" (config_field c)) t.incumbents;
+  List.iter (fun c -> line "incumbent %s" (Envelope.config_field c)) t.incumbents;
   line "space %s" (encode_string t.fp.space_text);
   line "end";
-  let body = Buffer.contents buf in
-  body ^ Printf.sprintf "crc %s\n" (Crc32.to_hex (Crc32.digest body))
+  Envelope.seal (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-(* Peel the [crc] trailer if present.  A body without one is loadable
-   but unsealed; a trailer that does not verify is corrupt. *)
-let split_envelope s =
-  let n = String.length s in
-  let stop = if n > 0 && s.[n - 1] = '\n' then n - 1 else n in
-  if stop = 0 then `No_trailer s
-  else
-    let line_start =
-      match String.rindex_from_opt s (stop - 1) '\n' with Some i -> i + 1 | None -> 0
-    in
-    let last = String.sub s line_start (stop - line_start) in
-    if String.length last > 4 && String.sub last 0 4 = "crc " then begin
-      let hex = String.sub last 4 (String.length last - 4) in
-      let body = String.sub s 0 line_start in
-      match Crc32.of_hex hex with
-      | None -> `Bad (Malformed ("bad crc trailer " ^ hex))
-      | Some stored ->
-        if Crc32.digest body = stored then `Sealed body
-        else
-          `Bad
-            (Malformed
-               (Printf.sprintf "crc mismatch (stored %s, computed %s): corrupt model entry"
-                  hex
-                  (Crc32.to_hex (Crc32.digest body))))
-    end
-    else `No_trailer s
 
 let of_body ~sealed body =
   match String.split_on_char '\n' body with
@@ -228,12 +148,8 @@ let of_body ~sealed body =
         Ok ()
       | None -> Error (Malformed ("bad " ^ name ^ " field"))
     in
-    let field l =
-      let tag, rest =
-        match String.index_opt l ' ' with
-        | Some i -> (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
-        | None -> (l, "")
-      in
+    let parse_line l =
+      let tag, rest = Envelope.split_tag l in
       match tag with
       | "key" ->
         key := Some rest;
@@ -289,7 +205,7 @@ let of_body ~sealed body =
         in
         go (String.split_on_char ' ' rest)
       | "incumbent" ->
-        let* c = config_of_field rest in
+        let* c = field (Envelope.config_of_field rest) in
         incumbents := c :: !incumbents;
         Ok ()
       | "space" ->
@@ -305,7 +221,7 @@ let of_body ~sealed body =
       | [ "" ] -> Ok ()
       | _ when !ended -> Error (Malformed "content after end marker")
       | l :: rest ->
-        let* () = field l in
+        let* () = parse_line l in
         consume rest
     in
     let* () = consume rest in
@@ -359,10 +275,10 @@ let of_body ~sealed body =
             sealed })
 
 let of_string s =
-  match split_envelope s with
-  | `Sealed body -> of_body ~sealed:true body
-  | `No_trailer body -> of_body ~sealed:false body
-  | `Bad e -> Error e
+  match Envelope.unseal s with
+  | Envelope.Sealed body -> of_body ~sealed:true body
+  | Envelope.No_trailer -> of_body ~sealed:false s
+  | Envelope.Corrupt msg -> Error (Malformed msg)
 
 (* ------------------------------------------------------------------ *)
 (* Storage                                                             *)

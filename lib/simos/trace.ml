@@ -31,9 +31,9 @@ let equal a b =
 (* Codec                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* [%h] round-trips every finite float exactly through
-   [float_of_string]; decimal formats would lose bits. *)
-let float_field = Printf.sprintf "%h"
+(* [%h] round-trips every float exactly; decimal formats would lose
+   bits. *)
+let float_field = Wayfinder_configspace.Param.float_field
 
 let to_string t =
   let buf = Buffer.create (64 + (24 * Array.length t.loads)) in
@@ -45,9 +45,9 @@ let to_string t =
   Buffer.contents buf
 
 let parse_float what s =
-  match float_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "trace: malformed %s %S" what s)
+  Result.map_error
+    (fun _ -> Printf.sprintf "trace: malformed %s %S" what s)
+    (Wayfinder_configspace.Param.float_of_field s)
 
 let ( let* ) = Result.bind
 

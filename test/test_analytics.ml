@@ -47,6 +47,26 @@ let test_json_string_escapes () =
   (match A.Json.parse_exn rendered with
   | A.Json.Str back -> Alcotest.(check string) "string round-trip" "a\"b\\c\nd\t\x01" back
   | _ -> Alcotest.fail "not a string");
+  (* Every byte renders as it always has, through the escaper trace attrs
+     share. *)
+  String.iter
+    (fun c ->
+      let expected =
+        match c with
+        | '"' -> {|"\""|}
+        | '\\' -> {|"\\"|}
+        | '\n' -> {|"\n"|}
+        | '\r' -> {|"\r"|}
+        | '\t' -> {|"\t"|}
+        | c when Char.code c < 0x20 -> Printf.sprintf {|"\u%04x"|} (Char.code c)
+        | c -> Printf.sprintf "\"%c\"" c
+      in
+      let s = String.make 1 c in
+      Alcotest.(check string) (Printf.sprintf "byte %d" (Char.code c)) expected
+        (A.Json.to_string (A.Json.Str s));
+      Alcotest.(check string) (Printf.sprintf "attr byte %d" (Char.code c)) expected
+        (Wayfinder_obs.Attr.json_of_value (Wayfinder_obs.Attr.String s)))
+    (String.init 256 Char.chr);
   (* \uXXXX escapes decode to UTF-8. *)
   match A.Json.parse_exn {|"é"|} with
   | A.Json.Str e -> Alcotest.(check string) "latin e-acute" "\xc3\xa9" e

@@ -12,6 +12,8 @@ module Faults = S.Faults
 module Space = Wayfinder_configspace.Space
 module Param = Wayfinder_configspace.Param
 module Obs = Wayfinder_obs
+module D = Wayfinder_deeptune
+module M = Wayfinder_monitor
 module Mem = Durable.Mem
 
 let contains_sub s sub =
@@ -519,6 +521,185 @@ let test_resume_from_fallback_generation_reproduces_run () =
           (History.to_csv full.Driver.history)
           (History.to_csv resumed.Driver.history))
 
+(* ------------------------------------------------------------------ *)
+(* Envelope: the line codec checkpoints and registry entries share     *)
+(* ------------------------------------------------------------------ *)
+
+let all_bytes = String.init 256 Char.chr
+
+let test_envelope_strings () =
+  List.iter
+    (fun s ->
+      let e = Envelope.encode_string s in
+      Alcotest.(check string) (Printf.sprintf "%S round-trips" s) s (Envelope.decode_string e);
+      Alcotest.(check bool)
+        (Printf.sprintf "%S encodes without reserved bytes" s)
+        false
+        (String.exists (function ' ' | '\t' | '\n' | '\r' -> true | _ -> false) e))
+    [ ""; "%"; "100%"; "%%"; "%4"; "%41"; "a b\tc\r\nd"; all_bytes ]
+
+let prop_envelope_strings =
+  QCheck2.Test.make ~name:"encode/decode round-trips any string" ~count:300
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 64))
+    (fun s -> Envelope.decode_string (Envelope.encode_string s) = s)
+
+let test_envelope_floats () =
+  let back f =
+    match Envelope.float_of_field (Envelope.float_field f) with
+    | Ok g -> g
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "%h bitwise" f) true
+        (Int64.bits_of_float (back f) = Int64.bits_of_float f))
+    [ infinity; neg_infinity; -0.; 0.; 5e-324; max_float; 0.1 ];
+  (* "%h" prints every NaN as "nan" or "-nan": the text carries no
+     payload, so any NaN comes back as a NaN of the same sign. *)
+  List.iter
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      let g = back f in
+      Alcotest.(check bool) (Printf.sprintf "NaN %Lx stays a NaN of its sign" bits) true
+        (Float.is_nan g && Float.sign_bit g = Float.sign_bit f))
+    [ 0x7FF8000000000001L; 0x7FF0000000000123L; 0xFFF8000000000000L; 0xFFF00000DEADBEEFL ]
+
+(* ------------------------------------------------------------------ *)
+(* Mutation fuzz: every reader returns a typed result, never raises     *)
+(* ------------------------------------------------------------------ *)
+
+(* A checkpoint (with in-flight tasks), a sealed ledger and a registry
+   entry, all from one short DeepTune run under faults. *)
+let fuzz_artifacts =
+  lazy
+    (let space = ledger_space () in
+     let ckpt = Filename.temp_file "wayfinder" ".ckpt" in
+     let ledger = Filename.temp_file "wayfinder" ".jsonl" in
+     let dt = D.Deeptune.create ~seed:3 space in
+     let w =
+       A.Ledger.create_writer ~seed:3 ~algo:"deeptune" ~space ~metric:Metric.throughput ledger
+     in
+     let plan = Faults.create ~rates:(Faults.rates_of_total 0.2) ~seed:3 () in
+     let result =
+       Driver.run ~seed:3 ~obs:(frozen_obs ()) ~resilience:Resilience.default_resilient
+         ~checkpoint_path:ckpt ~checkpoint_every:5 ~on_record:(A.Ledger.record w) ~workers:2
+         ~target:(Target.with_faults ~plan (toy_target ()))
+         ~algorithm:(D.Deeptune.algorithm dt) ~budget:(Driver.Iterations 12) ()
+     in
+     A.Ledger.close_writer w;
+     let take path =
+       let s = read_file path in
+       Sys.remove path;
+       s
+     in
+     let transfer = D.Deeptune.export dt in
+     let entry =
+       { Registry.fp = Registry.fingerprint ~app:"toy app" space;
+         meta =
+           { Registry.algo = "deeptune";
+             seed = 3;
+             samples = result.Driver.iterations;
+             metric_name = "throughput";
+             unit_name = "req/s";
+             maximize = true;
+             objectives = [ "throughput" ];
+             best_value = Option.bind result.Driver.best (fun e -> e.History.value);
+             mean_value = Float.nan;
+             crash_rate = 0.25;
+             ledger = Some "runs/run 1.jsonl" };
+         model_kind = "dtm";
+         model = D.Dtm.snapshot_to_floats transfer.D.Deeptune.model;
+         incumbents = transfer.D.Deeptune.incumbents;
+         sealed = true }
+     in
+     [| take ckpt; take ledger; Registry.to_string entry |])
+
+let test_envelope_trailer_rule () =
+  let body = "wayfinder-test 1\nend\n" in
+  let sealed = Envelope.seal body in
+  Alcotest.(check bool) "seal then unseal" true (Envelope.unseal sealed = Envelope.Sealed body);
+  Alcotest.(check bool) "no trailer" true (Envelope.unseal body = Envelope.No_trailer);
+  (match Envelope.unseal (body ^ "crc 00000000\n") with
+  | Envelope.Corrupt _ -> ()
+  | Envelope.Sealed _ | Envelope.No_trailer -> Alcotest.fail "a wrong crc must be corrupt");
+  Alcotest.(check string) "empty config" "." (Envelope.config_field [||]);
+  Alcotest.(check bool) "\".\" decodes to the empty config" true
+    (Envelope.config_of_field "." = Ok [||]);
+  (* Where the old checkpoint and registry readers differed (any number
+     of trailing newlines vs exactly one): the trailer is the last line,
+     ended by exactly one newline.  A second newline, or none, leaves no
+     trailer — and both formats then refuse the text. *)
+  let drop_last s = String.sub s 0 (String.length s - 1) in
+  Alcotest.(check bool) "extra newline" true (Envelope.unseal (sealed ^ "\n") = Envelope.No_trailer);
+  Alcotest.(check bool) "missing newline" true
+    (Envelope.unseal (drop_last sealed) = Envelope.No_trailer);
+  let artifacts = Lazy.force fuzz_artifacts in
+  List.iter
+    (fun (name, s, ok) ->
+      Alcotest.(check bool) (name ^ " plus a newline refused") false (ok (s ^ "\n"));
+      Alcotest.(check bool) (name ^ " without its last newline refused") false (ok (drop_last s)))
+    [ ("checkpoint", artifacts.(0), fun s -> Result.is_ok (Checkpoint.of_string s));
+      ("registry entry", artifacts.(2), fun s -> Result.is_ok (Registry.of_string s)) ]
+
+let mutate s (op, a, b) =
+  let n = String.length s in
+  let lines = String.split_on_char '\n' s in
+  let k = List.length lines in
+  let i = a mod k and j = b mod k in
+  let relines f = String.concat "\n" (f lines) in
+  match op with
+  | 0 -> String.sub s 0 (a mod (n + 1))
+  | 1 ->
+    let bytes = Bytes.of_string s in
+    let at = a mod n in
+    Bytes.set bytes at (Char.chr (Char.code s.[at] lxor (1 lsl (b mod 8))));
+    Bytes.to_string bytes
+  | 2 -> relines (fun ls -> List.concat (List.mapi (fun x l -> if x = i then [ l; l ] else [ l ]) ls))
+  | 3 -> relines (List.filteri (fun x _ -> x <> i))
+  | 4 ->
+    let nth = List.nth lines in
+    relines (List.mapi (fun x l -> if x = i then nth j else if x = j then nth i else l))
+  | _ ->
+    let at = a mod (n + 1) in
+    String.sub s 0 at ^ (if b mod 2 = 0 then "\r" else "%") ^ String.sub s at (n - at)
+
+(* Print, parse back, compare — [compare] so NaN fields equal themselves. *)
+let reencodes parse print v =
+  match parse (print v) with Ok v' -> compare v v' = 0 | Error _ -> false
+
+let tail_in_two_chunks s cut =
+  let path = Filename.temp_file "wayfinder" ".jsonl" in
+  let write data = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data) in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let tail = M.Tail.create path in
+      write (String.sub s 0 cut);
+      ignore (M.Tail.step tail : (M.Tail.step, A.Ledger.error) result);
+      write s;
+      ignore (M.Tail.step tail : (M.Tail.step, A.Ledger.error) result))
+
+let prop_mutation_fuzz =
+  QCheck2.Test.make ~count:300
+    ~name:"mutated artifacts read as a typed error or an exact round-trip, never raise"
+    QCheck2.Gen.(tup4 (int_bound 2) (int_bound 5) (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (which, op, a, b) ->
+      let s = mutate (Lazy.force fuzz_artifacts).(which) (op, a, b) in
+      tail_in_two_chunks s (b mod (String.length s + 1));
+      (match Checkpoint.of_string s with
+      | Error _ -> true
+      | Ok ck -> reencodes Checkpoint.of_string Checkpoint.to_string ck)
+      && (match Registry.of_string s with
+         | Error _ -> true
+         | Ok e -> reencodes Registry.of_string Registry.to_string { e with Registry.sealed = true })
+      && (match A.Ledger.of_string s with
+         | Error _ -> true
+         | Ok l -> reencodes A.Ledger.of_string A.Ledger.to_string l)
+      &&
+      match A.Ledger.salvage_string s with
+      | Error _ -> true
+      | Ok r -> reencodes A.Ledger.of_string A.Ledger.to_string r.A.Ledger.ledger)
+
 let () =
   Alcotest.run "durable"
     [ ( "crc32",
@@ -543,6 +724,12 @@ let () =
         [ Alcotest.test_case "detects 100% of seeded corruption" `Quick
             test_fsck_detects_all_seeded_corruption;
           Alcotest.test_case "repair heals the tree" `Quick test_fsck_repair_heals_the_tree ] );
+      ( "envelope",
+        [ Alcotest.test_case "strings round-trip" `Quick test_envelope_strings;
+          QCheck_alcotest.to_alcotest prop_envelope_strings;
+          Alcotest.test_case "hex floats" `Quick test_envelope_floats;
+          Alcotest.test_case "fields and the trailer rule" `Quick test_envelope_trailer_rule ] );
+      ("fuzz", [ QCheck_alcotest.to_alcotest prop_mutation_fuzz ]);
       ( "composition",
         [ Alcotest.test_case "resume from fallback generation under 10% faults" `Quick
             test_resume_from_fallback_generation_reproduces_run ] ) ]

@@ -568,6 +568,47 @@ let test_resume_diverging_setup_rejected () =
              false
            with Invalid_argument _ -> true))
 
+(* A budget below what the checkpoint already launched is rejected up
+   front, naming both counts: the engine used to spin forever on it and
+   the sequential loop to overrun the budget. *)
+let test_resume_budget_below_checkpoint_rejected () =
+  let mentions msg needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun workers ->
+      let path = Filename.temp_file "wayfinder" ".ckpt" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          ignore
+            (Driver.run ~seed:3 ~workers ~checkpoint_path:path ~target:(toy_target ())
+               ~algorithm:(Random_search.create ()) ~budget:(Driver.Iterations 24) ());
+          match Checkpoint.load ~path with
+          | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
+          | Ok ck ->
+            let launched = ck.Checkpoint.iterations + List.length ck.Checkpoint.inflight in
+            let expect_rejected name resume =
+              match resume () with
+              | (_ : Driver.result) ->
+                Alcotest.failf "%s at workers %d: resumed under a smaller budget" name workers
+              | exception Invalid_argument msg ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s at workers %d names 10 and %d: %S" name workers launched msg)
+                  true
+                  (mentions msg "10" && mentions msg (string_of_int launched))
+            in
+            expect_rejected "run" (fun () ->
+                Driver.run ~seed:3 ~workers ~resume_from:ck ~target:(toy_target ())
+                  ~algorithm:(Random_search.create ()) ~budget:(Driver.Iterations 10) ());
+            if workers = 1 then
+              expect_rejected "run_sequential" (fun () ->
+                  Driver.run_sequential ~seed:3 ~resume_from:ck ~target:(toy_target ())
+                    ~algorithm:(Random_search.create ()) ~budget:(Driver.Iterations 10) ())))
+    [ 1; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Scenario kill-and-resume: archive + trace cursor round-trip         *)
 (* ------------------------------------------------------------------ *)
@@ -741,6 +782,8 @@ let () =
             test_resume_reproduces_csv_byte_for_byte;
           Alcotest.test_case "diverging setup rejected" `Quick
             test_resume_diverging_setup_rejected;
+          Alcotest.test_case "budget below the checkpoint rejected" `Quick
+            test_resume_budget_below_checkpoint_rejected;
           QCheck_alcotest.to_alcotest prop_resume_at_any_iteration ] );
       ( "scenario resume",
         [ Alcotest.test_case "kill-and-resume round-trips archive and cursor" `Quick
