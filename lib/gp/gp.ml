@@ -21,7 +21,8 @@ let fit ?(noise = 1e-4) kernel x y =
 let size t = t.x.Mat.rows
 
 let predict t q =
-  let k_star = Kernel.cross t.kernel t.x q in
+  let k_star = Array.make (size t) 0. in
+  Kernel.cross_into t.kernel t.x q k_star;
   let mean = Vec.dot k_star t.alpha in
   (* var = k(q,q) + noise - k*ᵀ (K+noise I)⁻¹ k*  via v = L⁻¹ k* *)
   let v = Mat.solve_lower t.chol k_star in
@@ -29,7 +30,7 @@ let predict t q =
   let var = k_qq +. t.noise -. Vec.dot v v in
   (mean, max 0. var)
 
-let mean_only t q = fst (predict t q)
+let predict_batch t qs = Array.map (predict t) qs
 
 let default_lengthscale_grid = [ 0.25; 0.5; 1.0; 1.5; 2.5; 4.0 ]
 
@@ -76,3 +77,5 @@ let expected_improvement t ~best q =
     let z = (mean -. best) /. sigma in
     ((mean -. best) *. std_normal_cdf z) +. (sigma *. std_normal_pdf z)
   end
+
+let expected_improvement_batch t ~best qs = Array.map (expected_improvement t ~best) qs

@@ -30,9 +30,11 @@ val predict : t -> Vec.t -> float * float
 (** [(posterior mean, posterior variance)]; the variance includes the
     observation noise floor and is clamped at 0. *)
 
-val log_marginal_likelihood : t -> float
+val predict_batch : t -> Vec.t array -> (float * float) array
+(** {!predict} of every candidate, in order.
+    @raise Invalid_argument if a candidate's dimension is not the inputs'. *)
 
-val mean_only : t -> Vec.t -> float
+val log_marginal_likelihood : t -> float
 
 (** {1 Standard-normal helpers} (for acquisition functions) *)
 
@@ -43,3 +45,6 @@ val std_normal_cdf : float -> float
 val expected_improvement : t -> best:float -> Vec.t -> float
 (** EI for *maximisation*: [E\[max(f(x) - best, 0)\]] under the posterior.
     Zero when the posterior is degenerate. *)
+
+val expected_improvement_batch : t -> best:float -> Vec.t array -> float array
+(** {!expected_improvement} of every candidate, in order. *)

@@ -13,9 +13,12 @@ val default : t
 
 val eval : t -> Wayfinder_tensor.Vec.t -> Wayfinder_tensor.Vec.t -> float
 
+val cross_into :
+  t -> Wayfinder_tensor.Mat.t -> Wayfinder_tensor.Vec.t -> Wayfinder_tensor.Vec.t -> unit
+(** [cross_into k x q v] sets [v.(i)] to [k(x_i, q)] for the first
+    [Array.length v] rows of [x], read in place, each bitwise {!eval}.
+    @raise Invalid_argument if [v] is longer than [x] or [q] is not a row's width. *)
+
 val gram : t -> Wayfinder_tensor.Mat.t -> Wayfinder_tensor.Mat.t
 (** [gram k x] where rows of [x] are inputs: the symmetric matrix
-    [K(i,j) = k(x_i, x_j)]. *)
-
-val cross : t -> Wayfinder_tensor.Mat.t -> Wayfinder_tensor.Vec.t -> Wayfinder_tensor.Vec.t
-(** [cross k x q] is the vector [k(x_i, q)]. *)
+    [K(i,j) = k(x_i, x_j)], bitwise equal to pairwise {!eval} on the rows. *)

@@ -59,19 +59,20 @@ let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale 
       Obs.Recorder.observe ctx.Search_algorithm.obs ~quiet:true "bayes.pool_size"
         (float_of_int pool);
       let best = Array.fold_left max neg_infinity y_std in
-      let best_config = ref (Random_search.sampler ?favor space rng) in
-      let best_ei = ref neg_infinity in
-      for _ = 0 to pool - 1 do
-        (* Textbook BO: EI maximised over a random candidate pool (no
-           model-free exploitation seeds — that is DeepTune's trick). *)
-        let candidate = Random_search.sampler ?favor space rng in
-        let ei = Gp.expected_improvement gp ~best (Encoding.encode st.encoding candidate) in
-        if ei > !best_ei then begin
-          best_ei := ei;
-          best_config := candidate
-        end
-      done;
-      !best_config
+      (* Textbook BO: EI maximised over a random candidate pool (no
+         model-free exploitation seeds — that is DeepTune's trick).  The
+         first strict maximum wins; [fallback] stands if none beats -∞. *)
+      Obs.Recorder.with_span ctx.Search_algorithm.obs
+        ~attrs:[ Obs.Attr.int "points" (Array.length y); Obs.Attr.int "candidates" pool ]
+        "bayes.acquire"
+        (fun () ->
+          let fallback = Random_search.sampler ?favor space rng in
+          let candidates = Array.init pool (fun _ -> Random_search.sampler ?favor space rng) in
+          let encoded = Array.map (Encoding.encode st.encoding) candidates in
+          let eis = Gp.expected_improvement_batch gp ~best encoded in
+          let chosen = ref fallback and best_ei = ref neg_infinity in
+          Array.iteri (fun i ei -> if ei > !best_ei then (chosen := candidates.(i); best_ei := ei)) eis;
+          !chosen)
     end
   in
   let propose ctx = pick (get_state ctx.Search_algorithm.space) ctx in

@@ -72,7 +72,6 @@ let of_rows rows =
       rows;
     m
 
-let to_rows m = Array.init m.rows (row m)
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let check_same name a b =
@@ -199,49 +198,72 @@ let add_jitter m eps =
   done;
   c
 
+(* The factorization and the triangular solves check shapes once, then
+   index storage unchecked.  Every sum keeps the textbook order, so the
+   results are bitwise those of the checked loops. *)
 let cholesky a =
   if a.rows <> a.cols then invalid_arg "Mat.cholesky: not square";
   let n = a.rows in
   let l = zeros n n in
+  let open Bigarray.Array1 in
+  let ad = a.data and ld = l.data in
   for i = 0 to n - 1 do
     for j = 0 to i do
-      let acc = ref (get a i j) in
+      let acc = ref (unsafe_get ad ((i * n) + j)) in
       for k = 0 to j - 1 do
-        acc := !acc -. (get l i k *. get l j k)
+        acc := !acc -. (unsafe_get ld ((i * n) + k) *. unsafe_get ld ((j * n) + k))
       done;
       if i = j then begin
         if !acc <= 0. then failwith "Mat.cholesky: matrix not positive definite";
-        set l i i (sqrt !acc)
+        unsafe_set ld ((i * n) + i) (sqrt !acc)
       end
-      else set l i j (!acc /. get l j j)
+      else unsafe_set ld ((i * n) + j) (!acc /. unsafe_get ld ((j * n) + j))
     done
   done;
   l
 
+(* Rows go four at a time so each load of x(j), j < i, feeds four
+   independent sums, each still over j ascending; the rows of the block
+   are then finished in order.  Block rows past n repeat row n-1, unused. *)
 let solve_lower l b =
-  let n = l.rows in
-  if Array.length b <> n then invalid_arg "Mat.solve_lower: dimension mismatch";
-  let x = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let acc = ref b.(i) in
+  let n = l.rows and ld = l.data in
+  if l.cols <> n || Array.length b <> n then invalid_arg "Mat.solve_lower: dimension mismatch";
+  let x = Array.copy b in
+  let open Bigarray.Array1 in
+  for blk = 0 to ((n + 3) / 4) - 1 do
+    let i = 4 * blk in
+    let row s = Int.min (i + s) (n - 1) in
+    let l0 = i * n and l1 = row 1 * n and l2 = row 2 * n and l3 = row 3 * n in
+    let a0 = ref x.(i) and a1 = ref x.(row 1) and a2 = ref x.(row 2) and a3 = ref x.(row 3) in
     for j = 0 to i - 1 do
-      acc := !acc -. (get l i j *. x.(j))
+      let xj = Array.unsafe_get x j in
+      a0 := !a0 -. (unsafe_get ld (l0 + j) *. xj);
+      a1 := !a1 -. (unsafe_get ld (l1 + j) *. xj);
+      a2 := !a2 -. (unsafe_get ld (l2 + j) *. xj);
+      a3 := !a3 -. (unsafe_get ld (l3 + j) *. xj)
     done;
-    x.(i) <- !acc /. get l i i
+    let acc = [| !a0; !a1; !a2; !a3 |] in
+    for s = 0 to Int.min 4 (n - i) - 1 do
+      let r = i + s in
+      for j = i to r - 1 do
+        acc.(s) <- acc.(s) -. (unsafe_get ld ((r * n) + j) *. x.(j))
+      done;
+      x.(r) <- acc.(s) /. unsafe_get ld ((r * n) + r)
+    done
   done;
   x
 
 let solve_upper l b =
-  let n = l.rows in
-  if Array.length b <> n then invalid_arg "Mat.solve_upper: dimension mismatch";
+  let n = l.rows and ld = l.data in
+  if l.cols <> n || Array.length b <> n then invalid_arg "Mat.solve_upper: dimension mismatch";
   let x = Array.make n 0. in
   for i = n - 1 downto 0 do
-    let acc = ref b.(i) in
+    let acc = ref (Array.unsafe_get b i) in
     for j = i + 1 to n - 1 do
       (* Interpreting [l] as lower-triangular, [Lᵀ] has entry (i,j) = L(j,i). *)
-      acc := !acc -. (get l j i *. x.(j))
+      acc := !acc -. (Bigarray.Array1.unsafe_get ld ((j * n) + i) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !acc /. get l i i
+    Array.unsafe_set x i (!acc /. Bigarray.Array1.unsafe_get ld ((i * n) + i))
   done;
   x
 

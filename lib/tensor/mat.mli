@@ -52,7 +52,6 @@ val set_row : t -> int -> Vec.t -> unit
 val of_rows : Vec.t array -> t
 (** @raise Invalid_argument if rows have differing lengths or there are none. *)
 
-val to_rows : t -> Vec.t array
 val transpose : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -91,7 +90,8 @@ val cholesky : t -> t
     @raise Failure if the matrix is not (numerically) positive definite. *)
 
 val solve_lower : t -> Vec.t -> Vec.t
-(** [solve_lower l b] solves [L·x = b] by forward substitution. *)
+(** [solve_lower l b] solves [L·x = b] by forward substitution, each
+    row's sum over [j] in ascending order. *)
 
 val solve_upper : t -> Vec.t -> Vec.t
 (** [solve_upper u b] solves [U·x = b] by back substitution, where [u] is

@@ -162,6 +162,152 @@ let prop_predict_variance_nonnegative =
       let _, var = Gp.predict gp [| q |] in
       var >= 0.)
 
+(* ------------------------------------------------------------------ *)
+(* Bitwise contracts                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let bits = Int64.bits_of_float
+
+let kernel_gen =
+  QCheck2.Gen.(
+    map3
+      (fun matern lengthscale variance ->
+        if matern then Kernel.Matern52 { lengthscale; variance }
+        else Kernel.Squared_exponential { lengthscale; variance })
+      bool (float_range 0.3 3.) (float_range 0.5 2.))
+
+let prop_gram_is_pairwise_eval =
+  QCheck2.Test.make ~name:"gram bitwise equals pairwise eval" ~count:100
+    QCheck2.Gen.(quad kernel_gen (int_range 1 20) (int_range 1 12) (int_range 0 10000))
+    (fun (k, n, d, seed) ->
+      let rng = Rng.create seed in
+      let x = Mat.init n d (fun _ _ -> Rng.uniform rng (-2.) 2.) in
+      let g = Kernel.gram k x in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let e = Kernel.eval k (Mat.row x (max i j)) (Mat.row x (min i j)) in
+          if bits (Mat.get g i j) <> bits e then ok := false
+        done
+      done;
+      !ok)
+
+(* The GP as it was fitted and queried one candidate at a time before
+   the batched posterior: row copies, checked access, the textbook
+   loops.  Every element of a batch must match it bit for bit. *)
+module Oracle = struct
+  let eval k a b =
+    match k with
+    | Kernel.Squared_exponential { lengthscale; variance } ->
+      let r2 = Vec.sq_dist a b in
+      variance *. exp (-.r2 /. (2. *. lengthscale *. lengthscale))
+    | Kernel.Matern52 { lengthscale; variance } ->
+      let r = Vec.dist a b /. lengthscale in
+      let c = sqrt 5. *. r in
+      variance *. (1. +. c +. (5. *. r *. r /. 3.)) *. exp (-.c)
+
+  let cholesky a =
+    let n = a.Mat.rows in
+    let l = Mat.zeros n n in
+    for i = 0 to n - 1 do
+      for j = 0 to i do
+        let acc = ref (Mat.get a i j) in
+        for k = 0 to j - 1 do
+          acc := !acc -. (Mat.get l i k *. Mat.get l j k)
+        done;
+        if i = j then Mat.set l i i (sqrt !acc) else Mat.set l i j (!acc /. Mat.get l j j)
+      done
+    done;
+    l
+
+  let solve_lower l b =
+    let n = l.Mat.rows in
+    let x = Array.make n 0. in
+    for i = 0 to n - 1 do
+      let acc = ref b.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (Mat.get l i j *. x.(j))
+      done;
+      x.(i) <- !acc /. Mat.get l i i
+    done;
+    x
+
+  let solve_upper l b =
+    let n = l.Mat.rows in
+    let x = Array.make n 0. in
+    for i = n - 1 downto 0 do
+      let acc = ref b.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (Mat.get l j i *. x.(j))
+      done;
+      x.(i) <- !acc /. Mat.get l i i
+    done;
+    x
+
+  (* [fit] returns the posterior at a candidate. *)
+  let fit ~noise k x y =
+    let rows = Array.init x.Mat.rows (Mat.row x) in
+    let n = Array.length rows in
+    let gram = Mat.init n n (fun i j -> eval k rows.(max i j) rows.(min i j)) in
+    let chol = cholesky (Mat.add_jitter gram noise) in
+    let alpha = solve_upper chol (solve_lower chol y) in
+    fun q ->
+      let k_star = Array.map (fun row -> eval k row q) rows in
+      let mean = Vec.dot k_star alpha in
+      let v = solve_lower chol k_star in
+      let var = eval k q q +. noise -. Vec.dot v v in
+      (mean, max 0. var)
+
+  let expected_improvement posterior ~best q =
+    let mean, var = posterior q in
+    let sigma = sqrt var in
+    if sigma < 1e-12 then 0.
+    else begin
+      let z = (mean -. best) /. sigma in
+      ((mean -. best) *. Gp.std_normal_cdf z) +. (sigma *. Gp.std_normal_pdf z)
+    end
+end
+
+(* n in [1,40] (every remainder of the four-row blocks of
+   [Kernel.cross_into] and [Mat.solve_lower]), d in [1,16], p in [0,40],
+   both kernels, optionally every other training row repeated, and a
+   third of the candidates sitting on training rows (the zero-variance
+   branch of EI). *)
+let prop_batch_matches_oracle =
+  QCheck2.Test.make ~name:"batched posterior and EI bitwise equal the per-candidate oracle"
+    ~count:150
+    QCheck2.Gen.(
+      pair
+        (quad kernel_gen (int_range 1 40) (int_range 1 16) (int_range 0 40))
+        (pair bool (int_range 0 10000)))
+    (fun ((k, n, d, p), (dup, seed)) ->
+      let rng = Rng.create seed in
+      let x = Mat.init n d (fun _ _ -> Rng.uniform rng (-2.) 2.) in
+      if dup then
+        for i = 1 to n - 1 do
+          if i mod 2 = 1 then Mat.set_row x i (Mat.row x (i - 1))
+        done;
+      let y = Array.init n (fun _ -> Rng.normal rng ()) in
+      let qs =
+        Array.init p (fun c ->
+            if c mod 3 = 0 then Mat.row x (c mod n) else Array.init d (fun _ -> Rng.uniform rng (-2.) 2.))
+      in
+      let best = Array.fold_left max neg_infinity y in
+      let oracle = Oracle.fit ~noise:1e-3 k x y in
+      let gp = Gp.fit ~noise:1e-3 k x y in
+      let post = Gp.predict_batch gp qs and ei = Gp.expected_improvement_batch gp ~best qs in
+      Array.length post = p
+      && Array.length ei = p
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i q ->
+                let mean, var = oracle q and m', v' = post.(i) in
+                bits mean = bits m'
+                && bits var = bits v'
+                && bits (Oracle.expected_improvement oracle ~best q) = bits ei.(i)
+                && (m', v') = Gp.predict gp q)
+              qs))
+
 let () =
   Alcotest.run "gp"
     [ ( "kernel",
@@ -180,4 +326,7 @@ let () =
           Alcotest.test_case "bayesopt finds peak" `Quick test_bayesopt_finds_peak ] );
       ( "model selection",
         [ Alcotest.test_case "fit_auto" `Quick test_fit_auto_selects_sane_lengthscale ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_predict_variance_nonnegative ]) ]
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_predict_variance_nonnegative; prop_gram_is_pairwise_eval;
+            prop_batch_matches_oracle ] ) ]

@@ -596,6 +596,34 @@ let test_profile_reconciles_with_metrics () =
             from_metrics)
       [ "driver.iteration"; "driver.propose"; "driver.validate"; "driver.observe" ]
 
+(* Every Bayes proposal past the warm-up fits the GP and then acquires
+   from its candidate pool: as many [bayes.acquire] spans as
+   [bayes.gp_fit] spans, each directly under [driver.propose]. *)
+let test_profile_attributes_bayes_steps () =
+  let buf = Buffer.create 65536 in
+  let obs = Obs.Recorder.create ~sinks:[ Obs.Sink.jsonl (Buffer.add_string buf) ] () in
+  let target = C.faulty_target ~fault_rate:0.3 ~seed:5 in
+  let algo = C.algorithm "bayes" ~seed:5 target.P.Target.space in
+  ignore
+    (P.Driver.run ~seed:5 ~obs ~workers:1 ~target ~algorithm:algo
+       ~budget:(P.Driver.Iterations 15) ());
+  match M.Profile.of_string (Buffer.contents buf) with
+  | Error e -> Alcotest.failf "profile: %s" e
+  | Ok t ->
+    let spans name = List.length (List.filter (fun s -> s.M.Profile.name = name) t.M.Profile.spans) in
+    let rec under_propose name parent (node : M.Profile.node) =
+      (if node.M.Profile.node_name = name && parent = "driver.propose" then node.M.Profile.count
+       else 0)
+      + List.fold_left (fun n c -> n + under_propose name node.M.Profile.node_name c) 0
+          node.M.Profile.children
+    in
+    let nested name = List.fold_left (fun n r -> n + under_propose name "" r) 0 t.M.Profile.roots in
+    let fits = spans "bayes.gp_fit" in
+    Alcotest.(check bool) "the run fitted the GP" true (fits > 0);
+    Alcotest.(check int) "one acquisition per fit" fits (spans "bayes.acquire");
+    Alcotest.(check int) "every fit under driver.propose" fits (nested "bayes.gp_fit");
+    Alcotest.(check int) "every acquisition under driver.propose" fits (nested "bayes.acquire")
+
 (* A hand-built trace with known geometry: parent [0,6], children [1,3]
    and [4,5].  Span events arrive in end order (children first). *)
 let test_profile_tree_shape () =
@@ -723,7 +751,8 @@ let () =
             test_profile_reconciles_with_metrics;
           Alcotest.test_case "tree shape" `Quick test_profile_tree_shape;
           Alcotest.test_case "rejects foreign header" `Quick
-            test_profile_rejects_foreign_header ] );
+            test_profile_rejects_foreign_header;
+          Alcotest.test_case "attributes bayes steps" `Quick test_profile_attributes_bayes_steps ] );
       ( "prom",
         [ Alcotest.test_case "histogram format" `Quick test_prom_histogram_format;
           Alcotest.test_case "stats gauges" `Quick test_prom_stats_gauges;

@@ -485,6 +485,32 @@ let test_bayes_handles_crashes () =
   Alcotest.(check bool) "found > 90" true
     (Option.value ~default:0. (History.best_value r.Driver.history) > 90.)
 
+(* The searcher's trajectory on sim-linux redis (n=40, seed 11) at one
+   worker and at four, where picks come from constant-liar batches, as
+   recorded before the candidate pool was scored in one batch.  One line
+   per entry: "w<workers> <config_key> <value as %h, or - on failure>". *)
+let test_bayes_golden_trajectory () =
+  let trajectory workers =
+    let target = Targets.of_sim_linux (S.Sim_linux.create ()) ~app:S.App.Redis in
+    let r =
+      Driver.run ~seed:11 ~workers ~target ~algorithm:(Bayes_search.create ())
+        ~budget:(Driver.Iterations 40) ()
+    in
+    Array.to_list
+      (Array.map
+         (fun e ->
+           Printf.sprintf "w%d %s %s" workers
+             (Param.config_key e.History.config)
+             (match e.History.value with Some v -> Param.float_field v | None -> "-"))
+         (History.entries r.Driver.history))
+  in
+  let golden =
+    In_channel.with_open_text "golden/bayes_redis_seed11.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string)) "same configs and values" golden (trajectory 1 @ trajectory 4)
+
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -638,7 +664,8 @@ let () =
           Alcotest.test_case "respects pins" `Quick test_grid_search_respects_pins ] );
       ( "bayes",
         [ Alcotest.test_case "finds optimum on smooth toy" `Quick test_bayes_beats_random_on_toy;
-          Alcotest.test_case "handles crashes" `Quick test_bayes_handles_crashes ] );
+          Alcotest.test_case "handles crashes" `Quick test_bayes_handles_crashes;
+          Alcotest.test_case "golden trajectory" `Quick test_bayes_golden_trajectory ] );
       ( "report",
         [ Alcotest.test_case "of_result and rendering" `Quick test_report_of_result;
           Alcotest.test_case "minimised metric" `Quick test_report_minimised_metric;

@@ -404,6 +404,48 @@ let prop_cholesky_roundtrip =
       Array.iteri (fun i x -> if abs_float (x -. recon.Mat.data.{i}) > 1e-6 then ok := false) (Mat.to_array spd);
       !ok)
 
+(* The factorization and forward substitution as they were written
+   before they indexed storage unchecked; [Mat.cholesky] and the
+   four-row [Mat.solve_lower] must match them bit for bit. *)
+let reference_cholesky a =
+  let n = a.Mat.rows in
+  let l = Mat.zeros n n in
+  for i = 0 to n - 1 do
+    for j = 0 to i do
+      let acc = ref (Mat.get a i j) in
+      for k = 0 to j - 1 do
+        acc := !acc -. (Mat.get l i k *. Mat.get l j k)
+      done;
+      if i = j then Mat.set l i i (sqrt !acc) else Mat.set l i j (!acc /. Mat.get l j j)
+    done
+  done;
+  l
+
+let reference_solve_lower l b =
+  let n = l.Mat.rows in
+  let x = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let acc = ref b.(i) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (Mat.get l i j *. x.(j))
+    done;
+    x.(i) <- !acc /. Mat.get l i i
+  done;
+  x
+
+let prop_cholesky_bitwise_reference =
+  QCheck2.Test.make ~name:"cholesky and solve_lower bitwise equal the reference" ~count:100
+    QCheck2.Gen.(pair (int_range 1 40) (int_range 0 10000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let a = Mat.init n n (fun _ _ -> Rng.normal rng ()) in
+      let spd = Mat.add_jitter (Mat.matmul a (Mat.transpose a)) 1e-3 in
+      let b = Array.init n (fun _ -> Rng.normal rng ()) in
+      let bits = Array.map Int64.bits_of_float in
+      let l = Mat.cholesky spd in
+      bits (Mat.to_array l) = bits (Mat.to_array (reference_cholesky spd))
+      && bits (Mat.solve_lower l b) = bits (reference_solve_lower l b))
+
 (* ------------------------------------------------------------------ *)
 (* Domain_pool                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -511,7 +553,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_vec_add_commutes; prop_vec_dot_symmetric; prop_vec_triangle_inequality;
       prop_stat_mean_bounded; prop_stat_zscore_normalizes; prop_moving_average_preserves_bounds;
-      prop_cholesky_roundtrip; prop_permutation_valid ]
+      prop_cholesky_roundtrip; prop_cholesky_bitwise_reference; prop_permutation_valid ]
 
 let () =
   Alcotest.run "tensor"
