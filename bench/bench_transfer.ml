@@ -91,7 +91,7 @@ let run () =
           objectives = [];
           best_value = Some cold_best;
           mean_value = cold_best;
-          crash_rate = A.Series.crash_rate cold_series;
+          crash_rate = (A.Series.stats cold_series).A.Running.crash_rate;
           ledger = None };
       model_kind = "dtm";
       model = D.Dtm.snapshot_to_floats transfer.D.Deeptune.model;

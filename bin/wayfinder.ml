@@ -684,18 +684,7 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
             let space = target.P.Target.space in
             let fp = P.Registry.fingerprint ~app:target.P.Target.target_name space in
             let series = A.Series.of_history ~space result.P.Driver.history in
-            let mean_value =
-              let sum = ref 0. and n = ref 0 in
-              Array.iter
-                (fun (r : A.Series.row) ->
-                  match (r.A.Series.value, r.A.Series.failure) with
-                  | Some v, None ->
-                    sum := !sum +. v;
-                    incr n
-                  | _ -> ())
-                series.A.Series.rows;
-              if !n = 0 then Float.nan else !sum /. float_of_int !n
-            in
+            let st = A.Series.stats series in
             let transfer = D.Deeptune.export dt in
             let entry =
               { P.Registry.fp;
@@ -712,9 +701,9 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                         Array.to_list
                           (Array.map (fun (m : P.Metric.t) -> m.P.Metric.metric_name) spec)
                       | None -> []);
-                    best_value = Option.map snd (A.Series.best series);
-                    mean_value;
-                    crash_rate = A.Series.crash_rate series;
+                    best_value = Option.map snd st.A.Running.best;
+                    mean_value = A.Running.mean_success series.A.Series.rows;
+                    crash_rate = st.A.Running.crash_rate;
                     ledger = ledger_path };
                 model_kind = "dtm";
                 model = D.Dtm.snapshot_to_floats transfer.D.Deeptune.model;
@@ -860,7 +849,7 @@ let run_analyze ~path ~from_csv ~salvage ~json ~series_out ~prom ~epsilon ~metri
       | Some out -> (
         match
           P.Durable.atomic_write ~path:out
-            (M.Prom.render ~stats:(M.Live_series.stats_of_series series) ())
+            (M.Prom.render ~stats:(A.Series.stats series) ())
         with
         | Ok () ->
           if not json then Printf.printf "prometheus metrics written to %s\n" out;

@@ -2,7 +2,6 @@ module Metric = Wayfinder_platform.Metric
 module Obs = Wayfinder_obs
 
 let default_epsilon = 0.01
-let default_window = 25
 
 type report = {
   label : string;
@@ -32,27 +31,27 @@ type report = {
 let of_series ?(label = "run") ?algo ?(epsilon = default_epsilon) (s : Series.t) =
   let regret = Series.simple_regret s in
   let n = Array.length regret in
+  let st = Series.stats s in
   { label;
     algo;
     metric = s.Series.metric;
     iterations = Series.length s;
-    best = Series.best s;
+    best = st.Running.best;
     final_regret = (if n = 0 then nan else regret.(n - 1));
     epsilon;
     samples_to_within = Series.samples_to_within s ~epsilon;
     virtual_seconds_to_within = Series.virtual_seconds_to_within s ~epsilon;
     samples_to_best = Series.samples_to_best s;
-    total_virtual_seconds = Series.last_at_seconds s;
-    crash_rate = Series.crash_rate s;
-    transient_rate = Series.transient_rate s;
+    total_virtual_seconds = st.Running.virtual_seconds;
+    crash_rate = st.Running.crash_rate;
+    transient_rate = st.Running.transient_rate;
     failure_counts = Series.failure_counts s;
     coverage = Series.coverage s;
     calibration = Calibration.of_series s;
     objective_best =
       Array.mapi (fun i m -> (m, Series.objective_best s i)) s.Series.objectives;
-    pareto_size =
-      Option.map Wayfinder_platform.Pareto.size (Series.pareto s);
-    hypervolume_proxy = Series.hypervolume_proxy s }
+    pareto_size = st.Running.pareto_size;
+    hypervolume_proxy = st.Running.hypervolume_proxy }
 
 (* ------------------------------------------------------------------ *)
 (* Text rendering                                                      *)
@@ -227,7 +226,7 @@ let to_json r =
 (* Per-iteration series CSV                                            *)
 (* ------------------------------------------------------------------ *)
 
-let series_csv ?(window = default_window) (s : Series.t) =
+let series_csv ?(window = Running.default_window) (s : Series.t) =
   let bsf = Series.best_so_far s in
   let regret = Series.simple_regret s in
   let crash_w = Series.windowed_crash_rate s ~window in

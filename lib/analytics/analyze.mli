@@ -6,9 +6,6 @@ module Metric = Wayfinder_platform.Metric
 val default_epsilon : float
 (** 0.01 — "within 1% of the run's best". *)
 
-val default_window : int
-(** 25 — trailing window for the windowed failure-rate series. *)
-
 type report = {
   label : string;
   algo : string option;
@@ -31,7 +28,7 @@ type report = {
           value) under that objective's own metric; [[||]] for scalar
           runs. *)
   pareto_size : int option;  (** Points on the non-dominated front. *)
-  hypervolume_proxy : float option;  (** {!Series.hypervolume_proxy}. *)
+  hypervolume_proxy : float option;  (** {!Running.stats} [hypervolume_proxy]. *)
 }
 
 val of_series : ?label:string -> ?algo:string -> ?epsilon:float -> Series.t -> report
@@ -43,7 +40,8 @@ val to_text : report -> string
 val to_json : report -> Json.t
 
 val series_csv : ?window:int -> Series.t -> string
-(** Per-iteration derived series —
+(** Per-iteration derived series ([window] defaults to
+    {!Running.default_window}) —
     [iteration,value,best_so_far,simple_regret,crash_rate_wN,transient_rate_wN,at_s]
     — with floats in the exact-round-trip codec of {!Json}.
     Multi-objective runs append one [best_<name>] running-best column per

@@ -105,7 +105,8 @@ let make ?budgets runs =
           let hypervolumes =
             Array.of_list
               (List.map
-                 (fun (_, s) -> if shared_spec then Series.hypervolume_proxy s else None)
+                 (fun (_, s) ->
+                   if shared_spec then (Series.stats s).Running.hypervolume_proxy else None)
                  runs)
           in
           Ok { metric; labels; budgets; best_at; winners; finals; hypervolumes }

@@ -18,25 +18,8 @@ let probe ?(window = 20) ?(crash_margin = 0.25) ?(mean_margin = 0.5) ?(min_sampl
   let n = Series.length series in
   let voting = min window n in
   let tail_rows = Array.sub series.Series.rows (n - voting) voting in
-  let live_crash_rate =
-    if n = 0 then 0.
-    else
-      let wcr = Series.windowed_crash_rate series ~window in
-      wcr.(n - 1)
-  in
-  let successes =
-    Array.of_list
-      (List.filter_map
-         (fun (r : Series.row) ->
-           match (r.Series.value, r.Series.failure) with
-           | Some v, None -> Some v
-           | _ -> None)
-         (Array.to_list tail_rows))
-  in
-  let live_mean =
-    if Array.length successes = 0 then Float.nan
-    else Array.fold_left ( +. ) 0. successes /. float_of_int (Array.length successes)
-  in
+  let live_crash_rate = Running.crash_share tail_rows in
+  let live_mean = Running.mean_success tail_rows in
   let reasons = ref [] in
   if voting >= min_samples then begin
     if live_crash_rate > donor_crash_rate +. crash_margin then

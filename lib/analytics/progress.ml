@@ -11,8 +11,6 @@ type snapshot = {
   virtual_seconds : float;
 }
 
-let default_window = 25
-
 let with_metrics ~workers m snap =
   let hits = Obs.Metrics.counter m "driver.image_cache.hits" in
   let misses = Obs.Metrics.counter m "driver.image_cache.misses" in
@@ -26,16 +24,17 @@ let with_metrics ~workers m snap =
     cache_hit_rate = (if hits +. misses <= 0. then None else Some (hits /. (hits +. misses)));
     worker_busy }
 
-let of_series ?(window = default_window) ?metrics ?(workers = 1) (s : Series.t) =
-  let snap =
-    { iteration = Series.length s;
-      best = Option.map snd (Series.best s);
-      regret_slope = Series.regret_slope s ~window;
-      crash_rate = Series.crash_rate s;
-      cache_hit_rate = None;
-      worker_busy = None;
-      virtual_seconds = Series.last_at_seconds s }
-  in
+let of_stats (s : Running.stats) =
+  { iteration = s.length;
+    best = Option.map snd s.best;
+    regret_slope = s.regret_slope;
+    crash_rate = s.crash_rate;
+    cache_hit_rate = None;
+    worker_busy = None;
+    virtual_seconds = s.virtual_seconds }
+
+let of_series ?window ?metrics ?(workers = 1) s =
+  let snap = of_stats (Series.stats ?window s) in
   match metrics with Some m -> with_metrics ~workers m snap | None -> snap
 
 let to_line ?(alerts = []) ~metric snap =

@@ -1,10 +1,9 @@
 (** The [--progress N] one-line live snapshot.
 
-    Built from the same {!Series} code the [analyze] subcommand uses —
-    there is deliberately no duplicated math here: the line is a
-    projection of {!Series.best}, {!Series.regret_slope},
-    {!Series.crash_rate} and two observability aggregates (image-cache
-    hit rate, mean worker busyness). *)
+    A projection of the {!Running} statistics the [analyze] subcommand
+    also reports — best, regret slope, crash rate, virtual time — plus
+    two observability aggregates (image-cache hit rate, mean worker
+    busyness).  There is deliberately no math here. *)
 
 module Metric = Wayfinder_platform.Metric
 module Obs = Wayfinder_obs
@@ -23,11 +22,12 @@ type snapshot = {
   virtual_seconds : float;
 }
 
-val default_window : int
-(** 25 — trailing window for the slope. *)
+val of_stats : Running.stats -> snapshot
+(** [cache_hit_rate] and [worker_busy] are [None]; see {!with_metrics}. *)
 
 val of_series :
   ?window:int -> ?metrics:Obs.Metrics.snapshot -> ?workers:int -> Series.t -> snapshot
+(** {!of_stats} of {!Series.stats}, filled {!with_metrics} when given. *)
 
 val with_metrics : workers:int -> Obs.Metrics.snapshot -> snapshot -> snapshot
 (** Fill [cache_hit_rate] and [worker_busy] from a metrics snapshot —

@@ -4,8 +4,6 @@ module History = Wayfinder_platform.History
 module Metric = Wayfinder_platform.Metric
 module Failure = Wayfinder_platform.Failure
 module Search_algorithm = Wayfinder_platform.Search_algorithm
-module Pareto = Wayfinder_platform.Pareto
-module Stat = Wayfinder_tensor.Stat
 
 type row = Ledger.row = {
   index : int;
@@ -178,38 +176,33 @@ let of_csv ~metric s =
     Ok { metric; names = [||]; stages = [||]; rows = Array.of_list rows; objectives = [||] }
 
 (* ------------------------------------------------------------------ *)
+(* The statistics fold                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let running ?window t =
+  Running.create ?window ~metric:t.metric ~stages:t.stages ~objectives:t.objectives ()
+
+let stats ?window t =
+  let run = running ?window t in
+  Array.iter (Running.observe run) t.rows;
+  Running.stats run
+
+(* The fold's state after each row, projected by [f]. *)
+let scan ?window t f =
+  let run = running ?window t in
+  Array.map
+    (fun r ->
+      Running.observe run r;
+      f run)
+    t.rows
+
+(* ------------------------------------------------------------------ *)
 (* Convergence series                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let length t = Array.length t.rows
-
-let best t =
-  let best = ref None in
-  Array.iter
-    (fun r ->
-      match r.value with
-      | None -> ()
-      | Some v -> (
-        match !best with
-        | None -> best := Some (r.index, v)
-        | Some (_, bv) -> if Metric.better t.metric v bv then best := Some (r.index, v)))
-    t.rows;
-  !best
-
-let best_so_far t =
-  let n = length t in
-  let out = Array.make n nan in
-  let best = ref None in
-  for i = 0 to n - 1 do
-    (match t.rows.(i).value with
-    | Some v -> (
-      match !best with
-      | None -> best := Some v
-      | Some b -> if Metric.better t.metric v b then best := Some v)
-    | None -> ());
-    out.(i) <- (match !best with Some b -> b | None -> nan)
-  done;
-  out
+let best t = (stats t).Running.best
+let best_so_far t = scan t Running.best_so_far
 
 (* Simple regret in score units (higher-is-better view): distance of the
    running best from the run's final best.  NaN before the first
@@ -263,11 +256,11 @@ let samples_to_best t =
     go 0
 
 (* ------------------------------------------------------------------ *)
-(* History-compatible plotting series                                  *)
+(* Plotting series                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors History.values_series: failures repeat the previous value,
-   leading failures are backfilled with the first success. *)
+(* Failures repeat the previous value; leading failures are backfilled
+   with the first success (0 when there is none). *)
 let values t =
   let n = length t in
   let out = Array.make n nan in
@@ -283,7 +276,6 @@ let values t =
   done;
   out
 
-(* Mirrors History.crash_indicator: 1.0 at any failed iteration. *)
 let crash_indicator t =
   Array.map (fun r -> if r.failure <> None then 1. else 0.) t.rows
 
@@ -308,37 +300,8 @@ let best_over_time t ~bucket_s ~horizon_s =
 (* Failure rates                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let is_crash r = match r.failure with Some f -> Failure.counts_as_crash f | None -> false
-
-let is_transient r =
-  match r.failure with
-  | Some f -> ( match Failure.klass f with Failure.Transient | Failure.Timeout -> true | Failure.Deterministic -> false)
-  | None -> false
-
-let rate pred t =
-  let n = length t in
-  if n = 0 then 0.
-  else
-    float_of_int (Array.fold_left (fun acc r -> if pred r then acc + 1 else acc) 0 t.rows)
-    /. float_of_int n
-
-let crash_rate = rate is_crash
-let transient_rate = rate is_transient
-
-let windowed_rate pred t ~window =
-  if window <= 0 then invalid_arg "Series.windowed_rate: window must be positive";
-  let n = length t in
-  let out = Array.make n 0. in
-  let in_window = ref 0 in
-  for i = 0 to n - 1 do
-    if pred t.rows.(i) then incr in_window;
-    if i >= window && pred t.rows.(i - window) then decr in_window;
-    out.(i) <- float_of_int !in_window /. float_of_int (min (i + 1) window)
-  done;
-  out
-
-let windowed_crash_rate = windowed_rate is_crash
-let windowed_transient_rate = windowed_rate is_transient
+let windowed_crash_rate t ~window = scan ~window t Running.windowed_crash_rate
+let windowed_transient_rate t ~window = scan ~window t Running.windowed_transient_rate
 
 let failure_counts t =
   let tbl = Hashtbl.create 8 in
@@ -363,32 +326,11 @@ type coverage = {
   marginals : (string * (string * int) list) array;
 }
 
-(* The non-runtime projection key: positional tokens of compile- and
-   boot-time parameters.  Two configurations share a key iff they differ
-   only in runtime parameters — the same equivalence
-   Space.stage_key/Image_cache use, recomputable from a ledger alone. *)
-let stage_key_of t (r : row) =
-  let buf = Buffer.create 32 in
-  Array.iteri
-    (fun i tok ->
-      if i < Array.length t.stages && t.stages.(i) <> Param.Runtime then begin
-        Buffer.add_string buf tok;
-        Buffer.add_char buf ';'
-      end)
-    r.tokens;
-  Buffer.contents buf
-
 let coverage t =
-  let configs = Hashtbl.create 64 in
-  let keys = Hashtbl.create 64 in
-  Array.iter
-    (fun r ->
-      Hashtbl.replace configs (String.concat ";" (Array.to_list r.tokens)) ();
-      Hashtbl.replace keys (stage_key_of t r) ())
-    t.rows;
-  let n_params = Array.length t.names in
+  let s = stats t in
   let marginals =
-    Array.init n_params (fun p ->
+    Array.mapi
+      (fun p name ->
         let counts = Hashtbl.create 8 in
         Array.iter
           (fun r ->
@@ -397,50 +339,13 @@ let coverage t =
               Hashtbl.replace counts tok ((try Hashtbl.find counts tok with Not_found -> 0) + 1)
             end)
           t.rows;
-        ( t.names.(p),
-          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) ))
+        (name, List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])))
+      t.names
   in
-  { evaluated = length t;
-    distinct_configs = (if length t = 0 then 0 else Hashtbl.length configs);
-    distinct_stage_keys = (if length t = 0 then 0 else Hashtbl.length keys);
+  { evaluated = s.Running.length;
+    distinct_configs = s.Running.distinct_configs;
+    distinct_stage_keys = s.Running.distinct_stage_keys;
     marginals }
-
-(* ------------------------------------------------------------------ *)
-(* Progress helpers                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Least-squares slope (score units per sample) of the running best over
-   the trailing [window] finite points — the convergence speedometer the
-   --progress line shows.  0 with fewer than two finite points. *)
-let regret_slope t ~window =
-  if window <= 0 then invalid_arg "Series.regret_slope: window must be positive";
-  let bsf = best_so_far t in
-  let n = Array.length bsf in
-  let lo = max 0 (n - window) in
-  let xs = ref [] and ys = ref [] in
-  for i = lo to n - 1 do
-    if not (Float.is_nan bsf.(i)) then begin
-      xs := float_of_int i :: !xs;
-      ys := Metric.score t.metric bsf.(i) :: !ys
-    end
-  done;
-  let xs = Array.of_list (List.rev !xs) and ys = Array.of_list (List.rev !ys) in
-  let k = Array.length xs in
-  if k < 2 then 0.
-  else begin
-    let mx = Stat.mean xs and my = Stat.mean ys in
-    let num = ref 0. and den = ref 0. in
-    for i = 0 to k - 1 do
-      num := !num +. ((xs.(i) -. mx) *. (ys.(i) -. my));
-      den := !den +. ((xs.(i) -. mx) *. (xs.(i) -. mx))
-    done;
-    if !den = 0. then 0. else !num /. !den
-  end
-
-let total_eval_seconds t = Array.fold_left (fun acc r -> acc +. r.eval_seconds) 0. t.rows
-
-let last_at_seconds t =
-  if length t = 0 then 0. else t.rows.(length t - 1).at_seconds
 
 (* ------------------------------------------------------------------ *)
 (* Objective series                                                    *)
@@ -448,53 +353,23 @@ let last_at_seconds t =
 
 let objective_count t = Array.length t.objectives
 
-let objective_of i (r : row) =
-  match r.objectives with
-  | Some v when i < Array.length v -> Some v.(i)
-  | Some _ | None -> None
+(* Running best (iteration index, raw value) of objective [i] after each
+   row; rows without a vector are skipped. *)
+let objective_scan t i =
+  let m = t.objectives.(i) in
+  let best = ref None in
+  Array.map
+    (fun (r : row) ->
+      (match r.objectives with
+      | Some v when i < Array.length v && Running.improves m !best v.(i) ->
+        best := Some (r.index, v.(i))
+      | Some _ | None -> ());
+      !best)
+    t.rows
 
 let objective_best t i =
-  let m = t.objectives.(i) in
-  let best = ref None in
-  Array.iter
-    (fun r ->
-      match objective_of i r with
-      | None -> ()
-      | Some v -> (
-        match !best with
-        | None -> best := Some (r.index, v)
-        | Some (_, bv) -> if Metric.better m v bv then best := Some (r.index, v)))
-    t.rows;
-  !best
+  let s = objective_scan t i in
+  if Array.length s = 0 then None else s.(Array.length s - 1)
 
 let objective_best_so_far t i =
-  let m = t.objectives.(i) in
-  let n = length t in
-  let out = Array.make n nan in
-  let best = ref None in
-  for j = 0 to n - 1 do
-    (match objective_of i t.rows.(j) with
-    | Some v -> (
-      match !best with
-      | None -> best := Some v
-      | Some b -> if Metric.better m v b then best := Some v)
-    | None -> ());
-    out.(j) <- (match !best with Some b -> b | None -> nan)
-  done;
-  out
-
-let pareto t =
-  if objective_count t = 0 then None
-  else begin
-    let archive = ref (Pareto.create ~spec:t.objectives) in
-    Array.iter
-      (fun (r : row) ->
-        match r.objectives with
-        | Some v when r.failure = None && Array.length v = objective_count t ->
-          archive := Pareto.insert !archive ~index:r.index ~objectives:v
-        | Some _ | None -> ())
-      t.rows;
-    Some !archive
-  end
-
-let hypervolume_proxy t = Option.map Pareto.hypervolume_proxy (pareto t)
+  Array.map (function Some (_, v) -> v | None -> nan) (objective_scan t i)

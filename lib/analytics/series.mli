@@ -4,8 +4,9 @@
     space), from a loaded {!Ledger.t}, or from a [History.to_csv] export;
     every downstream consumer (the [analyze]/[compare] subcommands, the
     [--progress] line, the figure benches) computes on the same rows with
-    the same code.  The analytics conformance property pins the first two
-    sources to byte-identical rows and series for the same run. *)
+    the same code: the run statistics are the {!Running} fold over the
+    rows.  The analytics conformance property pins the first two sources
+    to byte-identical rows and series for the same run. *)
 
 module Param = Wayfinder_configspace.Param
 module Space = Wayfinder_configspace.Space
@@ -13,7 +14,6 @@ module History = Wayfinder_platform.History
 module Metric = Wayfinder_platform.Metric
 module Failure = Wayfinder_platform.Failure
 module Search_algorithm = Wayfinder_platform.Search_algorithm
-module Pareto = Wayfinder_platform.Pareto
 
 type row = Ledger.row = {
   index : int;
@@ -60,6 +60,12 @@ val of_csv : metric:Metric.t -> string -> (t, string) result
     header name).  Configurations and beliefs are absent from CSV, so
     {!coverage} and calibration degenerate to empty. *)
 
+(** {1 Run statistics} *)
+
+val stats : ?window:int -> t -> Running.stats
+(** The {!Running} fold's state after the last row; [window] defaults to
+    {!Running.default_window}.  @raise Invalid_argument if [window <= 0]. *)
+
 (** {1 Convergence} *)
 
 val length : t -> int
@@ -68,7 +74,7 @@ val best : t -> (int * float) option
 (** Best successful (iteration index, raw value) under the metric. *)
 
 val best_so_far : t -> float array
-(** Running best raw value; NaN before the first success. *)
+(** Running best raw value after each row; NaN before the first success. *)
 
 val simple_regret : t -> float array
 (** Score-space distance of the running best from the run's final best;
@@ -85,13 +91,15 @@ val virtual_seconds_to_within : t -> epsilon:float -> float option
 val samples_to_best : t -> int option
 (** Samples spent (in completion order) until the best entry itself. *)
 
-(** {1 History-compatible plotting series}
-
-    Same semantics as the corresponding {!History} functions, so the
-    figure benches can compute them from any source. *)
+(** {1 Plotting series} *)
 
 val values : t -> float array
+(** Per-row raw values; failures repeat the previous value and leading
+    failures take the first success (0 when none), so plots stay
+    connected, as the paper draws Figure 6. *)
+
 val crash_indicator : t -> float array
+(** 1.0 at any failed row, 0.0 otherwise (smoothed by the caller). *)
 
 val best_over_time : t -> bucket_s:float -> horizon_s:float -> float array
 (** Running best bucketed over virtual time, gaps forward-filled (the
@@ -99,14 +107,8 @@ val best_over_time : t -> bucket_s:float -> horizon_s:float -> float array
 
 (** {1 Failure rates} *)
 
-val crash_rate : t -> float
-(** Fraction of config-caused ({!Failure.counts_as_crash}) failures. *)
-
-val transient_rate : t -> float
-(** Fraction of transient/timeout failures. *)
-
 val windowed_crash_rate : t -> window:int -> float array
-(** Trailing-window crash rate per iteration (window truncated at the
+(** Trailing-window crash rate after each row (window truncated at the
     start of the run).  @raise Invalid_argument if [window <= 0]. *)
 
 val windowed_transient_rate : t -> window:int -> float array
@@ -127,17 +129,6 @@ type coverage = {
 
 val coverage : t -> coverage
 
-(** {1 Progress helpers} *)
-
-val regret_slope : t -> window:int -> float
-(** Least-squares slope (score units per sample) of the running best over
-    the trailing [window] finite points; 0 with fewer than two.
-    @raise Invalid_argument if [window <= 0]. *)
-
-val total_eval_seconds : t -> float
-val last_at_seconds : t -> float
-(** Virtual clock at the last completed iteration; 0 when empty. *)
-
 (** {1 Objective series}
 
     All of these index into the run's objective spec ([t.objectives]);
@@ -151,10 +142,3 @@ val objective_best : t -> int -> (int * float) option
 
 val objective_best_so_far : t -> int -> float array
 (** Running best of objective [i]; NaN before its first measurement. *)
-
-val pareto : t -> Pareto.t option
-(** Non-dominated front over all successful rows with a full objective
-    vector; [None] for scalar runs. *)
-
-val hypervolume_proxy : t -> float option
-(** {!Pareto.hypervolume_proxy} of {!pareto}; [None] for scalar runs. *)

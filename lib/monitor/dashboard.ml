@@ -23,21 +23,18 @@ let render ?(alerts = []) ?(dropped = 0) ~seal ~(meta : A.Ledger.meta) live =
     | Some s -> Printf.sprintf ", seed %d" s
     | None -> "");
   let s = Live_series.stats live in
-  line "%s"
-    (A.Progress.to_line ~alerts ~metric:m (Live_series.progress live));
+  line "%s" (A.Progress.to_line ~alerts ~metric:m (A.Progress.of_stats s));
   line "window(%d): crash %.0f%% | transient %.0f%% | best-so-far %s"
     (Live_series.window live)
-    (100. *. s.Live_series.windowed_crash_rate)
-    (100. *. s.Live_series.windowed_transient_rate)
-    (if Float.is_nan s.Live_series.best_so_far then "-"
-     else Printf.sprintf "%.3f %s" s.Live_series.best_so_far m.Metric.unit_name);
+    (100. *. s.A.Running.windowed_crash_rate)
+    (100. *. s.A.Running.windowed_transient_rate)
+    (if Float.is_nan s.A.Running.best_so_far then "-"
+     else Printf.sprintf "%.3f %s" s.A.Running.best_so_far m.Metric.unit_name);
   line "coverage: %d evaluated | %d configs | %d stage keys | eval time %s"
-    s.Live_series.evaluated s.Live_series.distinct_configs
-    s.Live_series.distinct_stage_keys
-    (Obs.Summary.si s.Live_series.total_eval_seconds);
-  (match (s.Live_series.pareto_size, s.Live_series.hypervolume_proxy) with
+    s.A.Running.length s.A.Running.distinct_configs s.A.Running.distinct_stage_keys
+    (Obs.Summary.si s.A.Running.total_eval_seconds);
+  (match (s.A.Running.pareto_size, s.A.Running.hypervolume_proxy) with
   | Some n, Some hv -> line "pareto: %d points | hv proxy %g" n hv
   | _ -> ());
-  line "ledger: %s | %d rows | %d dropped" (seal_to_string seal)
-    s.Live_series.length dropped;
+  line "ledger: %s | %d rows | %d dropped" (seal_to_string seal) s.A.Running.length dropped;
   Buffer.contents buf

@@ -54,29 +54,22 @@ let of_snapshot buf (s : Obs.Metrics.snapshot) =
   List.iter (fun (name, v) -> add_counter buf name v) s.Obs.Metrics.counters;
   List.iter (fun (name, h) -> add_histogram buf name h) s.Obs.Metrics.histograms
 
-let of_stats buf (s : Live_series.stats) =
+let of_stats buf (s : A.Running.stats) =
   let g = add_gauge buf in
-  g "live.iteration" (float_of_int s.Live_series.length);
-  (match s.Live_series.best with
-  | Some (_, v) -> g "live.best" v
-  | None -> ());
-  (if not (Float.is_nan s.Live_series.best_so_far) then
-     g "live.best_so_far" s.Live_series.best_so_far);
-  g "live.regret_slope" s.Live_series.regret_slope;
-  g "live.crash_rate" s.Live_series.crash_rate;
-  g "live.transient_rate" s.Live_series.transient_rate;
-  g "live.windowed_crash_rate" s.Live_series.windowed_crash_rate;
-  g "live.windowed_transient_rate" s.Live_series.windowed_transient_rate;
-  g "live.distinct_configs" (float_of_int s.Live_series.distinct_configs);
-  g "live.distinct_stage_keys" (float_of_int s.Live_series.distinct_stage_keys);
-  (match s.Live_series.pareto_size with
-  | Some n -> g "live.pareto_size" (float_of_int n)
-  | None -> ());
-  (match s.Live_series.hypervolume_proxy with
-  | Some hv -> g "live.hypervolume_proxy" hv
-  | None -> ());
-  g "live.virtual_seconds" s.Live_series.virtual_seconds;
-  g "live.eval_seconds_total" s.Live_series.total_eval_seconds
+  g "live.iteration" (float_of_int s.length);
+  (match s.best with Some (_, v) -> g "live.best" v | None -> ());
+  if not (Float.is_nan s.best_so_far) then g "live.best_so_far" s.best_so_far;
+  g "live.regret_slope" s.regret_slope;
+  g "live.crash_rate" s.crash_rate;
+  g "live.transient_rate" s.transient_rate;
+  g "live.windowed_crash_rate" s.windowed_crash_rate;
+  g "live.windowed_transient_rate" s.windowed_transient_rate;
+  g "live.distinct_configs" (float_of_int s.distinct_configs);
+  g "live.distinct_stage_keys" (float_of_int s.distinct_stage_keys);
+  Option.iter (fun n -> g "live.pareto_size" (float_of_int n)) s.pareto_size;
+  Option.iter (g "live.hypervolume_proxy") s.hypervolume_proxy;
+  g "live.virtual_seconds" s.virtual_seconds;
+  g "live.eval_seconds_total" s.total_eval_seconds
 
 let render ?stats ?snapshot () =
   let buf = Buffer.create 1024 in

@@ -3,7 +3,7 @@
     Renders the obs {!Wayfinder_obs.Metrics.snapshot} (counters →
     counters, power-of-two histograms → cumulative [_bucket{le="..."}]
     series with the mandatory [+Inf] bucket plus [_sum]/[_count]) and
-    the {!Live_series.stats} gauges.  Metric names are prefixed
+    the {!Wayfinder_analytics.Running.stats} gauges.  Metric names are prefixed
     [wayfinder_] and sanitized to [[a-zA-Z0-9_:]]; values use the
     exact-round-trip number codec ([+Inf]/[-Inf]/[NaN] spelled the
     Prometheus way), so the exposition is a deterministic function of
@@ -16,6 +16,9 @@ val metric_name : string -> string
     [[a-zA-Z0-9_:]] replaced by ['_']. *)
 
 val render :
-  ?stats:Live_series.stats -> ?snapshot:Obs.Metrics.snapshot -> unit -> string
+  ?stats:Wayfinder_analytics.Running.stats ->
+  ?snapshot:Obs.Metrics.snapshot ->
+  unit ->
+  string
 (** Gauges from [stats] (when given) followed by the registry's counters
     and histograms (when given); trailing newline included. *)

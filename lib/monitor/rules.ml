@@ -1,5 +1,4 @@
 module A = Wayfinder_analytics
-module Failure = Wayfinder_platform.Failure
 
 (* Declarative alert rules over a live series.  Evaluation is pure with
    respect to the rows seen so far (plus the frozen drift baseline), so
@@ -13,8 +12,6 @@ type rule =
   | Stall of { iterations : int }
   | Starve of { fraction : float }
   | Drift of { window : int }
-
-let default_window = Live_series.default_window
 
 let rule_name = function
   | Crash _ -> "crash"
@@ -55,7 +52,7 @@ let parse_one s =
   in
   let with_window rest k =
     match String.index_opt rest '@' with
-    | None -> k rest default_window
+    | None -> k rest A.Running.default_window
     | Some i ->
       let* w =
         int_of ("window of " ^ s)
@@ -89,7 +86,7 @@ let parse_one s =
           Error (Printf.sprintf "%s: fraction must be in [0,1]" s)
         else Ok (Starve { fraction })
       | None ->
-        if s = "drift" then Ok (Drift { window = default_window })
+        if s = "drift" then Ok (Drift { window = A.Running.default_window })
         else
           with_window s (fun head window ->
               if head = "drift" then Ok (Drift { window }) else fail ())))
@@ -127,33 +124,16 @@ type state = entry list
 
 let create rules = List.map (fun spec -> { spec; firing = false; baseline = None }) rules
 
-let mean_success rows =
-  let sum = ref 0. and k = ref 0 in
-  Array.iter
-    (fun (r : A.Series.row) ->
-      match (r.A.Series.value, r.A.Series.failure) with
-      | Some v, None ->
-        sum := !sum +. v;
-        incr k
-      | _ -> ())
-    rows;
-  if !k = 0 then Float.nan else !sum /. float_of_int !k
-
 let condition entry ?worker_busy live =
   let n = Live_series.length live in
   match entry.spec with
   | Crash { threshold; window } ->
-    if n = 0 then None
-    else begin
-      let tail = Live_series.tail_series live ~window in
-      let k = A.Series.length tail in
-      let rate = (A.Series.windowed_crash_rate tail ~window).(k - 1) in
-      if rate > threshold then
-        Some
-          (Printf.sprintf "windowed crash rate %.0f%% > %.0f%% (window %d)"
-             (100. *. rate) (100. *. threshold) window)
-      else None
-    end
+    let rate = A.Running.crash_share (Live_series.tail_series live ~window).A.Series.rows in
+    if rate > threshold then
+      Some
+        (Printf.sprintf "windowed crash rate %.0f%% > %.0f%% (window %d)" (100. *. rate)
+           (100. *. threshold) window)
+    else None
   | Stall { iterations } ->
     if n > 0 && n - Live_series.last_improvement live >= iterations then
       Some
@@ -173,18 +153,7 @@ let condition entry ?worker_busy live =
        probe rows never overlap. *)
     (if entry.baseline = None && n >= window then begin
        let head = Array.sub (Live_series.series live).A.Series.rows 0 window in
-       let crashes =
-         Array.fold_left
-           (fun acc (r : A.Series.row) ->
-             match r.A.Series.failure with
-             | Some f when Failure.counts_as_crash f -> acc + 1
-             | _ -> acc)
-           0 head
-       in
-       entry.baseline <-
-         Some
-           ( float_of_int crashes /. float_of_int window,
-             mean_success head )
+       entry.baseline <- Some (A.Running.crash_share head, A.Running.mean_success head)
      end);
     (match entry.baseline with
     | Some (donor_crash_rate, donor_mean) when n >= 2 * window -> (

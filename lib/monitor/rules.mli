@@ -8,7 +8,8 @@
 
     Grammar (comma-separated, e.g. ["crash>0.5@40,stall>30,drift"]):
     - [crash>P[@W]] — trailing-[W]-window crash rate above [P] (a
-      fraction in \[0,1\]; [W] defaults to 25);
+      fraction in \[0,1\]; [W] defaults to
+      {!Wayfinder_analytics.Running.default_window});
     - [stall>N] — no best improvement in the last [N] iterations;
     - [starve<F] — mean worker-pool busy fraction below [F] (only
       evaluated when the caller supplies [worker_busy], i.e. in-process
@@ -28,8 +29,6 @@ type rule =
   | Stall of { iterations : int }
   | Starve of { fraction : float }
   | Drift of { window : int }
-
-val default_window : int
 
 val rule_name : rule -> string
 (** ["crash"], ["stall"], ["starve"] or ["drift"] — the [Alert] event's

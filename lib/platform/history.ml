@@ -28,8 +28,6 @@ let entries t =
   let n = Array.length a in
   Array.init n (fun i -> a.(n - 1 - i))
 
-let last t = match t.entries with [] -> None | e :: _ -> Some e
-
 let crashes t =
   List.fold_left (fun acc e -> if e.failure <> None then acc + 1 else acc) 0 t.entries
 
@@ -43,7 +41,6 @@ let count_class t klass =
       | Some _ | None -> acc)
     0 t.entries
 
-let deterministic_crashes t = count_class t Failure.Deterministic
 let transient_failures t = count_class t Failure.Transient + count_class t Failure.Timeout
 
 let transient_rate t =
@@ -75,41 +72,6 @@ let best t =
 
 let best_value t = Option.bind (best t) (fun e -> e.value)
 let time_to_best t = Option.map (fun e -> e.at_seconds) (best t)
-
-let values_series t =
-  let es = entries t in
-  let n = Array.length es in
-  let out = Array.make n nan in
-  (* First successful value backfills leading failures. *)
-  let first_success =
-    Array.fold_left (fun acc e -> match (acc, e.value) with None, Some v -> Some v | _ -> acc)
-      None es
-  in
-  let prev = ref (Option.value ~default:0. first_success) in
-  for i = 0 to n - 1 do
-    (match es.(i).value with Some v -> prev := v | None -> ());
-    out.(i) <- !prev
-  done;
-  out
-
-let best_so_far_series t =
-  let es = entries t in
-  let n = Array.length es in
-  let out = Array.make n nan in
-  let best = ref None in
-  for i = 0 to n - 1 do
-    (match es.(i).value with
-    | Some v -> (
-      match !best with
-      | None -> best := Some v
-      | Some b -> if Metric.better t.metric v b then best := Some v)
-    | None -> ());
-    out.(i) <- Option.value ~default:nan !best
-  done;
-  out
-
-let crash_indicator t =
-  Array.map (fun e -> if e.failure <> None then 1. else 0.) (entries t)
 
 let builds_charged t =
   List.fold_left (fun acc e -> if e.built then acc + 1 else acc) 0 t.entries

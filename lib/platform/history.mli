@@ -1,9 +1,9 @@
 (** Exploration history.
 
     The platform records every evaluated configuration, its outcome and its
-    timing; search algorithms read the history through their API (§3.1),
-    and the evaluation figures are series over it (best-so-far, smoothed
-    values, crash rates). *)
+    timing; search algorithms read the history through their API (§3.1).
+    The evaluation figures' series over it (best-so-far, smoothed values,
+    crash indicators) are [Analytics.Series] functions. *)
 
 module Space = Wayfinder_configspace.Space
 
@@ -32,16 +32,10 @@ val size : t -> int
 val entries : t -> entry array
 (** Oldest first. *)
 
-val last : t -> entry option
-
 val crashes : t -> int
 (** Entries with any failure, of any class. *)
 
 val crash_rate : t -> float
-
-val deterministic_crashes : t -> int
-(** Entries whose failure is config-caused ({!Failure.Deterministic}) —
-    the paper's crash statistics. *)
 
 val transient_failures : t -> int
 (** Entries lost to the testbed rather than the configuration: transient
@@ -57,15 +51,6 @@ val best : t -> entry option
 val best_value : t -> float option
 val time_to_best : t -> float option
 (** Virtual time at which the best entry was found. *)
-
-val values_series : t -> float array
-(** Per-iteration raw values; failures repeat the previous value (or the
-    first success) so plots stay connected, matching how the paper draws
-    Figure 6. *)
-
-val best_so_far_series : t -> float array
-val crash_indicator : t -> float array
-(** 1.0 at crashing iterations, 0.0 otherwise (smoothed by the caller). *)
 
 val builds_charged : t -> int
 val total_eval_seconds : t -> float

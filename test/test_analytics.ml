@@ -346,7 +346,7 @@ let test_series_convergence () =
     (A.Series.virtual_seconds_to_within s ~epsilon:0.01);
   Alcotest.(check (option int)) "samples to exact best" (Some 4) (A.Series.samples_to_best s);
   Alcotest.(check (float 1e-12)) "crash rate counts deterministic only" 0.2
-    (A.Series.crash_rate s);
+    (A.Series.stats s).A.Running.crash_rate;
   let report = A.Analyze.of_series ~label:"synthetic" s in
   Alcotest.(check (float 1e-12)) "final regret is zero" 0. report.A.Analyze.final_regret;
   let csv = A.Analyze.series_csv s in

@@ -1,12 +1,15 @@
 (* The streaming-observability conformance suite.
 
-   The tentpole property: a Live_series fed one row at a time is
-   bitwise-identical ([Int64.bits_of_float] on every float) to a batch
-   Series rebuild at EVERY prefix, across algorithms, engines and the
-   multi-objective scenario harness.  Around it: the tail reader's
-   torn-write/truncation/seal semantics, the alert rules' grammar and
-   edge-triggering, the span profiler's reconciliation against the
-   driver's own metrics registry, and the Prometheus exposition. *)
+   The central property: the statistics fold ([Analytics.Running]),
+   fed one row at a time through a Live_series, is bitwise-identical
+   ([Int64.bits_of_float] on every float) at EVERY prefix to an
+   independent oracle — the batch loops Series ran before the fold,
+   copied here — across algorithms, engines and the multi-objective
+   scenario harness.  Around it: golden CLI outputs over committed
+   ledgers, the tail reader's torn-write/truncation/seal semantics, the
+   alert rules' grammar and edge-triggering, the span profiler's
+   reconciliation against the driver's own metrics registry, and the
+   Prometheus exposition. *)
 
 module C = Conformance
 module M = Wayfinder_monitor
@@ -15,6 +18,145 @@ module P = Wayfinder_platform
 module Obs = Wayfinder_obs
 module CS = Wayfinder_configspace
 module Ls = M.Live_series
+module R = A.Running
+
+(* ------------------------------------------------------------------ *)
+(* Oracle: the batch formulas, one whole-array loop per statistic      *)
+(* ------------------------------------------------------------------ *)
+
+module Oracle = struct
+  let best metric (rows : A.Series.row array) =
+    let best = ref None in
+    Array.iter
+      (fun (r : A.Series.row) ->
+        match r.value with
+        | None -> ()
+        | Some v -> (
+          match !best with
+          | None -> best := Some (r.index, v)
+          | Some (_, bv) -> if P.Metric.better metric v bv then best := Some (r.index, v)))
+      rows;
+    !best
+
+  let best_so_far metric (rows : A.Series.row array) =
+    let n = Array.length rows in
+    let out = Array.make n nan in
+    let best = ref None in
+    for i = 0 to n - 1 do
+      (match rows.(i).value with
+      | Some v -> (
+        match !best with
+        | None -> best := Some v
+        | Some b -> if P.Metric.better metric v b then best := Some v)
+      | None -> ());
+      out.(i) <- (match !best with Some b -> b | None -> nan)
+    done;
+    out
+
+  let is_crash (r : A.Series.row) =
+    match r.failure with Some f -> P.Failure.counts_as_crash f | None -> false
+
+  let is_transient (r : A.Series.row) =
+    match r.failure with
+    | Some f -> (
+      match P.Failure.klass f with
+      | P.Failure.Transient | P.Failure.Timeout -> true
+      | P.Failure.Deterministic -> false)
+    | None -> false
+
+  let rate pred rows =
+    let n = Array.length rows in
+    if n = 0 then 0.
+    else
+      float_of_int (Array.fold_left (fun acc r -> if pred r then acc + 1 else acc) 0 rows)
+      /. float_of_int n
+
+  let windowed_rate pred (rows : A.Series.row array) ~window =
+    let n = Array.length rows in
+    let out = Array.make n 0. in
+    let in_window = ref 0 in
+    for i = 0 to n - 1 do
+      if pred rows.(i) then incr in_window;
+      if i >= window && pred rows.(i - window) then decr in_window;
+      out.(i) <- float_of_int !in_window /. float_of_int (min (i + 1) window)
+    done;
+    out
+
+  let stage_key stages (r : A.Series.row) =
+    let buf = Buffer.create 32 in
+    Array.iteri
+      (fun i tok ->
+        if i < Array.length stages && stages.(i) <> CS.Param.Runtime then begin
+          Buffer.add_string buf tok;
+          Buffer.add_char buf ';'
+        end)
+      r.tokens;
+    Buffer.contents buf
+
+  let distinct key rows =
+    let tbl = Hashtbl.create 64 in
+    Array.iter (fun r -> Hashtbl.replace tbl (key r) ()) rows;
+    if Array.length rows = 0 then 0 else Hashtbl.length tbl
+
+  let regret_slope metric rows ~window =
+    let bsf = best_so_far metric rows in
+    let n = Array.length bsf in
+    let xs = ref [] and ys = ref [] in
+    for i = max 0 (n - window) to n - 1 do
+      if not (Float.is_nan bsf.(i)) then begin
+        xs := float_of_int i :: !xs;
+        ys := P.Metric.score metric bsf.(i) :: !ys
+      end
+    done;
+    let xs = Array.of_list (List.rev !xs) and ys = Array.of_list (List.rev !ys) in
+    let k = Array.length xs in
+    if k < 2 then 0.
+    else begin
+      let mx = Wayfinder_tensor.Stat.mean xs and my = Wayfinder_tensor.Stat.mean ys in
+      let num = ref 0. and den = ref 0. in
+      for i = 0 to k - 1 do
+        num := !num +. ((xs.(i) -. mx) *. (ys.(i) -. my));
+        den := !den +. ((xs.(i) -. mx) *. (xs.(i) -. mx))
+      done;
+      if !den = 0. then 0. else !num /. !den
+    end
+
+  let pareto (objectives : P.Metric.t array) (rows : A.Series.row array) =
+    if Array.length objectives = 0 then None
+    else
+      Some
+        (Array.fold_left
+           (fun front (r : A.Series.row) ->
+             match r.objectives with
+             | Some v when r.failure = None && Array.length v = Array.length objectives ->
+               P.Pareto.insert front ~index:r.index ~objectives:v
+             | Some _ | None -> front)
+           (P.Pareto.create ~spec:objectives) rows)
+
+  let last arr = if Array.length arr = 0 then 0. else arr.(Array.length arr - 1)
+
+  let stats ?(window = R.default_window) (s : A.Series.t) : R.stats =
+    let rows = s.A.Series.rows and metric = s.A.Series.metric in
+    let n = Array.length rows in
+    let bsf = best_so_far metric rows in
+    let front = pareto s.A.Series.objectives rows in
+    { length = n;
+      best = best metric rows;
+      best_so_far = (if n = 0 then nan else bsf.(n - 1));
+      regret_slope = regret_slope metric rows ~window;
+      crash_rate = rate is_crash rows;
+      transient_rate = rate is_transient rows;
+      windowed_crash_rate = last (windowed_rate is_crash rows ~window);
+      windowed_transient_rate = last (windowed_rate is_transient rows ~window);
+      distinct_configs =
+        distinct (fun (r : A.Series.row) -> String.concat ";" (Array.to_list r.tokens)) rows;
+      distinct_stage_keys = distinct (stage_key s.A.Series.stages) rows;
+      pareto_size = Option.map P.Pareto.size front;
+      hypervolume_proxy = Option.map P.Pareto.hypervolume_proxy front;
+      virtual_seconds = (if n = 0 then 0. else rows.(n - 1).at_seconds);
+      total_eval_seconds =
+        Array.fold_left (fun acc (r : A.Series.row) -> acc +. r.eval_seconds) 0. rows }
+end
 
 (* ------------------------------------------------------------------ *)
 (* Bitwise stats comparison                                            *)
@@ -22,6 +164,7 @@ module Ls = M.Live_series
 
 let bits = Int64.bits_of_float
 let fl_eq a b = bits a = bits b
+let arr_eq a b = Array.length a = Array.length b && Array.for_all2 fl_eq a b
 
 let opt_eq eq a b =
   match (a, b) with
@@ -29,30 +172,45 @@ let opt_eq eq a b =
   | Some a, Some b -> eq a b
   | _ -> false
 
-let stats_eq (a : Ls.stats) (b : Ls.stats) =
-  a.Ls.length = b.Ls.length
-  && opt_eq (fun (i, v) (j, w) -> i = j && fl_eq v w) a.Ls.best b.Ls.best
-  && fl_eq a.Ls.best_so_far b.Ls.best_so_far
-  && fl_eq a.Ls.regret_slope b.Ls.regret_slope
-  && fl_eq a.Ls.crash_rate b.Ls.crash_rate
-  && fl_eq a.Ls.transient_rate b.Ls.transient_rate
-  && fl_eq a.Ls.windowed_crash_rate b.Ls.windowed_crash_rate
-  && fl_eq a.Ls.windowed_transient_rate b.Ls.windowed_transient_rate
-  && a.Ls.evaluated = b.Ls.evaluated
-  && a.Ls.distinct_configs = b.Ls.distinct_configs
-  && a.Ls.distinct_stage_keys = b.Ls.distinct_stage_keys
-  && a.Ls.pareto_size = b.Ls.pareto_size
-  && opt_eq fl_eq a.Ls.hypervolume_proxy b.Ls.hypervolume_proxy
-  && fl_eq a.Ls.virtual_seconds b.Ls.virtual_seconds
-  && fl_eq a.Ls.total_eval_seconds b.Ls.total_eval_seconds
+let stats_eq (a : R.stats) (b : R.stats) =
+  a.length = b.length
+  && opt_eq (fun (i, v) (j, w) -> i = j && fl_eq v w) a.best b.best
+  && fl_eq a.best_so_far b.best_so_far
+  && fl_eq a.regret_slope b.regret_slope
+  && fl_eq a.crash_rate b.crash_rate
+  && fl_eq a.transient_rate b.transient_rate
+  && fl_eq a.windowed_crash_rate b.windowed_crash_rate
+  && fl_eq a.windowed_transient_rate b.windowed_transient_rate
+  && a.distinct_configs = b.distinct_configs
+  && a.distinct_stage_keys = b.distinct_stage_keys
+  && a.pareto_size = b.pareto_size
+  && opt_eq fl_eq a.hypervolume_proxy b.hypervolume_proxy
+  && fl_eq a.virtual_seconds b.virtual_seconds
+  && fl_eq a.total_eval_seconds b.total_eval_seconds
 
-let stats_pp (s : Ls.stats) =
+let stats_pp (s : R.stats) =
   Printf.sprintf
-    "{n=%d bsf=%h slope=%h crash=%h/%h trans=%h/%h eval=%d cfg=%d stage=%d vt=%h evs=%h}"
-    s.Ls.length s.Ls.best_so_far s.Ls.regret_slope s.Ls.crash_rate
-    s.Ls.windowed_crash_rate s.Ls.transient_rate s.Ls.windowed_transient_rate
-    s.Ls.evaluated s.Ls.distinct_configs s.Ls.distinct_stage_keys
-    s.Ls.virtual_seconds s.Ls.total_eval_seconds
+    "{n=%d bsf=%h slope=%h crash=%h/%h trans=%h/%h cfg=%d stage=%d vt=%h evs=%h}"
+    s.length s.best_so_far s.regret_slope s.crash_rate s.windowed_crash_rate
+    s.transient_rate s.windowed_transient_rate s.distinct_configs s.distinct_stage_keys
+    s.virtual_seconds s.total_eval_seconds
+
+(* The per-row series Series derives from the fold, against the oracle's
+   whole-array loops. *)
+let check_series_arrays (s : A.Series.t) =
+  let rows = s.A.Series.rows and window = R.default_window in
+  let check name got want =
+    if not (arr_eq got want) then Alcotest.failf "Series.%s diverged from the oracle" name
+  in
+  check "best_so_far" (A.Series.best_so_far s) (Oracle.best_so_far s.A.Series.metric rows);
+  check "windowed_crash_rate"
+    (A.Series.windowed_crash_rate s ~window)
+    (Oracle.windowed_rate Oracle.is_crash rows ~window);
+  check "windowed_transient_rate"
+    (A.Series.windowed_transient_rate s ~window)
+    (Oracle.windowed_rate Oracle.is_transient rows ~window);
+  if not (stats_eq (A.Series.stats s) (Oracle.stats s)) then
+    Alcotest.fail "Series.stats diverged from the oracle"
 
 (* Space geometry of the conformance target, shared by every prefix
    check. *)
@@ -61,32 +219,34 @@ let conf_names, conf_stages =
   ( Array.map (fun (p : CS.Param.t) -> p.CS.Param.name) params,
     Array.map (fun (p : CS.Param.t) -> p.CS.Param.stage) params )
 
-(* Check live == batch at every prefix of [rows]. *)
+(* Check live == oracle at every prefix of [rows], and the batch series
+   of all of them. *)
 let check_prefix_parity ~metric ~objectives rows =
   let live = Ls.create ~metric ~names:conf_names ~stages:conf_stages ~objectives () in
+  let batch k =
+    { A.Series.metric;
+      names = conf_names;
+      stages = conf_stages;
+      rows = Array.of_list (List.filteri (fun j _ -> j < k) rows);
+      objectives }
+  in
   List.iteri
     (fun i row ->
       Ls.observe live row;
       let k = i + 1 in
-      let batch =
-        { A.Series.metric;
-          names = conf_names;
-          stages = conf_stages;
-          rows = Array.of_list (List.filteri (fun j _ -> j < k) rows);
-          objectives }
-      in
-      let got = Ls.stats live and want = Ls.stats_of_series batch in
+      let got = Ls.stats live and want = Oracle.stats (batch k) in
       if not (stats_eq got want) then
-        Alcotest.failf "prefix %d diverged:\n  live  %s\n  batch %s" k (stats_pp got)
+        Alcotest.failf "prefix %d diverged:\n  live   %s\n  oracle %s" k (stats_pp got)
           (stats_pp want))
-    rows
+    rows;
+  check_series_arrays (batch (List.length rows))
 
 let collect_rows () =
   let rows = ref [] in
   let on_record entry belief = rows := A.Ledger.row_of_entry entry belief :: !rows in
   (rows, on_record)
 
-(* The tentpole property: random seeds and fault rates, every algorithm,
+(* The central property: random seeds and fault rates, every algorithm,
    both engine widths. *)
 let prefix_parity_prop =
   QCheck2.Test.make ~count:15 ~name:"live series == batch series at every prefix"
@@ -103,7 +263,7 @@ let prefix_parity_prop =
       true)
 
 (* Multi-objective scenario runs carry objective vectors; the live
-   Pareto front and hypervolume must track the batch ones. *)
+   Pareto front and hypervolume must track the oracle's. *)
 let test_prefix_parity_scenario () =
   List.iter
     (fun workers ->
@@ -117,8 +277,47 @@ let test_prefix_parity_scenario () =
         ~objectives:C.scenario_spec (List.rev !rows))
     [ 1; 4 ]
 
+(* The slice helpers the alert rules, the drift probe and --save-model
+   read: bitwise the oracle's windowed crash rate over the slice and the
+   drift probe's original in-order mean. *)
+let slice_helpers_prop =
+  QCheck2.Test.make ~count:300 ~name:"crash share and mean success == batch formulas"
+    QCheck2.Gen.(
+      list_size (int_range 0 40)
+        (pair
+           (opt (map (fun (m, e) -> ldexp m e) (pair (float_range (-1.) 1.) (int_range (-20) 40))))
+           (oneofl
+              [ None; Some P.Failure.Runtime_crash; Some P.Failure.Spurious_failure;
+                Some P.Failure.Build_failure; Some P.Failure.Quarantined ])))
+    (fun cells ->
+      let rows =
+        Array.of_list
+          (List.mapi
+             (fun index (value, failure) ->
+               { A.Series.index; tokens = [||]; value; failure; at_seconds = 0.;
+                 eval_seconds = 0.; built = false; decide_seconds = 0.; belief = None;
+                 objectives = None })
+             cells)
+      in
+      let n = Array.length rows in
+      let share =
+        if n = 0 then 0. else Oracle.last (Oracle.windowed_rate Oracle.is_crash rows ~window:n)
+      in
+      let successes =
+        Array.of_list
+          (List.filter_map
+             (fun (r : A.Series.row) ->
+               match (r.value, r.failure) with Some v, None -> Some v | _ -> None)
+             (Array.to_list rows))
+      in
+      let mean =
+        if Array.length successes = 0 then Float.nan
+        else Array.fold_left ( +. ) 0. successes /. float_of_int (Array.length successes)
+      in
+      fl_eq (R.crash_share rows) share && fl_eq (R.mean_success rows) mean)
+
 (* of_meta wiring: folding a loaded ledger's rows through a meta-shaped
-   live series matches the batch series of the same ledger. *)
+   live series matches the oracle over the same ledger. *)
 let test_of_meta_matches_of_ledger path =
   match A.Ledger.load path with
   | Error e -> Alcotest.failf "load: %s" (A.Ledger.error_to_string e)
@@ -127,7 +326,7 @@ let test_of_meta_matches_of_ledger path =
     let live = Ls.of_meta ledger.A.Ledger.meta in
     Array.iter (Ls.observe live) series.A.Series.rows;
     Alcotest.(check bool) "of_meta stats match" true
-      (stats_eq (Ls.stats live) (Ls.stats_of_series series))
+      (stats_eq (Ls.stats live) (Oracle.stats series))
 
 (* ------------------------------------------------------------------ *)
 (* Ledger fixtures                                                     *)
@@ -423,6 +622,102 @@ let test_dashboard_deterministic () =
        i + nl <= String.length f1 && (String.sub f1 i nl = needle || scan (i + 1))
      in
      scan 0)
+
+(* ------------------------------------------------------------------ *)
+(* Golden CLI outputs                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* test/golden/stats holds three committed ledgers — a faulted DeepTune
+   scalar run and a Bayes run (sim-unikraft, 40 rows each), and a faulted
+   multi-objective flash-crowd random run at --workers 4 (sim-linux, 80
+   rows) — with the CLI's outputs over them, recorded before the batch
+   and live statistics became one fold:
+
+     wayfinder analyze L                          > R.analyze.txt
+     wayfinder analyze L --json --series R.series.csv --prom R.prom
+                                                  > R.analyze.json
+     wayfinder watch --once L                     > R.watch.txt
+     wayfinder watch --once --alerts 'crash>0.2@10,stall>20,drift' L
+                              > R.watch-alerts.txt 2> R.watch-alerts.err
+     wayfinder compare [--json] deeptune.ledger.jsonl bayes.ledger.jsonl
+                                                  > compare.{txt,json}
+     wayfinder compare [--json] flash.ledger.jsonl flash.ledger.jsonl
+                                                  > compare-flash.{txt,json}
+
+   Each output is rendered here through the library, as bin/ does, and
+   must match byte for byte; CI diffs the CLI's own output against the
+   same files. *)
+
+let golden = Filename.concat "golden" "stats"
+let golden_file name = read_file (Filename.concat golden name)
+let golden_alerts = "crash>0.2@10,stall>20,drift"
+
+let load_golden run =
+  match A.Ledger.load (Filename.concat golden (run ^ ".ledger.jsonl")) with
+  | Ok l -> l
+  | Error e -> Alcotest.failf "%s: %s" run (A.Ledger.error_to_string e)
+
+let check_golden name got = Alcotest.(check string) name (golden_file name) got
+
+(* [wayfinder watch --once], with the ALERT lines it prints to stderr. *)
+let watch ?alerts run =
+  let rules =
+    match alerts with
+    | None -> []
+    | Some spec -> (
+      match M.Rules.parse spec with Ok r -> r | Error e -> Alcotest.fail e)
+  in
+  let tail = M.Tail.create (Filename.concat golden (run ^ ".ledger.jsonl")) in
+  let state = M.Rules.create rules in
+  let err = Buffer.create 256 in
+  match M.Tail.step tail with
+  | Error e -> Alcotest.failf "%s: %s" run (A.Ledger.error_to_string e)
+  | Ok step ->
+    let meta = Option.get (M.Tail.meta tail) in
+    let live = Ls.of_meta meta in
+    List.iter
+      (fun row ->
+        Ls.observe live row;
+        List.iter
+          (fun (f : M.Rules.firing) ->
+            Buffer.add_string err
+              (Printf.sprintf "wayfinder: ALERT %s: %s\n" f.M.Rules.rule f.M.Rules.message))
+          (M.Rules.evaluate state live))
+      step.M.Tail.rows;
+    ( M.Dashboard.render ~alerts:(M.Rules.active state) ~dropped:(M.Tail.dropped tail)
+        ~seal:(M.Tail.seal tail) ~meta live,
+      Buffer.contents err )
+
+let test_golden_analyze_and_watch () =
+  List.iter
+    (fun run ->
+      let ledger = load_golden run in
+      let series = A.Series.of_ledger ledger in
+      let report =
+        A.Analyze.of_series ~label:(run ^ ".ledger") ~algo:ledger.A.Ledger.meta.A.Ledger.algo
+          series
+      in
+      check_golden (run ^ ".analyze.txt") (A.Analyze.to_text report);
+      check_golden (run ^ ".analyze.json") (A.Json.to_string (A.Analyze.to_json report) ^ "\n");
+      check_golden (run ^ ".series.csv") (A.Analyze.series_csv series);
+      check_golden (run ^ ".prom") (M.Prom.render ~stats:(A.Series.stats series) ());
+      check_golden (run ^ ".watch.txt") (fst (watch run));
+      let frame, err = watch ~alerts:golden_alerts run in
+      check_golden (run ^ ".watch-alerts.txt") frame;
+      check_golden (run ^ ".watch-alerts.err") err)
+    [ "deeptune"; "bayes"; "flash" ]
+
+let test_golden_compare () =
+  List.iter
+    (fun (name, runs) ->
+      match A.Compare.make (List.map (fun (label, run) -> (label, A.Series.of_ledger (load_golden run))) runs) with
+      | Error e -> Alcotest.fail e
+      | Ok table ->
+        check_golden (name ^ ".txt") (A.Compare.to_text table);
+        check_golden (name ^ ".json") (A.Json.to_string (A.Compare.to_json table) ^ "\n"))
+    [ ("compare", [ ("deeptune.ledger", "deeptune"); ("bayes.ledger", "bayes") ]);
+      (* The CLI disambiguates a repeated label with the algorithm. *)
+      ("compare-flash", [ ("flash.ledger", "flash"); ("flash.ledger[random]", "flash") ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                               *)
@@ -727,7 +1022,8 @@ let () =
     [ ( "live_series",
         [ QCheck_alcotest.to_alcotest prefix_parity_prop;
           Alcotest.test_case "scenario prefixes (multi-objective)" `Quick
-            test_prefix_parity_scenario ] );
+            test_prefix_parity_scenario;
+          QCheck_alcotest.to_alcotest slice_helpers_prop ] );
       ( "tail",
         [ Alcotest.test_case "whole file" `Quick test_tail_whole_file;
           Alcotest.test_case "torn writes stay pending" `Quick test_tail_torn_writes;
@@ -740,6 +1036,10 @@ let () =
             test_tail_resume_is_sealed_unverified ] );
       ( "dashboard",
         [ Alcotest.test_case "deterministic frames" `Quick test_dashboard_deterministic ] );
+      ( "golden",
+        [ Alcotest.test_case "analyze, series, prom and watch outputs" `Quick
+            test_golden_analyze_and_watch;
+          Alcotest.test_case "compare outputs" `Quick test_golden_compare ] );
       ( "rules",
         [ Alcotest.test_case "parse round-trip" `Quick test_rules_parse_roundtrip;
           Alcotest.test_case "crash edge-trigger" `Quick test_rules_crash_edge_trigger;

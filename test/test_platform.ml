@@ -3,6 +3,7 @@ module S = Wayfinder_simos
 module Space = Wayfinder_configspace.Space
 module Param = Wayfinder_configspace.Param
 module Rng = Wayfinder_tensor.Rng
+module Series = Wayfinder_analytics.Series
 
 (* A tiny synthetic target: maximise -(x-7)² over one int parameter, crash
    when x > 9. *)
@@ -46,6 +47,9 @@ let entry ?(value = None) ?(failure = None) ?(at = 0.) index =
   { History.index; config = [||]; value; failure; at_seconds = at; eval_seconds = 60.;
     built = false; decide_seconds = 0.001; objectives = None }
 
+(* The plotting series of a history, as the figure benches build them. *)
+let plot h = Series.of_history ~space:(Space.create []) h
+
 let test_history_best_and_crashes () =
   let h = History.create Metric.throughput in
   History.add h (entry ~value:(Some 10.) 0);
@@ -72,11 +76,11 @@ let test_history_series () =
   History.add h (entry ~failure:(Some (Failure.Other "x")) 2);
   History.add h (entry ~value:(Some 30.) 3);
   Alcotest.(check (array (float 1e-9))) "values backfill failures" [| 10.; 10.; 10.; 30. |]
-    (History.values_series h);
+    (Series.values (plot h));
   Alcotest.(check (array (float 1e-9))) "best so far" [| nan; 10.; 10.; 30. |]
-    (History.best_so_far_series h);
+    (Series.best_so_far (plot h));
   Alcotest.(check (array (float 1e-9))) "crash indicator" [| 1.; 0.; 1.; 0. |]
-    (History.crash_indicator h)
+    (Series.crash_indicator (plot h))
 
 let test_history_windowed_crash_rate () =
   let h = History.create Metric.throughput in
@@ -154,9 +158,11 @@ let test_history_csv_quoting_roundtrip () =
 
 let test_history_empty_and_all_failure_series () =
   let empty = History.create Metric.throughput in
-  Alcotest.(check int) "empty values series" 0 (Array.length (History.values_series empty));
+  Alcotest.(check int) "empty values series" 0 (Array.length (Series.values (plot empty)));
   Alcotest.(check int) "empty best series" 0
-    (Array.length (History.best_so_far_series empty));
+    (Array.length (Series.best_so_far (plot empty)));
+  Alcotest.(check int) "empty crash indicator" 0
+    (Array.length (Series.crash_indicator (plot empty)));
   Alcotest.(check (float 1e-9)) "empty windowed rate" 0.
     (History.windowed_crash_rate empty ~window:5);
   let all_fail = History.create Metric.throughput in
@@ -166,9 +172,11 @@ let test_history_empty_and_all_failure_series () =
   Alcotest.(check (option (float 1e-9))) "no best" None (History.best_value all_fail);
   Alcotest.(check (array (float 1e-9))) "values fall back to 0"
     [| 0.; 0.; 0.; 0. |]
-    (History.values_series all_fail);
+    (Series.values (plot all_fail));
   Alcotest.(check bool) "best-so-far stays nan" true
-    (Array.for_all Float.is_nan (History.best_so_far_series all_fail));
+    (Array.for_all Float.is_nan (Series.best_so_far (plot all_fail)));
+  Alcotest.(check (array (float 1e-9))) "every row crashed" [| 1.; 1.; 1.; 1. |]
+    (Series.crash_indicator (plot all_fail));
   Alcotest.(check (float 1e-9)) "all-failure rate" 1. (History.crash_rate all_fail)
 
 let test_history_window_edge_cases () =
@@ -229,7 +237,7 @@ let test_driver_deterministic () =
       Driver.run ~seed:7 ~target ~algorithm:(Random_search.create ())
         ~budget:(Driver.Iterations 25) ()
     in
-    History.values_series r.Driver.history
+    Series.values (plot r.Driver.history)
   in
   Alcotest.(check (array (float 1e-9))) "same seed same series" (run ()) (run ())
 

@@ -404,11 +404,12 @@ let test_resilient_policy_is_noop_without_faults () =
   (* On a fault-free target the resilient policy must not change what the
      search sees: same values, same best. *)
   let series policy =
+    let target = toy_target () in
     let r =
-      Driver.run ~seed:11 ~resilience:policy ~target:(toy_target ())
-        ~algorithm:(Random_search.create ()) ~budget:(Driver.Iterations 30) ()
+      Driver.run ~seed:11 ~resilience:policy ~target ~algorithm:(Random_search.create ())
+        ~budget:(Driver.Iterations 30) ()
     in
-    History.values_series r.Driver.history
+    Wayfinder_analytics.Series.(values (of_history ~space:target.Target.space r.Driver.history))
   in
   Alcotest.(check (array (float 1e-9))) "identical series"
     (series Resilience.none)
