@@ -7,51 +7,40 @@ type report = {
   label : string;
   algo : string option;
   metric : Metric.t;
-  iterations : int;
-  best : (int * float) option;
-  final_regret : float;  (** Always 0 when any success exists; NaN otherwise. *)
+  stats : Running.stats;
+      (** Iterations, best, virtual time, failure rates, distinct configs
+          and stage keys, Pareto front size and hypervolume proxy. *)
+  final_regret : float; (** Always 0 when any success exists; NaN otherwise. *)
   epsilon : float;
   samples_to_within : int option;
   virtual_seconds_to_within : float option;
   samples_to_best : int option;
-  total_virtual_seconds : float;
-  crash_rate : float;
-  transient_rate : float;
   failure_counts : (string * int) list;
-  coverage : Series.coverage;
+  marginals : (string * (string * int) list) array;  (** {!Series.marginals}. *)
   calibration : Calibration.t;
   objective_best : (Metric.t * (int * float) option) array;
       (** Per objective of a multi-objective run: best (iteration, raw
-          value) under that objective's own metric.  [[||]] for scalar
+          value) under that objective's own metric; [[||]] for scalar
           runs. *)
-  pareto_size : int option;
-  hypervolume_proxy : float option;
 }
 
 let of_series ?(label = "run") ?algo ?(epsilon = default_epsilon) (s : Series.t) =
   let regret = Series.simple_regret s in
   let n = Array.length regret in
-  let st = Series.stats s in
   { label;
     algo;
     metric = s.Series.metric;
-    iterations = Series.length s;
-    best = st.Running.best;
+    stats = Series.stats s;
     final_regret = (if n = 0 then nan else regret.(n - 1));
     epsilon;
     samples_to_within = Series.samples_to_within s ~epsilon;
     virtual_seconds_to_within = Series.virtual_seconds_to_within s ~epsilon;
     samples_to_best = Series.samples_to_best s;
-    total_virtual_seconds = st.Running.virtual_seconds;
-    crash_rate = st.Running.crash_rate;
-    transient_rate = st.Running.transient_rate;
     failure_counts = Series.failure_counts s;
-    coverage = Series.coverage s;
+    marginals = Series.marginals s;
     calibration = Calibration.of_series s;
     objective_best =
-      Array.mapi (fun i m -> (m, Series.objective_best s i)) s.Series.objectives;
-    pareto_size = st.Running.pareto_size;
-    hypervolume_proxy = st.Running.hypervolume_proxy }
+      Array.mapi (fun i m -> (m, Series.objective_best s i)) s.Series.objectives }
 
 (* ------------------------------------------------------------------ *)
 (* Text rendering                                                      *)
@@ -63,13 +52,14 @@ let opt_f fmt = function Some v -> fmt v | None -> "-"
 let opt_int = opt_f string_of_int
 
 let to_text r =
+  let st = r.stats in
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "run: %s%s" r.label (match r.algo with Some a -> Printf.sprintf " (%s)" a | None -> "");
   line "metric: %s [%s, %s]" r.metric.Metric.metric_name r.metric.Metric.unit_name
     (if r.metric.Metric.maximize then "maximize" else "minimize");
-  line "iterations: %d (virtual %s)" r.iterations (Obs.Summary.si r.total_virtual_seconds);
-  (match r.best with
+  line "iterations: %d (virtual %s)" st.length (Obs.Summary.si st.virtual_seconds);
+  (match st.best with
   | Some (i, v) -> line "best: %.3f %s at iteration %d" v r.metric.Metric.unit_name i
   | None -> line "best: - (no successful evaluation)");
   line "samples to within %.1f%% of best: %s (virtual %s)" (100. *. r.epsilon)
@@ -86,25 +76,24 @@ let to_text r =
             m.Metric.unit_name i
         | None -> line "  %-12s best - (no measurement)" m.Metric.metric_name)
       r.objective_best;
-    (match (r.pareto_size, r.hypervolume_proxy) with
+    (match (st.pareto_size, st.hypervolume_proxy) with
     | Some n, Some hv -> line "  pareto front: %d points, hypervolume proxy %.4f" n hv
     | _ -> ())
   end;
-  line "crash rate: %s   transient rate: %s" (pct r.crash_rate) (pct r.transient_rate);
+  line "crash rate: %s   transient rate: %s" (pct st.crash_rate) (pct st.transient_rate);
   if r.failure_counts <> [] then
     line "failures: %s"
       (String.concat ", "
          (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.failure_counts));
-  let c = r.coverage in
   line "coverage: %d evaluated, %d distinct configs, %d distinct images (stage keys)"
-    c.Series.evaluated c.Series.distinct_configs c.Series.distinct_stage_keys;
+    st.length st.distinct_configs st.distinct_stage_keys;
   Array.iter
     (fun (name, counts) ->
       if counts <> [] then
         line "  %-24s %s" name
           (String.concat " "
              (List.map (fun (tok, n) -> Printf.sprintf "%s:%d" tok n) counts)))
-    c.Series.marginals;
+    r.marginals;
   let cal = r.calibration in
   line "calibration:";
   line "  crash pairs: %d   Brier: %s" cal.Calibration.crash_pairs
@@ -134,6 +123,7 @@ let opt_num = function Some v -> Json.Num v | None -> Json.Null
 let opt_num_i = function Some v -> Json.Num (float_of_int v) | None -> Json.Null
 
 let to_json r =
+  let st = r.stats in
   let cal = r.calibration in
   (* Objective members are appended, and only for multi-objective runs, so
      scalar reports serialize byte-identically to earlier versions. *)
@@ -157,8 +147,8 @@ let to_json r =
                                 ("value", Json.Num v) ]
                           | None -> Json.Null ) ])
                   r.objective_best)) );
-        ("pareto_size", opt_num_i r.pareto_size);
-        ("hypervolume_proxy", opt_num r.hypervolume_proxy) ]
+        ("pareto_size", opt_num_i st.pareto_size);
+        ("hypervolume_proxy", opt_num st.hypervolume_proxy) ]
   in
   Json.Obj
     ([ ("label", Json.Str r.label);
@@ -168,9 +158,9 @@ let to_json r =
           [ ("name", Json.Str r.metric.Metric.metric_name);
             ("unit", Json.Str r.metric.Metric.unit_name);
             ("maximize", Json.Bool r.metric.Metric.maximize) ] );
-      ("iterations", Json.Num (float_of_int r.iterations));
+      ("iterations", Json.Num (float_of_int st.length));
       ( "best",
-        match r.best with
+        match st.best with
         | Some (i, v) ->
           Json.Obj [ ("iteration", Json.Num (float_of_int i)); ("value", Json.Num v) ]
         | None -> Json.Null );
@@ -179,17 +169,16 @@ let to_json r =
       ("samples_to_within", opt_num_i r.samples_to_within);
       ("virtual_seconds_to_within", opt_num r.virtual_seconds_to_within);
       ("samples_to_best", opt_num_i r.samples_to_best);
-      ("total_virtual_seconds", Json.Num r.total_virtual_seconds);
-      ("crash_rate", Json.Num r.crash_rate);
-      ("transient_rate", Json.Num r.transient_rate);
+      ("total_virtual_seconds", Json.Num st.virtual_seconds);
+      ("crash_rate", Json.Num st.crash_rate);
+      ("transient_rate", Json.Num st.transient_rate);
       ( "failure_counts",
         Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) r.failure_counts) );
       ( "coverage",
         Json.Obj
-          [ ("evaluated", Json.Num (float_of_int r.coverage.Series.evaluated));
-            ("distinct_configs", Json.Num (float_of_int r.coverage.Series.distinct_configs));
-            ( "distinct_stage_keys",
-              Json.Num (float_of_int r.coverage.Series.distinct_stage_keys) );
+          [ ("evaluated", Json.Num (float_of_int st.length));
+            ("distinct_configs", Json.Num (float_of_int st.distinct_configs));
+            ("distinct_stage_keys", Json.Num (float_of_int st.distinct_stage_keys));
             ( "marginals",
               Json.Obj
                 (Array.to_list
@@ -199,7 +188,7 @@ let to_json r =
                           Json.Obj
                             (List.map (fun (tok, n) -> (tok, Json.Num (float_of_int n))) counts)
                         ))
-                      r.coverage.Series.marginals)) ) ] );
+                      r.marginals)) ) ] );
       ( "calibration",
         Json.Obj
           [ ("crash_pairs", Json.Num (float_of_int cal.Calibration.crash_pairs));
@@ -226,11 +215,11 @@ let to_json r =
 (* Per-iteration series CSV                                            *)
 (* ------------------------------------------------------------------ *)
 
-let series_csv ?(window = Running.default_window) (s : Series.t) =
+let series_csv (s : Series.t) =
   let bsf = Series.best_so_far s in
   let regret = Series.simple_regret s in
-  let crash_w = Series.windowed_crash_rate s ~window in
-  let transient_w = Series.windowed_transient_rate s ~window in
+  let crash_w = Series.windowed_crash_rate s in
+  let transient_w = Series.windowed_transient_rate s in
   (* Per-objective best-so-far columns are appended only for
      multi-objective runs, so scalar CSVs stay byte-identical. *)
   let n_obj = Series.objective_count s in
@@ -238,7 +227,7 @@ let series_csv ?(window = Running.default_window) (s : Series.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "iteration,value,best_so_far,simple_regret,crash_rate_w%d,transient_rate_w%d,at_s"
-       window window);
+       Running.default_window Running.default_window);
   Array.iter
     (fun (m : Metric.t) ->
       Buffer.add_string buf (Printf.sprintf ",best_%s" m.Metric.metric_name))

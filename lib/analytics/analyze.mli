@@ -10,25 +10,21 @@ type report = {
   label : string;
   algo : string option;
   metric : Metric.t;
-  iterations : int;
-  best : (int * float) option;
+  stats : Running.stats;
+      (** Iterations, best, virtual time, failure rates, distinct configs
+          and stage keys, Pareto front size and hypervolume proxy. *)
   final_regret : float;
   epsilon : float;
   samples_to_within : int option;
   virtual_seconds_to_within : float option;
   samples_to_best : int option;
-  total_virtual_seconds : float;
-  crash_rate : float;
-  transient_rate : float;
   failure_counts : (string * int) list;
-  coverage : Series.coverage;
+  marginals : (string * (string * int) list) array;  (** {!Series.marginals}. *)
   calibration : Calibration.t;
   objective_best : (Metric.t * (int * float) option) array;
       (** Per objective of a multi-objective run: best (iteration, raw
           value) under that objective's own metric; [[||]] for scalar
           runs. *)
-  pareto_size : int option;  (** Points on the non-dominated front. *)
-  hypervolume_proxy : float option;  (** {!Running.stats} [hypervolume_proxy]. *)
 }
 
 val of_series : ?label:string -> ?algo:string -> ?epsilon:float -> Series.t -> report
@@ -39,9 +35,8 @@ val to_text : report -> string
 
 val to_json : report -> Json.t
 
-val series_csv : ?window:int -> Series.t -> string
-(** Per-iteration derived series ([window] defaults to
-    {!Running.default_window}) —
+val series_csv : Series.t -> string
+(** Per-iteration derived series ({!Running.default_window} is [N]) —
     [iteration,value,best_so_far,simple_regret,crash_rate_wN,transient_rate_wN,at_s]
     — with floats in the exact-round-trip codec of {!Json}.
     Multi-objective runs append one [best_<name>] running-best column per

@@ -106,7 +106,7 @@ let make ?budgets runs =
             Array.of_list
               (List.map
                  (fun (_, s) ->
-                   if shared_spec then (Series.stats s).Running.hypervolume_proxy else None)
+                   if shared_spec then Running.hypervolume_proxy (Series.running s) else None)
                  runs)
           in
           Ok { metric; labels; budgets; best_at; winners; finals; hypervolumes }

@@ -24,17 +24,17 @@ let with_metrics ~workers m snap =
     cache_hit_rate = (if hits +. misses <= 0. then None else Some (hits /. (hits +. misses)));
     worker_busy }
 
-let of_stats (s : Running.stats) =
-  { iteration = s.length;
-    best = Option.map snd s.best;
-    regret_slope = s.regret_slope;
-    crash_rate = s.crash_rate;
+let of_running run =
+  { iteration = Running.length run;
+    best = Option.map snd (Running.best run);
+    regret_slope = Running.regret_slope run;
+    crash_rate = Running.crash_rate run;
     cache_hit_rate = None;
     worker_busy = None;
-    virtual_seconds = s.virtual_seconds }
+    virtual_seconds = Running.virtual_seconds run }
 
-let of_series ?window ?metrics ?(workers = 1) s =
-  let snap = of_stats (Series.stats ?window s) in
+let of_series ?metrics ?(workers = 1) s =
+  let snap = of_running (Series.running s) in
   match metrics with Some m -> with_metrics ~workers m snap | None -> snap
 
 let to_line ?(alerts = []) ~metric snap =

@@ -22,12 +22,11 @@ type snapshot = {
   virtual_seconds : float;
 }
 
-val of_stats : Running.stats -> snapshot
+val of_running : Running.t -> snapshot
 (** [cache_hit_rate] and [worker_busy] are [None]; see {!with_metrics}. *)
 
-val of_series :
-  ?window:int -> ?metrics:Obs.Metrics.snapshot -> ?workers:int -> Series.t -> snapshot
-(** {!of_stats} of {!Series.stats}, filled {!with_metrics} when given. *)
+val of_series : ?metrics:Obs.Metrics.snapshot -> ?workers:int -> Series.t -> snapshot
+(** {!of_running} of {!Series.running}, filled {!with_metrics} when given. *)
 
 val with_metrics : workers:int -> Obs.Metrics.snapshot -> snapshot -> snapshot
 (** Fill [cache_hit_rate] and [worker_busy] from a metrics snapshot —

@@ -15,13 +15,7 @@ let default_window = 25
 let is_crash (r : Ledger.row) =
   match r.failure with Some f -> Failure.counts_as_crash f | None -> false
 
-let is_transient (r : Ledger.row) =
-  match r.failure with
-  | Some f -> (
-    match Failure.klass f with
-    | Failure.Transient | Failure.Timeout -> true
-    | Failure.Deterministic -> false)
-  | None -> false
+let is_transient (r : Ledger.row) = r.failure <> None && not (is_crash r)
 
 let improves metric best v =
   match best with None -> true | Some (_, b) -> Metric.better metric v b
@@ -44,43 +38,51 @@ let stage_key stages (r : Ledger.row) =
 type t = {
   metric : Metric.t;
   stages : Param.stage array;
-  win : int;
   mutable n : int;
   mutable best : (int * float) option;
   mutable last_improvement : int;
   mutable crashes : int;
   mutable transients : int;
-  (* Slot [i mod win] holds row i's predicates and running best for the
-     last [win] rows; a slot is retired when row [i + win] reuses it. *)
+  (* Slot [i mod default_window] holds row i's predicates and running
+     best; a slot is retired when row [i + default_window] reuses it. *)
   crash_ring : bool array;
   transient_ring : bool array;
   bsf_ring : float array;
   mutable crash_in_window : int;
   mutable transient_in_window : int;
-  configs : (string, unit) Hashtbl.t;
-  stage_keys : (string, unit) Hashtbl.t;
   mutable front : Pareto.t option;
   mutable total_eval : float;
   mutable last_at : float;
+  (* Rows not yet keyed into the distinct sets.  Only [stats] reads the
+     sets, so keying (the costly part of a row) waits for it: a scan
+     that never asks for them does not pay for it. *)
+  mutable unkeyed : Ledger.row list;
+  configs : (string, unit) Hashtbl.t;
+  stage_keys : (string, unit) Hashtbl.t;
 }
 
-let create ?(window = default_window) ~metric ~stages ~objectives () =
-  if window <= 0 then invalid_arg "Running.create: window must be positive";
-  { metric; stages; win = window; n = 0; best = None; last_improvement = 0;
-    crashes = 0; transients = 0; crash_ring = Array.make window false;
-    transient_ring = Array.make window false; bsf_ring = Array.make window nan;
-    crash_in_window = 0; transient_in_window = 0; configs = Hashtbl.create 64;
-    stage_keys = Hashtbl.create 64;
+let create ~metric ~stages ~objectives () =
+  { metric; stages; n = 0; best = None; last_improvement = 0; crashes = 0;
+    transients = 0; crash_ring = Array.make default_window false;
+    transient_ring = Array.make default_window false;
+    bsf_ring = Array.make default_window nan; crash_in_window = 0;
+    transient_in_window = 0;
     front =
       (if Array.length objectives = 0 then None else Some (Pareto.create ~spec:objectives));
-    total_eval = 0.; last_at = 0. }
+    total_eval = 0.; last_at = 0.; unkeyed = []; configs = Hashtbl.create 64;
+    stage_keys = Hashtbl.create 64 }
 
-let window t = t.win
+let length t = t.n
+let best t = t.best
 let last_improvement t = t.last_improvement
 let best_so_far t = match t.best with Some (_, v) -> v | None -> nan
+let virtual_seconds t = t.last_at
+let hypervolume_proxy t = Option.map Pareto.hypervolume_proxy t.front
+let rate t count = if t.n = 0 then 0. else float_of_int count /. float_of_int t.n
+let crash_rate t = rate t t.crashes
 
 let windowed t count =
-  if t.n = 0 then 0. else float_of_int count /. float_of_int (min t.n t.win)
+  if t.n = 0 then 0. else float_of_int count /. float_of_int (min t.n default_window)
 
 let windowed_crash_rate t = windowed t t.crash_in_window
 let windowed_transient_rate t = windowed t t.transient_in_window
@@ -92,8 +94,8 @@ let observe t (r : Ledger.row) =
     t.best <- Some (r.index, v);
     t.last_improvement <- i + 1
   | Some _ | None -> ());
-  let slot = i mod t.win in
-  if i >= t.win then begin
+  let slot = i mod default_window in
+  if i >= default_window then begin
     if t.crash_ring.(slot) then t.crash_in_window <- t.crash_in_window - 1;
     if t.transient_ring.(slot) then t.transient_in_window <- t.transient_in_window - 1
   end;
@@ -109,8 +111,7 @@ let observe t (r : Ledger.row) =
     t.transient_in_window <- t.transient_in_window + 1
   end;
   t.bsf_ring.(slot) <- best_so_far t;
-  Hashtbl.replace t.configs (String.concat ";" (Array.to_list r.tokens)) ();
-  Hashtbl.replace t.stage_keys (stage_key t.stages r) ();
+  t.unkeyed <- r :: t.unkeyed;
   (match (t.front, r.objectives) with
   | Some front, Some v when r.failure = None && Array.length v = Array.length (Pareto.spec front)
     ->
@@ -125,8 +126,8 @@ let observe t (r : Ledger.row) =
    0 with fewer than two. *)
 let regret_slope t =
   let xs = ref [] and ys = ref [] in
-  for i = max 0 (t.n - t.win) to t.n - 1 do
-    let v = t.bsf_ring.(i mod t.win) in
+  for i = max 0 (t.n - default_window) to t.n - 1 do
+    let v = t.bsf_ring.(i mod default_window) in
     if not (Float.is_nan v) then begin
       xs := float_of_int i :: !xs;
       ys := Metric.score t.metric v :: !ys
@@ -162,21 +163,25 @@ type stats = {
   total_eval_seconds : float;
 }
 
-let rate t count = if t.n = 0 then 0. else float_of_int count /. float_of_int t.n
-
 let stats t =
+  List.iter
+    (fun (r : Ledger.row) ->
+      Hashtbl.replace t.configs (String.concat ";" (Array.to_list r.tokens)) ();
+      Hashtbl.replace t.stage_keys (stage_key t.stages r) ())
+    t.unkeyed;
+  t.unkeyed <- [];
   { length = t.n;
     best = t.best;
     best_so_far = best_so_far t;
     regret_slope = regret_slope t;
-    crash_rate = rate t t.crashes;
+    crash_rate = crash_rate t;
     transient_rate = rate t t.transients;
     windowed_crash_rate = windowed_crash_rate t;
     windowed_transient_rate = windowed_transient_rate t;
     distinct_configs = Hashtbl.length t.configs;
     distinct_stage_keys = Hashtbl.length t.stage_keys;
     pareto_size = Option.map Pareto.size t.front;
-    hypervolume_proxy = Option.map Pareto.hypervolume_proxy t.front;
+    hypervolume_proxy = hypervolume_proxy t;
     virtual_seconds = t.last_at;
     total_eval_seconds = t.total_eval }
 

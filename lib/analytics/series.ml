@@ -179,17 +179,18 @@ let of_csv ~metric s =
 (* The statistics fold                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let running ?window t =
-  Running.create ?window ~metric:t.metric ~stages:t.stages ~objectives:t.objectives ()
+let fresh t = Running.create ~metric:t.metric ~stages:t.stages ~objectives:t.objectives ()
 
-let stats ?window t =
-  let run = running ?window t in
+let running t =
+  let run = fresh t in
   Array.iter (Running.observe run) t.rows;
-  Running.stats run
+  run
+
+let stats t = Running.stats (running t)
 
 (* The fold's state after each row, projected by [f]. *)
-let scan ?window t f =
-  let run = running ?window t in
+let scan t f =
+  let run = fresh t in
   Array.map
     (fun r ->
       Running.observe run r;
@@ -201,18 +202,23 @@ let scan ?window t f =
 (* ------------------------------------------------------------------ *)
 
 let length t = Array.length t.rows
-let best t = (stats t).Running.best
+let best t = Running.best (running t)
 let best_so_far t = scan t Running.best_so_far
+
+(* The final best's score: the last running best, when it is a value. *)
+let final_score t bsf =
+  let n = Array.length bsf in
+  if n = 0 || Float.is_nan bsf.(n - 1) then None
+  else Some (Metric.score t.metric bsf.(n - 1))
 
 (* Simple regret in score units (higher-is-better view): distance of the
    running best from the run's final best.  NaN before the first
    success; 0 from the iteration the final best was found. *)
 let simple_regret t =
   let bsf = best_so_far t in
-  match best t with
+  match final_score t bsf with
   | None -> bsf (* all NaN already *)
-  | Some (_, final) ->
-    let final_score = Metric.score t.metric final in
+  | Some final_score ->
     Array.map
       (fun v -> if Float.is_nan v then nan else final_score -. Metric.score t.metric v)
       bsf
@@ -221,12 +227,11 @@ let simple_regret t =
    on score magnitude) of the run's final best.  Returns the number of
    samples spent, i.e. index + 1. *)
 let within_threshold t ~epsilon =
-  match best t with
+  let bsf = best_so_far t in
+  match final_score t bsf with
   | None -> None
-  | Some (_, final) ->
-    let final_score = Metric.score t.metric final in
+  | Some final_score ->
     let threshold = final_score -. (epsilon *. Float.abs final_score) in
-    let bsf = best_so_far t in
     let n = Array.length bsf in
     let rec go i =
       if i >= n then None
@@ -300,8 +305,8 @@ let best_over_time t ~bucket_s ~horizon_s =
 (* Failure rates                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let windowed_crash_rate t ~window = scan ~window t Running.windowed_crash_rate
-let windowed_transient_rate t ~window = scan ~window t Running.windowed_transient_rate
+let windowed_crash_rate t = scan t Running.windowed_crash_rate
+let windowed_transient_rate t = scan t Running.windowed_transient_rate
 
 let failure_counts t =
   let tbl = Hashtbl.create 8 in
@@ -319,33 +324,19 @@ let failure_counts t =
 (* Space coverage                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type coverage = {
-  evaluated : int;
-  distinct_configs : int;
-  distinct_stage_keys : int;
-  marginals : (string * (string * int) list) array;
-}
-
-let coverage t =
-  let s = stats t in
-  let marginals =
-    Array.mapi
-      (fun p name ->
-        let counts = Hashtbl.create 8 in
-        Array.iter
-          (fun r ->
-            if p < Array.length r.tokens then begin
-              let tok = r.tokens.(p) in
-              Hashtbl.replace counts tok ((try Hashtbl.find counts tok with Not_found -> 0) + 1)
-            end)
-          t.rows;
-        (name, List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])))
-      t.names
-  in
-  { evaluated = s.Running.length;
-    distinct_configs = s.Running.distinct_configs;
-    distinct_stage_keys = s.Running.distinct_stage_keys;
-    marginals }
+let marginals t =
+  Array.mapi
+    (fun p name ->
+      let counts = Hashtbl.create 8 in
+      Array.iter
+        (fun r ->
+          if p < Array.length r.tokens then begin
+            let tok = r.tokens.(p) in
+            Hashtbl.replace counts tok ((try Hashtbl.find counts tok with Not_found -> 0) + 1)
+          end)
+        t.rows;
+      (name, List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])))
+    t.names
 
 (* ------------------------------------------------------------------ *)
 (* Objective series                                                    *)

@@ -58,13 +58,15 @@ val of_ledger : Ledger.t -> t
 val of_csv : metric:Metric.t -> string -> (t, string) result
 (** Parses a [History.to_csv] export (RFC 4180, columns located by
     header name).  Configurations and beliefs are absent from CSV, so
-    {!coverage} and calibration degenerate to empty. *)
+    {!marginals} and calibration degenerate to empty. *)
 
 (** {1 Run statistics} *)
 
-val stats : ?window:int -> t -> Running.stats
-(** The {!Running} fold's state after the last row; [window] defaults to
-    {!Running.default_window}.  @raise Invalid_argument if [window <= 0]. *)
+val running : t -> Running.t
+(** The {!Running} fold after the last row. *)
+
+val stats : t -> Running.stats
+(** [Running.stats (running t)]. *)
 
 (** {1 Convergence} *)
 
@@ -107,27 +109,18 @@ val best_over_time : t -> bucket_s:float -> horizon_s:float -> float array
 
 (** {1 Failure rates} *)
 
-val windowed_crash_rate : t -> window:int -> float array
-(** Trailing-window crash rate after each row (window truncated at the
-    start of the run).  @raise Invalid_argument if [window <= 0]. *)
+val windowed_crash_rate : t -> float array
+(** {!Running.windowed_crash_rate} after each row. *)
 
-val windowed_transient_rate : t -> window:int -> float array
+val windowed_transient_rate : t -> float array
 
 val failure_counts : t -> (string * int) list
 (** Failure name → occurrences, sorted by name. *)
 
 (** {1 Space coverage} *)
 
-type coverage = {
-  evaluated : int;
-  distinct_configs : int;
-  distinct_stage_keys : int;
-      (** Distinct non-runtime projections — images the run needed. *)
-  marginals : (string * (string * int) list) array;
-      (** Per parameter: value token → times proposed, sorted by token. *)
-}
-
-val coverage : t -> coverage
+val marginals : t -> (string * (string * int) list) array
+(** Per parameter: value token → times proposed, sorted by token. *)
 
 (** {1 Objective series}
 

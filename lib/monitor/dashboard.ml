@@ -23,9 +23,8 @@ let render ?(alerts = []) ?(dropped = 0) ~seal ~(meta : A.Ledger.meta) live =
     | Some s -> Printf.sprintf ", seed %d" s
     | None -> "");
   let s = Live_series.stats live in
-  line "%s" (A.Progress.to_line ~alerts ~metric:m (A.Progress.of_stats s));
-  line "window(%d): crash %.0f%% | transient %.0f%% | best-so-far %s"
-    (Live_series.window live)
+  line "%s" (A.Progress.to_line ~alerts ~metric:m (Live_series.progress live));
+  line "window(%d): crash %.0f%% | transient %.0f%% | best-so-far %s" A.Running.default_window
     (100. *. s.A.Running.windowed_crash_rate)
     (100. *. s.A.Running.windowed_transient_rate)
     (if Float.is_nan s.A.Running.best_so_far then "-"

@@ -22,14 +22,14 @@ type t = {
   mutable n : int;
 }
 
-let create ?window ~metric ~names ~stages ~objectives () =
+let create ~metric ~names ~stages ~objectives () =
   { metric; names; stages; objectives;
-    running = A.Running.create ?window ~metric ~stages ~objectives ();
+    running = A.Running.create ~metric ~stages ~objectives ();
     buf = Array.make 64 dummy_row; n = 0 }
 
-let of_meta ?window (m : A.Ledger.meta) =
+let of_meta (m : A.Ledger.meta) =
   let params = Array.of_list m.A.Ledger.params in
-  create ?window ~metric:m.A.Ledger.metric ~names:(Array.map fst params)
+  create ~metric:m.A.Ledger.metric ~names:(Array.map fst params)
     ~stages:(Array.map snd params)
     ~objectives:(Array.of_list m.A.Ledger.objectives) ()
 
@@ -44,10 +44,9 @@ let observe t (r : A.Series.row) =
   A.Running.observe t.running r
 
 let length t = t.n
-let window t = A.Running.window t.running
 let last_improvement t = A.Running.last_improvement t.running
 let stats t = A.Running.stats t.running
-let progress t = A.Progress.of_stats (stats t)
+let progress t = A.Progress.of_running t.running
 
 let series t =
   { A.Series.metric = t.metric; names = t.names; stages = t.stages;

@@ -14,7 +14,6 @@ module A = Wayfinder_analytics
 type t
 
 val create :
-  ?window:int ->
   metric:Metric.t ->
   names:string array ->
   stages:Param.stage array ->
@@ -23,7 +22,7 @@ val create :
   t
 (** As {!A.Running.create}; [names] label the rows of {!series}. *)
 
-val of_meta : ?window:int -> A.Ledger.meta -> t
+val of_meta : A.Ledger.meta -> t
 (** A live series shaped by a ledger's meta record — what [watch]
     constructs before replaying the rows. *)
 
@@ -32,7 +31,6 @@ val observe : t -> A.Series.row -> unit
     order (the order the ledger records them). *)
 
 val length : t -> int
-val window : t -> int
 
 val last_improvement : t -> int
 (** {!A.Running.last_improvement} — the stall rule's input. *)
@@ -40,8 +38,8 @@ val last_improvement : t -> int
 val stats : t -> A.Running.stats
 
 val progress : t -> A.Progress.snapshot
-(** {!A.Progress.of_stats} of {!stats}; a live run fills the two metrics
-    fields with {!A.Progress.with_metrics}. *)
+(** {!A.Progress.of_running} of the fold; a live run fills the two
+    metrics fields with {!A.Progress.with_metrics}. *)
 
 val series : t -> A.Series.t
 (** The accumulated rows as a batch series (fresh row array). *)

@@ -135,8 +135,8 @@ module Oracle = struct
 
   let last arr = if Array.length arr = 0 then 0. else arr.(Array.length arr - 1)
 
-  let stats ?(window = R.default_window) (s : A.Series.t) : R.stats =
-    let rows = s.A.Series.rows and metric = s.A.Series.metric in
+  let stats (s : A.Series.t) : R.stats =
+    let rows = s.A.Series.rows and metric = s.A.Series.metric and window = R.default_window in
     let n = Array.length rows in
     let bsf = best_so_far metric rows in
     let front = pareto s.A.Series.objectives rows in
@@ -203,11 +203,10 @@ let check_series_arrays (s : A.Series.t) =
     if not (arr_eq got want) then Alcotest.failf "Series.%s diverged from the oracle" name
   in
   check "best_so_far" (A.Series.best_so_far s) (Oracle.best_so_far s.A.Series.metric rows);
-  check "windowed_crash_rate"
-    (A.Series.windowed_crash_rate s ~window)
+  check "windowed_crash_rate" (A.Series.windowed_crash_rate s)
     (Oracle.windowed_rate Oracle.is_crash rows ~window);
   check "windowed_transient_rate"
-    (A.Series.windowed_transient_rate s ~window)
+    (A.Series.windowed_transient_rate s)
     (Oracle.windowed_rate Oracle.is_transient rows ~window);
   if not (stats_eq (A.Series.stats s) (Oracle.stats s)) then
     Alcotest.fail "Series.stats diverged from the oracle"
@@ -218,6 +217,14 @@ let conf_names, conf_stages =
   let params = CS.Space.params (C.space ()) in
   ( Array.map (fun (p : CS.Param.t) -> p.CS.Param.name) params,
     Array.map (fun (p : CS.Param.t) -> p.CS.Param.stage) params )
+
+(* The progress line projects the fold's accessors, not its stats. *)
+let progress_eq (p : A.Progress.snapshot) (s : R.stats) =
+  p.iteration = s.length
+  && opt_eq fl_eq p.best (Option.map snd s.best)
+  && fl_eq p.regret_slope s.regret_slope
+  && fl_eq p.crash_rate s.crash_rate
+  && fl_eq p.virtual_seconds s.virtual_seconds
 
 (* Check live == oracle at every prefix of [rows], and the batch series
    of all of them. *)
@@ -234,12 +241,19 @@ let check_prefix_parity ~metric ~objectives rows =
     (fun i row ->
       Ls.observe live row;
       let k = i + 1 in
-      let got = Ls.stats live and want = Oracle.stats (batch k) in
+      let want = Oracle.stats (batch k) in
+      if not (progress_eq (Ls.progress live) want) then
+        Alcotest.failf "prefix %d: progress diverged from the oracle" k;
+      let got = Ls.stats live in
       if not (stats_eq got want) then
         Alcotest.failf "prefix %d diverged:\n  live   %s\n  oracle %s" k (stats_pp got)
           (stats_pp want))
     rows;
   check_series_arrays (batch (List.length rows))
+
+(* Runs outlast the fold's window, so the rings retire slots and the
+   slope drops its oldest points. *)
+let parity_budget = P.Driver.Iterations (R.default_window + 15)
 
 let collect_rows () =
   let rows = ref [] in
@@ -256,7 +270,8 @@ let prefix_parity_prop =
     (fun (name, workers, seed, fault_rate) ->
       let rows, on_record = collect_rows () in
       let (_ : C.outcome) =
-        C.run ~engine:(`Workers workers) ~seed ~fault_rate ~on_record name
+        C.run ~engine:(`Workers workers) ~seed ~budget:parity_budget ~fault_rate ~on_record
+          name
       in
       check_prefix_parity ~metric:P.Metric.throughput ~objectives:[||]
         (List.rev !rows);
@@ -269,8 +284,8 @@ let test_prefix_parity_scenario () =
     (fun workers ->
       let rows, on_record = collect_rows () in
       let (_ : C.outcome * int) =
-        C.run_scenario ~engine:(`Workers workers) ~seed:13 ~fault_rate:0.25 ~on_record
-          "deeptune-multi"
+        C.run_scenario ~engine:(`Workers workers) ~seed:13 ~budget:parity_budget
+          ~fault_rate:0.25 ~on_record "deeptune-multi"
       in
       check_prefix_parity
         ~metric:(P.Metric.make ~name:"score" ~unit_name:"score" ())
