@@ -1,7 +1,8 @@
 (* Domain scaling: wall-clock speedup of the hot kernels (320x320
-   matmul, 512-candidate DTM pool scoring) at 4 domains, with a bitwise
-   check that the pooled results equal the sequential ones.  Per-call
-   kernel costs are perfbench's min-of-N kernel rows. *)
+   matmul, 512-candidate DTM pool scoring, one DTM training epoch) at 4
+   domains, with a bitwise check that the pooled results equal the
+   sequential ones.  Per-call kernel costs are perfbench's min-of-N
+   kernel rows. *)
 
 module T = Wayfinder_tensor
 module CS = Wayfinder_configspace
@@ -55,6 +56,14 @@ let domain_scaling () =
   let dim = CS.Encoding.dim encoding in
   let dtm = D.Dtm.create (T.Rng.create 3) ~in_dim:dim in
   ignore (D.Dtm.train dtm ~epochs:2 (make_dataset ~rows:128 ~dim 2));
+  (* One epoch on 128 rows from a fresh model: the trunk's forward and
+     backward products go through the pool. *)
+  let train_rows = make_dataset ~rows:128 ~dim 4 in
+  let train_epoch () =
+    let fresh = D.Dtm.create (T.Rng.create 6) ~in_dim:dim in
+    ignore (D.Dtm.train fresh ~epochs:1 train_rows);
+    fresh
+  in
   let cfg_rng = T.Rng.create 5 in
   let candidates =
     Array.init 512 (fun _ ->
@@ -72,7 +81,10 @@ let domain_scaling () =
                (Array.map
                   (fun (p : D.Dtm.prediction) ->
                     [| p.D.Dtm.crash_probability; p.D.Dtm.performance; p.D.Dtm.uncertainty |])
-                  (D.Dtm.predict_batch dtm candidates))) ) ]
+                  (D.Dtm.predict_batch dtm candidates))) );
+      ( "dtm-train-epoch",
+        (fun () -> ignore (train_epoch ())),
+        fun () -> D.Dtm.snapshot_to_floats (D.Dtm.export (train_epoch ())) ) ]
   in
   let pool = T.Domain_pool.create scaling_domains in
   let rows =

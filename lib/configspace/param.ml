@@ -78,12 +78,47 @@ let value_equal a b =
 (* Kind-independent compact codec ("b1", "t2", "i4096", "c3") — the
    serialisation checkpoints and run ledgers share.  Unlike
    {!value_to_string} it needs no kind to decode, so artifacts remain
-   parseable without the space that produced them. *)
+   parseable without the space that produced them.  A token is a tag
+   character and a number as [string_of_int] prints it; tokens and keys
+   are written straight into a string of the exact length. *)
+let token_tag = function Vbool _ -> 'b' | Vtristate _ -> 't' | Vint _ -> 'i' | Vcat _ -> 'c'
+let token_number = function Vbool b -> Bool.to_int b | Vtristate n | Vint n | Vcat n -> n
+
+(* Decimal digits of [m <= 0]; the non-positive side holds [min_int]. *)
+let rec digits m = if m <= -10 then 1 + digits (m / 10) else 1
+
+let token_length v =
+  let n = token_number v in
+  if n < 0 then 2 + digits n else 1 + digits (-n)
+
+(* Writes [v]'s token to end just before [stop]; returns where it
+   starts. *)
+let write_token b stop v =
+  let n = token_number v in
+  let m = ref (if n < 0 then n else -n) and p = ref (stop - 1) in
+  Bytes.set b !p (Char.unsafe_chr (48 - (!m mod 10)));
+  m := !m / 10;
+  while !m < 0 do
+    decr p;
+    Bytes.set b !p (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  if n < 0 then begin
+    decr p;
+    Bytes.set b !p '-'
+  end;
+  decr p;
+  Bytes.set b !p (token_tag v);
+  !p
+
+(* Boolean tokens are shared constants: ledger rows keep their tokens. *)
 let value_token = function
   | Vbool b -> if b then "b1" else "b0"
-  | Vtristate i -> "t" ^ string_of_int i
-  | Vint n -> "i" ^ string_of_int n
-  | Vcat i -> "c" ^ string_of_int i
+  | (Vtristate _ | Vint _ | Vcat _) as v ->
+    let length = token_length v in
+    let b = Bytes.create length in
+    ignore (write_token b length v);
+    Bytes.unsafe_to_string b
 
 let float_field = Printf.sprintf "%h"
 
@@ -135,7 +170,17 @@ let percent_decode s =
    a bounded prefix of the structure and silently conflates configurations
    that differ past the ~10th parameter. *)
 let config_key config =
-  String.concat "," (Array.to_list (Array.map value_token config))
+  let length = Array.fold_left (fun acc v -> acc + 1 + token_length v) (-1) config in
+  let b = Bytes.create (Int.max 0 length) in
+  let stop = ref length in
+  for i = Array.length config - 1 downto 0 do
+    stop := write_token b !stop config.(i);
+    if i > 0 then begin
+      decr stop;
+      Bytes.set b !stop ','
+    end
+  done;
+  Bytes.unsafe_to_string b
 
 let value_of_token s =
   if String.length s < 2 then None

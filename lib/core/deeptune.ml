@@ -113,13 +113,12 @@ let score_pool t pool =
   (* One whole-pool forward: bitwise identical to per-candidate [predict]
      but a single large matmul per layer instead of |pool| tiny ones. *)
   let preds = Dtm.predict_batch t.dtm xs in
+  let ds = Scoring.dissimilarity_batch xs t.known in
   List.mapi
     (fun i config ->
-      let x = xs.(i) in
       let p = preds.(i) in
-      let ds = Scoring.dissimilarity x t.known in
       let bonus =
-        Scoring.score ~alpha:t.options.alpha ~dissimilarity:ds
+        Scoring.score ~alpha:t.options.alpha ~dissimilarity:ds.(i)
           ~uncertainty:p.Dtm.uncertainty ()
       in
       (* Soft crash penalty: even below the hard gate, likelier-to-crash

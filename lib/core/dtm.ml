@@ -98,10 +98,22 @@ let normalizer t = match t.normalizer with Some n -> n | None -> identity_normal
    branch still flags such samples as maximally uncertain. *)
 let z_clip = 6.
 
-let normalize_input nz x =
-  Array.map
-    (fun v -> Stdlib.max (-.z_clip) (Stdlib.min z_clip v))
-    (Dataset.normalize_features nz x)
+(* Row i of the result is [x_i] z-scored and clipped to ±z_clip, with
+   [Stdlib.max (-.z_clip) (Stdlib.min z_clip z)]'s comparisons (NaN stays
+   NaN). *)
+let normalize_rows nz xs =
+  let n = Array.length xs and d = Array.length nz.Dataset.means in
+  let m = Mat.zeros n d in
+  let md : Mat.buffer = m.Mat.data and means = nz.Dataset.means and stds = nz.Dataset.stds in
+  Array.iteri
+    (fun i (x : Vec.t) ->
+      for j = 0 to d - 1 do
+        let z = (x.(j) -. means.(j)) /. stds.(j) in
+        let z = if z_clip <= z then z_clip else z in
+        Bigarray.Array1.unsafe_set md ((i * d) + j) (if -.z_clip >= z then -.z_clip else z)
+      done)
+    xs;
+  m
 
 (* ------------------------------------------------------------------ *)
 (* Prediction                                                          *)
@@ -115,45 +127,12 @@ type prediction = {
   uncertainty : float;
 }
 
-(* The dense activations the RBF branch consumes: the trunk records one
-   matrix per dense layer during the forward pass. *)
-let rbf_uncertainty t hidden =
-  let layer_scores =
-    Array.mapi
-      (fun i z ->
-        let phi = Layer.Rbf.forward t.rbf_layers.(i) z in
-        (* Max activation of the first (only) row. *)
-        let best = ref 0. in
-        for k = 0 to phi.Mat.cols - 1 do
-          if Mat.get phi 0 k > !best then best := Mat.get phi 0 k
-        done;
-        !best)
-      (Array.of_list hidden)
-  in
-  1. -. (Array.fold_left ( +. ) 0. layer_scores /. float_of_int (Array.length layer_scores))
-
-let predict t x =
-  if Vec.dim x <> t.in_dim then invalid_arg "Dtm.predict: feature dimension mismatch";
-  let nz = normalizer t in
-  let xn = normalize_input nz x in
-  let batch = Mat.of_rows [| xn |] in
-  let h = Network.forward t.trunk ~train:false t.rng batch in
-  let hidden = Network.hidden_after_forward t.trunk in
-  let crash_logit = Mat.get (Network.forward t.crash_head ~train:false t.rng h) 0 0 in
-  let perf = Network.forward t.perf_head ~train:false t.rng h in
-  let mu = Mat.get perf 0 0 and log_var = Mat.get perf 0 1 in
-  { crash_probability = Loss.sigmoid crash_logit;
-    performance = Dataset.denormalize_target nz mu;
-    normalized_performance = mu;
-    aleatoric_std = Dataset.denormalize_std nz (sqrt (exp (min 20. log_var)));
-    uncertainty = rbf_uncertainty t hidden }
-
 (* One forward pass over the whole batch.  Dense rows are independent dot
    products, ReLU is elementwise, dropout is identity at inference and the
    RBF activations are computed row by row, so element [i] of the result
-   is bitwise identical to [predict t xs.(i)] — the batch form only turns
-   n small matmuls into one large one (which the ambient domain pool can
-   then split across cores). *)
+   is the same whatever else is in the batch — [predict] is the batch of
+   one, and a pool scores as one large matmul per layer (which the
+   ambient domain pool can then split across cores). *)
 let predict_batch t xs =
   let n = Array.length xs in
   if n = 0 then [||]
@@ -163,24 +142,29 @@ let predict_batch t xs =
         if Vec.dim x <> t.in_dim then invalid_arg "Dtm.predict_batch: feature dimension mismatch")
       xs;
     let nz = normalizer t in
-    let batch = Mat.of_rows (Array.map (normalize_input nz) xs) in
-    let h = Network.forward t.trunk ~train:false t.rng batch in
+    let h = Network.forward t.trunk ~train:false t.rng (normalize_rows nz xs) in
     let hidden = Network.hidden_after_forward t.trunk in
     let crash_out = Network.forward t.crash_head ~train:false t.rng h in
     let perf_out = Network.forward t.perf_head ~train:false t.rng h in
+    (* The dense activations the RBF branch consumes: the trunk records
+       one matrix per dense layer during the forward pass. *)
     let phis =
       Array.mapi (fun li z -> Layer.Rbf.forward t.rbf_layers.(li) z) (Array.of_list hidden)
     in
     let n_layers = float_of_int (Array.length phis) in
+    let crash : Mat.buffer = crash_out.Mat.data and perf : Mat.buffer = perf_out.Mat.data in
     Array.init n (fun i ->
-        let crash_logit = Mat.get crash_out i 0 in
-        let mu = Mat.get perf_out i 0 and log_var = Mat.get perf_out i 1 in
+        let crash_logit = Bigarray.Array1.unsafe_get crash i in
+        let mu = Bigarray.Array1.unsafe_get perf (2 * i)
+        and log_var = Bigarray.Array1.unsafe_get perf ((2 * i) + 1) in
         let acc = ref 0. in
         Array.iter
-          (fun phi ->
+          (fun (phi : Mat.t) ->
+            let pd : Mat.buffer = phi.Mat.data and m = phi.Mat.cols in
             let best = ref 0. in
-            for k = 0 to phi.Mat.cols - 1 do
-              if Mat.get phi i k > !best then best := Mat.get phi i k
+            for k = 0 to m - 1 do
+              let v = Bigarray.Array1.unsafe_get pd ((i * m) + k) in
+              if v > !best then best := v
             done;
             acc := !acc +. !best)
           phis;
@@ -190,6 +174,10 @@ let predict_batch t xs =
           aleatoric_std = Dataset.denormalize_std nz (sqrt (exp (min 20. log_var)));
           uncertainty = 1. -. (!acc /. n_layers) })
   end
+
+let predict t x =
+  if Vec.dim x <> t.in_dim then invalid_arg "Dtm.predict: feature dimension mismatch";
+  (predict_batch t [| x |]).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Training                                                            *)
@@ -201,7 +189,7 @@ let zero_losses = { cce = 0.; reg = 0.; chamfer = 0. }
 
 let train_batch t nz batch =
   let b = Array.length batch in
-  let x = Mat.of_rows (Array.map (fun r -> normalize_input nz r.Dataset.features) batch) in
+  let x = normalize_rows nz (Array.map (fun r -> r.Dataset.features) batch) in
   let crash_labels = Array.map (fun r -> if r.Dataset.crashed then 1. else 0.) batch in
   let targets = Array.map (fun r -> Dataset.normalize_target nz r.Dataset.target) batch in
   let mask = Array.map (fun r -> not r.Dataset.crashed) batch in
@@ -217,11 +205,11 @@ let train_batch t nz batch =
     Loss.bce_with_logits ~pos_weight:t.cfg.crash_pos_weight ~logits ~targets:crash_labels ()
   in
   let l_reg, (dmu, ds) = Loss.heteroscedastic ~mu ~log_var ~targets ~mask in
-  (* Backward through the heads into the trunk. *)
+  (* Backward through the heads into the trunk's parameters. *)
   let dcrash = Mat.init b 1 (fun i _ -> dlogits.(i)) in
   let dperf = Mat.init b 2 (fun i j -> if j = 0 then dmu.(i) else ds.(i)) in
   let dh = Mat.add (Network.backward t.crash_head dcrash) (Network.backward t.perf_head dperf) in
-  ignore (Network.backward t.trunk dh);
+  Network.accumulate t.trunk dh;
   (* Chamfer regularisation fits the RBF centroids to the trunk's
      activations; its gradient targets only the centroids (the uncertainty
      branch does not back-propagate into the prediction branch). *)
@@ -314,23 +302,26 @@ let feature_sensitivity t dataset =
       if n <= max_sensitivity_rows then rows
       else Array.init max_sensitivity_rows (fun i -> rows.(i * n / max_sensitivity_rows))
     in
+    let k = Array.length sample in
     Array.init t.in_dim (fun j ->
         let column = Array.map (fun r -> r.Dataset.features.(j)) rows in
         let lo = Wayfinder_tensor.Stat.quantile column 0.1 in
         let hi = Wayfinder_tensor.Stat.quantile column 0.9 in
         if hi -. lo < 1e-12 then 0.
         else begin
+          (* Rows 2r and 2r+1 are sample row r with feature j at hi, lo. *)
+          let moved =
+            Array.init (2 * k) (fun p ->
+                let v = Vec.copy sample.(p / 2).Dataset.features in
+                v.(j) <- (if p land 1 = 0 then hi else lo);
+                v)
+          in
+          let preds = predict_batch t moved in
           let acc = ref 0. in
-          Array.iter
-            (fun r ->
-              let v = Vec.copy r.Dataset.features in
-              v.(j) <- hi;
-              let up = (predict t v).performance in
-              v.(j) <- lo;
-              let down = (predict t v).performance in
-              acc := !acc +. (up -. down))
-            sample;
-          !acc /. float_of_int (Array.length sample)
+          for r = 0 to k - 1 do
+            acc := !acc +. (preds.(2 * r).performance -. preds.((2 * r) + 1).performance)
+          done;
+          !acc /. float_of_int k
         end)
   end
 

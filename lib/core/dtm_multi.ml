@@ -174,7 +174,7 @@ let train_batch t batch =
   done;
   let dcrash = Mat.init b 1 (fun i _ -> dlogits.(i)) in
   let dh = Mat.add (Network.backward t.crash_head dcrash) (Network.backward t.perf_head dperf) in
-  ignore (Network.backward t.trunk dh);
+  Network.accumulate t.trunk dh;
   List.iteri
     (fun i z ->
       let rbf = t.rbf_layers.(i) in

@@ -19,6 +19,12 @@ module Vec = Wayfinder_tensor.Vec
 val dissimilarity : Vec.t -> Vec.t list -> float
 (** [ds(x, X)] per eq. 2; 1.0 when [X] is empty (everything is novel). *)
 
+val dissimilarity_batch : Vec.t array -> Vec.t list -> float array
+(** [dissimilarity_batch xs known] is [Array.map (fun x -> dissimilarity x
+    known) xs], bitwise, computed four candidates per pass over [known].
+    @raise Invalid_argument if [known] is non-empty and some vector's
+    length differs from the first candidate's. *)
+
 val score : ?alpha:float -> dissimilarity:float -> uncertainty:float -> unit -> float
 (** [sf] per eq. 3; α defaults to 0.5.
     @raise Invalid_argument if α outside [\[0, 1\]]. *)

@@ -28,30 +28,39 @@ module Dense = struct
   let forward t x =
     t.last_input <- Some x;
     let y = Mat.matmul x t.w.value in
+    let n = y.Mat.cols in
+    let yd : Mat.buffer = y.Mat.data and bd : Mat.buffer = t.b.value.Mat.data in
     for i = 0 to y.Mat.rows - 1 do
-      for j = 0 to y.Mat.cols - 1 do
-        Mat.set y i j (Mat.get y i j +. Mat.get t.b.value 0 j)
+      for j = 0 to n - 1 do
+        let p = (i * n) + j in
+        Bigarray.Array1.unsafe_set yd p
+          (Bigarray.Array1.unsafe_get yd p +. Bigarray.Array1.unsafe_get bd j)
       done
     done;
     y
 
-  let backward t dy =
+  (* dW += xᵀ · dy ; db += column sums of dy (rows ascending). *)
+  let accumulate t dy =
     let x =
       match t.last_input with
       | Some x -> x
       | None -> invalid_arg "Dense.backward: no forward pass recorded"
     in
-    (* dW += xᵀ · dy ; db += column sums of dy ; dX = dy · Wᵀ *)
-    let dw = Mat.matmul (Mat.transpose x) dy in
-    Mat.add_into ~dst:t.w.grad dw;
-    for j = 0 to dy.Mat.cols - 1 do
+    Mat.add_into ~dst:t.w.grad (Mat.matmul_tn x dy);
+    let m = dy.Mat.rows and n = dy.Mat.cols in
+    let dyd : Mat.buffer = dy.Mat.data and gd : Mat.buffer = t.b.grad.Mat.data in
+    for j = 0 to n - 1 do
       let acc = ref 0. in
-      for i = 0 to dy.Mat.rows - 1 do
-        acc := !acc +. Mat.get dy i j
+      for i = 0 to m - 1 do
+        acc := !acc +. Bigarray.Array1.unsafe_get dyd ((i * n) + j)
       done;
-      Mat.set t.b.grad 0 j (Mat.get t.b.grad 0 j +. !acc)
-    done;
-    Mat.matmul dy (Mat.transpose t.w.value)
+      Bigarray.Array1.unsafe_set gd j (Bigarray.Array1.unsafe_get gd j +. !acc)
+    done
+
+  (* dX = dy · Wᵀ *)
+  let backward t dy =
+    accumulate t dy;
+    Mat.matmul_nt dy t.w.value
 
   let params t = [ t.w; t.b ]
 
@@ -70,13 +79,25 @@ module Relu = struct
 
   let forward t x =
     t.last_input <- Some x;
-    Mat.map (fun v -> if v > 0. then v else 0.) x
+    let y = Mat.copy x in
+    let yd : Mat.buffer = y.Mat.data in
+    for i = 0 to Mat.numel y - 1 do
+      if not (Bigarray.Array1.unsafe_get yd i > 0.) then Bigarray.Array1.unsafe_set yd i 0.
+    done;
+    y
 
   let backward t dy =
     match t.last_input with
     | None -> invalid_arg "Relu.backward: no forward pass recorded"
     | Some x ->
-      Mat.map2 (fun xi g -> if xi > 0. then g else 0.) x dy
+      if x.Mat.rows <> dy.Mat.rows || x.Mat.cols <> dy.Mat.cols then
+        invalid_arg "Relu.backward: shape mismatch";
+      let dx = Mat.copy dy in
+      let xd : Mat.buffer = x.Mat.data and dxd : Mat.buffer = dx.Mat.data in
+      for i = 0 to Mat.numel dx - 1 do
+        if not (Bigarray.Array1.unsafe_get xd i > 0.) then Bigarray.Array1.unsafe_set dxd i 0.
+      done;
+      dx
 end
 
 module Dropout = struct
@@ -88,6 +109,7 @@ module Dropout = struct
 
   let rate t = t.rate
 
+  (* out = x ⊙ mask, one Bernoulli draw per element in storage order. *)
   let forward t ?(train = true) rng x =
     if (not train) || t.rate = 0. then begin
       t.mask <- None;
@@ -95,13 +117,37 @@ module Dropout = struct
     end
     else begin
       let keep = 1. -. t.rate in
-      let mask = Mat.map (fun _ -> if Rng.bernoulli rng keep then 1. /. keep else 0.) x in
+      let scale = 1. /. keep in
+      let mask = Mat.zeros x.Mat.rows x.Mat.cols and y = Mat.zeros x.Mat.rows x.Mat.cols in
+      let xd : Mat.buffer = x.Mat.data
+      and md : Mat.buffer = mask.Mat.data
+      and yd : Mat.buffer = y.Mat.data in
+      for i = 0 to Mat.numel x - 1 do
+        if Rng.bernoulli rng keep then begin
+          Bigarray.Array1.unsafe_set md i scale;
+          Bigarray.Array1.unsafe_set yd i (Bigarray.Array1.unsafe_get xd i *. scale)
+        end
+        else Bigarray.Array1.unsafe_set yd i (Bigarray.Array1.unsafe_get xd i *. 0.)
+      done;
       t.mask <- Some mask;
-      Mat.hadamard x mask
+      y
     end
 
   let backward t dy =
-    match t.mask with None -> dy | Some mask -> Mat.hadamard dy mask
+    match t.mask with
+    | None -> dy
+    | Some mask ->
+      if mask.Mat.rows <> dy.Mat.rows || mask.Mat.cols <> dy.Mat.cols then
+        invalid_arg "Dropout.backward: shape mismatch";
+      let dx = Mat.zeros dy.Mat.rows dy.Mat.cols in
+      let dyd : Mat.buffer = dy.Mat.data
+      and md : Mat.buffer = mask.Mat.data
+      and dxd : Mat.buffer = dx.Mat.data in
+      for i = 0 to Mat.numel dx - 1 do
+        Bigarray.Array1.unsafe_set dxd i
+          (Bigarray.Array1.unsafe_get dyd i *. Bigarray.Array1.unsafe_get md i)
+      done;
+      dx
 end
 
 module Rbf = struct
@@ -129,14 +175,20 @@ module Rbf = struct
     if z.Mat.cols <> d then invalid_arg "Rbf.forward: input dimension mismatch";
     let denom = 2. *. t.gamma *. t.gamma in
     let phi = Mat.zeros z.Mat.rows m in
+    let zd : Mat.buffer = z.Mat.data
+    and cd : Mat.buffer = t.c.value.Mat.data
+    and pd : Mat.buffer = phi.Mat.data in
     for i = 0 to z.Mat.rows - 1 do
       for k = 0 to m - 1 do
         let acc = ref 0. in
         for j = 0 to d - 1 do
-          let delta = Mat.get z i j -. Mat.get t.c.value k j in
+          let delta =
+            Bigarray.Array1.unsafe_get zd ((i * d) + j)
+            -. Bigarray.Array1.unsafe_get cd ((k * d) + j)
+          in
           acc := !acc +. (delta *. delta)
         done;
-        Mat.set phi i k (exp (-. !acc /. denom))
+        Bigarray.Array1.unsafe_set pd ((i * m) + k) (exp (-. !acc /. denom))
       done
     done;
     t.last_input <- Some z;
@@ -168,10 +220,4 @@ module Rbf = struct
     dz
 
   let params t = [ t.c ]
-
-  let copy t =
-    { c = { value = Mat.copy t.c.value; grad = Mat.zeros t.c.value.Mat.rows t.c.value.Mat.cols };
-      gamma = t.gamma;
-      last_input = None;
-      last_output = None }
 end

@@ -33,6 +33,10 @@ module Dense : sig
   (** [backward t dy] accumulates weight/bias gradients and returns
       [dL/dx].  Must follow a [forward] on the matching batch. *)
 
+  val accumulate : t -> Mat.t -> unit
+  (** The parameter-gradient half of {!backward}, without computing
+      [dL/dx]. *)
+
   val params : t -> tensor list
   val copy : t -> t
   (** Deep copy of weights (gradients reset); used for transfer learning. *)
@@ -88,5 +92,4 @@ module Rbf : sig
   (** Accumulates centroid gradients; returns [dL/dz]. *)
 
   val params : t -> tensor list
-  val copy : t -> t
 end

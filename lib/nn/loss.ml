@@ -70,6 +70,8 @@ let heteroscedastic ~mu ~log_var ~targets ~mask =
     (!loss *. scale, (dmu, ds))
   end
 
+(* Each squared distance is computed once, its sum over j ascending, and
+   read by both directions; ties keep the lowest index. *)
 let chamfer ~points ~centroids =
   let n = points.Mat.rows and m = centroids.Mat.rows in
   let d = points.Mat.cols in
@@ -77,21 +79,29 @@ let chamfer ~points ~centroids =
   let grad = Mat.zeros m d in
   if n = 0 || m = 0 then (0., grad)
   else begin
-    let sq_dist i k =
-      let acc = ref 0. in
-      for j = 0 to d - 1 do
-        let delta = Mat.get points i j -. Mat.get centroids k j in
-        acc := !acc +. (delta *. delta)
-      done;
-      !acc
-    in
+    let open Bigarray.Array1 in
+    let pd : Mat.buffer = points.Mat.data
+    and cd : Mat.buffer = centroids.Mat.data
+    and gd : Mat.buffer = grad.Mat.data in
+    (* dist.(i*m + k) = ‖p_i − c_k‖² *)
+    let dist = Array.make (n * m) 0. in
+    for i = 0 to n - 1 do
+      for k = 0 to m - 1 do
+        let acc = ref 0. in
+        for j = 0 to d - 1 do
+          let delta = unsafe_get pd ((i * d) + j) -. unsafe_get cd ((k * d) + j) in
+          acc := !acc +. (delta *. delta)
+        done;
+        dist.((i * m) + k) <- !acc
+      done
+    done;
     (* Points → nearest centroid. *)
     let loss = ref 0. in
     let scale_p = 1. /. float_of_int n in
     for i = 0 to n - 1 do
-      let best = ref 0 and best_d = ref (sq_dist i 0) in
+      let best = ref 0 and best_d = ref dist.(i * m) in
       for k = 1 to m - 1 do
-        let dk = sq_dist i k in
+        let dk = dist.((i * m) + k) in
         if dk < !best_d then begin
           best := k;
           best_d := dk
@@ -99,16 +109,17 @@ let chamfer ~points ~centroids =
       done;
       loss := !loss +. (!best_d *. scale_p);
       for j = 0 to d - 1 do
-        let delta = Mat.get centroids !best j -. Mat.get points i j in
-        Mat.set grad !best j (Mat.get grad !best j +. (2. *. delta *. scale_p))
+        let g = (!best * d) + j in
+        let delta = unsafe_get cd g -. unsafe_get pd ((i * d) + j) in
+        unsafe_set gd g (unsafe_get gd g +. (2. *. delta *. scale_p))
       done
     done;
     (* Centroids → nearest point. *)
     let scale_c = 1. /. float_of_int m in
     for k = 0 to m - 1 do
-      let best = ref 0 and best_d = ref (sq_dist 0 k) in
+      let best = ref 0 and best_d = ref dist.(k) in
       for i = 1 to n - 1 do
-        let di = sq_dist i k in
+        let di = dist.((i * m) + k) in
         if di < !best_d then begin
           best := i;
           best_d := di
@@ -116,8 +127,9 @@ let chamfer ~points ~centroids =
       done;
       loss := !loss +. (!best_d *. scale_c);
       for j = 0 to d - 1 do
-        let delta = Mat.get centroids k j -. Mat.get points !best j in
-        Mat.set grad k j (Mat.get grad k j +. (2. *. delta *. scale_c))
+        let g = (k * d) + j in
+        let delta = unsafe_get cd g -. unsafe_get pd ((!best * d) + j) in
+        unsafe_set gd g (unsafe_get gd g +. (2. *. delta *. scale_c))
       done
     done;
     (!loss, grad)

@@ -1,6 +1,5 @@
 module Mat = Wayfinder_tensor.Mat
 module Rng = Wayfinder_tensor.Rng
-module Vec = Wayfinder_tensor.Vec
 
 type spec = [ `Dense of int | `Relu | `Dropout of float ]
 
@@ -52,13 +51,10 @@ let forward t ?(train = true) rng x =
       | L_dropout l -> Layer.Dropout.forward l ~train rng acc)
     x t.layers
 
-let forward_vec t rng v =
-  let batch = Mat.of_rows [| v |] in
-  Mat.row (forward t ~train:false rng batch) 0
-
-let backward t dy =
+(* [dy] back through layers [n-1] down to [lo]. *)
+let backward_to t lo dy =
   let acc = ref dy in
-  for i = Array.length t.layers - 1 downto 0 do
+  for i = Array.length t.layers - 1 downto lo do
     acc :=
       (match t.layers.(i) with
       | L_dense l -> Layer.Dense.backward l !acc
@@ -66,6 +62,15 @@ let backward t dy =
       | L_dropout l -> Layer.Dropout.backward l !acc)
   done;
   !acc
+
+let backward t dy = backward_to t 0 dy
+
+(* Layer 0 is Dense ([create] checks it), so its input gradient is the
+   only thing [backward] computes that this skips. *)
+let accumulate t dy =
+  match t.layers.(0) with
+  | L_dense l -> Layer.Dense.accumulate l (backward_to t 1 dy)
+  | L_relu _ | L_dropout _ -> assert false
 
 let params t =
   Array.to_list t.layers

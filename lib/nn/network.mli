@@ -23,10 +23,14 @@ val out_dim : t -> int
 val forward : t -> ?train:bool -> Rng.t -> Mat.t -> Mat.t
 (** With [train = false], dropout is disabled (inference mode). *)
 
-val forward_vec : t -> Rng.t -> Wayfinder_tensor.Vec.t -> Wayfinder_tensor.Vec.t
-(** Single-sample inference (no dropout). *)
-
 val backward : t -> Mat.t -> Mat.t
+(** Accumulates every parameter gradient and returns [dL/dx]. *)
+
+val accumulate : t -> Mat.t -> unit
+(** [backward] without the input gradient: it stops once the first
+    layer's parameter gradients are accumulated, which are bitwise those
+    [backward] leaves. *)
+
 val params : t -> Layer.tensor list
 val copy : t -> t
 

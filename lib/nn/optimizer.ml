@@ -12,7 +12,7 @@ type algorithm =
     }
 
 type t = {
-  mutable lr : float;
+  lr : float;
   weight_decay : float;
   params : Layer.tensor array;
   algorithm : algorithm;
@@ -70,6 +70,3 @@ let step t =
         done)
       t.params;
   zero_grads t
-
-let set_lr t lr = t.lr <- lr
-let lr t = t.lr

@@ -28,5 +28,3 @@ val step : t -> unit
     them. *)
 
 val zero_grads : t -> unit
-val set_lr : t -> float -> unit
-val lr : t -> float

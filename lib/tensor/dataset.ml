@@ -22,12 +22,6 @@ let row t i = (rows t).(i)
 let feature_dim t =
   match t.data with [] -> 0 | r :: _ -> Vec.dim r.features
 
-let targets t = Array.map (fun r -> r.target) (rows t)
-
-let feature_matrix t =
-  if t.count = 0 then invalid_arg "Dataset.feature_matrix: empty dataset";
-  Mat.of_rows (Array.map (fun r -> r.features) (rows t))
-
 type normalizer = { means : Vec.t; stds : Vec.t; t_mean : float; t_std : float }
 
 let fit_normalizer t =

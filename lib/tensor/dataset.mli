@@ -18,12 +18,6 @@ val row : t -> int -> row
 val feature_dim : t -> int
 (** 0 when the dataset is empty. *)
 
-val targets : t -> float array
-(** Targets of all rows, crashed included. *)
-
-val feature_matrix : t -> Mat.t
-(** @raise Invalid_argument on an empty dataset. *)
-
 type normalizer = { means : Vec.t; stds : Vec.t; t_mean : float; t_std : float }
 (** Per-feature z-score parameters plus target z-score parameters,
     fitted on the non-crashed rows' targets and all rows' features. *)

@@ -72,24 +72,30 @@ let of_rows rows =
       rows;
     m
 
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
+let transpose m =
+  let r = m.rows and c = m.cols in
+  let t = { rows = c; cols = r; data = alloc (r * c) } in
+  let src = m.data and dst = t.data in
+  for i = 0 to r - 1 do
+    for j = 0 to c - 1 do
+      Bigarray.Array1.unsafe_set dst ((j * r) + i) (Bigarray.Array1.unsafe_get src ((i * c) + j))
+    done
+  done;
+  t
 
 let check_same name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg (Printf.sprintf "Mat.%s: shape mismatch (%dx%d vs %dx%d)" name a.rows a.cols b.rows b.cols)
 
-let elementwise name f a b =
-  check_same name a b;
+let add a b =
+  check_same "add" a b;
   let c = { a with data = alloc (numel a) } in
+  let ad = a.data and bd = b.data and cd = c.data in
   for i = 0 to numel a - 1 do
-    c.data.{i} <- f a.data.{i} b.data.{i}
+    Bigarray.Array1.unsafe_set cd i
+      (Bigarray.Array1.unsafe_get ad i +. Bigarray.Array1.unsafe_get bd i)
   done;
   c
-
-let add a b = elementwise "add" ( +. ) a b
-let sub a b = elementwise "sub" ( -. ) a b
-let hadamard a b = elementwise "hadamard" ( *. ) a b
-let map2 f a b = elementwise "map2" f a b
 
 let scale s m =
   let c = { m with data = alloc (numel m) } in
@@ -98,17 +104,12 @@ let scale s m =
   done;
   c
 
-let map f m =
-  let c = { m with data = alloc (numel m) } in
-  for i = 0 to numel m - 1 do
-    c.data.{i} <- f m.data.{i}
-  done;
-  c
-
 let add_into ~dst src =
   check_same "add_into" dst src;
+  let dd = dst.data and sd = src.data in
   for i = 0 to numel dst - 1 do
-    dst.data.{i} <- dst.data.{i} +. src.data.{i}
+    Bigarray.Array1.unsafe_set dd i
+      (Bigarray.Array1.unsafe_get dd i +. Bigarray.Array1.unsafe_get sd i)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -120,35 +121,74 @@ let add_into ~dst src =
    matmul itself. *)
 let par_flop_threshold = 32_768
 
-(* [a : m×k], [b : k×n].  The kernel materializes Bᵀ so both operands
-   stream sequentially (the "transposed" layout), then computes each
-   output element as a dot product with [k] ascending.  Because every
-   c(i,j) is produced by exactly one lane using the identical
-   accumulation order, the result is bitwise identical whether the row
-   range [0, m) is processed inline or split across any number of
-   domains — which is what lets the ambient pool stay invisible to the
-   engine's determinism oracle.  Row chunks double as cache blocking. *)
-let matmul a b =
-  if a.cols <> b.rows then
-    invalid_arg (Printf.sprintf "Mat.matmul: inner dimension mismatch (%d vs %d)" a.cols b.rows);
-  let m = a.rows and n = b.cols and kd = a.cols in
-  let c = zeros m n in
-  let bt = transpose b in
-  let ad = a.data and btd = bt.data and cd = c.data in
+(* The one product kernel: [c(i,j) = Σ_k a(i,k)·b(k,j)] for [c : m×n],
+   reading a(i,k) at [ad.{i*ars + k*acs}] and b(k,j) at
+   [bd.{k*brs + j*bcs}], so a transposed operand is read in place by
+   swapping its strides.  Each pass computes a 2×4 block of c in eight
+   independent accumulators; each starts at [0.] and adds its products
+   over k ascending, exactly the scalar dot product, so the result is
+   bitwise the same whatever the blocking.  A lone last row is computed
+   twice (identically) and a column tail goes one column at a time.
+   Since every element is produced by one lane in the same order, the
+   row range [0, m) may also be split across any number of domains with
+   bitwise identical results — which is what lets the ambient pool stay
+   invisible to the engine's determinism oracle. *)
+let product ~m ~n ~kd (ad : buffer) ~ars ~acs (bd : buffer) ~brs ~bcs =
+  let c = { rows = m; cols = n; data = alloc (m * n) } in
+  let cd : buffer = c.data in
+  let open Bigarray.Array1 in
   let rows lo hi =
-    for i = lo to hi - 1 do
-      let abase = i * kd and cbase = i * n in
-      for j = 0 to n - 1 do
-        let bbase = j * kd in
-        let acc = ref 0. in
+    let i = ref lo in
+    while !i < hi do
+      let i0 = !i in
+      let i1 = if i0 + 1 < hi then i0 + 1 else i0 in
+      let a0 = i0 * ars and a1 = i1 * ars and c0 = i0 * n and c1 = i1 * n in
+      let j = ref 0 in
+      while !j + 4 <= n do
+        let b0 = !j * bcs in
+        let b1 = b0 + bcs in
+        let b2 = b1 + bcs in
+        let b3 = b2 + bcs in
+        let s00 = ref 0. and s01 = ref 0. and s02 = ref 0. and s03 = ref 0. in
+        let s10 = ref 0. and s11 = ref 0. and s12 = ref 0. and s13 = ref 0. in
         for k = 0 to kd - 1 do
-          acc :=
-            !acc
-            +. Bigarray.Array1.unsafe_get ad (abase + k)
-               *. Bigarray.Array1.unsafe_get btd (bbase + k)
+          let ka = k * acs and kb = k * brs in
+          let x0 = unsafe_get ad (a0 + ka) and x1 = unsafe_get ad (a1 + ka) in
+          let y0 = unsafe_get bd (b0 + kb) and y1 = unsafe_get bd (b1 + kb) in
+          let y2 = unsafe_get bd (b2 + kb) and y3 = unsafe_get bd (b3 + kb) in
+          s00 := !s00 +. (x0 *. y0);
+          s01 := !s01 +. (x0 *. y1);
+          s02 := !s02 +. (x0 *. y2);
+          s03 := !s03 +. (x0 *. y3);
+          s10 := !s10 +. (x1 *. y0);
+          s11 := !s11 +. (x1 *. y1);
+          s12 := !s12 +. (x1 *. y2);
+          s13 := !s13 +. (x1 *. y3)
         done;
-        Bigarray.Array1.unsafe_set cd (cbase + j) !acc
-      done
+        let j0 = !j in
+        unsafe_set cd (c0 + j0) !s00;
+        unsafe_set cd (c0 + j0 + 1) !s01;
+        unsafe_set cd (c0 + j0 + 2) !s02;
+        unsafe_set cd (c0 + j0 + 3) !s03;
+        unsafe_set cd (c1 + j0) !s10;
+        unsafe_set cd (c1 + j0 + 1) !s11;
+        unsafe_set cd (c1 + j0 + 2) !s12;
+        unsafe_set cd (c1 + j0 + 3) !s13;
+        j := j0 + 4
+      done;
+      while !j < n do
+        let b0 = !j * bcs in
+        let s0 = ref 0. and s1 = ref 0. in
+        for k = 0 to kd - 1 do
+          let y = unsafe_get bd (b0 + (k * brs)) in
+          s0 := !s0 +. (unsafe_get ad (a0 + (k * acs)) *. y);
+          s1 := !s1 +. (unsafe_get ad (a1 + (k * acs)) *. y)
+        done;
+        unsafe_set cd (c0 + !j) !s0;
+        unsafe_set cd (c1 + !j) !s1;
+        incr j
+      done;
+      i := i0 + 2
     done
   in
   (match Domain_pool.get_default () with
@@ -156,6 +196,21 @@ let matmul a b =
     Domain_pool.parallel_for pool m rows
   | _ -> rows 0 m);
   c
+
+let matmul a b =
+  if a.cols <> b.rows then
+    invalid_arg (Printf.sprintf "Mat.matmul: inner dimension mismatch (%d vs %d)" a.cols b.rows);
+  product ~m:a.rows ~n:b.cols ~kd:a.cols a.data ~ars:a.cols ~acs:1 b.data ~brs:b.cols ~bcs:1
+
+let matmul_nt a b =
+  if a.cols <> b.cols then
+    invalid_arg (Printf.sprintf "Mat.matmul_nt: inner dimension mismatch (%d vs %d)" a.cols b.cols);
+  product ~m:a.rows ~n:b.rows ~kd:a.cols a.data ~ars:a.cols ~acs:1 b.data ~brs:1 ~bcs:b.cols
+
+let matmul_tn a b =
+  if a.rows <> b.rows then
+    invalid_arg (Printf.sprintf "Mat.matmul_tn: inner dimension mismatch (%d vs %d)" a.rows b.rows);
+  product ~m:a.cols ~n:b.cols ~kd:a.rows a.data ~ars:1 ~acs:a.cols b.data ~brs:b.cols ~bcs:1
 
 let mat_vec a x =
   if a.cols <> Array.length x then invalid_arg "Mat.mat_vec: dimension mismatch";
@@ -174,22 +229,6 @@ let vec_mat x a =
         acc := !acc +. (x.(i) *. get a i j)
       done;
       !acc)
-
-let trace m =
-  let n = min m.rows m.cols in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. get m i i
-  done;
-  !acc
-
-let frobenius m =
-  let acc = ref 0. in
-  for i = 0 to numel m - 1 do
-    let x = m.data.{i} in
-    acc := !acc +. (x *. x)
-  done;
-  sqrt !acc
 
 let add_jitter m eps =
   let c = copy m in

@@ -54,32 +54,34 @@ val of_rows : Vec.t array -> t
 
 val transpose : t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
-val hadamard : t -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-(** Elementwise combination of two same-shape matrices. *)
 
 val add_into : dst:t -> t -> unit
 (** [add_into ~dst src] accumulates [src] into [dst] elementwise. *)
 
 val matmul : t -> t -> t
-(** [matmul a b] with [a : m×k] and [b : k×n] is [m×n].  Uses a
-    transposed, row-blocked kernel; when an ambient {!Domain_pool} is
-    installed and the product is large enough, rows are computed in
-    parallel with bitwise-identical results.
+(** [matmul a b] with [a : m×k] and [b : k×n] is [m×n].  Each element is
+    the dot product over k ascending, computed by a register-blocked
+    kernel (2×4 outputs per pass) that reads both operands in place; when
+    an ambient {!Domain_pool} is installed and the product is large
+    enough, rows are computed in parallel with bitwise-identical results.
     @raise Invalid_argument on inner-dimension mismatch. *)
+
+val matmul_nt : t -> t -> t
+(** [matmul_nt a b = a · bᵀ] with [a : m×k] and [b : n×k], bitwise
+    [matmul a (transpose b)] without the copy.
+    @raise Invalid_argument unless [a] and [b] have the same columns. *)
+
+val matmul_tn : t -> t -> t
+(** [matmul_tn a b = aᵀ · b] with [a : k×m] and [b : k×n], bitwise
+    [matmul (transpose a) b] without the copy.
+    @raise Invalid_argument unless [a] and [b] have the same rows. *)
 
 val mat_vec : t -> Vec.t -> Vec.t
 (** [mat_vec a x = a · x]. *)
 
 val vec_mat : Vec.t -> t -> Vec.t
 (** [vec_mat x a = xᵀ · a]. *)
-
-val map : (float -> float) -> t -> t
-val trace : t -> float
-val frobenius : t -> float
 
 val add_jitter : t -> float -> t
 (** [add_jitter a eps] adds [eps] to the diagonal (numerical stabilisation

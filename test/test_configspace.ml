@@ -527,6 +527,28 @@ let prop_config_key_tokens_decode =
       List.for_all Option.is_some decoded
       && List.map Option.get decoded = Array.to_list c)
 
+(* Tokens and keys write their digits straight into an exact-length
+   string; the bytes must be those of the string_of_int tokens, extreme
+   and negative integers included. *)
+let reference_token = function
+  | Param.Vbool b -> if b then "b1" else "b0"
+  | Param.Vtristate i -> "t" ^ string_of_int i
+  | Param.Vint n -> "i" ^ string_of_int n
+  | Param.Vcat i -> "c" ^ string_of_int i
+
+let prop_tokens_match_reference =
+  QCheck2.Test.make ~name:"value_token and config_key print the reference tokens" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 12)
+        (let int = oneof [ int; oneofl [ min_int; max_int; 0; -1; 9; 10; -10; 99; -100 ] ] in
+         oneof
+           [ map (fun b -> Param.Vbool b) bool; map (fun i -> Param.Vtristate i) int;
+             map (fun i -> Param.Vint i) int; map (fun i -> Param.Vcat i) int ]))
+    (fun values ->
+      List.for_all (fun v -> Param.value_token v = reference_token v) values
+      && Param.config_key (Array.of_list values)
+         = String.concat "," (List.map reference_token values))
+
 let () =
   Alcotest.run "configspace"
     [ ( "param",
@@ -570,4 +592,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_configs_encode_bounded; prop_mutate_preserves_validity;
-            prop_assoc_roundtrip; prop_config_key_injective; prop_config_key_tokens_decode ] ) ]
+            prop_assoc_roundtrip; prop_config_key_injective; prop_config_key_tokens_decode;
+            prop_tokens_match_reference ] ) ]

@@ -37,6 +37,28 @@ let test_scoring_alpha_balance () =
        false
      with Invalid_argument _ -> true)
 
+(* 0–9 candidates (every remainder of the four-candidate blocks) against
+   0–12 known vectors, some of them repeats of a candidate, with signed
+   zeros and non-finite values among the coordinates. *)
+let prop_dissimilarity_batch_matches_oracle =
+  QCheck2.Test.make ~name:"dissimilarity_batch bitwise equals the per-candidate fold" ~count:300
+    QCheck2.Gen.(quad (int_range 0 9) (int_range 0 12) (int_range 0 8) (int_range 0 10000))
+    (fun (n, k, d, seed) ->
+      let rng = T.Rng.create seed in
+      let vec () = Array.init d (fun _ -> Oracle.value ~special:true rng) in
+      let xs = Array.init n (fun _ -> vec ()) in
+      let known =
+        List.init k (fun _ ->
+            if n > 0 && T.Rng.int rng 4 = 0 then Array.copy xs.(T.Rng.int rng n) else vec ())
+      in
+      let got = Scoring.dissimilarity_batch xs known in
+      Array.length got = n
+      && Array.for_all2
+           (fun x g ->
+             let want = Oracle.bits (Oracle.dissimilarity x known) in
+             want = Oracle.bits g && want = Oracle.bits (Scoring.dissimilarity x known))
+           xs got)
+
 (* ------------------------------------------------------------------ *)
 (* DTM                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -444,12 +466,108 @@ let test_deeptune_crash_gate_ablation () =
     true
     (with_gate <= without_gate +. 0.03)
 
+(* ------------------------------------------------------------------ *)
+(* Golden outputs                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Recorded before the DTM kernels indexed Mat storage directly; every
+   float is written as %h, so equal lines mean equal bits.  On a mismatch
+   the produced lines are written to [<file>.actual] in the test's cwd. *)
+let check_golden file lines =
+  let golden =
+    In_channel.with_open_text (Filename.concat "golden" file) In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  if golden <> lines then begin
+    Out_channel.with_open_text (file ^ ".actual") (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    let rec first i = function
+      | g :: gs, l :: ls -> if g = l then first (i + 1) (gs, ls) else i
+      | _ -> i
+    in
+    Alcotest.failf "%s: %d golden vs %d produced lines, first difference at line %d (see %s.actual)"
+      file (List.length golden) (List.length lines)
+      (first 1 (golden, lines))
+      file
+  end
+
+let hex = CS.Param.float_field
+
+(* Sim-linux nginx at n=40, seed 11, default options. *)
+let golden_run workers =
+  let target = P.Targets.of_sim_linux (S.Sim_linux.create ()) ~app:S.App.Nginx in
+  let dt = Deeptune.create ~seed:11 target.P.Target.space in
+  let r =
+    P.Driver.run ~seed:11 ~workers ~target ~algorithm:(Deeptune.algorithm dt)
+      ~budget:(P.Driver.Iterations 40) ()
+  in
+  (dt, r)
+
+(* One line per entry: "w<workers> <config_key> <value as %h, or - on
+   failure>", as in bayes_redis_seed11.txt. *)
+let test_golden_trajectory () =
+  let trajectory workers =
+    let _, r = golden_run workers in
+    Array.to_list
+      (Array.map
+         (fun e ->
+           Printf.sprintf "w%d %s %s" workers
+             (CS.Param.config_key e.P.History.config)
+             (match e.P.History.value with Some v -> hex v | None -> "-"))
+         (P.History.entries r.P.Driver.history))
+  in
+  check_golden "deeptune_nginx_seed11.txt" (trajectory 1 @ trajectory 4)
+
+(* Encodings of seeded random nginx configurations. *)
+let fixture_rows rng encoding n =
+  Array.init n (fun _ -> CS.Encoding.encode encoding (CS.Space.random space rng))
+
+(* The DTM after three epochs on 100 rows, its predictions on a 37-row
+   pool (every block tail of the products), and the parameter impacts of
+   the n=40 run. *)
+let test_golden_dtm () =
+  let encoding = CS.Encoding.create space in
+  let rng = T.Rng.create 11 in
+  let ds = T.Dataset.create () in
+  Array.iter
+    (fun x ->
+      let crashed = T.Rng.bernoulli rng 0.3 in
+      T.Dataset.add ds x ~target:(T.Rng.normal rng ~mu:100. ~sigma:10. ()) ~crashed)
+    (fixture_rows rng encoding 100);
+  let dtm = Dtm.create (T.Rng.create 12) ~in_dim:(CS.Encoding.dim encoding) in
+  let l = Dtm.train dtm ~epochs:3 ds in
+  let losses =
+    String.concat " " ("losses" :: List.map hex [ l.Dtm.cce; l.Dtm.reg; l.Dtm.chamfer ])
+  in
+  let snapshot =
+    Array.to_list (Array.map (fun v -> "s " ^ hex v) (Dtm.snapshot_to_floats (Dtm.export dtm)))
+  in
+  let predictions =
+    Array.to_list
+      (Array.map
+         (fun (p : Dtm.prediction) ->
+           String.concat " "
+             ("p"
+             :: List.map hex
+                  [ p.Dtm.crash_probability; p.Dtm.performance; p.Dtm.normalized_performance;
+                    p.Dtm.aleatoric_std; p.Dtm.uncertainty ]))
+         (Dtm.predict_batch dtm (fixture_rows (T.Rng.create 13) encoding 37)))
+  in
+  let impacts =
+    let dt, _ = golden_run 1 in
+    Array.to_list
+      (Array.map (fun (name, v) -> "i " ^ name ^ " " ^ hex v) (Deeptune.parameter_impacts dt))
+  in
+  check_golden "dtm_nginx_seed11.txt" ((losses :: snapshot) @ predictions @ impacts)
+
 let () =
   Alcotest.run "deeptune"
     [ ( "scoring",
         [ Alcotest.test_case "dissimilarity" `Quick test_scoring_dissimilarity;
           Alcotest.test_case "monotone in distance" `Quick test_scoring_monotone_in_distance;
-          Alcotest.test_case "alpha balance" `Quick test_scoring_alpha_balance ] );
+          Alcotest.test_case "alpha balance" `Quick test_scoring_alpha_balance;
+          QCheck_alcotest.to_alcotest prop_dissimilarity_batch_matches_oracle ] );
       ( "dtm",
         [ Alcotest.test_case "create validates config (typed)" `Quick
             test_dtm_create_validates_config;
@@ -480,4 +598,7 @@ let () =
           Alcotest.test_case "observations recorded" `Quick test_deeptune_observations_recorded;
           Alcotest.test_case "parameter impacts" `Slow test_deeptune_parameter_impacts;
           Alcotest.test_case "transfer learning" `Slow test_deeptune_transfer_learning_reduces_crashes;
-          Alcotest.test_case "crash gate ablation" `Slow test_deeptune_crash_gate_ablation ] ) ]
+          Alcotest.test_case "crash gate ablation" `Slow test_deeptune_crash_gate_ablation ] );
+      ( "golden",
+        [ Alcotest.test_case "nginx trajectory" `Quick test_golden_trajectory;
+          Alcotest.test_case "dtm fixture" `Quick test_golden_dtm ] ) ]

@@ -478,6 +478,144 @@ let prop_rbf_outputs_bounded =
       let phi = Layer.Rbf.forward r z in
       Array.for_all (fun v -> v >= 0. && v <= 1.) (Mat.to_array phi))
 
+(* ------------------------------------------------------------------ *)
+(* Kernels against the scalar oracle (test/oracle.ml)                  *)
+(* ------------------------------------------------------------------ *)
+
+let dims = QCheck2.Gen.(triple (int_range 0 13) (int_range 0 13) (int_range 0 10000))
+
+(* Three identical layers (one kept as the reference) with a non-zero
+   bias and pre-filled gradients, so the bias add and the accumulation
+   into existing gradients both show. *)
+let prop_dense_matches_oracle =
+  QCheck2.Test.make ~name:"dense forward, backward, accumulate bitwise equal the oracle"
+    ~count:150
+    QCheck2.Gen.(pair dims (int_range 1 13))
+    (fun ((batch, in_dim, seed), out_dim) ->
+      let in_dim = max 1 in_dim in
+      let rng = Rng.create seed in
+      let layer () =
+        let d = Layer.Dense.create (Rng.create seed) ~in_dim ~out_dim in
+        let fill = Rng.create (seed + 1) in
+        List.iter
+          (fun p ->
+            List.iter
+              (fun m ->
+                for i = 0 to Mat.numel m - 1 do
+                  Mat.set_flat m i (Oracle.value fill)
+                done)
+              [ p.Layer.value; p.Layer.grad ])
+          (Layer.Dense.params d);
+        d
+      in
+      let d = layer () and d' = layer () in
+      let w, b, gw, gb =
+        match Layer.Dense.params (layer ()) with
+        | [ w; b ] -> (w.Layer.value, b.Layer.value, w.Layer.grad, b.Layer.grad)
+        | _ -> assert false
+      in
+      let x = Oracle.random_mat rng batch in_dim and dy = Oracle.random_mat rng batch out_dim in
+      let y = Layer.Dense.forward d x in
+      ignore (Layer.Dense.forward d' x);
+      let dx = Layer.Dense.backward d dy in
+      Layer.Dense.accumulate d' dy;
+      let dw, db, want_dx = Oracle.dense_backward x w dy in
+      let grads_ok layer =
+        match Layer.Dense.params layer with
+        | [ w; b ] ->
+          Oracle.same_bits (Oracle.map2 ( +. ) gw dw) w.Layer.grad
+          && Oracle.same_bits (Oracle.map2 ( +. ) gb db) b.Layer.grad
+        | _ -> false
+      in
+      Oracle.same_bits (Oracle.dense_forward x w b) y
+      && Oracle.same_bits want_dx dx && grads_ok d && grads_ok d')
+
+let prop_relu_matches_oracle =
+  QCheck2.Test.make ~name:"relu forward and backward bitwise equal the oracle" ~count:200 dims
+    (fun (rows, cols, seed) ->
+      let rng = Rng.create seed in
+      let x = Oracle.random_mat ~special:true rng rows cols in
+      let dy = Oracle.random_mat ~special:true rng rows cols in
+      let r = Layer.Relu.create () in
+      let y = Layer.Relu.forward r x in
+      Oracle.same_bits (Oracle.relu_forward x) y
+      && Oracle.same_bits (Oracle.relu_backward x dy) (Layer.Relu.backward r dy))
+
+(* Both draw from copies of one stream, which must end in the same
+   state. *)
+let prop_dropout_matches_oracle =
+  QCheck2.Test.make ~name:"dropout forward, backward and rng state bitwise equal the oracle"
+    ~count:200
+    QCheck2.Gen.(triple dims (oneofl [ 0.; 0.05; 0.3; 0.5; 0.9 ]) bool)
+    (fun ((rows, cols, seed), rate, train) ->
+      let rng = Rng.create seed in
+      let x = Oracle.random_mat ~special:true rng rows cols in
+      let dy = Oracle.random_mat ~special:true rng rows cols in
+      let drops = Rng.copy rng and oracle_drops = Rng.copy rng in
+      let d = Layer.Dropout.create ~rate in
+      let y = Layer.Dropout.forward d ~train drops x in
+      let want_y, want_dx =
+        if train && rate > 0. then begin
+          let y, mask = Oracle.dropout_forward ~rate oracle_drops x in
+          (y, Oracle.dropout_backward mask dy)
+        end
+        else (x, dy)
+      in
+      Oracle.same_bits want_y y
+      && Oracle.same_bits want_dx (Layer.Dropout.backward d dy)
+      && Rng.state drops = Rng.state oracle_drops)
+
+let prop_rbf_matches_oracle =
+  QCheck2.Test.make ~name:"rbf forward bitwise equals the oracle" ~count:150
+    QCheck2.Gen.(pair dims (pair (int_range 1 13) (float_range 0.1 3.)))
+    (fun ((rows, in_dim, seed), (centroids, gamma)) ->
+      let rng = Rng.create seed in
+      let r = Layer.Rbf.create rng ~in_dim ~centroids ~gamma in
+      let z = Oracle.random_mat rng rows in_dim in
+      Oracle.same_bits
+        (Oracle.rbf_forward ~centroids:(Layer.Rbf.centroid_matrix r) ~gamma z)
+        (Layer.Rbf.forward r z))
+
+(* Some rows repeat an earlier one, so distances tie and the lowest
+   index must win in both directions. *)
+let prop_chamfer_matches_oracle =
+  QCheck2.Test.make ~name:"chamfer loss and gradient bitwise equal the oracle" ~count:200
+    QCheck2.Gen.(pair dims (int_range 0 13))
+    (fun ((n, d, seed), m) ->
+      let rng = Rng.create seed in
+      let with_repeats rows =
+        let a = Oracle.random_mat rng rows d in
+        for i = 1 to rows - 1 do
+          if Rng.int rng 3 = 0 then Mat.set_row a i (Mat.row a (Rng.int rng i))
+        done;
+        a
+      in
+      let points = with_repeats n and centroids = with_repeats m in
+      let want_loss, want_grad = Oracle.chamfer ~points ~centroids in
+      let loss, grad = Loss.chamfer ~points ~centroids in
+      Oracle.bits want_loss = Oracle.bits loss && Oracle.same_bits want_grad grad)
+
+(* Two copies of one network see the same forward pass; [accumulate] on
+   one must leave every parameter gradient [backward] leaves on the
+   other. *)
+let prop_accumulate_matches_backward =
+  QCheck2.Test.make ~name:"Network.accumulate leaves the gradients of Network.backward" ~count:100
+    QCheck2.Gen.(pair dims (triple (int_range 1 13) (int_range 1 13) (oneofl [ 0.; 0.3 ])))
+    (fun ((batch, in_dim, seed), (h1, h2, rate)) ->
+      let in_dim = max 1 in_dim in
+      let spec = [ `Dense h1; `Relu; `Dropout rate; `Dense h2; `Relu; `Dense 3 ] in
+      let a = Network.create (Rng.create seed) ~in_dim spec in
+      let b = Network.create (Rng.create seed) ~in_dim spec in
+      let rng = Rng.create (seed + 1) in
+      let x = Oracle.random_mat rng batch in_dim and dy = Oracle.random_mat rng batch 3 in
+      ignore (Network.forward a (Rng.create seed) x);
+      ignore (Network.forward b (Rng.create seed) x);
+      ignore (Network.backward a dy);
+      Network.accumulate b dy;
+      List.for_all2
+        (fun p q -> Oracle.same_bits p.Layer.grad q.Layer.grad)
+        (Network.params a) (Network.params b))
+
 let () =
   Alcotest.run "nn"
     [ ( "dense",
@@ -515,4 +653,9 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sigmoid_bounds; prop_bce_nonnegative; prop_chamfer_nonnegative;
-            prop_rbf_outputs_bounded ] ) ]
+            prop_rbf_outputs_bounded ] );
+      ( "oracle",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_dense_matches_oracle; prop_relu_matches_oracle; prop_dropout_matches_oracle;
+            prop_rbf_matches_oracle; prop_chamfer_matches_oracle;
+            prop_accumulate_matches_backward ] ) ]

@@ -549,11 +549,44 @@ let prop_permutation_valid =
       Array.sort compare sorted;
       sorted = Array.init n (fun i -> i))
 
+(* One pool per size, shared by every case below. *)
+let pools = List.map Domain_pool.create [ 1; 2; 4 ]
+let () = at_exit (fun () -> List.iter Domain_pool.shutdown pools)
+
+(* m, n and k in 0–13 cover every row and column remainder of the 2×4
+   blocks; [grow] adds (32, 40, 30) so the product clears the pool's flop
+   threshold and its rows really split across lanes.  Each product must
+   equal the scalar matmul of the explicitly transposed operands, with
+   no pool and under pools of 1, 2 and 4 lanes. *)
+let prop_products_match_oracle =
+  QCheck2.Test.make ~name:"matmul, matmul_nt, matmul_tn bitwise equal transpose + scalar matmul"
+    ~count:150
+    QCheck2.Gen.(
+      pair
+        (triple (int_range 0 13) (int_range 0 13) (int_range 0 13))
+        (pair bool (int_range 0 10000)))
+    (fun ((m, n, k), (grow, seed)) ->
+      let m, n, k = if grow then (m + 32, n + 40, k + 30) else (m, n, k) in
+      let rng = Rng.create seed in
+      let a = Oracle.random_mat rng m k and b = Oracle.random_mat rng k n in
+      let bt = Oracle.random_mat rng n k and at = Oracle.random_mat rng k m in
+      let want = Oracle.matmul a b in
+      let want_nt = Oracle.matmul a (Oracle.transpose bt) in
+      let want_tn = Oracle.matmul (Oracle.transpose at) b in
+      let check () =
+        Oracle.same_bits want (Mat.matmul a b)
+        && Oracle.same_bits want_nt (Mat.matmul_nt a bt)
+        && Oracle.same_bits want_tn (Mat.matmul_tn at b)
+        && Oracle.same_bits (Oracle.transpose a) (Mat.transpose a)
+      in
+      check () && List.for_all (fun pool -> Domain_pool.with_default (Some pool) check) pools)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_vec_add_commutes; prop_vec_dot_symmetric; prop_vec_triangle_inequality;
       prop_stat_mean_bounded; prop_stat_zscore_normalizes; prop_moving_average_preserves_bounds;
-      prop_cholesky_roundtrip; prop_cholesky_bitwise_reference; prop_permutation_valid ]
+      prop_cholesky_roundtrip; prop_cholesky_bitwise_reference; prop_permutation_valid;
+      prop_products_match_oracle ]
 
 let () =
   Alcotest.run "tensor"
