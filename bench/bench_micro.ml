@@ -80,7 +80,7 @@ let domain_scaling () =
             (Array.to_list
                (Array.map
                   (fun (p : D.Dtm.prediction) ->
-                    [| p.D.Dtm.crash_probability; p.D.Dtm.performance; p.D.Dtm.uncertainty |])
+                    [| p.D.Dtm.crash_probability; p.D.Dtm.performances.(0); p.D.Dtm.uncertainty |])
                   (D.Dtm.predict_batch dtm candidates))) );
       ( "dtm-train-epoch",
         (fun () -> ignore (train_epoch ())),

@@ -7,9 +7,9 @@
    scalarizes with the degenerate weights (1, 0, 0) — byte-identical to
    optimizing throughput alone, but every entry still records its full
    vector, so the winner's latency and memory are visible.  The
-   multi-objective run uses equal weights and the deeptune-multi head,
-   and reports its Pareto archive.  A JSON dump of both is written for
-   CI trending.
+   multi-objective run uses equal weights and DeepTune with one
+   regression pair per objective, and reports its Pareto archive.  A
+   JSON dump of both is written for CI trending.
 
    Acceptance: the archive surfaces at least one configuration that
    strictly beats the throughput-only winner on p99 at equal-or-better
@@ -47,10 +47,10 @@ let search ~algo ~scalarize =
     match algo with
     | `Deeptune -> D.Deeptune.algorithm (D.Deeptune.create ~seed target.P.Target.space)
     | `Multi ->
-      D.Multi_objective.algorithm ~seed
-        ~objectives:
-          (List.map (fun label -> { D.Multi_objective.label; weight = 1. }) objective_names)
-        ~spec:objectives target.P.Target.space
+      D.Deeptune.algorithm
+        (D.Deeptune.create ~seed
+           ~objectives:{ D.Deeptune.spec = objectives; weights = [| 1.; 1.; 1. |] }
+           target.P.Target.space)
   in
   P.Driver.run ~seed ~workers:4 ~target ~algorithm
     ~budget:(P.Driver.Iterations !iterations) ()

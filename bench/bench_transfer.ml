@@ -39,10 +39,11 @@ let fresh_dir () =
 let bits = Int64.bits_of_float
 
 let same_prediction (a : D.Dtm.prediction) (b : D.Dtm.prediction) =
+  let same_bits x y = Array.map bits x = Array.map bits y in
   bits a.D.Dtm.crash_probability = bits b.D.Dtm.crash_probability
-  && bits a.D.Dtm.performance = bits b.D.Dtm.performance
-  && bits a.D.Dtm.normalized_performance = bits b.D.Dtm.normalized_performance
-  && bits a.D.Dtm.aleatoric_std = bits b.D.Dtm.aleatoric_std
+  && same_bits a.D.Dtm.performances b.D.Dtm.performances
+  && same_bits a.D.Dtm.normalized_performances b.D.Dtm.normalized_performances
+  && same_bits a.D.Dtm.aleatoric_stds b.D.Dtm.aleatoric_stds
   && bits a.D.Dtm.uncertainty = bits b.D.Dtm.uncertainty
 
 let samples_to goal best_so_far =

@@ -421,15 +421,19 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                 Ok (D.Deeptune.algorithm dt)))
           | `Multi -> (
             match scenario_info with
-            | Some (_, spec, _) when Array.length spec >= 2 ->
-              let objectives =
-                Array.to_list
-                  (Array.map
-                     (fun (m : P.Metric.t) ->
-                       { D.Multi_objective.label = m.P.Metric.metric_name; weight = 1. })
-                     spec)
+            | Some (_, spec, _) when Array.length spec >= 2 -> (
+              let weights =
+                match weights with
+                | Some ws -> Array.of_list ws
+                | None -> Array.make (Array.length spec) 1.
               in
-              Ok (D.Multi_objective.algorithm ~seed ~objectives ~spec target.P.Target.space)
+              try
+                Ok
+                  (D.Deeptune.algorithm
+                     (D.Deeptune.create
+                        ~options:{ D.Deeptune.default_options with favor }
+                        ~seed ~objectives:{ D.Deeptune.spec; weights } target.P.Target.space))
+              with Invalid_argument m -> Error ("deeptune-multi: " ^ m))
             | Some _ | None ->
               Error "deeptune-multi requires --scenario with two or more --objectives")
         in

@@ -8,6 +8,7 @@ module Search_algorithm = Wayfinder_platform.Search_algorithm
 module Metric = Wayfinder_platform.Metric
 module History = Wayfinder_platform.History
 module Failure = Wayfinder_platform.Failure
+module Objective = Wayfinder_platform.Objective
 module Random_search = Wayfinder_platform.Random_search
 module Obs = Wayfinder_obs
 
@@ -38,10 +39,14 @@ let default_options =
     favor_weak = 0.05;
     dtm_config = Dtm.default_config }
 
+type objectives = { spec : Objective.spec; weights : float array }
+
 type t = {
   options : options;
   space : Space.t;
   encoding : Encoding.t;
+  spec : Objective.spec;  (* [||]: one metric, the entry's scalar score *)
+  weights : float array;  (* per regression pair, summing to 1 *)
   dtm : Dtm.t;
   dataset : Dataset.t;
   rng : Rng.t;
@@ -53,13 +58,29 @@ type t = {
          pool (they are known-good end-to-end on the donor). *)
 }
 
-let create ?(options = default_options) ?(seed = 0) space =
+let create ?(options = default_options) ?(seed = 0) ?objectives space =
+  let spec, weights =
+    match objectives with
+    | None -> ([||], [| 1. |])
+    | Some ({ spec; weights } : objectives) ->
+      let k = Array.length spec in
+      if k < 2 then invalid_arg "Deeptune.create: objectives need two or more metrics";
+      if Array.length weights <> k then
+        invalid_arg "Deeptune.create: one weight per objective expected";
+      let total = Array.fold_left ( +. ) 0. weights in
+      if not (total > 0.) then invalid_arg "Deeptune.create: weights must sum to a positive value";
+      (spec, Array.map (fun w -> w /. total) weights)
+  in
   let rng = Rng.create (seed + 7919) in
   let encoding = Encoding.create space in
   { options;
     space;
     encoding;
-    dtm = Dtm.create ~config:options.dtm_config (Rng.split rng) ~in_dim:(Encoding.dim encoding);
+    spec;
+    weights;
+    dtm =
+      Dtm.create ~config:options.dtm_config ~metrics:(Array.length weights) (Rng.split rng)
+        ~in_dim:(Encoding.dim encoding);
     dataset = Dataset.create ();
     rng;
     known = [];
@@ -96,6 +117,21 @@ let generate_pool t =
 
 let config_key = Param.config_key
 
+let rank options ~weights ~dissimilarity (p : Dtm.prediction) =
+  let mus = p.Dtm.normalized_performances in
+  if Array.length weights <> Array.length mus then
+    invalid_arg "Deeptune.rank: weight/metric count mismatch";
+  let bonus = Scoring.score ~alpha:options.alpha ~dissimilarity ~uncertainty:p.Dtm.uncertainty () in
+  let perf = ref (weights.(0) *. mus.(0)) in
+  for m = 1 to Array.length mus - 1 do
+    perf := !perf +. (weights.(m) *. mus.(m))
+  done;
+  (* Soft crash penalty: even below the hard gate, likelier-to-crash
+     candidates rank lower. *)
+  !perf
+  +. (options.exploration_weight *. bonus)
+  -. (options.crash_penalty *. p.Dtm.crash_probability)
+
 (* ② Predict every candidate in one batched forward pass; ③ score by
    predicted performance plus the eq. 3 exploration bonus.  Scoring
    happens in the model's z-score units so the [0, 1] bonus and the crash
@@ -117,18 +153,7 @@ let score_pool t pool =
   List.mapi
     (fun i config ->
       let p = preds.(i) in
-      let bonus =
-        Scoring.score ~alpha:t.options.alpha ~dissimilarity:ds.(i)
-          ~uncertainty:p.Dtm.uncertainty ()
-      in
-      (* Soft crash penalty: even below the hard gate, likelier-to-crash
-         candidates rank lower. *)
-      let rank =
-        p.Dtm.normalized_performance
-        +. (t.options.exploration_weight *. bonus)
-        -. (t.options.crash_penalty *. p.Dtm.crash_probability)
-      in
-      (config, p, rank))
+      (config, p, rank t.options ~weights:t.weights ~dissimilarity:ds.(i) p))
     pool
 
 let rank_candidates t pool =
@@ -242,34 +267,50 @@ let observe t ctx (entry : History.entry) =
   match entry.History.failure with
   | Some f when not (Failure.counts_as_crash f) ->
     Obs.Recorder.incr ctx.Search_algorithm.obs ~quiet:true "deeptune.transient_skipped"
-  | (Some _ | None) as failure ->
-  let crashed = failure <> None in
-  let score =
-    match entry.History.value with Some v -> Metric.score metric v | None -> 0.
-  in
-  Dataset.add t.dataset x ~target:score ~crashed;
-  if not crashed then begin
-    t.best_configs <-
-      (score, entry.History.config) :: t.best_configs
-      |> List.sort (fun (a, _) (b, _) -> compare b a)
-      |> List.filteri (fun i _ -> i < keep_best)
-  end;
-  (* ⑤ Incremental update: a couple of passes over the history keeps the
-     per-iteration cost linear (Figure 7's O(n)). *)
-  if Dataset.size t.dataset >= 4 then begin
-    let obs = ctx.Search_algorithm.obs in
-    let report_epoch _epoch (l : Dtm.losses) =
-      Obs.Recorder.observe obs ~quiet:true "deeptune.loss.cce" l.Dtm.cce;
-      Obs.Recorder.observe obs ~quiet:true "deeptune.loss.reg" l.Dtm.reg;
-      Obs.Recorder.observe obs ~quiet:true "deeptune.loss.chamfer" l.Dtm.chamfer
+  | (Some _ | None) as failure -> (
+    let crashed = failure <> None in
+    let score =
+      match entry.History.value with Some v -> Metric.score metric v | None -> 0.
     in
-    Obs.Recorder.with_span obs
-      ~attrs:[ Obs.Attr.int "dataset" (Dataset.size t.dataset) ]
-      "deeptune.train"
-      (fun () ->
-        ignore
-          (Dtm.train t.dtm ~epochs:t.options.train_epochs ~on_epoch:report_epoch t.dataset))
-  end
+    (* A row's targets live in score space (higher is better): the entry's
+       scalar score with one metric, its objective vector's scores with
+       several (zeros for a crash).  A success without a vector teaches
+       nothing. *)
+    let targets =
+      match (t.spec, entry.History.objectives) with
+      | [||], _ -> Some [| score |]
+      | spec, _ when crashed -> Some (Array.make (Array.length spec) 0.)
+      | spec, Some vec when Array.length vec = Array.length spec ->
+        Some (Objective.scores spec vec)
+      | _, (Some _ | None) -> None
+    in
+    match targets with
+    | None -> ()
+    | Some targets ->
+      Dataset.add_targets t.dataset x ~targets ~crashed;
+      if not crashed then begin
+        t.best_configs <-
+          (score, entry.History.config) :: t.best_configs
+          |> List.sort (fun (a, _) (b, _) -> compare b a)
+          |> List.filteri (fun i _ -> i < keep_best)
+      end;
+      (* ⑤ Incremental update: a couple of passes over the history keeps
+         the per-iteration cost linear (Figure 7's O(n)). *)
+      if Dataset.size t.dataset >= 4 then begin
+        let obs = ctx.Search_algorithm.obs in
+        let report_epoch _epoch (l : Dtm.losses) =
+          Obs.Recorder.observe obs ~quiet:true "deeptune.loss.cce" l.Dtm.cce;
+          Obs.Recorder.observe obs ~quiet:true "deeptune.loss.reg" l.Dtm.reg;
+          Obs.Recorder.observe obs ~quiet:true "deeptune.loss.chamfer" l.Dtm.chamfer
+        in
+        Obs.Recorder.with_span obs
+          ~attrs:[ Obs.Attr.int "dataset" (Dataset.size t.dataset) ]
+          "deeptune.train"
+          (fun () ->
+            ignore
+              (Dtm.train t.dtm ~epochs:t.options.train_epochs ~on_epoch:report_epoch
+                 t.dataset))
+      end)
 
 (* Native ask/tell batch: drain transfer seeds and warm-up draws one at a
    time (they are inherently sequential), then fill the rest of the batch
@@ -318,7 +359,9 @@ let algorithm t =
          and draws no randomness (dropout is training-only). *)
       let p = Dtm.predict t.dtm (Encoding.encode t.encoding config) in
       { Search_algorithm.crash_probability = Some p.Dtm.crash_probability;
-        predicted_value = Some p.Dtm.performance;
+        (* One metric: ŷ is the metric itself.  Several: no single
+           predicted metric value exists. *)
+        predicted_value = (if t.spec = [||] then Some p.Dtm.performances.(0) else None);
         predicted_uncertainty = Some p.Dtm.uncertainty;
         belief_source = "deeptune" })
     ()

@@ -12,12 +12,20 @@
     {e distinct} admissible candidates of a single scored pool (one model
     sweep per batch, padded with fresh draws when gating leaves fewer than
     k).  A trained model can be {!export}ed and reused to warm-start the
-    search for a related application — the §3.3 transfer learning. *)
+    search for a related application — the §3.3 transfer learning.
+
+    {b Several metrics} (§3.2, last paragraph): given {!objectives}, the
+    DTM carries one regression pair per objective ({!Dtm.create}
+    [~metrics]) and each observed entry trains on its objective vector in
+    score space.  Ranking applies eq. 3 per metric and takes the weighted
+    average ({!rank}); pool generation, the crash gate, batching and the
+    observe rule are the single-metric ones. *)
 
 module Space = Wayfinder_configspace.Space
 module Param = Wayfinder_configspace.Param
 module Rng = Wayfinder_tensor.Rng
 module Search_algorithm = Wayfinder_platform.Search_algorithm
+module Objective = Wayfinder_platform.Objective
 
 type options = {
   pool_size : int;  (** Candidate pool per iteration (default 96; half of it
@@ -50,9 +58,32 @@ type t
 (** The algorithm's mutable state: the DTM, the observation dataset and the
     encoded history. *)
 
-val create : ?options:options -> ?seed:int -> Space.t -> t
+type objectives = {
+  spec : Objective.spec;  (** The target's objective spec, two or more metrics. *)
+  weights : float array;  (** One per objective; normalised to sum to 1. *)
+}
+
+val create : ?options:options -> ?seed:int -> ?objectives:objectives -> Space.t -> t
+(** Without [objectives], a single-metric search on each entry's scalar
+    score.  With them, a k-metric search: an entry that counts as a crash
+    trains on zeros, a success on [Objective.scores spec] of its vector,
+    and a success without a vector adds no row.
+    @raise Invalid_argument if [objectives] has fewer than two metrics,
+    a weight count other than the spec's, or weights whose sum is not
+    positive. *)
+
 val algorithm : t -> Search_algorithm.t
-(** The pluggable view registered with the platform driver. *)
+(** The pluggable view registered with the platform driver.  Its belief
+    hook states the crash probability and the RBF uncertainty, and the
+    predicted value only with one metric. *)
+
+val rank : options -> weights:float array -> dissimilarity:float -> Dtm.prediction -> float
+(** A candidate's rank: [Σ_m w_m·μ_m + exploration_weight·bonus −
+    crash_penalty·k̂], with [μ_m] the z-scored predicted performances,
+    [bonus] eq. 3 of the dissimilarity and [σ̂], and the sum folded from
+    [w_0·μ_0].  [weights] are the normalised per-metric weights; a single
+    metric's are [\[| 1. |\]].
+    @raise Invalid_argument on a weight/metric count mismatch. *)
 
 val dtm : t -> Dtm.t
 val observations : t -> int

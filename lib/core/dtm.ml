@@ -25,9 +25,10 @@ type t = {
   cfg : config;
   rng : Rng.t;
   in_dim : int;
+  metrics : int;
   trunk : Network.t;
   crash_head : Network.t;
-  perf_head : Network.t;
+  perf_head : Network.t;  (* 2 outputs per metric: (mu_m, s_m) *)
   rbf_layers : Layer.Rbf.t array;  (* one per trunk hidden layer *)
   optimizer : Optimizer.t;
   mutable normalizer : Dataset.normalizer option;
@@ -51,13 +52,14 @@ let validate_config config =
   if not (config.learning_rate > 0.) then
     invalid_arg "Dtm.create: learning_rate must be positive"
 
-let create ?(config = default_config) rng ~in_dim =
+let create ?(config = default_config) ?(metrics = 1) rng ~in_dim =
   validate_config config;
   if in_dim <= 0 then invalid_arg "Dtm.create: in_dim must be positive";
+  if metrics < 1 then invalid_arg "Dtm.create: metrics must be positive";
   let trunk = Network.create rng ~in_dim (trunk_spec config) in
   let last = List.nth config.hidden (List.length config.hidden - 1) in
   let crash_head = Network.create rng ~in_dim:last [ `Dense 1 ] in
-  let perf_head = Network.create rng ~in_dim:last [ `Dense 2 ] in
+  let perf_head = Network.create rng ~in_dim:last [ `Dense (2 * metrics) ] in
   let rbf_layers =
     (* The squared distance in eq. 1 grows linearly with the layer width,
        so the smoothing parameter is scaled by sqrt(width) to keep
@@ -76,6 +78,7 @@ let create ?(config = default_config) rng ~in_dim =
   { cfg = config;
     rng = Rng.split rng;
     in_dim;
+    metrics;
     trunk;
     crash_head;
     perf_head;
@@ -86,10 +89,14 @@ let create ?(config = default_config) rng ~in_dim =
 
 let in_dim t = t.in_dim
 
-let identity_normalizer d =
-  { Dataset.means = Vec.zeros d; stds = Vec.create d 1.; t_mean = 0.; t_std = 1. }
-
-let normalizer t = match t.normalizer with Some n -> n | None -> identity_normalizer t.in_dim
+let normalizer t =
+  match t.normalizer with
+  | Some n -> n
+  | None ->
+    { Dataset.means = Vec.zeros t.in_dim;
+      stds = Vec.create t.in_dim 1.;
+      t_means = Array.make t.metrics 0.;
+      t_stds = Array.make t.metrics 1. }
 
 (* Features that were constant in the training data have a degenerate
    (epsilon) standard deviation; a fresh sample differing there would map
@@ -121,9 +128,9 @@ let normalize_rows nz xs =
 
 type prediction = {
   crash_probability : float;
-  performance : float;
-  normalized_performance : float;
-  aleatoric_std : float;
+  performances : float array;
+  normalized_performances : float array;
+  aleatoric_stds : float array;
   uncertainty : float;
 }
 
@@ -153,10 +160,13 @@ let predict_batch t xs =
     in
     let n_layers = float_of_int (Array.length phis) in
     let crash : Mat.buffer = crash_out.Mat.data and perf : Mat.buffer = perf_out.Mat.data in
+    let k = t.metrics in
     Array.init n (fun i ->
         let crash_logit = Bigarray.Array1.unsafe_get crash i in
-        let mu = Bigarray.Array1.unsafe_get perf (2 * i)
-        and log_var = Bigarray.Array1.unsafe_get perf ((2 * i) + 1) in
+        let mus = Array.init k (fun m -> Bigarray.Array1.unsafe_get perf ((2 * ((i * k) + m))))
+        and log_vars =
+          Array.init k (fun m -> Bigarray.Array1.unsafe_get perf ((2 * ((i * k) + m)) + 1))
+        in
         let acc = ref 0. in
         Array.iter
           (fun (phi : Mat.t) ->
@@ -169,9 +179,12 @@ let predict_batch t xs =
             acc := !acc +. !best)
           phis;
         { crash_probability = Loss.sigmoid crash_logit;
-          performance = Dataset.denormalize_target nz mu;
-          normalized_performance = mu;
-          aleatoric_std = Dataset.denormalize_std nz (sqrt (exp (min 20. log_var)));
+          performances = Array.mapi (fun metric mu -> Dataset.denormalize_target nz ~metric mu) mus;
+          normalized_performances = mus;
+          aleatoric_stds =
+            Array.mapi
+              (fun metric s -> Dataset.denormalize_std nz ~metric (sqrt (exp (min 20. s))))
+              log_vars;
           uncertainty = 1. -. (!acc /. n_layers) })
   end
 
@@ -191,7 +204,6 @@ let train_batch t nz batch =
   let b = Array.length batch in
   let x = normalize_rows nz (Array.map (fun r -> r.Dataset.features) batch) in
   let crash_labels = Array.map (fun r -> if r.Dataset.crashed then 1. else 0.) batch in
-  let targets = Array.map (fun r -> Dataset.normalize_target nz r.Dataset.target) batch in
   let mask = Array.map (fun r -> not r.Dataset.crashed) batch in
   (* Forward. *)
   let h = Network.forward t.trunk ~train:true t.rng x in
@@ -199,15 +211,32 @@ let train_batch t nz batch =
   let crash_out = Network.forward t.crash_head ~train:true t.rng h in
   let perf_out = Network.forward t.perf_head ~train:true t.rng h in
   let logits = Mat.col crash_out 0 in
-  let mu = Mat.col perf_out 0 and log_var = Mat.col perf_out 1 in
-  (* Losses and output gradients. *)
+  (* Losses and output gradients: one heteroscedastic loss per regression
+     pair, their gradients interleaved into the 2k-wide head, L_Reg their
+     sum from pair 0. *)
   let l_cce, dlogits =
     Loss.bce_with_logits ~pos_weight:t.cfg.crash_pos_weight ~logits ~targets:crash_labels ()
   in
-  let l_reg, (dmu, ds) = Loss.heteroscedastic ~mu ~log_var ~targets ~mask in
+  let regs =
+    Array.init t.metrics (fun metric ->
+        let targets =
+          Array.map (fun r -> Dataset.normalize_target nz ~metric r.Dataset.targets.(metric)) batch
+        in
+        Loss.heteroscedastic ~mu:(Mat.col perf_out (2 * metric))
+          ~log_var:(Mat.col perf_out ((2 * metric) + 1))
+          ~targets ~mask)
+  in
+  let l_reg = ref (fst regs.(0)) in
+  for metric = 1 to t.metrics - 1 do
+    l_reg := !l_reg +. fst regs.(metric)
+  done;
   (* Backward through the heads into the trunk's parameters. *)
   let dcrash = Mat.init b 1 (fun i _ -> dlogits.(i)) in
-  let dperf = Mat.init b 2 (fun i j -> if j = 0 then dmu.(i) else ds.(i)) in
+  let dperf =
+    Mat.init b (2 * t.metrics) (fun i j ->
+        let dmu, ds = snd regs.(j / 2) in
+        if j land 1 = 0 then dmu.(i) else ds.(i))
+  in
   let dh = Mat.add (Network.backward t.crash_head dcrash) (Network.backward t.perf_head dperf) in
   Network.accumulate t.trunk dh;
   (* Chamfer regularisation fits the RBF centroids to the trunk's
@@ -224,16 +253,18 @@ let train_batch t nz batch =
       | _ -> assert false)
     hidden;
   Optimizer.step t.optimizer;
-  { cce = l_cce; reg = l_reg; chamfer = !l_cham }
+  { cce = l_cce; reg = !l_reg; chamfer = !l_cham }
 
 let train t ?(epochs = 3) ?(batch_size = 32) ?on_epoch dataset =
   if Dataset.size dataset = 0 then zero_losses
   else begin
+    if Dataset.target_dim dataset <> t.metrics then
+      invalid_arg "Dtm.train: dataset target count differs from the model's metrics";
     let fresh = Dataset.fit_normalizer dataset in
     let nz =
       match (t.feature_stats_frozen, t.normalizer) with
       | true, Some donor ->
-        { donor with Dataset.t_mean = fresh.Dataset.t_mean; t_std = fresh.Dataset.t_std }
+        { donor with Dataset.t_means = fresh.Dataset.t_means; t_stds = fresh.Dataset.t_stds }
       | true, None | false, (Some _ | None) -> fresh
     in
     t.normalizer <- Some nz;
@@ -277,8 +308,8 @@ let evaluate ?(crash_threshold = 0.3) t dataset =
       else begin
         incr run_total;
         if not predicted_crash then incr run_hits;
-        preds := p.performance :: !preds;
-        targets := r.Dataset.target :: !targets
+        preds := p.performances.(0) :: !preds;
+        targets := r.Dataset.targets.(0) :: !targets
       end)
     rows;
   let ratio hits total = if total = 0 then 0. else float_of_int hits /. float_of_int total in
@@ -319,7 +350,8 @@ let feature_sensitivity t dataset =
           let preds = predict_batch t moved in
           let acc = ref 0. in
           for r = 0 to k - 1 do
-            acc := !acc +. (preds.(2 * r).performance -. preds.((2 * r) + 1).performance)
+            acc :=
+              !acc +. (preds.(2 * r).performances.(0) -. preds.((2 * r) + 1).performances.(0))
           done;
           !acc /. float_of_int k
         end)
@@ -334,7 +366,7 @@ type snapshot = {
   s_crash : float array;
   s_perf : float array;
   s_centroids : float array array;
-  s_norm : float array;  (* means @ stds @ [t_mean; t_std] *)
+  s_norm : float array;  (* means @ stds @ t_means @ t_stds *)
 }
 
 let export t =
@@ -343,7 +375,8 @@ let export t =
     s_crash = Network.save_weights t.crash_head;
     s_perf = Network.save_weights t.perf_head;
     s_centroids = Array.map (fun r -> Mat.to_array (Layer.Rbf.centroid_matrix r)) t.rbf_layers;
-    s_norm = Array.concat [ nz.Dataset.means; nz.Dataset.stds; [| nz.Dataset.t_mean; nz.Dataset.t_std |] ] }
+    s_norm =
+      Array.concat [ nz.Dataset.means; nz.Dataset.stds; nz.Dataset.t_means; nz.Dataset.t_stds ] }
 
 let import t s =
   Network.load_weights t.trunk s.s_trunk;
@@ -357,14 +390,15 @@ let import t s =
       if Array.length data <> Mat.numel c then invalid_arg "Dtm.import: centroid shape mismatch";
       Mat.blit_from_array data c)
     s.s_centroids;
-  let d = t.in_dim in
-  if Array.length s.s_norm <> (2 * d) + 2 then invalid_arg "Dtm.import: normalizer size mismatch";
+  let d = t.in_dim and k = t.metrics in
+  if Array.length s.s_norm <> (2 * d) + (2 * k) then
+    invalid_arg "Dtm.import: normalizer size mismatch";
   t.normalizer <-
     Some
       { Dataset.means = Array.sub s.s_norm 0 d;
         stds = Array.sub s.s_norm d d;
-        t_mean = s.s_norm.((2 * d));
-        t_std = s.s_norm.((2 * d) + 1) };
+        t_means = Array.sub s.s_norm (2 * d) k;
+        t_stds = Array.sub s.s_norm ((2 * d) + k) k };
   t.feature_stats_frozen <- true
 
 let snapshot_to_floats s =

@@ -17,7 +17,15 @@
     Features and performance targets are z-score normalised from the
     training set.  Training is incremental: each {!train} call makes a few
     passes over the current history, so per-iteration cost stays linear in
-    the history size (the O(n) curve of Figure 7). *)
+    the history size (the O(n) curve of Figure 7).
+
+    {b Several metrics.}  §3.2 extends the model to k metrics "by adding
+    additional output layers to F^p and F^u": the regression head carries
+    one (mean, log-variance) pair per metric, while the trunk, the crash
+    head and the RBF branch are shared — a configuration either runs or
+    it does not, and novelty is metric-independent.  [L_Reg] is the sum
+    of the per-pair losses.  With one metric (the default) this is the
+    single-metric model bit for bit. *)
 
 module Dataset = Wayfinder_tensor.Dataset
 module Vec = Wayfinder_tensor.Vec
@@ -43,25 +51,26 @@ type config = {
 
 val default_config : config
 
-val validate_config : config -> unit
-(** @raise Invalid_argument on a malformed config (see {!create}). *)
-
 type t
 
-val create : ?config:config -> Rng.t -> in_dim:int -> t
-(** @raise Invalid_argument if [in_dim <= 0] or the config is malformed:
-    empty or non-positive [hidden] widths, [rbf_centroids <= 0], [dropout]
-    outside [0, 1), or a non-positive [learning_rate]. *)
+val create : ?config:config -> ?metrics:int -> Rng.t -> in_dim:int -> t
+(** [metrics] (default 1) is the number of regression pairs.
+    @raise Invalid_argument if [in_dim <= 0], [metrics < 1] or the config
+    is malformed: empty or non-positive [hidden] widths,
+    [rbf_centroids <= 0], [dropout] outside [0, 1), or a non-positive
+    [learning_rate]. *)
 
 val in_dim : t -> int
 
 type prediction = {
   crash_probability : float;  (** k̂ ∈ (0, 1). *)
-  performance : float;  (** ŷ, de-normalised to metric-score units. *)
-  normalized_performance : float;  (** ŷ in the model's z-score units —
-      the scale candidate ranking happens in. *)
-  aleatoric_std : float;  (** √exp(s) from the regression head, de-normalised. *)
-  uncertainty : float;  (** σ̂ ∈ \[0, 1\] from the RBF branch. *)
+  performances : float array;  (** ŷ per metric, de-normalised to
+      metric-score units. *)
+  normalized_performances : float array;  (** ŷ per metric in the model's
+      z-score units — the scale candidate ranking happens in. *)
+  aleatoric_stds : float array;  (** √exp(s) per metric from the
+      regression head, de-normalised. *)
+  uncertainty : float;  (** σ̂ ∈ \[0, 1\] from the RBF branch, shared. *)
 }
 
 val predict : t -> Vec.t -> prediction
@@ -88,7 +97,9 @@ val train :
     loss components [L = L_CCE + L_Reg + L_Cham]; [on_epoch] (1-based) is
     called with each epoch's mean losses as they complete — the
     observability layer streams them as [deeptune.loss.*] samples.  Empty
-    datasets are a no-op returning zeros. *)
+    datasets are a no-op returning zeros.
+    @raise Invalid_argument when the dataset's {!Dataset.target_dim} is
+    not the model's [metrics]. *)
 
 (** {1 Evaluation (Table 3)} *)
 
@@ -101,7 +112,7 @@ type accuracy = {
 val evaluate : ?crash_threshold:float -> t -> Dataset.t -> accuracy
 (** [crash_threshold] (default 0.3): predict "crash" when [k̂] exceeds it.
     The low threshold reflects the paper's use of the model (§4.3: failure
-    accuracy is trusted, run accuracy is not). *)
+    accuracy is trusted, run accuracy is not).  The MAE reads metric 0. *)
 
 (** {1 Model introspection (§4.1 High-Impact parameters)} *)
 
@@ -109,15 +120,20 @@ val feature_sensitivity : t -> Dataset.t -> float array
 (** Signed per-feature impact on predicted performance: the change in [ŷ]
     when feature [j] moves from its observed 10th to its 90th percentile,
     averaged over the dataset rows.  Positive = raising the feature raises
-    predicted performance. *)
+    predicted performance.  Reads metric 0. *)
 
 (** {1 Transfer learning (§3.3)} *)
 
 type snapshot
 
 val export : t -> snapshot
+(** Weights, RBF centroids and the normaliser, laid out as
+    [means @ stds @ t_means @ t_stds] — a one-metric snapshot has the
+    single-metric layout. *)
+
 val import : t -> snapshot -> unit
-(** @raise Invalid_argument on architecture mismatch. *)
+(** @raise Invalid_argument on architecture mismatch, including a
+    snapshot of a model with a different number of metrics. *)
 
 val snapshot_to_floats : snapshot -> float array
 val snapshot_of_floats : float array -> snapshot

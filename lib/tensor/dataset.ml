@@ -1,12 +1,20 @@
-type row = { features : Vec.t; target : float; crashed : bool }
+type row = { features : Vec.t; targets : float array; crashed : bool }
 
 type t = { mutable data : row list; mutable count : int }
 
 let create () = { data = []; count = 0 }
 
-let add t features ~target ~crashed =
-  t.data <- { features; target; crashed } :: t.data;
+let add_targets t features ~targets ~crashed =
+  let k = Array.length targets in
+  if k = 0 then invalid_arg "Dataset.add_targets: no targets";
+  (match t.data with
+  | r :: _ when Array.length r.targets <> k ->
+    invalid_arg "Dataset.add_targets: target count differs from earlier rows"
+  | _ :: _ | [] -> ());
+  t.data <- { features; targets; crashed } :: t.data;
   t.count <- t.count + 1
+
+let add t features ~target ~crashed = add_targets t features ~targets:[| target |] ~crashed
 
 let size t = t.count
 
@@ -22,7 +30,15 @@ let row t i = (rows t).(i)
 let feature_dim t =
   match t.data with [] -> 0 | r :: _ -> Vec.dim r.features
 
-type normalizer = { means : Vec.t; stds : Vec.t; t_mean : float; t_std : float }
+let target_dim t =
+  match t.data with [] -> 0 | r :: _ -> Array.length r.targets
+
+type normalizer = {
+  means : Vec.t;
+  stds : Vec.t;
+  t_means : float array;
+  t_stds : float array;
+}
 
 let fit_normalizer t =
   if t.count = 0 then invalid_arg "Dataset.fit_normalizer: empty dataset";
@@ -35,20 +51,23 @@ let fit_normalizer t =
     means.(j) <- m;
     stds.(j) <- s
   done;
-  let ok_targets =
-    Array.of_list (List.filter_map (fun r -> if r.crashed then None else Some r.target) (Array.to_list all))
-  in
-  let t_mean, t_std =
-    if Array.length ok_targets = 0 then (0., 1.) else Stat.zscore_params ok_targets
-  in
-  { means; stds; t_mean; t_std }
+  let ok = List.filter (fun r -> not r.crashed) (Array.to_list all) in
+  let k = Array.length all.(0).targets in
+  let t_means = Array.make k 0. and t_stds = Array.make k 1. in
+  if ok <> [] then
+    for m = 0 to k - 1 do
+      let mean, std = Stat.zscore_params (Array.of_list (List.map (fun r -> r.targets.(m)) ok)) in
+      t_means.(m) <- mean;
+      t_stds.(m) <- std
+    done;
+  { means; stds; t_means; t_stds }
 
 let normalize_features nz v =
   Array.mapi (fun j x -> Stat.zscore ~mean:nz.means.(j) ~std:nz.stds.(j) x) v
 
-let normalize_target nz y = Stat.zscore ~mean:nz.t_mean ~std:nz.t_std y
-let denormalize_target nz y = (y *. nz.t_std) +. nz.t_mean
-let denormalize_std nz s = s *. nz.t_std
+let normalize_target nz ~metric y = Stat.zscore ~mean:nz.t_means.(metric) ~std:nz.t_stds.(metric) y
+let denormalize_target nz ~metric y = (y *. nz.t_stds.(metric)) +. nz.t_means.(metric)
+let denormalize_std nz ~metric s = s *. nz.t_stds.(metric)
 
 let batches t rng ~batch_size =
   if batch_size <= 0 then invalid_arg "Dataset.batches: batch_size must be positive";
@@ -72,6 +91,6 @@ let split t rng ~train_fraction =
   Array.iteri
     (fun i r ->
       let dst = if i < n_train then train else test in
-      add dst r.features ~target:r.target ~crashed:r.crashed)
+      add_targets dst r.features ~targets:r.targets ~crashed:r.crashed)
     all;
   (train, test)

@@ -291,21 +291,16 @@ let trace_target ?(spec = scenario_spec)
           run_s = 0.;
           objectives = [||] })
 
-(* "deeptune-multi" joins the registry for scenario runs only: the
-   adapter needs the objective spec. *)
+(* "deeptune-multi" joins the registry for scenario runs only: DeepTune
+   with one regression pair per objective needs the objective spec. *)
 let scenario_names = names @ [ "deeptune-multi" ]
 
 let scenario_algorithm name ~seed ~spec space =
   if name = "deeptune-multi" then
-    D.Multi_objective.algorithm
-      ~options:deeptune_options ~seed
-      ~objectives:
-        (Array.to_list
-           (Array.map
-              (fun (m : Metric.t) ->
-                { D.Multi_objective.label = m.Metric.metric_name; weight = 1. })
-              spec))
-      ~spec space
+    D.Deeptune.algorithm
+      (D.Deeptune.create ~options:deeptune_options ~seed
+         ~objectives:{ D.Deeptune.spec; weights = Array.make (Array.length spec) 1. }
+         space)
   else algorithm name ~seed space
 
 let run_scenario ?(engine = `Workers 1) ?batch ?(seed = 7)

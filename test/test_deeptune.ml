@@ -118,7 +118,8 @@ let test_dtm_predict_batch_matches_predict () =
       let b = batch.(i) in
       Alcotest.(check (float 0.)) "crash bitwise" p.Dtm.crash_probability
         b.Dtm.crash_probability;
-      Alcotest.(check (float 0.)) "performance bitwise" p.Dtm.performance b.Dtm.performance;
+      Alcotest.(check (array (float 0.))) "performance bitwise" p.Dtm.performances
+        b.Dtm.performances;
       Alcotest.(check (float 0.)) "uncertainty bitwise" p.Dtm.uncertainty b.Dtm.uncertainty)
     xs;
   Alcotest.(check bool) "dimension mismatch rejected" true
@@ -154,8 +155,8 @@ let test_dtm_learns_crash_boundary () =
 
 let test_dtm_learns_performance () =
   let dtm, _ = trained_dtm () in
-  let perf_high = (Dtm.predict dtm [| 0.2; 0.9 |]).Dtm.performance in
-  let perf_low = (Dtm.predict dtm [| 0.2; 0.1 |]).Dtm.performance in
+  let perf_high = (Dtm.predict dtm [| 0.2; 0.9 |]).Dtm.performances.(0) in
+  let perf_low = (Dtm.predict dtm [| 0.2; 0.1 |]).Dtm.performances.(0) in
   Alcotest.(check bool) "predicts ordering" true (perf_high > perf_low +. 1.);
   Alcotest.(check bool) "roughly calibrated" true
     (abs_float (perf_high -. 2.7) < 0.6 && abs_float (perf_low -. 0.3) < 0.6)
@@ -221,13 +222,14 @@ let test_dtm_snapshot_roundtrip () =
   let a = Dtm.predict dtm x and b = Dtm.predict clone x in
   Alcotest.(check (float 1e-9)) "same crash prediction" a.Dtm.crash_probability
     b.Dtm.crash_probability;
-  Alcotest.(check (float 1e-9)) "same performance" a.Dtm.performance b.Dtm.performance;
+  Alcotest.(check (float 1e-9)) "same performance" a.Dtm.performances.(0)
+    b.Dtm.performances.(0);
   (* Flat serialization roundtrip. *)
   let snap2 = Dtm.snapshot_of_floats (Dtm.snapshot_to_floats snap) in
   let clone2 = Dtm.create (T.Rng.create 8) ~in_dim:2 in
   Dtm.import clone2 snap2;
-  Alcotest.(check (float 1e-9)) "flat roundtrip" a.Dtm.performance
-    (Dtm.predict clone2 x).Dtm.performance
+  Alcotest.(check (float 1e-9)) "flat roundtrip" a.Dtm.performances.(0)
+    (Dtm.predict clone2 x).Dtm.performances.(0)
 
 let test_dtm_import_rejects_mismatch () =
   let dtm, _ = trained_dtm () in
@@ -244,115 +246,172 @@ let test_dtm_import_rejects_mismatch () =
 (* ------------------------------------------------------------------ *)
 
 let multi_prediction ?(crash = 0.1) ?(unc = 0.2) perfs =
-  { Dtm_multi.crash_probability = crash;
+  { Dtm.crash_probability = crash;
     performances = perfs;
     normalized_performances = perfs;
+    aleatoric_stds = Array.map (fun _ -> 1.) perfs;
     uncertainty = unc }
 
+let bare_options = { Deeptune.default_options with exploration_weight = 0.; crash_penalty = 0. }
+
 let test_multi_rank_weighted_average () =
-  let objectives =
-    [ { Multi_objective.label = "a"; weight = 3. }; { Multi_objective.label = "b"; weight = 1. } ]
-  in
+  (* Weights 3:1, as [Deeptune.create] normalises them. *)
   let r perfs =
-    Multi_objective.rank ~exploration_weight:0. ~crash_penalty:0. ~objectives
-      ~prediction:(multi_prediction perfs) ~dissimilarity:0. ()
+    Deeptune.rank bare_options ~weights:[| 0.75; 0.25 |] ~dissimilarity:0.
+      (multi_prediction perfs)
   in
-  (* weights normalise to 0.75/0.25 *)
   Alcotest.(check (float 1e-9)) "weighted" ((0.75 *. 2.) +. (0.25 *. -1.)) (r [| 2.; -1. |]);
-  Alcotest.(check bool) "dominant metric dominates" true (r [| 1.; 0. |] > r [| 0.; 1. |])
+  Alcotest.(check bool) "dominant metric dominates" true (r [| 1.; 0. |] > r [| 0.; 1. |]);
+  (* One metric at weight 1: the single-metric rank, bit for bit. *)
+  let options = { Deeptune.default_options with exploration_weight = 0.7 } in
+  let p = multi_prediction ~crash:0.3 ~unc:0.4 [| 0.1 |] in
+  let bonus = Scoring.score ~alpha:options.alpha ~dissimilarity:0.6 ~uncertainty:0.4 () in
+  Alcotest.(check (float 0.)) "k = 1 is the single-metric expression"
+    (0.1 +. (0.7 *. bonus) -. (options.crash_penalty *. 0.3))
+    (Deeptune.rank options ~weights:[| 1. |] ~dissimilarity:0.6 p)
 
 let test_multi_rank_crash_penalty () =
-  let objectives = [ { Multi_objective.label = "a"; weight = 1. } ] in
   let r crash =
-    Multi_objective.rank ~exploration_weight:0. ~crash_penalty:2. ~objectives
-      ~prediction:(multi_prediction ~crash [| 1. |]) ~dissimilarity:0. ()
+    Deeptune.rank { bare_options with crash_penalty = 2. } ~weights:[| 1. |] ~dissimilarity:0.
+      (multi_prediction ~crash [| 1. |])
   in
   Alcotest.(check bool) "crashier ranks lower" true (r 0.9 < r 0.1)
 
+let two_metrics = [| P.Metric.throughput; P.Metric.memory_mb |]
+
 let test_multi_rank_validation () =
-  Alcotest.(check bool) "count mismatch rejected" true
+  let tiny = CS.Space.create [ CS.Param.int_param "x" ~lo:0 ~hi:10 ~default:5 ] in
+  let rejects name spec weights =
+    Alcotest.(check bool) name true
+      (try
+         ignore (Deeptune.create ~objectives:{ Deeptune.spec; weights } tiny);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "count mismatch rejected" two_metrics [| 1. |];
+  rejects "zero weights rejected" two_metrics [| 0.; 0. |];
+  rejects "negative sum rejected" two_metrics [| 1.; -2. |];
+  rejects "one objective rejected" [| P.Metric.throughput |] [| 1. |];
+  ignore (Deeptune.create ~objectives:{ Deeptune.spec = two_metrics; weights = [| 3.; 1. |] } tiny);
+  Alcotest.(check bool) "rank rejects a weight/metric mismatch" true
     (try
-       ignore
-         (Multi_objective.rank
-            ~objectives:[ { Multi_objective.label = "a"; weight = 1. } ]
-            ~prediction:(multi_prediction [| 1.; 2. |])
-            ~dissimilarity:0. ());
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "zero weights rejected" true
-    (try
-       ignore
-         (Multi_objective.rank
-            ~objectives:[ { Multi_objective.label = "a"; weight = 0. } ]
-            ~prediction:(multi_prediction [| 1. |])
-            ~dissimilarity:0. ());
+       ignore (Deeptune.rank bare_options ~weights:[| 1. |] ~dissimilarity:0.
+                 (multi_prediction [| 1.; 2. |]));
        false
      with Invalid_argument _ -> true)
 
 let test_dtm_multi_learns_two_targets () =
   (* target 0 = 3*x0, target 1 = -2*x1; crash iff x2 > 0.8. *)
   let rng = T.Rng.create 5 in
-  let m = Dtm_multi.create (T.Rng.create 6) ~in_dim:3 ~n_metrics:2 in
+  let ds = T.Dataset.create () in
   for _ = 1 to 300 do
     let x = Array.init 3 (fun _ -> T.Rng.float rng 1.0) in
     let crashed = x.(2) > 0.8 in
-    Dtm_multi.add m
-      { Dtm_multi.features = x; targets = [| 3. *. x.(0); -2. *. x.(1) |]; crashed }
+    T.Dataset.add_targets ds x ~targets:[| 3. *. x.(0); -2. *. x.(1) |] ~crashed
   done;
-  Dtm_multi.train m ~epochs:250 ();
-  let p = Dtm_multi.predict m [| 0.9; 0.1; 0.2 |] in
-  let q = Dtm_multi.predict m [| 0.1; 0.9; 0.2 |] in
+  let m = Dtm.create ~metrics:2 (T.Rng.create 6) ~in_dim:3 in
+  ignore (Dtm.train m ~epochs:250 ds);
+  let p = Dtm.predict m [| 0.9; 0.1; 0.2 |] in
+  let q = Dtm.predict m [| 0.1; 0.9; 0.2 |] in
   Alcotest.(check bool) "metric 0 tracks x0" true
-    (p.Dtm_multi.performances.(0) > q.Dtm_multi.performances.(0) +. 0.8);
+    (p.Dtm.performances.(0) > q.Dtm.performances.(0) +. 0.8);
   Alcotest.(check bool) "metric 1 tracks -x1" true
-    (p.Dtm_multi.performances.(1) > q.Dtm_multi.performances.(1) +. 0.5);
-  let crashy = Dtm_multi.predict m [| 0.5; 0.5; 0.95 |] in
-  let safe = Dtm_multi.predict m [| 0.5; 0.5; 0.2 |] in
+    (p.Dtm.performances.(1) > q.Dtm.performances.(1) +. 0.5);
+  let crashy = Dtm.predict m [| 0.5; 0.5; 0.95 |] in
+  let safe = Dtm.predict m [| 0.5; 0.5; 0.2 |] in
   Alcotest.(check bool)
-    (Printf.sprintf "shared crash head separates (%.2f vs %.2f)"
-       crashy.Dtm_multi.crash_probability safe.Dtm_multi.crash_probability)
+    (Printf.sprintf "shared crash head separates (%.2f vs %.2f)" crashy.Dtm.crash_probability
+       safe.Dtm.crash_probability)
     true
-    (crashy.Dtm_multi.crash_probability > safe.Dtm_multi.crash_probability +. 0.08)
+    (crashy.Dtm.crash_probability > safe.Dtm.crash_probability +. 0.08)
 
 let test_dtm_multi_validation () =
-  Alcotest.(check bool) "n_metrics >= 1" true
-    (try
-       ignore (Dtm_multi.create (T.Rng.create 1) ~in_dim:2 ~n_metrics:0);
-       false
-     with Invalid_argument _ -> true);
-  let m = Dtm_multi.create (T.Rng.create 1) ~in_dim:2 ~n_metrics:2 in
-  Alcotest.(check bool) "bad feature dim" true
-    (try
-       Dtm_multi.add m { Dtm_multi.features = [| 1. |]; targets = [| 1.; 2. |]; crashed = false };
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad target count" true
-    (try
-       Dtm_multi.add m { Dtm_multi.features = [| 1.; 2. |]; targets = [| 1. |]; crashed = false };
-       false
-     with Invalid_argument _ -> true)
+  let rejects name f =
+    Alcotest.(check bool) name true (try f (); false with Invalid_argument _ -> true)
+  in
+  rejects "metrics >= 1" (fun () -> ignore (Dtm.create ~metrics:0 (T.Rng.create 1) ~in_dim:2));
+  let m = Dtm.create ~metrics:2 (T.Rng.create 1) ~in_dim:2 in
+  rejects "bad feature dim" (fun () -> ignore (Dtm.predict m [| 1. |]));
+  let ds = T.Dataset.create () in
+  T.Dataset.add_targets ds [| 1.; 2. |] ~targets:[| 1.; 2. |] ~crashed:false;
+  rejects "bad target count" (fun () ->
+      T.Dataset.add_targets ds [| 1.; 2. |] ~targets:[| 1. |] ~crashed:false);
+  let one = T.Dataset.create () in
+  T.Dataset.add one [| 1.; 2. |] ~target:1. ~crashed:false;
+  rejects "train rejects a dataset with fewer targets" (fun () -> ignore (Dtm.train m one));
+  rejects "train rejects a dataset with more targets" (fun () ->
+      ignore (Dtm.train (Dtm.create (T.Rng.create 2) ~in_dim:2) ds));
+  ignore (Dtm.train m ds)
 
+(* A k = 3 model's snapshot: the flat codec round-trips bitwise, a fresh
+   k = 3 model predicts like the donor once imported, and imports across
+   k fail the size check. *)
+let test_dtm_multi_snapshot () =
+  let rng = T.Rng.create 4 in
+  let ds = T.Dataset.create () in
+  for _ = 1 to 40 do
+    let x = [| T.Rng.float rng 1.0; T.Rng.float rng 1.0 |] in
+    T.Dataset.add_targets ds x ~targets:[| x.(0); -.x.(1); x.(0) *. x.(1) |]
+      ~crashed:(T.Rng.bernoulli rng 0.2)
+  done;
+  let m = Dtm.create ~metrics:3 (T.Rng.create 5) ~in_dim:2 in
+  ignore (Dtm.train m ~epochs:3 ds);
+  let bits a = Array.map Int64.bits_of_float a in
+  let flat = Dtm.snapshot_to_floats (Dtm.export m) in
+  Alcotest.(check bool) "flat codec round-trips bitwise" true
+    (bits flat = bits (Dtm.snapshot_to_floats (Dtm.snapshot_of_floats flat)));
+  let clone = Dtm.create ~metrics:3 (T.Rng.create 6) ~in_dim:2 in
+  Dtm.import clone (Dtm.snapshot_of_floats flat);
+  let x = [| 0.3; 0.8 |] in
+  let a = Dtm.predict m x and b = Dtm.predict clone x in
+  Alcotest.(check bool) "imported model predicts bitwise" true
+    (bits a.Dtm.performances = bits b.Dtm.performances
+    && bits a.Dtm.aleatoric_stds = bits b.Dtm.aleatoric_stds
+    && Int64.bits_of_float a.Dtm.crash_probability = Int64.bits_of_float b.Dtm.crash_probability);
+  let rejects name f =
+    Alcotest.(check bool) name true (try f (); false with Invalid_argument _ -> true)
+  in
+  rejects "k = 3 snapshot into a k = 1 model" (fun () ->
+      Dtm.import (Dtm.create (T.Rng.create 7) ~in_dim:2) (Dtm.snapshot_of_floats flat));
+  rejects "k = 1 snapshot into a k = 3 model" (fun () ->
+      Dtm.import
+        (Dtm.create ~metrics:3 (T.Rng.create 8) ~in_dim:2)
+        (Dtm.export (Dtm.create (T.Rng.create 9) ~in_dim:2)))
+
+(* Two conflicting objectives over one integer parameter, both maximized:
+   f0 = x, f1 = -x.  The target's scalar is the weighted sum with the
+   searcher's own weights, so the weighting decides where the search
+   settles. *)
 let test_multi_proposer_respects_weights () =
-  (* Conflicting objectives over one integer parameter: f0 rises with x,
-     f1 falls with x.  The weighting decides where the search settles. *)
-  let space =
-    CS.Space.create [ CS.Param.int_param "x" ~lo:0 ~hi:100 ~default:50 ]
+  let space = CS.Space.create [ CS.Param.int_param "x" ~lo:0 ~hi:100 ~default:50 ] in
+  let spec =
+    [| P.Metric.make ~name:"up" ~unit_name:"u" (); P.Metric.make ~name:"down" ~unit_name:"u" () |]
   in
   let run weight_up =
-    let objectives =
-      [ { Multi_objective.label = "up"; weight = weight_up };
-        { Multi_objective.label = "down"; weight = 1. -. weight_up } ]
+    let weights = [| weight_up; 1. -. weight_up |] in
+    let scalarize = P.Scalarize.Weighted_sum weights in
+    let target =
+      P.Target.make ~name:"up-down" ~space
+        ~metric:(P.Metric.make ~name:"score" ~unit_name:"score" ())
+        ~objective_spec:spec
+        (fun ~trial:_ config ->
+          let x = match config.(0) with CS.Param.Vint v -> float_of_int v | _ -> 0. in
+          let vec = [| x; -.x |] in
+          { P.Target.value = Ok (P.Scalarize.apply scalarize ~spec vec);
+            build_s = 1.;
+            boot_s = 1.;
+            run_s = 1.;
+            objectives = vec })
     in
     let options = { Deeptune.default_options with warmup = 8 } in
-    let p = Multi_objective.proposer ~options ~seed:7 ~objectives space in
-    for _ = 1 to 60 do
-      let config = Multi_objective.propose p in
-      let x = match config.(0) with CS.Param.Vint v -> float_of_int v | _ -> 0. in
-      Multi_objective.observe p config (Ok [| x; -.x |])
-    done;
-    match Multi_objective.best p with
-    | Some (config, _) -> (
-      match config.(0) with CS.Param.Vint v -> v | _ -> Alcotest.fail "int expected")
+    let dt = Deeptune.create ~options ~seed:7 ~objectives:{ Deeptune.spec; weights } space in
+    let r =
+      P.Driver.run ~seed:7 ~target ~algorithm:(Deeptune.algorithm dt)
+        ~budget:(P.Driver.Iterations 60) ()
+    in
+    match r.P.Driver.best with
+    | Some e -> (
+      match e.P.History.config.(0) with CS.Param.Vint v -> v | _ -> Alcotest.fail "int expected")
     | None -> Alcotest.fail "no best"
   in
   let favour_up = run 0.95 and favour_down = run 0.05 in
@@ -360,6 +419,90 @@ let test_multi_proposer_respects_weights () =
     (Printf.sprintf "weights steer the optimum (%d vs %d)" favour_up favour_down)
     true
     (favour_up > favour_down + 20)
+
+(* The transient rule at any k: a transient failure (a flaky build, a
+   spurious run) says nothing about the configuration, so it adds no
+   training row and only bumps [deeptune.transient_skipped]; a
+   configuration-caused crash adds a crashed row (no incumbent).  A
+   success trains on its score-space targets: the scalar score at k = 1,
+   [Objective.scores] of its vector at k > 1, which the fitted target
+   means in the model's snapshot show. *)
+let observe_rule ?objectives () =
+  let tiny = CS.Space.create [ CS.Param.int_param "x" ~lo:0 ~hi:10 ~default:5 ] in
+  let dt = Deeptune.create ?objectives tiny in
+  let algo = Deeptune.algorithm dt in
+  let obs = Wayfinder_obs.Recorder.null () in
+  let ctx =
+    { P.Search_algorithm.space = tiny;
+      metric = P.Metric.throughput;
+      history = P.History.create P.Metric.throughput;
+      rng = T.Rng.create 1;
+      obs }
+  in
+  let k = match objectives with Some o -> Array.length o.Deeptune.spec | None -> 1 in
+  let entry index ?value ?objectives failure =
+    { P.History.index;
+      config = [| CS.Param.Vint index |];
+      value;
+      failure;
+      at_seconds = 0.;
+      eval_seconds = 0.;
+      built = true;
+      decide_seconds = 0.;
+      objectives }
+  in
+  let skipped () =
+    Wayfinder_obs.Metrics.counter (Wayfinder_obs.Recorder.snapshot obs)
+      "deeptune.transient_skipped"
+  in
+  let incumbents () = List.length (Deeptune.export dt).Deeptune.incumbents in
+  algo.P.Search_algorithm.observe ctx (entry 0 (Some P.Failure.Spurious_failure));
+  Alcotest.(check int) "transient adds no row" 0 (Deeptune.observations dt);
+  Alcotest.(check (float 0.)) "transient counted" 1. (skipped ());
+  algo.P.Search_algorithm.observe ctx (entry 1 (Some P.Failure.Runtime_crash));
+  Alcotest.(check int) "crash adds a row" 1 (Deeptune.observations dt);
+  Alcotest.(check int) "crash is no incumbent" 0 (incumbents ());
+  Alcotest.(check (float 0.)) "crash not counted as transient" 1. (skipped ());
+  algo.P.Search_algorithm.observe ctx
+    (entry 2 ~value:5. ~objectives:(Array.make k 5.) None);
+  Alcotest.(check int) "success adds a row" 2 (Deeptune.observations dt);
+  Alcotest.(check int) "success is an incumbent" 1 (incumbents ());
+  if k > 1 then begin
+    algo.P.Search_algorithm.observe ctx (entry 3 ~value:5. None);
+    Alcotest.(check int) "success without a vector adds no row" 2 (Deeptune.observations dt)
+  end;
+  (* Two more successes make four rows, so the model trains and fits its
+     target statistics on the three successes. *)
+  algo.P.Search_algorithm.observe ctx
+    (entry 4 ~value:7. ~objectives:(Array.init k (fun m -> [| 7.; 3.; 1. |].(m))) None);
+  algo.P.Search_algorithm.observe ctx
+    (entry 5 ~value:9. ~objectives:(Array.init k (fun m -> [| 9.; 1.; 3. |].(m))) None);
+  Alcotest.(check int) "four rows" 4 (Deeptune.observations dt);
+  let flat = Dtm.snapshot_to_floats (Dtm.export (Deeptune.dtm dt)) in
+  let t_means = Array.sub flat (Array.length flat - (2 * k)) k in
+  let want = Array.sub [| 7.; -3.; -3. |] 0 k in
+  Alcotest.(check (array (float 1e-12))) "targets in score space" want t_means;
+  (* The belief: crash probability and uncertainty at any k, a predicted
+     metric value only at k = 1. *)
+  match algo.P.Search_algorithm.predict with
+  | None -> Alcotest.fail "deeptune states no belief"
+  | Some predict ->
+    let b = predict ctx [| CS.Param.Vint 6 |] in
+    Alcotest.(check bool) "belief has a crash probability" true
+      (b.P.Search_algorithm.crash_probability <> None);
+    Alcotest.(check bool) "belief has an uncertainty" true
+      (b.P.Search_algorithm.predicted_uncertainty <> None);
+    Alcotest.(check bool) "belief has a value only at k = 1" (k = 1)
+      (b.P.Search_algorithm.predicted_value <> None)
+
+let test_transient_rule_single () = observe_rule ()
+
+let test_transient_rule_three () =
+  observe_rule
+    ~objectives:
+      { Deeptune.spec = [| P.Metric.throughput; P.Metric.latency_us; P.Metric.memory_mb |];
+        weights = [| 1.; 1.; 1. |] }
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* DeepTune search on SimLinux                                         *)
@@ -550,8 +693,9 @@ let test_golden_dtm () =
            String.concat " "
              ("p"
              :: List.map hex
-                  [ p.Dtm.crash_probability; p.Dtm.performance; p.Dtm.normalized_performance;
-                    p.Dtm.aleatoric_std; p.Dtm.uncertainty ]))
+                  [ p.Dtm.crash_probability; p.Dtm.performances.(0);
+                    p.Dtm.normalized_performances.(0); p.Dtm.aleatoric_stds.(0);
+                    p.Dtm.uncertainty ]))
          (Dtm.predict_batch dtm (fixture_rows (T.Rng.create 13) encoding 37)))
   in
   let impacts =
@@ -591,7 +735,10 @@ let () =
           Alcotest.test_case "rank validation" `Quick test_multi_rank_validation;
           Alcotest.test_case "dtm learns two targets" `Quick test_dtm_multi_learns_two_targets;
           Alcotest.test_case "dtm validation" `Quick test_dtm_multi_validation;
-          Alcotest.test_case "proposer respects weights" `Quick test_multi_proposer_respects_weights ] );
+          Alcotest.test_case "dtm snapshot at k = 3" `Quick test_dtm_multi_snapshot;
+          Alcotest.test_case "proposer respects weights" `Quick test_multi_proposer_respects_weights;
+          Alcotest.test_case "transient rule at k = 1" `Quick test_transient_rule_single;
+          Alcotest.test_case "transient rule at k = 3" `Quick test_transient_rule_three ] );
       ( "search",
         [ Alcotest.test_case "beats random" `Slow test_deeptune_beats_random;
           Alcotest.test_case "crash rate declines" `Slow test_deeptune_crash_rate_declines;

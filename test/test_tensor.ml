@@ -302,7 +302,7 @@ let test_dataset_roundtrip () =
   Alcotest.(check int) "size" 3 (Dataset.size d);
   Alcotest.(check int) "feature_dim" 2 (Dataset.feature_dim d);
   let r0 = Dataset.row d 0 in
-  check_float "insertion order preserved" 10. r0.Dataset.target;
+  check_float "insertion order preserved" 10. r0.Dataset.targets.(0);
   Alcotest.(check bool) "crash flag" true (Dataset.row d 1).Dataset.crashed
 
 let test_dataset_normalizer () =
@@ -312,13 +312,39 @@ let test_dataset_normalizer () =
   Dataset.add d [| 20.; 200. |] ~target:999. ~crashed:true;
   let nz = Dataset.fit_normalizer d in
   (* Target stats use only the two non-crashed rows. *)
-  check_float "t_mean" 20. nz.Dataset.t_mean;
-  check_float "t_std" 10. nz.Dataset.t_std;
+  check_float "t_mean" 20. nz.Dataset.t_means.(0);
+  check_float "t_std" 10. nz.Dataset.t_stds.(0);
   let v = Dataset.normalize_features nz [| 10.; 200. |] in
   check_float "feature 0 centered" 0. v.(0);
   check_float "feature 1 centered" 0. v.(1);
   check_float "target roundtrip" 42.
-    (Dataset.denormalize_target nz (Dataset.normalize_target nz 42.))
+    (Dataset.denormalize_target nz ~metric:0 (Dataset.normalize_target nz ~metric:0 42.))
+
+let test_dataset_k_targets () =
+  let d = Dataset.create () in
+  Dataset.add_targets d [| 0. |] ~targets:[| 10.; -1. |] ~crashed:false;
+  Dataset.add_targets d [| 1. |] ~targets:[| 30.; -5. |] ~crashed:false;
+  Dataset.add_targets d [| 2. |] ~targets:[| 0.; 0. |] ~crashed:true;
+  Alcotest.(check int) "target_dim" 2 (Dataset.target_dim d);
+  let nz = Dataset.fit_normalizer d in
+  check_float "metric 0 mean" 20. nz.Dataset.t_means.(0);
+  check_float "metric 1 mean" (-3.) nz.Dataset.t_means.(1);
+  check_float "metric 1 std" 2. nz.Dataset.t_stds.(1);
+  check_float "metric 1 roundtrip" 7.
+    (Dataset.denormalize_target nz ~metric:1 (Dataset.normalize_target nz ~metric:1 7.));
+  let rejects name f =
+    Alcotest.(check bool) name true (try f (); false with Invalid_argument _ -> true)
+  in
+  rejects "one-target row after two-target rows" (fun () ->
+      Dataset.add d [| 3. |] ~target:1. ~crashed:false);
+  rejects "three-target row after two-target rows" (fun () ->
+      Dataset.add_targets d [| 3. |] ~targets:[| 1.; 2.; 3. |] ~crashed:false);
+  rejects "no targets" (fun () ->
+      Dataset.add_targets (Dataset.create ()) [| 3. |] ~targets:[||] ~crashed:false);
+  Alcotest.(check int) "rejected rows not added" 3 (Dataset.size d);
+  let train, test = Dataset.split d (Rng.create 3) ~train_fraction:0.5 in
+  Alcotest.(check int) "split keeps the target count" 2
+    (max (Dataset.target_dim train) (Dataset.target_dim test))
 
 let test_dataset_batches_cover () =
   let d = Dataset.create () in
@@ -330,7 +356,7 @@ let test_dataset_batches_cover () =
   let total = List.fold_left (fun acc b -> acc + Array.length b) 0 bs in
   Alcotest.(check int) "covers all rows" 25 total;
   let seen = Hashtbl.create 25 in
-  List.iter (fun b -> Array.iter (fun r -> Hashtbl.replace seen r.Dataset.target ()) b) bs;
+  List.iter (fun b -> Array.iter (fun r -> Hashtbl.replace seen r.Dataset.targets.(0) ()) b) bs;
   Alcotest.(check int) "each row once" 25 (Hashtbl.length seen)
 
 let test_dataset_split () =
@@ -642,5 +668,6 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_dataset_roundtrip;
           Alcotest.test_case "normalizer" `Quick test_dataset_normalizer;
           Alcotest.test_case "batches cover" `Quick test_dataset_batches_cover;
-          Alcotest.test_case "split" `Quick test_dataset_split ] );
+          Alcotest.test_case "split" `Quick test_dataset_split;
+          Alcotest.test_case "k targets" `Quick test_dataset_k_targets ] );
       ("properties", qcheck_cases) ]
