@@ -455,13 +455,53 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
               (if entry.P.History.built then "  [built]" else "")
           end
         in
+        let resilience =
+          policy_of_flags ~resilient ~retries ~build_timeout ~boot_timeout ~run_timeout
+            ~measure_repeats ~quarantine_after
+        in
+        let scenario = Option.map (fun (sc, _, _) -> sc) scenario_info in
+        (* Refuse what the driver would refuse before opening any output. *)
+        match
+          match progress_every with
+          | Some n when n <= 0 -> Error "--progress must be positive"
+          | Some _ | None -> (
+            try
+              let image_cache = Option.map P.Image_cache.capacity image_cache in
+              P.Driver.validate ~resilience ~checkpoint_every ~checkpoint_keep:keep_checkpoints
+                ?resume_from ~workers ?batch ?image_cache ?scenario ~budget ();
+              Ok image_cache
+            with Invalid_argument msg -> Error msg)
+        with
+        | Error e -> Error e
+        | Ok image_cache ->
+        (* A resumed run keeps the ledger rows its checkpoint covers. *)
+        match
+          let objectives = Option.map (fun (_, spec, _) -> Array.to_list spec) scenario_info in
+          let space = target.P.Target.space and metric = target.P.Target.metric in
+          try
+            match (ledger_path, resume_from) with
+            | None, _ -> Ok None
+            | Some path, None ->
+              Ok
+                (Some
+                   (A.Ledger.create_writer ~seed ?objectives ~algo:algorithm ~space ~metric path))
+            | Some path, Some ck ->
+              A.Ledger.reopen_writer ~seed ?objectives ~algo:algorithm ~space ~metric
+                ~entries:ck.P.Checkpoint.entries path
+              |> Result.map Option.some |> Result.map_error A.Ledger.error_to_string
+          with Sys_error msg -> Error ("ledger file: " ^ msg)
+        with
+        | Error e -> Error e
+        | Ok ledger_writer ->
         (* Observability: aggregate metrics always; stream the full JSONL
            event trace only when asked for. *)
         match
           try Ok (Option.map open_out trace_path)
           with Sys_error msg -> Error ("trace file: " ^ msg)
         with
-        | Error e -> Error e
+        | Error e ->
+          (match ledger_writer with Some w -> A.Ledger.close_writer w | None -> ());
+          Error e
         | Ok trace_channel ->
         let obs =
           Wayfinder_obs.Recorder.create
@@ -469,28 +509,6 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
               (Option.map (fun oc -> [ Wayfinder_obs.Sink.jsonl_channel oc ]) trace_channel)
             ()
         in
-        match
-          match progress_every with
-          | Some n when n <= 0 -> Error "--progress must be positive"
-          | _ -> (
-            try
-              Ok
-                (Option.map
-                   (fun path ->
-                     A.Ledger.create_writer ~seed
-                       ?objectives:
-                         (Option.map
-                            (fun (_, spec, _) -> Array.to_list spec)
-                            scenario_info)
-                       ~algo:algorithm ~space:target.P.Target.space
-                       ~metric:target.P.Target.metric path)
-                   ledger_path)
-            with Sys_error msg -> Error ("ledger file: " ^ msg))
-        with
-        | Error e ->
-          (match trace_channel with Some oc -> close_out oc | None -> ());
-          Error e
-        | Ok ledger_writer ->
         (* Streaming monitor state: one Live_series fed one row per record
            powers the progress line, the alert rules and the Prometheus
            export in O(1) per iteration — no history rescans on the hot
@@ -573,35 +591,29 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                          ~metric:target.P.Target.metric snap)
                   | Some _ | None -> ()))
         in
-        let resilience =
-          policy_of_flags ~resilient ~retries ~build_timeout ~boot_timeout ~run_timeout
-            ~measure_repeats ~quarantine_after
-        in
         (match resume_from with
         | Some ck ->
           Printf.printf "resuming from %s at iteration %d (t=%.0fs)\n%!"
             (Option.get checkpoint) ck.P.Checkpoint.iterations ck.P.Checkpoint.clock_seconds
         | None -> ());
-        (* --domains: spin up the pool for the run's duration; it is also
-           installed as the ambient default so the numeric kernels (DTM
-           training, candidate scoring) parallelize.  Results are
-           byte-for-byte identical to the unpooled run. *)
-        let run_with_pool f =
-          if domains <= 1 then f None
+        (* --domains: for the run's duration, install a pool of that many
+           domains as the ambient default, so the numeric kernels (DTM
+           training, candidate-pool scoring) run data-parallel.  Results
+           are byte-for-byte identical to the unpooled run. *)
+        let with_domains f =
+          if domains <= 1 then f ()
           else
-            let p = P.Domain_pool.create domains in
-            Fun.protect
-              ~finally:(fun () -> P.Domain_pool.shutdown p)
-              (fun () -> P.Domain_pool.with_default (Some p) (fun () -> f (Some p)))
+            let module Pool = Wayfinder_tensor.Domain_pool in
+            let p = Pool.create domains in
+            Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () ->
+                Pool.with_default (Some p) f)
         in
         match
-          run_with_pool (fun pool ->
+          with_domains (fun () ->
               P.Driver.run ~seed ~on_iteration:progress ?on_record ~obs ~resilience
                 ?checkpoint_path:checkpoint ~checkpoint_every ~checkpoint_keep:keep_checkpoints
-                ?resume_from ~workers ?batch
-                ?image_cache:(Option.map P.Image_cache.capacity image_cache) ?pool
-                ?scenario:(Option.map (fun (sc, _, _) -> sc) scenario_info) ~target
-                ~algorithm:algo ~budget ())
+                ?resume_from ~workers ?batch ?image_cache ?scenario ~target ~algorithm:algo
+                ~budget ())
         with
         | exception Invalid_argument msg ->
           (match trace_channel with Some oc -> close_out oc | None -> ());
@@ -1312,11 +1324,10 @@ let run_cmd =
     Arg.(
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Run the expensive computation on $(docv) OCaml domains (real CPU cores): each \
-                fill round's evaluations are speculatively computed in parallel, and the \
-                numeric kernels (DTM training, candidate-pool scoring) run data-parallel. \
-                Results are byte-for-byte identical to $(docv)=1 — domains buy wall-clock \
-                time, never a different answer.")
+          ~doc:"Run the numeric kernels (DTM training, candidate-pool scoring) data-parallel \
+                on $(docv) OCaml domains (real CPU cores); evaluations stay inline, in launch \
+                order. Results are byte-for-byte identical to $(docv)=1 — domains buy \
+                wall-clock time, never a different answer.")
   in
   let scenario =
     Arg.(

@@ -5,6 +5,7 @@ module Metric = Wayfinder_platform.Metric
 module Failure = Wayfinder_platform.Failure
 module Search_algorithm = Wayfinder_platform.Search_algorithm
 module Crc32 = Wayfinder_platform.Crc32
+module Durable = Wayfinder_platform.Durable
 module Obs = Wayfinder_obs
 
 (* ------------------------------------------------------------------ *)
@@ -158,17 +159,19 @@ let emit w s =
   output_string w.oc s;
   w.crc <- Crc32.update w.crc s
 
-let create_writer ?seed ?(objectives = []) ~algo ~space ~metric path =
-  let oc = open_out path in
-  let w = { oc; closed = false; crc = Crc32.init; rows = 0 } in
-  emit w (Obs.Sink.schema_header ~kind);
-  emit w "\n";
+(* The header and meta lines, newlines included. *)
+let head ?seed ?(objectives = []) ~algo ~space ~metric () =
   let params =
     Array.to_list
       (Array.map (fun (p : Param.t) -> (p.Param.name, p.Param.stage)) (Space.params space))
   in
-  emit w (Json.to_string (meta_json { algo; metric; seed; params; objectives }));
-  emit w "\n";
+  Obs.Sink.schema_header ~kind ^ "\n"
+  ^ Json.to_string (meta_json { algo; metric; seed; params; objectives })
+  ^ "\n"
+
+let create_writer ?seed ?objectives ~algo ~space ~metric path =
+  let w = { oc = open_out path; closed = false; crc = Crc32.init; rows = 0 } in
+  emit w (head ?seed ?objectives ~algo ~space ~metric ());
   w
 
 let record w (e : History.entry) belief =
@@ -535,3 +538,40 @@ let repair_string s =
     Json.to_string (fin_json ~rows:r.clean_prefix_rows ~crc:(Crc32.digest prefix))
   in
   Ok (prefix ^ fin ^ "\n", r)
+
+(* ------------------------------------------------------------------ *)
+(* Reopening for a resumed run                                         *)
+(* ------------------------------------------------------------------ *)
+
+let reopen_writer ?seed ?objectives ~algo ~space ~metric ~entries path =
+  let fail fmt = Printf.ksprintf (fun m -> Error (Malformed (path ^ ": " ^ m))) fmt in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error (Malformed msg)
+  | contents -> (
+    let k = List.length entries in
+    (* A kept row is the line its entry renders to with the file's own
+       decide_s and belief, the two fields a checkpoint cannot pin. *)
+    let rec keep pos i = function
+      | [] -> Ok pos
+      | (e : History.entry) :: rest -> (
+        let nl = Option.value (String.index_from_opt contents pos '\n') ~default:(-1) in
+        let line = if nl < 0 then "" else String.sub contents pos (nl - pos) in
+        match Result.bind (Json.parse line) parse_row with
+        | Error _ -> fail "holds %d complete rows but the checkpoint completed %d" i k
+        | Ok r ->
+          let want = { (row_of_entry e r.belief) with decide_seconds = r.decide_seconds } in
+          if line = Json.to_string (row_json want) then keep (nl + 1) (i + 1) rest
+          else fail "row %d is not the checkpoint's entry %d" (i + 1) e.History.index)
+    in
+    let head = head ?seed ?objectives ~algo ~space ~metric () in
+    let* pos =
+      if String.starts_with ~prefix:head contents then keep (String.length head) 0 entries
+      else fail "header or meta is not this run's (other algorithm, seed or space?)"
+    in
+    (* Later rows, a torn tail and the seal go in one atomic rewrite. *)
+    let prefix = String.sub contents 0 pos in
+    match if pos = String.length contents then Ok () else Durable.atomic_write ~path prefix with
+    | Error e -> fail "%s" (Durable.io_error_to_string e)
+    | Ok () ->
+      let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
+      Ok { oc; closed = false; crc = Crc32.update Crc32.init prefix; rows = k })

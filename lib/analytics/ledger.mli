@@ -108,6 +108,22 @@ val create_writer :
     [objectives] (default [[]]) declares the objective spec recorded in
     the meta line of a multi-objective run. *)
 
+val reopen_writer :
+  ?seed:int ->
+  ?objectives:Metric.t list ->
+  algo:string ->
+  space:Space.t ->
+  metric:Metric.t ->
+  entries:History.entry list ->
+  string ->
+  (writer, error) result
+(** Reopens the ledger of a run resumed from a checkpoint with these
+    completed [entries].  The header and meta must be the bytes
+    {!create_writer} writes for the same arguments, and the first rows
+    [entries] on every field but [decide_s] and [belief].  Those lines
+    are kept byte for byte, the rest (later rows, a torn tail, the seal)
+    dropped by one atomic rewrite.  On [Error] the file is untouched. *)
+
 val record : writer -> History.entry -> Search_algorithm.belief option -> unit
 (** Appends one iter line and flushes — a crashed run keeps every
     completed iteration.  The signature matches the driver's [?on_record]

@@ -3,7 +3,6 @@ module Param = Wayfinder_configspace.Param
 module Vclock = Wayfinder_simos.Vclock
 module Rng = Wayfinder_tensor.Rng
 module Stat = Wayfinder_tensor.Stat
-module Domain_pool = Wayfinder_tensor.Domain_pool
 module Obs = Wayfinder_obs
 
 type budget = Iterations of int | Virtual_seconds of float
@@ -577,6 +576,41 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
 (* The multi-worker discrete-event engine                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Every check [run] makes before it touches anything, so a caller can
+   refuse a run before opening its outputs. *)
+let validate ?clock ?(invalid_floor_s = default_invalid_floor_s)
+    ?(max_consecutive_invalid = default_max_consecutive_invalid) ?(resilience = Resilience.none)
+    ?(checkpoint_every = default_checkpoint_every) ?(checkpoint_keep = 1) ?resume_from
+    ?(workers = 1) ?batch ?image_cache ?scenario ~budget () =
+  if invalid_floor_s <= 0. then invalid_arg "Driver.run: invalid_floor_s must be positive";
+  if max_consecutive_invalid <= 0 then
+    invalid_arg "Driver.run: max_consecutive_invalid must be positive";
+  if checkpoint_every <= 0 then invalid_arg "Driver.run: checkpoint_every must be positive";
+  if checkpoint_keep < 1 then invalid_arg "Driver.run: checkpoint_keep must be >= 1";
+  if workers <= 0 then invalid_arg "Driver.run: workers must be positive";
+  if Option.value batch ~default:workers <= 0 then invalid_arg "Driver.run: batch must be positive";
+  Resilience.validate resilience;
+  match resume_from with
+  | None -> ()
+  | Some ck -> (
+    check_resume_budget budget ck;
+    let now = Vclock.now (Option.value clock ~default:(Vclock.create ())) in
+    if now <> ck.Checkpoint.budget_start_seconds then
+      invalid_arg
+        "Driver.run: resume requires a clock at the checkpoint's budget origin (pass a fresh \
+         clock)";
+    if ck.Checkpoint.workers <> workers then
+      invalid_arg "Driver.run: resume requires the same ~workers as the checkpointed run";
+    let cache_config = Option.value image_cache ~default:(Image_cache.capacity workers) in
+    if ck.Checkpoint.cache_capacity <> Image_cache.cap (Image_cache.create cache_config) then
+      invalid_arg "Driver.run: resume requires the same image-cache capacity as the checkpoint";
+    match (scenario, ck.Checkpoint.trace_cursor) with
+    | Some _, Some _ | None, None -> ()
+    | Some _, None ->
+      invalid_arg "Driver.run: checkpoint was written without a scenario; resume without one"
+    | None, Some _ ->
+      invalid_arg "Driver.run: checkpoint was written with a scenario; resume with the same one")
+
 (* [workers] virtual evaluation slots share one virtual clock.  A launch
    eagerly computes a task's whole outcome — evaluation is a pure
    function of (trial, configuration), so retries, timeouts,
@@ -597,16 +631,10 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
     ?(resilience = Resilience.none) ?checkpoint_path
     ?(checkpoint_every = default_checkpoint_every) ?(checkpoint_keep = 1) ?resume_from
     ?(workers = 1) ?batch
-    ?image_cache ?pool ?scenario ~target ~algorithm ~budget () =
-  if invalid_floor_s <= 0. then invalid_arg "Driver.run: invalid_floor_s must be positive";
-  if max_consecutive_invalid <= 0 then
-    invalid_arg "Driver.run: max_consecutive_invalid must be positive";
-  if checkpoint_every <= 0 then invalid_arg "Driver.run: checkpoint_every must be positive";
-  if checkpoint_keep < 1 then invalid_arg "Driver.run: checkpoint_keep must be >= 1";
-  if workers <= 0 then invalid_arg "Driver.run: workers must be positive";
+    ?image_cache ?scenario ~target ~algorithm ~budget () =
+  validate ?clock ~invalid_floor_s ~max_consecutive_invalid ~resilience ~checkpoint_every
+    ~checkpoint_keep ?resume_from ~workers ?batch ?image_cache ?scenario ~budget ();
   let batch = match batch with Some b -> b | None -> workers in
-  if batch <= 0 then invalid_arg "Driver.run: batch must be positive";
-  Resilience.validate resilience;
   let clock = match clock with Some c -> c | None -> Vclock.create () in
   let obs = match obs with Some o -> o | None -> Obs.Recorder.create () in
   Obs.Recorder.set_virtual_now obs (fun () -> Vclock.now clock);
@@ -695,15 +723,6 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
   (match resume_from with
   | None -> ()
   | Some ck ->
-    check_resume_budget budget ck;
-    if Vclock.now clock <> ck.Checkpoint.budget_start_seconds then
-      invalid_arg
-        "Driver.run: resume requires a clock at the checkpoint's budget origin (pass a fresh \
-         clock)";
-    if ck.Checkpoint.workers <> workers then
-      invalid_arg "Driver.run: resume requires the same ~workers as the checkpointed run";
-    if ck.Checkpoint.cache_capacity <> Image_cache.cap cache then
-      invalid_arg "Driver.run: resume requires the same image-cache capacity as the checkpoint";
     consecutive_invalid := ck.Checkpoint.consecutive_invalid;
     (* Cache mutations happen at launch time and replayed launches skip
        them, so the persisted state — contents and recency — is restored
@@ -715,11 +734,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
     archive := Pareto.of_list ~spec:target.Target.objective_spec ck.Checkpoint.pareto;
     (match (scenario, ck.Checkpoint.trace_cursor) with
     | Some sc, Some c -> Scenario.set_cursor sc c
-    | None, None -> ()
-    | Some _, None ->
-      invalid_arg "Driver.run: checkpoint was written without a scenario; resume without one"
-    | None, Some _ ->
-      invalid_arg "Driver.run: checkpoint was written with a scenario; resume with the same one");
+    | (Some _ | None), _ -> ());
     List.iter
       (fun (e : History.entry) -> Hashtbl.replace replay_entries e.History.index e)
       ck.Checkpoint.entries;
@@ -738,46 +753,6 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
           "Driver.run: resume replay left the RNG in a different state than the checkpoint"
       | Some _ | None -> ()
     end
-  in
-  (* ---------------- Speculative parallel prefetch ---------------- *)
-  (* With a domain pool, the first-attempt evaluation of every launch in a
-     batch is computed in parallel *before* the launches run, keyed by its
-     deterministic trial number; [call_target] then consumes the memoised
-     result.  Evaluation is a pure function of (trial, configuration), so
-     the memo is observably indistinguishable from evaluating inline —
-     retries and corroborating re-measurements use distinct trial numbers
-     and still evaluate inline, and a speculated result that a launch
-     never consumes (a config quarantined or negative-cached by an
-     *earlier* launch of the same batch) is simply dropped.  Nothing here
-     touches the recorder, the RNG or the clock, so pooled runs stay
-     byte-for-byte equal to sequential ones. *)
-  let prefetched : (int, Target.eval_result) Hashtbl.t = Hashtbl.create 64 in
-  let prefetch_batch pending =
-    match (pool, scenario) with
-    | None, _ | Some _, Some _ ->
-      (* A scenario target reads the trace cursor at evaluation time, so
-         speculating first attempts out of launch order would replay the
-         wrong trace slice; scenario runs evaluate inline, in order. *)
-      ()
-    | Some p, None ->
-      let work =
-        List.filter
-          (fun (idx, config) ->
-            (not (Hashtbl.mem replay_entries idx))
-            && (not (Hashtbl.mem replay_inflight idx))
-            && Space.validate space config = []
-            && (not (Hashtbl.mem quarantine (config_key config)))
-            &&
-            match Image_cache.peek cache (Space.stage_key space config) with
-            | Some { Image_cache.status = Image_cache.Build_failed _; _ } -> false
-            | Some { Image_cache.status = Image_cache.Built; _ } | None -> true)
-          pending
-      in
-      Array.iter
-        (fun (idx, r) -> Hashtbl.replace prefetched idx r)
-        (Domain_pool.map p
-           (fun (idx, config) -> (idx, target.Target.evaluate ~trial:idx config))
-           (Array.of_list work))
   in
   let write_checkpoint () =
     match checkpoint_path with
@@ -901,11 +876,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
     let call_target config =
       let trial = idx + (trial_stride * !eval_calls) in
       incr eval_calls;
-      match Hashtbl.find_opt prefetched trial with
-      | Some r ->
-        Hashtbl.remove prefetched trial;
-        r
-      | None -> target.Target.evaluate ~trial config
+      target.Target.evaluate ~trial config
     in
     let violations =
       Obs.Recorder.with_span obs "driver.validate" (fun () -> Space.validate space config)
@@ -1111,6 +1082,18 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
                 | Ok _ | Error _ -> None) })
       end
   in
+  (* Pre-evaluation belief capture: [predict] is pure and only consulted
+     when a consumer is attached, so recorded runs stay byte-for-byte
+     identical to unrecorded ones.  A replayed in-flight launch sees the
+     replayed model, so its re-recorded row keeps the original belief. *)
+  let belief_of config =
+    match (on_record, algorithm.Search_algorithm.predict) with
+    | Some _, Some p -> Some (p ctx config)
+    | (Some _ | None), _ -> None
+  in
+  let end_replayed =
+    Option.iter (fun span -> Obs.Recorder.span_end obs ~attrs:[ Obs.Attr.bool "replay" true ] span)
+  in
   let launch ~iteration_span config decide_seconds =
     let idx = !proposal_seq in
     incr proposal_seq;
@@ -1118,35 +1101,22 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
     match (Hashtbl.find_opt replay_entries idx, Hashtbl.find_opt replay_inflight idx) with
     | Some e, _ ->
       if config <> e.History.config then invalid_arg (diverged_msg e.History.index);
-      (match iteration_span with
-      | Some span ->
-        Obs.Recorder.span_end obs ~attrs:[ Obs.Attr.bool "replay" true ] span
-      | None -> ());
+      end_replayed iteration_span;
       ignore
         (Vclock.schedule clock ~at:e.History.at_seconds (fun () -> complete_replayed slot e))
     | None, Some r ->
       if config <> r.Checkpoint.entry.History.config then invalid_arg (diverged_msg idx);
       if slot <> r.Checkpoint.slot || Vclock.now clock <> r.Checkpoint.start_seconds then
         invalid_arg (diverged_msg idx);
-      (match iteration_span with
-      | Some span ->
-        Obs.Recorder.span_end obs ~attrs:[ Obs.Attr.bool "replay" true ] span
-      | None -> ());
+      end_replayed iteration_span;
       Hashtbl.replace inflight_tbl idx r;
+      let belief = belief_of config in
       ignore
         (Vclock.schedule clock ~at:r.Checkpoint.entry.History.at_seconds (fun () ->
-             complete_task slot ~iteration_span:None ~belief:None ~replayed_phases:true
+             complete_task slot ~iteration_span:None ~belief ~replayed_phases:true
                r.Checkpoint.entry))
     | None, None ->
-      (* Pre-evaluation belief capture (live launches only): [predict] is
-         pure and only consulted when a consumer is attached, so recorded
-         runs stay byte-for-byte identical to unrecorded ones. *)
-      let belief =
-        match (on_record, algorithm.Search_algorithm.predict) with
-        | Some _, Some p -> Some (p ctx config)
-        | (Some _ | None), _ -> None
-      in
-      launch_live ~iteration_span ~belief slot idx config decide_seconds
+      launch_live ~iteration_span ~belief:(belief_of config) slot idx config decide_seconds
   in
   let request_and_launch k =
     if algorithm.Search_algorithm.propose_batch <> None && k > 1 then begin
@@ -1161,75 +1131,33 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       if n < k then note_exhausted ();
       if multi then Obs.Recorder.observe obs ~quiet:true "driver.batch.size" (float_of_int n);
       let share = secs /. float_of_int (max 1 n) in
-      prefetch_batch (List.mapi (fun i config -> (!proposal_seq + i, config)) configs);
-      List.iter (fun config -> launch ~iteration_span:None config share) configs;
-      Hashtbl.reset prefetched
+      List.iter (fun config -> launch ~iteration_span:None config share) configs
     end
     else begin
       let launched = ref 0 in
       let i = ref 0 in
-      (match pool with
-      | None ->
-        while !i < k && not !exhausted do
-          let span =
-            Obs.Recorder.span_begin obs
-              ~attrs:[ Obs.Attr.int "iteration" !proposal_seq ]
-              "driver.iteration"
-          in
-          let proposed, secs =
-            Obs.Recorder.timed obs "driver.propose" (fun () ->
-                try Some (algorithm.Search_algorithm.propose ctx)
-                with Search_algorithm.Space_exhausted -> None)
-          in
-          (match proposed with
-          | None ->
-            Obs.Recorder.span_end obs
-              ~attrs:[ Obs.Attr.string "status" "space_exhausted" ]
-              span;
-            note_exhausted ()
-          | Some config ->
-            incr launched;
-            launch ~iteration_span:(Some span) config secs);
-          incr i
-        done
-      | Some _ ->
-        (* Collect the round's proposals first so their first attempts can
-           be evaluated in parallel, then launch in proposal order.
-           Proposals only read algorithm/RNG/history state that launches
-           never touch, and launches never advance the clock (they only
-           schedule completions), so the hoisting changes no per-metric
-           event order; the iteration attribute is reconstructed to match
-           the interleaved numbering. *)
-        let base = !proposal_seq in
-        let pending = ref [] in
-        while !i < k && not !exhausted do
-          let span =
-            Obs.Recorder.span_begin obs
-              ~attrs:[ Obs.Attr.int "iteration" (base + !launched) ]
-              "driver.iteration"
-          in
-          let proposed, secs =
-            Obs.Recorder.timed obs "driver.propose" (fun () ->
-                try Some (algorithm.Search_algorithm.propose ctx)
-                with Search_algorithm.Space_exhausted -> None)
-          in
-          (match proposed with
-          | None ->
-            Obs.Recorder.span_end obs
-              ~attrs:[ Obs.Attr.string "status" "space_exhausted" ]
-              span;
-            note_exhausted ()
-          | Some config ->
-            incr launched;
-            pending := (span, config, secs) :: !pending);
-          incr i
-        done;
-        let pending = List.rev !pending in
-        prefetch_batch (List.mapi (fun j (_, config, _) -> (base + j, config)) pending);
-        List.iter
-          (fun (span, config, secs) -> launch ~iteration_span:(Some span) config secs)
-          pending;
-        Hashtbl.reset prefetched);
+      while !i < k && not !exhausted do
+        let span =
+          Obs.Recorder.span_begin obs
+            ~attrs:[ Obs.Attr.int "iteration" !proposal_seq ]
+            "driver.iteration"
+        in
+        let proposed, secs =
+          Obs.Recorder.timed obs "driver.propose" (fun () ->
+              try Some (algorithm.Search_algorithm.propose ctx)
+              with Search_algorithm.Space_exhausted -> None)
+        in
+        (match proposed with
+        | None ->
+          Obs.Recorder.span_end obs
+            ~attrs:[ Obs.Attr.string "status" "space_exhausted" ]
+            span;
+          note_exhausted ()
+        | Some config ->
+          incr launched;
+          launch ~iteration_span:(Some span) config secs);
+        incr i
+      done;
       if multi then
         Obs.Recorder.observe obs ~quiet:true "driver.batch.size" (float_of_int !launched)
     end

@@ -96,6 +96,25 @@ val default_max_consecutive_invalid : int
 val default_checkpoint_every : int
 (** 10 iterations. *)
 
+val validate :
+  ?clock:Vclock.t ->
+  ?invalid_floor_s:float ->
+  ?max_consecutive_invalid:int ->
+  ?resilience:Resilience.policy ->
+  ?checkpoint_every:int ->
+  ?checkpoint_keep:int ->
+  ?resume_from:Checkpoint.t ->
+  ?workers:int ->
+  ?batch:int ->
+  ?image_cache:Image_cache.config ->
+  ?scenario:Scenario.t ->
+  budget:budget ->
+  unit ->
+  unit
+(** {!run}'s checks on these arguments, with its defaults and messages;
+    {!run} calls it first.  Call it before opening a run's outputs, so a
+    refused run leaves them alone.  @raise Invalid_argument as {!run}. *)
+
 val run :
   ?seed:int ->
   ?clock:Vclock.t ->
@@ -112,7 +131,6 @@ val run :
   ?workers:int ->
   ?batch:int ->
   ?image_cache:Image_cache.config ->
-  ?pool:Wayfinder_tensor.Domain_pool.t ->
   ?scenario:Scenario.t ->
   target:Target.t ->
   algorithm:Search_algorithm.t ->
@@ -169,19 +187,6 @@ val run :
     [driver.image_cache.hits]; [.cross_slot_hits] when another slot
     built it); evictions are exact LRU.
 
-    [pool] enables {e wall-clock} parallel evaluation on OCaml domains:
-    each fill round's first-attempt evaluations are speculatively
-    computed on the pool before the launches run, and consumed from a
-    memo keyed by deterministic trial number.  Because evaluation is a
-    pure function of (trial, configuration) and the prefetch touches
-    neither the RNG, the recorder nor the virtual clock, a pooled run is
-    byte-for-byte identical to the same run without a pool — the
-    conformance suite pins this for every algorithm × worker count.
-    Retries and corroborating re-measurements (distinct trial numbers)
-    still evaluate inline.  With a [scenario] the prefetch is disabled
-    entirely — the target reads the trace cursor at evaluation time, so
-    speculative out-of-order evaluation would replay the wrong slice.
-
     [scenario] attaches trace-driven workload state: the cursor advances
     by the scenario's stride exactly once per real evaluation launched
     (floor-charged outcomes — invalid, quarantined, negative-cached —
@@ -206,8 +211,8 @@ val run :
     @raise Invalid_argument if [invalid_floor_s <= 0],
     [max_consecutive_invalid <= 0], [checkpoint_every <= 0],
     [checkpoint_keep < 1], [workers <= 0], [batch <= 0], the policy fails
-    {!Resilience.validate}, or a resume replay diverges from the
-    checkpoint. *)
+    {!Resilience.validate}, [resume_from] does not fit the run (see
+    {!validate}), or a resume replay diverges from the checkpoint. *)
 
 val run_sequential :
   ?seed:int ->

@@ -29,17 +29,3 @@ type t = {
 
 let make ~name ~propose ?propose_batch ?(observe = fun _ _ -> ()) ?predict () =
   { algo_name = name; propose; propose_batch; observe; predict }
-
-let propose_many t ctx ~k =
-  if k <= 0 then invalid_arg "Search_algorithm.propose_many: k must be positive";
-  match t.propose_batch with
-  | Some batch when k > 1 -> ( try batch ctx ~k with Space_exhausted -> [])
-  | Some _ | None ->
-    let rec go acc i =
-      if i = k then List.rev acc
-      else
-        match t.propose ctx with
-        | config -> go (config :: acc) (i + 1)
-        | exception Space_exhausted -> List.rev acc
-    in
-    go [] 0

@@ -9,9 +9,9 @@
     Batched ("ask/tell") proposal: an algorithm may additionally provide
     [propose_batch], returning [k] configurations at once so a
     multi-worker driver can keep several virtual evaluation slots busy
-    between [observe] calls.  Algorithms without a native batch are
-    served by {!propose_many}, which falls back to [k] sequential
-    [propose] calls.
+    between [observe] calls.  The driver asks for a batch only when more
+    than one slot is free; otherwise, and for algorithms without a native
+    batch, it makes sequential [propose] calls.
 
     The context also carries the platform's observability recorder:
     algorithms report what only they can see — candidate-pool sizes,
@@ -83,10 +83,3 @@ val make :
 (** [observe] defaults to a no-op (memoryless algorithms);
     [propose_batch] to [None] (sequential fallback); [predict] to [None]
     (no stated beliefs). *)
-
-val propose_many : t -> context -> k:int -> Space.configuration list
-(** Ask for [k] proposals: the native [propose_batch] when available (and
-    [k > 1]), otherwise [k] sequential [propose] calls.  Returns fewer
-    than [k] configurations — possibly none — exactly when the algorithm
-    exhausts its proposal space; {!Space_exhausted} never escapes.
-    @raise Invalid_argument when [k <= 0]. *)

@@ -138,20 +138,6 @@ let parallel_for ?chunk t n f =
     match Atomic.get job.failed with Some e -> raise e | None -> ()
   end
 
-let map t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for t n (fun lo hi ->
-        for i = lo to hi - 1 do
-          out.(i) <- Some (f xs.(i))
-        done);
-    Array.map
-      (function Some y -> y | None -> assert false (* parallel_for covered [0, n) *))
-      out
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Ambient default pool                                                *)
 (* ------------------------------------------------------------------ *)

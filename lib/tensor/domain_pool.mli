@@ -26,10 +26,6 @@ val parallel_for : ?chunk:int -> t -> int -> (int -> int -> unit) -> unit
     processed.  The first exception raised by any chunk is re-raised on
     the calling domain.  Nested or concurrent calls run inline. *)
 
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map t f xs] is [Array.map f xs] with the applications of [f] spread
-    across the pool. *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  The pool must not be
     used afterwards (calls degrade to inline execution). *)

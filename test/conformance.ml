@@ -14,6 +14,7 @@ module Unicorn = Wayfinder_causal.Unicorn
 module Space = Wayfinder_configspace.Space
 module Param = Wayfinder_configspace.Param
 module Rng = Wayfinder_tensor.Rng
+module Domain_pool = Wayfinder_tensor.Domain_pool
 module Obs = Wayfinder_obs
 
 (* ------------------------------------------------------------------ *)
@@ -155,7 +156,8 @@ let with_observe_counter algo =
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let frozen_obs () = Obs.Recorder.create ~now:(fun () -> 0.) ()
+let frozen_obs ?sink () =
+  Obs.Recorder.create ~now:(fun () -> 0.) ?sinks:(Option.map (fun s -> [ s ]) sink) ()
 
 type outcome = {
   result : Driver.result;
@@ -164,38 +166,38 @@ type outcome = {
 
 (* [engine]: [`Sequential] is the legacy loop ([Driver.run_sequential]);
    [`Workers n] the batched engine.  The recorder is frozen so wall-clock
-   fields are zero and outcomes compare byte-for-byte.
+   fields are zero and outcomes compare byte-for-byte; [sink] receives its
+   events.
 
-   [domains] runs the whole thing on a domain pool of that size: the pool
-   is installed as the ambient default (so the numeric kernels — matmul,
-   DTM training and pool scoring — parallelize) and handed to [Driver.run]
-   for speculative evaluation prefetch.  The sequential loop never takes a
-   pool; it is the determinism oracle the pooled runs are compared
-   against. *)
+   [domains] runs the whole thing with a domain pool of that size
+   installed as the ambient default, so the numeric kernels — matmul, DTM
+   training and pool scoring — parallelize.  The engine still evaluates
+   every launch inline, in launch order; the unpooled runs are the
+   determinism oracle the pooled ones are compared against. *)
 let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 12)
     ?(fault_rate = 0.) ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration
-    ?on_record ?image_cache ?domains name =
+    ?on_record ?image_cache ?domains ?sink name =
   let target = faulty_target ~fault_rate ~seed in
   let algo, observed = with_observe_counter (algorithm name ~seed target.Target.space) in
   let with_pool f =
     match domains with
-    | None -> f None
+    | None -> f ()
     | Some n ->
       let pool = Domain_pool.create n in
       Fun.protect
         ~finally:(fun () -> Domain_pool.shutdown pool)
-        (fun () -> Domain_pool.with_default (Some pool) (fun () -> f (Some pool)))
+        (fun () -> Domain_pool.with_default (Some pool) f)
   in
   let result =
-    with_pool (fun pool ->
+    with_pool (fun () ->
         match engine with
         | `Sequential ->
-          Driver.run_sequential ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every
-            ?resume_from ?image_cache ~target ?on_iteration ?on_record ~algorithm:algo ~budget
-            ()
+          Driver.run_sequential ~seed ~obs:(frozen_obs ?sink ()) ?checkpoint_path
+            ?checkpoint_every ?resume_from ?image_cache ~target ?on_iteration ?on_record
+            ~algorithm:algo ~budget ()
         | `Workers workers ->
-          Driver.run ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every
-            ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache ?pool ~target
+          Driver.run ~seed ~obs:(frozen_obs ?sink ()) ?checkpoint_path ?checkpoint_every
+            ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache ~target
             ~algorithm:algo ~budget ())
   in
   { result; observed }

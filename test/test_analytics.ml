@@ -214,6 +214,49 @@ let test_ledger_rejects_unknown_schema () =
   | Error e -> Alcotest.fail (A.Ledger.error_to_string e)
   | Ok _ -> Alcotest.fail "trace header accepted as ledger"
 
+(* Reopening a sealed ledger with all of its entries drops the seal and
+   appends from there, so closing it again reproduces the file byte for
+   byte (the seal's crc resumes over the kept bytes).  Every refusal is an
+   error that leaves the file as it was. *)
+let test_ledger_reopen () =
+  let space = Conformance.space () and metric = Metric.throughput and seed = 3 in
+  let path = Filename.temp_file "wayfinder" ".ledger" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let outcome =
+        A.Ledger.with_writer ~seed ~algo:"random" ~space ~metric path (fun w ->
+            Conformance.run ~engine:(`Workers 1) ~seed ~budget:(Driver.Iterations 8)
+              ~on_record:(A.Ledger.record w) "random")
+      in
+      let entries = Array.to_list (History.entries outcome.Conformance.result.Driver.history) in
+      let bytes = read () in
+      let reopen ?(algo = "random") ?(path = path) entries =
+        A.Ledger.reopen_writer ~seed ~algo ~space ~metric ~entries path
+      in
+      (match reopen entries with
+      | Error e -> Alcotest.fail (A.Ledger.error_to_string e)
+      | Ok w -> A.Ledger.close_writer w);
+      Alcotest.(check string) "reopened and closed: the same bytes" bytes (read ());
+      let rejected name result =
+        (match result with
+        | Ok _ -> Alcotest.failf "%s: reopened" name
+        | Error (_ : A.Ledger.error) -> ());
+        Alcotest.(check string) (name ^ ": bytes untouched") bytes (read ())
+      in
+      let missing = path ^ ".missing" in
+      rejected "missing file" (reopen ~path:missing entries);
+      Alcotest.(check bool) "missing file not created" false (Sys.file_exists missing);
+      rejected "too few rows" (reopen (entries @ [ List.hd entries ]));
+      rejected "head mismatch" (reopen ~algo:"grid" entries);
+      rejected "row mismatch"
+        (reopen
+           (List.mapi
+              (fun i (e : History.entry) ->
+                if i = 3 then { e with History.at_seconds = e.History.at_seconds +. 1. } else e)
+              entries)))
+
 (* ------------------------------------------------------------------ *)
 (* Synthetic series helpers                                            *)
 (* ------------------------------------------------------------------ *)
@@ -444,7 +487,8 @@ let () =
       ( "ledger",
         [ QCheck_alcotest.to_alcotest prop_ledger_equals_live;
           QCheck_alcotest.to_alcotest prop_recording_is_invisible;
-          Alcotest.test_case "schema rejection" `Quick test_ledger_rejects_unknown_schema ] );
+          Alcotest.test_case "schema rejection" `Quick test_ledger_rejects_unknown_schema;
+          Alcotest.test_case "reopen for a resume" `Quick test_ledger_reopen ] );
       ( "calibration",
         [ Alcotest.test_case "empty and single" `Quick test_calibration_empty_and_single;
           Alcotest.test_case "all-crash / no-crash" `Quick

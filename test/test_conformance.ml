@@ -135,11 +135,10 @@ let prop_cache_capacity1_workers1_equals_sequential =
 (* Domain-pool conformance: --domains N is byte-identical              *)
 (* ------------------------------------------------------------------ *)
 
-(* The multicore acceptance gate: a pooled run — ambient default pool for
-   the numeric kernels plus speculative evaluation prefetch in the engine
-   — must be byte-for-byte the sequential oracle, for every algorithm, at
-   any domain count.  Domains only buy wall-clock time, never a different
-   answer. *)
+(* The multicore acceptance gate: a run with an ambient pool for the
+   numeric kernels must be byte-for-byte the sequential oracle, for every
+   algorithm, at any domain count.  Domains only buy wall-clock time,
+   never a different answer. *)
 let prop_domains_equal_sequential =
   QCheck2.Test.make
     ~name:"pooled engine (domains in {1,4}) byte-identical to the sequential driver"
@@ -155,7 +154,7 @@ let prop_domains_equal_sequential =
       let b = C.run ~engine:(`Workers 1) ~seed ~budget ~fault_rate ~domains algo in
       equivalent a b)
 
-(* The prefetch must be invisible on the batched engine too: workers=4
+(* The ambient pool must be invisible on the batched engine too: workers=4
    with a pool is byte-identical to workers=4 without one. *)
 let prop_domains_invisible_on_workers4 =
   QCheck2.Test.make
@@ -169,9 +168,9 @@ let prop_domains_invisible_on_workers4 =
       let b = C.run ~engine:(`Workers 4) ~seed ~budget ~fault_rate ~domains:4 algo in
       equivalent a b)
 
-(* DeepTune exercises the ambient pool inside the numeric stack as well —
-   Bigarray matmul in training and the batched pool scoring — so this
-   pins the full path: pooled kernels + pooled engine ≡ sequential. *)
+(* DeepTune is where the ambient pool does real work — matmul in training
+   and the batched pool scoring — so this pins the pooled kernels against
+   the sequential oracle on both engines. *)
 let test_deeptune_domains_equivalence () =
   let budget = Driver.Iterations 10 in
   let a = C.run ~engine:`Sequential ~seed:3 ~budget "deeptune" in
@@ -180,6 +179,26 @@ let test_deeptune_domains_equivalence () =
   let c = C.run ~engine:(`Workers 4) ~seed:3 ~budget "deeptune" in
   let d = C.run ~engine:(`Workers 4) ~seed:3 ~budget ~domains:4 "deeptune" in
   Alcotest.(check bool) "deeptune workers=4 domains=4 equivalence" true (equivalent c d)
+
+(* The engine evaluates every launch inline, in launch order, whatever the
+   pool, so a pooled run records the very event stream of an unpooled one.
+   Random and unicorn have no [propose_batch]: every fill goes through the
+   interleaved propose-and-launch loop, which launches four proposals at
+   the first fill. *)
+let prop_domains_trace_identical =
+  QCheck2.Test.make ~name:"workers=4 with domains=4 records the unpooled trace" ~count:8
+    QCheck2.Gen.(triple (int_range 0 1000) (oneofl [ "random"; "unicorn" ]) bool)
+    (fun (seed, algo, faulty) ->
+      let fault_rate = if faulty then 0.10 else 0. in
+      let events ?domains () =
+        let store = Obs.Sink.Memory.create ~capacity:100_000 () in
+        ignore
+          (C.run ~engine:(`Workers 4) ~seed ~budget:(Driver.Iterations 12) ~fault_rate ?domains
+             ~sink:(Obs.Sink.Memory.sink store) algo);
+        List.map Obs.Event.to_json (Obs.Sink.Memory.events store)
+      in
+      let plain = events () in
+      plain <> [] && plain = events ~domains:4 ())
 
 (* The cache only decides whether the build phase is charged — never which
    configurations are evaluated.  Grid's multiset must be invariant across
@@ -531,6 +550,7 @@ let () =
       ( "domains",
         [ QCheck_alcotest.to_alcotest prop_domains_equal_sequential;
           QCheck_alcotest.to_alcotest prop_domains_invisible_on_workers4;
+          QCheck_alcotest.to_alcotest prop_domains_trace_identical;
           Alcotest.test_case "deeptune domains=4" `Slow test_deeptune_domains_equivalence ] );
       ( "checkpoint",
         [ Alcotest.test_case "old version rejected (typed)" `Quick

@@ -711,6 +711,181 @@ let test_scenario_checkpoint_mismatch_rejected () =
            with Invalid_argument _ -> true))
 
 (* ------------------------------------------------------------------ *)
+(* Kill-and-resume with a ledger attached                              *)
+(* ------------------------------------------------------------------ *)
+
+module A = Wayfinder_analytics
+
+(* A ledger's lines without the wall-clock decide_s values and the seal's
+   crc, which covers them. *)
+let strip_wall text =
+  List.map
+    (fun line ->
+      match A.Json.parse line with
+      | Ok (A.Json.Obj fields) ->
+        A.Json.to_string
+          (A.Json.Obj (List.filter (fun (k, _) -> k <> "decide_s" && k <> "crc") fields))
+      | Ok _ | Error _ -> line)
+    (String.split_on_char '\n' text)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [run] once uninterrupted into one ledger, and once killed through
+   [on_iteration] after [interrupt_at] completions into another.  A torn
+   line is appended to the killed ledger, as a kill mid-write leaves one;
+   the run then resumes from its last checkpoint into the reopened ledger,
+   which must come out as the uninterrupted one. *)
+let ledger_kill_and_resume ~seed ~algo ~space ~metric ?objectives ~interrupt_at
+    (run :
+      ?checkpoint_path:string ->
+      ?resume_from:Checkpoint.t ->
+      ?on_iteration:(History.entry -> unit) ->
+      on_record:(History.entry -> Search_algorithm.belief option -> unit) ->
+      unit ->
+      unit) =
+  let full = Filename.temp_file "wayfinder" ".ledger" in
+  let killed = Filename.temp_file "wayfinder" ".ledger" in
+  let ckpt = Filename.temp_file "wayfinder" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ full; killed; ckpt ])
+    (fun () ->
+      let create path = A.Ledger.create_writer ~seed ?objectives ~algo ~space ~metric path in
+      let w = create full in
+      run ~on_record:(A.Ledger.record w) ();
+      A.Ledger.close_writer w;
+      let w = create killed in
+      let completions = ref 0 in
+      (try
+         run ~checkpoint_path:ckpt
+           ~on_iteration:(fun _ ->
+             incr completions;
+             if !completions = interrupt_at then raise Exit)
+           ~on_record:(A.Ledger.record w) ()
+       with Exit -> ());
+      Out_channel.with_open_gen [ Open_wronly; Open_append ] 0o644 killed (fun oc ->
+          output_string oc {|{"type":"iter","i":|});
+      let ck =
+        match Checkpoint.load ~path:ckpt with
+        | Ok ck -> ck
+        | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
+      in
+      (match
+         A.Ledger.reopen_writer ~seed ?objectives ~algo ~space ~metric
+           ~entries:ck.Checkpoint.entries killed
+       with
+      | Error e -> Alcotest.failf "reopen: %s" (A.Ledger.error_to_string e)
+      | Ok w ->
+        run ~resume_from:ck ~on_record:(A.Ledger.record w) ();
+        A.Ledger.close_writer w);
+      Alcotest.(check (list string))
+        "resumed ledger equals the uninterrupted one"
+        (strip_wall (read_file full))
+        (strip_wall (read_file killed));
+      ck)
+
+let test_ledger_kill_and_resume_deeptune () =
+  List.iter
+    (fun workers ->
+      let run ?checkpoint_path ?resume_from ?on_iteration ~on_record () =
+        ignore
+          (C.run ~engine:(`Workers workers) ~seed:4 ~budget:(Driver.Iterations 24)
+             ~fault_rate:0.10 ?checkpoint_path ~checkpoint_every:5 ?resume_from ?on_iteration
+             ~on_record "deeptune")
+      in
+      let ck =
+        ledger_kill_and_resume ~seed:4 ~algo:"deeptune" ~space:(C.space ())
+          ~metric:Metric.throughput ~interrupt_at:13 run
+      in
+      (* At four workers the interesting case: tasks were in flight. *)
+      if workers = 4 then
+        Alcotest.(check bool) "checkpoint carries in-flight tasks" true
+          (ck.Checkpoint.inflight <> []))
+    [ 1; 4 ]
+
+let test_ledger_kill_and_resume_flash_crowd () =
+  let run ?checkpoint_path ?resume_from ?on_iteration ~on_record () =
+    ignore
+      (C.run_scenario ~engine:(`Workers 4) ~seed:6 ~budget:(Driver.Iterations 24)
+         ~fault_rate:0.10 ?checkpoint_path ~checkpoint_every:5 ?resume_from ?on_iteration
+         ~on_record "deeptune-multi")
+  in
+  ignore
+    (ledger_kill_and_resume ~seed:6 ~algo:"deeptune-multi" ~space:(C.space ())
+       ~metric:(Metric.make ~name:"score" ~unit_name:"score" ())
+       ~objectives:(Array.to_list C.scenario_spec) ~interrupt_at:12 run)
+
+(* [Driver.validate] refuses every argument set [Driver.run] refuses,
+   with the very message [run] raises. *)
+let test_validate_refuses_like_run () =
+  let checkpoint run =
+    let path = Filename.temp_file "wayfinder" ".ckpt" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        run path;
+        match Checkpoint.load ~path with
+        | Ok ck -> ck
+        | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e))
+  in
+  let plain =
+    checkpoint (fun path ->
+        ignore
+          (C.run ~engine:(`Workers 4) ~seed:5 ~budget:(Driver.Iterations 12)
+             ~checkpoint_path:path "random"))
+  in
+  let with_scenario =
+    checkpoint (fun path ->
+        ignore
+          (C.run_scenario ~engine:(`Workers 4) ~seed:5 ~budget:(Driver.Iterations 12)
+             ~checkpoint_path:path "random"))
+  in
+  let refused name ?clock ?invalid_floor_s ?max_consecutive_invalid ?resilience
+      ?checkpoint_every ?checkpoint_keep ?resume_from ?workers ?batch ?image_cache ?scenario
+      ?(budget = Driver.Iterations 12) () =
+    let message f = match f () with () -> None | exception Invalid_argument m -> Some m in
+    let checked =
+      message (fun () ->
+          Driver.validate ?clock ?invalid_floor_s ?max_consecutive_invalid ?resilience
+            ?checkpoint_every ?checkpoint_keep ?resume_from ?workers ?batch ?image_cache
+            ?scenario ~budget ())
+    in
+    let ran =
+      message (fun () ->
+          ignore
+            (Driver.run ?clock ?invalid_floor_s ?max_consecutive_invalid ?resilience
+               ?checkpoint_every ?checkpoint_keep ?resume_from ?workers ?batch ?image_cache
+               ?scenario ~target:(C.target ()) ~algorithm:(Random_search.create ()) ~budget ()))
+    in
+    match (checked, ran) with
+    | Some m, Some m' -> Alcotest.(check string) name m' m
+    | None, _ -> Alcotest.failf "%s: validate accepted it" name
+    | Some _, None -> Alcotest.failf "%s: run accepted it" name
+  in
+  refused "invalid floor" ~invalid_floor_s:0. ();
+  refused "invalid cap" ~max_consecutive_invalid:0 ();
+  refused "checkpoint cadence" ~checkpoint_every:0 ();
+  refused "checkpoint generations" ~checkpoint_keep:0 ();
+  refused "workers" ~workers:0 ();
+  refused "batch" ~batch:0 ();
+  refused "retries" ~resilience:{ Resilience.none with Resilience.retries = -1 } ();
+  refused "measure repeats" ~resilience:{ Resilience.none with Resilience.measure_repeats = 0 } ();
+  refused "build timeout"
+    ~resilience:{ Resilience.none with Resilience.build_timeout_s = Some 0. } ();
+  let advanced = S.Vclock.create () in
+  S.Vclock.advance advanced 1.;
+  refused "resume budget" ~resume_from:plain ~workers:4 ~budget:(Driver.Iterations 10) ();
+  refused "resume clock" ~clock:advanced ~resume_from:plain ~workers:4 ();
+  refused "resume workers" ~resume_from:plain ~workers:2 ();
+  refused "resume cache" ~resume_from:plain ~workers:4 ~image_cache:(Image_cache.capacity 8) ();
+  refused "scenario added" ~resume_from:plain ~workers:4 ~scenario:(C.make_scenario ()) ();
+  refused "scenario dropped" ~resume_from:with_scenario ~workers:4 ();
+  (* And what it accepts, [run] accepts. *)
+  Driver.validate ~resume_from:plain ~workers:4 ~budget:(Driver.Iterations 12) ();
+  Driver.validate ~resume_from:with_scenario ~workers:4 ~scenario:(C.make_scenario ())
+    ~budget:(Driver.Iterations 12) ()
+
+(* ------------------------------------------------------------------ *)
 (* Acceptance: DeepTune on SimLinux/Nginx under a 10 % fault rate      *)
 (* ------------------------------------------------------------------ *)
 
@@ -792,6 +967,13 @@ let () =
           Alcotest.test_case "scenario checkpoint rejected without scenario" `Quick
             test_scenario_checkpoint_mismatch_rejected;
           QCheck_alcotest.to_alcotest prop_scenario_kill_and_resume ] );
+      ( "ledger resume",
+        [ Alcotest.test_case "deeptune kill-and-resume keeps the ledger (workers 1, 4)" `Quick
+            test_ledger_kill_and_resume_deeptune;
+          Alcotest.test_case "flash-crowd kill-and-resume keeps the ledger" `Quick
+            test_ledger_kill_and_resume_flash_crowd;
+          Alcotest.test_case "validate refuses what run refuses" `Quick
+            test_validate_refuses_like_run ] );
       ( "acceptance",
         [ Alcotest.test_case "deeptune survives 10% faults" `Slow
             test_acceptance_deeptune_under_faults ] ) ]

@@ -500,13 +500,6 @@ let test_pool_parallel_for_covers () =
             [ 0; 1; 7; 64; 1000 ]))
     [ 1; 2; 4 ]
 
-let test_pool_map_matches_sequential () =
-  with_pool 4 (fun pool ->
-      let xs = Array.init 100 (fun i -> i) in
-      let f x = (x * x) + 1 in
-      Alcotest.(check (array int)) "map ≡ Array.map" (Array.map f xs)
-        (Domain_pool.map pool f xs))
-
 let test_pool_exception_propagates () =
   with_pool 4 (fun pool ->
       Alcotest.(check bool) "chunk exception re-raised on caller" true
@@ -657,7 +650,6 @@ let () =
       ( "domain_pool",
         [ Alcotest.test_case "parallel_for covers every index" `Quick
             test_pool_parallel_for_covers;
-          Alcotest.test_case "map matches sequential" `Quick test_pool_map_matches_sequential;
           Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
           Alcotest.test_case "nested calls run inline" `Quick test_pool_nested_runs_inline;
           Alcotest.test_case "shutdown degrades inline" `Quick
