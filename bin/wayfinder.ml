@@ -460,11 +460,26 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
             ~measure_repeats ~quarantine_after
         in
         let scenario = Option.map (fun (sc, _, _) -> sc) scenario_info in
-        (* Refuse what the driver would refuse before opening any output. *)
+        (* Refuse what the driver would refuse before opening any output,
+           and an output whose directory is missing: the ledger would be
+           truncated and the run lost by the time writing it failed. *)
+        let missing_dir =
+          List.find_map
+            (fun (flag, path) ->
+              match path with
+              | Some p ->
+                let dir = Filename.dirname p in
+                if Sys.file_exists dir && Sys.is_directory dir then None
+                else Some (Printf.sprintf "%s %s: no such directory %s" flag p dir)
+              | None -> None)
+            [ ("--ledger", ledger_path); ("--trace", trace_path); ("--checkpoint", checkpoint);
+              ("--metrics-out", metrics_out); ("--csv", csv_path) ]
+        in
         match
-          match progress_every with
-          | Some n when n <= 0 -> Error "--progress must be positive"
-          | Some _ | None -> (
+          match (progress_every, missing_dir) with
+          | Some n, _ when n <= 0 -> Error "--progress must be positive"
+          | _, Some e -> Error e
+          | (Some _ | None), None -> (
             try
               let image_cache = Option.map P.Image_cache.capacity image_cache in
               P.Driver.validate ~resilience ~checkpoint_every ~checkpoint_keep:keep_checkpoints
@@ -543,19 +558,29 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
               Some (Wayfinder_obs.Metrics.mean h /. float_of_int workers)
             | Some _ | None -> None
         in
+        (* The scrape file is rendered here and published in the
+           background: replacing a file can take tens of milliseconds,
+           which the search must not wait for.  The final export, after
+           a drain, is written synchronously. *)
+        let metrics_publisher = P.Durable.Publisher.create () in
+        let metrics_error e =
+          Printf.eprintf "wayfinder: metrics export: %s\n%!" (P.Durable.io_error_to_string e)
+        in
+        let render_metrics () =
+          let stats = Option.map M.Live_series.stats live_series in
+          M.Prom.render ?stats ~snapshot:(Wayfinder_obs.Recorder.snapshot obs) ()
+        in
         let export_metrics () =
           match metrics_out with
           | None -> ()
           | Some path -> (
-            let stats = Option.map M.Live_series.stats live_series in
-            match
-              P.Durable.atomic_write ~path
-                (M.Prom.render ?stats ~snapshot:(Wayfinder_obs.Recorder.snapshot obs) ())
-            with
-            | Ok () -> ()
-            | Error e ->
-              Printf.eprintf "wayfinder: metrics export: %s\n%!"
-                (P.Durable.io_error_to_string e))
+            let text = render_metrics () in
+            try P.Durable.Publisher.submit metrics_publisher ~path (fun () -> text)
+            with P.Durable.Io_error e -> metrics_error e)
+        in
+        let drain_metrics () =
+          try P.Durable.Publisher.drain metrics_publisher
+          with P.Durable.Io_error e -> metrics_error e
         in
         let on_record =
           if ledger_writer = None && live_series = None then None
@@ -609,11 +634,12 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                 Pool.with_default (Some p) f)
         in
         match
-          with_domains (fun () ->
-              P.Driver.run ~seed ~on_iteration:progress ?on_record ~obs ~resilience
-                ?checkpoint_path:checkpoint ~checkpoint_every ~checkpoint_keep:keep_checkpoints
-                ?resume_from ~workers ?batch ?image_cache ?scenario ~target ~algorithm:algo
-                ~budget ())
+          Fun.protect ~finally:drain_metrics (fun () ->
+              with_domains (fun () ->
+                  P.Driver.run ~seed ~on_iteration:progress ?on_record ~obs ~resilience
+                    ?checkpoint_path:checkpoint ~checkpoint_every
+                    ~checkpoint_keep:keep_checkpoints ?resume_from ~workers ?batch ?image_cache
+                    ?scenario ~target ~algorithm:algo ~budget ()))
         with
         | exception Invalid_argument msg ->
           (match trace_channel with Some oc -> close_out oc | None -> ());
@@ -740,11 +766,14 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                 Ok ()
               | Error e -> Error ("save-model: " ^ P.Registry.error_to_string e)))
         in
-        (* Final Prometheus export: the file always ends on the completed
-           run's numbers, whatever --metrics-every left behind. *)
+        (* Final Prometheus export, after the drain that followed the
+           run: the file always ends on the completed run's numbers,
+           whatever --metrics-every left behind. *)
         (match metrics_out with
         | Some path ->
-          export_metrics ();
+          (match P.Durable.atomic_write ~path (render_metrics ()) with
+          | Ok () -> ()
+          | Error e -> metrics_error e);
           if not quiet then Printf.printf "metrics written to %s\n" path
         | None -> ());
         (match checkpoint with
@@ -1272,7 +1301,12 @@ let run_cmd =
   let checkpoint_every =
     Arg.(
       value & opt int 10
-      & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Checkpoint every $(docv) iterations.")
+      & info [ "checkpoint-every" ] ~docv:"N"
+          ~doc:"Take a checkpoint snapshot every $(docv) iterations.  A background writer \
+                publishes the newest pending snapshot, so the search never waits for the \
+                disk; every exit drains it, and a run that does not end on the cadence then \
+                writes its final save itself.  An I/O error surfaces at the next snapshot or \
+                at the end of the run.")
   in
   let keep_checkpoints =
     Arg.(
@@ -1280,7 +1314,12 @@ let run_cmd =
       & info [ "keep-checkpoints" ] ~docv:"N"
           ~doc:"Retain $(docv) checkpoint generations: each save rotates the previous file to \
                 $(i,FILE.1), $(i,FILE.2), …, and $(b,--resume) falls back to the newest \
-                generation that validates if the primary is torn or corrupt.")
+                generation that validates if the primary is torn or corrupt.  The primary \
+                holds the newest snapshot, and $(i,FILE.1) the newest periodic one when the \
+                final save is its own; older generations hold the newest $(i,published) \
+                snapshots, which skip those the disk could not keep up with.  After a \
+                $(b,kill -9) the newest complete generation can trail the newest snapshot by \
+                the one being published and every snapshot taken while it was.")
   in
   let resume =
     Arg.(
@@ -1445,8 +1484,11 @@ let run_cmd =
       value & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:"Export run metrics as a Prometheus text file (exposition format 0.0.4) to \
-                $(docv): atomically replaced every $(b,--metrics-every) iterations and once \
-                more when the run completes, so a scraper never sees a torn file.")
+                $(docv): rendered every $(b,--metrics-every) iterations and atomically \
+                replaced by a background writer, which publishes only the newest render when \
+                the disk falls behind, then written once more when the run completes, so a \
+                scraper never sees a torn file.  An I/O error prints a warning at the next \
+                export or at the end, and the run continues.")
   in
   let metrics_every =
     Arg.(

@@ -64,6 +64,41 @@ let check_resume_budget budget (ck : Checkpoint.t) =
          n launched)
   | Iterations _ | Virtual_seconds _ -> ()
 
+(* Checkpoint saves, shared by both engines.  Returns the periodic save
+   and the guard the engine runs its search loop under.  A periodic save
+   takes its snapshot on the driver's thread and hands the encoding and
+   the publish to a background publisher, which publishes only the
+   newest snapshot pending, so the search never waits on the disk.  The
+   guard drains the publisher at every exit.  After a normal exit it
+   then writes the final save synchronously, when [final ()] asks for
+   one, so the final save lands after every periodic one.  After an
+   exception the newest snapshot is published and the exception is
+   re-raised, whatever the drain reports. *)
+let checkpoints ~obs ~path ~keep ~snapshot ~final =
+  match path with
+  | None -> (ignore, fun loop -> loop ())
+  | Some path ->
+    let publisher = Durable.Publisher.create () in
+    let save () =
+      let ck = snapshot () in
+      Durable.Publisher.submit publisher ~keep ~path (fun () -> Checkpoint.to_string ck);
+      Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
+    in
+    let guard loop =
+      (match loop () with
+      | () -> ()
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        (try Durable.Publisher.drain publisher with _ -> ());
+        Printexc.raise_with_backtrace e bt);
+      Durable.Publisher.drain publisher;
+      if final () then begin
+        Checkpoint.save ~keep ~path (snapshot ());
+        Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
+      end
+    in
+    (save, guard)
+
 (* Per-phase virtual timeouts: a phase whose duration exceeds its cap is
    charged at the cap, later phases never ran, and the outcome is the
    corresponding timeout failure — a hung boot costs [boot_timeout_s],
@@ -227,43 +262,45 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       invalid_arg "Driver.run: checkpoint was written with a scenario; resume with the same one");
     Obs.Recorder.incr obs ~quiet:true ~by:(float_of_int !index) "driver.replayed_iterations";
     if !consecutive_invalid >= max_consecutive_invalid then stop := Some Invalid_cap);
-  let write_checkpoint () =
-    match checkpoint_path with
-    | None -> ()
-    | Some path ->
-      (* Ordering is defined by the canonical key, not polymorphic compare:
-         the checkpoint bytes for a given quarantine state are unique. *)
-      let sorted_strikes =
-        List.sort
-          (fun (a, _) (b, _) -> String.compare a b)
-          (Hashtbl.fold (fun k n acc -> (k, n) :: acc) strikes [])
-      in
-      let sorted_quarantined =
-        List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) quarantine [])
-      in
-      Checkpoint.save ~keep:checkpoint_keep ~path
-        { Checkpoint.seed;
-          rng_state = Rng.state rng;
-          clock_seconds = Vclock.now clock;
-          budget_start_seconds = start_seconds;
-          iterations = !index;
-          workers = 1;
-          consecutive_invalid = !consecutive_invalid;
-          cache_capacity = Image_cache.cap cache;
-          cache = Image_cache.to_alist cache;
-          strikes = sorted_strikes;
-          quarantined = sorted_quarantined;
-          entries = Array.to_list (History.entries history);
-          inflight = [];
-          pareto = Pareto.to_list !archive;
-          trace_cursor = Option.map Scenario.cursor scenario };
-      Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
+  let snapshot () =
+    (* Ordering is defined by the canonical key, not polymorphic compare:
+       the checkpoint bytes for a given quarantine state are unique. *)
+    let sorted_strikes =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) strikes [])
+    in
+    let sorted_quarantined =
+      List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) quarantine [])
+    in
+    { Checkpoint.seed;
+      rng_state = Rng.state rng;
+      clock_seconds = Vclock.now clock;
+      budget_start_seconds = start_seconds;
+      iterations = !index;
+      workers = 1;
+      consecutive_invalid = !consecutive_invalid;
+      cache_capacity = Image_cache.cap cache;
+      cache = Image_cache.to_alist cache;
+      strikes = sorted_strikes;
+      quarantined = sorted_quarantined;
+      entries = Array.to_list (History.entries history);
+      inflight = [];
+      pareto = Pareto.to_list !archive;
+      trace_cursor = Option.map Scenario.cursor scenario }
   in
   let within_budget () =
     match budget with
     | Iterations n -> !index < n
     | Virtual_seconds s -> Vclock.now clock -. start_seconds < s
   in
+  (* A final checkpoint so a completed (or capped) run leaves a coherent
+     file behind even when the budget is not a multiple of the cadence. *)
+  let write_checkpoint, checkpointed =
+    checkpoints ~obs ~path:checkpoint_path ~keep:checkpoint_keep ~snapshot
+      ~final:(fun () -> !index mod checkpoint_every <> 0)
+  in
+  checkpointed (fun () ->
   while !stop = None && within_budget () do
     let iteration_span =
       Obs.Recorder.span_begin obs ~attrs:[ Obs.Attr.int "iteration" !index ] "driver.iteration"
@@ -559,10 +596,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
          the history could ever recover from — stop rather than burn the
          whole budget recording failures. *)
       if !consecutive_invalid >= max_consecutive_invalid then stop := Some Invalid_cap
-  done;
-  (* A final checkpoint so a completed (or capped) run leaves a coherent
-     file behind even when the budget is not a multiple of the cadence. *)
-  if !index mod checkpoint_every <> 0 then write_checkpoint ();
+  done);
   Obs.Recorder.flush obs;
   { history;
     best = History.best history;
@@ -754,42 +788,41 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       | Some _ | None -> ()
     end
   in
-  let write_checkpoint () =
-    match checkpoint_path with
-    | None -> ()
-    | Some path ->
-      (* Ordering is defined by the canonical key, not polymorphic compare:
-         the checkpoint bytes for a given quarantine state are unique. *)
-      let sorted_strikes =
-        List.sort
-          (fun (a, _) (b, _) -> String.compare a b)
-          (Hashtbl.fold (fun k n acc -> (k, n) :: acc) strikes [])
-      in
-      let sorted_quarantined =
-        List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) quarantine [])
-      in
-      let inflight =
-        List.sort
-          (fun (a : Checkpoint.inflight) b -> compare a.Checkpoint.index b.Checkpoint.index)
-          (Hashtbl.fold (fun _ r acc -> r :: acc) inflight_tbl [])
-      in
-      Checkpoint.save ~keep:checkpoint_keep ~path
-        { Checkpoint.seed;
-          rng_state = Rng.state rng;
-          clock_seconds = Vclock.now clock;
-          budget_start_seconds = start_seconds;
-          iterations = !completed;
-          workers;
-          consecutive_invalid = !consecutive_invalid;
-          cache_capacity = Image_cache.cap cache;
-          cache = Image_cache.to_alist cache;
-          strikes = sorted_strikes;
-          quarantined = sorted_quarantined;
-          entries = Array.to_list (History.entries history);
-          inflight;
-          pareto = Pareto.to_list !archive;
-          trace_cursor = Option.map Scenario.cursor scenario };
-      Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
+  let snapshot () =
+    (* Ordering is defined by the canonical key, not polymorphic compare:
+       the checkpoint bytes for a given quarantine state are unique. *)
+    let sorted_strikes =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) strikes [])
+    in
+    let sorted_quarantined =
+      List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) quarantine [])
+    in
+    let inflight =
+      List.sort
+        (fun (a : Checkpoint.inflight) b -> compare a.Checkpoint.index b.Checkpoint.index)
+        (Hashtbl.fold (fun _ r acc -> r :: acc) inflight_tbl [])
+    in
+    { Checkpoint.seed;
+      rng_state = Rng.state rng;
+      clock_seconds = Vclock.now clock;
+      budget_start_seconds = start_seconds;
+      iterations = !completed;
+      workers;
+      consecutive_invalid = !consecutive_invalid;
+      cache_capacity = Image_cache.cap cache;
+      cache = Image_cache.to_alist cache;
+      strikes = sorted_strikes;
+      quarantined = sorted_quarantined;
+      entries = Array.to_list (History.entries history);
+      inflight;
+      pareto = Pareto.to_list !archive;
+      trace_cursor = Option.map Scenario.cursor scenario }
+  in
+  let write_checkpoint, checkpointed =
+    checkpoints ~obs ~path:checkpoint_path ~keep:checkpoint_keep ~snapshot
+      ~final:(fun () -> !completed mod checkpoint_every <> 0)
   in
   let within_budget () =
     match budget with
@@ -1195,12 +1228,12 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       end
     end
   in
-  fill ();
-  while Vclock.run_next clock do
-    fill ()
-  done;
-  check_rng ();
-  if !completed mod checkpoint_every <> 0 then write_checkpoint ();
+  checkpointed (fun () ->
+      fill ();
+      while Vclock.run_next clock do
+        fill ()
+      done;
+      check_rng ());
   Obs.Recorder.flush obs;
   { history;
     best = History.best history;

@@ -25,11 +25,13 @@
     repeatedly exhaust their retries.  The default policy
     ({!Resilience.none}) reproduces the pre-resilience semantics exactly.
 
-    Passing [checkpoint_path] persists a {!Checkpoint.t} every
-    [checkpoint_every] iterations (and once at the end); passing
-    [resume_from] replays a checkpoint through the algorithm's normal
-    propose/observe path and then continues the run — a killed search
-    resumed this way reproduces the uninterrupted run bit-for-bit.
+    Passing [checkpoint_path] takes a {!Checkpoint.t} snapshot every
+    [checkpoint_every] iterations, published by a background
+    {!Durable.Publisher} so the loop never waits on the disk, and saves
+    once more at the end; passing [resume_from] replays a checkpoint
+    through the algorithm's normal propose/observe path and then
+    continues the run — a killed search resumed this way reproduces the
+    uninterrupted run bit-for-bit.
 
     Every iteration is traced through a {!Wayfinder_obs.Recorder} as a
     [driver.iteration] span split into phases — [driver.propose],
@@ -206,13 +208,22 @@ val run :
     [checkpoint_keep] (default 1) is the number of checkpoint
     generations retained: each save rotates the previous file to
     [path.1], [path.2], …, so {!Checkpoint.load_latest} can fall back
-    past a corrupt primary.
+    past a corrupt primary.  Every exit — budget, stop reason or
+    exception — first waits for the background publisher; a normal exit
+    then writes the final save itself when the run did not end on the
+    cadence.  So after any exit [path] holds the newest snapshot, and
+    [path.1] the newest periodic one when the final save was its own;
+    older generations hold the newest {e published} snapshots, which
+    skip snapshots taken while the disk was busy.  A failed background
+    save raises {!Durable.Io_error} from the next snapshot or at the end
+    of the run; an exception from the run itself wins over it.
 
     @raise Invalid_argument if [invalid_floor_s <= 0],
     [max_consecutive_invalid <= 0], [checkpoint_every <= 0],
     [checkpoint_keep < 1], [workers <= 0], [batch <= 0], the policy fails
     {!Resilience.validate}, [resume_from] does not fit the run (see
-    {!validate}), or a resume replay diverges from the checkpoint. *)
+    {!validate}), or a resume replay diverges from the checkpoint.
+    @raise Durable.Io_error if a checkpoint save fails. *)
 
 val run_sequential :
   ?seed:int ->

@@ -130,6 +130,96 @@ let read_file ?(backend = fs) path =
   match backend.read path with s -> Ok s | exception Io_error e -> Error e
 
 (* ------------------------------------------------------------------ *)
+(* Background publisher                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Publisher = struct
+  type job = { keep : int; payload : unit -> string }
+
+  (* [pending] holds the newest job not yet started for each path, and
+     [queue] the paths that have one, oldest submission first: a path is
+     in [queue] exactly when it is in [pending].  One writer thread runs
+     while [running]; it takes jobs one at a time, so two publishes of
+     one path never overlap and land in submission order. *)
+  type t = {
+    backend : backend;
+    lock : Mutex.t;
+    idle : Condition.t;
+    pending : (string, job) Hashtbl.t;
+    queue : string Queue.t;
+    mutable running : bool;
+    mutable failure : (exn * Printexc.raw_backtrace) option;
+  }
+
+  let create ?(backend = fs) () =
+    { backend;
+      lock = Mutex.create ();
+      idle = Condition.create ();
+      pending = Hashtbl.create 4;
+      queue = Queue.create ();
+      running = false;
+      failure = None }
+
+  (* The writer touches only the jobs and the backend.  It exits when
+     nothing is pending, so an idle publisher holds no thread. *)
+  let rec write t =
+    let next =
+      Mutex.protect t.lock (fun () ->
+          match Queue.take_opt t.queue with
+          | None ->
+            t.running <- false;
+            Condition.broadcast t.idle;
+            None
+          | Some path ->
+            let job = Hashtbl.find t.pending path in
+            Hashtbl.remove t.pending path;
+            Some (path, job))
+    in
+    match next with
+    | None -> ()
+    | Some (path, job) ->
+      (match atomic_publish ~backend:t.backend ~keep:job.keep ~path (job.payload ()) with
+      | () -> ()
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Mutex.protect t.lock (fun () ->
+            if Option.is_none t.failure then t.failure <- Some (e, bt)));
+      write t
+
+  (* Called with the lock held: the recorded failure, now reported. *)
+  let take_failure t =
+    let f = t.failure in
+    t.failure <- None;
+    f
+
+  let reraise = Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+
+  let submit t ?(keep = 1) ~path payload =
+    if keep < 1 then invalid_arg "Durable.Publisher.submit: keep must be >= 1";
+    let failed, start =
+      Mutex.protect t.lock (fun () ->
+          match take_failure t with
+          | Some _ as f -> (f, false)
+          | None ->
+            if not (Hashtbl.mem t.pending path) then Queue.push path t.queue;
+            Hashtbl.replace t.pending path { keep; payload };
+            let start = not t.running in
+            t.running <- true;
+            (None, start))
+    in
+    reraise failed;
+    if start then ignore (Thread.create write t : Thread.t)
+
+  let drain t =
+    reraise
+      (Mutex.protect t.lock (fun () ->
+           while t.running do
+             Condition.wait t.idle t.lock
+           done;
+           take_failure t))
+end
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic fault backend                                         *)
 (* ------------------------------------------------------------------ *)
 

@@ -99,6 +99,45 @@ val atomic_publish : ?backend:backend -> ?keep:int -> path:string -> string -> u
 
 val read_file : ?backend:backend -> string -> (string, io_error) result
 
+(** {1 Background publication} *)
+
+(** Periodic files — checkpoint snapshots, the Prometheus scrape file —
+    published off the caller's thread.  On some disks replacing a file
+    costs tens of milliseconds (freeing the old file's blocks), so a
+    search that published synchronously every few rows would spend most
+    of its time waiting on renames.
+
+    A publisher holds at most one pending payload per path: a newer
+    submission replaces one that has not started, so when the disk
+    keeps up every payload is published, and when it does not only the
+    newest pending one is.  Payloads of one path are published in
+    submission order, each by an unchanged {!atomic_publish}. *)
+module Publisher : sig
+  type t
+
+  val create : ?backend:backend -> unit -> t
+  (** No thread yet: a writer thread starts on the first {!submit} and
+      exits when nothing is left to publish, so a publisher that is
+      never used costs nothing.  The writer touches only the submitted
+      payload closures and [backend] (default {!fs}). *)
+
+  val submit : t -> ?keep:int -> path:string -> (unit -> string) -> unit
+  (** Queue [payload] for {!atomic_publish} at [path] with [keep]
+      generations (default 1) and return at once.  The closure runs on
+      the writer thread, and never for a payload superseded before its
+      publish started.
+      @raise Io_error (or whatever else a background publish raised),
+      instead of queueing, when a background publish failed since the
+      last {!submit} or {!drain} reported a failure: each failure is
+      reported once, and only the first of several.
+      @raise Invalid_argument if [keep < 1]. *)
+
+  val drain : t -> unit
+  (** Wait until nothing is pending or being published.
+      @raise Io_error (or whatever else a background publish raised)
+      if one failed and was not yet reported. *)
+end
+
 (** {1 The deterministic fault backend} *)
 
 module Mem : sig

@@ -282,6 +282,11 @@ let kill_and_resume ~seed ~interrupt_at =
       match Checkpoint.load ~path with
       | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
       | Ok ck ->
+        (* The exit drains the background publisher: the primary holds
+           the newest snapshot taken before the kill. *)
+        Alcotest.(check int) "primary is the newest snapshot"
+          (5 * ((interrupt_at - 1) / 5))
+          ck.Checkpoint.iterations;
         let resumed = C.run ~engine ~seed ~budget ~fault_rate ~resume_from:ck "random" in
         ( ck,
           History.to_csv full.C.result.Driver.history,

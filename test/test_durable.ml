@@ -126,12 +126,21 @@ let sample_ck n =
     pareto = [];
     trace_cursor = None }
 
-let checkpoint_crash_step ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel =
+let save_now ~backend ck = Checkpoint.save ~backend ~keep:2 ~path:"s.ckpt" ck
+
+(* The same save through a background publisher: the kill lands on its
+   writer thread and comes back from [drain]. *)
+let save_in_background ~backend ck =
+  let publisher = Durable.Publisher.create ~backend () in
+  Durable.Publisher.submit publisher ~keep:2 ~path:"s.ckpt" (fun () -> Checkpoint.to_string ck);
+  Durable.Publisher.drain publisher
+
+let checkpoint_crash_step ?(save = save_now) ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel =
   let fs = Mem.create ~keep_unsynced ~keep_renames () in
   let backend = Mem.backend fs in
   Checkpoint.save ~backend ~keep:2 ~path:"s.ckpt" old_ck;
   Mem.set_fuel fs fuel;
-  (match Checkpoint.save ~backend ~keep:2 ~path:"s.ckpt" new_ck with
+  (match save ~backend new_ck with
   | () -> ()
   | exception Mem.Crashed -> ()
   | exception Durable.Io_error _ -> ());
@@ -153,14 +162,14 @@ let checkpoint_save_cost ~old_ck ~new_ck =
   Checkpoint.save ~backend ~keep:2 ~path:"s.ckpt" new_ck;
   Mem.cost probe - before
 
-let test_checkpoint_save_crash_matrix () =
+let test_checkpoint_save_crash_matrix ?save () =
   (* Small checkpoints keep the exhaustive per-byte sweep fast. *)
   let old_ck = sample_ck 2 and new_ck = sample_ck 3 in
   let total = checkpoint_save_cost ~old_ck ~new_ck in
   List.iter
     (fun (keep_unsynced, keep_renames) ->
       for fuel = 0 to total do
-        checkpoint_crash_step ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel
+        checkpoint_crash_step ?save ~keep_unsynced ~keep_renames ~old_ck ~new_ck fuel
       done)
     fault_plans
 
@@ -200,6 +209,125 @@ let test_checkpoint_generation_rotation () =
     | Some (Checkpoint.Recovered_from_generation { generation = 1; dropped = [ _ ]; _ }) -> ()
     | Some n -> Alcotest.failf "unexpected notice: %s" (Checkpoint.notice_to_string n)
     | None -> Alcotest.fail "expected a recovery notice")
+
+(* ------------------------------------------------------------------ *)
+(* Background publisher                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A backend whose primitives each wait for a permit from the test, so
+   submissions interleave with the writer thread at chosen points. *)
+type gate = { m : Mutex.t; c : Condition.t; mutable permits : int; mutable opened : bool }
+
+let gated (g : gate) (b : Durable.backend) =
+  let pass () =
+    Mutex.protect g.m (fun () ->
+        while (not g.opened) && g.permits = 0 do
+          Condition.wait g.c g.m
+        done;
+        if not g.opened then g.permits <- g.permits - 1)
+  in
+  { b with
+    Durable.write = (fun p d -> pass (); b.Durable.write p d);
+    fsync = (fun p -> pass (); b.Durable.fsync p);
+    rename = (fun ~src ~dst -> pass (); b.Durable.rename ~src ~dst);
+    fsync_dir = (fun p -> pass (); b.Durable.fsync_dir p);
+    exists = (fun p -> pass (); b.Durable.exists p) }
+
+let release (g : gate) f =
+  Mutex.protect g.m (fun () ->
+      f g;
+      Condition.broadcast g.c)
+
+type pub_op = Submit of int | Allow of int
+
+let prop_publisher_newest_wins =
+  QCheck2.Test.make ~count:200
+    ~name:"published payloads are an increasing subsequence ending with the last"
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map (function Submit p -> Printf.sprintf "submit:%d" p | Allow k -> Printf.sprintf "allow:%d" k) ops))
+    QCheck2.Gen.(
+      list_size (int_range 1 40)
+        (oneof [ map (fun p -> Submit p) (int_bound 1); map (fun k -> Allow k) (int_bound 6) ]))
+    (fun ops ->
+      let fs = Mem.create () in
+      let mem = Mem.backend fs in
+      let paths = [| "a.prom"; "b.prom" |] in
+      (* Every payload that reaches a path, as the writer renames it in. *)
+      let landed = Hashtbl.create 8 and encoded = ref 0 in
+      let g = { m = Mutex.create (); c = Condition.create (); permits = 0; opened = false } in
+      let gate = gated g mem in
+      let backend =
+        { gate with
+          Durable.rename =
+            (fun ~src ~dst ->
+              gate.Durable.rename ~src ~dst;
+              Hashtbl.add landed dst (int_of_string (Option.get (Mem.get_file fs dst)))) }
+      in
+      let publisher = Durable.Publisher.create ~backend () in
+      let submitted = Hashtbl.create 8 and seq = ref 0 in
+      List.iter
+        (function
+          | Submit p ->
+            incr seq;
+            let v = !seq in
+            Hashtbl.add submitted paths.(p) v;
+            Durable.Publisher.submit publisher ~path:paths.(p) (fun () ->
+                incr encoded;
+                string_of_int v)
+          | Allow k -> release g (fun g -> g.permits <- g.permits + k))
+        ops;
+      release g (fun g -> g.opened <- true);
+      Durable.Publisher.drain publisher;
+      let rec increasing = function a :: (b :: _ as rest) -> a < b && increasing rest | _ -> true in
+      let last = List.fold_left (fun _ x -> Some x) None in
+      Array.for_all
+        (fun path ->
+          (* [Hashtbl.find_all] lists the newest binding first. *)
+          let subs = List.rev (Hashtbl.find_all submitted path) in
+          let pubs = List.rev (Hashtbl.find_all landed path) in
+          increasing pubs
+          && List.for_all (fun v -> List.mem v subs) pubs
+          && last pubs = last subs
+          && Mem.get_file fs path = Option.map string_of_int (last subs))
+        paths
+      && !encoded = Hashtbl.length landed
+      && List.for_all (fun f -> Array.mem f paths) (Mem.list_files fs))
+
+let test_publisher_reports_failure () =
+  let fs = Mem.create () in
+  Mem.set_file fs "m.prom" "old\n";
+  let mem = Mem.backend fs in
+  let backend =
+    { mem with
+      Durable.fsync =
+        (fun path -> raise (Durable.Io_error { Durable.op = "fsync"; path; reason = "disk full" })) }
+  in
+  let publisher = Durable.Publisher.create ~backend () in
+  let unchanged what =
+    Alcotest.(check (list string)) (what ^ ": no staging file left") [ "m.prom" ] (Mem.list_files fs);
+    Alcotest.(check (option string)) (what ^ ": old file intact") (Some "old\n")
+      (Mem.get_file fs "m.prom")
+  in
+  Durable.Publisher.submit publisher ~path:"m.prom" (fun () -> "new\n");
+  (match Durable.Publisher.drain publisher with
+  | () -> Alcotest.fail "drain hid the failed publish"
+  | exception Durable.Io_error e -> Alcotest.(check string) "the backend's error" "fsync" e.Durable.op);
+  unchanged "after drain";
+  Durable.Publisher.drain publisher;
+  (* Without a drain, a later submit reports the failure instead of
+     queueing. *)
+  let rec until_reported tries =
+    if tries = 0 then Alcotest.fail "no submit reported the failed publish";
+    match Durable.Publisher.submit publisher ~path:"m.prom" (fun () -> "newer\n") with
+    | () ->
+      Unix.sleepf 0.001;
+      until_reported (tries - 1)
+    | exception Durable.Io_error e -> e
+  in
+  Alcotest.(check string) "submit reports it" "fsync" (until_reported 5000).Durable.op;
+  (try Durable.Publisher.drain publisher with Durable.Io_error _ -> ());
+  unchanged "after submit"
 
 (* ------------------------------------------------------------------ *)
 (* Ledger: torn tails, salvage, typed errors                           *)
@@ -521,6 +649,50 @@ let test_resume_from_fallback_generation_reproduces_run () =
           (History.to_csv full.Driver.history)
           (History.to_csv resumed.Driver.history))
 
+(* A periodic checkpoint whose directory vanished fails the run, though
+   its publish ran on the writer thread.  The budget is a multiple of
+   the cadence, so no synchronous final save fails in its place.  When
+   the run is killed instead, the kill wins over the failure its drain
+   reports. *)
+let test_failed_background_checkpoint_fails_run () =
+  let dir = Filename.temp_file "wayfinder_ckpt" "" in
+  Sys.remove dir;
+  let checkpoint_path = Filename.concat dir "s.ckpt" in
+  let run ?interrupt_at engine =
+    Sys.mkdir dir 0o755;
+    let completions = ref 0 in
+    let on_iteration _ =
+      incr completions;
+      if !completions = 1 then Sys.rmdir dir;
+      if Some !completions = interrupt_at then raise Exit
+    in
+    let target = toy_target () and algorithm = Random_search.create () in
+    let budget = Driver.Iterations 18 in
+    match
+      match engine with
+      | `Sequential ->
+        Driver.run_sequential ~seed:5 ~on_iteration ~checkpoint_path ~checkpoint_every:3 ~target
+          ~algorithm ~budget ()
+      | `Workers workers ->
+        Driver.run ~seed:5 ~workers ~on_iteration ~checkpoint_path ~checkpoint_every:3 ~target
+          ~algorithm ~budget ()
+    with
+    | _ -> Alcotest.fail "the run hid the failed checkpoint"
+    | exception Durable.Io_error e -> `Failed e.Durable.path
+    | exception Exit -> `Killed
+  in
+  List.iter
+    (fun engine ->
+      (match run engine with
+      | `Failed path ->
+        Alcotest.(check bool) "the error names the checkpoint" true
+          (contains_sub path checkpoint_path)
+      | `Killed -> Alcotest.fail "no kill was asked for");
+      match run ~interrupt_at:4 engine with
+      | `Killed -> ()
+      | `Failed _ -> Alcotest.fail "the drain's failure replaced the kill")
+    [ `Sequential; `Workers 1; `Workers 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Envelope: the line codec checkpoints and registry entries share     *)
 (* ------------------------------------------------------------------ *)
@@ -667,16 +839,21 @@ let mutate s (op, a, b) =
 let reencodes parse print v =
   match parse (print v) with Ok v' -> compare v v' = 0 | Error _ -> false
 
+(* The file grows by appends, as a live ledger does: rewriting it would
+   make every case pay for freeing the old file's blocks. *)
 let tail_in_two_chunks s cut =
   let path = Filename.temp_file "wayfinder" ".jsonl" in
-  let write data = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data) in
+  let append data =
+    Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path (fun oc ->
+        Out_channel.output_string oc data)
+  in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let tail = M.Tail.create path in
-      write (String.sub s 0 cut);
+      append (String.sub s 0 cut);
       ignore (M.Tail.step tail : (M.Tail.step, A.Ledger.error) result);
-      write s;
+      append (String.sub s cut (String.length s - cut));
       ignore (M.Tail.step tail : (M.Tail.step, A.Ledger.error) result))
 
 let prop_mutation_fuzz =
@@ -711,10 +888,16 @@ let () =
             test_atomic_write_crash_matrix ] );
       ( "checkpoint",
         [ Alcotest.test_case "crash matrix with rotation" `Quick
-            test_checkpoint_save_crash_matrix;
+            (test_checkpoint_save_crash_matrix ?save:None);
           Alcotest.test_case "generation rotation and fallback" `Quick
             test_checkpoint_generation_rotation;
-          QCheck_alcotest.to_alcotest prop_checkpoint_crash_matrix ] );
+          QCheck_alcotest.to_alcotest prop_checkpoint_crash_matrix;
+          Alcotest.test_case "crash matrix through the background publisher" `Quick
+            (test_checkpoint_save_crash_matrix ~save:save_in_background) ] );
+      ( "publisher",
+        [ QCheck_alcotest.to_alcotest prop_publisher_newest_wins;
+          Alcotest.test_case "a failed publish is reported, no staging file left" `Quick
+            test_publisher_reports_failure ] );
       ( "ledger",
         [ Alcotest.test_case "seal roundtrip" `Quick test_ledger_seal_roundtrip;
           Alcotest.test_case "torn-tail matrix: salvage at every cut" `Quick
@@ -732,4 +915,6 @@ let () =
       ("fuzz", [ QCheck_alcotest.to_alcotest prop_mutation_fuzz ]);
       ( "composition",
         [ Alcotest.test_case "resume from fallback generation under 10% faults" `Quick
-            test_resume_from_fallback_generation_reproduces_run ] ) ]
+            test_resume_from_fallback_generation_reproduces_run;
+          Alcotest.test_case "a failed background checkpoint fails the run" `Quick
+            test_failed_background_checkpoint_fails_run ] ) ]

@@ -368,6 +368,12 @@ let write_ledger ?(n = 14) ?(fault_rate = 0.3) ?(seed = 21) path =
 let read_file path = In_channel.with_open_text path In_channel.input_all
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
+(* A live ledger grows by appends; rewriting the file instead would make
+   every step pay for freeing the old file's blocks. *)
+let append_file path s =
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path
+    (fun oc -> Out_channel.output_string oc s)
+
 (* ------------------------------------------------------------------ *)
 (* Tail                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -422,7 +428,7 @@ let test_tail_torn_writes () =
       (* Only header/meta damage may be fatal — and a clean partial
          prefix of a valid file is never damaged, merely incomplete. *)
       Alcotest.failf "cut %d: unexpected fatal %s" !cut (A.Ledger.error_to_string e));
-    write_file part bytes;
+    append_file part (String.sub bytes !cut (n - !cut));
     (match M.Tail.step tail with
     | Ok step -> rows := !rows @ step.M.Tail.rows
     | Error e -> Alcotest.failf "cut %d: resume %s" !cut (A.Ledger.error_to_string e));
@@ -540,7 +546,8 @@ let test_tail_resume_is_sealed_unverified () =
   let bytes = read_file path in
   (* First reader consumes a prefix... *)
   let half = temp_path ".jsonl" in
-  write_file half (String.sub bytes 0 (String.length bytes / 2));
+  let cut = String.length bytes / 2 in
+  write_file half (String.sub bytes 0 cut);
   let first = M.Tail.create half in
   (match M.Tail.step first with
   | Ok _ -> ()
@@ -548,7 +555,7 @@ let test_tail_resume_is_sealed_unverified () =
   let offset = M.Tail.offset first in
   let rows_read = M.Tail.rows_read first in
   let meta = Option.get (M.Tail.meta first) in
-  write_file half bytes;
+  append_file half (String.sub bytes cut (String.length bytes - cut));
   (* ...and a resumed tail picks up at its offset: the row count checks
      out but the CRC of the skipped prefix is unknowable. *)
   let resumed = M.Tail.resume ~rows_read ~path:half ~offset ~meta () in
@@ -598,8 +605,9 @@ let test_dashboard_deterministic () =
       let n = String.length bytes in
       let pos = ref 0 in
       while !pos < n do
-        pos := min n (!pos + 113);
-        write_file part (String.sub bytes 0 !pos);
+        let next = min n (!pos + 113) in
+        append_file part (String.sub bytes !pos (next - !pos));
+        pos := next;
         match M.Tail.step tail with
         | Error e -> Alcotest.failf "chunk step: %s" (A.Ledger.error_to_string e)
         | Ok step ->
