@@ -259,9 +259,9 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
         match checkpoint with
         | None -> Error "--resume requires --checkpoint FILE"
         | Some path -> (
-          (* Fall back past a corrupt primary to the newest rotated
-             generation that validates — a torn final save must not kill
-             the resume. *)
+          (* The newest valid state record, past a torn append or, when
+             the primary holds none, in the newest rotated generation
+             that has one — a torn save must not kill the resume. *)
           match P.Checkpoint.load_latest path with
           | Ok (ck, notice) ->
             (match notice with
@@ -1296,37 +1296,41 @@ let run_cmd =
   let checkpoint =
     Arg.(
       value & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE" ~doc:"Write a resumable checkpoint to $(docv).")
+      & info [ "checkpoint" ] ~docv:"FILE"
+          ~doc:"Write a resumable checkpoint journal to $(docv): the run's first save writes \
+                it whole, and every later save appends the rows completed since the previous \
+                one plus a small state record sealed by a running CRC.")
   in
   let checkpoint_every =
     Arg.(
       value & opt int 10
       & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Take a checkpoint snapshot every $(docv) iterations.  A background writer \
-                publishes the newest pending snapshot, so the search never waits for the \
-                disk; every exit drains it, and a run that does not end on the cadence then \
-                writes its final save itself.  An I/O error surfaces at the next snapshot or \
-                at the end of the run.")
+          ~doc:"Save a checkpoint every $(docv) iterations.  A background writer appends \
+                and fsyncs each save in order, so the search never waits for the disk; every \
+                exit drains it, and a run that does not end on the cadence then writes its \
+                final save.  After a $(b,kill -9) the newest valid record can trail the \
+                newest save by the appends still queued.  An I/O error surfaces at the next \
+                save or at the end of the run.")
   in
   let keep_checkpoints =
     Arg.(
       value & opt int 1
       & info [ "keep-checkpoints" ] ~docv:"N"
-          ~doc:"Retain $(docv) checkpoint generations: each save rotates the previous file to \
-                $(i,FILE.1), $(i,FILE.2), …, and $(b,--resume) falls back to the newest \
-                generation that validates if the primary is torn or corrupt.  The primary \
-                holds the newest snapshot, and $(i,FILE.1) the newest periodic one when the \
-                final save is its own; older generations hold the newest $(i,published) \
-                snapshots, which skip those the disk could not keep up with.  After a \
-                $(b,kill -9) the newest complete generation can trail the newest snapshot by \
-                the one being published and every snapshot taken while it was.")
+          ~doc:"Retain $(docv) checkpoint generations.  Only a run's first save, which \
+                writes the journal whole, rotates the previous file to $(i,FILE.1), \
+                $(i,FILE.2), …; later saves append to the journal, whose older state records \
+                are the fallback within one run.  $(b,--resume) falls back to the newest \
+                generation with a valid record only when the primary holds none.")
   in
   let resume =
     Arg.(
       value & flag
       & info [ "resume" ]
-          ~doc:"Resume the search from the $(b,--checkpoint) file; reproduces the uninterrupted \
-                run exactly (seed and fault schedule come from the checkpoint).")
+          ~doc:"Resume the search from the newest valid state record of the $(b,--checkpoint) \
+                journal; reproduces the uninterrupted run exactly (seed and fault schedule \
+                come from the checkpoint).  Bytes after that record (a torn append) are \
+                dropped with a notice, and the resumed run's first save rewrites the journal \
+                without them.")
   in
   let fault_rate =
     Arg.(
@@ -1779,19 +1783,20 @@ let fsck_cmd =
       value & flag
       & info [ "repair" ]
           ~doc:"Fix what can be fixed: truncate torn ledger tails to their clean prefix \
-                (re-sealed; the original kept as $(i,PATH.bak)), quarantine corrupt checkpoint \
-                generations and registry model entries to $(i,PATH.bak) so loaders skip them, \
-                and remove stray $(i,.tmp) staging files.  Corrupt JSON reports are flagged \
-                but never modified.")
+                (re-sealed; the original kept as $(i,PATH.bak)), truncate checkpoint journals \
+                to their newest valid state record (the original kept as $(i,PATH.bak)), \
+                quarantine journals with no valid record and corrupt registry model entries \
+                to $(i,PATH.bak) so loaders skip them, and remove stray $(i,.tmp) staging \
+                files.  Corrupt JSON reports are flagged but never modified.")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.") in
   let f paths repair json = handle (run_fsck ~paths ~repair ~json) in
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
-         "Validate every durable search artifact — checkpoint generations (CRC envelopes), run \
-          ledgers (fin seals, torn tails), JSON reports, stray staging files — and exit \
-          non-zero if unrepaired corruption remains.")
+         "Validate every durable search artifact — checkpoint journals (CRC-sealed state \
+          records), run ledgers (fin seals, torn tails), JSON reports, stray staging files — \
+          and exit non-zero if unrepaired corruption remains.")
     Term.(const f $ paths $ repair $ json)
 
 let models_cmd =

@@ -97,11 +97,23 @@ let classify path content =
 (* Per-kind validation                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A journal with bytes after its newest valid state record is Corrupt
+   but repairable: truncating it to that record loses nothing a loader
+   would have used. *)
 let check_checkpoint content =
-  match Checkpoint.of_string content with
-  | Ok t ->
-    (Valid, Printf.sprintf "%d iterations, %d in flight" t.Checkpoint.iterations
-       (List.length t.Checkpoint.inflight))
+  match Checkpoint.scan content with
+  | Ok r ->
+    let ck = r.Checkpoint.ck in
+    let summary =
+      Printf.sprintf "%d iterations, %d in flight, %d state records" ck.Checkpoint.iterations
+        (List.length ck.Checkpoint.inflight) r.Checkpoint.records
+    in
+    (match r.Checkpoint.dropped with
+    | None -> (Valid, summary)
+    | Some (bytes, e) ->
+      ( Corrupt,
+        Printf.sprintf "%s; %d bytes after the newest valid record: %s" summary bytes
+          (Checkpoint.error_to_string e) ))
   | Error e -> (Corrupt, Checkpoint.error_to_string e)
 
 let check_ledger content =
@@ -174,9 +186,17 @@ let repair_finding ~content path kind status =
   | Tmp, Stray ->
     Sys.remove path;
     Some "removed stray staging file"
-  | Checkpoint_gen, Corrupt ->
-    let bak = quarantine path in
-    Some (Printf.sprintf "pruned corrupt generation (kept at %s)" bak)
+  | Checkpoint_gen, Corrupt -> (
+    match Checkpoint.scan content with
+    | Ok r ->
+      let bak = quarantine path in
+      Durable.atomic_write_exn ~path (String.sub content 0 r.Checkpoint.valid_bytes);
+      Some
+        (Printf.sprintf "truncated to the newest valid record (%d state records; original at %s)"
+           r.Checkpoint.records bak)
+    | Error _ ->
+      let bak = quarantine path in
+      Some (Printf.sprintf "pruned corrupt generation (kept at %s)" bak))
   | Model_entry, Corrupt ->
     (* Like a corrupt checkpoint generation: quarantine so registry
        lookups skip it, keep the bytes for post-mortem. *)

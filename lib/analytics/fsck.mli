@@ -1,20 +1,24 @@
 (** [wayfinder fsck] — validate every durable artifact a search leaves
-    behind: checkpoint generations (sealed CRC envelopes), run ledgers
-    (fin seals, torn tails), JSON reports and JSONL streams, plus stray
-    [.tmp] staging files from interrupted atomic writes.
+    behind: checkpoint journals and their generations (state records
+    sealed by a running CRC), run ledgers (fin seals, torn tails), JSON
+    reports and JSONL streams, plus stray [.tmp] staging files from
+    interrupted atomic writes.
 
     The scanner classifies each file by name ([*.ckpt], [*.ckpt.N],
     [*.jsonl], [*.json], [*.tmp]) with a content sniff as fallback, so a
-    directory of mixed artifacts can be checked in one pass.  With
+    directory of mixed artifacts can be checked in one pass.  A valid
+    journal reports its iterations, in-flight tasks and state records;
+    one with bytes after its newest valid record is Corrupt.  With
     [repair] it truncates torn ledger tails to the clean prefix
-    (re-sealed; the original kept as [path.bak]), quarantines corrupt
-    checkpoint generations to [path.bak] (so {!Checkpoint.load_latest}
-    falls back past them), and removes stray staging files.  Corrupt
-    JSON reports are flagged but never modified — there is no prefix
-    semantics to repair them by. *)
+    (re-sealed; the original kept as [path.bak]), truncates a journal to
+    its newest valid record (the original kept as [path.bak]),
+    quarantines journals with no valid record to [path.bak] (so
+    {!Checkpoint.load_latest} falls back past them), and removes stray
+    staging files.  Corrupt JSON reports are flagged but never modified
+    — there is no prefix semantics to repair them by. *)
 
 type kind =
-  | Checkpoint_gen  (** A checkpoint primary or rotated generation. *)
+  | Checkpoint_gen  (** A checkpoint journal: the primary or a rotated generation. *)
   | Ledger
   | Jsonl_stream  (** A schema-headed JSONL file of another kind (trace). *)
   | Json_report  (** A single-document JSON file (analyze / bench output). *)

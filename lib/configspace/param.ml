@@ -169,7 +169,7 @@ let percent_decode s =
    equal position by position — unlike [Hashtbl.hash], which only examines
    a bounded prefix of the structure and silently conflates configurations
    that differ past the ~10th parameter. *)
-let config_key config =
+let join_tokens sep config =
   let length = Array.fold_left (fun acc v -> acc + 1 + token_length v) (-1) config in
   let b = Bytes.create (Int.max 0 length) in
   let stop = ref length in
@@ -177,10 +177,12 @@ let config_key config =
     stop := write_token b !stop config.(i);
     if i > 0 then begin
       decr stop;
-      Bytes.set b !stop ','
+      Bytes.set b !stop sep
     end
   done;
   Bytes.unsafe_to_string b
+
+let config_key = join_tokens ','
 
 let value_of_token s =
   if String.length s < 2 then None

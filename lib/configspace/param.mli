@@ -77,9 +77,13 @@ val percent_decode : string -> string
     digits becomes its byte, every other byte (a stray [%] included) is
     kept as is. *)
 
+val join_tokens : char -> value array -> string
+(** The {!value_token}s joined by the separator, written straight into
+    a string of its exact length (no token holds a comma or a space). *)
+
 val config_key : value array -> string
 (** Canonical identity of a whole configuration: the comma-joined
-    {!value_token}s.  Injective — two configurations share a key iff they
+    {!value_token}s ([join_tokens ',']).  Injective — two configurations share a key iff they
     are equal position by position — so it is safe to key quarantine
     strikes, dedup sets and checkpoint state on it (unlike
     [Hashtbl.hash], which ignores everything past a bounded prefix). *)

@@ -22,16 +22,27 @@
     resume under different flags, seed or code fails loudly instead of
     silently diverging.
 
-    The on-disk format is a versioned line-oriented text file; floats are
-    hex literals ([%h]) so every double round-trips exactly.  The file is
-    a {e sealed envelope}: the versioned body followed by a mandatory
-    CRC-32 trailer line over the body bytes, so truncations and bit flips
-    are rejected with a typed {!Malformed} instead of being misparsed.
-    Writes go through {!Durable}: tmp-write + fsync + rename +
-    directory-fsync, with optional {e generation rotation}
-    ([path], [path.1], …) so a corrupt or torn primary falls back to the
-    newest older generation that validates ({!load_latest}) instead of
-    killing the resume.  Files written by other format versions are
+    The on-disk format (version 6) is an {e append-only journal} of
+    text lines; floats are hex literals ([%h]) so every double
+    round-trips exactly.  After the header line come [entry] lines in
+    completion order and {e state records}: the non-entry fields, an
+    [end] line and a [crc XXXXXXXX] line, the CRC-32 of every byte of
+    the file before that line.  A record therefore vouches for every
+    entry before it, and counts only when its CRC matches and its
+    [iterations] equals the number of entry lines before it.  A run
+    writes its journal whole once ({!start}, published like {!save})
+    and then only appends: each later save adds the entries completed
+    since the previous one and one state record ({!extend}), so a save
+    costs O(new rows + state) instead of the whole history.
+
+    Loading scans the file once with a running CRC and returns the
+    newest record that verifies, with the entries before it; bytes after
+    it (a torn append, a flipped bit) are dropped and reported
+    ({!scan}, {!Dropped_tail}).  Older records in the same file are the
+    fallback that generation rotation used to provide; rotated
+    generations ([path.1], …, written by whole-file saves) are tried
+    only when the primary holds no valid record at all
+    ({!load_latest}).  Files written by other format versions are
     rejected with {!Unsupported_version} — never an exception. *)
 
 module Space = Wayfinder_configspace.Space
@@ -85,21 +96,57 @@ type error =
 val error_to_string : error -> string
 
 val version : int
-(** Current format version: 5.  Files written by earlier versions are
+(** Current format version: 6.  Files written by earlier versions are
     rejected with {!Unsupported_version} (v2 persisted per-slot baseline
     images instead of the shared cache; v3 keyed quarantine strikes on
     the truncated polymorphic hash, which conflated configurations
     differing past the ~10th parameter; v4 predates objective vectors,
-    the Pareto archive and the scenario trace cursor, all of which v5
-    entry lines and body fields carry). *)
+    the Pareto archive and the scenario trace cursor; v5 was one sealed
+    envelope that every save rewrote whole, where v6 is the append-only
+    journal). *)
 
 val to_string : t -> string
-(** The sealed envelope: the versioned body plus the CRC-32 trailer
-    line. *)
+(** The compacted journal: the header, every entry of [t], and one
+    state record. *)
+
+(** {1 Appending} *)
+
+type journal
+(** What a writer remembers between saves: the running CRC of the bytes
+    written so far and the number of entry lines they hold. *)
+
+val start : t -> string * journal
+(** [to_string t], and the journal that continues it. *)
+
+val extend : journal -> t -> string * journal
+(** The bytes that append a save to a journal — the entry lines of
+    [t.entries], which must be exactly the entries completed since the
+    journal's previous record (oldest first), then a state record for
+    [t] — and the journal after them.  O([t.entries] + state).
+    @raise Invalid_argument unless [t.iterations] equals
+    {!journal_entries} plus the length of [t.entries]. *)
+
+val journal_entries : journal -> int
+(** Entry lines the journal holds. *)
+
+(** {1 Reading} *)
+
+type scan = {
+  ck : t;  (** The newest valid state record, with every entry before it. *)
+  records : int;  (** Valid state records up to and including that one. *)
+  valid_bytes : int;  (** Bytes up to the end of its crc line. *)
+  dropped : (int * error) option;
+      (** The number of bytes after [valid_bytes], and why the first of
+          them did not verify; [None] when the record ends the file. *)
+}
+
+val scan : string -> (scan, error) result
+(** One pass with a running CRC.  [Error] when the header is not this
+    version's, or when no state record verifies. *)
 
 val of_string : string -> (t, error) result
-(** Verifies the CRC trailer before parsing; a file without one (torn
-    write, truncation at the trailer) is {!Malformed}. *)
+(** {!scan}'s state: the newest valid record, any bytes after it dropped
+    silently. *)
 
 val generation_path : string -> int -> string
 (** [generation_path path 0 = path]; [generation_path path i] is
@@ -109,12 +156,14 @@ val max_generations : int
 (** The probe window of {!load_latest}: 64. *)
 
 val save : ?backend:Durable.backend -> ?keep:int -> path:string -> t -> unit
-(** Durable atomic publish via [backend] (default {!Durable.fs}): stage
-    to [path ^ ".tmp"], fsync, rotate generations when [keep > 1]
-    ([path] → [path.1] → … up to [path.(keep-1)]), rename into place,
-    fsync the directory.  A crash at any boundary leaves a complete
-    generation loadable by {!load_latest}; a failed write removes the
-    staging file and leaves every existing generation untouched.
+(** Durable atomic publish of {!to_string} via [backend] (default
+    {!Durable.fs}): stage to [path ^ ".tmp"], fsync, rotate generations
+    when [keep > 1] ([path] → [path.1] → … up to [path.(keep-1)]),
+    rename into place, fsync the directory.  A crash at any boundary
+    leaves a complete generation loadable by {!load_latest}; a failed
+    write removes the staging file and leaves every existing generation
+    untouched.  Only these whole-file saves rotate generations; appends
+    ({!extend}) never do.
     @raise Durable.Io_error on I/O failure (after cleanup).
     @raise Invalid_argument if [keep < 1]. *)
 
@@ -128,19 +177,30 @@ type notice =
       generation : int;  (** The generation that validated (1 = [path.1] …). *)
       loaded_from : string;
       dropped : (string * error) list;
-          (** Newer generations that exist but failed validation, newest
-              first — the evidence for the fallback. *)
+          (** Newer generations that exist but hold no valid state
+              record, newest first — the evidence for the fallback —
+              then the bytes dropped after the newest valid record of
+              [loaded_from] itself, if it had any. *)
     }
-      (** Surfaced by {!load_latest} when the primary did not load
-          cleanly; [wayfinder run --resume] prints it instead of dying
-          on a corrupt primary. *)
+      (** Surfaced by {!load_latest} when the primary holds no valid
+          record; [wayfinder run --resume] prints it instead of dying on
+          a corrupt primary. *)
+  | Dropped_tail of {
+      loaded_from : string;
+      valid_bytes : int;  (** Bytes up to the end of the record loaded. *)
+      dropped_bytes : int;  (** Bytes after it, ignored. *)
+      reason : error;  (** Why the first of them did not verify. *)
+    }
+      (** The primary loaded, but not to its last byte: a torn append
+          or a damaged later record.  Printed like the generation
+          notice. *)
 
 val notice_to_string : notice -> string
 
 val load_latest :
   ?backend:Durable.backend -> string -> (t * notice option, error) result
-(** Load the newest generation that validates: tries [path], then
-    [path.1], [path.2], … within {!max_generations}.  [None] notice
-    means the primary loaded cleanly.  [Error] carries the {e primary}'s
-    error when every generation is corrupt, or {!Malformed} when no
-    generation exists at all. *)
+(** Load the newest valid state record: from [path], or, when [path]
+    holds none, from [path.1], [path.2], … within {!max_generations}.
+    [None] notice means the primary loaded to its last byte.  [Error]
+    carries the {e primary}'s error when no generation holds a valid
+    record, or {!Malformed} when no generation exists at all. *)

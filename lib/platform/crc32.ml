@@ -1,16 +1,14 @@
 type t = int32
 
 (* Reflected polynomial 0xEDB88320; table entry i is the CRC of the
-   single byte i. *)
+   single byte i.  The fold runs on native ints, which hold the 32-bit
+   state unboxed, so it allocates nothing per byte. *)
 let table =
   lazy
     (Array.init 256 (fun i ->
-         let c = ref (Int32.of_int i) in
+         let c = ref i in
          for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
 
@@ -18,13 +16,14 @@ let init = 0xFFFFFFFFl
 
 let update state s =
   let table = Lazy.force table in
-  let crc = ref state in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl) in
-      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-    s;
-  !crc
+  let crc = ref (Int32.to_int state land 0xFFFFFFFF) in
+  for i = 0 to String.length s - 1 do
+    (* The index is masked to a byte, inside the 256-entry table. *)
+    crc :=
+      Array.unsafe_get table ((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!crc lsr 8)
+  done;
+  Int32.of_int !crc
 
 let finish state = Int32.logxor state 0xFFFFFFFFl
 let digest s = finish (update init s)

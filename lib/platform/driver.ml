@@ -65,23 +65,39 @@ let check_resume_budget budget (ck : Checkpoint.t) =
   | Iterations _ | Virtual_seconds _ -> ()
 
 (* Checkpoint saves, shared by both engines.  Returns the periodic save
-   and the guard the engine runs its search loop under.  A periodic save
-   takes its snapshot on the driver's thread and hands the encoding and
-   the publish to a background publisher, which publishes only the
-   newest snapshot pending, so the search never waits on the disk.  The
-   guard drains the publisher at every exit.  After a normal exit it
-   then writes the final save synchronously, when [final ()] asks for
-   one, so the final save lands after every periodic one.  After an
-   exception the newest snapshot is published and the exception is
-   re-raised, whatever the drain reports. *)
-let checkpoints ~obs ~path ~keep ~snapshot ~final =
+   and the guard the engine runs its search loop under.  A run writes its
+   journal whole once, at its first save, and then only appends: a later
+   save takes the entries completed since the previous one from the head
+   of [history] and adds one state record, O(new rows + state) on the
+   driver's thread.  A background publisher writes and fsyncs the bytes
+   in order, so the search never waits on the disk.  The guard drains the
+   publisher at every exit.  After a normal exit it then writes the final
+   save, when [final ()] asks for one, and waits for it, so the final
+   save lands after every periodic one.  After an exception the pending
+   saves are written and the exception is re-raised, whatever the drain
+   reports. *)
+let checkpoints ?backend ~obs ~path ~keep ~history ~snapshot ~final () =
   match path with
   | None -> (ignore, fun loop -> loop ())
   | Some path ->
-    let publisher = Durable.Publisher.create () in
+    let publisher = Durable.Publisher.create ?backend () in
+    let journal = ref None in
     let save () =
-      let ck = snapshot () in
-      Durable.Publisher.submit publisher ~keep ~path (fun () -> Checkpoint.to_string ck);
+      (match !journal with
+      | None ->
+        (* Every run's first save replaces the file, so a resumed run
+           drops the killed run's torn tail ([keep > 1] keeps that
+           journal as [path.1]). *)
+        let payload, j = Checkpoint.start (snapshot (Array.to_list (History.entries history))) in
+        journal := Some j;
+        Durable.Publisher.submit publisher ~keep ~path (fun () -> payload)
+      | Some j ->
+        let fresh =
+          History.latest history (History.size history - Checkpoint.journal_entries j)
+        in
+        let payload, j = Checkpoint.extend j (snapshot fresh) in
+        journal := Some j;
+        Durable.Publisher.append publisher ~path payload);
       Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
     in
     let guard loop =
@@ -93,8 +109,8 @@ let checkpoints ~obs ~path ~keep ~snapshot ~final =
         Printexc.raise_with_backtrace e bt);
       Durable.Publisher.drain publisher;
       if final () then begin
-        Checkpoint.save ~keep ~path (snapshot ());
-        Obs.Recorder.incr obs ~quiet:true "driver.checkpoints"
+        save ();
+        Durable.Publisher.drain publisher
       end
     in
     (save, guard)
@@ -262,7 +278,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       invalid_arg "Driver.run: checkpoint was written with a scenario; resume with the same one");
     Obs.Recorder.incr obs ~quiet:true ~by:(float_of_int !index) "driver.replayed_iterations";
     if !consecutive_invalid >= max_consecutive_invalid then stop := Some Invalid_cap);
-  let snapshot () =
+  let snapshot entries =
     (* Ordering is defined by the canonical key, not polymorphic compare:
        the checkpoint bytes for a given quarantine state are unique. *)
     let sorted_strikes =
@@ -284,7 +300,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       cache = Image_cache.to_alist cache;
       strikes = sorted_strikes;
       quarantined = sorted_quarantined;
-      entries = Array.to_list (History.entries history);
+      entries;
       inflight = [];
       pareto = Pareto.to_list !archive;
       trace_cursor = Option.map Scenario.cursor scenario }
@@ -297,8 +313,9 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
   (* A final checkpoint so a completed (or capped) run leaves a coherent
      file behind even when the budget is not a multiple of the cadence. *)
   let write_checkpoint, checkpointed =
-    checkpoints ~obs ~path:checkpoint_path ~keep:checkpoint_keep ~snapshot
+    checkpoints ~obs ~path:checkpoint_path ~keep:checkpoint_keep ~history ~snapshot
       ~final:(fun () -> !index mod checkpoint_every <> 0)
+      ()
   in
   checkpointed (fun () ->
   while !stop = None && within_budget () do
@@ -662,7 +679,7 @@ let validate ?clock ?(invalid_floor_s = default_invalid_floor_s)
 let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
     ?(invalid_floor_s = default_invalid_floor_s)
     ?(max_consecutive_invalid = default_max_consecutive_invalid)
-    ?(resilience = Resilience.none) ?checkpoint_path
+    ?(resilience = Resilience.none) ?checkpoint_path ?checkpoint_backend
     ?(checkpoint_every = default_checkpoint_every) ?(checkpoint_keep = 1) ?resume_from
     ?(workers = 1) ?batch
     ?image_cache ?scenario ~target ~algorithm ~budget () =
@@ -788,7 +805,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       | Some _ | None -> ()
     end
   in
-  let snapshot () =
+  let snapshot entries =
     (* Ordering is defined by the canonical key, not polymorphic compare:
        the checkpoint bytes for a given quarantine state are unique. *)
     let sorted_strikes =
@@ -815,14 +832,16 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
       cache = Image_cache.to_alist cache;
       strikes = sorted_strikes;
       quarantined = sorted_quarantined;
-      entries = Array.to_list (History.entries history);
+      entries;
       inflight;
       pareto = Pareto.to_list !archive;
       trace_cursor = Option.map Scenario.cursor scenario }
   in
   let write_checkpoint, checkpointed =
-    checkpoints ~obs ~path:checkpoint_path ~keep:checkpoint_keep ~snapshot
+    checkpoints ?backend:checkpoint_backend ~obs ~path:checkpoint_path ~keep:checkpoint_keep
+      ~history ~snapshot
       ~final:(fun () -> !completed mod checkpoint_every <> 0)
+      ()
   in
   let within_budget () =
     match budget with

@@ -25,10 +25,10 @@
     repeatedly exhaust their retries.  The default policy
     ({!Resilience.none}) reproduces the pre-resilience semantics exactly.
 
-    Passing [checkpoint_path] takes a {!Checkpoint.t} snapshot every
-    [checkpoint_every] iterations, published by a background
-    {!Durable.Publisher} so the loop never waits on the disk, and saves
-    once more at the end; passing [resume_from] replays a checkpoint
+    Passing [checkpoint_path] saves a {!Checkpoint.t} snapshot every
+    [checkpoint_every] iterations into an append-only journal, written by
+    a background {!Durable.Publisher} so the loop never waits on the
+    disk, and saves once more at the end; passing [resume_from] replays a checkpoint
     through the algorithm's normal propose/observe path and then
     continues the run — a killed search resumed this way reproduces the
     uninterrupted run bit-for-bit.
@@ -127,6 +127,7 @@ val run :
   ?max_consecutive_invalid:int ->
   ?resilience:Resilience.policy ->
   ?checkpoint_path:string ->
+  ?checkpoint_backend:Durable.backend ->
   ?checkpoint_every:int ->
   ?checkpoint_keep:int ->
   ?resume_from:Checkpoint.t ->
@@ -205,18 +206,24 @@ val run :
     warm cache; [resume_from] requires a fresh clock positioned at the
     checkpoint's budget origin and an algorithm / seed / [workers] /
     [batch] / image-cache capacity identical to the checkpointed run.
+    The run's first save writes the journal whole ({!Checkpoint.start},
+    published like {!Checkpoint.save}); every later save appends the
+    entries completed since the previous one and one state record
+    ({!Checkpoint.extend}), and the writer fsyncs each batch of appends.
     [checkpoint_keep] (default 1) is the number of checkpoint
-    generations retained: each save rotates the previous file to
-    [path.1], [path.2], …, so {!Checkpoint.load_latest} can fall back
-    past a corrupt primary.  Every exit — budget, stop reason or
-    exception — first waits for the background publisher; a normal exit
-    then writes the final save itself when the run did not end on the
-    cadence.  So after any exit [path] holds the newest snapshot, and
-    [path.1] the newest periodic one when the final save was its own;
-    older generations hold the newest {e published} snapshots, which
-    skip snapshots taken while the disk was busy.  A failed background
-    save raises {!Durable.Io_error} from the next snapshot or at the end
-    of the run; an exception from the run itself wins over it.
+    generations retained by that first, whole-file save: it rotates the
+    previous file (a resumed run's own killed journal) to [path.1],
+    [path.2], …, so {!Checkpoint.load_latest} can fall back past a
+    primary with no valid record.  [checkpoint_backend] (default
+    {!Durable.fs}) is where the journal is written.  Every exit —
+    budget, stop reason or exception — first waits for the background
+    writer; a normal exit then writes the final save itself when the run
+    did not end on the cadence, and waits for it.  So after any exit the
+    journal's newest record is the newest snapshot.  After a [kill -9]
+    the newest valid record can trail the newest snapshot by the appends
+    still queued.  A failed background save raises {!Durable.Io_error}
+    from the next snapshot or at the end of the run; an exception from
+    the run itself wins over it.
 
     @raise Invalid_argument if [invalid_floor_s <= 0],
     [max_consecutive_invalid <= 0], [checkpoint_every <= 0],

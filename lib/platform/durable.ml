@@ -134,18 +134,20 @@ let read_file ?(backend = fs) path =
 (* ------------------------------------------------------------------ *)
 
 module Publisher = struct
-  type job = { keep : int; payload : unit -> string }
+  type job =
+    | Publish of { keep : int; payload : unit -> string }
+    | Append of string list  (* one batch, newest payload first *)
 
-  (* [pending] holds the newest job not yet started for each path, and
-     [queue] the paths that have one, oldest submission first: a path is
+  (* [pending] holds each path's jobs not yet started, newest first, and
+     [queue] the paths that have some, oldest submission first: a path is
      in [queue] exactly when it is in [pending].  One writer thread runs
-     while [running]; it takes jobs one at a time, so two publishes of
-     one path never overlap and land in submission order. *)
+     while [running]; it takes jobs one at a time, so two jobs of one
+     path never overlap and land in submission order. *)
   type t = {
     backend : backend;
     lock : Mutex.t;
     idle : Condition.t;
-    pending : (string, job) Hashtbl.t;
+    pending : (string, job list) Hashtbl.t;
     queue : string Queue.t;
     mutable running : bool;
     mutable failure : (exn * Printexc.raw_backtrace) option;
@@ -160,6 +162,25 @@ module Publisher = struct
       running = false;
       failure = None }
 
+  let run_job backend path = function
+    | Publish { keep; payload } -> atomic_publish ~backend ~keep ~path (payload ())
+    | Append payloads ->
+      List.iter (backend.append path) (List.rev payloads);
+      backend.fsync path
+
+  (* Called with the lock held: the oldest job of [path], which goes back
+     to the end of [queue] while it has more. *)
+  let take_oldest t path =
+    match List.rev (Hashtbl.find t.pending path) with
+    | [] -> assert false
+    | [ job ] ->
+      Hashtbl.remove t.pending path;
+      job
+    | job :: older_first ->
+      Hashtbl.replace t.pending path (List.rev older_first);
+      Queue.push path t.queue;
+      job
+
   (* The writer touches only the jobs and the backend.  It exits when
      nothing is pending, so an idle publisher holds no thread. *)
   let rec write t =
@@ -170,15 +191,12 @@ module Publisher = struct
             t.running <- false;
             Condition.broadcast t.idle;
             None
-          | Some path ->
-            let job = Hashtbl.find t.pending path in
-            Hashtbl.remove t.pending path;
-            Some (path, job))
+          | Some path -> Some (path, take_oldest t path))
     in
     match next with
     | None -> ()
     | Some (path, job) ->
-      (match atomic_publish ~backend:t.backend ~keep:job.keep ~path (job.payload ()) with
+      (match run_job t.backend path job with
       | () -> ()
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
@@ -194,21 +212,39 @@ module Publisher = struct
 
   let reraise = Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
 
-  let submit t ?(keep = 1) ~path payload =
-    if keep < 1 then invalid_arg "Durable.Publisher.submit: keep must be >= 1";
+  (* Queue a job for [path]: [merge] folds it into the path's newest
+     pending job when it can, else it goes after every pending one. *)
+  let enqueue t ~path ~merge job =
     let failed, start =
       Mutex.protect t.lock (fun () ->
           match take_failure t with
           | Some _ as f -> (f, false)
           | None ->
-            if not (Hashtbl.mem t.pending path) then Queue.push path t.queue;
-            Hashtbl.replace t.pending path { keep; payload };
+            Hashtbl.replace t.pending path
+              (match Hashtbl.find_opt t.pending path with
+              | None | Some [] ->
+                Queue.push path t.queue;
+                [ job ]
+              | Some (newest :: older as jobs) -> (
+                match merge newest with Some merged -> merged :: older | None -> job :: jobs));
             let start = not t.running in
             t.running <- true;
             (None, start))
     in
     reraise failed;
     if start then ignore (Thread.create write t : Thread.t)
+
+  let submit t ?(keep = 1) ~path payload =
+    if keep < 1 then invalid_arg "Durable.Publisher.submit: keep must be >= 1";
+    let job = Publish { keep; payload } in
+    (* A newer whole-file payload supersedes a pending one with nothing
+       queued behind it. *)
+    enqueue t ~path job ~merge:(function Publish _ -> Some job | Append _ -> None)
+
+  let append t ~path payload =
+    enqueue t ~path (Append [ payload ]) ~merge:(function
+      | Append batch -> Some (Append (payload :: batch))
+      | Publish _ -> None)
 
   let drain t =
     reraise

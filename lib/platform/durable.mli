@@ -101,40 +101,51 @@ val read_file : ?backend:backend -> string -> (string, io_error) result
 
 (** {1 Background publication} *)
 
-(** Periodic files — checkpoint snapshots, the Prometheus scrape file —
-    published off the caller's thread.  On some disks replacing a file
-    costs tens of milliseconds (freeing the old file's blocks), so a
-    search that published synchronously every few rows would spend most
-    of its time waiting on renames.
+(** Periodic files — checkpoint journals, the Prometheus scrape file —
+    written off the caller's thread.  On some disks replacing a file
+    costs tens of milliseconds (freeing the old file's blocks), and an
+    fsync under write load about as much, so a search that wrote
+    synchronously every few rows would spend most of its time waiting
+    on the disk.
 
-    A publisher holds at most one pending payload per path: a newer
-    submission replaces one that has not started, so when the disk
-    keeps up every payload is published, and when it does not only the
-    newest pending one is.  Payloads of one path are published in
-    submission order, each by an unchanged {!atomic_publish}. *)
+    A publisher keeps, per path, the jobs not yet started in submission
+    order, and one writer thread runs them one at a time.  A whole-file
+    publish ({!submit}) replaces the path's newest pending job when that
+    is a publish too, so when the disk keeps up every payload is
+    published, and when it does not only the newest pending one is; each
+    runs an unchanged {!atomic_publish}.  Appends ({!append}) are never
+    coalesced or dropped: pending appends with nothing between them are
+    written as one batch, in order, and the batch is followed by an
+    fsync of the file. *)
 module Publisher : sig
   type t
 
   val create : ?backend:backend -> unit -> t
-  (** No thread yet: a writer thread starts on the first {!submit} and
-      exits when nothing is left to publish, so a publisher that is
-      never used costs nothing.  The writer touches only the submitted
-      payload closures and [backend] (default {!fs}). *)
+  (** No thread yet: a writer thread starts on the first {!submit} or
+      {!append} and exits when nothing is left to write, so a publisher
+      that is never used costs nothing.  The writer touches only the
+      submitted payloads and [backend] (default {!fs}). *)
 
   val submit : t -> ?keep:int -> path:string -> (unit -> string) -> unit
   (** Queue [payload] for {!atomic_publish} at [path] with [keep]
       generations (default 1) and return at once.  The closure runs on
       the writer thread, and never for a payload superseded before its
       publish started.
-      @raise Io_error (or whatever else a background publish raised),
-      instead of queueing, when a background publish failed since the
-      last {!submit} or {!drain} reported a failure: each failure is
-      reported once, and only the first of several.
+      @raise Io_error (or whatever else a background job raised),
+      instead of queueing, when a background job failed since the last
+      {!submit}, {!append} or {!drain} reported a failure: each failure
+      is reported once, and only the first of several.
       @raise Invalid_argument if [keep < 1]. *)
 
+  val append : t -> path:string -> string -> unit
+  (** Queue [payload] to be appended to [path] (created if absent) and
+      return at once.  It lands after every job submitted for [path]
+      before it, and before any submitted after it.
+      @raise Io_error as {!submit}. *)
+
   val drain : t -> unit
-  (** Wait until nothing is pending or being published.
-      @raise Io_error (or whatever else a background publish raised)
+  (** Wait until nothing is pending or being written.
+      @raise Io_error (or whatever else a background job raised)
       if one failed and was not yet reported. *)
 end
 

@@ -9,8 +9,7 @@ let encode_string =
 let decode_string = Param.percent_decode
 
 let config_field config =
-  if Array.length config = 0 then "."
-  else String.concat " " (Array.to_list (Array.map Param.value_token config))
+  if Array.length config = 0 then "." else Param.join_tokens ' ' config
 
 let config_of_field s =
   if s = "." then Ok [||]

@@ -1,11 +1,13 @@
-(** The sealed line envelope shared by checkpoints ({!Checkpoint}) and
-    model-registry entries ({!Registry}).
+(** The line codecs shared by checkpoint journals ({!Checkpoint}) and
+    model-registry entries ({!Registry}), and the registry's seal.
 
-    Both formats are a header line, one [tag rest] line per field, an
-    [end] marker, and a trailer line [crc XXXXXXXX]: the CRC-32 of every
-    byte before the trailer.  This module owns everything the two have in
-    common — the field codecs and the seal — so each format only decides
-    which tags it writes and how a missing trailer is treated. *)
+    Both formats are [tag rest] lines closed by an [end] marker and a
+    [crc XXXXXXXX] line, the CRC-32 of every byte before it.  A registry
+    entry is one such envelope ({!seal}, {!unseal}); a checkpoint journal
+    is a sequence of them whose crc lines run over the whole file, which
+    {!Checkpoint} writes and scans itself.  This module owns the field
+    codecs they have in common, so each format only decides which tags
+    it writes. *)
 
 module Param = Wayfinder_configspace.Param
 

@@ -28,6 +28,13 @@ let entries t =
   let n = Array.length a in
   Array.init n (fun i -> a.(n - 1 - i))
 
+let latest t n =
+  let rec take n acc = function
+    | e :: rest when n > 0 -> take (n - 1) (e :: acc) rest
+    | _ :: _ | [] -> acc
+  in
+  take n [] t.entries
+
 let crashes t =
   List.fold_left (fun acc e -> if e.failure <> None then acc + 1 else acc) 0 t.entries
 

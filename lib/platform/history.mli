@@ -32,6 +32,11 @@ val size : t -> int
 val entries : t -> entry array
 (** Oldest first. *)
 
+val latest : t -> int -> entry list
+(** The newest [n] entries (all of them when there are fewer), oldest
+    first, in O(n): what a checkpoint journal appends since its previous
+    save. *)
+
 val crashes : t -> int
 (** Entries with any failure, of any class. *)
 

@@ -1,16 +1,25 @@
 module Rng = Wayfinder_tensor.Rng
 
-let hash_string s =
-  (* FNV-1a with the offset basis folded into OCaml's 63-bit int range. *)
-  let h = ref 0x3bf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    s;
-  !h land max_int
+(* FNV-1a with the offset basis folded into OCaml's 63-bit int range. *)
+let fnv_basis = 0x3bf29ce484222325
+let fnv_byte h c = (h lxor c) * 0x100000001b3
 
-let hash_combine a b = hash_string (string_of_int a ^ ":" ^ string_of_int b)
+let hash_string s = String.fold_left (fun h c -> fnv_byte h (Char.code c)) fnv_basis s land max_int
+
+(* The bytes of [string_of_int n], fed without building the string.  The
+   digits are taken from a non-positive value, so [min_int], which has
+   no positive counterpart, needs no special case. *)
+let fnv_int h n =
+  let rec digits h m =
+    let h = if m <= -10 then digits h (m / 10) else h in
+    fnv_byte h (Char.code '0' - (m mod 10))
+  in
+  if n < 0 then digits (fnv_byte h (Char.code '-')) n else digits h (-n)
+
+(* [hash_string (string_of_int a ^ ":" ^ string_of_int b)]: the
+   simulators hash every parameter of every configuration they
+   evaluate through this. *)
+let hash_combine a b = fnv_int (fnv_byte (fnv_int fnv_basis a) (Char.code ':')) b land max_int
 
 let rng_named name ~salt = Rng.create (hash_combine (hash_string name) salt)
 

@@ -2,7 +2,10 @@
    Mat storage directly: checked access, copies, closures and the
    textbook loops.  The kernels that replaced them must match these bit
    for bit ([Int64.bits_of_float]), so the qcheck properties in
-   test_tensor, test_nn and test_deeptune compare against this module. *)
+   test_tensor, test_nn and test_deeptune compare against this module.
+   The CRC-32 fold over boxed [Int32] values and the string-building
+   [hash_combine] are here too, for test_durable's and test_simos's
+   properties. *)
 
 module Mat = Wayfinder_tensor.Mat
 module Vec = Wayfinder_tensor.Vec
@@ -154,3 +157,30 @@ let value ?(special = false) rng =
   else Rng.uniform rng (-1.) 1. *. (10. ** float_of_int (Rng.int rng 7 - 3))
 
 let random_mat ?special rng rows cols = Mat.init rows cols (fun _ _ -> value ?special rng)
+
+(* CRC-32 as [Crc32.update] computed it on [Int32] values. *)
+let crc32_table =
+  lazy
+    (Array.init 256 (fun i ->
+         let c = ref (Int32.of_int i) in
+         for _ = 0 to 7 do
+           c :=
+             if Int32.logand !c 1l <> 0l then
+               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+             else Int32.shift_right_logical !c 1
+         done;
+         !c))
+
+let crc32_update state s =
+  let table = Lazy.force crc32_table in
+  let crc = ref state in
+  String.iter
+    (fun ch ->
+      let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl) in
+      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
+    s;
+  !crc
+
+(* [Shapes.hash_combine] as it was: FNV-1a over the joined decimal text. *)
+let hash_combine a b =
+  Wayfinder_simos.Shapes.hash_string (string_of_int a ^ ":" ^ string_of_int b)

@@ -222,14 +222,14 @@ let prop_grid_multiset_any_capacity =
 
 let test_old_version_rejected_typed () =
   (match Checkpoint.of_string "wayfinder-checkpoint 1\nend\n" with
-  | Error (Checkpoint.Unsupported_version { found = 1; expected = 5 }) -> ()
+  | Error (Checkpoint.Unsupported_version { found = 1; expected = 6 }) -> ()
   | Error e ->
     Alcotest.failf "expected Unsupported_version, got: %s" (Checkpoint.error_to_string e)
   | Ok _ -> Alcotest.fail "v1 checkpoint accepted");
   (* Format 2 (per-slot baselines, no image cache) is likewise rejected
      typed: its [slot] lines cannot express the shared cache state. *)
   (match Checkpoint.of_string "wayfinder-checkpoint 2\nend\n" with
-  | Error (Checkpoint.Unsupported_version { found = 2; expected = 5 }) -> ()
+  | Error (Checkpoint.Unsupported_version { found = 2; expected = 6 }) -> ()
   | Error e ->
     Alcotest.failf "expected Unsupported_version for v2, got: %s"
       (Checkpoint.error_to_string e)
@@ -238,7 +238,7 @@ let test_old_version_rejected_typed () =
      and is rejected too: its strike lines cannot be mapped onto the
      canonical string keys. *)
   (match Checkpoint.of_string "wayfinder-checkpoint 3\nend\n" with
-  | Error (Checkpoint.Unsupported_version { found = 3; expected = 5 }) -> ()
+  | Error (Checkpoint.Unsupported_version { found = 3; expected = 6 }) -> ()
   | Error e ->
     Alcotest.failf "expected Unsupported_version for v3, got: %s"
       (Checkpoint.error_to_string e)
@@ -247,11 +247,23 @@ let test_old_version_rejected_typed () =
      parse as a strict prefix of format 5, so the version gate is what
      rejects it. *)
   (match Checkpoint.of_string "wayfinder-checkpoint 4\nend\n" with
-  | Error (Checkpoint.Unsupported_version { found = 4; expected = 5 }) -> ()
+  | Error (Checkpoint.Unsupported_version { found = 4; expected = 6 }) -> ()
   | Error e ->
     Alcotest.failf "expected Unsupported_version for v4, got: %s"
       (Checkpoint.error_to_string e)
   | Ok _ -> Alcotest.fail "v4 checkpoint accepted");
+  (* Format 5 was one sealed envelope, rewritten whole by every save;
+     the version gate rejects it ahead of the journal's record checks,
+     even with its trailer intact. *)
+  (match
+     Checkpoint.of_string
+       (Envelope.seal "wayfinder-checkpoint 5\nseed 7\niterations 0\nworkers 1\nend\n")
+   with
+  | Error (Checkpoint.Unsupported_version { found = 5; expected = 6 }) -> ()
+  | Error e ->
+    Alcotest.failf "expected Unsupported_version for v5, got: %s"
+      (Checkpoint.error_to_string e)
+  | Ok _ -> Alcotest.fail "v5 checkpoint accepted");
   match Checkpoint.load ~path:"/nonexistent/wayfinder.ckpt" with
   | Error (Checkpoint.Malformed _) -> ()
   | Error (Checkpoint.Unsupported_version _) ->

@@ -44,6 +44,24 @@ let prop_crc_streaming =
       let a = String.sub s 0 k and b = String.sub s k (String.length s - k) in
       Crc32.finish (Crc32.update (Crc32.update Crc32.init a) b) = Crc32.digest s)
 
+(* The unboxed fold equals the [Int32] one it replaced at every split
+   point of a streamed string. *)
+let prop_crc_matches_oracle =
+  QCheck2.Test.make ~name:"crc equals the Int32 fold at every split point" ~count:300
+    QCheck2.Gen.(pair (string_size ~gen:char (int_range 0 400)) (list_size (int_range 0 5) nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort compare (List.map (fun k -> k mod (n + 1)) cuts) @ [ n ] in
+      let pieces, _ =
+        List.fold_left (fun (acc, from) cut -> (String.sub s from (cut - from) :: acc, cut)) ([], 0)
+          cuts
+      in
+      let states update =
+        List.fold_left (fun acc piece -> update (List.hd acc) piece :: acc) [ Crc32.init ]
+          (List.rev pieces)
+      in
+      states Crc32.update = states Oracle.crc32_update)
+
 (* ------------------------------------------------------------------ *)
 (* Atomic write: crash matrix                                          *)
 (* ------------------------------------------------------------------ *)
@@ -211,6 +229,91 @@ let test_checkpoint_generation_rotation () =
     | None -> Alcotest.fail "expected a recovery notice")
 
 (* ------------------------------------------------------------------ *)
+(* Journal: a whole first save, then appends                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The payloads a run writes for these snapshots, as the driver makes
+   them: the first whole, each later one the entries since the previous
+   snapshot plus a state record. *)
+let journal_payloads cks =
+  let rec go j saved = function
+    | [] -> []
+    | ck :: rest ->
+      let fresh = List.filteri (fun i _ -> i >= saved) ck.Checkpoint.entries in
+      let payload, j = Checkpoint.extend j { ck with Checkpoint.entries = fresh } in
+      payload :: go j ck.Checkpoint.iterations rest
+  in
+  match cks with
+  | [] -> []
+  | first :: rest ->
+    let payload, j = Checkpoint.start first in
+    payload :: go j first.Checkpoint.iterations rest
+
+let journal_cks = [ sample_ck 1; sample_ck 3; sample_ck 4 ]
+
+(* Write the journal through a publisher, draining after each save as a
+   run's cadence would; returns how many saves completed and the newest
+   state whose bytes reached an fsync.  The kill lands on the writer
+   thread and comes back from [drain]. *)
+let write_journal fs =
+  let mem = Mem.backend fs in
+  let writing = ref 0 and fsynced = ref 0 and completed = ref 0 in
+  let backend =
+    { mem with
+      Durable.fsync =
+        (fun p ->
+          mem.Durable.fsync p;
+          fsynced := !writing) }
+  in
+  let publisher = Durable.Publisher.create ~backend () in
+  (try
+     List.iteri
+       (fun i payload ->
+         writing := i + 1;
+         if i = 0 then
+           Durable.Publisher.submit publisher ~keep:2 ~path:"s.ckpt" (fun () -> payload)
+         else Durable.Publisher.append publisher ~path:"s.ckpt" payload;
+         Durable.Publisher.drain publisher;
+         completed := i + 1)
+       (journal_payloads journal_cks)
+   with Mem.Crashed | Durable.Io_error _ -> ());
+  (!completed, !fsynced)
+
+let test_journal_crash_matrix () =
+  let probe = Mem.create () in
+  ignore (write_journal probe);
+  let total = Mem.cost probe in
+  let state_of = function
+    | Error _ -> 0
+    | Ok (ck, _) -> (
+      match List.find_index (fun c -> c = ck) journal_cks with
+      | Some i -> i + 1
+      | None -> -1)
+  in
+  List.iter
+    (fun (keep_unsynced, keep_renames) ->
+      for fuel = 0 to total do
+        let fs = Mem.create ~keep_unsynced ~keep_renames () in
+        Mem.set_fuel fs fuel;
+        let completed, fsynced = write_journal fs in
+        Mem.crash fs;
+        let loaded = Checkpoint.load_latest ~backend:(Mem.backend fs) "s.ckpt" in
+        let k = state_of loaded in
+        let fail what =
+          Alcotest.failf "fuel %d (unsynced=%b renames=%b), %d saves completed: %s" fuel
+            keep_unsynced keep_renames completed what
+        in
+        (match loaded with
+        | Error e when completed >= 1 -> fail ("no state loads: " ^ Checkpoint.error_to_string e)
+        | Error _ | Ok _ -> ());
+        if k <> completed && k <> completed + 1 then
+          fail (Printf.sprintf "loaded state %d, neither before nor after the interrupted save" k);
+        if (not keep_unsynced) && k > fsynced then
+          fail (Printf.sprintf "loaded state %d, but only %d reached an fsync" k fsynced)
+      done)
+    fault_plans
+
+(* ------------------------------------------------------------------ *)
 (* Background publisher                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -228,6 +331,7 @@ let gated (g : gate) (b : Durable.backend) =
   in
   { b with
     Durable.write = (fun p d -> pass (); b.Durable.write p d);
+    append = (fun p d -> pass (); b.Durable.append p d);
     fsync = (fun p -> pass (); b.Durable.fsync p);
     rename = (fun ~src ~dst -> pass (); b.Durable.rename ~src ~dst);
     fsync_dir = (fun p -> pass (); b.Durable.fsync_dir p);
@@ -328,6 +432,81 @@ let test_publisher_reports_failure () =
   Alcotest.(check string) "submit reports it" "fsync" (until_reported 5000).Durable.op;
   (try Durable.Publisher.drain publisher with Durable.Io_error _ -> ());
   unchanged "after submit"
+
+type append_op = Append_to of int | Publish_to of int | Permit of int
+
+let prop_publisher_appends_in_order =
+  QCheck2.Test.make ~count:200
+    ~name:"appends land in submission order after the pending publish, each batch fsynced"
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Append_to p -> Printf.sprintf "append:%d" p
+             | Publish_to p -> Printf.sprintf "publish:%d" p
+             | Permit k -> Printf.sprintf "allow:%d" k)
+           ops))
+    QCheck2.Gen.(
+      list_size (int_range 1 40)
+        (frequency
+           [ (4, map (fun p -> Append_to p) (int_bound 1));
+             (1, map (fun p -> Publish_to p) (int_bound 1));
+             (3, map (fun k -> Permit k) (int_bound 6)) ]))
+    (fun ops ->
+      let fs = Mem.create () in
+      let g = { m = Mutex.create (); c = Condition.create (); permits = 0; opened = false } in
+      let publisher = Durable.Publisher.create ~backend:(gated g (Mem.backend fs)) () in
+      let paths = [| "a.ckpt"; "b.ckpt" |] in
+      let expected = Array.make 2 None and seq = ref 0 in
+      List.iter
+        (function
+          | Append_to p ->
+            incr seq;
+            let payload = Printf.sprintf "a%d;" !seq in
+            expected.(p) <- Some (Option.value expected.(p) ~default:"" ^ payload);
+            Durable.Publisher.append publisher ~path:paths.(p) payload
+          | Publish_to p ->
+            incr seq;
+            let payload = Printf.sprintf "p%d;" !seq in
+            expected.(p) <- Some payload;
+            Durable.Publisher.submit publisher ~path:paths.(p) (fun () -> payload)
+          | Permit k -> release g (fun g -> g.permits <- g.permits + k))
+        ops;
+      release g (fun g -> g.opened <- true);
+      Durable.Publisher.drain publisher;
+      (* Every batch was fsynced: a crash that drops un-fsynced bytes
+         leaves the files as they are. *)
+      Mem.crash fs;
+      Array.for_all2 (fun path want -> Mem.get_file fs path = want) paths expected)
+
+let test_publisher_append_reports_failure () =
+  let fs = Mem.create () in
+  Mem.set_file fs "j.ckpt" "old\n";
+  let mem = Mem.backend fs in
+  let backend =
+    { mem with
+      Durable.fsync =
+        (fun path -> raise (Durable.Io_error { Durable.op = "fsync"; path; reason = "disk full" })) }
+  in
+  let publisher = Durable.Publisher.create ~backend () in
+  Durable.Publisher.append publisher ~path:"j.ckpt" "new\n";
+  (match Durable.Publisher.drain publisher with
+  | () -> Alcotest.fail "drain hid the failed append"
+  | exception Durable.Io_error e -> Alcotest.(check string) "the backend's error" "fsync" e.Durable.op);
+  Durable.Publisher.drain publisher;
+  let rec until_reported tries =
+    if tries = 0 then Alcotest.fail "no append reported the failed fsync";
+    match Durable.Publisher.append publisher ~path:"j.ckpt" "newer\n" with
+    | () ->
+      Unix.sleepf 0.001;
+      until_reported (tries - 1)
+    | exception Durable.Io_error e -> e
+  in
+  Alcotest.(check string) "append reports it" "fsync" (until_reported 5000).Durable.op;
+  (try Durable.Publisher.drain publisher with Durable.Io_error _ -> ());
+  Mem.crash fs;
+  Alcotest.(check (option string)) "no un-fsynced byte became durable" (Some "old\n")
+    (Mem.get_file fs "j.ckpt")
 
 (* ------------------------------------------------------------------ *)
 (* Ledger: torn tails, salvage, typed errors                           *)
@@ -499,15 +678,25 @@ let test_fsck_detects_all_seeded_corruption () =
       let ckpt = Filename.concat dir "search.ckpt" in
       let ledger = Filename.concat dir "run.jsonl" in
       let report = Filename.concat dir "report.json" in
+      (* A journal of three records; its generations above hold one each. *)
+      let journal = Filename.concat dir "run.ckpt" in
+      let payloads = journal_payloads journal_cks in
       for n = 1 to 2 do
         Checkpoint.save ~keep:2 ~path:ckpt (sample_ck n)
       done;
+      write_file journal (String.concat "" payloads);
       write_file ledger (sealed_ledger_bytes ());
       write_file report "{\"benchmark\":\"cache\",\"cells\":[{\"hits\":3}]}\n";
       (* Pristine tree: everything valid, exit clean. *)
       let pristine = A.Fsck.scan [ dir ] in
       Alcotest.(check bool) "pristine tree is clean" true pristine.A.Fsck.clean;
       Alcotest.(check int) "pristine: all valid" pristine.A.Fsck.scanned pristine.A.Fsck.valid;
+      Alcotest.(check bool) "the journal's records are counted" true
+        (List.exists
+           (fun f ->
+             f.A.Fsck.path = journal
+             && f.A.Fsck.detail = "4 iterations, 0 in flight, 3 state records")
+           pristine.A.Fsck.findings);
       let seeded = ref 0 and detected = ref 0 in
       let expect_detected path what ok =
         incr seeded;
@@ -531,9 +720,10 @@ let test_fsck_detects_all_seeded_corruption () =
           in
           sweep 0)
         [ ckpt; ckpt ^ ".1"; ledger ];
-      (* Truncations: any proper prefix of a checkpoint is corrupt; any
-         proper prefix of a sealed ledger is at best unsealed, never
-         valid. *)
+      (* Truncations: any proper prefix of a checkpoint is corrupt,
+         except one that ends a journal on a record, which is the
+         journal of fewer saves; any proper prefix of a sealed ledger is
+         at best unsealed, never valid. *)
       let truncation_sweep path ~ok =
         let original = read_file path in
         let len = String.length original in
@@ -550,6 +740,36 @@ let test_fsck_detects_all_seeded_corruption () =
       in
       truncation_sweep ckpt ~ok:(fun st -> st = A.Fsck.Corrupt);
       truncation_sweep ledger ~ok:(fun st -> st <> A.Fsck.Valid);
+      (* The multi-record journal: every variant goes to a fresh file,
+         which costs far less than rewriting one in place, so every
+         8th bit and every byte boundary are covered. *)
+      let original = read_file journal in
+      let variant_status content =
+        let path = Filename.concat dir "variant.ckpt" in
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content);
+        let st = fsck_status path in
+        Sys.remove path;
+        st
+      in
+      for bit = 0 to (8 * String.length original) - 1 do
+        if bit mod 8 = bit / 8 mod 8 then begin
+          let b = Bytes.of_string original in
+          Bytes.set b (bit / 8)
+            (Char.chr (Char.code original.[bit / 8] lxor (0x80 lsr (bit mod 8))));
+          expect_detected journal
+            (Printf.sprintf "bit flip at %d" bit)
+            (variant_status (Bytes.to_string b) = A.Fsck.Corrupt)
+        end
+      done;
+      let record_ends =
+        List.fold_left (fun acc p -> (List.hd acc + String.length p) :: acc) [ 0 ] payloads
+      in
+      for cut = 0 to String.length original - 1 do
+        let st = variant_status (String.sub original 0 cut) in
+        expect_detected journal
+          (Printf.sprintf "truncation at %d" cut)
+          (if cut > 0 && List.mem cut record_ends then st = A.Fsck.Valid else st = A.Fsck.Corrupt)
+      done;
       (* JSON report truncation: everything short of removing only the
          trailing newline is detected. *)
       let original = read_file report in
@@ -582,21 +802,31 @@ let test_fsck_repair_heals_the_tree () =
         Checkpoint.save ~keep:2 ~path:ckpt (sample_ck n)
       done;
       let full = sealed_ledger_bytes () in
-      (* Torn ledger tail, corrupt primary generation, stray tmp. *)
+      let journal = Filename.concat dir "run.ckpt" in
+      let payloads = journal_payloads journal_cks in
+      let whole = String.concat "" payloads in
+      (* Torn ledger tail, corrupt primary generation, torn journal
+         append, stray tmp. *)
       write_file ledger (String.sub full 0 (String.length full - 33));
+      write_file journal (whole ^ String.sub (List.nth payloads 1) 0 40);
       flip_bit_in_file ckpt 123;
       Out_channel.with_open_bin (ckpt ^ ".tmp") (fun oc -> Out_channel.output_string oc "x");
       let before = A.Fsck.scan [ dir ] in
       Alcotest.(check bool) "damage detected" false before.A.Fsck.clean;
       let repair = A.Fsck.scan ~repair:true [ dir ] in
       Alcotest.(check bool) "repair pass ends clean" true repair.A.Fsck.clean;
-      Alcotest.(check int) "three repairs applied" 3 repair.A.Fsck.repaired;
+      Alcotest.(check int) "four repairs applied" 4 repair.A.Fsck.repaired;
       let after = A.Fsck.scan [ dir ] in
       Alcotest.(check bool) "re-scan is clean" true after.A.Fsck.clean;
       (* The repaired ledger is sealed and holds the clean prefix. *)
       (match A.Ledger.load ledger with
       | Ok t -> Alcotest.(check bool) "repaired ledger sealed" true t.A.Ledger.sealed
       | Error e -> Alcotest.fail (A.Ledger.error_to_string e));
+      (* The journal is cut back to its newest record, the torn bytes
+         kept aside. *)
+      Alcotest.(check bool) "journal truncated to its newest record" true
+        (read_file journal = whole);
+      Alcotest.(check bool) "torn journal kept" true (Sys.file_exists (journal ^ ".bak"));
       (* The pruned primary no longer hides the good generation. *)
       match Checkpoint.load_latest ckpt with
       | Ok (ck, _) -> Alcotest.(check int) "good generation loads" 1 ck.Checkpoint.iterations
@@ -630,24 +860,111 @@ let faulty_run ?checkpoint_path ?checkpoint_keep ?resume_from ~seed ~iterations 
 let test_resume_from_fallback_generation_reproduces_run () =
   let full = faulty_run ~seed:11 ~iterations:20 () in
   let path = Filename.temp_file "wayfinder" ".ckpt" in
+  let resumes_exactly what =
+    match Checkpoint.load_latest path with
+    | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+    | Ok (ck, notice) ->
+      let resumed = faulty_run ~resume_from:ck ~seed:11 ~iterations:20 () in
+      Alcotest.(check string) (what ^ ": identical CSV")
+        (History.to_csv full.Driver.history)
+        (History.to_csv resumed.Driver.history);
+      (ck, notice)
+  in
   Fun.protect
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
         [ path; path ^ ".1"; path ^ ".2" ])
     (fun () ->
-      (* Kill mid-run with rotation on, then corrupt the primary the way
-         a torn final write would. *)
+      (* Kill mid-run: the journal holds records at 7 and 13.  A flipped
+         bit in the last state record leaves the one before it. *)
       ignore (faulty_run ~checkpoint_path:path ~checkpoint_keep:3 ~seed:11 ~iterations:13 ());
+      let journal = read_file path in
+      let last_record =
+        let rec find i = if String.sub journal i 6 = "\nseed " then i + 1 else find (i - 1) in
+        find (String.length journal - 6)
+      in
+      flip_bit_in_file path (8 * (last_record + 2));
+      let ck, notice = resumes_exactly "flipped last record" in
+      Alcotest.(check int) "fell back to the previous record" 7 ck.Checkpoint.iterations;
+      (match notice with
+      | Some (Checkpoint.Dropped_tail { valid_bytes; _ }) -> (
+        match Checkpoint.scan (String.sub journal 0 valid_bytes) with
+        | Ok r ->
+          Alcotest.(check bool) "the notice ends the valid bytes at that record" true
+            (r.Checkpoint.dropped = None && r.Checkpoint.ck.Checkpoint.iterations = 7)
+        | Error e -> Alcotest.fail (Checkpoint.error_to_string e))
+      | Some n -> Alcotest.failf "unexpected notice: %s" (Checkpoint.notice_to_string n)
+      | None -> Alcotest.fail "expected a dropped-tail notice");
+      (* Resumed from 13, the run's first save writes its own journal
+         whole and rotates the killed one to [path.1]; when the new
+         primary holds no valid record, the resume falls back to it. *)
+      write_file path journal;
+      let killed =
+        match Checkpoint.load ~path with
+        | Ok ck -> ck
+        | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+      in
+      ignore
+        (faulty_run ~checkpoint_path:path ~checkpoint_keep:3 ~resume_from:killed ~seed:11
+           ~iterations:16 ());
       flip_bit_in_file path 200;
-      match Checkpoint.load_latest path with
-      | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
-      | Ok (ck, notice) ->
-        Alcotest.(check bool) "recovery notice surfaced" true (notice <> None);
-        let resumed = faulty_run ~resume_from:ck ~seed:11 ~iterations:20 () in
-        Alcotest.(check string) "identical CSV from the fallback generation"
-          (History.to_csv full.Driver.history)
-          (History.to_csv resumed.Driver.history))
+      let ck, notice = resumes_exactly "fallback generation" in
+      Alcotest.(check int) "the killed run's newest record" 13 ck.Checkpoint.iterations;
+      match notice with
+      | Some (Checkpoint.Recovered_from_generation { generation = 1; dropped = [ _ ]; _ }) -> ()
+      | Some n -> Alcotest.failf "unexpected notice: %s" (Checkpoint.notice_to_string n)
+      | None -> Alcotest.fail "expected a recovery notice")
+
+(* A kill can leave half an append behind.  The resume drops it with a
+   notice, reproduces the run, and its first save writes the journal
+   whole again, without the torn bytes. *)
+let test_resume_drops_a_torn_append () =
+  let full = faulty_run ~seed:11 ~iterations:20 () in
+  let path = Filename.temp_file "wayfinder" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore (faulty_run ~checkpoint_path:path ~seed:11 ~iterations:13 ());
+      Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path (fun oc ->
+          Out_channel.output_string oc "entry 13\t0x1.8p+");
+      let ck =
+        match Checkpoint.load_latest path with
+        | Ok (ck, Some (Checkpoint.Dropped_tail { dropped_bytes = 16; _ })) -> ck
+        | Ok (_, notice) ->
+          Alcotest.failf "expected a 16-byte dropped tail, got %s"
+            (Option.fold ~none:"no notice" ~some:Checkpoint.notice_to_string notice)
+        | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+      in
+      Alcotest.(check int) "the newest whole record" 13 ck.Checkpoint.iterations;
+      let resumed =
+        faulty_run ~checkpoint_path:path ~resume_from:ck ~seed:11 ~iterations:20 ()
+      in
+      Alcotest.(check string) "identical CSV"
+        (History.to_csv full.Driver.history)
+        (History.to_csv resumed.Driver.history);
+      match Checkpoint.scan (read_file path) with
+      | Ok r ->
+        Alcotest.(check bool) "rewritten without the torn bytes, ending at the run's end" true
+          (r.Checkpoint.dropped = None && r.Checkpoint.ck.Checkpoint.iterations = 20)
+      | Error e -> Alcotest.fail (Checkpoint.error_to_string e))
+
+(* Each save appends only the rows since the previous one, so twice the
+   run writes about twice the checkpoint bytes (rewriting the whole
+   history at every save made it about four times). *)
+let test_journal_bytes_grow_linearly () =
+  let written n =
+    let fs = Mem.create () in
+    ignore
+      (Driver.run ~seed:3 ~obs:(frozen_obs ()) ~checkpoint_path:"g.ckpt"
+         ~checkpoint_backend:(Mem.backend fs) ~checkpoint_every:10 ~target:(toy_target ())
+         ~algorithm:(Random_search.create ()) ~budget:(Driver.Iterations n) ());
+    Mem.cost fs
+  in
+  let small = written 200 and large = written 400 in
+  let ratio = float_of_int large /. float_of_int small in
+  if ratio > 2.2 then
+    Alcotest.failf "n=400 wrote %d cost units, %.2fx the %d of n=200" large ratio small
 
 (* A periodic checkpoint whose directory vanished fails the run, though
    its publish ran on the writer thread.  The budget is a multiple of
@@ -806,12 +1123,31 @@ let test_envelope_trailer_rule () =
   Alcotest.(check bool) "missing newline" true
     (Envelope.unseal (drop_last sealed) = Envelope.No_trailer);
   let artifacts = Lazy.force fuzz_artifacts in
-  List.iter
-    (fun (name, s, ok) ->
-      Alcotest.(check bool) (name ^ " plus a newline refused") false (ok (s ^ "\n"));
-      Alcotest.(check bool) (name ^ " without its last newline refused") false (ok (drop_last s)))
-    [ ("checkpoint", artifacts.(0), fun s -> Result.is_ok (Checkpoint.of_string s));
-      ("registry entry", artifacts.(2), fun s -> Result.is_ok (Registry.of_string s)) ]
+  let entry = artifacts.(2) in
+  Alcotest.(check bool) "registry entry plus a newline refused" false
+    (Result.is_ok (Registry.of_string (entry ^ "\n")));
+  Alcotest.(check bool) "registry entry without its last newline refused" false
+    (Result.is_ok (Registry.of_string (drop_last entry)));
+  (* A checkpoint journal is read up to its newest record whose crc line
+     is whole: an extra newline is one dropped byte after that record,
+     and a last crc line without its newline leaves the record before. *)
+  let journal = artifacts.(0) in
+  match
+    ( Checkpoint.scan journal,
+      Checkpoint.scan (journal ^ "\n"),
+      Checkpoint.scan (drop_last journal) )
+  with
+  | Ok whole, Ok plus, Ok torn ->
+    Alcotest.(check bool) "the journal ends on its newest record" true
+      (whole.Checkpoint.dropped = None && whole.Checkpoint.records >= 2);
+    Alcotest.(check bool) "plus a newline: the same state, one byte dropped" true
+      (compare plus.Checkpoint.ck whole.Checkpoint.ck = 0
+      && match plus.Checkpoint.dropped with Some (1, _) -> true | Some _ | None -> false);
+    Alcotest.(check int) "without its last newline: the record before" (whole.Checkpoint.records - 1)
+      torn.Checkpoint.records;
+    Alcotest.(check bool) "an older state" true
+      (torn.Checkpoint.ck.Checkpoint.iterations < whole.Checkpoint.ck.Checkpoint.iterations)
+  | _ -> Alcotest.fail "the journal artifact did not scan"
 
 let mutate s (op, a, b) =
   let n = String.length s in
@@ -881,7 +1217,8 @@ let () =
   Alcotest.run "durable"
     [ ( "crc32",
         [ Alcotest.test_case "known answers" `Quick test_crc_known_answers;
-          QCheck_alcotest.to_alcotest prop_crc_streaming ] );
+          QCheck_alcotest.to_alcotest prop_crc_streaming;
+          QCheck_alcotest.to_alcotest prop_crc_matches_oracle ] );
       ( "atomic-write",
         [ Alcotest.test_case "publishes durably" `Quick test_atomic_write_publishes;
           Alcotest.test_case "crash matrix: old or new, never torn" `Quick
@@ -894,10 +1231,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_checkpoint_crash_matrix;
           Alcotest.test_case "crash matrix through the background publisher" `Quick
             (test_checkpoint_save_crash_matrix ~save:save_in_background) ] );
+      ( "journal",
+        [ Alcotest.test_case "crash matrix: first save and two appends" `Quick
+            test_journal_crash_matrix;
+          Alcotest.test_case "bytes written grow linearly with the run" `Quick
+            test_journal_bytes_grow_linearly ] );
       ( "publisher",
         [ QCheck_alcotest.to_alcotest prop_publisher_newest_wins;
           Alcotest.test_case "a failed publish is reported, no staging file left" `Quick
-            test_publisher_reports_failure ] );
+            test_publisher_reports_failure;
+          QCheck_alcotest.to_alcotest prop_publisher_appends_in_order;
+          Alcotest.test_case "a failed append fsync is reported" `Quick
+            test_publisher_append_reports_failure ] );
       ( "ledger",
         [ Alcotest.test_case "seal roundtrip" `Quick test_ledger_seal_roundtrip;
           Alcotest.test_case "torn-tail matrix: salvage at every cut" `Quick
@@ -916,5 +1261,7 @@ let () =
       ( "composition",
         [ Alcotest.test_case "resume from fallback generation under 10% faults" `Quick
             test_resume_from_fallback_generation_reproduces_run;
+          Alcotest.test_case "a resume drops a torn append and rewrites the journal" `Quick
+            test_resume_drops_a_torn_append;
           Alcotest.test_case "a failed background checkpoint fails the run" `Quick
             test_failed_background_checkpoint_fails_run ] ) ]

@@ -493,7 +493,12 @@ let test_checkpoint_rejects_garbage () =
   (* Truncation: chop the end marker off a valid file. *)
   let s = Checkpoint.to_string (sample_checkpoint ()) in
   let truncated = String.sub s 0 (String.length s - 4) in
-  Alcotest.(check bool) "truncated file rejected" true (bad truncated)
+  Alcotest.(check bool) "truncated file rejected" true (bad truncated);
+  (* A state record whose crc matches still counts only when its
+     iterations equal the entry lines before it. *)
+  let ck = sample_checkpoint () in
+  Alcotest.(check bool) "iterations not matching the entries rejected" true
+    (bad (Checkpoint.to_string { ck with Checkpoint.iterations = ck.Checkpoint.iterations + 1 }))
 
 let test_checkpoint_save_load_atomic () =
   let path = Filename.temp_file "wayfinder" ".ckpt" in

@@ -125,6 +125,17 @@ let test_shapes_hash_stable () =
     (Shapes.hash_string "a" <> Shapes.hash_string "b");
   Alcotest.(check bool) "non-negative" true (Shapes.hash_string "whatever" >= 0)
 
+let prop_hash_combine_matches_string_formula =
+  let edge = [ 0; 1; -1; min_int; max_int ] in
+  QCheck2.Test.make ~name:"hash_combine equals the hash of the joined decimal text" ~count:500
+    QCheck2.Gen.(
+      pair
+        (oneof [ int; oneofl edge; int_range (-1000) 1000 ])
+        (oneof [ int; oneofl edge; int_range (-1000) 1000 ]))
+    (fun (a, b) ->
+      let same a b = Shapes.hash_combine a b = Oracle.hash_combine a b in
+      same a b && List.for_all (fun e -> same a e && same e b) edge)
+
 (* ------------------------------------------------------------------ *)
 (* SimLinux                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -592,7 +603,8 @@ let () =
         [ Alcotest.test_case "saturating" `Quick test_shapes_saturating;
           Alcotest.test_case "peaked" `Quick test_shapes_peaked;
           Alcotest.test_case "penalties" `Quick test_shapes_penalties;
-          Alcotest.test_case "hash stability" `Quick test_shapes_hash_stable ] );
+          Alcotest.test_case "hash stability" `Quick test_shapes_hash_stable;
+          QCheck_alcotest.to_alcotest prop_hash_combine_matches_string_formula ] );
       ( "sim_linux",
         [ Alcotest.test_case "space inventory" `Quick test_linux_space_inventory;
           Alcotest.test_case "default never crashes" `Quick test_linux_default_never_crashes;
