@@ -2,7 +2,30 @@ module Vec = Wayfinder_tensor.Vec
 
 type feature = { owner : int; label : string }
 
-type t = { space : Space.t; features : feature array; offsets : int array }
+(* How an integer parameter's value maps into [0, 1]: [Flat] sends every
+   value to ½.  The log10 of a log-scaled parameter's bounds are
+   constants of the parameter, taken once per encoding. *)
+type int_scale = Flat | Linear | Log of { l_lo : float; denom : float }
+
+type t = {
+  space : Space.t;
+  features : feature array;
+  offsets : int array;
+  scales : int_scale array;  (* per parameter; [Linear] for non-integers *)
+}
+
+let int_scale (p : Param.t) =
+  match p.Param.kind with
+  | Param.Kint { lo; hi; log_scale } ->
+    if hi = lo then Flat
+    else if log_scale && lo >= 0 then begin
+      let l v = log10 (float_of_int (max 1 v)) in
+      let l_lo = l lo in
+      let denom = l hi -. l_lo in
+      if denom <= 0. then Flat else Log { l_lo; denom }
+    end
+    else Linear
+  | Param.Kbool | Param.Ktristate | Param.Kcategorical _ -> Linear
 
 let features_of_param i (p : Param.t) =
   match p.Param.kind with
@@ -31,26 +54,21 @@ let create space =
           | Param.Kbool | Param.Ktristate | Param.Kint _ -> 1
           | Param.Kcategorical choices -> Array.length choices))
     params;
-  { space; features; offsets }
+  { space; features; offsets; scales = Array.map int_scale params }
 
 let space t = t.space
 let dim t = Array.length t.features
 
-let encode_value (p : Param.t) v out pos =
+let encode_value (p : Param.t) scale v out pos =
   match (p.Param.kind, v) with
   | Param.Kbool, Param.Vbool b -> out.(pos) <- (if b then 1. else 0.)
   | Param.Ktristate, Param.Vtristate x -> out.(pos) <- float_of_int x /. 2.
-  | Param.Kint { lo; hi; log_scale }, Param.Vint i ->
-    let scaled =
-      if hi = lo then 0.5
-      else if log_scale && lo >= 0 then begin
-        let l v = log10 (float_of_int (max 1 v)) in
-        let denom = l hi -. l lo in
-        if denom <= 0. then 0.5 else (l i -. l lo) /. denom
-      end
-      else float_of_int (i - lo) /. float_of_int (hi - lo)
-    in
-    out.(pos) <- scaled
+  | Param.Kint { lo; hi; _ }, Param.Vint i ->
+    out.(pos) <-
+      (match scale with
+      | Flat -> 0.5
+      | Log { l_lo; denom } -> (log10 (float_of_int (max 1 i)) -. l_lo) /. denom
+      | Linear -> float_of_int (i - lo) /. float_of_int (hi - lo))
   | Param.Kcategorical choices, Param.Vcat c ->
     for k = 0 to Array.length choices - 1 do
       out.(pos + k) <- (if k = c then 1. else 0.)
@@ -62,7 +80,9 @@ let encode t config =
   if Array.length config <> Space.size t.space then
     invalid_arg "Encoding.encode: configuration size mismatch";
   let out = Vec.zeros (dim t) in
-  Array.iteri (fun i v -> encode_value (Space.param t.space i) v out t.offsets.(i)) config;
+  Array.iteri
+    (fun i v -> encode_value (Space.param t.space i) t.scales.(i) v out t.offsets.(i))
+    config;
   out
 
 let feature_names t = Array.map (fun f -> f.label) t.features

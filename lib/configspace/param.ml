@@ -237,21 +237,22 @@ let cardinality = function
   | Kint { lo; hi; _ } -> float_of_int (hi - lo + 1)
   | Kcategorical choices -> float_of_int (Array.length choices)
 
-let sample_log_int rng lo hi =
-  (* Uniform over orders of magnitude between lo and hi, then uniform
-     within the chosen decade. *)
-  let lo_f = float_of_int (max 1 lo) and hi_f = float_of_int (max 1 hi) in
-  let log_lo = log10 lo_f and log_hi = log10 hi_f in
-  let x = 10. ** Rng.uniform rng log_lo log_hi in
-  max lo (min hi (int_of_float x))
-
-let sample p rng =
+let sample p =
   match p.kind with
-  | Kbool -> Vbool (Rng.bool rng)
-  | Ktristate -> Vtristate (Rng.int rng 3)
-  | Kint { lo; hi; log_scale } ->
-    if log_scale && hi > 0 then Vint (sample_log_int rng lo hi) else Vint (Rng.int_in rng lo hi)
-  | Kcategorical choices -> Vcat (Rng.int rng (Array.length choices))
+  | Kbool -> fun rng -> Vbool (Rng.bool rng)
+  | Ktristate -> fun rng -> Vtristate (Rng.int rng 3)
+  | Kint { lo; hi; log_scale } when log_scale && hi > 0 ->
+    (* Uniform over orders of magnitude between lo and hi, then uniform
+       within the chosen decade.  The bounds' log10 are constants of the
+       parameter, taken once per [sample p]. *)
+    let log_lo = log10 (float_of_int (max 1 lo)) and log_hi = log10 (float_of_int (max 1 hi)) in
+    fun rng ->
+      let x = 10. ** Rng.uniform rng log_lo log_hi in
+      Vint (max lo (min hi (int_of_float x)))
+  | Kint { lo; hi; _ } -> fun rng -> Vint (Rng.int_in rng lo hi)
+  | Kcategorical choices ->
+    let n = Array.length choices in
+    fun rng -> Vcat (Rng.int rng n)
 
 let perturb p rng v =
   match (p.kind, v) with

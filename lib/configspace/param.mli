@@ -94,7 +94,9 @@ val cardinality : kind -> float
 
 val sample : t -> Wayfinder_tensor.Rng.t -> value
 (** Uniform draw from the parameter's domain; log-scaled ints draw an order
-    of magnitude first. *)
+    of magnitude first.  [sample p] computes the constants of the draw (a
+    log-scaled int's bounds in log10) once, so a caller that draws the
+    same parameter many times keeps the partial application. *)
 
 val perturb : t -> Wayfinder_tensor.Rng.t -> value -> value
 (** Local move: flips bools, steps tristates, scales/offsets ints, re-draws

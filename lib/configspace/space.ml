@@ -6,6 +6,7 @@ module Kast = Wayfinder_kconfig.Ast
 
 type t = {
   params : Param.t array;
+  samplers : (Rng.t -> Param.value) array;  (* [Param.sample] of each parameter *)
   index : (string, int) Hashtbl.t;
   fixed : Param.value option array;
 }
@@ -21,7 +22,8 @@ let create param_list =
         invalid_arg (Printf.sprintf "Space.create: duplicate parameter %s" p.Param.name);
       Hashtbl.add index p.Param.name i)
     params;
-  { params; index; fixed = Array.make (Array.length params) None }
+  { params; samplers = Array.map Param.sample params; index;
+    fixed = Array.make (Array.length params) None }
 
 let size t = Array.length t.params
 let params t = Array.copy t.params
@@ -75,9 +77,7 @@ let validate t config =
   List.rev !problems
 
 let random t rng =
-  Array.mapi
-    (fun i p -> match t.fixed.(i) with Some v -> v | None -> Param.sample p rng)
-    t.params
+  Array.mapi (fun i draw -> match t.fixed.(i) with Some v -> v | None -> draw rng) t.samplers
 
 let sample_biased t rng ~vary_probability =
   Array.mapi
@@ -85,7 +85,7 @@ let sample_biased t rng ~vary_probability =
       match t.fixed.(i) with
       | Some v -> v
       | None ->
-        if Rng.bernoulli rng (vary_probability p) then Param.sample p rng else p.Param.default)
+        if Rng.bernoulli rng (vary_probability p) then t.samplers.(i) rng else p.Param.default)
     t.params
 
 let favor_stage stage ?(strong = 0.6) ?(weak = 0.05) p =

@@ -10,27 +10,49 @@ type t = {
   alpha : Vec.t;  (* (K + noise·I)⁻¹ y *)
 }
 
-let fit ?(noise = 1e-4) kernel x y =
-  if x.Mat.rows = 0 then invalid_arg "Gp.fit: no data";
-  if x.Mat.rows <> Array.length y then invalid_arg "Gp.fit: row/target count mismatch";
-  let gram = Mat.add_jitter (Kernel.gram kernel x) noise in
-  let chol = Mat.cholesky gram in
+let fit ?(noise = 1e-4) ?gram kernel x y =
+  let n = x.Mat.rows in
+  if n = 0 then invalid_arg "Gp.fit: no data";
+  if n <> Array.length y then invalid_arg "Gp.fit: row/target count mismatch";
+  let gram =
+    match gram with
+    | None -> Kernel.gram kernel x
+    | Some g when g.Mat.rows = n && g.Mat.cols = n -> g
+    | Some _ -> invalid_arg "Gp.fit: Gram matrix is not n × n"
+  in
+  (* The factorization stays a full O(n³) refit at every call. *)
+  let chol = Mat.cholesky (Mat.add_jitter gram noise) in
   let alpha = Mat.cholesky_solve chol y in
   { kernel; x; y; noise; chol; alpha }
 
 let size t = t.x.Mat.rows
 
-let predict t q =
-  let k_star = Array.make (size t) 0. in
-  Kernel.cross_into t.kernel t.x q k_star;
-  let mean = Vec.dot k_star t.alpha in
-  (* var = k(q,q) + noise - k*ᵀ (K+noise I)⁻¹ k*  via v = L⁻¹ k* *)
-  let v = Mat.solve_lower t.chol k_star in
-  let k_qq = Kernel.eval t.kernel q q in
-  let var = k_qq +. t.noise -. Vec.dot v v in
-  (mean, max 0. var)
+(* Candidates go two at a time: one pass over the training rows gives
+   both cross-kernel vectors and one forward substitution solves both,
+   so each load of a training row or of L serves two candidates.  A lone
+   last candidate is its own pair.  Each candidate's sums keep the
+   textbook order, so its posterior does not depend on its partner. *)
+let predict_batch t qs =
+  let p = Array.length qs and n = size t in
+  let out = Array.make p (0., 0.) in
+  let k0 = Array.make n 0. and k1 = Array.make n 0. in
+  let posterior q k v =
+    let mean = Vec.dot k t.alpha in
+    (* var = k(q,q) + noise - k*ᵀ (K+noise I)⁻¹ k*  via v = L⁻¹ k* *)
+    let var = Kernel.eval t.kernel q q +. t.noise -. Vec.dot v v in
+    (mean, max 0. var)
+  in
+  for pair = 0 to ((p + 1) / 2) - 1 do
+    let i = 2 * pair in
+    let i' = Int.min (i + 1) (p - 1) in
+    Kernel.cross2_into t.kernel t.x qs.(i) qs.(i') k0 k1;
+    let v0, v1 = Mat.solve_lower2 t.chol k0 k1 in
+    out.(i) <- posterior qs.(i) k0 v0;
+    out.(i') <- posterior qs.(i') k1 v1
+  done;
+  out
 
-let predict_batch t qs = Array.map (predict t) qs
+let predict t q = (predict_batch t [| q |]).(0)
 
 let default_lengthscale_grid = [ 0.25; 0.5; 1.0; 1.5; 2.5; 4.0 ]
 
@@ -69,8 +91,7 @@ let erf x =
 
 let std_normal_cdf x = 0.5 *. (1. +. erf (x /. sqrt 2.))
 
-let expected_improvement t ~best q =
-  let mean, var = predict t q in
+let improvement ~best (mean, var) =
   let sigma = sqrt var in
   if sigma < 1e-12 then 0.
   else begin
@@ -78,4 +99,5 @@ let expected_improvement t ~best q =
     ((mean -. best) *. std_normal_cdf z) +. (sigma *. std_normal_pdf z)
   end
 
-let expected_improvement_batch t ~best qs = Array.map (expected_improvement t ~best) qs
+let expected_improvement_batch t ~best qs = Array.map (improvement ~best) (predict_batch t qs)
+let expected_improvement t ~best q = (expected_improvement_batch t ~best [| q |]).(0)

@@ -4,18 +4,26 @@
     Cholesky decomposition — O(n³) time, O(n²) memory — and adding a data
     point requires a full refit.  These are precisely the scalability
     limitations §2.3 attributes to Bayesian optimization, so this module
-    doubles as the measured subject in the Figure 7 comparison context. *)
+    doubles as the measured subject in the Figure 7 comparison context.
+    A caller that keeps the Gram entries of its points across fits
+    ({!Gram_store}) skips their O(n²·d) recomputation, not the
+    factorization: every fit is still a full O(n³) Cholesky, never a
+    rank-1 update. *)
 
 module Vec = Wayfinder_tensor.Vec
 module Mat = Wayfinder_tensor.Mat
 
 type t
 
-val fit : ?noise:float -> Kernel.t -> Mat.t -> Vec.t -> t
+val fit : ?noise:float -> ?gram:Mat.t -> Kernel.t -> Mat.t -> Vec.t -> t
 (** [fit kernel x y] with rows of [x] as inputs.  [noise] (default 1e-4) is
-    the observation-noise variance added to the Gram diagonal.
-    @raise Invalid_argument if row/target counts differ or there is no
-    data. *)
+    the observation-noise variance added to the Gram diagonal.  [gram],
+    when given, must be [Kernel.gram kernel x] (as {!Gram_store.window}
+    returns it, with entries reused across fits); the fit then skips
+    computing it and is bitwise the fit that computes it.  Either way the
+    fit is a full O(n³) Cholesky refit.
+    @raise Invalid_argument if row/target counts differ, [gram] is not
+    [n × n], or there is no data. *)
 
 val fit_auto : ?noise:float -> ?lengthscales:float list -> Mat.t -> Vec.t -> t
 (** Squared-exponential GP with the lengthscale selected by log marginal
@@ -28,10 +36,12 @@ val size : t -> int
 
 val predict : t -> Vec.t -> float * float
 (** [(posterior mean, posterior variance)]; the variance includes the
-    observation noise floor and is clamped at 0. *)
+    observation noise floor and is clamped at 0.  The batch of one. *)
 
 val predict_batch : t -> Vec.t array -> (float * float) array
-(** {!predict} of every candidate, in order.
+(** {!predict} of every candidate, in order, two candidates per pass over
+    the training rows; each element is bitwise the same whatever its
+    position or partner.
     @raise Invalid_argument if a candidate's dimension is not the inputs'. *)
 
 val log_marginal_likelihood : t -> float

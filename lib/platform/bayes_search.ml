@@ -1,14 +1,14 @@
 module Space = Wayfinder_configspace.Space
 module Encoding = Wayfinder_configspace.Encoding
-module Mat = Wayfinder_tensor.Mat
 module Gp = Wayfinder_gp.Gp
 module Kernel = Wayfinder_gp.Kernel
+module Gram_store = Wayfinder_gp.Gram_store
 module Obs = Wayfinder_obs
 
 type state = {
   encoding : Encoding.t;
-  mutable xs : float array list;  (* newest first *)
-  mutable ys : float list;  (* scores, higher better *)
+  store : Gram_store.t;  (* the newest [max_points] encodings and scores (higher better) *)
+  mutable best : float option;  (* the best score observed, the constant liar's value *)
   mutable worst : float;
   mutable model : (Gp.t * float * float) option;
       (* Last fitted surrogate with its target standardisation (mean, std)
@@ -18,13 +18,15 @@ type state = {
 let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale = 1.5)
     ?(seed = 0) () =
   ignore seed;
+  let kernel = Kernel.Squared_exponential { lengthscale; variance = 1. } in
   let state = ref None in
   let get_state space =
     match !state with
     | Some st -> st
     | None ->
       let st =
-        { encoding = Encoding.create space; xs = []; ys = []; worst = 0.; model = None }
+        { encoding = Encoding.create space; store = Gram_store.create kernel ~max_points;
+          best = None; worst = 0.; model = None }
       in
       state := Some st;
       st
@@ -32,30 +34,26 @@ let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale 
   let pick st ctx =
     let space = ctx.Search_algorithm.space in
     let rng = ctx.Search_algorithm.rng in
-    let n = List.length st.ys in
+    let n = Gram_store.length st.store in
     if n < n_init then Random_search.sampler ?favor space rng
     else begin
-      let take k l =
-        let rec go k = function x :: rest when k > 0 -> x :: go (k - 1) rest | _ -> [] in
-        go k l
-      in
-      let xs = take max_points st.xs and ys = take max_points st.ys in
-      let x = Mat.of_rows (Array.of_list xs) in
-      let y = Array.of_list ys in
-      let kernel = Kernel.Squared_exponential { lengthscale; variance = 1. } in
-      (* Standardise targets so the unit-variance prior is sane. *)
-      let mean, std = Wayfinder_tensor.Stat.zscore_params y in
-      let y_std = Array.map (fun v -> (v -. mean) /. std) y in
-      let gp =
-        (* O(n³) fit — the cost Figure 7 compares against; worth a span. *)
+      let points = Int.min n max_points in
+      let gp, mean, std, y_std =
+        (* O(n³) fit — the cost Figure 7 compares against; worth a span.
+           The store's upkeep (one new Gram row per new point) runs in it. *)
         Obs.Recorder.with_span ctx.Search_algorithm.obs
-          ~attrs:[ Obs.Attr.int "points" (Array.length y) ]
+          ~attrs:[ Obs.Attr.int "points" points ]
           "bayes.gp_fit"
-          (fun () -> Gp.fit ~noise:1e-3 kernel x y_std)
+          (fun () ->
+            let x, y, gram = Gram_store.window st.store in
+            (* Standardise targets so the unit-variance prior is sane. *)
+            let mean, std = Wayfinder_tensor.Stat.zscore_params y in
+            let y_std = Array.map (fun v -> (v -. mean) /. std) y in
+            (Gp.fit ~noise:1e-3 ~gram kernel x y_std, mean, std, y_std))
       in
       st.model <- Some (gp, mean, std);
       Obs.Recorder.observe ctx.Search_algorithm.obs ~quiet:true "bayes.model_points"
-        (float_of_int (Array.length y));
+        (float_of_int points);
       Obs.Recorder.observe ctx.Search_algorithm.obs ~quiet:true "bayes.pool_size"
         (float_of_int pool);
       let best = Array.fold_left max neg_infinity y_std in
@@ -63,7 +61,7 @@ let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale 
          model-free exploitation seeds — that is DeepTune's trick).  The
          first strict maximum wins; [fallback] stands if none beats -∞. *)
       Obs.Recorder.with_span ctx.Search_algorithm.obs
-        ~attrs:[ Obs.Attr.int "points" (Array.length y); Obs.Attr.int "candidates" pool ]
+        ~attrs:[ Obs.Attr.int "points" points; Obs.Attr.int "candidates" pool ]
         "bayes.acquire"
         (fun () ->
           let fallback = Random_search.sampler ?favor space rng in
@@ -84,22 +82,13 @@ let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale 
   let propose_batch ctx ~k =
     let st = get_state ctx.Search_algorithm.space in
     let picks = ref [] in
-    let lies = ref 0 in
+    let lie = Option.value st.best ~default:0. in
     for _ = 1 to k do
       let c = pick st ctx in
       picks := c :: !picks;
-      let lie =
-        match st.ys with [] -> 0. | ys -> List.fold_left max neg_infinity ys
-      in
-      st.xs <- Encoding.encode st.encoding c :: st.xs;
-      st.ys <- lie :: st.ys;
-      incr lies
+      Gram_store.lie st.store (Encoding.encode st.encoding c) lie
     done;
-    let rec drop n l =
-      if n = 0 then l else match l with _ :: rest -> drop (n - 1) rest | [] -> []
-    in
-    st.xs <- drop !lies st.xs;
-    st.ys <- drop !lies st.ys;
+    Gram_store.pop_lies st.store;
     List.rev !picks
   in
   let observe ctx entry =
@@ -119,9 +108,11 @@ let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale 
              has no dedicated crash model (§2.3). *)
           st.worst -. 1.
       in
-      st.xs <- Encoding.encode st.encoding entry.History.config :: st.xs;
-      st.ys <- score :: st.ys;
-      if score < st.worst || List.length st.ys = 1 then st.worst <- score
+      Gram_store.observe st.store (Encoding.encode st.encoding entry.History.config) score;
+      (* A tie keeps the newer score, as a max over the scores newest
+         first does. *)
+      st.best <- Some (match st.best with None -> score | Some b -> max score b);
+      if score < st.worst || Gram_store.length st.store = 1 then st.worst <- score
   in
   (* Pure introspection: read the cached surrogate (the one the last pick
      maximised EI over), never refit, never touch [ctx.rng].  Before the

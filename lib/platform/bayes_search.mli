@@ -3,7 +3,9 @@
     A Gaussian process is fitted over the feature encodings of evaluated
     configurations and the next candidate is chosen by Expected Improvement
     over a random candidate pool.  Faithful to the limitations the paper
-    measures: every observation triggers a *full* O(n³) refit, there is no
+    measures: every observation triggers a *full* O(n³) refit (only the
+    Gram entries of the window are kept across refits, in a
+    {!Wayfinder_gp.Gram_store}), there is no
     crash model (failures are folded in as a pessimistic score), and
     one-hot categorical dimensions dilute the kernel — which is why it only
     competes on small spaces like Unikraft's (Figure 9).

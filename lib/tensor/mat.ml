@@ -56,8 +56,11 @@ let col m j = Array.init m.rows (fun i -> get m i j)
 
 let set_row m i v =
   if Array.length v <> m.cols then invalid_arg "Mat.set_row: dimension mismatch";
+  if i < 0 || i >= m.rows then invalid_arg "Mat.set_row: row out of range";
   let base = i * m.cols in
-  Array.iteri (fun j x -> m.data.{base + j} <- x) v
+  for j = 0 to m.cols - 1 do
+    Bigarray.Array1.unsafe_set m.data (base + j) (Array.unsafe_get v j)
+  done
 
 let of_rows rows =
   match Array.length rows with
@@ -240,57 +243,105 @@ let add_jitter m eps =
 (* The factorization and the triangular solves check shapes once, then
    index storage unchecked.  Every sum keeps the textbook order, so the
    results are bitwise those of the checked loops. *)
+
+(* Rows go four at a time.  Left of the block's diagonal, the four rows
+   walk the columns j in lock step: each load of L(j,k) feeds four
+   independent sums, each still over k ascending, and L(j,j) divides all
+   four.  The block's own triangle is then finished row by row in
+   textbook order.  Block rows past n repeat row n-1, which writes the
+   same values again. *)
 let cholesky a =
   if a.rows <> a.cols then invalid_arg "Mat.cholesky: not square";
   let n = a.rows in
   let l = zeros n n in
   let open Bigarray.Array1 in
   let ad = a.data and ld = l.data in
-  for i = 0 to n - 1 do
-    for j = 0 to i do
-      let acc = ref (unsafe_get ad ((i * n) + j)) in
+  for blk = 0 to ((n + 3) / 4) - 1 do
+    let i = 4 * blk in
+    let r0 = i * n and r1 = Int.min (i + 1) (n - 1) * n in
+    let r2 = Int.min (i + 2) (n - 1) * n and r3 = Int.min (i + 3) (n - 1) * n in
+    for j = 0 to i - 1 do
+      let rj = j * n in
+      let a0 = ref (unsafe_get ad (r0 + j)) and a1 = ref (unsafe_get ad (r1 + j)) in
+      let a2 = ref (unsafe_get ad (r2 + j)) and a3 = ref (unsafe_get ad (r3 + j)) in
       for k = 0 to j - 1 do
-        acc := !acc -. (unsafe_get ld ((i * n) + k) *. unsafe_get ld ((j * n) + k))
+        let ljk = unsafe_get ld (rj + k) in
+        a0 := !a0 -. (unsafe_get ld (r0 + k) *. ljk);
+        a1 := !a1 -. (unsafe_get ld (r1 + k) *. ljk);
+        a2 := !a2 -. (unsafe_get ld (r2 + k) *. ljk);
+        a3 := !a3 -. (unsafe_get ld (r3 + k) *. ljk)
       done;
-      if i = j then begin
-        if !acc <= 0. then failwith "Mat.cholesky: matrix not positive definite";
-        unsafe_set ld ((i * n) + i) (sqrt !acc)
-      end
-      else unsafe_set ld ((i * n) + j) (!acc /. unsafe_get ld ((j * n) + j))
+      let ljj = unsafe_get ld (rj + j) in
+      unsafe_set ld (r0 + j) (!a0 /. ljj);
+      unsafe_set ld (r1 + j) (!a1 /. ljj);
+      unsafe_set ld (r2 + j) (!a2 /. ljj);
+      unsafe_set ld (r3 + j) (!a3 /. ljj)
+    done;
+    for r = i to Int.min (i + 3) (n - 1) do
+      for j = i to r do
+        let acc = ref (unsafe_get ad ((r * n) + j)) in
+        for k = 0 to j - 1 do
+          acc := !acc -. (unsafe_get ld ((r * n) + k) *. unsafe_get ld ((j * n) + k))
+        done;
+        if r = j then begin
+          if !acc <= 0. then failwith "Mat.cholesky: matrix not positive definite";
+          unsafe_set ld ((r * n) + r) (sqrt !acc)
+        end
+        else unsafe_set ld ((r * n) + j) (!acc /. unsafe_get ld ((j * n) + j))
+      done
     done
   done;
   l
 
-(* Rows go four at a time so each load of x(j), j < i, feeds four
-   independent sums, each still over j ascending; the rows of the block
-   are then finished in order.  Block rows past n repeat row n-1, unused. *)
-let solve_lower l b =
+(* Both right-hand sides go together, four rows per pass: each load of
+   L(r,j), j left of the block, feeds the sums of both systems, and each
+   load of x(j) or y(j) feeds four rows; every sum still runs over j
+   ascending.  The rows of the block are then finished in order.  Block
+   rows past n repeat row n-1, unused. *)
+let solve_lower2 l b c =
   let n = l.rows and ld = l.data in
-  if l.cols <> n || Array.length b <> n then invalid_arg "Mat.solve_lower: dimension mismatch";
-  let x = Array.copy b in
+  if l.cols <> n || Array.length b <> n || Array.length c <> n then
+    invalid_arg "Mat.solve_lower2: dimension mismatch";
+  let x = Array.copy b and y = Array.copy c in
   let open Bigarray.Array1 in
   for blk = 0 to ((n + 3) / 4) - 1 do
     let i = 4 * blk in
-    let row s = Int.min (i + s) (n - 1) in
-    let l0 = i * n and l1 = row 1 * n and l2 = row 2 * n and l3 = row 3 * n in
-    let a0 = ref x.(i) and a1 = ref x.(row 1) and a2 = ref x.(row 2) and a3 = ref x.(row 3) in
+    let i1 = Int.min (i + 1) (n - 1) and i2 = Int.min (i + 2) (n - 1) in
+    let i3 = Int.min (i + 3) (n - 1) in
+    let l0 = i * n and l1 = i1 * n and l2 = i2 * n and l3 = i3 * n in
+    let x0 = ref x.(i) and x1 = ref x.(i1) and x2 = ref x.(i2) and x3 = ref x.(i3) in
+    let y0 = ref y.(i) and y1 = ref y.(i1) and y2 = ref y.(i2) and y3 = ref y.(i3) in
     for j = 0 to i - 1 do
-      let xj = Array.unsafe_get x j in
-      a0 := !a0 -. (unsafe_get ld (l0 + j) *. xj);
-      a1 := !a1 -. (unsafe_get ld (l1 + j) *. xj);
-      a2 := !a2 -. (unsafe_get ld (l2 + j) *. xj);
-      a3 := !a3 -. (unsafe_get ld (l3 + j) *. xj)
+      let xj = Array.unsafe_get x j and yj = Array.unsafe_get y j in
+      let e = unsafe_get ld (l0 + j) in
+      x0 := !x0 -. (e *. xj);
+      y0 := !y0 -. (e *. yj);
+      let e = unsafe_get ld (l1 + j) in
+      x1 := !x1 -. (e *. xj);
+      y1 := !y1 -. (e *. yj);
+      let e = unsafe_get ld (l2 + j) in
+      x2 := !x2 -. (e *. xj);
+      y2 := !y2 -. (e *. yj);
+      let e = unsafe_get ld (l3 + j) in
+      x3 := !x3 -. (e *. xj);
+      y3 := !y3 -. (e *. yj)
     done;
-    let acc = [| !a0; !a1; !a2; !a3 |] in
+    let ax = [| !x0; !x1; !x2; !x3 |] and ay = [| !y0; !y1; !y2; !y3 |] in
     for s = 0 to Int.min 4 (n - i) - 1 do
       let r = i + s in
       for j = i to r - 1 do
-        acc.(s) <- acc.(s) -. (unsafe_get ld ((r * n) + j) *. x.(j))
+        let e = unsafe_get ld ((r * n) + j) in
+        ax.(s) <- ax.(s) -. (e *. x.(j));
+        ay.(s) <- ay.(s) -. (e *. y.(j))
       done;
-      x.(r) <- acc.(s) /. unsafe_get ld ((r * n) + r)
+      let d = unsafe_get ld ((r * n) + r) in
+      x.(r) <- ax.(s) /. d;
+      y.(r) <- ay.(s) /. d
     done
   done;
-  x
+  (x, y)
+
+let solve_lower l b = fst (solve_lower2 l b b)
 
 let solve_upper l b =
   let n = l.rows and ld = l.data in
@@ -315,15 +366,21 @@ let log_det_from_cholesky l =
   done;
   2. *. !acc
 
+(* Columns go two at a time through the forward substitution; a lone
+   last column is solved twice. *)
 let inverse_spd a =
   let n = a.rows in
   let l = cholesky a in
   let inv = zeros n n in
-  for j = 0 to n - 1 do
-    let e = Array.init n (fun i -> if i = j then 1. else 0.) in
-    let x = cholesky_solve l e in
+  let unit j = Array.init n (fun i -> if i = j then 1. else 0.) in
+  for pair = 0 to ((n + 1) / 2) - 1 do
+    let j0 = 2 * pair in
+    let j1 = Int.min (j0 + 1) (n - 1) in
+    let z0, z1 = solve_lower2 l (unit j0) (unit j1) in
+    let x0 = solve_upper l z0 and x1 = solve_upper l z1 in
     for i = 0 to n - 1 do
-      set inv i j x.(i)
+      set inv i j0 x0.(i);
+      set inv i j1 x1.(i)
     done
   done;
   inv

@@ -88,12 +88,18 @@ val add_jitter : t -> float -> t
     before a Cholesky factorization). *)
 
 val cholesky : t -> t
-(** Lower-triangular Cholesky factor [L] with [L·Lᵀ = A].
+(** Lower-triangular Cholesky factor [L] with [L·Lᵀ = A], four rows per
+    pass; each entry's sum runs over [k] in ascending order, so [L] is
+    bitwise the textbook row-by-row factor.
     @raise Failure if the matrix is not (numerically) positive definite. *)
 
 val solve_lower : t -> Vec.t -> Vec.t
 (** [solve_lower l b] solves [L·x = b] by forward substitution, each
     row's sum over [j] in ascending order. *)
+
+val solve_lower2 : t -> Vec.t -> Vec.t -> Vec.t * Vec.t
+(** [solve_lower2 l b c] is [(solve_lower l b, solve_lower l c)], bitwise,
+    solved together so that each load of [L] serves both systems. *)
 
 val solve_upper : t -> Vec.t -> Vec.t
 (** [solve_upper u b] solves [U·x = b] by back substitution, where [u] is

@@ -184,3 +184,24 @@ let crc32_update state s =
 (* [Shapes.hash_combine] as it was: FNV-1a over the joined decimal text. *)
 let hash_combine a b =
   Wayfinder_simos.Shapes.hash_string (string_of_int a ^ ":" ^ string_of_int b)
+
+(* An integer parameter's encoding and draw as [Encoding.encode] and
+   [Param.sample] computed them, taking the log10 of both bounds on every
+   call. *)
+let encode_int ~lo ~hi ~log_scale i =
+  if hi = lo then 0.5
+  else if log_scale && lo >= 0 then begin
+    let l v = log10 (float_of_int (max 1 v)) in
+    let denom = l hi -. l lo in
+    if denom <= 0. then 0.5 else (l i -. l lo) /. denom
+  end
+  else float_of_int (i - lo) /. float_of_int (hi - lo)
+
+let sample_int rng ~lo ~hi ~log_scale =
+  if log_scale && hi > 0 then begin
+    let lo_f = float_of_int (max 1 lo) and hi_f = float_of_int (max 1 hi) in
+    let log_lo = log10 lo_f and log_hi = log10 hi_f in
+    let x = 10. ** Rng.uniform rng log_lo log_hi in
+    max lo (min hi (int_of_float x))
+  end
+  else Rng.int_in rng lo hi

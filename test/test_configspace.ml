@@ -549,6 +549,65 @@ let prop_tokens_match_reference =
       && Param.config_key (Array.of_list values)
          = String.concat "," (List.map reference_token values))
 
+(* Integer parameters with lo = 0, lo = hi, hi <= 0 and lo < 0 among
+   them, log-scaled or not: every encoding and every draw must be the
+   per-call formulas' ([Oracle.encode_int], [Oracle.sample_int]) bit for
+   bit, and a draw must leave the stream where they left it. *)
+let prop_int_scaling_matches_oracle =
+  QCheck2.Test.make ~name:"integer encoding and draws bitwise equal the per-call log10 formulas"
+    ~count:300
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 6)
+           (triple
+              (oneof [ oneofl [ 0; 1; -1; 16; -5000 ]; int_range (-100_000) 100_000 ])
+              (oneof [ pure 0; int_range 1 10; int_range 1 10_000_000 ])
+              bool))
+        (int_range 0 10000))
+    (fun (specs, seed) ->
+      let specs = List.map (fun (lo, span, log_scale) -> (lo, lo + span, log_scale)) specs in
+      let space =
+        Space.create
+          (List.mapi
+             (fun k (lo, hi, log_scale) ->
+               Param.int_param ~log_scale (Printf.sprintf "p%d" k) ~lo ~hi ~default:lo)
+             specs)
+      in
+      let enc = Encoding.create space in
+      let rng = Rng.create seed in
+      let encodes config =
+        let expect =
+          List.mapi
+            (fun k (lo, hi, log_scale) ->
+              match config.(k) with
+              | Param.Vint i -> Oracle.encode_int ~lo ~hi ~log_scale i
+              | Param.Vbool _ | Param.Vtristate _ | Param.Vcat _ -> nan)
+            specs
+        in
+        List.map Oracle.bits (Array.to_list (Encoding.encode enc config))
+        = List.map Oracle.bits expect
+      in
+      let draws () =
+        let old = Rng.copy rng and one = Rng.copy rng in
+        let config = Space.random space rng in
+        let expect =
+          List.map (fun (lo, hi, log_scale) -> Param.Vint (Oracle.sample_int old ~lo ~hi ~log_scale)) specs
+        in
+        let singly = Array.map (fun p -> Param.sample p one) (Space.params space) in
+        Array.to_list config = expect
+        && singly = config
+        && Rng.state rng = Rng.state old
+        && Rng.state one = Rng.state old
+        && encodes config
+      in
+      let bounds which =
+        Array.of_list (List.map (fun (lo, hi, _) -> Param.Vint (which lo hi)) specs)
+      in
+      encodes (bounds (fun lo _ -> lo))
+      && encodes (bounds (fun _ hi -> hi))
+      && encodes (bounds (fun lo hi -> Rng.int_in rng lo hi))
+      && List.for_all (fun _ -> draws ()) (List.init 20 Fun.id))
+
 let () =
   Alcotest.run "configspace"
     [ ( "param",
@@ -593,4 +652,4 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_configs_encode_bounded; prop_mutate_preserves_validity;
             prop_assoc_roundtrip; prop_config_key_injective; prop_config_key_tokens_decode;
-            prop_tokens_match_reference ] ) ]
+            prop_tokens_match_reference; prop_int_scaling_matches_oracle ] ) ]

@@ -269,7 +269,8 @@ module Oracle = struct
 end
 
 (* n in [1,40] (every remainder of the four-row blocks of
-   [Kernel.cross_into] and [Mat.solve_lower]), d in [1,16], p in [0,40],
+   [Kernel.cross2_into] and [Mat.solve_lower2]), d in [1,16], p in [0,40]
+   (a lone last candidate for odd p),
    both kernels, optionally every other training row repeated, and a
    third of the candidates sitting on training rows (the zero-variance
    branch of EI). *)
@@ -308,6 +309,79 @@ let prop_batch_matches_oracle =
                 && (m', v') = Gp.predict gp q)
               qs))
 
+(* Random sequences of observations, lies, pops and window reads, against
+   the window as the Bayes searcher kept it in lists: newest first, lies
+   on top, the newest [max_points] taken.  Every read must give that
+   window's rows and targets and [Kernel.gram] of its rows, bit for bit,
+   and a fit from the stored Gram must have the computed fit's posterior
+   bits; the store never holds more than [max_points] rows.  A third of
+   the points repeat the previous one. *)
+type store_op = Observe | Lie | Pop_lies | Read
+
+let prop_gram_store_matches_list_window =
+  QCheck2.Test.make ~name:"Gram store reads bitwise equal the list window's gram and fit"
+    ~count:200
+    QCheck2.Gen.(
+      pair
+        (triple kernel_gen (int_range 1 12) (int_range 1 8))
+        (pair
+           (list_size (int_range 1 80)
+              (frequency [ (3, pure Observe); (2, pure Lie); (1, pure Pop_lies); (2, pure Read) ]))
+           (int_range 0 10000)))
+    (fun ((k, max_points, d), (ops, seed)) ->
+      let rng = Rng.create seed in
+      let store = Gram_store.create k ~max_points in
+      let observed = ref [] and lies = ref [] and last = ref None in
+      let point () =
+        let x =
+          match !last with
+          | Some x when Rng.int rng 3 = 0 -> Array.copy x
+          | Some _ | None -> Array.init d (fun _ -> Rng.uniform rng (-2.) 2.)
+        in
+        last := Some x;
+        (x, Rng.normal rng ())
+      in
+      let rec take n = function p :: rest when n > 0 -> p :: take (n - 1) rest | _ -> [] in
+      let same a b = Array.map bits (Mat.to_array a) = Array.map bits (Mat.to_array b) in
+      let read () =
+        match take max_points (!lies @ !observed) with
+        | [] -> ( try ignore (Gram_store.window store); false with Invalid_argument _ -> true)
+        | window ->
+          let x, y, gram = Gram_store.window store in
+          let x' = Mat.of_rows (Array.of_list (List.map fst window)) in
+          let y' = Array.of_list (List.map snd window) in
+          let qs = Array.init 3 (fun _ -> Array.init d (fun _ -> Rng.uniform rng (-2.) 2.)) in
+          let posterior gp = Array.map (fun (m, v) -> (bits m, bits v)) (Gp.predict_batch gp qs) in
+          same x x'
+          && Array.map bits y = Array.map bits y'
+          && same gram (Kernel.gram k x')
+          && posterior (Gp.fit ~noise:1e-3 ~gram k x y) = posterior (Gp.fit ~noise:1e-3 k x' y')
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Observe ->
+              let x, y = point () in
+              Gram_store.observe store x y;
+              observed := (x, y) :: !observed;
+              true
+            | Lie ->
+              let x, y = point () in
+              Gram_store.lie store x y;
+              lies := (x, y) :: !lies;
+              true
+            | Pop_lies ->
+              Gram_store.pop_lies store;
+              lies := [];
+              true
+            | Read -> read ()
+          in
+          ok
+          && Gram_store.held store <= max_points
+          && Gram_store.length store = List.length !lies + List.length !observed)
+        ops)
+
 let () =
   Alcotest.run "gp"
     [ ( "kernel",
@@ -329,4 +403,4 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_predict_variance_nonnegative; prop_gram_is_pairwise_eval;
-            prop_batch_matches_oracle ] ) ]
+            prop_batch_matches_oracle; prop_gram_store_matches_list_window ] ) ]

@@ -493,31 +493,97 @@ let test_bayes_handles_crashes () =
   Alcotest.(check bool) "found > 90" true
     (Option.value ~default:0. (History.best_value r.Driver.history) > 90.)
 
-(* The searcher's trajectory on sim-linux redis (n=40, seed 11) at one
-   worker and at four, where picks come from constant-liar batches, as
-   recorded before the candidate pool was scored in one batch.  One line
-   per entry: "w<workers> <config_key> <value as %h, or - on failure>". *)
-let test_bayes_golden_trajectory () =
-  let trajectory workers =
-    let target = Targets.of_sim_linux (S.Sim_linux.create ()) ~app:S.App.Redis in
-    let r =
-      Driver.run ~seed:11 ~workers ~target ~algorithm:(Bayes_search.create ())
-        ~budget:(Driver.Iterations 40) ()
-    in
-    Array.to_list
-      (Array.map
-         (fun e ->
-           Printf.sprintf "w%d %s %s" workers
-             (Param.config_key e.History.config)
-             (match e.History.value with Some v -> Param.float_field v | None -> "-"))
-         (History.entries r.Driver.history))
-  in
+(* A Bayes run on sim-linux redis, one line per entry:
+   "w<workers> <config_key> <value as %h, or - on failure>". *)
+let bayes_redis_trajectory ~seed ~n ~workers algorithm =
+  let target = Targets.of_sim_linux (S.Sim_linux.create ()) ~app:S.App.Redis in
+  let r = Driver.run ~seed ~workers ~target ~algorithm ~budget:(Driver.Iterations n) () in
+  Array.to_list
+    (Array.map
+       (fun e ->
+         Printf.sprintf "w%d %s %s" workers
+           (Param.config_key e.History.config)
+           (match e.History.value with Some v -> Param.float_field v | None -> "-"))
+       (History.entries r.Driver.history))
+
+(* Every value is written as %h, so equal lines mean equal bits.  On a
+   mismatch the produced lines are written to [<file>.actual] in the
+   test's cwd. *)
+let check_golden file lines =
   let golden =
-    In_channel.with_open_text "golden/bayes_redis_seed11.txt" In_channel.input_all
+    In_channel.with_open_text (Filename.concat "golden" file) In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (( <> ) "")
   in
-  Alcotest.(check (list string)) "same configs and values" golden (trajectory 1 @ trajectory 4)
+  if golden <> lines then begin
+    Out_channel.with_open_text (file ^ ".actual") (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    let rec first i = function
+      | g :: gs, l :: ls -> if g = l then first (i + 1) (gs, ls) else i
+      | _ -> i
+    in
+    Alcotest.failf "%s: %d golden vs %d produced lines, first difference at line %d (see %s.actual)"
+      file (List.length golden) (List.length lines)
+      (first 1 (golden, lines))
+      file
+  end
+
+(* The searcher's trajectory on sim-linux redis (n=40, seed 11) at one
+   worker and at four, where picks come from constant-liar batches, as
+   recorded before the candidate pool was scored in one batch. *)
+let test_bayes_golden_trajectory () =
+  let trajectory workers =
+    bayes_redis_trajectory ~seed:11 ~n:40 ~workers (Bayes_search.create ())
+  in
+  check_golden "bayes_redis_seed11.txt" (trajectory 1 @ trajectory 4)
+
+(* Runs past [max_points] (n=60, seed 5, pool 64), so the training window
+   slides; at three and four workers the first fill comes from one
+   constant-liar batch.  Recorded while the GP refit every Gram entry
+   from lists of points. *)
+let test_bayes_window_trajectory () =
+  let trajectory ~max_points workers =
+    bayes_redis_trajectory ~seed:5 ~n:60 ~workers (Bayes_search.create ~max_points ~pool:64 ())
+  in
+  check_golden "bayes_window_seed5.txt"
+    (trajectory ~max_points:16 1 @ trajectory ~max_points:16 4 @ trajectory ~max_points:23 3)
+
+(* The searcher driven directly through constant-liar batches of one to
+   five picks between observations, which a driver run asks for only at
+   its first fill: the lies then carry the incumbent score, stack past a
+   10-point window and are popped before the batch's outcomes arrive.
+   Every seventh outcome becomes a transient fault, which the searcher
+   ignores.  One line per pick: "k<batch size> <config_key> <value as %h,
+   or - on failure>".  Recorded while the searcher kept lists. *)
+let test_bayes_liar_trajectory () =
+  let target = Targets.of_sim_linux (S.Sim_linux.create ()) ~app:S.App.Redis in
+  let metric = target.Target.metric in
+  let algo = Bayes_search.create ~n_init:4 ~max_points:10 ~pool:32 () in
+  let ctx =
+    { Search_algorithm.space = target.Target.space; metric; history = History.create metric;
+      rng = Rng.create 5; obs = Wayfinder_obs.Recorder.null () }
+  in
+  let propose_batch = Option.get algo.Search_algorithm.propose_batch in
+  let trial = ref 0 in
+  let batch k =
+    List.map
+      (fun config ->
+        let value, failure =
+          match (target.Target.evaluate ~trial:!trial config).Target.value with
+          | _ when !trial mod 7 = 6 -> (None, Some Failure.Spurious_failure)
+          | Ok v -> (Some v, None)
+          | Error f -> (None, Some f)
+        in
+        algo.Search_algorithm.observe ctx
+          { History.index = !trial; config; value; failure; at_seconds = 0.; eval_seconds = 0.;
+            built = false; decide_seconds = 0.; objectives = None };
+        incr trial;
+        Printf.sprintf "k%d %s %s" k (Param.config_key config)
+          (match value with Some v -> Param.float_field v | None -> "-"))
+      (propose_batch ctx ~k)
+  in
+  check_golden "bayes_liar_seed5.txt"
+    (List.concat_map batch [ 3; 1; 4; 2; 5; 3; 5; 1; 4; 5; 2; 5; 3; 4; 5 ])
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -673,7 +739,9 @@ let () =
       ( "bayes",
         [ Alcotest.test_case "finds optimum on smooth toy" `Quick test_bayes_beats_random_on_toy;
           Alcotest.test_case "handles crashes" `Quick test_bayes_handles_crashes;
-          Alcotest.test_case "golden trajectory" `Quick test_bayes_golden_trajectory ] );
+          Alcotest.test_case "golden trajectory" `Quick test_bayes_golden_trajectory;
+          Alcotest.test_case "sliding window trajectory" `Quick test_bayes_window_trajectory;
+          Alcotest.test_case "constant-liar batches" `Quick test_bayes_liar_trajectory ] );
       ( "report",
         [ Alcotest.test_case "of_result and rendering" `Quick test_report_of_result;
           Alcotest.test_case "minimised metric" `Quick test_report_minimised_metric;
