@@ -587,13 +587,14 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
           else
             Some
               (fun entry belief ->
+                let row = A.Ledger.row_of_entry entry belief in
                 (match ledger_writer with
-                | Some w -> A.Ledger.record w entry belief
+                | Some w -> A.Ledger.record_row w row
                 | None -> ());
                 match live_series with
                 | None -> ()
                 | Some ls -> (
-                  M.Live_series.observe ls (A.Ledger.row_of_entry entry belief);
+                  M.Live_series.observe ls row;
                   let n = M.Live_series.length ls in
                   List.iter
                     (fun (f : M.Rules.firing) ->

@@ -10,19 +10,20 @@ type t =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Integer-valued floats render without an exponent or fraction ("42");
-   everything else uses %.17g, the shortest printf format guaranteed to
-   round-trip an IEEE-754 double exactly through [float_of_string].
-   Non-finite floats render as the bare tokens NaN / Infinity /
-   -Infinity — a deliberate deviation from RFC 8259 (which has no
-   representation for them at all) so a ledger row never silently
-   corrupts a recorded value; the parser below accepts the same tokens. *)
-let number_to_string v =
-  if Float.is_nan v then "NaN"
-  else if v = Float.infinity then "Infinity"
-  else if v = Float.neg_infinity then "-Infinity"
-  else if Float.is_integer v && Float.abs v < 1e16 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+(* Finite numbers go through the one number writer shared with traces
+   and scrape files (Obs.Attr.add_number: integers below 1e16 as
+   integers, the rest %.17g, exact either way).  Non-finite floats render as the
+   bare tokens NaN / Infinity / -Infinity — a deliberate deviation from
+   RFC 8259 (which has no representation for them at all) so a ledger
+   row never silently corrupts a recorded value; the parser below
+   accepts the same tokens. *)
+let non_finite v = if Float.is_nan v then "NaN" else if v > 0. then "Infinity" else "-Infinity"
+
+let add_number buf v =
+  if Float.is_finite v then Wayfinder_obs.Attr.add_number buf v
+  else Buffer.add_string buf (non_finite v)
+
+let number_to_string v = if Float.is_finite v then Wayfinder_obs.Attr.number v else non_finite v
 
 (* Strings go through the one JSON escaper, shared with trace events. *)
 let add_string = Wayfinder_obs.Attr.add_json_string
@@ -30,7 +31,7 @@ let add_string = Wayfinder_obs.Attr.add_json_string
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num v -> Buffer.add_string buf (number_to_string v)
+  | Num v -> add_number buf v
   | Str s -> add_string buf s
   | List items ->
     Buffer.add_char buf '[';

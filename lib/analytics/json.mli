@@ -2,14 +2,20 @@
 
     The toolchain has no JSON library baked in, and the ledger needs one
     property an off-the-shelf printer would not promise anyway: {e exact}
-    float round-trip.  Numbers render with [%.17g] (the shortest printf
-    format that reconstructs any IEEE-754 double bit-for-bit through
-    [float_of_string]), integer-valued floats as plain integers, and
+    float round-trip.  Numbers render through the telemetry's one number
+    writer ({!Wayfinder_obs.Attr.add_number}: integer-valued floats below
+    1e16 as plain integers, everything else [%.17g], which reconstructs
+    any IEEE-754 double bit-for-bit through [float_of_string]), and
     non-finite floats as the bare tokens [NaN] / [Infinity] /
     [-Infinity] — a documented deviation from RFC 8259, which cannot
     represent them; {!parse} accepts the same tokens.  This is what makes
     the ledger round-trip property ("series recomputed from a ledger are
-    byte-identical to series computed live") testable at all. *)
+    byte-identical to series computed live") testable at all.
+
+    The tree ({!t}, {!to_string}) serves the reader and the ledger's
+    meta and fin lines; ledger rows are written directly, with
+    {!add_number} and the same string escaper, into the bytes their tree
+    would render to. *)
 
 type t =
   | Null
@@ -25,6 +31,9 @@ val to_string : t -> string
 val number_to_string : float -> string
 (** The float codec used by {!to_string}, exposed for CSV writers that
     need the same exact-round-trip guarantee. *)
+
+val add_number : Buffer.t -> float -> unit
+(** {!number_to_string}, written straight into a buffer. *)
 
 val parse : string -> (t, string) result
 (** Strict parse of a complete JSON value ([Error] carries a message with

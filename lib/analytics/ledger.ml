@@ -70,9 +70,6 @@ type t = { meta : meta; rows : row list; sealed : bool }
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let opt_num = function Some v -> Json.Num v | None -> Json.Null
-let opt_str = function Some s -> Json.Str s | None -> Json.Null
-
 let objective_json (m : Metric.t) =
   Json.Obj
     [ ("name", Json.Str m.Metric.metric_name);
@@ -101,32 +98,56 @@ let meta_json m =
     | [] -> []
     | objectives -> [ ("objectives", Json.List (List.map objective_json objectives)) ])
 
-let belief_json (b : Search_algorithm.belief) =
-  Json.Obj
-    [ ("crash_p", opt_num b.Search_algorithm.crash_probability);
-      ("value", opt_num b.Search_algorithm.predicted_value);
-      ("sigma", opt_num b.Search_algorithm.predicted_uncertainty);
-      ("source", Json.Str b.Search_algorithm.belief_source) ]
+(* An iter line, written straight into [buf]: the bytes [Json.to_string]
+   gives the row's tree (the tests keep that tree as the reference),
+   without building it. *)
+let add_row buf r =
+  let add = Buffer.add_string buf in
+  let num = Json.add_number buf and str = Obs.Attr.add_json_string buf in
+  let opt f = function Some x -> f x | None -> add "null" in
+  let list f a = Array.iteri (fun i x -> if i > 0 then add ","; f x) a in
+  let failure f = opt (fun x -> str (f x)) r.failure in
+  add {|{"type":"iter","i":|};
+  num (float_of_int r.index);
+  add {|,"config":[|};
+  list str r.tokens;
+  add {|],"value":|};
+  opt num r.value;
+  add {|,"failure":|};
+  failure Failure.to_string;
+  add {|,"failure_class":|};
+  failure (fun f -> Failure.klass_to_string (Failure.klass f));
+  add {|,"at_s":|};
+  num r.at_seconds;
+  add {|,"eval_s":|};
+  num r.eval_seconds;
+  add (if r.built then {|,"built":true,"decide_s":|} else {|,"built":false,"decide_s":|});
+  num r.decide_seconds;
+  add {|,"belief":|};
+  opt
+    (fun (b : Search_algorithm.belief) ->
+      add {|{"crash_p":|};
+      opt num b.Search_algorithm.crash_probability;
+      add {|,"value":|};
+      opt num b.Search_algorithm.predicted_value;
+      add {|,"sigma":|};
+      opt num b.Search_algorithm.predicted_uncertainty;
+      add {|,"source":|};
+      str b.Search_algorithm.belief_source;
+      add "}")
+    r.belief;
+  Option.iter
+    (fun v ->
+      add {|,"obj":[|};
+      list num v;
+      add "]")
+    r.objectives;
+  add "}"
 
-let row_json r =
-  Json.Obj
-    ([ ("type", Json.Str "iter");
-      ("i", Json.Num (float_of_int r.index));
-      ("config", Json.List (Array.to_list (Array.map (fun t -> Json.Str t) r.tokens)));
-      ("value", opt_num r.value);
-      ("failure", opt_str (Option.map Failure.to_string r.failure));
-      ( "failure_class",
-        opt_str (Option.map (fun f -> Failure.klass_to_string (Failure.klass f)) r.failure) );
-      ("at_s", Json.Num r.at_seconds);
-      ("eval_s", Json.Num r.eval_seconds);
-      ("built", Json.Bool r.built);
-      ("decide_s", Json.Num r.decide_seconds);
-      ("belief", (match r.belief with Some b -> belief_json b | None -> Json.Null)) ]
-    @
-    match r.objectives with
-    | None -> []
-    | Some v ->
-      [ ("obj", Json.List (Array.to_list (Array.map (fun x -> Json.Num x) v))) ])
+let row_line r =
+  let buf = Buffer.create 1024 in
+  add_row buf r;
+  Buffer.contents buf
 
 let row_of_entry (e : History.entry) belief =
   { index = e.History.index;
@@ -153,7 +174,11 @@ type writer = {
      the seal is computed without re-reading the file. *)
   mutable crc : Crc32.t;
   mutable rows : int;
+  line : Buffer.t;  (* Reused for every iter line. *)
 }
+
+let new_writer ?(crc = Crc32.init) ?(rows = 0) oc =
+  { oc; closed = false; crc; rows; line = Buffer.create 2048 }
 
 let emit w s =
   output_string w.oc s;
@@ -170,18 +195,22 @@ let head ?seed ?(objectives = []) ~algo ~space ~metric () =
   ^ "\n"
 
 let create_writer ?seed ?objectives ~algo ~space ~metric path =
-  let w = { oc = open_out path; closed = false; crc = Crc32.init; rows = 0 } in
+  let w = new_writer (open_out path) in
   emit w (head ?seed ?objectives ~algo ~space ~metric ());
   w
 
-let record w (e : History.entry) belief =
+let record_row w r =
   if w.closed then invalid_arg "Ledger.record: writer is closed";
-  emit w (Json.to_string (row_json (row_of_entry e belief)));
-  emit w "\n";
+  Buffer.clear w.line;
+  add_row w.line r;
+  Buffer.add_char w.line '\n';
+  emit w (Buffer.contents w.line);
   w.rows <- w.rows + 1;
   (* A ledger is a liveness artifact — a crashed run should still leave
      every completed iteration on disk. *)
   flush w.oc
+
+let record w e belief = record_row w (row_of_entry e belief)
 
 let close_writer w =
   if not w.closed then begin
@@ -202,7 +231,7 @@ let to_string t =
   let lines =
     Obs.Sink.schema_header ~kind
     :: Json.to_string (meta_json t.meta)
-    :: List.map (fun r -> Json.to_string (row_json r)) t.rows
+    :: List.map row_line t.rows
   in
   let body = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
   if not t.sealed then body
@@ -560,7 +589,7 @@ let reopen_writer ?seed ?objectives ~algo ~space ~metric ~entries path =
         | Error _ -> fail "holds %d complete rows but the checkpoint completed %d" i k
         | Ok r ->
           let want = { (row_of_entry e r.belief) with decide_seconds = r.decide_seconds } in
-          if line = Json.to_string (row_json want) then keep (nl + 1) (i + 1) rest
+          if line = row_line want then keep (nl + 1) (i + 1) rest
           else fail "row %d is not the checkpoint's entry %d" (i + 1) e.History.index)
     in
     let head = head ?seed ?objectives ~algo ~space ~metric () in
@@ -574,4 +603,4 @@ let reopen_writer ?seed ?objectives ~algo ~space ~metric ~entries path =
     | Error e -> fail "%s" (Durable.io_error_to_string e)
     | Ok () ->
       let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
-      Ok { oc; closed = false; crc = Crc32.update Crc32.init prefix; rows = k })
+      Ok (new_writer ~crc:(Crc32.update Crc32.init prefix) ~rows:k oc))

@@ -16,7 +16,9 @@
 
     Floats are written with the exact-round-trip codec of {!Json}, so a
     ledger read back yields bit-identical numbers — the property the
-    analytics conformance tests pin.
+    analytics conformance tests pin.  The header, meta and [fin] lines
+    are rendered from {!Json} trees; iter lines are written directly
+    into a reused buffer, byte for byte what their tree would give.
 
     A cleanly closed ledger additionally ends with a [fin] {e seal}:
     [{"type":"fin","rows":N,"crc":"xxxxxxxx"}], the row count plus a
@@ -92,6 +94,10 @@ val row_of_entry : History.entry -> Search_algorithm.belief option -> row
 (** The exact row {!record} writes — exposed so live analytics can build
     the same rows without a file round-trip. *)
 
+val row_line : row -> string
+(** The row's iter line, without its newline: the row written directly,
+    with the bytes {!Json.to_string} gives the row as a tree. *)
+
 (** {1 Writing} *)
 
 type writer
@@ -129,6 +135,10 @@ val record : writer -> History.entry -> Search_algorithm.belief option -> unit
     completed iteration.  The signature matches the driver's [?on_record]
     callback: [Driver.run ~on_record:(Ledger.record w)].
     @raise Invalid_argument on a closed writer. *)
+
+val record_row : writer -> row -> unit
+(** {!record} for a row already built with {!row_of_entry}, for a caller
+    that hands the same row to live analytics too. *)
 
 val close_writer : writer -> unit
 (** Writes the [fin] seal (row count + CRC-32 over every byte written)

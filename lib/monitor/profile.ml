@@ -8,10 +8,11 @@ module Json = A.Json
    so a parent always follows its children in the stream.  The tree is
    rebuilt from that order plus the begin/end wall stamps: an incoming
    span adopts the maximal run of still-unparented spans that began
-   after it began and ended before it ended.  Traces from recorders with
-   a frozen wall clock (some tests) have all-equal stamps and degrade to
-   a single nested chain — per-name totals, which is what reconciles
-   against Driver.result.metrics, are order-independent and unaffected. *)
+   after it began and ended before it ended, on the microsecond grid of
+   the stamps.  Traces from recorders with a frozen wall clock (some
+   tests) have all-equal stamps and degrade to a flat list — per-name
+   totals, which is what reconciles against Driver.result.metrics, are
+   order-independent and unaffected. *)
 
 type clock = Wall | Virtual
 
@@ -93,14 +94,21 @@ let of_string s =
         type raw = { rspan : span; rkids : raw list }
       end in
       let open Raw in
+      (* Stamps compare in whole microseconds, the recorder's grid: an
+         end is [began + wall] rounded back onto it, since the float sum
+         can land an ulp to either side of an equal end.  A span that
+         lies wholly in the microsecond [sp] began in counts as ended
+         before [sp] began: the after-the-fact virtual phases are such
+         zero-length spans, often in the microsecond the next span
+         opens. *)
+      let micros x = Float.round (x *. 1e6) in
+      let began s = micros s.began_wall and ended s = micros (s.began_wall +. s.wall_s) in
       let pending = ref [] in
       (* raw trees, most recently ended first *)
       List.iter
         (fun sp ->
           let contained p =
-            p.rspan.began_wall >= sp.began_wall
-            && p.rspan.began_wall +. p.rspan.wall_s
-               <= sp.began_wall +. sp.wall_s
+            began p.rspan >= began sp && ended p.rspan <= ended sp && ended p.rspan > began sp
           in
           let rec take acc = function
             | p :: rest when contained p -> take (p :: acc) rest

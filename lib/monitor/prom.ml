@@ -5,8 +5,9 @@ module A = Wayfinder_analytics
    registry plus live-series gauges.  Counters map to counters,
    power-of-two histograms to cumulative [_bucket{le=...}] series with
    the mandatory [+Inf] bucket, [_sum] and [_count].  Numbers use the
-   exact-round-trip JSON codec so the file is as replayable as the
-   ledger it came from. *)
+   exact number writer of ledgers and traces (Obs.Attr.add_number), so
+   the file is as replayable as the ledger it came from, and every line
+   is written straight into one buffer. *)
 
 let sanitize name =
   String.map
@@ -18,37 +19,35 @@ let sanitize name =
 
 let metric_name name = "wayfinder_" ^ sanitize name
 
-let number v =
-  if v = infinity then "+Inf"
-  else if v = neg_infinity then "-Inf"
-  else if Float.is_nan v then "NaN"
-  else A.Json.number_to_string v
+let add_number buf v =
+  if v = infinity then Buffer.add_string buf "+Inf"
+  else if v = neg_infinity then Buffer.add_string buf "-Inf"
+  else if Float.is_nan v then Buffer.add_string buf "NaN"
+  else Obs.Attr.add_number buf v
 
-let add_counter buf name v =
-  let n = metric_name name in
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %s\n" n n (number v))
+let add_scalar kind buf name v =
+  let n = metric_name name and add = Buffer.add_string buf in
+  add "# TYPE "; add n; add " "; add kind; add "\n";
+  add n; add " "; add_number buf v; add "\n"
 
-let add_gauge buf name v =
-  let n = metric_name name in
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (number v))
+let add_counter = add_scalar "counter"
+let add_gauge = add_scalar "gauge"
 
 let add_histogram buf name (h : Obs.Metrics.histogram) =
-  let n = metric_name name in
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
+  let n = metric_name name and add = Buffer.add_string buf in
+  let count = Obs.Attr.add_int buf in
+  add "# TYPE "; add n; add " histogram\n";
   let cum = ref 0 in
   Array.iter
     (fun (bound, c) ->
       cum := !cum + c;
-      if bound <> infinity then
-        Buffer.add_string buf
-          (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n (number bound) !cum))
+      if bound <> infinity then begin
+        add n; add "_bucket{le=\""; add_number buf bound; add "\"} "; count !cum; add "\n"
+      end)
     h.Obs.Metrics.buckets;
-  Buffer.add_string buf
-    (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n h.Obs.Metrics.count);
-  Buffer.add_string buf
-    (Printf.sprintf "%s_sum %s\n" n (number h.Obs.Metrics.sum));
-  Buffer.add_string buf
-    (Printf.sprintf "%s_count %d\n" n h.Obs.Metrics.count)
+  add n; add "_bucket{le=\"+Inf\"} "; count h.Obs.Metrics.count; add "\n";
+  add n; add "_sum "; add_number buf h.Obs.Metrics.sum; add "\n";
+  add n; add "_count "; count h.Obs.Metrics.count; add "\n"
 
 let of_snapshot buf (s : Obs.Metrics.snapshot) =
   List.iter (fun (name, v) -> add_counter buf name v) s.Obs.Metrics.counters;

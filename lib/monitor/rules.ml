@@ -124,6 +124,9 @@ type state = entry list
 
 let create rules = List.map (fun spec -> { spec; firing = false; baseline = None }) rules
 
+(* [Some message] while the rule's condition holds.  The message is a
+   thunk: [evaluate] formats it only for a new firing, not on every row
+   the condition keeps holding. *)
 let condition entry ?worker_busy live =
   let n = Live_series.length live in
   match entry.spec with
@@ -131,21 +134,24 @@ let condition entry ?worker_busy live =
     let rate = A.Running.crash_share (Live_series.tail_series live ~window).A.Series.rows in
     if rate > threshold then
       Some
-        (Printf.sprintf "windowed crash rate %.0f%% > %.0f%% (window %d)" (100. *. rate)
-           (100. *. threshold) window)
+        (fun () ->
+          Printf.sprintf "windowed crash rate %.0f%% > %.0f%% (window %d)" (100. *. rate)
+            (100. *. threshold) window)
     else None
   | Stall { iterations } ->
-    if n > 0 && n - Live_series.last_improvement live >= iterations then
+    let stalled = n - Live_series.last_improvement live in
+    if n > 0 && stalled >= iterations then
       Some
-        (Printf.sprintf "no best improvement in %d iterations (threshold %d)"
-           (n - Live_series.last_improvement live) iterations)
+        (fun () ->
+          Printf.sprintf "no best improvement in %d iterations (threshold %d)" stalled
+            iterations)
     else None
   | Starve { fraction } -> (
     match worker_busy with
     | Some busy when busy < fraction ->
       Some
-        (Printf.sprintf "worker pool %.0f%% busy < %.0f%%" (100. *. busy)
-           (100. *. fraction))
+        (fun () ->
+          Printf.sprintf "worker pool %.0f%% busy < %.0f%%" (100. *. busy) (100. *. fraction))
     | Some _ | None -> None)
   | Drift { window } ->
     (* Freeze the baseline once the first window is complete; probe the
@@ -163,7 +169,7 @@ let condition entry ?worker_busy live =
       in
       match probe.A.Drift.verdict with
       | A.Drift.Fresh -> None
-      | A.Drift.Stale reasons -> Some (String.concat "; " reasons))
+      | A.Drift.Stale reasons -> Some (fun () -> String.concat "; " reasons))
     | _ -> None)
 
 let evaluate state ?worker_busy live =
@@ -173,7 +179,7 @@ let evaluate state ?worker_busy live =
       | Some message ->
         let fresh = not entry.firing in
         entry.firing <- true;
-        if fresh then Some { rule = rule_name entry.spec; message } else None
+        if fresh then Some { rule = rule_name entry.spec; message = message () } else None
       | None ->
         entry.firing <- false;
         None)

@@ -29,8 +29,16 @@ type t =
 val name : t -> string
 (** The event's name; for [Alert] this is the rule name. *)
 
+val add_json : Buffer.t -> t -> unit
+(** The event as one line of JSON (no trailing newline) — the JSONL sink
+    writes exactly this per event.  Wall values ([wall_s],
+    [began_wall_s]) are written as decimal seconds with at most six
+    decimals when they are whole microseconds, as a {!Recorder} makes
+    them; every other float (and a wall value that is not) through
+    {!Attr.add_json_float}, which reads back bit for bit, with [null] for
+    non-finite values.  Example:
+    [{"type":"span","name":"driver.build","wall_s":0,"virtual_s":112.5,
+      "began_wall_s":0.930125,"began_virtual_s":4031,"attrs":{"built":true}}] *)
+
 val to_json : t -> string
-(** One-line JSON rendering (no trailing newline) — the JSONL sink writes
-    exactly this per event.  Example:
-    [{"type":"span","name":"driver.build","wall_s":0.0021,"virtual_s":112.5,
-      "began_wall_s":0.93,"began_virtual_s":4031.2,"attrs":{"built":true}}] *)
+(** {!add_json} into a fresh string. *)

@@ -12,7 +12,13 @@
     after the fact with {!emit_span}.  Every span feeds two histograms,
     [<name>.wall_s] and [<name>.virtual_s] (each only when that duration
     was actually measured), so phase totals fall out of
-    {!Metrics.sum}. *)
+    {!Metrics.sum}.
+
+    Wall stamps and span wall durations are whole microseconds (the
+    resolution of [Unix.gettimeofday]), and the [<name>.wall_s]
+    histograms take exactly the durations the span events carry, so a
+    profile rebuilt from a trace reconciles with the histograms bit for
+    bit. *)
 
 type t
 
@@ -25,7 +31,8 @@ val create :
 (** [now] defaults to [Unix.gettimeofday]; [virtual_now] defaults to a
     constant 0 until {!set_virtual_now} wires in a real clock.  Event
     wall-clock stamps are offsets from recorder creation (durations are
-    differences, so the origin never matters). *)
+    differences, so the origin never matters), rounded to whole
+    microseconds. *)
 
 val null : unit -> t
 (** A fresh sink-less recorder (still aggregates metrics). *)
@@ -64,12 +71,15 @@ val with_span : t -> ?attrs:Attr.t -> string -> (unit -> 'a) -> 'a
 
 val timed : t -> ?attrs:Attr.t -> string -> (unit -> 'a) -> 'a * float
 (** Like {!with_span} but also returns the wall-clock seconds [f] took —
-    for callers that fold the measurement into their own accounting. *)
+    for callers that fold the measurement into their own accounting.
+    The returned value is the raw difference of the two clock reads,
+    not rounded to microseconds like the span's own duration. *)
 
 val emit_span :
   t -> ?attrs:Attr.t -> ?wall_s:float -> ?virtual_s:float -> string -> unit
 (** Report an already-measured span (e.g. the simulator's virtual build
     duration).  Only the durations passed are recorded into the
-    corresponding histograms. *)
+    corresponding histograms; [wall_s] is rounded to whole microseconds
+    first. *)
 
 val flush : t -> unit

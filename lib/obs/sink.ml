@@ -20,14 +20,23 @@ let schema_header ~kind =
   Printf.sprintf "{\"wayfinder_schema\":%d,\"kind\":%s}" schema_version
     (Attr.json_of_value (Attr.String kind))
 
+(* Each event is rendered into one reused buffer and handed on from
+   there: no intermediate strings per field. *)
+let line_writer output =
+  let buf = Buffer.create 512 in
+  fun e ->
+    Buffer.clear buf;
+    Event.add_json buf e;
+    Buffer.add_char buf '\n';
+    output buf
+
 let jsonl ?(flush = fun () -> ()) write =
   write (schema_header ~kind:"trace" ^ "\n");
-  { emit = (fun e -> write (Event.to_json e ^ "\n")); flush }
+  { emit = line_writer (fun buf -> write (Buffer.contents buf)); flush }
 
 let jsonl_channel oc =
   output_string oc (schema_header ~kind:"trace" ^ "\n");
-  { emit = (fun e -> output_string oc (Event.to_json e ^ "\n"));
-    flush = (fun () -> Stdlib.flush oc) }
+  { emit = line_writer (Buffer.output_buffer oc); flush = (fun () -> Stdlib.flush oc) }
 
 module Memory = struct
   type store = {

@@ -1,11 +1,23 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state, in 8 bytes read and written in place: a draw
+   that stays inside this module keeps the state unboxed, so [int] and
+   [bool] allocate nothing.  A mutable [int64] field would box the new
+   state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] get t = Bytes.get_int64_le t 0
+let[@inline] set t s = Bytes.set_int64_le t 0 s
+
+let of_state s =
+  let t = Bytes.create 8 in
+  set t s;
+  t
 
 (* SplitMix64 output function (forward declaration used by [create]): the
    mixing lives in [bits64] below. *)
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -16,21 +28,20 @@ let create seed =
      consecutive seeds differ by a single low bit, so their streams start
      from strongly correlated states.  One mix step diffuses every seed
      bit across the whole state. *)
-  { state = mix64 (Int64.add (Int64.of_int seed) golden_gamma) }
+  of_state (mix64 (Int64.add (Int64.of_int seed) golden_gamma))
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let state t = t.state
-let set_state t s = t.state <- s
+let state = get
+let set_state = set
 
 (* SplitMix64 output function: advance by the golden gamma, then mix. *)
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix64 s
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+let split t = of_state (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

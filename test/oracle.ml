@@ -5,7 +5,8 @@
    test_tensor, test_nn and test_deeptune compare against this module.
    The CRC-32 fold over boxed [Int32] values and the string-building
    [hash_combine] are here too, for test_durable's and test_simos's
-   properties. *)
+   properties, as are SplitMix64 on a mutable [int64] field
+   (test_tensor) and the ledger row as a [Json] tree (test_analytics). *)
 
 module Mat = Wayfinder_tensor.Mat
 module Vec = Wayfinder_tensor.Vec
@@ -205,3 +206,69 @@ let sample_int rng ~lo ~hi ~log_scale =
     max lo (min hi (int_of_float x))
   end
   else Rng.int_in rng lo hi
+
+(* [Rng] as it was, its SplitMix64 state a mutable [int64] field boxed on
+   every draw. *)
+module Splitmix = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix64 z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = { state = mix64 (Int64.add (Int64.of_int seed) golden_gamma) }
+
+  let bits64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix64 t.state
+
+  let split t = { state = bits64 t }
+  let int t bound = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) mod bound
+
+  let float t bound =
+    Int64.to_float (Int64.shift_right_logical (bits64 t) 11) /. 9007199254740992.0 *. bound
+
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+end
+
+(* A ledger iter line as a [Json] tree, the way [Ledger] rendered every
+   row before it wrote them directly. *)
+module Ledger_row = struct
+  module A = Wayfinder_analytics
+  module Json = A.Json
+  module SA = Wayfinder_platform.Search_algorithm
+  module Failure = Wayfinder_platform.Failure
+
+  let opt_num = function Some v -> Json.Num v | None -> Json.Null
+  let opt_str = function Some s -> Json.Str s | None -> Json.Null
+
+  let belief_json (b : SA.belief) =
+    Json.Obj
+      [ ("crash_p", opt_num b.SA.crash_probability);
+        ("value", opt_num b.SA.predicted_value);
+        ("sigma", opt_num b.SA.predicted_uncertainty);
+        ("source", Json.Str b.SA.belief_source) ]
+
+  let row_json (r : A.Ledger.row) =
+    Json.Obj
+      ([ ("type", Json.Str "iter");
+        ("i", Json.Num (float_of_int r.A.Ledger.index));
+        ("config", Json.List (Array.to_list (Array.map (fun t -> Json.Str t) r.A.Ledger.tokens)));
+        ("value", opt_num r.A.Ledger.value);
+        ("failure", opt_str (Option.map Failure.to_string r.A.Ledger.failure));
+        ( "failure_class",
+          opt_str
+            (Option.map (fun f -> Failure.klass_to_string (Failure.klass f)) r.A.Ledger.failure) );
+        ("at_s", Json.Num r.A.Ledger.at_seconds);
+        ("eval_s", Json.Num r.A.Ledger.eval_seconds);
+        ("built", Json.Bool r.A.Ledger.built);
+        ("decide_s", Json.Num r.A.Ledger.decide_seconds);
+        ("belief", match r.A.Ledger.belief with Some b -> belief_json b | None -> Json.Null) ]
+      @
+      match r.A.Ledger.objectives with
+      | None -> []
+      | Some v -> [ ("obj", Json.List (Array.to_list (Array.map (fun x -> Json.Num x) v))) ])
+end

@@ -39,6 +39,34 @@ let test_json_special_values () =
       (42., "42");
       (-0., "-0") ]
 
+(* Floats where a writer can go wrong: signed zeros, non-finite values,
+   subnormals, and integers on both sides of 1e15 and 1e16, where the
+   integer path ends. *)
+let edge_floats =
+  [ 0.; -0.; infinity; neg_infinity; nan; 5e-324; -5e-324; 2.2250738585072009e-308;
+    0.1; -1.5; 1e15 -. 1.; 1e15; 1e15 +. 1.; -1e15; 1e15 +. 0.5; 1e16 -. 2.; 1e16; 1e16 +. 2.;
+    -1e16; 9007199254740992.; 1e300; 123456.789 ]
+
+let gen_edge_float =
+  QCheck2.Gen.(
+    frequency
+      [ (3, oneofl edge_floats);
+        (3, float);
+        (2, map float_of_int (int_range (-1000) 1000));
+        (1, map (fun d -> 1e15 +. float_of_int d) (int_range (-5000) 5000));
+        (1, map (fun d -> 1e16 +. (2. *. float_of_int d)) (int_range (-5000) 5000)) ])
+
+let test_json_integer_boundary () =
+  List.iter
+    (fun (v, expect) -> Alcotest.(check string) expect expect (A.Json.number_to_string v))
+    [ (999999999999999., "999999999999999");
+      (1e15, "1000000000000000");
+      (9999999999999998., "9999999999999998");
+      (1e16, "10000000000000000");
+      (-1e16, "-10000000000000000");
+      (1e16 +. 2., "10000000000000002");
+      (5e-324, "4.9406564584124654e-324") ]
+
 let test_json_string_escapes () =
   let s = A.Json.Str "a\"b\\c\nd\t\x01" in
   let rendered = A.Json.to_string s in
@@ -282,6 +310,45 @@ let row ?value ?failure ?belief ~at index =
 let series ?(metric = Metric.throughput) rows =
   { A.Series.metric; names = [||]; stages = [||]; rows = Array.of_list rows; objectives = [||] }
 
+(* The direct row writer gives, byte for byte, the line the row's Json
+   tree renders to: every failure kind, beliefs with absent fields,
+   objective vectors, and the edge floats above in every numeric field. *)
+let gen_row =
+  let open QCheck2.Gen in
+  let token =
+    oneof
+      [ oneofl [ "y"; "n"; "m"; "42"; "-7"; "0x1p-3"; "" ];
+        string_size ~gen:(oneofl [ 'a'; '"'; '\\'; '\n'; '\t'; '\001'; ','; '%'; '\xc3' ])
+          (int_range 0 6) ]
+  in
+  let failure =
+    oneof [ oneofl Failure.all_named; map (fun s -> Failure.Other s) (string_size (int_range 0 8)) ]
+  in
+  let belief =
+    map
+      (fun (((crash_probability, predicted_value), predicted_uncertainty), belief_source) ->
+        { Search_algorithm.crash_probability; predicted_value; predicted_uncertainty;
+          belief_source })
+      (pair
+         (pair (pair (opt gen_edge_float) (opt gen_edge_float)) (opt gen_edge_float))
+         (oneofl [ "deeptune"; "gp"; "a \"quoted\" source" ]))
+  in
+  map
+    (fun ((((index, tokens), (value, failure)), (at_seconds, eval_seconds, decide_seconds)),
+          ((built, belief), objectives)) ->
+      { A.Ledger.index; tokens = Array.of_list tokens; value; failure; at_seconds; eval_seconds;
+        built; decide_seconds; belief; objectives = Option.map Array.of_list objectives })
+    (pair
+       (pair
+          (pair (pair (int_range 0 1_000_000) (list_size (int_range 0 8) token))
+             (pair (opt gen_edge_float) (opt failure)))
+          (triple gen_edge_float gen_edge_float gen_edge_float))
+       (pair (pair bool (opt belief)) (opt (list_size (int_range 0 4) gen_edge_float))))
+
+let prop_row_line_matches_tree =
+  QCheck2.Test.make ~count:1000 ~name:"row_line equals the row's Json tree" gen_row (fun r ->
+      A.Ledger.row_line r = A.Json.to_string (Oracle.Ledger_row.row_json r))
+
 (* ------------------------------------------------------------------ *)
 (* Calibration                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -482,13 +549,15 @@ let () =
     [ ( "json",
         [ QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
           Alcotest.test_case "special values" `Quick test_json_special_values;
+          Alcotest.test_case "integer boundary" `Quick test_json_integer_boundary;
           Alcotest.test_case "string escapes" `Quick test_json_string_escapes;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors ] );
       ( "ledger",
         [ QCheck_alcotest.to_alcotest prop_ledger_equals_live;
           QCheck_alcotest.to_alcotest prop_recording_is_invisible;
           Alcotest.test_case "schema rejection" `Quick test_ledger_rejects_unknown_schema;
-          Alcotest.test_case "reopen for a resume" `Quick test_ledger_reopen ] );
+          Alcotest.test_case "reopen for a resume" `Quick test_ledger_reopen;
+          QCheck_alcotest.to_alcotest prop_row_line_matches_tree ] );
       ( "calibration",
         [ Alcotest.test_case "empty and single" `Quick test_calibration_empty_and_single;
           Alcotest.test_case "all-crash / no-crash" `Quick

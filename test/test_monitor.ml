@@ -875,44 +875,48 @@ let test_rules_drift () =
 (* ------------------------------------------------------------------ *)
 
 (* Drive a real (unfrozen) recorder through the driver with a JSONL sink
-   attached; per-phase virtual sums recovered from the trace must equal
-   the driver's own metrics registry bitwise — the spans ARE the
-   histograms' feed, so any divergence is a codec bug.  Single worker:
-   with several recording domains the per-name emission order (and so
-   the float accumulation order) is not stable across the two
-   structures, only the multiset is. *)
+   attached; per-phase virtual and wall sums recovered from the trace
+   must equal the driver's own metrics registry bitwise — the spans ARE
+   the histograms' feed, so any divergence is a codec bug.  At workers 4
+   too: the engine evaluates every launch inline on one domain, so the
+   file order is the emission order, which is the order the histograms
+   accumulated in. *)
 let test_profile_reconciles_with_metrics () =
-  let buf = Buffer.create 8192 in
-  let obs = Obs.Recorder.create ~sinks:[ Obs.Sink.jsonl (Buffer.add_string buf) ] () in
-  let target = C.faulty_target ~fault_rate:0.3 ~seed:11 in
-  let algo = C.algorithm "random" ~seed:11 target.P.Target.space in
-  let result =
-    P.Driver.run ~seed:11 ~obs ~workers:1 ~target ~algorithm:algo
-      ~budget:(P.Driver.Iterations 15) ()
-  in
-  match M.Profile.of_string (Buffer.contents buf) with
-  | Error e -> Alcotest.failf "profile: %s" e
-  | Ok t ->
-    Alcotest.(check int) "no dropped lines in a clean trace" 0 t.M.Profile.dropped;
-    let virt = M.Profile.phase_totals t M.Profile.Virtual in
-    let wall = M.Profile.phase_totals t M.Profile.Wall in
-    let m = result.P.Driver.metrics in
-    List.iter
-      (fun (_, span_name) ->
-        let from_trace = Option.value ~default:0. (List.assoc_opt span_name virt) in
-        let from_metrics = Obs.Metrics.sum m (span_name ^ ".virtual_s") in
-        if not (fl_eq from_trace from_metrics) then
-          Alcotest.failf "%s: trace %h <> metrics %h" span_name from_trace from_metrics)
-      P.Driver.virtual_phases;
-    (* Wall-clocked phases reconcile the same way. *)
-    List.iter
-      (fun span_name ->
-        let from_trace = Option.value ~default:0. (List.assoc_opt span_name wall) in
-        let from_metrics = Obs.Metrics.sum m (span_name ^ ".wall_s") in
-        if not (fl_eq from_trace from_metrics) then
-          Alcotest.failf "%s: trace %h <> metrics %h (wall)" span_name from_trace
-            from_metrics)
-      [ "driver.iteration"; "driver.propose"; "driver.validate"; "driver.observe" ]
+  List.iter
+    (fun workers ->
+      let buf = Buffer.create 8192 in
+      let obs = Obs.Recorder.create ~sinks:[ Obs.Sink.jsonl (Buffer.add_string buf) ] () in
+      let target = C.faulty_target ~fault_rate:0.3 ~seed:11 in
+      let algo = C.algorithm "random" ~seed:11 target.P.Target.space in
+      let result =
+        P.Driver.run ~seed:11 ~obs ~workers ~target ~algorithm:algo
+          ~budget:(P.Driver.Iterations 15) ()
+      in
+      match M.Profile.of_string (Buffer.contents buf) with
+      | Error e -> Alcotest.failf "profile: %s" e
+      | Ok t ->
+        Alcotest.(check int) "no dropped lines in a clean trace" 0 t.M.Profile.dropped;
+        let virt = M.Profile.phase_totals t M.Profile.Virtual in
+        let wall = M.Profile.phase_totals t M.Profile.Wall in
+        let m = result.P.Driver.metrics in
+        List.iter
+          (fun (_, span_name) ->
+            let from_trace = Option.value ~default:0. (List.assoc_opt span_name virt) in
+            let from_metrics = Obs.Metrics.sum m (span_name ^ ".virtual_s") in
+            if not (fl_eq from_trace from_metrics) then
+              Alcotest.failf "workers %d, %s: trace %h <> metrics %h" workers span_name
+                from_trace from_metrics)
+          P.Driver.virtual_phases;
+        (* Wall-clocked phases reconcile the same way. *)
+        List.iter
+          (fun span_name ->
+            let from_trace = Option.value ~default:0. (List.assoc_opt span_name wall) in
+            let from_metrics = Obs.Metrics.sum m (span_name ^ ".wall_s") in
+            if not (fl_eq from_trace from_metrics) then
+              Alcotest.failf "workers %d, %s: trace %h <> metrics %h (wall)" workers span_name
+                from_trace from_metrics)
+          [ "driver.iteration"; "driver.propose"; "driver.validate"; "driver.observe" ])
+    [ 1; 4 ]
 
 (* Every Bayes proposal past the warm-up fits the GP and then acquires
    from its candidate pool: as many [bayes.acquire] spans as
@@ -944,6 +948,44 @@ let test_profile_attributes_bayes_steps () =
 
 (* A hand-built trace with known geometry: parent [0,6], children [1,3]
    and [4,5].  Span events arrive in end order (children first). *)
+(* Stamps on the recorder's microsecond grid tie often: the zero-length
+   virtual phases land in the microsecond the evaluation ended and the
+   next span began, and a child can end in its parent's last
+   microsecond.  Points at the instant a span opens stay its preceding
+   siblings, and a child ending with its parent stays inside it, however
+   the float sums round. *)
+let test_profile_microsecond_ties () =
+  let span name began wall =
+    Printf.sprintf
+      "{\"type\":\"span\",\"name\":\"%s\",\"wall_s\":%s,\"virtual_s\":1,\"began_wall_s\":%s,\"began_virtual_s\":0}"
+      name wall began
+  in
+  let trace =
+    String.concat "\n"
+      [ Obs.Sink.schema_header ~kind:"trace";
+        span "driver.propose" "0.000001" "0.000002";
+        span "driver.evaluate" "0.000003" "0.000001";
+        span "driver.build" "0.000004" "0";
+        span "driver.boot" "0.000004" "0";
+        (* 4e-6 +. 9e-6 rounds above 1.3e-5, the parent's end. *)
+        span "driver.observe" "0.000004" "0.000009";
+        span "driver.iteration" "0" "0.000013" ]
+  in
+  match M.Profile.of_string trace with
+  | Error e -> Alcotest.failf "profile: %s" e
+  | Ok t -> (
+    match t.M.Profile.roots with
+    | [ root ] ->
+      Alcotest.(check string) "root" "driver.iteration" root.M.Profile.node_name;
+      Alcotest.(check (list (pair string int)))
+        "every phase a direct child, none nested in a sibling"
+        [ ("driver.propose", 0); ("driver.evaluate", 0); ("driver.build", 0);
+          ("driver.boot", 0); ("driver.observe", 0) ]
+        (List.map
+           (fun c -> (c.M.Profile.node_name, List.length c.M.Profile.children))
+           root.M.Profile.children)
+    | roots -> Alcotest.failf "expected one root, got %d" (List.length roots))
+
 let test_profile_tree_shape () =
   let span name began wall =
     Printf.sprintf
@@ -1070,7 +1112,8 @@ let () =
           Alcotest.test_case "starve needs busy signal" `Quick test_rules_starve_needs_busy;
           Alcotest.test_case "drift" `Quick test_rules_drift ] );
       ( "profile",
-        [ Alcotest.test_case "reconciles with driver metrics" `Quick
+        [ Alcotest.test_case "microsecond ties" `Quick test_profile_microsecond_ties;
+          Alcotest.test_case "reconciles with driver metrics" `Quick
             test_profile_reconciles_with_metrics;
           Alcotest.test_case "tree shape" `Quick test_profile_tree_shape;
           Alcotest.test_case "rejects foreign header" `Quick

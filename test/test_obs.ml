@@ -23,6 +23,31 @@ let test_attr_nonfinite_floats () =
   Alcotest.(check string) "integral floats stay short" "60"
     (Attr.json_of_value (Attr.Float 60.))
 
+(* The buffer writers spell integers as [string_of_int] and floats as
+   the printf formats they replace: "%.0f" for integer values below
+   1e16, "%.17g" for the rest. *)
+let number_writer_prop =
+  QCheck2.Test.make ~count:2000 ~name:"int and number writers match printf"
+    QCheck2.Gen.(
+      pair
+        (oneof [ int; oneofl [ 0; -1; 9; 10; -10; max_int; min_int ] ])
+        (oneof
+           [ float;
+             map float_of_int (int_range (-100_000) 100_000);
+             map (fun d -> 1e16 +. float_of_int d) (int_range (-50) 50);
+             oneofl [ 0.; -0.; 5e-324; 1e15; 1e16; -1e16; 0.1 ] ]))
+    (fun (i, v) ->
+      let int_ok =
+        let buf = Buffer.create 24 in
+        Attr.add_int buf i;
+        Buffer.contents buf = string_of_int i
+      in
+      let printf =
+        if Float.is_integer v && Float.abs v < 1e16 then Printf.sprintf "%.0f" v
+        else Printf.sprintf "%.17g" v
+      in
+      int_ok && ((not (Float.is_finite v)) || Attr.number v = printf))
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -298,6 +323,28 @@ let test_alert_event_json () =
             message = "windowed crash rate 50% > 10%";
             at = { Event.wall_s = 1.5; virtual_s = 60. } }))
 
+(* Wall values on the microsecond grid become short decimals; a value
+   off the grid keeps every bit through the exact writer. *)
+let test_wall_decimals () =
+  List.iter
+    (fun (w, expect) ->
+      let line =
+        Event.to_json (Event.Count { name = "c"; delta = 1.; at = { Event.wall_s = w; virtual_s = 0. } })
+      in
+      Alcotest.(check string) expect
+        (Printf.sprintf {|{"type":"count","name":"c","delta":1,"wall_s":%s,"virtual_s":0}|} expect)
+        line)
+    [ (0., "0");
+      (-0., "-0");
+      (12., "12");
+      (0.0025, "0.0025");
+      (3.000001, "3.000001");
+      (1e-6, "0.000001");
+      (-0.000005, "-0.000005");
+      (123456.789012, "123456.789012");
+      (1e-7, "9.9999999999999995e-08");
+      (nan, "null") ]
+
 let test_recorder_alert () =
   let store = Sink.Memory.create () in
   let r, _, _ = manual_recorder ~sinks:[ Sink.Memory.sink store ] () in
@@ -318,6 +365,147 @@ let test_recorder_timed () =
   in
   Alcotest.(check int) "result passed through" 7 x;
   Alcotest.(check (float 1e-9)) "duration measured" 0.25 dt
+
+(* The returned seconds are the raw difference of the two clock reads
+   (they become the ledger's decide_s); only the span's own duration is
+   on the microsecond grid. *)
+let test_recorder_timed_unrounded () =
+  let r, wall, _ = manual_recorder () in
+  wall := 0.1234564;
+  let (), dt = Recorder.timed r "work" (fun () -> wall := 0.1234571) in
+  Alcotest.(check bool) "raw difference, bit for bit" true
+    (Int64.equal (Int64.bits_of_float dt) (Int64.bits_of_float (0.1234571 -. 0.1234564)));
+  Alcotest.(check (float 0.)) "span duration on the microsecond grid" 1e-6
+    (Metrics.sum (Recorder.snapshot r) "work.wall_s")
+
+(* Every event kind, through a recorder on hand-cranked clocks with
+   sub-microsecond steps, into the JSONL sink: each line parses; wall
+   values are the recorder's microsecond-rounded readings, written with
+   at most six decimals and read back exactly; every other float reads
+   back bit for bit, or as null when it is not finite. *)
+let wall_token line key =
+  let key = Printf.sprintf "%s\"%s\":" (if key = "wall_s" then "," else "") key in
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length line then None
+    else if String.sub line i n = key then Some (i + n)
+    else find (i + 1)
+  in
+  Option.map
+    (fun start ->
+      let stop = ref start in
+      while !stop < String.length line && line.[!stop] <> ',' && line.[!stop] <> '}' do
+        incr stop
+      done;
+      String.sub line start (!stop - start))
+    (find 0)
+
+let is_short_decimal tok =
+  let tok = if tok <> "" && tok.[0] = '-' then String.sub tok 1 (String.length tok - 1) else tok in
+  match String.split_on_char '.' tok with
+  | [ i ] -> i <> "" && String.for_all (fun c -> c >= '0' && c <= '9') i
+  | [ i; f ] ->
+    i <> "" && String.length f >= 1 && String.length f <= 6
+    && String.for_all (fun c -> c >= '0' && c <= '9') (i ^ f)
+  | _ -> false
+
+let gen_float =
+  QCheck2.Gen.(
+    frequency
+      [ (4, float);
+        (2, oneofl [ 0.; -0.; nan; infinity; neg_infinity; 5e-324; 0.1; 1e16; 1e15 +. 1. ]);
+        (2, map float_of_int (int_range (-100) 100)) ])
+
+let gen_ops =
+  QCheck2.Gen.(
+    list_size (int_range 1 30)
+      (pair
+         (pair (int_range 0 5) (oneof [ return 0.; float_range 0. 1e-6; float_range 0. 0.05 ]))
+         (pair gen_float (oneofl [ "driver.build"; "a \"quoted\"\nname"; "x"; "\x01\t" ]))))
+
+let trace_lines_prop =
+  QCheck2.Test.make ~count:300 ~name:"jsonl lines parse, wall stamps on the microsecond grid"
+    gen_ops (fun ops ->
+      let module Json = Wayfinder_analytics.Json in
+      let buf = Buffer.create 1024 in
+      let store = Sink.Memory.create () in
+      let r, wall, virt =
+        manual_recorder ~sinks:[ Sink.Memory.sink store; Sink.jsonl (Buffer.add_string buf) ] ()
+      in
+      let grid x = Float.round (x *. 1e6) /. 1e6 in
+      (* The wall values each event must carry, in emission order. *)
+      let expect = ref [] in
+      List.iter
+        (fun ((op, step), (v, name)) ->
+          virt := v;
+          let at = !wall in
+          match op with
+          | 0 ->
+            Recorder.with_span r ~attrs:[ Attr.float "f" v; Attr.string "s" name ] name (fun () ->
+                wall := !wall +. step);
+            expect :=
+              [ grid at; (Float.round (!wall *. 1e6) -. Float.round (at *. 1e6)) /. 1e6 ] :: !expect
+          | 1 ->
+            Recorder.emit_span r ~virtual_s:v ~wall_s:step name;
+            expect := [ grid at; grid step ] :: !expect
+          | 2 ->
+            Recorder.incr r ~by:v name;
+            expect := [ grid at ] :: !expect
+          | 3 ->
+            Recorder.observe r name v;
+            expect := [ grid at ] :: !expect
+          | 4 ->
+            Recorder.alert r ~rule:name (name ^ " fired");
+            expect := [ grid at ] :: !expect
+          | _ ->
+            wall := !wall +. step)
+        ops;
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let exact j key want =
+        match Json.member key j with
+        | Some (Json.Num got) -> Float.is_finite want && same got want
+        | Some Json.Null -> not (Float.is_finite want)
+        | _ -> false
+      in
+      let wall_ok line j key want =
+        (match Json.member key j with Some (Json.Num got) -> same got want | _ -> false)
+        && match wall_token line key with Some tok -> is_short_decimal tok | None -> false
+      in
+      let lines = List.tl (String.split_on_char '\n' (Buffer.contents buf)) in
+      let lines = List.filter (fun l -> l <> "") lines in
+      let events = Sink.Memory.events store in
+      List.length lines = List.length events
+      && List.length events = List.length !expect
+      && List.for_all2
+           (fun (line, e) walls ->
+             match Json.parse line with
+             | Error _ -> false
+             | Ok j -> (
+               match (e, walls) with
+               | Event.Span { attrs; began; wall_duration_s; virtual_duration_s; _ }, [ b; d ] ->
+                 same began.Event.wall_s b && same wall_duration_s d
+                 && wall_ok line j "began_wall_s" b
+                 && wall_ok line j "wall_s" d
+                 && exact j "virtual_s" virtual_duration_s
+                 && exact j "began_virtual_s" began.Event.virtual_s
+                 && List.for_all
+                      (fun (k, v) ->
+                        match (v, Option.bind (Json.member "attrs" j) (Json.member k)) with
+                        | Attr.Float f, Some _ -> exact (Option.get (Json.member "attrs" j)) k f
+                        | Attr.String s, Some (Json.Str s') -> s = s'
+                        | _ -> false)
+                      attrs
+               | Event.Count { delta = x; at; _ }, [ w ] | Event.Sample { value = x; at; _ }, [ w ]
+                 ->
+                 same at.Event.wall_s w && wall_ok line j "wall_s" w
+                 && exact j "virtual_s" at.Event.virtual_s
+                 && exact j (match e with Event.Count _ -> "delta" | _ -> "value") x
+               | Event.Alert { at; message; _ }, [ w ] ->
+                 same at.Event.wall_s w && wall_ok line j "wall_s" w
+                 && exact j "virtual_s" at.Event.virtual_s
+                 && Json.member "message" j = Some (Json.Str message)
+               | _ -> false))
+           (List.combine lines events) (List.rev !expect))
 
 (* ------------------------------------------------------------------ *)
 (* Summary                                                             *)
@@ -383,7 +571,8 @@ let () =
   Alcotest.run "obs"
     [ ( "attr",
         [ Alcotest.test_case "json rendering" `Quick test_attr_json;
-          Alcotest.test_case "non-finite floats" `Quick test_attr_nonfinite_floats ] );
+          Alcotest.test_case "non-finite floats" `Quick test_attr_nonfinite_floats;
+          QCheck_alcotest.to_alcotest number_writer_prop ] );
       ( "metrics",
         [ Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "histogram" `Quick test_metrics_histogram;
@@ -411,8 +600,12 @@ let () =
           Alcotest.test_case "quiet skips events not metrics" `Quick
             test_recorder_quiet_skips_events_not_metrics;
           Alcotest.test_case "alert event json" `Quick test_alert_event_json;
+          Alcotest.test_case "wall decimals" `Quick test_wall_decimals;
           Alcotest.test_case "recorder alert" `Quick test_recorder_alert;
-          Alcotest.test_case "timed" `Quick test_recorder_timed ] );
+          Alcotest.test_case "timed" `Quick test_recorder_timed;
+          Alcotest.test_case "timed returns the raw difference" `Quick
+            test_recorder_timed_unrounded;
+          QCheck_alcotest.to_alcotest trace_lines_prop ] );
       ( "summary",
         [ Alcotest.test_case "si rendering" `Quick test_summary_si;
           Alcotest.test_case "phase line" `Quick test_summary_phase_line;

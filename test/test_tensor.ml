@@ -126,6 +126,51 @@ let test_rng_invalid_args () =
   Alcotest.check_raises "choice empty" (Invalid_argument "Rng.choice: empty array") (fun () ->
       ignore (Rng.choice rng [||]))
 
+(* The state lives in bytes read and written in place, so the draws
+   that return an immediate allocate nothing.  Coverage instrumentation
+   (bisect_ppx, run with BISECT_FILE set) wraps every application in a
+   visit call, which boxes what passes through it: the property is one
+   of the uninstrumented build. *)
+let test_rng_draws_allocate_nothing () =
+  if Sys.getenv_opt "BISECT_FILE" = None then begin
+    let rng = Rng.create 12 in
+    let acc = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000_000 do
+      acc := !acc + Rng.int rng 1000;
+      if Rng.bool rng then incr acc
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "draws happened" true (!acc > 0);
+    Alcotest.(check (float 0.)) "minor words for 10^6 int and bool draws" 0. words
+  end
+
+(* Every draw, [split], [copy] and [state]/[set_state] give the stream
+   of SplitMix64 on a boxed [int64] field, bit for bit. *)
+let rng_matches_boxed_splitmix =
+  QCheck2.Test.make ~count:300 ~name:"rng stream equals the boxed SplitMix64"
+    QCheck2.Gen.(pair int (list_size (int_range 1 40) (pair (int_range 0 5) (int_range 1 1_000_000))))
+    (fun (seed, ops) ->
+      let module S = Oracle.Splitmix in
+      let r = ref (Rng.create seed) and o = ref (S.create seed) in
+      List.for_all
+        (fun (op, bound) ->
+          match op with
+          | 0 -> Rng.int !r bound = S.int !o bound
+          | 1 -> Int64.equal (Int64.bits_of_float (Rng.float !r 2.5)) (Int64.bits_of_float (S.float !o 2.5))
+          | 2 -> Rng.bool !r = S.bool !o
+          | 3 ->
+            r := Rng.split !r;
+            o := S.split !o;
+            Int64.equal (Rng.state !r) !o.S.state
+          | 4 ->
+            let c = Rng.copy !r in
+            ignore (Rng.bits64 !r);
+            Rng.set_state !r (Rng.state c);
+            Int64.equal (Rng.bits64 !r) (S.bits64 !o)
+          | _ -> Int64.equal (Rng.bits64 !r) (S.bits64 !o))
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Vec                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -622,7 +667,9 @@ let () =
           Alcotest.test_case "weighted choice" `Quick test_rng_choice_weighted;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_is_permutation;
           Alcotest.test_case "sample without replacement" `Quick test_rng_sample_without_replacement;
-          Alcotest.test_case "invalid arguments" `Quick test_rng_invalid_args ] );
+          Alcotest.test_case "invalid arguments" `Quick test_rng_invalid_args;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
+          QCheck_alcotest.to_alcotest rng_matches_boxed_splitmix ] );
       ( "vec",
         [ Alcotest.test_case "basic algebra" `Quick test_vec_basic_algebra;
           Alcotest.test_case "axpy" `Quick test_vec_axpy;
