@@ -41,6 +41,33 @@ let default_options =
 
 type objectives = { spec : Objective.spec; weights : float array }
 
+(* Configurations compared position by position, so membership is
+   [Param.config_key] equality without building the key.  The hash folds
+   every position: [Hashtbl.hash] stops after a bounded prefix and
+   conflates configurations that differ only past it (DESIGN §13). *)
+module Seen = Hashtbl.Make (struct
+  type t = Param.value array
+
+  let equal a b =
+    let n = Array.length a in
+    let rec from i = i = n || (Param.value_equal a.(i) b.(i) && from (i + 1)) in
+    n = Array.length b && from 0
+
+  let hash c =
+    let h = ref 0x811c9dc5 in
+    for i = 0 to Array.length c - 1 do
+      let v =
+        match Array.unsafe_get c i with
+        | Param.Vbool b -> Bool.to_int b lsl 2
+        | Param.Vtristate x -> (x lsl 2) lor 1
+        | Param.Vint x -> (x lsl 2) lor 2
+        | Param.Vcat x -> (x lsl 2) lor 3
+      in
+      h := (!h lxor v) * 0x01000193
+    done;
+    !h land max_int
+end)
+
 type t = {
   options : options;
   space : Space.t;
@@ -52,7 +79,7 @@ type t = {
   rng : Rng.t;
   mutable known : Vec.t list;  (* encoded evaluated configurations *)
   mutable best_configs : (float * Space.configuration) list;  (* top scored, descending *)
-  seen : (string, unit) Hashtbl.t;  (* canonical keys of evaluated configurations *)
+  seen : unit Seen.t;  (* evaluated configurations *)
   mutable pending_seeds : Space.configuration list;
       (* Transferred incumbents to evaluate verbatim before consulting the
          pool (they are known-good end-to-end on the donor). *)
@@ -85,7 +112,7 @@ let create ?(options = default_options) ?(seed = 0) ?objectives space =
     rng;
     known = [];
     best_configs = [];
-    seen = Hashtbl.create 256;
+    seen = Seen.create 256;
     pending_seeds = [] }
 
 let dtm t = t.dtm
@@ -115,8 +142,6 @@ let generate_pool t =
 (* Selection                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let config_key = Param.config_key
-
 let rank options ~weights ~dissimilarity (p : Dtm.prediction) =
   let mus = p.Dtm.normalized_performances in
   if Array.length weights <> Array.length mus then
@@ -141,7 +166,7 @@ let score_pool t pool =
      measurement): drop already-seen candidates unless that empties the
      pool. *)
   let pool =
-    match List.filter (fun c -> not (Hashtbl.mem t.seen (config_key c))) pool with
+    match List.filter (fun c -> not (Seen.mem t.seen c)) pool with
     | [] -> pool
     | fresh -> fresh
   in
@@ -199,18 +224,15 @@ let rank_candidates_top t pool ~k =
   let sorted =
     List.sort (fun (_, _, a) (_, _, b) -> compare (b : float) a) admissible
   in
-  let in_batch = Hashtbl.create 16 in
+  let in_batch = Seen.create 16 in
   let rec take n = function
     | [] -> []
     | (config, _, _) :: rest ->
       if n = 0 then []
+      else if Seen.mem in_batch config then take n rest
       else begin
-        let key = config_key config in
-        if Hashtbl.mem in_batch key then take n rest
-        else begin
-          Hashtbl.add in_batch key ();
-          config :: take (n - 1) rest
-        end
+        Seen.add in_batch config ();
+        config :: take (n - 1) rest
       end
   in
   let picked = take k sorted in
@@ -258,7 +280,8 @@ let observe t ctx (entry : History.entry) =
   let metric = ctx.Search_algorithm.metric in
   let x = Encoding.encode t.encoding entry.History.config in
   t.known <- x :: t.known;
-  Hashtbl.replace t.seen (config_key entry.History.config) ();
+  (* A copy: the key must not change under the table. *)
+  Seen.replace t.seen (Array.copy entry.History.config) ();
   (* The crash head must learn *configuration-caused* failures only: a
      flaky build or a timed-out boot says nothing about the config, and
      training on it would teach the gate to fear innocent regions.  Such

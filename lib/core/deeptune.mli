@@ -58,6 +58,12 @@ type t
 (** The algorithm's mutable state: the DTM, the observation dataset and the
     encoded history. *)
 
+module Seen : Hashtbl.S with type key = Param.value array
+(** The seen set's table: configurations compared position by position,
+    so two are one key exactly when their {!Param.config_key}s are equal.
+    Its hash folds every position, unlike [Hashtbl.hash], which stops
+    after a bounded prefix (DESIGN §13). *)
+
 type objectives = {
   spec : Objective.spec;  (** The target's objective spec, two or more metrics. *)
   weights : float array;  (** One per objective; normalised to sum to 1. *)

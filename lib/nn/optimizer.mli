@@ -21,10 +21,19 @@ val adam :
   Layer.tensor list ->
   t
 (** Adam with the usual defaults (β₁ = 0.9, β₂ = 0.999, ε = 1e-8);
-    [weight_decay] applies decoupled (AdamW-style) decay each step. *)
+    [weight_decay] applies decoupled (AdamW-style) decay each step.  A
+    step reads and writes each element once: the update, the decay and
+    the zeroed gradient.
+    @raise Invalid_argument when a tensor appears twice in the list (or
+    two share a value or gradient buffer), or a gradient's size differs
+    from its value's. *)
 
 val step : t -> unit
 (** Apply one update from the currently accumulated gradients, then zero
     them. *)
+
+val moments : t -> (float array * float array) array
+(** Adam's first and second moment estimates, one pair per parameter in
+    list order, as copies; [[||]] for SGD. *)
 
 val zero_grads : t -> unit

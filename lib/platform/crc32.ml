@@ -1,26 +1,52 @@
 type t = int32
 
-(* Reflected polynomial 0xEDB88320; table entry i is the CRC of the
-   single byte i.  The fold runs on native ints, which hold the 32-bit
-   state unboxed, so it allocates nothing per byte. *)
-let table =
+(* Reflected polynomial 0xEDB88320, sliced by eight: table k (entries
+   256k to 256k + 255) maps byte i to the CRC of i followed by k zero
+   bytes, so table 0 is the one-byte table.  The fold runs on native
+   ints, which hold the 32-bit state unboxed, so it allocates nothing. *)
+let tables =
   lazy
-    (Array.init 256 (fun i ->
-         let c = ref i in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make 2048 0 in
+     for i = 0 to 255 do
+       let c = ref i in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(i) <- !c
+     done;
+     for i = 256 to 2047 do
+       let prev = t.(i - 256) in
+       t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+     done;
+     t)
 
 let init = 0xFFFFFFFFl
 
 let update state s =
-  let table = Lazy.force table in
+  let t = Lazy.force tables in
+  let n = String.length s in
   let crc = ref (Int32.to_int state land 0xFFFFFFFF) in
-  for i = 0 to String.length s - 1 do
-    (* The index is masked to a byte, inside the 256-entry table. *)
+  let i = ref 0 in
+  (* Eight bytes per step, read as two little-endian words: each byte
+     indexes the table of the zero bytes that follow it in the step.
+     Every index is masked to a byte, inside its table. *)
+  while !i + 8 <= n do
+    let lo = !crc lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
     crc :=
-      Array.unsafe_get table ((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      Array.unsafe_get t (0x700 lor (lo land 0xFF))
+      lxor Array.unsafe_get t (0x600 lor ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x500 lor ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (0x400 lor (lo lsr 24))
+      lxor Array.unsafe_get t (0x300 lor (hi land 0xFF))
+      lxor Array.unsafe_get t (0x200 lor ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x100 lor ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to n - 1 do
+    crc :=
+      Array.unsafe_get t ((!crc lxor Char.code (String.unsafe_get s j)) land 0xFF)
       lxor (!crc lsr 8)
   done;
   Int32.of_int !crc

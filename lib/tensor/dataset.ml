@@ -43,13 +43,34 @@ type normalizer = {
 let fit_normalizer t =
   if t.count = 0 then invalid_arg "Dataset.fit_normalizer: empty dataset";
   let all = rows t in
-  let d = Vec.dim all.(0).features in
-  let means = Vec.zeros d and stds = Vec.create d 1. in
+  let n = float_of_int (Array.length all) and d = Vec.dim all.(0).features in
+  (* [Stat.zscore_params] of every column in two sweeps over the rows,
+     oldest first: the sums, then the squared deviations from the means.
+     Each column's sums start at [0.] and add in row order, as the
+     per-column fold does, so every mean and std keeps its bits. *)
+  let means = Vec.zeros d and stds = Vec.zeros d in
+  Array.iter
+    (fun r ->
+      let f = r.features in
+      if Vec.dim f < d then invalid_arg "Dataset.fit_normalizer: short feature row";
+      for j = 0 to d - 1 do
+        Array.unsafe_set means j (Array.unsafe_get means j +. Array.unsafe_get f j)
+      done)
+    all;
   for j = 0 to d - 1 do
-    let column = Array.map (fun r -> r.features.(j)) all in
-    let m, s = Stat.zscore_params column in
-    means.(j) <- m;
-    stds.(j) <- s
+    means.(j) <- means.(j) /. n
+  done;
+  Array.iter
+    (fun r ->
+      let f = r.features in
+      for j = 0 to d - 1 do
+        let dev = Array.unsafe_get f j -. Array.unsafe_get means j in
+        Array.unsafe_set stds j (Array.unsafe_get stds j +. (dev *. dev))
+      done)
+    all;
+  for j = 0 to d - 1 do
+    let s = sqrt (stds.(j) /. n) in
+    stds.(j) <- (if s < Stat.epsilon_std then Stat.epsilon_std else s)
   done;
   let ok = List.filter (fun r -> not r.crashed) (Array.to_list all) in
   let k = Array.length all.(0).targets in

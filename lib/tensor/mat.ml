@@ -130,70 +130,102 @@ let par_flop_threshold = 32_768
    swapping its strides.  Each pass computes a 2×4 block of c in eight
    independent accumulators; each starts at [0.] and adds its products
    over k ascending, exactly the scalar dot product, so the result is
-   bitwise the same whatever the blocking.  A lone last row is computed
-   twice (identically) and a column tail goes one column at a time.
-   Since every element is produced by one lane in the same order, the
-   row range [0, m) may also be split across any number of domains with
-   bitwise identical results — which is what lets the ambient pool stay
-   invisible to the engine's determinism oracle. *)
+   bitwise the same whatever the blocking.  The operand offsets step by
+   the strides, and k goes two steps per iteration with a one-step tail
+   when [kd] is odd.  A lone last row is computed twice (identically)
+   and a column tail goes one column at a time.  Since every element is
+   produced by one lane in the same order, the row range [0, m) may also
+   be split across any number of domains with bitwise identical results
+   — which is what lets the ambient pool stay invisible to the engine's
+   determinism oracle.  [product_rows] computes rows [lo, hi) of c; it
+   is a top-level function, so its operands live in registers rather
+   than in a closure's environment. *)
+let product_rows ~n ~kd (ad : buffer) ~ars ~acs (bd : buffer) ~brs ~bcs (cd : buffer) lo hi =
+  let open Bigarray.Array1 in
+  let b1 = bcs and b2 = 2 * bcs and b3 = 3 * bcs in
+  let i = ref lo in
+  while !i < hi do
+    let i0 = !i in
+    let i1 = if i0 + 1 < hi then i0 + 1 else i0 in
+    let a0 = i0 * ars and da = (i1 - i0) * ars and c0 = i0 * n and c1 = i1 * n in
+    let j = ref 0 in
+    while !j + 4 <= n do
+      let s00 = ref 0. and s01 = ref 0. and s02 = ref 0. and s03 = ref 0. in
+      let s10 = ref 0. and s11 = ref 0. and s12 = ref 0. and s13 = ref 0. in
+      let pa = ref a0 and pb = ref (!j * bcs) in
+      for _ = 1 to kd / 2 do
+        let p = !pa and q = !pb in
+        let x0 = unsafe_get ad p and x1 = unsafe_get ad (p + da) in
+        let y0 = unsafe_get bd q and y1 = unsafe_get bd (q + b1) in
+        let y2 = unsafe_get bd (q + b2) and y3 = unsafe_get bd (q + b3) in
+        s00 := !s00 +. (x0 *. y0);
+        s01 := !s01 +. (x0 *. y1);
+        s02 := !s02 +. (x0 *. y2);
+        s03 := !s03 +. (x0 *. y3);
+        s10 := !s10 +. (x1 *. y0);
+        s11 := !s11 +. (x1 *. y1);
+        s12 := !s12 +. (x1 *. y2);
+        s13 := !s13 +. (x1 *. y3);
+        let p = p + acs and q = q + brs in
+        let x0 = unsafe_get ad p and x1 = unsafe_get ad (p + da) in
+        let y0 = unsafe_get bd q and y1 = unsafe_get bd (q + b1) in
+        let y2 = unsafe_get bd (q + b2) and y3 = unsafe_get bd (q + b3) in
+        s00 := !s00 +. (x0 *. y0);
+        s01 := !s01 +. (x0 *. y1);
+        s02 := !s02 +. (x0 *. y2);
+        s03 := !s03 +. (x0 *. y3);
+        s10 := !s10 +. (x1 *. y0);
+        s11 := !s11 +. (x1 *. y1);
+        s12 := !s12 +. (x1 *. y2);
+        s13 := !s13 +. (x1 *. y3);
+        pa := p + acs;
+        pb := q + brs
+      done;
+      if kd land 1 = 1 then begin
+        let p = !pa and q = !pb in
+        let x0 = unsafe_get ad p and x1 = unsafe_get ad (p + da) in
+        let y0 = unsafe_get bd q and y1 = unsafe_get bd (q + b1) in
+        let y2 = unsafe_get bd (q + b2) and y3 = unsafe_get bd (q + b3) in
+        s00 := !s00 +. (x0 *. y0);
+        s01 := !s01 +. (x0 *. y1);
+        s02 := !s02 +. (x0 *. y2);
+        s03 := !s03 +. (x0 *. y3);
+        s10 := !s10 +. (x1 *. y0);
+        s11 := !s11 +. (x1 *. y1);
+        s12 := !s12 +. (x1 *. y2);
+        s13 := !s13 +. (x1 *. y3)
+      end;
+      let j0 = !j in
+      unsafe_set cd (c0 + j0) !s00;
+      unsafe_set cd (c0 + j0 + 1) !s01;
+      unsafe_set cd (c0 + j0 + 2) !s02;
+      unsafe_set cd (c0 + j0 + 3) !s03;
+      unsafe_set cd (c1 + j0) !s10;
+      unsafe_set cd (c1 + j0 + 1) !s11;
+      unsafe_set cd (c1 + j0 + 2) !s12;
+      unsafe_set cd (c1 + j0 + 3) !s13;
+      j := j0 + 4
+    done;
+    while !j < n do
+      let s0 = ref 0. and s1 = ref 0. in
+      let pa = ref a0 and pb = ref (!j * bcs) in
+      for _ = 1 to kd do
+        let p = !pa and y = unsafe_get bd !pb in
+        s0 := !s0 +. (unsafe_get ad p *. y);
+        s1 := !s1 +. (unsafe_get ad (p + da) *. y);
+        pa := p + acs;
+        pb := !pb + brs
+      done;
+      unsafe_set cd (c0 + !j) !s0;
+      unsafe_set cd (c1 + !j) !s1;
+      incr j
+    done;
+    i := i0 + 2
+  done
+
 let product ~m ~n ~kd (ad : buffer) ~ars ~acs (bd : buffer) ~brs ~bcs =
   let c = { rows = m; cols = n; data = alloc (m * n) } in
-  let cd : buffer = c.data in
-  let open Bigarray.Array1 in
-  let rows lo hi =
-    let i = ref lo in
-    while !i < hi do
-      let i0 = !i in
-      let i1 = if i0 + 1 < hi then i0 + 1 else i0 in
-      let a0 = i0 * ars and a1 = i1 * ars and c0 = i0 * n and c1 = i1 * n in
-      let j = ref 0 in
-      while !j + 4 <= n do
-        let b0 = !j * bcs in
-        let b1 = b0 + bcs in
-        let b2 = b1 + bcs in
-        let b3 = b2 + bcs in
-        let s00 = ref 0. and s01 = ref 0. and s02 = ref 0. and s03 = ref 0. in
-        let s10 = ref 0. and s11 = ref 0. and s12 = ref 0. and s13 = ref 0. in
-        for k = 0 to kd - 1 do
-          let ka = k * acs and kb = k * brs in
-          let x0 = unsafe_get ad (a0 + ka) and x1 = unsafe_get ad (a1 + ka) in
-          let y0 = unsafe_get bd (b0 + kb) and y1 = unsafe_get bd (b1 + kb) in
-          let y2 = unsafe_get bd (b2 + kb) and y3 = unsafe_get bd (b3 + kb) in
-          s00 := !s00 +. (x0 *. y0);
-          s01 := !s01 +. (x0 *. y1);
-          s02 := !s02 +. (x0 *. y2);
-          s03 := !s03 +. (x0 *. y3);
-          s10 := !s10 +. (x1 *. y0);
-          s11 := !s11 +. (x1 *. y1);
-          s12 := !s12 +. (x1 *. y2);
-          s13 := !s13 +. (x1 *. y3)
-        done;
-        let j0 = !j in
-        unsafe_set cd (c0 + j0) !s00;
-        unsafe_set cd (c0 + j0 + 1) !s01;
-        unsafe_set cd (c0 + j0 + 2) !s02;
-        unsafe_set cd (c0 + j0 + 3) !s03;
-        unsafe_set cd (c1 + j0) !s10;
-        unsafe_set cd (c1 + j0 + 1) !s11;
-        unsafe_set cd (c1 + j0 + 2) !s12;
-        unsafe_set cd (c1 + j0 + 3) !s13;
-        j := j0 + 4
-      done;
-      while !j < n do
-        let b0 = !j * bcs in
-        let s0 = ref 0. and s1 = ref 0. in
-        for k = 0 to kd - 1 do
-          let y = unsafe_get bd (b0 + (k * brs)) in
-          s0 := !s0 +. (unsafe_get ad (a0 + (k * acs)) *. y);
-          s1 := !s1 +. (unsafe_get ad (a1 + (k * acs)) *. y)
-        done;
-        unsafe_set cd (c0 + !j) !s0;
-        unsafe_set cd (c1 + !j) !s1;
-        incr j
-      done;
-      i := i0 + 2
-    done
-  in
+  let rows lo hi = product_rows ~n ~kd ad ~ars ~acs bd ~brs ~bcs c.data lo hi in
   (match Domain_pool.get_default () with
   | Some pool when m >= 2 && m * n * kd >= par_flop_threshold ->
     Domain_pool.parallel_for pool m rows

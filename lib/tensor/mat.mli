@@ -62,9 +62,11 @@ val add_into : dst:t -> t -> unit
 val matmul : t -> t -> t
 (** [matmul a b] with [a : m×k] and [b : k×n] is [m×n].  Each element is
     the dot product over k ascending, computed by a register-blocked
-    kernel (2×4 outputs per pass) that reads both operands in place; when
-    an ambient {!Domain_pool} is installed and the product is large
-    enough, rows are computed in parallel with bitwise-identical results.
+    top-level kernel (2×4 outputs per pass) that reads both operands in
+    place, steps its operand offsets by the strides and takes k two
+    steps at a time (one more when k is odd); when an ambient
+    {!Domain_pool} is installed and the product is large enough, rows
+    are computed in parallel with bitwise-identical results.
     @raise Invalid_argument on inner-dimension mismatch. *)
 
 val matmul_nt : t -> t -> t

@@ -63,7 +63,11 @@ let uniform t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let bernoulli t p = float t 1.0 < p
+(* [float t 1.0 < p], computed here so that the draw stays unboxed:
+   [float]'s result is boxed.  Scaling by [1.0] changes no bit of a
+   finite value, so it is left out. *)
+let bernoulli t p =
+  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) /. 9007199254740992.0 < p
 
 let normal t ?(mu = 0.) ?(sigma = 1.) () =
   let rec draw () =

@@ -25,9 +25,12 @@ val quantile : float array -> float -> float
     (and the same holds for {!median} and {!mad}, which derive from it).
     @raise Invalid_argument on empty input or [q] outside [\[0, 1\]]. *)
 
+val epsilon_std : float
+(** The floor of every z-score standard deviation, [1e-9]. *)
+
 val zscore_params : float array -> float * float
-(** [(mean, std)] with [std] floored at a small epsilon so that dividing is
-    always safe. *)
+(** [(mean, std)] with [std] floored at {!epsilon_std} so that dividing
+    is always safe. *)
 
 val zscore : mean:float -> std:float -> float -> float
 

@@ -3,14 +3,19 @@
    textbook loops.  The kernels that replaced them must match these bit
    for bit ([Int64.bits_of_float]), so the qcheck properties in
    test_tensor, test_nn and test_deeptune compare against this module.
-   The CRC-32 fold over boxed [Int32] values and the string-building
-   [hash_combine] are here too, for test_durable's and test_simos's
-   properties, as are SplitMix64 on a mutable [int64] field
-   (test_tensor) and the ledger row as a [Json] tree (test_analytics). *)
+   [Dataset.fit_normalizer]'s per-column fold and Adam's three passes
+   are here for the same reason.  The CRC-32 fold over boxed [Int32]
+   values and the string-building [hash_combine] are here too, for
+   test_durable's and test_simos's properties, as are SplitMix64 on a
+   mutable [int64] field (test_tensor) and the ledger row as a [Json]
+   tree (test_analytics). *)
 
 module Mat = Wayfinder_tensor.Mat
 module Vec = Wayfinder_tensor.Vec
 module Rng = Wayfinder_tensor.Rng
+module Stat = Wayfinder_tensor.Stat
+module Dataset = Wayfinder_tensor.Dataset
+module Layer = Wayfinder_nn.Layer
 
 let bits = Int64.bits_of_float
 
@@ -148,6 +153,77 @@ let dissimilarity x known =
       List.fold_left (fun acc k -> Stdlib.min acc (Vec.sq_dist x k)) infinity known
     in
     1. -. (1. /. (1. +. nearest))
+
+(* [Dataset.fit_normalizer] as it was: one column array and one
+   [Stat.zscore_params] per feature, rows oldest first. *)
+let fit_normalizer (all : Dataset.row array) =
+  let d = Vec.dim all.(0).Dataset.features in
+  let means = Vec.zeros d and stds = Vec.create d 1. in
+  for j = 0 to d - 1 do
+    let column = Array.map (fun r -> r.Dataset.features.(j)) all in
+    let m, s = Stat.zscore_params column in
+    means.(j) <- m;
+    stds.(j) <- s
+  done;
+  let ok = List.filter (fun r -> not r.Dataset.crashed) (Array.to_list all) in
+  let k = Array.length all.(0).Dataset.targets in
+  let t_means = Array.make k 0. and t_stds = Array.make k 1. in
+  if ok <> [] then
+    for m = 0 to k - 1 do
+      let mean, std =
+        Stat.zscore_params (Array.of_list (List.map (fun r -> r.Dataset.targets.(m)) ok))
+      in
+      t_means.(m) <- mean;
+      t_stds.(m) <- std
+    done;
+  { Dataset.means; stds; t_means; t_stds }
+
+(* [Optimizer.adam]'s step as it was: the update, the decoupled weight
+   decay and the zeroing of the gradients in three passes over every
+   parameter, with checked access. *)
+module Adam = struct
+  type t = {
+    lr : float;
+    weight_decay : float;
+    params : Layer.tensor array;
+    m : float array array;
+    v : float array array;
+    mutable step_count : int;
+  }
+
+  let beta1 = 0.9
+  let beta2 = 0.999
+  let epsilon = 1e-8
+
+  let create ~weight_decay ~lr params =
+    let state () = Array.map (fun p -> Array.make (Mat.numel p.Layer.value) 0.) params in
+    { lr; weight_decay; params; m = state (); v = state (); step_count = 0 }
+
+  let step t =
+    t.step_count <- t.step_count + 1;
+    let k = float_of_int t.step_count in
+    let corr1 = 1. -. (beta1 ** k) and corr2 = 1. -. (beta2 ** k) in
+    Array.iteri
+      (fun pi p ->
+        let value = p.Layer.value.Mat.data and grad = p.Layer.grad.Mat.data in
+        let mp = t.m.(pi) and vp = t.v.(pi) in
+        for i = 0 to Mat.numel p.Layer.value - 1 do
+          mp.(i) <- (beta1 *. mp.(i)) +. ((1. -. beta1) *. grad.{i});
+          vp.(i) <- (beta2 *. vp.(i)) +. ((1. -. beta2) *. grad.{i} *. grad.{i});
+          let m_hat = mp.(i) /. corr1 and v_hat = vp.(i) /. corr2 in
+          value.{i} <- value.{i} -. (t.lr *. m_hat /. (sqrt v_hat +. epsilon))
+        done)
+      t.params;
+    if t.weight_decay > 0. then
+      Array.iter
+        (fun p ->
+          let value = p.Layer.value.Mat.data in
+          for i = 0 to Mat.numel p.Layer.value - 1 do
+            value.{i} <- value.{i} *. (1. -. (t.lr *. t.weight_decay))
+          done)
+        t.params;
+    Array.iter Layer.zero_grad t.params
+end
 
 (* Seeded test values over many magnitudes, so a reordered sum rounds
    differently; with [~special:true] one in sixteen is a signed zero or a

@@ -60,6 +60,64 @@ let prop_dissimilarity_batch_matches_oracle =
            xs got)
 
 (* ------------------------------------------------------------------ *)
+(* Seen set                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let value_gen =
+  QCheck2.Gen.(
+    oneof
+      [ map (fun b -> CS.Param.Vbool b) bool;
+        map (fun i -> CS.Param.Vtristate i) (int_range 0 2);
+        map (fun i -> CS.Param.Vint i) (int_range (-2) 2);
+        map (fun i -> CS.Param.Vcat i) (int_range 0 2) ])
+
+(* Membership is [config_key] equality: a base configuration of up to
+   40 values, variants that change one position (perhaps to the value
+   it had, or to another kind with the same payload) or drop the last
+   one, half of them stored. *)
+let prop_seen_matches_config_key =
+  QCheck2.Test.make ~name:"seen-set membership equals config_key equality" ~count:300
+    QCheck2.Gen.(
+      pair
+        (array_size (int_range 0 40) value_gen)
+        (list_size (int_range 1 8) (triple nat value_gen bool)))
+    (fun (base, edits) ->
+      let variant (pos, v, drop) =
+        let n = Array.length base in
+        if n = 0 then [| v |]
+        else if drop then Array.sub base 0 (n - 1)
+        else begin
+          let c = Array.copy base in
+          c.(pos mod n) <- v;
+          c
+        end
+      in
+      let configs = base :: List.map variant edits in
+      let stored = List.filteri (fun i _ -> i land 1 = 0) configs in
+      let seen = Deeptune.Seen.create 8 in
+      List.iter (fun c -> Deeptune.Seen.replace seen c ()) stored;
+      List.for_all
+        (fun probe ->
+          let key = CS.Param.config_key probe in
+          Deeptune.Seen.mem seen probe
+          = List.exists (fun c -> CS.Param.config_key c = key) stored)
+        configs)
+
+(* DESIGN §13's regression: configurations equal up to their last
+   position collide under [Hashtbl.hash], which stops after a bounded
+   prefix, but are two keys of the seen set. *)
+let test_seen_separates_last_position () =
+  let a = Array.init 12 (fun _ -> CS.Param.Vint 1) in
+  let b = Array.copy a in
+  b.(11) <- CS.Param.Vint 2;
+  Alcotest.(check bool) "truncated hash collides (the old bug)" true
+    (Hashtbl.hash (Array.to_list a) = Hashtbl.hash (Array.to_list b));
+  let seen = Deeptune.Seen.create 8 in
+  Deeptune.Seen.replace seen a ();
+  Alcotest.(check bool) "an equal copy is seen" true (Deeptune.Seen.mem seen (Array.copy a));
+  Alcotest.(check bool) "the last position tells them apart" false (Deeptune.Seen.mem seen b)
+
+(* ------------------------------------------------------------------ *)
 (* DTM                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -712,6 +770,10 @@ let () =
           Alcotest.test_case "monotone in distance" `Quick test_scoring_monotone_in_distance;
           Alcotest.test_case "alpha balance" `Quick test_scoring_alpha_balance;
           QCheck_alcotest.to_alcotest prop_dissimilarity_batch_matches_oracle ] );
+      ( "seen",
+        [ Alcotest.test_case "last position tells configurations apart" `Quick
+            test_seen_separates_last_position;
+          QCheck_alcotest.to_alcotest prop_seen_matches_config_key ] );
       ( "dtm",
         [ Alcotest.test_case "create validates config (typed)" `Quick
             test_dtm_create_validates_config;

@@ -44,14 +44,23 @@ let prop_crc_streaming =
       let a = String.sub s 0 k and b = String.sub s k (String.length s - k) in
       Crc32.finish (Crc32.update (Crc32.update Crc32.init a) b) = Crc32.digest s)
 
-(* The unboxed fold equals the [Int32] one it replaced at every split
-   point of a streamed string. *)
+(* The sliced fold equals the byte-at-a-time [Int32] one at every split
+   point of a streamed string of up to 4 KB.  Besides the random cuts,
+   one cut falls on every residue mod 8, so pieces start and end at
+   every offset within an eight-byte step. *)
 let prop_crc_matches_oracle =
   QCheck2.Test.make ~name:"crc equals the Int32 fold at every split point" ~count:300
-    QCheck2.Gen.(pair (string_size ~gen:char (int_range 0 400)) (list_size (int_range 0 5) nat))
-    (fun (s, cuts) ->
+    QCheck2.Gen.(
+      triple (string_size ~gen:char (int_range 0 4096)) (list_size (int_range 0 5) nat)
+        (list_repeat 8 nat))
+    (fun (s, cuts, steps) ->
       let n = String.length s in
-      let cuts = List.sort compare (List.map (fun k -> k mod (n + 1)) cuts) @ [ n ] in
+      let residues = List.mapi (fun r q -> (8 * (q mod ((n / 8) + 1))) + r) steps in
+      let cuts =
+        List.sort compare
+          (List.map (fun k -> k mod (n + 1)) cuts @ List.filter (fun k -> k <= n) residues)
+        @ [ n ]
+      in
       let pieces, _ =
         List.fold_left (fun (acc, from) cut -> (String.sub s from (cut - from) :: acc, cut)) ([], 0)
           cuts

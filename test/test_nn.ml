@@ -434,6 +434,68 @@ let test_step_zeroes_grads () =
   Alcotest.(check (float 1e-12)) "grad reset" 0. p.Layer.grad.Mat.data.{0};
   Alcotest.(check (float 1e-12)) "value moved" (-0.1) p.Layer.value.Mat.data.{0}
 
+(* One fused pass would let a repeated tensor see its own zeroed
+   gradient, so Adam refuses to share storage between parameters. *)
+let test_adam_rejects_repeated_tensor () =
+  let p = Layer.tensor_zeros 2 3 and q = Layer.tensor_zeros 2 3 in
+  let rejects name params =
+    Alcotest.check_raises name (Invalid_argument "Optimizer.adam: a parameter appears twice")
+      (fun () -> ignore (Optimizer.adam ~lr:0.1 params))
+  in
+  rejects "the same tensor twice" [ p; q; p ];
+  rejects "a shared gradient" [ p; { q with Layer.grad = p.Layer.grad } ];
+  ignore (Optimizer.adam ~lr:0.1 [ p; q ]);
+  ignore (Optimizer.sgd ~lr:0.1 [ p; p ])
+
+(* The one-pass Adam step against the three passes it replaced: one to
+   five steps over one to four tensors, at weight decay 0 and 5.0, with
+   gradients over many magnitudes (signed zeros and non-finite values
+   among them).  Values, both moments and the zeroed gradients must
+   match bit for bit after every step. *)
+let prop_adam_matches_oracle =
+  QCheck2.Test.make ~name:"one-pass adam bitwise equals the three-pass step" ~count:200
+    QCheck2.Gen.(quad (int_range 1 5) (int_range 1 4) bool (int_range 0 10000))
+    (fun (steps, count, decay, seed) ->
+      let rng = Rng.create seed in
+      let weight_decay = if decay then 5.0 else 0. in
+      let shapes = List.init count (fun _ -> (1 + Rng.int rng 5, 1 + Rng.int rng 7)) in
+      let tensors () =
+        Array.of_list
+          (List.map
+             (fun (r, c) ->
+               let value = Oracle.random_mat (Rng.create (seed + r)) r c in
+               { Layer.value; grad = Mat.zeros r c })
+             shapes)
+      in
+      let ps = tensors () and qs = tensors () in
+      let opt = Optimizer.adam ~weight_decay ~lr:0.01 (Array.to_list ps) in
+      let reference = Oracle.Adam.create ~weight_decay ~lr:0.01 qs in
+      let bits a = Array.map Oracle.bits a in
+      let rec go k =
+        k = 0
+        ||
+        (Array.iteri
+           (fun i p ->
+             let rows = p.Layer.grad.Mat.rows and cols = p.Layer.grad.Mat.cols in
+             let g = Oracle.random_mat ~special:true rng rows cols in
+             Mat.blit_from_array (Mat.to_array g) p.Layer.grad;
+             Mat.blit_from_array (Mat.to_array g) qs.(i).Layer.grad)
+           ps;
+         Optimizer.step opt;
+         Oracle.Adam.step reference;
+         let moments = Optimizer.moments opt in
+         Array.for_all2
+           (fun p q ->
+             Oracle.same_bits p.Layer.value q.Layer.value
+             && Oracle.same_bits p.Layer.grad q.Layer.grad
+             && Array.for_all (fun g -> Oracle.bits g = 0L) (Mat.to_array p.Layer.grad))
+           ps qs
+        && Array.for_all2 (fun (m, _) m' -> bits m = bits m') moments reference.Oracle.Adam.m
+        && Array.for_all2 (fun (_, v) v' -> bits v = bits v') moments reference.Oracle.Adam.v
+        && go (k - 1))
+      in
+      go steps)
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -649,7 +711,9 @@ let () =
       ( "optimizers",
         [ Alcotest.test_case "sgd converges" `Quick test_sgd_converges;
           Alcotest.test_case "adam converges" `Quick test_adam_converges;
-          Alcotest.test_case "step zeroes grads" `Quick test_step_zeroes_grads ] );
+          Alcotest.test_case "step zeroes grads" `Quick test_step_zeroes_grads;
+          Alcotest.test_case "adam rejects a repeated tensor" `Quick
+            test_adam_rejects_repeated_tensor ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sigmoid_bounds; prop_bce_nonnegative; prop_chamfer_nonnegative;
@@ -658,4 +722,4 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_dense_matches_oracle; prop_relu_matches_oracle; prop_dropout_matches_oracle;
             prop_rbf_matches_oracle; prop_chamfer_matches_oracle;
-            prop_accumulate_matches_backward ] ) ]
+            prop_accumulate_matches_backward; prop_adam_matches_oracle ] ) ]

@@ -145,6 +145,36 @@ let test_rng_draws_allocate_nothing () =
     Alcotest.(check (float 0.)) "minor words for 10^6 int and bool draws" 0. words
   end
 
+(* [bernoulli] compares its unit draw without boxing it. *)
+let test_rng_bernoulli_allocates_nothing () =
+  if Sys.getenv_opt "BISECT_FILE" = None then begin
+    let rng = Rng.create 13 in
+    let hits = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000_000 do
+      if Rng.bernoulli rng 0.3 then incr hits
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "draws happened" true (!hits > 0);
+    Alcotest.(check (float 0.)) "minor words for 10^6 bernoulli draws" 0. words
+  end
+
+(* [bernoulli t p] is [Rng.float t 1.0 < p] from the same state, and
+   leaves the state where that draw leaves it. *)
+let prop_bernoulli_is_float_below =
+  QCheck2.Test.make ~count:300 ~name:"bernoulli equals float t 1.0 < p on copied states"
+    QCheck2.Gen.(
+      pair int
+        (list_size (int_range 1 40)
+           (oneof [ oneofl [ 0.; 0.05; 0.5; 0.95; 1. ]; float_range 0. 1.; float ])))
+    (fun (seed, ps) ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun p ->
+          let twin = Rng.copy rng in
+          Rng.bernoulli rng p = (Rng.float twin 1.0 < p) && Rng.state rng = Rng.state twin)
+        ps)
+
 (* Every draw, [split], [copy] and [state]/[set_state] give the stream
    of SplitMix64 on a boxed [int64] field, bit for bit. *)
 let rng_matches_boxed_splitmix =
@@ -364,6 +394,36 @@ let test_dataset_normalizer () =
   check_float "feature 1 centered" 0. v.(1);
   check_float "target roundtrip" 42.
     (Dataset.denormalize_target nz ~metric:0 (Dataset.normalize_target nz ~metric:0 42.))
+
+(* The two-sweep normalizer against the per-column [Stat.zscore_params]
+   fold it replaced: one to 30 rows (a fifth of the cases one row, which
+   makes every column constant), a constant column among the features
+   (the epsilon clamp), one to three targets, none, some or all rows
+   crashed, and signed zeros and non-finite values among the features. *)
+let prop_normalizer_matches_oracle =
+  QCheck2.Test.make ~name:"fit_normalizer bitwise equals the per-column zscore_params fold"
+    ~count:300
+    QCheck2.Gen.(
+      quad (frequency [ (1, pure 1); (4, int_range 2 30) ]) (int_range 1 12) (int_range 1 3)
+        (int_range 0 10000))
+    (fun (n, d, k, seed) ->
+      let rng = Rng.create seed in
+      let ds = Dataset.create () in
+      let constant = Oracle.value rng and crash_share = Rng.int rng 5 in
+      for _ = 1 to n do
+        let features =
+          Array.init d (fun j -> if j = 0 then constant else Oracle.value ~special:true rng)
+        in
+        let targets = Array.init k (fun _ -> Oracle.value rng) in
+        Dataset.add_targets ds features ~targets ~crashed:(Rng.int rng 4 < crash_share)
+      done;
+      let got = Dataset.fit_normalizer ds and want = Oracle.fit_normalizer (Dataset.rows ds) in
+      let same a b = Array.map Oracle.bits a = Array.map Oracle.bits b in
+      same got.Dataset.means want.Dataset.means
+      && same got.Dataset.stds want.Dataset.stds
+      && same got.Dataset.t_means want.Dataset.t_means
+      && same got.Dataset.t_stds want.Dataset.t_stds
+      && got.Dataset.stds.(0) = Stat.epsilon_std)
 
 let test_dataset_k_targets () =
   let d = Dataset.create () in
@@ -650,7 +710,7 @@ let qcheck_cases =
     [ prop_vec_add_commutes; prop_vec_dot_symmetric; prop_vec_triangle_inequality;
       prop_stat_mean_bounded; prop_stat_zscore_normalizes; prop_moving_average_preserves_bounds;
       prop_cholesky_roundtrip; prop_cholesky_bitwise_reference; prop_permutation_valid;
-      prop_products_match_oracle ]
+      prop_products_match_oracle; prop_normalizer_matches_oracle ]
 
 let () =
   Alcotest.run "tensor"
@@ -669,7 +729,10 @@ let () =
           Alcotest.test_case "sample without replacement" `Quick test_rng_sample_without_replacement;
           Alcotest.test_case "invalid arguments" `Quick test_rng_invalid_args;
           Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
-          QCheck_alcotest.to_alcotest rng_matches_boxed_splitmix ] );
+          Alcotest.test_case "bernoulli allocates nothing" `Quick
+            test_rng_bernoulli_allocates_nothing;
+          QCheck_alcotest.to_alcotest rng_matches_boxed_splitmix;
+          QCheck_alcotest.to_alcotest prop_bernoulli_is_float_below ] );
       ( "vec",
         [ Alcotest.test_case "basic algebra" `Quick test_vec_basic_algebra;
           Alcotest.test_case "axpy" `Quick test_vec_axpy;
