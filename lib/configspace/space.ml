@@ -9,6 +9,9 @@ type t = {
   samplers : (Rng.t -> Param.value) array;  (* [Param.sample] of each parameter *)
   index : (string, int) Hashtbl.t;
   fixed : Param.value option array;
+  key_prefixes : (int * string) array;
+      (* each non-runtime position with its stage-key prefix "i:" (",i:"
+         after the first) *)
 }
 
 type configuration = Param.value array
@@ -22,8 +25,14 @@ let create param_list =
         invalid_arg (Printf.sprintf "Space.create: duplicate parameter %s" p.Param.name);
       Hashtbl.add index p.Param.name i)
     params;
+  let key_prefixes =
+    List.init (Array.length params) Fun.id
+    |> List.filter (fun i -> params.(i).Param.stage <> Param.Runtime)
+    |> List.mapi (fun k i -> (i, (if k = 0 then "" else ",") ^ string_of_int i ^ ":"))
+    |> Array.of_list
+  in
   { params; samplers = Array.map Param.sample params; index;
-    fixed = Array.make (Array.length params) None }
+    fixed = Array.make (Array.length params) None; key_prefixes }
 
 let size t = Array.length t.params
 let params t = Array.copy t.params
@@ -170,28 +179,19 @@ let project_stages t ~stages config =
     t.params;
   List.rev !out
 
-(* Compact value tokens for stage keys.  Deliberately independent of the
-   parameter kind: token equality must coincide with [Param.value_equal]
-   (categorical values with identical labels are still distinct choices). *)
-let stage_key_token = function
-  | Param.Vbool b -> if b then "b1" else "b0"
-  | Param.Vtristate i -> "t" ^ string_of_int i
-  | Param.Vint n -> "i" ^ string_of_int n
-  | Param.Vcat i -> "c" ^ string_of_int i
-
+(* The comma-joined "i:<token>" of every non-runtime position i, in
+   order.  Tokens are [Param.value_token]s: their equality is
+   [Param.value_equal], categorical values with identical labels
+   included. *)
 let stage_key t config =
   if Array.length config <> Array.length t.params then
     invalid_arg "Space.stage_key: configuration size mismatch";
-  let buf = Buffer.create 64 in
-  Array.iteri
-    (fun i p ->
-      if p.Param.stage <> Param.Runtime then begin
-        if Buffer.length buf > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int i);
-        Buffer.add_char buf ':';
-        Buffer.add_string buf (stage_key_token config.(i))
-      end)
-    t.params;
+  let buf = Buffer.create 256 in
+  Array.iter
+    (fun (i, prefix) ->
+      Buffer.add_string buf prefix;
+      Buffer.add_string buf (Param.value_token config.(i)))
+    t.key_prefixes;
   Buffer.contents buf
 
 (* Canonical space description: one line per parameter, in positional

@@ -100,7 +100,11 @@ val stage_key : t -> configuration -> string
     — i.e. [stage_key t a = stage_key t b] is exactly
     [differs_only_in_stage t a b Param.Runtime] — so the key identifies
     the built image an evaluation needs, and runtime-only variation never
-    invalidates it.
+    invalidates it.  The key is the comma-joined ["i:" ^ Param.value_token
+    v] of every non-runtime position [i], written from prefixes built once
+    by {!create}; journals persist it in their [cached] lines, so its
+    bytes must not change (a qcheck property pins them to the
+    string-building oracle, [Oracle.stage_key]).
     @raise Invalid_argument on a size mismatch. *)
 
 val canonical_description : t -> string

@@ -210,6 +210,11 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
      the keys given up on. *)
   let strikes : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let quarantine : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* A key is built only while something is quarantined: most runs never
+     quarantine anything. *)
+  let quarantined config =
+    Hashtbl.length quarantine > 0 && Hashtbl.mem quarantine (config_key config)
+  in
   (* The budget is measured relative to the clock reading at start, so a
      caller-supplied, already-advanced clock does not silently shrink a
      [Virtual_seconds] budget — and so a resumed run keeps charging
@@ -376,8 +381,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
             eval_seconds = invalid_floor_s; built = false; decide_seconds; objectives = None }
         | [] ->
           consecutive_invalid := 0;
-          let key = config_key config in
-          if Hashtbl.mem quarantine key then begin
+          if quarantined config then begin
             (* Given up on: skip the testbed entirely, at a floor charge so a
                stuck algorithm re-proposing its quarantined favourite still
                drains a virtual budget. *)
@@ -553,6 +557,7 @@ let run_sequential ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
                 if Failure.retryable f && resilience.Resilience.quarantine_after > 0 then begin
                   (* The config exhausted its retries on transient failures:
                      one strike; enough strikes and it is quarantined. *)
+                  let key = config_key config in
                   let n = (try Hashtbl.find strikes key with Not_found -> 0) + 1 in
                   Hashtbl.replace strikes key n;
                   if n >= resilience.Resilience.quarantine_after then begin
@@ -746,6 +751,11 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
   in
   let strikes : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let quarantine : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* A key is built only while something is quarantined: most runs never
+     quarantine anything. *)
+  let quarantined config =
+    Hashtbl.length quarantine > 0 && Hashtbl.mem quarantine (config_key config)
+  in
   (* Launched-but-not-completed tasks, keyed by proposal index — what a
      checkpoint persists as in-flight slot state. *)
   let inflight_tbl : (int, Checkpoint.inflight) Hashtbl.t = Hashtbl.create 16 in
@@ -947,8 +957,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
             eval_seconds = invalid_floor_s; built = false; decide_seconds; objectives = None })
     | [] ->
       consecutive_invalid := 0;
-      let key = config_key config in
-      if Hashtbl.mem quarantine key then begin
+      if quarantined config then begin
         Obs.Recorder.emit_span obs ~virtual_s:invalid_floor_s "driver.quarantined";
         Obs.Recorder.incr obs "driver.quarantined_proposals";
         schedule_outcome slot ~iteration_span ~belief ~deltas:[ invalid_floor_s ]
@@ -1104,6 +1113,7 @@ let run ?(seed = 0) ?clock ?on_iteration ?on_record ?obs
             attempt (k + 1)
           | Error f ->
             if Failure.retryable f && resilience.Resilience.quarantine_after > 0 then begin
+              let key = config_key config in
               let n = (try Hashtbl.find strikes key with Not_found -> 0) + 1 in
               Hashtbl.replace strikes key n;
               if n >= resilience.Resilience.quarantine_after then begin

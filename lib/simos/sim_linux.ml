@@ -279,20 +279,7 @@ let getc t config name =
   | Param.Vcat c -> c
   | Param.Vbool _ | Param.Vint _ | Param.Vtristate _ -> 0
 
-let config_hash t config =
-  let acc = ref (Shapes.hash_combine t.seed 7) in
-  Array.iteri
-    (fun i v ->
-      let code =
-        match v with
-        | Param.Vbool b -> if b then 1 else 0
-        | Param.Vtristate x -> 10 + x
-        | Param.Vint x -> 100 + x
-        | Param.Vcat c -> 20 + c
-      in
-      acc := Shapes.hash_combine !acc (Shapes.hash_combine i code))
-    config;
-  !acc
+let config_hash t config = Shapes.config_hash ~seed:t.seed ~salt:7 Shapes.value_code config
 
 (* ------------------------------------------------------------------ *)
 (* Crash model                                                         *)

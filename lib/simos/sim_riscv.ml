@@ -48,14 +48,13 @@ type outcome = {
   boot_s : float;
 }
 
+(* Only whether an option is on matters here: every non-boolean value
+   hashes alike. *)
 let config_hash t config =
-  let acc = ref (Shapes.hash_combine t.seed 99) in
-  Array.iteri
-    (fun i v ->
-      let code = match v with Param.Vbool b -> if b then 1 else 0 | _ -> 2 in
-      acc := Shapes.hash_combine !acc (Shapes.hash_combine i code))
-    config;
-  !acc
+  Shapes.config_hash ~seed:t.seed ~salt:99
+    (function
+      | Param.Vbool b -> if b then 1 else 0 | Param.Vtristate _ | Param.Vint _ | Param.Vcat _ -> 2)
+    config
 
 let memory_of t config =
   let acc = ref t.base_mb in
@@ -71,10 +70,9 @@ let evaluate t ?(trial = 0) config =
   (match Space.validate t.space config with
   | [] -> ()
   | (_, msg) :: _ -> invalid_arg ("Sim_riscv.evaluate: invalid configuration: " ^ msg));
-  let crash_draw = Rng.create (Shapes.hash_combine (config_hash t config) 17) in
-  let noise_draw =
-    Rng.create (Shapes.hash_combine (config_hash t config) (Shapes.hash_combine 23 trial))
-  in
+  let h = config_hash t config in
+  let crash_draw = Rng.create (Shapes.hash_combine h 17) in
+  let noise_draw = Rng.create (Shapes.hash_combine h (Shapes.hash_combine 23 trial)) in
   let build_s = 170. +. Rng.uniform noise_draw 0. 70. in
   let boot_s = 28. +. Rng.uniform noise_draw 0. 10. in
   (* Disabling an essential option breaks the boot (sometimes the build). *)

@@ -80,20 +80,7 @@ let getb t config name =
 let getc t config name =
   match Space.get t.space config name with Param.Vcat c -> c | _ -> 0
 
-let config_hash t config =
-  let acc = ref (Shapes.hash_combine t.seed 77) in
-  Array.iteri
-    (fun i v ->
-      let code =
-        match v with
-        | Param.Vbool b -> if b then 1 else 0
-        | Param.Vtristate x -> 10 + x
-        | Param.Vint x -> 100 + x
-        | Param.Vcat c -> 20 + c
-      in
-      acc := Shapes.hash_combine !acc (Shapes.hash_combine i code))
-    config;
-  !acc
+let config_hash t config = Shapes.config_hash ~seed:t.seed ~salt:77 Shapes.value_code config
 
 let check_crash t config draw =
   (* The region allocator cannot back LWIP pools: link-time failure. *)
@@ -166,10 +153,9 @@ let evaluate t ?(trial = 0) config =
   (match Space.validate t.space config with
   | [] -> ()
   | (_, msg) :: _ -> invalid_arg ("Sim_unikraft.evaluate: invalid configuration: " ^ msg));
-  let crash_draw = Rng.create (Shapes.hash_combine (config_hash t config) 303) in
-  let noise_draw =
-    Rng.create (Shapes.hash_combine (config_hash t config) (Shapes.hash_combine 404 trial))
-  in
+  let h = config_hash t config in
+  let crash_draw = Rng.create (Shapes.hash_combine h 303) in
+  let noise_draw = Rng.create (Shapes.hash_combine h (Shapes.hash_combine 404 trial)) in
   (* Unikernel images build in tens of seconds and boot in milliseconds. *)
   let build_s = 35. +. Rng.uniform noise_draw 0. 15. in
   let boot_s = 0.2 in

@@ -5,10 +5,10 @@
    test_tensor, test_nn and test_deeptune compare against this module.
    [Dataset.fit_normalizer]'s per-column fold and Adam's three passes
    are here for the same reason.  The CRC-32 fold over boxed [Int32]
-   values and the string-building [hash_combine] are here too, for
-   test_durable's and test_simos's properties, as are SplitMix64 on a
-   mutable [int64] field (test_tensor) and the ledger row as a [Json]
-   tree (test_analytics). *)
+   values and the string-building [hash_combine] and [stage_key] are
+   here too, for test_durable's, test_simos's and test_image_cache's
+   properties, as are SplitMix64 on a mutable [int64] field
+   (test_tensor) and the ledger row as a [Json] tree (test_analytics). *)
 
 module Mat = Wayfinder_tensor.Mat
 module Vec = Wayfinder_tensor.Vec
@@ -16,6 +16,8 @@ module Rng = Wayfinder_tensor.Rng
 module Stat = Wayfinder_tensor.Stat
 module Dataset = Wayfinder_tensor.Dataset
 module Layer = Wayfinder_nn.Layer
+module Param = Wayfinder_configspace.Param
+module Space = Wayfinder_configspace.Space
 
 let bits = Int64.bits_of_float
 
@@ -261,6 +263,28 @@ let crc32_update state s =
 (* [Shapes.hash_combine] as it was: FNV-1a over the joined decimal text. *)
 let hash_combine a b =
   Wayfinder_simos.Shapes.hash_string (string_of_int a ^ ":" ^ string_of_int b)
+
+(* [Space.stage_key] as it was: a token, a [string_of_int] and a [^] for
+   every non-runtime parameter.  Journals persist these bytes in their
+   [cached] lines. *)
+let stage_key_token = function
+  | Param.Vbool b -> if b then "b1" else "b0"
+  | Param.Vtristate i -> "t" ^ string_of_int i
+  | Param.Vint n -> "i" ^ string_of_int n
+  | Param.Vcat i -> "c" ^ string_of_int i
+
+let stage_key space config =
+  let buf = Buffer.create 64 in
+  Array.iteri
+    (fun i p ->
+      if p.Param.stage <> Param.Runtime then begin
+        if Buffer.length buf > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf (string_of_int i);
+        Buffer.add_char buf ':';
+        Buffer.add_string buf (stage_key_token config.(i))
+      end)
+    (Space.params space);
+  Buffer.contents buf
 
 (* An integer parameter's encoding and draw as [Encoding.encode] and
    [Param.sample] computed them, taking the log10 of both bounds on every

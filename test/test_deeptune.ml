@@ -671,28 +671,8 @@ let test_deeptune_crash_gate_ablation () =
 (* Golden outputs                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Recorded before the DTM kernels indexed Mat storage directly; every
-   float is written as %h, so equal lines mean equal bits.  On a mismatch
-   the produced lines are written to [<file>.actual] in the test's cwd. *)
-let check_golden file lines =
-  let golden =
-    In_channel.with_open_text (Filename.concat "golden" file) In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (( <> ) "")
-  in
-  if golden <> lines then begin
-    Out_channel.with_open_text (file ^ ".actual") (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
-    let rec first i = function
-      | g :: gs, l :: ls -> if g = l then first (i + 1) (gs, ls) else i
-      | _ -> i
-    in
-    Alcotest.failf "%s: %d golden vs %d produced lines, first difference at line %d (see %s.actual)"
-      file (List.length golden) (List.length lines)
-      (first 1 (golden, lines))
-      file
-  end
-
+(* Both goldens were recorded before the DTM kernels indexed Mat storage
+   directly. *)
 let hex = CS.Param.float_field
 
 (* Sim-linux nginx at n=40, seed 11, default options. *)
@@ -718,7 +698,7 @@ let test_golden_trajectory () =
              (match e.P.History.value with Some v -> hex v | None -> "-"))
          (P.History.entries r.P.Driver.history))
   in
-  check_golden "deeptune_nginx_seed11.txt" (trajectory 1 @ trajectory 4)
+  Golden_file.check "deeptune_nginx_seed11.txt" (trajectory 1 @ trajectory 4)
 
 (* Encodings of seeded random nginx configurations. *)
 let fixture_rows rng encoding n =
@@ -761,7 +741,7 @@ let test_golden_dtm () =
     Array.to_list
       (Array.map (fun (name, v) -> "i " ^ name ^ " " ^ hex v) (Deeptune.parameter_impacts dt))
   in
-  check_golden "dtm_nginx_seed11.txt" ((losses :: snapshot) @ predictions @ impacts)
+  Golden_file.check "dtm_nginx_seed11.txt" ((losses :: snapshot) @ predictions @ impacts)
 
 let () =
   Alcotest.run "deeptune"

@@ -58,6 +58,53 @@ let prop_stage_key_iff_runtime_only =
       Space.stage_key space a = Space.stage_key space b
       = Space.differs_only_in_stage space a b Param.Runtime)
 
+(* The key is written from prefixes built at [Space.create]; its bytes
+   are the string-building oracle's, which journals persist. *)
+let prop_stage_key_matches_oracle =
+  let spaces =
+    [ S.Sim_linux.space (S.Sim_linux.create ());
+      S.Sim_unikraft.space (S.Sim_unikraft.create ());
+      S.Sim_riscv.space (S.Sim_riscv.create ()) ]
+  in
+  QCheck2.Test.make ~name:"stage_key bytes equal the string-building oracle's" ~count:50
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun space ->
+          let pinned =
+            let pin () =
+              let p = Space.param space (Rng.int rng (Space.size space)) in
+              (p.Param.name, Param.sample p rng)
+            in
+            Space.fix space [ pin (); pin (); pin () ]
+          in
+          List.for_all
+            (fun (space, config) -> Space.stage_key space config = Oracle.stage_key space config)
+            [ (space, Space.defaults space); (space, Space.random space rng);
+              (pinned, Space.defaults pinned); (pinned, Space.random pinned rng) ])
+        spaces)
+
+let test_stage_key_edge_spaces () =
+  let runtime_only =
+    Space.create
+      [ Param.int_param "r0" ~lo:0 ~hi:9 ~default:1; Param.bool_param "r1" true ]
+  in
+  Alcotest.(check string) "only runtime parameters: empty key" ""
+    (Space.stage_key runtime_only [| Param.Vint 7; Param.Vbool false |]);
+  let late =
+    Space.create
+      [ Param.int_param "r0" ~lo:(-9) ~hi:9 ~default:1;
+        Param.tristate_param "k1" 2;
+        Param.int_param "r2" ~lo:0 ~hi:9 ~default:1;
+        Param.int_param "b3" ~stage:Param.Boot_time ~lo:(-9) ~hi:9 ~default:0 ]
+  in
+  let config = [| Param.Vint (-3); Param.Vtristate 1; Param.Vint 4; Param.Vint (-7) |] in
+  Alcotest.(check string) "first key position past index 0: no leading comma" "1:t1,3:i-7"
+    (Space.stage_key late config);
+  Alcotest.(check string) "the oracle agrees" (Oracle.stage_key late config)
+    (Space.stage_key late config)
+
 (* ------------------------------------------------------------------ *)
 (* LRU determinism                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -168,12 +215,19 @@ let build_failing_target () =
 
 let counter r name = int_of_float (Obs.Metrics.counter r.Driver.metrics name)
 
-let test_negative_cache_serves_deterministic_build_failure () =
+(* The sequential loop and the workers engine at one worker, which
+   share the negative cache and the quarantine. *)
+let sequential_run ~resilience ~target ~algorithm ~budget =
+  Driver.run_sequential ~seed:1 ~resilience ~target ~algorithm ~budget ()
+
+let engine_run ~resilience ~target ~algorithm ~budget =
+  Driver.run ~seed:1 ~resilience ~target ~algorithm ~budget ()
+
+let test_negative_cache_serves_deterministic_build_failure run () =
   let config = [| Param.Vint 0; Param.Vbool false; Param.Vint 0 |] in
   let r =
-    Driver.run_sequential ~seed:1 ~resilience:Resilience.default_resilient
-      ~target:(build_failing_target ()) ~algorithm:(constant_algo config)
-      ~budget:(Driver.Iterations 6) ()
+    run ~resilience:Resilience.default_resilient ~target:(build_failing_target ())
+      ~algorithm:(constant_algo config) ~budget:(Driver.Iterations 6)
   in
   (* One doomed build, then five negative hits at the floor charge. *)
   Alcotest.(check int) "one build charged" 1 (counter r "driver.builds_charged");
@@ -197,7 +251,7 @@ let test_negative_cache_serves_deterministic_build_failure () =
 (* Transient build failures must NOT be negative-cached: they strike
    toward quarantine instead, and quarantine then takes precedence over
    the cache pre-check. *)
-let test_transient_build_failures_quarantine_not_negative_cache () =
+let test_transient_build_failures_quarantine_not_negative_cache run () =
   let config = [| Param.Vint 1; Param.Vbool false; Param.Vint 0 |] in
   let target =
     Target.make ~name:"flaky" ~space:(staged_space ()) ~metric:Metric.throughput
@@ -209,10 +263,7 @@ let test_transient_build_failures_quarantine_not_negative_cache () =
   let resilience =
     { Resilience.none with Resilience.retries = 1; quarantine_after = 2 }
   in
-  let r =
-    Driver.run_sequential ~seed:1 ~resilience ~target ~algorithm:(constant_algo config)
-      ~budget:(Driver.Iterations 6) ()
-  in
+  let r = run ~resilience ~target ~algorithm:(constant_algo config) ~budget:(Driver.Iterations 6) in
   Alcotest.(check int) "no negative hits for transient failures" 0
     (counter r "driver.image_cache.negative_hits");
   Alcotest.(check int) "quarantined after two exhausted episodes" 1
@@ -334,7 +385,9 @@ let () =
     [ ( "stage-key",
         [ Alcotest.test_case "runtime params excluded" `Quick test_stage_key_ignores_runtime;
           Alcotest.test_case "project_stages" `Quick test_project_stages;
-          QCheck_alcotest.to_alcotest prop_stage_key_iff_runtime_only ] );
+          QCheck_alcotest.to_alcotest prop_stage_key_iff_runtime_only;
+          QCheck_alcotest.to_alcotest prop_stage_key_matches_oracle;
+          Alcotest.test_case "edge spaces" `Quick test_stage_key_edge_spaces ] );
       ( "lru",
         [ Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "peek does not promote" `Quick test_peek_does_not_promote;
@@ -344,9 +397,13 @@ let () =
           Alcotest.test_case "of_alist validation" `Quick test_of_alist_validation ] );
       ( "negative-cache",
         [ Alcotest.test_case "deterministic build failures served from cache" `Quick
-            test_negative_cache_serves_deterministic_build_failure;
+            (test_negative_cache_serves_deterministic_build_failure sequential_run);
           Alcotest.test_case "transient build failures quarantine instead" `Quick
-            test_transient_build_failures_quarantine_not_negative_cache ] );
+            (test_transient_build_failures_quarantine_not_negative_cache sequential_run);
+          Alcotest.test_case "engine: deterministic build failures served from cache" `Quick
+            (test_negative_cache_serves_deterministic_build_failure engine_run);
+          Alcotest.test_case "engine: transient build failures quarantine instead" `Quick
+            (test_transient_build_failures_quarantine_not_negative_cache engine_run) ] );
       ( "cross-slot",
         [ Alcotest.test_case "any slot's image serves every slot" `Quick test_cross_slot_hits ] );
       ( "checkpoint",

@@ -506,28 +506,6 @@ let bayes_redis_trajectory ~seed ~n ~workers algorithm =
            (match e.History.value with Some v -> Param.float_field v | None -> "-"))
        (History.entries r.Driver.history))
 
-(* Every value is written as %h, so equal lines mean equal bits.  On a
-   mismatch the produced lines are written to [<file>.actual] in the
-   test's cwd. *)
-let check_golden file lines =
-  let golden =
-    In_channel.with_open_text (Filename.concat "golden" file) In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (( <> ) "")
-  in
-  if golden <> lines then begin
-    Out_channel.with_open_text (file ^ ".actual") (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
-    let rec first i = function
-      | g :: gs, l :: ls -> if g = l then first (i + 1) (gs, ls) else i
-      | _ -> i
-    in
-    Alcotest.failf "%s: %d golden vs %d produced lines, first difference at line %d (see %s.actual)"
-      file (List.length golden) (List.length lines)
-      (first 1 (golden, lines))
-      file
-  end
-
 (* The searcher's trajectory on sim-linux redis (n=40, seed 11) at one
    worker and at four, where picks come from constant-liar batches, as
    recorded before the candidate pool was scored in one batch. *)
@@ -535,7 +513,7 @@ let test_bayes_golden_trajectory () =
   let trajectory workers =
     bayes_redis_trajectory ~seed:11 ~n:40 ~workers (Bayes_search.create ())
   in
-  check_golden "bayes_redis_seed11.txt" (trajectory 1 @ trajectory 4)
+  Golden_file.check "bayes_redis_seed11.txt" (trajectory 1 @ trajectory 4)
 
 (* Runs past [max_points] (n=60, seed 5, pool 64), so the training window
    slides; at three and four workers the first fill comes from one
@@ -545,7 +523,7 @@ let test_bayes_window_trajectory () =
   let trajectory ~max_points workers =
     bayes_redis_trajectory ~seed:5 ~n:60 ~workers (Bayes_search.create ~max_points ~pool:64 ())
   in
-  check_golden "bayes_window_seed5.txt"
+  Golden_file.check "bayes_window_seed5.txt"
     (trajectory ~max_points:16 1 @ trajectory ~max_points:16 4 @ trajectory ~max_points:23 3)
 
 (* The searcher driven directly through constant-liar batches of one to
@@ -582,7 +560,7 @@ let test_bayes_liar_trajectory () =
           (match value with Some v -> Param.float_field v | None -> "-"))
       (propose_batch ctx ~k)
   in
-  check_golden "bayes_liar_seed5.txt"
+  Golden_file.check "bayes_liar_seed5.txt"
     (List.concat_map batch [ 3; 1; 4; 2; 5; 3; 5; 1; 4; 5; 2; 5; 3; 4; 5 ])
 
 (* ------------------------------------------------------------------ *)

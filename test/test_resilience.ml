@@ -325,7 +325,15 @@ let test_agreeing_measurement_keeps_first_sample () =
   Alcotest.(check (float 1e-9)) "no rejection" 0.
     (Obs.Metrics.counter r.Driver.metrics "driver.outlier_rejections")
 
-let test_quarantine_after_exhausted_retries () =
+(* Both engines keep the quarantine: the workers engine at one worker
+   and the sequential loop. *)
+let engine_run ~resilience ~target ~algorithm ~budget =
+  Driver.run ~seed:1 ~resilience ~target ~algorithm ~budget ()
+
+let sequential_run ~resilience ~target ~algorithm ~budget =
+  Driver.run_sequential ~seed:1 ~resilience ~target ~algorithm ~budget ()
+
+let test_quarantine_after_exhausted_retries run () =
   let target = scripted (fun _ -> Error Failure.Spurious_failure) in
   let policy =
     { Resilience.none with
@@ -334,8 +342,8 @@ let test_quarantine_after_exhausted_retries () =
       quarantine_after = 1 }
   in
   let r =
-    Driver.run ~seed:1 ~resilience:policy ~target ~algorithm:(constant_proposal_algo ())
-      ~budget:(Driver.Iterations 3) ()
+    run ~resilience:policy ~target ~algorithm:(constant_proposal_algo ())
+      ~budget:(Driver.Iterations 3)
   in
   let es = History.entries r.Driver.history in
   Alcotest.(check bool) "first episode fails normally" true
@@ -351,7 +359,7 @@ let test_quarantine_after_exhausted_retries () =
   Alcotest.(check (float 1e-9)) "skipped proposals counted" 2.
     (Obs.Metrics.counter r.Driver.metrics "driver.quarantined_proposals")
 
-let test_quarantine_distinguishes_deep_configs () =
+let test_quarantine_distinguishes_deep_configs run () =
   (* Regression: quarantine keys used to be [Hashtbl.hash] of the config
      list, which ignores parameters past the ~10th — so a quarantined
      config dragged every config sharing its 10-parameter prefix into
@@ -384,10 +392,7 @@ let test_quarantine_distinguishes_deep_configs () =
       ()
   in
   let policy = { Resilience.none with Resilience.quarantine_after = 1 } in
-  let r =
-    Driver.run ~seed:1 ~resilience:policy ~target ~algorithm:algo
-      ~budget:(Driver.Iterations 4) ()
-  in
+  let r = run ~resilience:policy ~target ~algorithm:algo ~budget:(Driver.Iterations 4) in
   let es = History.entries r.Driver.history in
   Alcotest.(check bool) "A fails and strikes out" true
     (es.(0).History.failure = Some Failure.Spurious_failure);
@@ -399,6 +404,75 @@ let test_quarantine_distinguishes_deep_configs () =
     es.(3).History.value;
   Alcotest.(check (float 1e-9)) "exactly one config quarantined" 1.
     (Obs.Metrics.counter r.Driver.metrics "driver.quarantines")
+
+(* At four workers with a checkpoint: the journal's strike and
+   quarantined lines hold [Param.config_key]s, and the final state
+   counts one strike per exhausted episode. *)
+let test_quarantine_journal_keys_at_four_workers () =
+  let space =
+    Space.create
+      (List.init 12 (fun i -> Param.int_param (Printf.sprintf "p%d" i) ~lo:(-9) ~hi:9 ~default:0))
+  in
+  (* Failing configurations differ from each other only in the last
+     parameter. *)
+  let bad k = Array.init 12 (fun i -> Param.Vint (if i = 11 then -k else i mod 3)) in
+  let target =
+    Target.make ~name:"deep" ~space ~metric:Metric.throughput (fun ~trial config ->
+        ignore trial;
+        match config.(11) with
+        | Param.Vint x when x < 0 ->
+          { Target.value = Error Failure.Spurious_failure;
+            build_s = 1.; boot_s = 1.; run_s = 1.; objectives = [||] }
+        | _ -> { Target.value = Ok 50.; build_s = 1.; boot_s = 1.; run_s = 1.; objectives = [||] })
+  in
+  let proposals = [| bad 1; Array.make 12 (Param.Vint 5); bad 2; bad 3 |] in
+  let k = ref (-1) in
+  let algo =
+    Search_algorithm.make ~name:"cycle"
+      ~propose:(fun _ ->
+        incr k;
+        Array.copy proposals.(!k mod Array.length proposals))
+      ()
+  in
+  let path = Filename.temp_file "wayfinder" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let r =
+        Driver.run ~seed:1 ~workers:4 ~obs:(frozen_obs ())
+          ~resilience:{ Resilience.none with Resilience.quarantine_after = 2 }
+          ~checkpoint_path:path ~checkpoint_every:3 ~target ~algorithm:algo
+          ~budget:(Driver.Iterations 24) ()
+      in
+      let strikes = Hashtbl.create 4 in
+      Array.iter
+        (fun (e : History.entry) ->
+          if e.History.failure = Some Failure.Spurious_failure then begin
+            let key = Param.config_key e.History.config in
+            Hashtbl.replace strikes key (1 + Option.value ~default:0 (Hashtbl.find_opt strikes key))
+          end)
+        (History.entries r.Driver.history);
+      let expected_strikes = List.sort compare (List.of_seq (Hashtbl.to_seq strikes)) in
+      let bad_keys = List.map (fun k -> Param.config_key (bad k)) [ 1; 2; 3 ] in
+      let journal_keys tag =
+        In_channel.with_open_text path In_channel.input_lines
+        |> List.filter_map (fun l ->
+               match String.split_on_char ' ' l with
+               | t :: key :: _ when t = tag -> Some key
+               | _ -> None)
+      in
+      let all_bad keys = keys <> [] && List.for_all (fun k -> List.mem k bad_keys) keys in
+      Alcotest.(check bool) "strike lines hold config keys" true (all_bad (journal_keys "strike"));
+      Alcotest.(check bool) "quarantined lines hold config keys" true
+        (all_bad (journal_keys "quarantined"));
+      match Checkpoint.load ~path with
+      | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+      | Ok ck ->
+        Alcotest.(check (list (pair string int))) "one strike per exhausted episode"
+          expected_strikes ck.Checkpoint.strikes;
+        Alcotest.(check (list string)) "twice-struck keys quarantined"
+          (List.filter_map (fun (key, n) -> if n >= 2 then Some key else None) expected_strikes)
+          ck.Checkpoint.quarantined)
 
 let test_resilient_policy_is_noop_without_faults () =
   (* On a fault-free target the resilient policy must not change what the
@@ -954,9 +1028,15 @@ let () =
           Alcotest.test_case "agreeing measurement keeps first sample" `Quick
             test_agreeing_measurement_keeps_first_sample;
           Alcotest.test_case "quarantine distinguishes deep configs" `Quick
-            test_quarantine_distinguishes_deep_configs;
+            (test_quarantine_distinguishes_deep_configs engine_run);
           Alcotest.test_case "quarantine after exhausted retries" `Quick
-            test_quarantine_after_exhausted_retries;
+            (test_quarantine_after_exhausted_retries engine_run);
+          Alcotest.test_case "sequential: quarantine distinguishes deep configs" `Quick
+            (test_quarantine_distinguishes_deep_configs sequential_run);
+          Alcotest.test_case "sequential: quarantine after exhausted retries" `Quick
+            (test_quarantine_after_exhausted_retries sequential_run);
+          Alcotest.test_case "quarantine journal keys at four workers" `Quick
+            test_quarantine_journal_keys_at_four_workers;
           Alcotest.test_case "resilient policy noop without faults" `Quick
             test_resilient_policy_is_noop_without_faults;
           QCheck_alcotest.to_alcotest prop_phase_sums_hold_under_faults ] );

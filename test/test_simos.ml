@@ -126,7 +126,14 @@ let test_shapes_hash_stable () =
   Alcotest.(check bool) "non-negative" true (Shapes.hash_string "whatever" >= 0)
 
 let prop_hash_combine_matches_string_formula =
-  let edge = [ 0; 1; -1; min_int; max_int ] in
+  (* Zero, the extremes and both sides of every digit-group boundary. *)
+  let edge =
+    let bounds =
+      [ 1; 999_999; 1_000_000; 999_999_999_999; 1_000_000_000_000;
+        999_999_999_999_999_999; 1_000_000_000_000_000_000 ]
+    in
+    [ 0; min_int; min_int + 1; max_int ] @ bounds @ List.map ( ~- ) bounds
+  in
   QCheck2.Test.make ~name:"hash_combine equals the hash of the joined decimal text" ~count:500
     QCheck2.Gen.(
       pair
@@ -591,6 +598,98 @@ let prop_riscv_memory_positive =
       | Ok v -> v > 100. && v < 300.
       | Error _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Golden outcomes                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module P = Wayfinder_platform
+
+(* Forty seeded configurations of a space: the defaults, whole-space
+   edges (every integer at its top, one below it, 95% up its range and
+   at its bottom; every boolean flipped), three single parameters pushed
+   to their last value (the top slivers are where the hidden crash
+   regions sit), sixteen uniform draws and fifteen near-default ones. *)
+let golden_configs space =
+  let rng = Rng.create 2323 in
+  let d = Space.defaults space in
+  let ints f =
+    Array.mapi
+      (fun i v ->
+        match ((Space.param space i).Param.kind, v) with
+        | Param.Kint { lo; hi; _ }, Param.Vint _ -> Param.Vint (f lo hi)
+        | _ -> v)
+      d
+  in
+  let last i =
+    match (Space.param space i).Param.kind with
+    | Param.Kbool -> Param.Vbool true
+    | Param.Ktristate -> Param.Vtristate 2
+    | Param.Kint { hi; _ } -> Param.Vint hi
+    | Param.Kcategorical labels -> Param.Vcat (Array.length labels - 1)
+  in
+  let single () =
+    let c = Array.copy d in
+    let i = Rng.int rng (Space.size space) in
+    c.(i) <- last i;
+    c
+  in
+  (* Drawn in this order: the operands of [@] would be evaluated right
+     to left. *)
+  let singles = List.init 3 (fun _ -> single ()) in
+  let uniform = List.init 16 (fun _ -> Space.random space rng) in
+  let near_default =
+    List.init 15 (fun _ -> Space.sample_biased space rng ~vary_probability:(fun _ -> 0.05))
+  in
+  [ d;
+    ints (fun _ hi -> hi);
+    ints (fun lo hi -> max lo (hi - 1));
+    ints (fun lo hi -> lo + ((hi - lo) / 20 * 19));
+    ints (fun lo _ -> lo);
+    Array.map (function Param.Vbool b -> Param.Vbool (not b) | v -> v) d ]
+  @ singles @ uniform @ near_default
+
+(* One line per (configuration, trial): "<target> c<k> t<trial> <value
+   as %h, or the failure> <build_s> <boot_s> <run_s> <objectives...>". *)
+let outcome_lines name ?(before = ignore) (target : P.Target.t) =
+  List.concat
+    (List.mapi
+       (fun k config ->
+         before ();
+         List.map
+           (fun trial ->
+             let r = target.P.Target.evaluate ~trial config in
+             String.concat " "
+               ([ name; Printf.sprintf "c%d" k; Printf.sprintf "t%d" trial;
+                  (match r.P.Target.value with
+                  | Ok v -> Param.float_field v
+                  | Error f -> P.Failure.to_string f);
+                  Param.float_field r.P.Target.build_s;
+                  Param.float_field r.P.Target.boot_s;
+                  Param.float_field r.P.Target.run_s ]
+               @ Array.to_list (Array.map Param.float_field r.P.Target.objectives)))
+           [ 0; 1; 3 ])
+       (golden_configs target.P.Target.space))
+
+(* Every simulator's outcomes, as recorded while [Shapes.hash_combine]
+   still formatted its integers: the config hash seeds every crash and
+   noise draw, so any change to its values moves these lines. *)
+let test_golden_outcomes () =
+  let flash_crowd =
+    let scenario =
+      P.Scenario.create ~stride:1
+        (Trace.flash_crowd ~window_s:1.0 ~windows:60 ~base:500. ~peak:1400. ~at:30 ~width:10)
+    in
+    let objectives = Result.get_ok (P.Objective.spec_of_names [ "throughput"; "p99"; "memory" ]) in
+    ( P.Targets.of_sim_linux_trace sim ~app:App.Nginx ~scenario ~objectives (),
+      fun () -> P.Scenario.advance scenario )
+  in
+  Golden_file.check "simos_outcomes.txt"
+    (outcome_lines "linux-nginx" (P.Targets.of_sim_linux sim ~app:App.Nginx)
+    @ outcome_lines "linux-redis" (P.Targets.of_sim_linux sim ~app:App.Redis)
+    @ outcome_lines "flash-crowd" ~before:(snd flash_crowd) (fst flash_crowd)
+    @ outcome_lines "unikraft" (P.Targets.of_sim_unikraft uk)
+    @ outcome_lines "riscv" (P.Targets.of_sim_riscv rv))
+
 let () =
   Alcotest.run "simos"
     [ ( "infra",
@@ -605,6 +704,7 @@ let () =
           Alcotest.test_case "penalties" `Quick test_shapes_penalties;
           Alcotest.test_case "hash stability" `Quick test_shapes_hash_stable;
           QCheck_alcotest.to_alcotest prop_hash_combine_matches_string_formula ] );
+      ("golden", [ Alcotest.test_case "simulated outcomes" `Quick test_golden_outcomes ]);
       ( "sim_linux",
         [ Alcotest.test_case "space inventory" `Quick test_linux_space_inventory;
           Alcotest.test_case "default never crashes" `Quick test_linux_default_never_crashes;
