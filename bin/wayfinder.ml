@@ -40,29 +40,6 @@ let target_for ~os ~app =
       (Printf.sprintf "unknown OS %S (sim-linux, sim-linux-memory, sim-unikraft, sim-riscv)"
          other)
 
-(* Apply a job file's pins (and optional parameter whitelist) to the
-   simulator's space: listed parameters stay explorable, everything else is
-   pinned to its default. *)
-let restrict_space sim_space (job : CS.Jobfile.t) =
-  let job_space = job.CS.Jobfile.space in
-  let pins = ref [] in
-  Array.iteri
-    (fun i p ->
-      let name = p.CS.Param.name in
-      if CS.Space.mem sim_space name then begin
-        match CS.Space.fixed_value job_space i with
-        | Some v -> pins := (name, v) :: !pins
-        | None -> ()
-      end)
-    (CS.Space.params job_space);
-  (* Whitelist: pin simulator parameters absent from the job file. *)
-  Array.iter
-    (fun p ->
-      let name = p.CS.Param.name in
-      if not (CS.Space.mem job_space name) then pins := (name, p.CS.Param.default) :: !pins)
-    (CS.Space.params sim_space);
-  CS.Space.fix sim_space !pins
-
 let algorithm_for name ~favor ~seed =
   match name with
   | "random" -> Ok (`Plain (P.Random_search.create ?favor ()))
@@ -337,14 +314,17 @@ let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s 
                    ~objectives:spec ?scalarize ())
             with Invalid_argument m -> Error m))
     in
+    let target_result =
+      match (target_result, job) with
+      | Ok target, Some j ->
+        Result.map
+          (fun space -> { target with P.Target.space })
+          (CS.Jobfile.restrict j target.P.Target.space)
+      | result, _ -> result
+    in
     match target_result with
     | Error e -> Error e
     | Ok target -> (
-      let target =
-        match job with
-        | Some j -> { target with P.Target.space = restrict_space target.P.Target.space j }
-        | None -> target
-      in
       (* Transient-fault injection: deterministic in (seed, trial), so a
          resumed run replays the exact same fault schedule. *)
       let target =
@@ -1346,14 +1326,15 @@ let run_cmd =
       & info [ "workers" ] ~docv:"N"
           ~doc:"Keep $(docv) virtual evaluation slots busy: build/boot/benchmark pipelines of \
                 several configurations overlap on the discrete-event virtual clock. $(docv)=1 \
-                is byte-for-byte the sequential driver.")
+                evaluates one configuration at a time.")
   in
   let batch =
     Arg.(
       value & opt (some int) None
       & info [ "batch" ] ~docv:"K"
           ~doc:"Ask the algorithm for up to $(docv) configurations at once (native \
-                $(i,propose_batch) when available). Defaults to $(b,--workers).")
+                $(i,propose_batch) when available). Only the first fill, before any outcome, \
+                asks for more than one. Defaults to $(b,--workers).")
   in
   let image_cache =
     Arg.(

@@ -261,3 +261,40 @@ let to_yaml t =
         [ ("params", Y.List params) ] ]
   in
   Y.Map (base @ opt)
+
+(* Simulator parameter [i] under the job, and its pin if it has one.  An
+   explorable int takes the job's range and default, keeping the
+   simulator's stage and log scale; a parameter the job does not list is
+   pinned to its default. *)
+let under job sim i (p : Param.t) =
+  match Space.index_of job.space p.Param.name with
+  | exception Not_found -> Ok (p, Some p.Param.default)
+  | j -> (
+    let q = Space.param job.space j in
+    match (Space.fixed_value job.space j, p.Param.kind, q.Param.kind) with
+    | Some v, _, _ -> Ok (p, Some v)
+    | None, Param.Kint { lo; hi; log_scale }, Param.Kint { lo = job_lo; hi = job_hi; _ } ->
+      if job_lo < lo || job_hi > hi then
+        Error
+          (Printf.sprintf "job parameter %s: range [%d, %d] is not inside the simulator's [%d, %d]"
+             p.Param.name job_lo job_hi lo hi)
+      else
+        Ok
+          ( Param.make ?description:p.Param.description ~name:p.Param.name ~stage:p.Param.stage
+              ~kind:(Param.Kint { lo = job_lo; hi = job_hi; log_scale })
+              ~default:q.Param.default (),
+            Space.fixed_value sim i )
+    | None, _, _ -> Ok (p, Space.fixed_value sim i))
+
+let restrict job sim =
+  let params = Array.mapi (under job sim) (Space.params sim) in
+  match Array.find_map (function Error e -> Some e | Ok _ -> None) params with
+  | Some e -> Error e
+  | None -> (
+    let params = Array.to_list (Array.map Result.get_ok params) in
+    let pins =
+      List.filter_map (fun ((p : Param.t), pin) -> Option.map (fun v -> (p.Param.name, v)) pin) params
+    in
+    match Space.fix (Space.create (List.map fst params)) pins with
+    | space -> Ok space
+    | exception Invalid_argument m -> Error m)

@@ -12,8 +12,13 @@
 
     Supports the ask/tell batch interface through constant-liar batching:
     each pick is temporarily recorded as a fake observation at the
-    incumbent best score, so within a batch the EI maximisation spreads the
-    picks apart; the lies are removed before real outcomes are observed. *)
+    incumbent best score (0 before any outcome), and the lies are removed
+    before real outcomes are observed.  A driver run asks for a batch only
+    while it fills its initial free slots, before any outcome exists, so
+    with [n_init] at least the batch size every batch pick is a random
+    warm-up draw and no lie carries a score into a fit.  Only
+    [propose_batch] called directly between observations reaches the
+    liar's refits. *)
 
 val create :
   ?favor:Wayfinder_configspace.Param.stage ->

@@ -165,17 +165,23 @@ val run :
 
     [workers] (default 1) is the number of virtual evaluation slots kept
     busy; [batch] (default [workers]) caps how many proposals are asked
-    for per fill — when the algorithm has a native [propose_batch] and
+    for per fill.  When the algorithm has a native [propose_batch] and
     more than one slot is free, a single ask returns up to [batch]
-    configurations, otherwise proposals fall back to sequential
-    [propose] calls.  Entries are recorded in {e completion} order;
+    configurations; otherwise proposals are single [propose] calls.
+    Slots free one at a time once the first outcome is in, so a run asks
+    [propose_batch] only while it fills the initial free slots, before
+    any outcome exists; every later ask is a single [propose].  Entries
+    are recorded in {e completion} order;
     [History.entry.index] is the proposal sequence number, so with
     [workers > 1] history indices need not be monotone.  An
     {!Iterations} budget counts proposals (all of which complete); the
     invalid cap and a [Virtual_seconds] budget stop new launches, and
     tasks already in flight drain to completion and are recorded.  With
-    [workers = 1] the engine is byte-for-byte equivalent to
-    {!run_sequential}.  With [workers > 1] the recorder additionally
+    [workers = 1] the slot runs one proposal, one evaluation and one
+    observe per step.  The driver goldens ([test/golden/driver_*.txt])
+    pin the entries, metrics and clock at one worker and at four, across
+    every searcher, fault axis and target family the conformance suite
+    drives.  With [workers > 1] the recorder additionally
     carries a [driver.batch.size] histogram (proposals obtained per
     ask), a [driver.worker.busy] histogram (busy slots at each
     completion) and per-slot [driver.worker] spans.
@@ -231,35 +237,6 @@ val run :
     {!Resilience.validate}, [resume_from] does not fit the run (see
     {!validate}), or a resume replay diverges from the checkpoint.
     @raise Durable.Io_error if a checkpoint save fails. *)
-
-val run_sequential :
-  ?seed:int ->
-  ?clock:Vclock.t ->
-  ?on_iteration:(History.entry -> unit) ->
-  ?on_record:(History.entry -> Search_algorithm.belief option -> unit) ->
-  ?obs:Obs.Recorder.t ->
-  ?invalid_floor_s:float ->
-  ?max_consecutive_invalid:int ->
-  ?resilience:Resilience.policy ->
-  ?checkpoint_path:string ->
-  ?checkpoint_every:int ->
-  ?checkpoint_keep:int ->
-  ?resume_from:Checkpoint.t ->
-  ?image_cache:Image_cache.config ->
-  ?scenario:Scenario.t ->
-  target:Target.t ->
-  algorithm:Search_algorithm.t ->
-  budget:budget ->
-  unit ->
-  result
-(** The legacy strictly-sequential loop — one proposal, one synchronous
-    evaluation, one observe per step — kept as the executable
-    specification of the engine's [workers = 1] semantics: the
-    conformance suite asserts [run ~workers:1] produces a byte-identical
-    history, metrics snapshot and virtual trajectory.  [image_cache]
-    defaults to capacity 1 (the historical "last built image" baseline).
-    Only resumes checkpoints written with [workers = 1] and no in-flight
-    tasks. *)
 
 val phase_virtual_seconds : result -> (string * float) list
 (** Virtual seconds charged per phase, in {!virtual_phases} order. *)

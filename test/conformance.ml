@@ -2,10 +2,9 @@
 
    Every search algorithm — random, grid, Bayesian, DeepTune and the
    Unicorn causal baseline — is driven through the same battery of engine
-   invariants, in both the sequential driver and the batched multi-worker
-   engine.  The harness lives in its own module so the conformance suite,
-   the equivalence properties and the resume tests all exercise identical
-   targets and algorithm constructions. *)
+   invariants, at one worker and at several.  The harness lives in its
+   own module so the conformance suite, the driver goldens and the resume
+   tests all exercise identical targets and algorithm constructions. *)
 
 open Wayfinder_platform
 module S = Wayfinder_simos
@@ -57,8 +56,7 @@ let target () =
             run_s = 2. +. (0.5 *. float_of_int x); objectives = [||] }
       | _ -> { Target.value = Error (Failure.Other "bad arity"); build_s = 0.; boot_s = 0.; run_s = 0.; objectives = [||] })
 
-let faulty_target ~fault_rate ~seed =
-  let t = target () in
+let with_fault_rate ~fault_rate ~seed t =
   if fault_rate > 0. then
     Target.with_faults
       ~plan:(S.Faults.create ~rates:(S.Faults.rates_of_total fault_rate) ~seed ())
@@ -164,20 +162,20 @@ type outcome = {
   observed : (int, int) Hashtbl.t;  (* entry index -> observe calls *)
 }
 
-(* [engine]: [`Sequential] is the legacy loop ([Driver.run_sequential]);
-   [`Workers n] the batched engine.  The recorder is frozen so wall-clock
-   fields are zero and outcomes compare byte-for-byte; [sink] receives its
-   events.
+(* A [workers]-slot run of [name] on [base] (default: the conformance
+   target) under [fault_rate] transient faults.  The recorder is frozen
+   so wall-clock fields are zero and outcomes compare byte-for-byte;
+   [sink] receives its events.
 
    [domains] runs the whole thing with a domain pool of that size
    installed as the ambient default, so the numeric kernels — matmul, DTM
    training and pool scoring — parallelize.  The engine still evaluates
    every launch inline, in launch order; the unpooled runs are the
    determinism oracle the pooled ones are compared against. *)
-let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 12)
-    ?(fault_rate = 0.) ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration
-    ?on_record ?image_cache ?domains ?sink name =
-  let target = faulty_target ~fault_rate ~seed in
+let run ?(workers = 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 12)
+    ?(fault_rate = 0.) ?resilience ?(base = target ()) ?checkpoint_path ?checkpoint_every
+    ?resume_from ?on_iteration ?on_record ?image_cache ?domains ?sink name =
+  let target = with_fault_rate ~fault_rate ~seed base in
   let algo, observed = with_observe_counter (algorithm name ~seed target.Target.space) in
   let with_pool f =
     match domains with
@@ -190,15 +188,9 @@ let run ?(engine = `Workers 1) ?batch ?(seed = 7) ?(budget = Driver.Iterations 1
   in
   let result =
     with_pool (fun () ->
-        match engine with
-        | `Sequential ->
-          Driver.run_sequential ~seed ~obs:(frozen_obs ?sink ()) ?checkpoint_path
-            ?checkpoint_every ?resume_from ?image_cache ~target ?on_iteration ?on_record
-            ~algorithm:algo ~budget ()
-        | `Workers workers ->
-          Driver.run ~seed ~obs:(frozen_obs ?sink ()) ?checkpoint_path ?checkpoint_every
-            ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache ~target
-            ~algorithm:algo ~budget ())
+        Driver.run ~seed ~obs:(frozen_obs ?sink ()) ?resilience ?checkpoint_path
+          ?checkpoint_every ?resume_from ?on_iteration ?on_record ~workers ?batch ?image_cache
+          ~target ~algorithm:algo ~budget ())
   in
   { result; observed }
 
@@ -305,30 +297,19 @@ let scenario_algorithm name ~seed ~spec space =
          space)
   else algorithm name ~seed space
 
-let run_scenario ?(engine = `Workers 1) ?batch ?(seed = 7)
-    ?(budget = Driver.Iterations 12) ?(fault_rate = 0.) ?(stride = 1) ?spec ?scalarize
-    ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration ?on_record name =
+let run_scenario ?(workers = 1) ?batch ?(seed = 7)
+    ?(budget = Driver.Iterations 12) ?(fault_rate = 0.) ?resilience ?(stride = 1) ?spec
+    ?scalarize ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration ?on_record name =
   let scenario = make_scenario ~stride () in
-  let base = trace_target ?spec ?scalarize scenario in
-  let target =
-    if fault_rate > 0. then
-      Target.with_faults
-        ~plan:(S.Faults.create ~rates:(S.Faults.rates_of_total fault_rate) ~seed ())
-        base
-    else base
-  in
+  let target = with_fault_rate ~fault_rate ~seed (trace_target ?spec ?scalarize scenario) in
   let algo, observed =
     with_observe_counter
       (scenario_algorithm name ~seed ~spec:target.Target.objective_spec target.Target.space)
   in
   let result =
-    match engine with
-    | `Sequential ->
-      Driver.run_sequential ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every
-        ?resume_from ~scenario ~target ?on_iteration ?on_record ~algorithm:algo ~budget ()
-    | `Workers workers ->
-      Driver.run ~seed ~obs:(frozen_obs ()) ?checkpoint_path ?checkpoint_every ?resume_from
-        ~workers ?batch ~scenario ~target ?on_iteration ?on_record ~algorithm:algo ~budget ()
+    Driver.run ~seed ~obs:(frozen_obs ()) ?resilience ?checkpoint_path ?checkpoint_every
+      ?resume_from ~workers ?batch ~scenario ~target ?on_iteration ?on_record ~algorithm:algo
+      ~budget ()
   in
   ({ result; observed }, Scenario.cursor scenario)
 

@@ -157,7 +157,7 @@ let check_ledger_matches_live ~algo ~workers ~seed ~fault_rate =
       let outcome =
         A.Ledger.with_writer ~seed ~algo ~space ~metric:Metric.throughput path
           (fun w ->
-            Conformance.run ~engine:(`Workers workers) ~seed ~fault_rate
+            Conformance.run ~workers ~seed ~fault_rate
               ~budget:(Driver.Iterations 14)
               ~on_record:(fun entry belief ->
                 Hashtbl.replace beliefs entry.History.index belief;
@@ -214,9 +214,9 @@ let prop_recording_is_invisible =
     (fun seed ->
       List.for_all
         (fun algo ->
-          let plain = Conformance.run ~engine:(`Workers 2) ~seed algo in
+          let plain = Conformance.run ~workers:2 ~seed algo in
           let recorded =
-            Conformance.run ~engine:(`Workers 2) ~seed ~on_record:(fun _ _ -> ()) algo
+            Conformance.run ~workers:2 ~seed ~on_record:(fun _ _ -> ()) algo
           in
           compare
             (History.entries plain.Conformance.result.Driver.history)
@@ -255,7 +255,7 @@ let test_ledger_reopen () =
     (fun () ->
       let outcome =
         A.Ledger.with_writer ~seed ~algo:"random" ~space ~metric path (fun w ->
-            Conformance.run ~engine:(`Workers 1) ~seed ~budget:(Driver.Iterations 8)
+            Conformance.run ~workers:1 ~seed ~budget:(Driver.Iterations 8)
               ~on_record:(A.Ledger.record w) "random")
       in
       let entries = Array.to_list (History.entries outcome.Conformance.result.Driver.history) in

@@ -441,6 +441,62 @@ let test_jobfile_roundtrip () =
   Alcotest.(check (list (triple string string string))) "defaults agree" []
     (Space.diff job.Jobfile.space d1 d2)
 
+(* A job over a simulator space: it narrows [backlog], pins [flag] and
+   leaves [unlisted] out. *)
+let narrowing_job ~max =
+  Printf.sprintf
+    {|
+name: narrow
+os: sim
+app: app
+metric: throughput
+fixed:
+  - name: flag
+    value: "true"
+params:
+  - name: backlog
+    type: int
+    min: 128
+    max: %d
+    default: 130
+  - name: flag
+    type: bool
+    default: false
+|}
+    max
+
+let test_jobfile_restrict () =
+  let sim =
+    Space.create
+      [ Param.int_param ~stage:Param.Boot_time ~log_scale:true "backlog" ~lo:16 ~hi:65536
+          ~default:1024;
+        Param.bool_param "flag" false;
+        Param.int_param "unlisted" ~lo:0 ~hi:100 ~default:60 ]
+  in
+  (match Jobfile.restrict (Jobfile.parse (narrowing_job ~max:131)) sim with
+  | Error e -> Alcotest.failf "narrowed job refused: %s" e
+  | Ok s ->
+    let p = Space.param s (Space.index_of s "backlog") in
+    Alcotest.(check bool) "the job's range and default, the simulator's stage and log scale" true
+      (p.Param.kind = Param.Kint { lo = 128; hi = 131; log_scale = true }
+      && p.Param.stage = Param.Boot_time
+      && p.Param.default = Param.Vint 130);
+    let rng = Rng.create 3 in
+    for _ = 1 to 200 do
+      let c = Space.random s rng in
+      (match Space.get s c "backlog" with
+      | Param.Vint v when v >= 128 && v <= 131 -> ()
+      | v -> Alcotest.failf "backlog %s drawn outside [128, 131]" (Param.value_token v));
+      Alcotest.(check bool) "the job's pin holds" true (Space.get s c "flag" = Param.Vbool true);
+      Alcotest.(check bool) "an unlisted parameter stays at its default" true
+        (Space.get s c "unlisted" = Param.Vint 60)
+    done);
+  match Jobfile.restrict (Jobfile.parse (narrowing_job ~max:70000)) sim with
+  | Ok _ -> Alcotest.fail "a range past the simulator's was accepted"
+  | Error e ->
+    Alcotest.(check string) "the error names the parameter and both ranges"
+      "job parameter backlog: range [128, 70000] is not inside the simulator's [16, 65536]" e
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -647,7 +703,9 @@ let () =
         [ Alcotest.test_case "parse" `Quick test_jobfile_parse;
           Alcotest.test_case "fixed pins" `Quick test_jobfile_fixed_pins;
           Alcotest.test_case "schema errors" `Quick test_jobfile_schema_errors;
-          Alcotest.test_case "roundtrip" `Quick test_jobfile_roundtrip ] );
+          Alcotest.test_case "roundtrip" `Quick test_jobfile_roundtrip;
+          Alcotest.test_case "restrict narrows the simulator's space" `Quick
+            test_jobfile_restrict ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_configs_encode_bounded; prop_mutate_preserves_validity;

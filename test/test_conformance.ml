@@ -1,12 +1,13 @@
 (* Cross-algorithm conformance suite for the batched multi-worker engine.
 
    Every algorithm (random, grid, bayes, deeptune, unicorn) is run through
-   the same invariant battery on the sequential driver, the engine at
-   workers=1 and the engine at workers=4; qcheck properties then pin the
-   stronger guarantees: run ~workers:1 is byte-identical to the sequential
-   loop, grid evaluates the same configuration multiset at any worker
-   count, and a killed workers=4 run under faults resumes to the exact
-   uninterrupted trajectory. *)
+   the same invariant battery at workers=1 and workers=4; qcheck
+   properties then pin the stronger guarantees: a domain pool never
+   changes a run, grid evaluates the same configuration multiset at any
+   worker count, and a killed workers=4 run under faults resumes to the
+   exact uninterrupted trajectory.  The driver goldens at the end pin
+   every entry, counter, histogram and clock reading of a seeded matrix
+   of runs at one worker and at four. *)
 
 open Wayfinder_platform
 module C = Conformance
@@ -21,9 +22,9 @@ let budget_n = 12
 (* The invariant battery                                               *)
 (* ------------------------------------------------------------------ *)
 
-let battery algo engine () =
-  let a = C.run ~engine ~seed:7 ~budget:(Driver.Iterations budget_n) algo in
-  let b = C.run ~engine ~seed:7 ~budget:(Driver.Iterations budget_n) algo in
+let battery algo workers () =
+  let a = C.run ~workers ~seed:7 ~budget:(Driver.Iterations budget_n) algo in
+  let b = C.run ~workers ~seed:7 ~budget:(Driver.Iterations budget_n) algo in
   let r = a.C.result in
   (* Same seed, same run — byte-for-byte. *)
   Alcotest.(check string) "deterministic CSV"
@@ -60,20 +61,20 @@ let battery algo engine () =
       (Hashtbl.find_opt a.C.observed index)
   done
 
-let engines = [ ("sequential", `Sequential); ("workers=1", `Workers 1); ("workers=4", `Workers 4) ]
+let worker_counts = [ 1; 4 ]
 
 let battery_cases =
   List.concat_map
-    (fun (ename, engine) ->
+    (fun workers ->
       List.map
         (fun algo ->
-          Alcotest.test_case (Printf.sprintf "%s on %s" algo ename) `Quick
-            (battery algo engine))
+          Alcotest.test_case (Printf.sprintf "%s on workers=%d" algo workers) `Quick
+            (battery algo workers))
         C.names)
-    engines
+    worker_counts
 
 (* ------------------------------------------------------------------ *)
-(* workers=1 ≡ sequential (byte-for-byte)                              *)
+(* Equivalence                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let equivalent a b =
@@ -83,65 +84,26 @@ let equivalent a b =
   && a.C.result.Driver.stop_reason = b.C.result.Driver.stop_reason
   && a.C.result.Driver.iterations = b.C.result.Driver.iterations
 
-let prop_workers1_equals_sequential =
-  QCheck2.Test.make ~name:"run ~workers:1 byte-identical to the sequential driver" ~count:16
-    QCheck2.Gen.(
-      triple (int_range 0 1000)
-        (oneofl [ "random"; "grid"; "bayes"; "unicorn" ])
-        bool)
-    (fun (seed, algo, faulty) ->
-      let fault_rate = if faulty then 0.10 else 0. in
-      let budget = Driver.Iterations 10 in
-      let a = C.run ~engine:`Sequential ~seed ~budget ~fault_rate algo in
-      let b = C.run ~engine:(`Workers 1) ~seed ~budget ~fault_rate algo in
-      equivalent a b)
-
-(* DeepTune is too slow for the qcheck loop; one pinned case. *)
-let test_deeptune_workers1_equivalence () =
-  let budget = Driver.Iterations 10 in
-  let a = C.run ~engine:`Sequential ~seed:3 ~budget "deeptune" in
-  let b = C.run ~engine:(`Workers 1) ~seed:3 ~budget "deeptune" in
-  Alcotest.(check bool) "deeptune workers=1 equivalence" true (equivalent a b)
-
 let prop_grid_multiset_any_workers =
   QCheck2.Test.make ~name:"grid evaluates the same multiset at any worker count" ~count:10
     QCheck2.Gen.(pair (int_range 0 500) (int_range 2 8))
     (fun (seed, workers) ->
       let budget = Driver.Iterations budget_n in
-      let a = C.run ~engine:(`Workers 1) ~seed ~budget "grid" in
-      let b = C.run ~engine:(`Workers workers) ~seed ~budget "grid" in
+      let a = C.run ~workers:1 ~seed ~budget "grid" in
+      let b = C.run ~workers ~seed ~budget "grid" in
       C.config_multiset a.C.result = C.config_multiset b.C.result)
-
-(* The tentpole safety net: an explicit capacity-1 shared cache at
-   workers=1 must be byte-for-byte the sequential oracle — the cache
-   degenerates to the historical single "last built image" baseline. *)
-let prop_cache_capacity1_workers1_equals_sequential =
-  QCheck2.Test.make
-    ~name:"image-cache capacity 1 + workers=1 byte-identical to the sequential driver"
-    ~count:12
-    QCheck2.Gen.(
-      triple (int_range 0 1000)
-        (oneofl [ "random"; "grid"; "bayes"; "unicorn" ])
-        bool)
-    (fun (seed, algo, faulty) ->
-      let fault_rate = if faulty then 0.10 else 0. in
-      let budget = Driver.Iterations 10 in
-      let image_cache = Image_cache.capacity 1 in
-      let a = C.run ~engine:`Sequential ~seed ~budget ~fault_rate ~image_cache algo in
-      let b = C.run ~engine:(`Workers 1) ~seed ~budget ~fault_rate ~image_cache algo in
-      equivalent a b)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-pool conformance: --domains N is byte-identical              *)
 (* ------------------------------------------------------------------ *)
 
 (* The multicore acceptance gate: a run with an ambient pool for the
-   numeric kernels must be byte-for-byte the sequential oracle, for every
+   numeric kernels must be byte-for-byte the unpooled run, for every
    algorithm, at any domain count.  Domains only buy wall-clock time,
    never a different answer. *)
-let prop_domains_equal_sequential =
+let prop_domains_equal_unpooled =
   QCheck2.Test.make
-    ~name:"pooled engine (domains in {1,4}) byte-identical to the sequential driver"
+    ~name:"pooled engine (domains in {1,4}) byte-identical to the unpooled engine"
     ~count:12
     QCheck2.Gen.(
       quad (int_range 0 1000)
@@ -150,8 +112,8 @@ let prop_domains_equal_sequential =
     (fun (seed, algo, faulty, domains) ->
       let fault_rate = if faulty then 0.10 else 0. in
       let budget = Driver.Iterations 10 in
-      let a = C.run ~engine:`Sequential ~seed ~budget ~fault_rate algo in
-      let b = C.run ~engine:(`Workers 1) ~seed ~budget ~fault_rate ~domains algo in
+      let a = C.run ~seed ~budget ~fault_rate algo in
+      let b = C.run ~seed ~budget ~fault_rate ~domains algo in
       equivalent a b)
 
 (* The ambient pool must be invisible on the batched engine too: workers=4
@@ -164,20 +126,20 @@ let prop_domains_invisible_on_workers4 =
     (fun (seed, algo, faulty) ->
       let fault_rate = if faulty then 0.10 else 0. in
       let budget = Driver.Iterations 12 in
-      let a = C.run ~engine:(`Workers 4) ~seed ~budget ~fault_rate algo in
-      let b = C.run ~engine:(`Workers 4) ~seed ~budget ~fault_rate ~domains:4 algo in
+      let a = C.run ~workers:4 ~seed ~budget ~fault_rate algo in
+      let b = C.run ~workers:4 ~seed ~budget ~fault_rate ~domains:4 algo in
       equivalent a b)
 
 (* DeepTune is where the ambient pool does real work — matmul in training
    and the batched pool scoring — so this pins the pooled kernels against
-   the sequential oracle on both engines. *)
+   the unpooled run at one worker and at four. *)
 let test_deeptune_domains_equivalence () =
   let budget = Driver.Iterations 10 in
-  let a = C.run ~engine:`Sequential ~seed:3 ~budget "deeptune" in
-  let b = C.run ~engine:(`Workers 1) ~seed:3 ~budget ~domains:4 "deeptune" in
+  let a = C.run ~seed:3 ~budget "deeptune" in
+  let b = C.run ~seed:3 ~budget ~domains:4 "deeptune" in
   Alcotest.(check bool) "deeptune domains=4 equivalence" true (equivalent a b);
-  let c = C.run ~engine:(`Workers 4) ~seed:3 ~budget "deeptune" in
-  let d = C.run ~engine:(`Workers 4) ~seed:3 ~budget ~domains:4 "deeptune" in
+  let c = C.run ~workers:4 ~seed:3 ~budget "deeptune" in
+  let d = C.run ~workers:4 ~seed:3 ~budget ~domains:4 "deeptune" in
   Alcotest.(check bool) "deeptune workers=4 domains=4 equivalence" true (equivalent c d)
 
 (* The engine evaluates every launch inline, in launch order, whatever the
@@ -193,7 +155,7 @@ let prop_domains_trace_identical =
       let events ?domains () =
         let store = Obs.Sink.Memory.create ~capacity:100_000 () in
         ignore
-          (C.run ~engine:(`Workers 4) ~seed ~budget:(Driver.Iterations 12) ~fault_rate ?domains
+          (C.run ~workers:4 ~seed ~budget:(Driver.Iterations 12) ~fault_rate ?domains
              ~sink:(Obs.Sink.Memory.sink store) algo);
         List.map Obs.Event.to_json (Obs.Sink.Memory.events store)
       in
@@ -209,9 +171,9 @@ let prop_grid_multiset_any_capacity =
     QCheck2.Gen.(triple (int_range 0 500) (int_range 1 8) (int_range 1 16))
     (fun (seed, workers, capacity) ->
       let budget = Driver.Iterations budget_n in
-      let a = C.run ~engine:(`Workers 1) ~seed ~budget "grid" in
+      let a = C.run ~workers:1 ~seed ~budget "grid" in
       let b =
-        C.run ~engine:(`Workers workers) ~seed ~budget
+        C.run ~workers ~seed ~budget
           ~image_cache:(Image_cache.capacity capacity) "grid"
       in
       C.config_multiset a.C.result = C.config_multiset b.C.result)
@@ -275,9 +237,9 @@ let test_old_version_rejected_typed () =
    in-flight slot state), resume, and demand the uninterrupted CSV. *)
 let kill_and_resume ~seed ~interrupt_at =
   let budget = Driver.Iterations 24 in
-  let engine = `Workers 4 in
+  let workers = 4 in
   let fault_rate = 0.10 in
-  let full = C.run ~engine ~seed ~budget ~fault_rate "random" in
+  let full = C.run ~workers ~seed ~budget ~fault_rate "random" in
   let path = Filename.temp_file "wayfinder" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -285,7 +247,7 @@ let kill_and_resume ~seed ~interrupt_at =
       let completions = ref 0 in
       (try
          ignore
-           (C.run ~engine ~seed ~budget ~fault_rate ~checkpoint_path:path ~checkpoint_every:5
+           (C.run ~workers ~seed ~budget ~fault_rate ~checkpoint_path:path ~checkpoint_every:5
               ~on_iteration:(fun _ ->
                 incr completions;
                 if !completions = interrupt_at then raise Exit)
@@ -299,7 +261,7 @@ let kill_and_resume ~seed ~interrupt_at =
         Alcotest.(check int) "primary is the newest snapshot"
           (5 * ((interrupt_at - 1) / 5))
           ck.Checkpoint.iterations;
-        let resumed = C.run ~engine ~seed ~budget ~fault_rate ~resume_from:ck "random" in
+        let resumed = C.run ~workers ~seed ~budget ~fault_rate ~resume_from:ck "random" in
         ( ck,
           History.to_csv full.C.result.Driver.history,
           History.to_csv resumed.C.result.Driver.history ))
@@ -337,10 +299,10 @@ let entry_with_index entries i =
    invariants: no archive point dominates another, every archive point is
    the bitwise vector of a successful entry, and archive/cursor/CSV are
    all deterministic. *)
-let scenario_battery algo engine () =
+let scenario_battery algo workers () =
   let budget = Driver.Iterations budget_n in
-  let a, cursor_a = C.run_scenario ~engine ~seed:7 ~budget algo in
-  let b, cursor_b = C.run_scenario ~engine ~seed:7 ~budget algo in
+  let a, cursor_a = C.run_scenario ~workers ~seed:7 ~budget algo in
+  let b, cursor_b = C.run_scenario ~workers ~seed:7 ~budget algo in
   let r = a.C.result in
   Alcotest.(check string) "deterministic CSV"
     (History.to_csv r.Driver.history)
@@ -404,47 +366,33 @@ let scenario_battery algo engine () =
 
 let scenario_battery_cases =
   List.concat_map
-    (fun (ename, engine) ->
+    (fun workers ->
       List.map
         (fun algo ->
           Alcotest.test_case
-            (Printf.sprintf "scenario: %s on %s" algo ename)
-            `Quick (scenario_battery algo engine))
+            (Printf.sprintf "scenario: %s on workers=%d" algo workers)
+            `Quick (scenario_battery algo workers))
         C.scenario_names)
-    engines
+    worker_counts
 
 (* The archive is a pure function of the set of completed points, so for
    searchers whose proposal stream is independent of observation order
    (random's per-index RNG, grid's enumeration) the front is bitwise
    identical across worker counts.  Adaptive searchers can evaluate a
-   different set at different parallelism — for them the invariant under
-   test is sequential ≡ workers=1. *)
+   different set at different parallelism; the driver goldens pin their
+   archives at each worker count. *)
 let test_scenario_archive_worker_invariance () =
   List.iter
     (fun algo ->
       let budget = Driver.Iterations budget_n in
-      let a, ca = C.run_scenario ~engine:(`Workers 1) ~seed:7 ~budget algo in
-      let b, cb = C.run_scenario ~engine:(`Workers 4) ~seed:7 ~budget algo in
+      let a, ca = C.run_scenario ~workers:1 ~seed:7 ~budget algo in
+      let b, cb = C.run_scenario ~workers:4 ~seed:7 ~budget algo in
       Alcotest.(check int) (algo ^ ": cursor identical across worker counts") ca cb;
       Alcotest.(check bool)
         (algo ^ ": archive identical across worker counts")
         true
         (archives_equal (C.archive_list a.C.result) (C.archive_list b.C.result)))
     [ "random"; "grid" ]
-
-let test_scenario_workers1_equals_sequential () =
-  List.iter
-    (fun algo ->
-      let budget = Driver.Iterations budget_n in
-      let a, ca = C.run_scenario ~engine:`Sequential ~seed:7 ~budget algo in
-      let b, cb = C.run_scenario ~engine:(`Workers 1) ~seed:7 ~budget algo in
-      Alcotest.(check int) (algo ^ ": cursor equal") ca cb;
-      Alcotest.(check bool) (algo ^ ": workers=1 equivalence") true (equivalent a b);
-      Alcotest.(check bool)
-        (algo ^ ": archive equal")
-        true
-        (archives_equal (C.archive_list a.C.result) (C.archive_list b.C.result)))
-    C.scenario_names
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate weights: (1, 0, 0) ≡ single-objective, byte-for-byte     *)
@@ -454,14 +402,14 @@ let test_scenario_workers1_equals_sequential () =
    term returned without arithmetic) lifted to whole trajectories: a
    3-objective run under Weighted_sum (1, 0, 0) must produce the same CSV
    bytes as a run whose target only measures the first objective. *)
-let degenerate_pair ~engine ~seed ~fault_rate algo =
+let degenerate_pair ~workers ~seed ~fault_rate algo =
   let budget = Driver.Iterations budget_n in
   let single, _ =
-    C.run_scenario ~engine ~seed ~budget ~fault_rate
+    C.run_scenario ~workers ~seed ~budget ~fault_rate
       ~spec:[| C.scenario_spec.(0) |] algo
   in
   let multi, _ =
-    C.run_scenario ~engine ~seed ~budget ~fault_rate
+    C.run_scenario ~workers ~seed ~budget ~fault_rate
       ~scalarize:(Scalarize.Weighted_sum [| 1.; 0.; 0. |]) algo
   in
   ( History.to_csv single.C.result.Driver.history,
@@ -474,17 +422,17 @@ let prop_degenerate_weights_single_objective =
     QCheck2.Gen.(
       quad (int_range 0 1000)
         (oneofl [ "random"; "grid" ])
-        (oneofl [ `Sequential; `Workers 1; `Workers 4 ])
+        (oneofl worker_counts)
         bool)
-    (fun (seed, algo, engine, faulty) ->
+    (fun (seed, algo, workers, faulty) ->
       let fault_rate = if faulty then 0.10 else 0. in
-      let a, b = degenerate_pair ~engine ~seed ~fault_rate algo in
+      let a, b = degenerate_pair ~workers ~seed ~fault_rate algo in
       a = b)
 
 (* DeepTune is too slow for the qcheck loop; one pinned case (frozen
    recorder, so even decide_s compares byte-for-byte). *)
 let test_deeptune_degenerate_weights () =
-  let a, b = degenerate_pair ~engine:(`Workers 1) ~seed:3 ~fault_rate:0. "deeptune" in
+  let a, b = degenerate_pair ~workers:1 ~seed:3 ~fault_rate:0. "deeptune" in
   Alcotest.(check string) "deeptune (1,0,0) trajectory" a b
 
 (* ------------------------------------------------------------------ *)
@@ -516,9 +464,10 @@ let check_exhausted r =
     |> List.map (fun (e : History.entry) -> Array.to_list e.History.config)
     |> List.sort_uniq compare |> List.length)
 
+(* One worker: one proposal at a time. *)
 let test_grid_exhaustion_sequential () =
   let r =
-    Driver.run_sequential ~seed:1 ~target:(tiny_target ()) ~algorithm:(Grid_search.create ())
+    Driver.run ~seed:1 ~target:(tiny_target ()) ~algorithm:(Grid_search.create ())
       ~budget:(Driver.Iterations 10) ()
   in
   check_exhausted r
@@ -555,17 +504,168 @@ let test_makespan_decreases_with_workers () =
     true
     (m1 > m2 && m2 > m4)
 
+(* ------------------------------------------------------------------ *)
+(* Driver goldens                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The driver's oracle: each run below, at seed 7 and n = 40, at one
+   worker and at four, written as one block of lines.  Floats are %h, so
+   equal lines mean equal bits, and the recorder is frozen, so wall-clock
+   values read 0.  A block is a header naming the cell; one [e] line per
+   entry in completion order (index, config key, value, failure, at,
+   eval, built, decide, objectives; [-] for none); every counter ([c]);
+   every histogram ([h]: count, sum, min, max, buckets); the Pareto
+   points ([p]); and an [end] line with the clock, stop reason,
+   iterations and scenario cursor. *)
+
+let hex = Param.float_field
+let or_dash f = function Some x -> f x | None -> "-"
+let hex_vec v = String.concat "," (Array.to_list (Array.map hex v))
+
+let stop_reason_name = function
+  | Driver.Budget_exhausted -> "budget"
+  | Driver.Invalid_cap -> "invalid-cap"
+  | Driver.Space_exhausted -> "space-exhausted"
+
+let block cell ?cursor (r : Driver.result) =
+  let entry (e : History.entry) =
+    Printf.sprintf "e %d %s %s %s %s %s %b %s %s" e.History.index
+      (Param.config_key e.History.config)
+      (or_dash hex e.History.value)
+      (or_dash Failure.to_string e.History.failure)
+      (hex e.History.at_seconds) (hex e.History.eval_seconds) e.History.built
+      (hex e.History.decide_seconds)
+      (or_dash hex_vec e.History.objectives)
+  in
+  let counter (name, v) = Printf.sprintf "c %s %s" name (hex v) in
+  let histogram (name, (h : Obs.Metrics.histogram)) =
+    let bucket (bound, n) = Printf.sprintf "%s:%d" (hex bound) n in
+    Printf.sprintf "h %s %d %s %s %s %s" name h.Obs.Metrics.count (hex h.Obs.Metrics.sum)
+      (hex h.Obs.Metrics.min) (hex h.Obs.Metrics.max)
+      (String.concat "," (Array.to_list (Array.map bucket h.Obs.Metrics.buckets)))
+  in
+  let point (i, v) = Printf.sprintf "p %d %s" i (hex_vec v) in
+  let metrics = r.Driver.metrics in
+  (("cell " ^ cell) :: Array.to_list (Array.map entry (C.entries r)))
+  @ List.map counter metrics.Obs.Metrics.counters
+  @ List.map histogram metrics.Obs.Metrics.histograms
+  @ List.map point (C.archive_list r)
+  @ [ Printf.sprintf "end %s %s %d %s"
+        (hex (S.Vclock.now r.Driver.clock))
+        (stop_reason_name r.Driver.stop_reason)
+        r.Driver.iterations (or_dash string_of_int cursor) ]
+
+(* The fault axes: a name, the transient fault rate and the policy. *)
+let fault_free = ("fault=0 none", 0., Resilience.none)
+let resilient = ("fault=0.1 resilient", 0.1, Resilience.default_resilient)
+
+let quarantining =
+  ( "fault=0.5 retries=0 quarantine_after=1",
+    0.5,
+    { Resilience.default_resilient with Resilience.retries = 0; quarantine_after = 1 } )
+
+(* The three target families, each with its golden file, its searchers
+   and its fault axes. *)
+type family = Conformance_target | Flash_crowd | Sim_unikraft
+
+let families =
+  [ (Conformance_target, "driver_conformance.txt", C.names, [ fault_free; resilient ]);
+    (Flash_crowd, "driver_flash_crowd.txt", C.scenario_names, [ fault_free; resilient ]);
+    (Sim_unikraft, "driver_sim_unikraft.txt", C.names, [ resilient; quarantining ]) ]
+
+let cell_name family algo (axis, _, _) workers =
+  let family =
+    match family with
+    | Conformance_target -> "conformance"
+    | Flash_crowd -> "flash-crowd"
+    | Sim_unikraft -> "sim-unikraft"
+  in
+  Printf.sprintf "%s %s workers=%d %s" family algo workers axis
+
+(* One cell's block. *)
+let run_cell ?checkpoint_path ?checkpoint_every ?resume_from ?on_iteration ~workers family algo
+    ((_, fault_rate, resilience) as axis) =
+  let budget = Driver.Iterations 40 in
+  let cell = cell_name family algo axis workers in
+  let on base =
+    let o =
+      C.run ~workers ~budget ~fault_rate ~resilience ~base ?checkpoint_path ?checkpoint_every
+        ?resume_from ?on_iteration algo
+    in
+    block cell o.C.result
+  in
+  match family with
+  | Conformance_target -> on (C.target ())
+  | Sim_unikraft -> on (Targets.of_sim_unikraft (S.Sim_unikraft.create ()))
+  | Flash_crowd ->
+    let o, cursor =
+      C.run_scenario ~workers ~budget ~fault_rate ~resilience ?checkpoint_path
+        ?checkpoint_every ?resume_from ?on_iteration algo
+    in
+    block cell ~cursor o.C.result
+
+let test_golden (family, file, algos, axes) () =
+  Golden_file.check file
+    (List.concat_map
+       (fun algo ->
+         List.concat_map
+           (fun axis ->
+             List.concat_map (fun workers -> run_cell ~workers family algo axis) worker_counts)
+           axes)
+       algos)
+
+(* A run killed after [interrupt_at] completions and resumed from its
+   last periodic checkpoint reproduces its cell's entries and end line. *)
+let test_golden_kill_and_resume ~workers ~interrupt_at family algo axis () =
+  let cell = cell_name family algo axis workers in
+  let _, file, _, _ = List.find (fun (f, _, _, _) -> f = family) families in
+  let path = Filename.temp_file "wayfinder" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let completions = ref 0 in
+      (try
+         ignore
+           (run_cell ~checkpoint_path:path ~checkpoint_every:5
+              ~on_iteration:(fun _ ->
+                incr completions;
+                if !completions = interrupt_at then raise Exit)
+              ~workers family algo axis)
+       with Exit -> ());
+      match Checkpoint.load ~path with
+      | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
+      | Ok ck ->
+        Alcotest.(check int) "killed mid-run" (5 * ((interrupt_at - 1) / 5))
+          ck.Checkpoint.iterations;
+        Alcotest.(check bool) "tasks in flight at the kill" (workers > 1)
+          (ck.Checkpoint.inflight <> []);
+        let rec from_header = function
+          | [] -> []
+          | l :: rest -> if l = "cell " ^ cell then until_next rest else from_header rest
+        and until_next = function
+          | l :: rest when not (String.starts_with ~prefix:"cell " l) -> l :: until_next rest
+          | _ -> []
+        in
+        let resumable =
+          List.filter (fun l ->
+              String.starts_with ~prefix:"e " l || String.starts_with ~prefix:"end " l)
+        in
+        let golden =
+          In_channel.with_open_text (Filename.concat "golden" file) In_channel.input_all
+          |> String.split_on_char '\n' |> from_header
+        in
+        Alcotest.(check bool) "the cell is in the golden file" true (golden <> []);
+        Alcotest.(check (list string)) "resumed entries and end line" (resumable golden)
+          (resumable (run_cell ~resume_from:ck ~workers family algo axis)))
+
 let () =
   Alcotest.run "conformance"
     [ ("battery", battery_cases);
       ( "equivalence",
-        [ QCheck_alcotest.to_alcotest prop_workers1_equals_sequential;
-          Alcotest.test_case "deeptune workers=1" `Slow test_deeptune_workers1_equivalence;
-          QCheck_alcotest.to_alcotest prop_grid_multiset_any_workers;
-          QCheck_alcotest.to_alcotest prop_cache_capacity1_workers1_equals_sequential;
+        [ QCheck_alcotest.to_alcotest prop_grid_multiset_any_workers;
           QCheck_alcotest.to_alcotest prop_grid_multiset_any_capacity ] );
       ( "domains",
-        [ QCheck_alcotest.to_alcotest prop_domains_equal_sequential;
+        [ QCheck_alcotest.to_alcotest prop_domains_equal_unpooled;
           QCheck_alcotest.to_alcotest prop_domains_invisible_on_workers4;
           QCheck_alcotest.to_alcotest prop_domains_trace_identical;
           Alcotest.test_case "deeptune domains=4" `Slow test_deeptune_domains_equivalence ] );
@@ -579,8 +679,6 @@ let () =
       ( "scenario invariants",
         [ Alcotest.test_case "archive invariant across worker counts" `Quick
             test_scenario_archive_worker_invariance;
-          Alcotest.test_case "workers=1 equivalence under trace replay" `Quick
-            test_scenario_workers1_equals_sequential;
           QCheck_alcotest.to_alcotest prop_degenerate_weights_single_objective;
           Alcotest.test_case "deeptune degenerate weights" `Slow
             test_deeptune_degenerate_weights ] );
@@ -591,4 +689,15 @@ let () =
             test_grid_exhaustion_batched_partial ] );
       ( "speedup",
         [ Alcotest.test_case "makespan decreases with workers" `Quick
-            test_makespan_decreases_with_workers ] ) ]
+            test_makespan_decreases_with_workers ] );
+      ( "golden",
+        List.map
+          (fun ((_, file, _, _) as family) ->
+            Alcotest.test_case file `Quick (test_golden family))
+          families
+        @ [ Alcotest.test_case "kill and resume at workers 1" `Quick
+              (test_golden_kill_and_resume ~workers:1 ~interrupt_at:17 Flash_crowd "bayes"
+                 resilient);
+            Alcotest.test_case "kill and resume at workers 4" `Quick
+              (test_golden_kill_and_resume ~workers:4 ~interrupt_at:23 Sim_unikraft "deeptune"
+                 quarantining) ] ) ]

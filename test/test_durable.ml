@@ -984,7 +984,7 @@ let test_failed_background_checkpoint_fails_run () =
   let dir = Filename.temp_file "wayfinder_ckpt" "" in
   Sys.remove dir;
   let checkpoint_path = Filename.concat dir "s.ckpt" in
-  let run ?interrupt_at engine =
+  let run ?interrupt_at workers =
     Sys.mkdir dir 0o755;
     let completions = ref 0 in
     let on_iteration _ =
@@ -995,29 +995,24 @@ let test_failed_background_checkpoint_fails_run () =
     let target = toy_target () and algorithm = Random_search.create () in
     let budget = Driver.Iterations 18 in
     match
-      match engine with
-      | `Sequential ->
-        Driver.run_sequential ~seed:5 ~on_iteration ~checkpoint_path ~checkpoint_every:3 ~target
-          ~algorithm ~budget ()
-      | `Workers workers ->
-        Driver.run ~seed:5 ~workers ~on_iteration ~checkpoint_path ~checkpoint_every:3 ~target
-          ~algorithm ~budget ()
+      Driver.run ~seed:5 ~workers ~on_iteration ~checkpoint_path ~checkpoint_every:3 ~target
+        ~algorithm ~budget ()
     with
     | _ -> Alcotest.fail "the run hid the failed checkpoint"
     | exception Durable.Io_error e -> `Failed e.Durable.path
     | exception Exit -> `Killed
   in
   List.iter
-    (fun engine ->
-      (match run engine with
+    (fun workers ->
+      (match run workers with
       | `Failed path ->
         Alcotest.(check bool) "the error names the checkpoint" true
           (contains_sub path checkpoint_path)
       | `Killed -> Alcotest.fail "no kill was asked for");
-      match run ~interrupt_at:4 engine with
+      match run ~interrupt_at:4 workers with
       | `Killed -> ()
       | `Failed _ -> Alcotest.fail "the drain's failure replaced the kill")
-    [ `Sequential; `Workers 1; `Workers 4 ]
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Envelope: the line codec checkpoints and registry entries share     *)

@@ -215,31 +215,29 @@ let build_failing_target () =
 
 let counter r name = int_of_float (Obs.Metrics.counter r.Driver.metrics name)
 
-(* The sequential loop and the workers engine at one worker, which
-   share the negative cache and the quarantine. *)
-let sequential_run ~resilience ~target ~algorithm ~budget =
-  Driver.run_sequential ~seed:1 ~resilience ~target ~algorithm ~budget ()
-
-let engine_run ~resilience ~target ~algorithm ~budget =
-  Driver.run ~seed:1 ~resilience ~target ~algorithm ~budget ()
-
-let test_negative_cache_serves_deterministic_build_failure run () =
+(* Each case runs at one worker and at four.  At four, entries complete
+   out of proposal order, so the checks go by [index], the proposal
+   sequence number: the engine computes an outcome at launch, and the
+   re-proposals launched beside the doomed build are served its cached
+   failure before that build completes. *)
+let test_negative_cache_serves_deterministic_build_failure ~workers () =
   let config = [| Param.Vint 0; Param.Vbool false; Param.Vint 0 |] in
   let r =
-    run ~resilience:Resilience.default_resilient ~target:(build_failing_target ())
-      ~algorithm:(constant_algo config) ~budget:(Driver.Iterations 6)
+    Driver.run ~workers ~seed:1 ~resilience:Resilience.default_resilient
+      ~target:(build_failing_target ()) ~algorithm:(constant_algo config)
+      ~budget:(Driver.Iterations 6) ()
   in
   (* One doomed build, then five negative hits at the floor charge. *)
   Alcotest.(check int) "one build charged" 1 (counter r "driver.builds_charged");
   Alcotest.(check int) "negative hits" 5 (counter r "driver.image_cache.negative_hits");
   Alcotest.(check int) "deterministic failures never quarantine" 0
     (counter r "driver.quarantines");
-  Array.iteri
-    (fun i (e : History.entry) ->
+  Array.iter
+    (fun (e : History.entry) ->
       Alcotest.(check bool) "every entry records the cached failure" true
         (e.History.failure = Some Failure.Build_failure
         (* only the first (doomed) attempt ran the build *)
-        && e.History.built = (i = 0)))
+        && e.History.built = (e.History.index = 0)))
     (History.entries r.Driver.history);
   (* Phase-sum invariant holds with the negative-cache phase in play. *)
   let phase_total =
@@ -251,7 +249,7 @@ let test_negative_cache_serves_deterministic_build_failure run () =
 (* Transient build failures must NOT be negative-cached: they strike
    toward quarantine instead, and quarantine then takes precedence over
    the cache pre-check. *)
-let test_transient_build_failures_quarantine_not_negative_cache run () =
+let test_transient_build_failures_quarantine_not_negative_cache ~workers () =
   let config = [| Param.Vint 1; Param.Vbool false; Param.Vint 0 |] in
   let target =
     Target.make ~name:"flaky" ~space:(staged_space ()) ~metric:Metric.throughput
@@ -263,14 +261,22 @@ let test_transient_build_failures_quarantine_not_negative_cache run () =
   let resilience =
     { Resilience.none with Resilience.retries = 1; quarantine_after = 2 }
   in
-  let r = run ~resilience ~target ~algorithm:(constant_algo config) ~budget:(Driver.Iterations 6) in
+  let r =
+    Driver.run ~workers ~seed:1 ~resilience ~target ~algorithm:(constant_algo config)
+      ~budget:(Driver.Iterations 6) ()
+  in
   Alcotest.(check int) "no negative hits for transient failures" 0
     (counter r "driver.image_cache.negative_hits");
   Alcotest.(check int) "quarantined after two exhausted episodes" 1
     (counter r "driver.quarantines");
-  let entries = History.entries r.Driver.history in
+  let last =
+    Array.find_opt
+      (fun (e : History.entry) -> e.History.index = 5)
+      (History.entries r.Driver.history)
+  in
   Alcotest.(check bool) "later proposals are served the quarantine" true
-    (entries.(Array.length entries - 1).History.failure = Some Failure.Quarantined)
+    (Option.map (fun (e : History.entry) -> e.History.failure) last
+    = Some (Some Failure.Quarantined))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-slot rebuild-skip                                             *)
@@ -324,9 +330,9 @@ let prop_kill_and_resume_with_warm_cache =
     QCheck2.Gen.(pair (int_range 0 300) (int_range 6 20))
     (fun (seed, interrupt_at) ->
       let budget = Driver.Iterations 24 in
-      let engine = `Workers 4 in
+      let workers = 4 in
       let image_cache = Image_cache.capacity 8 in
-      let full = C.run ~engine ~seed ~budget ~image_cache "random" in
+      let full = C.run ~workers ~seed ~budget ~image_cache "random" in
       let path = Filename.temp_file "wayfinder_cache" ".ckpt" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -334,7 +340,7 @@ let prop_kill_and_resume_with_warm_cache =
           let completions = ref 0 in
           (try
              ignore
-               (C.run ~engine ~seed ~budget ~image_cache ~checkpoint_path:path
+               (C.run ~workers ~seed ~budget ~image_cache ~checkpoint_path:path
                   ~checkpoint_every:5
                   ~on_iteration:(fun _ ->
                     incr completions;
@@ -345,7 +351,7 @@ let prop_kill_and_resume_with_warm_cache =
           | Error _ -> false
           | Ok ck ->
             let resumed =
-              C.run ~engine ~seed ~budget ~image_cache ~resume_from:ck "random"
+              C.run ~workers ~seed ~budget ~image_cache ~resume_from:ck "random"
             in
             (* The checkpoint must persist a populated cache at the right
                capacity, and the resumed run must be byte-for-byte the
@@ -361,20 +367,20 @@ let test_resume_requires_same_capacity () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       ignore
-        (C.run ~engine:(`Workers 2) ~seed:3 ~budget:(Driver.Iterations 8)
+        (C.run ~workers:2 ~seed:3 ~budget:(Driver.Iterations 8)
            ~image_cache:(Image_cache.capacity 4) ~checkpoint_path:path "random");
       match Checkpoint.load ~path with
       | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
       | Ok ck ->
         (match
-           C.run ~engine:(`Workers 2) ~seed:3 ~budget:(Driver.Iterations 16)
+           C.run ~workers:2 ~seed:3 ~budget:(Driver.Iterations 16)
              ~image_cache:(Image_cache.capacity 2) ~resume_from:ck "random"
          with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "capacity mismatch accepted");
         (* Same capacity resumes fine and continues past the checkpoint. *)
         let resumed =
-          C.run ~engine:(`Workers 2) ~seed:3 ~budget:(Driver.Iterations 16)
+          C.run ~workers:2 ~seed:3 ~budget:(Driver.Iterations 16)
             ~image_cache:(Image_cache.capacity 4) ~resume_from:ck "random"
         in
         Alcotest.(check int) "resumed to the full budget" 16
@@ -397,13 +403,13 @@ let () =
           Alcotest.test_case "of_alist validation" `Quick test_of_alist_validation ] );
       ( "negative-cache",
         [ Alcotest.test_case "deterministic build failures served from cache" `Quick
-            (test_negative_cache_serves_deterministic_build_failure sequential_run);
+            (test_negative_cache_serves_deterministic_build_failure ~workers:1);
           Alcotest.test_case "transient build failures quarantine instead" `Quick
-            (test_transient_build_failures_quarantine_not_negative_cache sequential_run);
+            (test_transient_build_failures_quarantine_not_negative_cache ~workers:1);
           Alcotest.test_case "engine: deterministic build failures served from cache" `Quick
-            (test_negative_cache_serves_deterministic_build_failure engine_run);
+            (test_negative_cache_serves_deterministic_build_failure ~workers:4);
           Alcotest.test_case "engine: transient build failures quarantine instead" `Quick
-            (test_transient_build_failures_quarantine_not_negative_cache engine_run) ] );
+            (test_transient_build_failures_quarantine_not_negative_cache ~workers:4) ] );
       ( "cross-slot",
         [ Alcotest.test_case "any slot's image serves every slot" `Quick test_cross_slot_hits ] );
       ( "checkpoint",

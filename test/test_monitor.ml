@@ -270,7 +270,7 @@ let prefix_parity_prop =
     (fun (name, workers, seed, fault_rate) ->
       let rows, on_record = collect_rows () in
       let (_ : C.outcome) =
-        C.run ~engine:(`Workers workers) ~seed ~budget:parity_budget ~fault_rate ~on_record
+        C.run ~workers ~seed ~budget:parity_budget ~fault_rate ~on_record
           name
       in
       check_prefix_parity ~metric:P.Metric.throughput ~objectives:[||]
@@ -284,7 +284,7 @@ let test_prefix_parity_scenario () =
     (fun workers ->
       let rows, on_record = collect_rows () in
       let (_ : C.outcome * int) =
-        C.run_scenario ~engine:(`Workers workers) ~seed:13 ~budget:parity_budget
+        C.run_scenario ~workers ~seed:13 ~budget:parity_budget
           ~fault_rate:0.25 ~on_record "deeptune-multi"
       in
       check_prefix_parity
@@ -886,7 +886,7 @@ let test_profile_reconciles_with_metrics () =
     (fun workers ->
       let buf = Buffer.create 8192 in
       let obs = Obs.Recorder.create ~sinks:[ Obs.Sink.jsonl (Buffer.add_string buf) ] () in
-      let target = C.faulty_target ~fault_rate:0.3 ~seed:11 in
+      let target = C.with_fault_rate ~fault_rate:0.3 ~seed:11 (C.target ()) in
       let algo = C.algorithm "random" ~seed:11 target.P.Target.space in
       let result =
         P.Driver.run ~seed:11 ~obs ~workers ~target ~algorithm:algo
@@ -924,7 +924,7 @@ let test_profile_reconciles_with_metrics () =
 let test_profile_attributes_bayes_steps () =
   let buf = Buffer.create 65536 in
   let obs = Obs.Recorder.create ~sinks:[ Obs.Sink.jsonl (Buffer.add_string buf) ] () in
-  let target = C.faulty_target ~fault_rate:0.3 ~seed:5 in
+  let target = C.with_fault_rate ~fault_rate:0.3 ~seed:5 (C.target ()) in
   let algo = C.algorithm "bayes" ~seed:5 target.P.Target.space in
   ignore
     (P.Driver.run ~seed:5 ~obs ~workers:1 ~target ~algorithm:algo

@@ -325,15 +325,7 @@ let test_agreeing_measurement_keeps_first_sample () =
   Alcotest.(check (float 1e-9)) "no rejection" 0.
     (Obs.Metrics.counter r.Driver.metrics "driver.outlier_rejections")
 
-(* Both engines keep the quarantine: the workers engine at one worker
-   and the sequential loop. *)
-let engine_run ~resilience ~target ~algorithm ~budget =
-  Driver.run ~seed:1 ~resilience ~target ~algorithm ~budget ()
-
-let sequential_run ~resilience ~target ~algorithm ~budget =
-  Driver.run_sequential ~seed:1 ~resilience ~target ~algorithm ~budget ()
-
-let test_quarantine_after_exhausted_retries run () =
+let test_quarantine_after_exhausted_retries () =
   let target = scripted (fun _ -> Error Failure.Spurious_failure) in
   let policy =
     { Resilience.none with
@@ -342,8 +334,8 @@ let test_quarantine_after_exhausted_retries run () =
       quarantine_after = 1 }
   in
   let r =
-    run ~resilience:policy ~target ~algorithm:(constant_proposal_algo ())
-      ~budget:(Driver.Iterations 3)
+    Driver.run ~seed:1 ~resilience:policy ~target ~algorithm:(constant_proposal_algo ())
+      ~budget:(Driver.Iterations 3) ()
   in
   let es = History.entries r.Driver.history in
   Alcotest.(check bool) "first episode fails normally" true
@@ -359,7 +351,7 @@ let test_quarantine_after_exhausted_retries run () =
   Alcotest.(check (float 1e-9)) "skipped proposals counted" 2.
     (Obs.Metrics.counter r.Driver.metrics "driver.quarantined_proposals")
 
-let test_quarantine_distinguishes_deep_configs run () =
+let test_quarantine_distinguishes_deep_configs () =
   (* Regression: quarantine keys used to be [Hashtbl.hash] of the config
      list, which ignores parameters past the ~10th — so a quarantined
      config dragged every config sharing its 10-parameter prefix into
@@ -392,7 +384,9 @@ let test_quarantine_distinguishes_deep_configs run () =
       ()
   in
   let policy = { Resilience.none with Resilience.quarantine_after = 1 } in
-  let r = run ~resilience:policy ~target ~algorithm:algo ~budget:(Driver.Iterations 4) in
+  let r =
+    Driver.run ~seed:1 ~resilience:policy ~target ~algorithm:algo ~budget:(Driver.Iterations 4) ()
+  in
   let es = History.entries r.Driver.history in
   Alcotest.(check bool) "A fails and strikes out" true
     (es.(0).History.failure = Some Failure.Spurious_failure);
@@ -649,8 +643,7 @@ let test_resume_diverging_setup_rejected () =
            with Invalid_argument _ -> true))
 
 (* A budget below what the checkpoint already launched is rejected up
-   front, naming both counts: the engine used to spin forever on it and
-   the sequential loop to overrun the budget. *)
+   front, naming both counts: the engine used to spin forever on it. *)
 let test_resume_budget_below_checkpoint_rejected () =
   let mentions msg needle =
     let n = String.length needle in
@@ -682,11 +675,7 @@ let test_resume_budget_below_checkpoint_rejected () =
             in
             expect_rejected "run" (fun () ->
                 Driver.run ~seed:3 ~workers ~resume_from:ck ~target:(toy_target ())
-                  ~algorithm:(Random_search.create ()) ~budget:(Driver.Iterations 10) ());
-            if workers = 1 then
-              expect_rejected "run_sequential" (fun () ->
-                  Driver.run_sequential ~seed:3 ~resume_from:ck ~target:(toy_target ())
-                    ~algorithm:(Random_search.create ()) ~budget:(Driver.Iterations 10) ())))
+                  ~algorithm:(Random_search.create ()) ~budget:(Driver.Iterations 10) ())))
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -706,9 +695,9 @@ let archives_equal a b =
    freshly constructed (equivalent) scenario, as a real restart would. *)
 let scenario_resume_roundtrip ~seed ~interrupt_at =
   let budget = Driver.Iterations 24 in
-  let engine = `Workers 4 in
+  let workers = 4 in
   let fault_rate = 0.10 in
-  let full, full_cursor = C.run_scenario ~engine ~seed ~budget ~fault_rate "random" in
+  let full, full_cursor = C.run_scenario ~workers ~seed ~budget ~fault_rate "random" in
   let path = Filename.temp_file "wayfinder" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -716,7 +705,7 @@ let scenario_resume_roundtrip ~seed ~interrupt_at =
       let completions = ref 0 in
       (try
          ignore
-           (C.run_scenario ~engine ~seed ~budget ~fault_rate ~checkpoint_path:path
+           (C.run_scenario ~workers ~seed ~budget ~fault_rate ~checkpoint_path:path
               ~checkpoint_every:5
               ~on_iteration:(fun _ ->
                 incr completions;
@@ -732,7 +721,7 @@ let scenario_resume_roundtrip ~seed ~interrupt_at =
           (5 * ((interrupt_at - 1) / 5))
           ck.Checkpoint.iterations;
         let resumed, resumed_cursor =
-          C.run_scenario ~engine ~seed ~budget ~fault_rate ~resume_from:ck "random"
+          C.run_scenario ~workers ~seed ~budget ~fault_rate ~resume_from:ck "random"
         in
         (full, full_cursor, ck, resumed, resumed_cursor))
 
@@ -781,7 +770,7 @@ let test_scenario_checkpoint_mismatch_rejected () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       ignore
-        (C.run_scenario ~engine:(`Workers 4) ~seed:5 ~budget:(Driver.Iterations 12)
+        (C.run_scenario ~workers:4 ~seed:5 ~budget:(Driver.Iterations 12)
            ~checkpoint_path:path ~checkpoint_every:5 "random");
       match Checkpoint.load ~path with
       | Error e -> Alcotest.failf "checkpoint load: %s" (Checkpoint.error_to_string e)
@@ -789,7 +778,7 @@ let test_scenario_checkpoint_mismatch_rejected () =
         Alcotest.(check bool) "scenario checkpoint rejected without scenario" true
           (try
              ignore
-               (C.run ~engine:(`Workers 4) ~seed:5 ~budget:(Driver.Iterations 12)
+               (C.run ~workers:4 ~seed:5 ~budget:(Driver.Iterations 12)
                   ~resume_from:ck "random");
              false
            with Invalid_argument _ -> true))
@@ -873,7 +862,7 @@ let test_ledger_kill_and_resume_deeptune () =
     (fun workers ->
       let run ?checkpoint_path ?resume_from ?on_iteration ~on_record () =
         ignore
-          (C.run ~engine:(`Workers workers) ~seed:4 ~budget:(Driver.Iterations 24)
+          (C.run ~workers ~seed:4 ~budget:(Driver.Iterations 24)
              ~fault_rate:0.10 ?checkpoint_path ~checkpoint_every:5 ?resume_from ?on_iteration
              ~on_record "deeptune")
       in
@@ -890,7 +879,7 @@ let test_ledger_kill_and_resume_deeptune () =
 let test_ledger_kill_and_resume_flash_crowd () =
   let run ?checkpoint_path ?resume_from ?on_iteration ~on_record () =
     ignore
-      (C.run_scenario ~engine:(`Workers 4) ~seed:6 ~budget:(Driver.Iterations 24)
+      (C.run_scenario ~workers:4 ~seed:6 ~budget:(Driver.Iterations 24)
          ~fault_rate:0.10 ?checkpoint_path ~checkpoint_every:5 ?resume_from ?on_iteration
          ~on_record "deeptune-multi")
   in
@@ -915,13 +904,13 @@ let test_validate_refuses_like_run () =
   let plain =
     checkpoint (fun path ->
         ignore
-          (C.run ~engine:(`Workers 4) ~seed:5 ~budget:(Driver.Iterations 12)
+          (C.run ~workers:4 ~seed:5 ~budget:(Driver.Iterations 12)
              ~checkpoint_path:path "random"))
   in
   let with_scenario =
     checkpoint (fun path ->
         ignore
-          (C.run_scenario ~engine:(`Workers 4) ~seed:5 ~budget:(Driver.Iterations 12)
+          (C.run_scenario ~workers:4 ~seed:5 ~budget:(Driver.Iterations 12)
              ~checkpoint_path:path "random"))
   in
   let refused name ?clock ?invalid_floor_s ?max_consecutive_invalid ?resilience
@@ -1028,13 +1017,9 @@ let () =
           Alcotest.test_case "agreeing measurement keeps first sample" `Quick
             test_agreeing_measurement_keeps_first_sample;
           Alcotest.test_case "quarantine distinguishes deep configs" `Quick
-            (test_quarantine_distinguishes_deep_configs engine_run);
+            test_quarantine_distinguishes_deep_configs;
           Alcotest.test_case "quarantine after exhausted retries" `Quick
-            (test_quarantine_after_exhausted_retries engine_run);
-          Alcotest.test_case "sequential: quarantine distinguishes deep configs" `Quick
-            (test_quarantine_distinguishes_deep_configs sequential_run);
-          Alcotest.test_case "sequential: quarantine after exhausted retries" `Quick
-            (test_quarantine_after_exhausted_retries sequential_run);
+            test_quarantine_after_exhausted_retries;
           Alcotest.test_case "quarantine journal keys at four workers" `Quick
             test_quarantine_journal_keys_at_four_workers;
           Alcotest.test_case "resilient policy noop without faults" `Quick
