@@ -12,756 +12,91 @@
 
 module S = Wayfinder_simos
 module P = Wayfinder_platform
-module D = Wayfinder_deeptune
 module CS = Wayfinder_configspace
 module K = Wayfinder_kconfig
 module A = Wayfinder_analytics
 module M = Wayfinder_monitor
+module Session = Wayfinder_session.Session
+module Spec = Wayfinder_session.Spec
 open Cmdliner
-
-(* ------------------------------------------------------------------ *)
-(* Targets                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let target_for ~os ~app =
-  match os with
-  | "sim-linux" -> (
-    match S.App.of_name app with
-    | Some a -> Ok (P.Targets.of_sim_linux (S.Sim_linux.create ()) ~app:a)
-    | None -> Error (Printf.sprintf "unknown application %S (nginx/redis/sqlite/npb)" app))
-  | "sim-linux-memory" -> (
-    match S.App.of_name app with
-    | Some a -> Ok (P.Targets.of_sim_linux_memory (S.Sim_linux.create ()) ~app:a)
-    | None -> Error (Printf.sprintf "unknown application %S" app))
-  | "sim-unikraft" -> Ok (P.Targets.of_sim_unikraft (S.Sim_unikraft.create ()))
-  | "sim-riscv" -> Ok (P.Targets.of_sim_riscv (S.Sim_riscv.create ()))
-  | other ->
-    Error
-      (Printf.sprintf "unknown OS %S (sim-linux, sim-linux-memory, sim-unikraft, sim-riscv)"
-         other)
-
-let algorithm_for name ~favor ~seed =
-  match name with
-  | "random" -> Ok (`Plain (P.Random_search.create ?favor ()))
-  | "grid" -> Ok (`Plain (P.Grid_search.create ()))
-  | "bayes" | "bayesian" -> Ok (`Plain (P.Bayes_search.create ?favor ~seed ()))
-  | "deeptune" | "wayfinder" -> Ok `Deeptune
-  | "deeptune-multi" -> Ok `Multi
-  | other ->
-    Error
-      (Printf.sprintf "unknown algorithm %S (random, grid, bayes, deeptune, deeptune-multi)"
-         other)
-
-(* --scenario NAME|FILE: a built-in load shape (loads expressed against
-   the trace target's nominal 1000 req/s default capacity) or a saved
-   wayfinder-trace file. *)
-let trace_for kind ~seed =
-  if Sys.file_exists kind then
-    match S.Trace.load ~path:kind with
-    | Ok t -> Ok t
-    | Error e -> Error (Printf.sprintf "scenario %s: %s" kind e)
-  else
-    match kind with
-    | "flash-crowd" ->
-      Ok (S.Trace.flash_crowd ~window_s:1.0 ~windows:60 ~base:500. ~peak:1400. ~at:30 ~width:10)
-    | "diurnal" ->
-      Ok (S.Trace.diurnal ~jitter:0.05 ~seed ~window_s:1.0 ~windows:96 ~base:300. ~peak:1200. ())
-    | "ramp" -> Ok (S.Trace.ramp ~window_s:1.0 ~windows:60 ~from_load:200. ~to_load:1400.)
-    | "steps" -> Ok (S.Trace.steps ~window_s:1.0 [ (20, 400.); (20, 900.); (20, 1300.) ])
-    | other ->
-      Error
-        (Printf.sprintf
-           "unknown scenario %S (flash-crowd, diurnal, ramp, steps, or a trace file)" other)
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the resilience policy from the CLI flags: [--resilient] switches
-   the baseline, the individual flags override single fields of it. *)
-let policy_of_flags ~resilient ~retries ~build_timeout ~boot_timeout ~run_timeout
-    ~measure_repeats ~quarantine_after =
-  let p = if resilient then P.Resilience.default_resilient else P.Resilience.none in
-  let p = match retries with Some r -> { p with P.Resilience.retries = r } | None -> p in
-  let p =
-    match build_timeout with
-    | Some s -> { p with P.Resilience.build_timeout_s = Some s }
-    | None -> p
-  in
-  let p =
-    match boot_timeout with
-    | Some s -> { p with P.Resilience.boot_timeout_s = Some s }
-    | None -> p
-  in
-  let p =
-    match run_timeout with
-    | Some s -> { p with P.Resilience.run_timeout_s = Some s }
-    | None -> p
-  in
-  let p =
-    match measure_repeats with
-    | Some n -> { p with P.Resilience.measure_repeats = n }
-    | None -> p
-  in
-  match quarantine_after with
-  | Some n -> { p with P.Resilience.quarantine_after = n }
-  | None -> p
+let hooks =
+  { Session.info = print_endline;
+    notice = (fun line -> Printf.eprintf "wayfinder: %s\n%!" line);
+    progress = prerr_endline }
 
-(* ------------------------------------------------------------------ *)
-(* Model registry: warm start and save                                 *)
-(* ------------------------------------------------------------------ *)
+let print_outcome (spec : Spec.t) (o : Session.outcome) =
+  let target = o.Session.target and result = o.Session.result in
+  Option.iter (Printf.printf "\ntrace written to %s\n") spec.Spec.trace;
+  Option.iter (Printf.printf "\nledger written to %s\n") spec.Spec.ledger;
+  print_newline ();
+  print_string
+    (P.Report.to_text (P.Report.of_result ~algorithm:spec.Spec.algorithm ~target result));
+  (match result.P.Driver.stop_reason with
+  | P.Driver.Invalid_cap ->
+    Printf.printf "  stopped early: %d consecutive invalid proposals (search is stuck)\n"
+      P.Driver.default_max_consecutive_invalid
+  | P.Driver.Space_exhausted ->
+    Printf.printf "  stopped early: the algorithm exhausted its configuration space\n"
+  | P.Driver.Budget_exhausted -> ());
+  if spec.Spec.pareto then begin
+    let archive = result.P.Driver.pareto in
+    let objectives = target.P.Target.objective_spec in
+    Printf.printf "\npareto front (%d points):\n" (P.Pareto.size archive);
+    List.iter
+      (fun (pt : P.Pareto.point) ->
+        Printf.printf "  #%-4d %s\n" pt.P.Pareto.index
+          (String.concat "  "
+             (Array.to_list
+                (Array.mapi
+                   (fun i v ->
+                     Printf.sprintf "%s=%.4f"
+                       (if i < Array.length objectives then
+                          objectives.(i).P.Metric.metric_name
+                        else string_of_int i)
+                       v)
+                   pt.P.Pareto.objectives))))
+      (P.Pareto.points archive)
+  end;
+  if spec.Spec.timings then begin
+    print_newline ();
+    print_string
+      (Wayfinder_obs.Summary.to_text ~title:"== observability summary" result.P.Driver.metrics)
+  end;
+  Option.iter
+    (fun impacts ->
+      Printf.printf "\ntop-5 learned positive-impact parameters:\n";
+      Array.iteri
+        (fun i (name, impact) -> if i < 5 then Printf.printf "  %+.3f %s\n" impact name)
+        impacts)
+    o.Session.impacts;
+  (match o.Session.csv with
+  | Some (Ok path) -> Printf.printf "\nhistory written to %s\n" path
+  | Some (Error _) | None -> ());
+  (match o.Session.model with
+  | Some (Ok (path, entry)) ->
+    Printf.printf "model saved to %s (%d samples, key %s)\n" path
+      entry.P.Registry.meta.P.Registry.samples entry.P.Registry.fp.P.Registry.key
+  | Some (Error _) | None -> ());
+  if not spec.Spec.quiet then begin
+    Option.iter (Printf.printf "metrics written to %s\n") spec.Spec.metrics_out;
+    Option.iter (Printf.printf "checkpoint written to %s\n") spec.Spec.checkpoint
+  end;
+  match (o.Session.csv, o.Session.model) with
+  | Some (Error e), _ | _, Some (Error e) -> Error e
+  | (Some (Ok _) | None), (Some (Ok _) | None) -> Ok ()
 
-let rec ensure_dir dir =
-  if not (dir = "" || dir = "." || dir = "/" || Sys.file_exists dir) then begin
-    ensure_dir (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* How a resolved registry donor applies to this search. *)
-type warm_plan =
-  | Cold
-  | Import of string * P.Registry.t  (** Exact fingerprint: the weights import. *)
-  | Seed_only of string * P.Registry.t
-      (** Space overlap only: the donor's projected incumbents seed the
-          search; the model stays cold. *)
-
-let exact_for fp (entry : P.Registry.t) =
-  entry.P.Registry.fp.P.Registry.app = fp.P.Registry.app
-  && entry.P.Registry.fp.P.Registry.space_text = fp.P.Registry.space_text
-
-(* Staleness probe (DESIGN.md §16): a live ledger of the same workload
-   votes on whether the donor's training distribution still holds.
-   Drift downgrades an [auto] warm-start to a cold start — an explicit
-   --warm-start KEY only warns. *)
-let drift_keeps_warm ~drift_ledger ~auto (entry : P.Registry.t) =
-  match drift_ledger with
-  | None -> Ok true
-  | Some path -> (
-    match A.Ledger.load path with
-    | Error e ->
-      Error (Printf.sprintf "drift ledger %s: %s" path (A.Ledger.error_to_string e))
-    | Ok ledger -> (
-      let probe =
-        A.Drift.probe
-          ~donor_crash_rate:entry.P.Registry.meta.P.Registry.crash_rate
-          ~donor_mean:entry.P.Registry.meta.P.Registry.mean_value
-          (A.Series.of_ledger ledger)
-      in
-      match probe.A.Drift.verdict with
-      | A.Drift.Fresh -> Ok true
-      | A.Drift.Stale _ ->
-        Printf.eprintf "wayfinder: %s\n%!" (A.Drift.to_string probe);
-        if auto then begin
-          Printf.eprintf
-            "wayfinder: stale model — downgrading the auto warm-start to a cold start\n%!";
-          Ok false
-        end
-        else begin
-          Printf.eprintf
-            "wayfinder: stale model — warm-starting anyway (--warm-start KEY is explicit)\n%!";
-          Ok true
-        end))
-
-let resolve_warm_start ~dir ~fp ~spec ~drift_ledger space =
-  let classify path (entry : P.Registry.t) ~auto =
-    match drift_keeps_warm ~drift_ledger ~auto entry with
-    | Error e -> Error e
-    | Ok false -> Ok Cold
-    | Ok true ->
-      if exact_for fp entry && entry.P.Registry.model_kind = "dtm" then
-        Ok (Import (path, entry))
-      else if
-        P.Registry.space_overlap ~donor:entry.P.Registry.fp.P.Registry.space_text
-          ~target:fp.P.Registry.space_text
-        > 0
-      then Ok (Seed_only (path, entry))
-      else if auto then Ok Cold
-      else
-        Error
-          (Printf.sprintf "warm-start %s: donor shares no parameters with this space" path)
-  in
-  match spec with
-  | "auto" -> (
-    match P.Registry.lookup ~dir ~app:fp.P.Registry.app space with
-    | [] ->
-      Printf.eprintf "wayfinder: no registry donor for %s — starting cold\n%!"
-        fp.P.Registry.app;
-      Ok Cold
-    | (path, entry, _) :: _ -> classify path entry ~auto:true)
-  | key ->
-    (* A key (filename stem), or a path for entries outside the registry. *)
-    let path =
-      if Sys.file_exists key then key else Filename.concat dir (key ^ ".model")
-    in
-    (match P.Registry.load path with
-    | Error e -> Error (Printf.sprintf "warm-start %s: %s" path (P.Registry.error_to_string e))
-    | Ok entry -> classify path entry ~auto:false)
-
-let run_search ~job_file ~os ~app ~metric_hint ~algorithm ~iterations ~budget_s ~seed ~favor
-    ~csv_path ~trace_path ~ledger_path ~progress_every ~timings ~quiet ~checkpoint
-    ~checkpoint_every ~keep_checkpoints ~resume ~fault_rate ~workers ~batch ~image_cache
-    ~domains ~scenario_kind ~scenario_stride ~objective_names ~weights ~pareto ~resilient
-    ~retries ~build_timeout ~boot_timeout ~run_timeout ~measure_repeats ~quarantine_after
-    ~registry ~save_model ~warm_start ~drift_ledger ~metrics_out ~metrics_every ~alerts =
-  ignore metric_hint;
-  if (save_model || warm_start <> None) && registry = None then
-    Error "--save-model and --warm-start require --registry DIR"
-  else if metrics_every <= 0 then Error "--metrics-every must be positive"
-  else
-  match
-    match alerts with
-    | None -> Ok []
-    | Some spec -> Result.map_error (fun e -> "--alerts: " ^ e) (M.Rules.parse spec)
-  with
+let run_job spec =
+  match Session.plan ~hooks spec with
   | Error e -> Error e
-  | Ok alert_rules ->
-  let job =
-    match job_file with
-    | Some path -> (
-      try Ok (Some (CS.Jobfile.load path)) with
-      | CS.Jobfile.Schema_error msg -> Error ("job file: " ^ msg)
-      | Wayfinder_yamlite.Yamlite.Parse_error { line; message } ->
-        Error (Printf.sprintf "job file: line %d: %s" line message))
-    | None -> Ok None
-  in
-  match job with
-  | Error e -> Error e
-  | Ok job -> (
-    let os = match job with Some j -> j.CS.Jobfile.os | None -> os in
-    let app = match job with Some j -> j.CS.Jobfile.app | None -> app in
-    let seed = match job with Some j when seed = 0 -> j.CS.Jobfile.seed | _ -> seed in
-    let resume_from =
-      if not resume then Ok None
-      else
-        match checkpoint with
-        | None -> Error "--resume requires --checkpoint FILE"
-        | Some path -> (
-          (* The newest valid state record, past a torn append or, when
-             the primary holds none, in the newest rotated generation
-             that has one — a torn save must not kill the resume. *)
-          match P.Checkpoint.load_latest path with
-          | Ok (ck, notice) ->
-            (match notice with
-            | Some n -> Printf.eprintf "wayfinder: %s\n%!" (P.Checkpoint.notice_to_string n)
-            | None -> ());
-            Ok (Some ck)
-          | Error e ->
-            Error (Printf.sprintf "checkpoint %s: %s" path (P.Checkpoint.error_to_string e)))
-    in
-    match resume_from with
+  | Ok plan -> (
+    match Session.run plan with
     | Error e -> Error e
-    | Ok resume_from -> (
-    (* A resumed run must recreate the algorithm and faults from the
-       checkpointed seed — and the engine from the checkpointed worker
-       count — whatever the flags say. *)
-    let seed = match resume_from with Some ck -> ck.P.Checkpoint.seed | None -> seed in
-    let workers =
-      match resume_from with Some ck -> ck.P.Checkpoint.workers | None -> workers
-    in
-    (* ... and the image-cache capacity: the checkpoint's cache contents
-       only restore exactly into a cache of the same size. *)
-    let image_cache =
-      match resume_from with
-      | Some ck -> Some ck.P.Checkpoint.cache_capacity
-      | None -> image_cache
-    in
-    let favor =
-      match (favor, job) with
-      | Some f, _ -> CS.Param.stage_of_string f
-      | None, Some j -> j.CS.Jobfile.favor
-      | None, None -> None
-    in
-    (* Scenario/objective setup: a trace scenario swaps the plain target
-       for the trace-replay multi-objective one.  The trace is rebuilt
-       from the (checkpoint-resolved) seed, so --resume with the same
-       scenario flags replays the identical workload; the driver restores
-       the trace cursor and Pareto archive from the checkpoint. *)
-    let scenario_info =
-      match scenario_kind with
-      | None ->
-        if objective_names <> None || weights <> None then
-          Error "--objectives/--weights require --scenario"
-        else Ok None
-      | Some kind -> (
-        match trace_for kind ~seed with
-        | Error e -> Error e
-        | Ok trace -> (
-          let names = Option.value ~default:[ "throughput" ] objective_names in
-          match P.Objective.spec_of_names names with
-          | Error e -> Error e
-          | Ok spec -> (
-            let scalarize =
-              Option.map (fun ws -> P.Scalarize.Weighted_sum (Array.of_list ws)) weights
-            in
-            try Ok (Some (P.Scenario.create ~stride:scenario_stride trace, spec, scalarize))
-            with Invalid_argument m -> Error m)))
-    in
-    match scenario_info with
-    | Error e -> Error e
-    | Ok scenario_info -> (
-    let target_result =
-      match scenario_info with
-      | None -> target_for ~os ~app
-      | Some (sc, spec, scalarize) ->
-        if os <> "sim-linux" then Error "--scenario requires --os sim-linux"
-        else (
-          match S.App.of_name app with
-          | None -> Error (Printf.sprintf "unknown application %S (nginx/redis/sqlite/npb)" app)
-          | Some a -> (
-            try
-              Ok
-                (P.Targets.of_sim_linux_trace (S.Sim_linux.create ()) ~app:a ~scenario:sc
-                   ~objectives:spec ?scalarize ())
-            with Invalid_argument m -> Error m))
-    in
-    let target_result =
-      match (target_result, job) with
-      | Ok target, Some j ->
-        Result.map
-          (fun space -> { target with P.Target.space })
-          (CS.Jobfile.restrict j target.P.Target.space)
-      | result, _ -> result
-    in
-    match target_result with
-    | Error e -> Error e
-    | Ok target -> (
-      (* Transient-fault injection: deterministic in (seed, trial), so a
-         resumed run replays the exact same fault schedule. *)
-      let target =
-        if fault_rate > 0. then
-          P.Target.with_faults
-            ~plan:(S.Faults.create ~rates:(S.Faults.rates_of_total fault_rate) ~seed ())
-            target
-        else target
-      in
-      let budget =
-        match (budget_s, iterations, job) with
-        | Some s, _, _ -> P.Driver.Virtual_seconds s
-        | None, Some n, _ -> P.Driver.Iterations n
-        | None, None, Some { CS.Jobfile.time_budget_s = Some s; _ } -> P.Driver.Virtual_seconds s
-        | None, None, Some { CS.Jobfile.iterations = Some n; _ } -> P.Driver.Iterations n
-        | None, None, _ -> P.Driver.Iterations 100
-      in
-      match algorithm_for algorithm ~favor ~seed with
-      | Error e -> Error e
-      | Ok algo -> (
-        let deeptune_only = match algo with `Deeptune -> true | `Plain _ | `Multi -> false in
-        if (save_model || warm_start <> None) && not deeptune_only then
-          Error "--save-model and --warm-start require --algorithm deeptune"
-        else begin
-        let deeptune_state = ref None in
-        let algo_result =
-          match algo with
-          | `Plain a -> Ok a
-          | `Deeptune -> (
-            let options = { D.Deeptune.default_options with favor } in
-            let space = target.P.Target.space in
-            let plan =
-              match (warm_start, registry) with
-              | None, _ | _, None -> Ok Cold
-              | Some spec, Some dir ->
-                let fp = P.Registry.fingerprint ~app:target.P.Target.target_name space in
-                resolve_warm_start ~dir ~fp ~spec ~drift_ledger space
-            in
-            match plan with
-            | Error e -> Error e
-            | Ok plan -> (
-              let dt_result =
-                match plan with
-                | Cold -> Ok (D.Deeptune.create ~options ~seed space)
-                | Import (path, entry) -> (
-                  try
-                    let model = D.Dtm.snapshot_of_floats entry.P.Registry.model in
-                    let dt =
-                      D.Deeptune.create_from ~options ~seed space
-                        { D.Deeptune.model; incumbents = entry.P.Registry.incumbents }
-                    in
-                    Printf.printf
-                      "warm start: imported %s (exact fingerprint, %d samples, %d \
-                       incumbents)\n%!"
-                      path entry.P.Registry.meta.P.Registry.samples
-                      (List.length entry.P.Registry.incumbents);
-                    Ok dt
-                  with Invalid_argument m ->
-                    Error (Printf.sprintf "warm-start %s: %s" path m))
-                | Seed_only (path, entry) ->
-                  let dt = D.Deeptune.create ~options ~seed space in
-                  let projected = P.Registry.project_incumbents entry space in
-                  D.Deeptune.seed_incumbents dt projected;
-                  Printf.printf
-                    "warm start: %s overlaps this space — seeding %d projected incumbents \
-                     (cold model, normal warm-up)\n%!"
-                    path (List.length projected);
-                  Ok dt
-              in
-              match dt_result with
-              | Error e -> Error e
-              | Ok dt ->
-                deeptune_state := Some dt;
-                Ok (D.Deeptune.algorithm dt)))
-          | `Multi -> (
-            match scenario_info with
-            | Some (_, spec, _) when Array.length spec >= 2 -> (
-              let weights =
-                match weights with
-                | Some ws -> Array.of_list ws
-                | None -> Array.make (Array.length spec) 1.
-              in
-              try
-                Ok
-                  (D.Deeptune.algorithm
-                     (D.Deeptune.create
-                        ~options:{ D.Deeptune.default_options with favor }
-                        ~seed ~objectives:{ D.Deeptune.spec; weights } target.P.Target.space))
-              with Invalid_argument m -> Error ("deeptune-multi: " ^ m))
-            | Some _ | None ->
-              Error "deeptune-multi requires --scenario with two or more --objectives")
-        in
-        match algo_result with
-        | Error e -> Error e
-        | Ok algo ->
-        let progress entry =
-          if not quiet then begin
-            let status =
-              match entry.P.History.value with
-              | Some v -> Printf.sprintf "%.2f %s" v target.P.Target.metric.P.Metric.unit_name
-              | None -> (
-                match entry.P.History.failure with
-                | Some f -> P.Failure.to_string f
-                | None -> "failed")
-            in
-            Printf.printf "iter %3d  t=%7.0fs  %s%s\n%!" entry.P.History.index
-              entry.P.History.at_seconds status
-              (if entry.P.History.built then "  [built]" else "")
-          end
-        in
-        let resilience =
-          policy_of_flags ~resilient ~retries ~build_timeout ~boot_timeout ~run_timeout
-            ~measure_repeats ~quarantine_after
-        in
-        let scenario = Option.map (fun (sc, _, _) -> sc) scenario_info in
-        (* Refuse what the driver would refuse before opening any output,
-           and an output whose directory is missing: the ledger would be
-           truncated and the run lost by the time writing it failed. *)
-        let missing_dir =
-          List.find_map
-            (fun (flag, path) ->
-              match path with
-              | Some p ->
-                let dir = Filename.dirname p in
-                if Sys.file_exists dir && Sys.is_directory dir then None
-                else Some (Printf.sprintf "%s %s: no such directory %s" flag p dir)
-              | None -> None)
-            [ ("--ledger", ledger_path); ("--trace", trace_path); ("--checkpoint", checkpoint);
-              ("--metrics-out", metrics_out); ("--csv", csv_path) ]
-        in
-        match
-          match (progress_every, missing_dir) with
-          | Some n, _ when n <= 0 -> Error "--progress must be positive"
-          | _, Some e -> Error e
-          | (Some _ | None), None -> (
-            try
-              let image_cache = Option.map P.Image_cache.capacity image_cache in
-              P.Driver.validate ~resilience ~checkpoint_every ~checkpoint_keep:keep_checkpoints
-                ?resume_from ~workers ?batch ?image_cache ?scenario ~budget ();
-              Ok image_cache
-            with Invalid_argument msg -> Error msg)
-        with
-        | Error e -> Error e
-        | Ok image_cache ->
-        (* A resumed run keeps the ledger rows its checkpoint covers. *)
-        match
-          let objectives = Option.map (fun (_, spec, _) -> Array.to_list spec) scenario_info in
-          let space = target.P.Target.space and metric = target.P.Target.metric in
-          try
-            match (ledger_path, resume_from) with
-            | None, _ -> Ok None
-            | Some path, None ->
-              Ok
-                (Some
-                   (A.Ledger.create_writer ~seed ?objectives ~algo:algorithm ~space ~metric path))
-            | Some path, Some ck ->
-              A.Ledger.reopen_writer ~seed ?objectives ~algo:algorithm ~space ~metric
-                ~entries:ck.P.Checkpoint.entries path
-              |> Result.map Option.some |> Result.map_error A.Ledger.error_to_string
-          with Sys_error msg -> Error ("ledger file: " ^ msg)
-        with
-        | Error e -> Error e
-        | Ok ledger_writer ->
-        (* Observability: aggregate metrics always; stream the full JSONL
-           event trace only when asked for. *)
-        match
-          try Ok (Option.map open_out trace_path)
-          with Sys_error msg -> Error ("trace file: " ^ msg)
-        with
-        | Error e ->
-          (match ledger_writer with Some w -> A.Ledger.close_writer w | None -> ());
-          Error e
-        | Ok trace_channel ->
-        let obs =
-          Wayfinder_obs.Recorder.create
-            ?sinks:
-              (Option.map (fun oc -> [ Wayfinder_obs.Sink.jsonl_channel oc ]) trace_channel)
-            ()
-        in
-        (* Streaming monitor state: one Live_series fed one row per record
-           powers the progress line, the alert rules and the Prometheus
-           export in O(1) per iteration — no history rescans on the hot
-           path. *)
-        let live_series =
-          if alert_rules = [] && metrics_out = None && progress_every = None then None
-          else
-            let params = CS.Space.params target.P.Target.space in
-            Some
-              (M.Live_series.create ~metric:target.P.Target.metric
-                 ~names:(Array.map (fun (p : CS.Param.t) -> p.CS.Param.name) params)
-                 ~stages:(Array.map (fun (p : CS.Param.t) -> p.CS.Param.stage) params)
-                 ~objectives:
-                   (match scenario_info with Some (_, spec, _) -> spec | None -> [||])
-                 ())
-        in
-        let rules_state = M.Rules.create alert_rules in
-        (* The starve rule wants the pool-busy fraction; only pay for the
-           metrics snapshot when such a rule is actually installed. *)
-        let wants_busy =
-          List.exists (function M.Rules.Starve _ -> true | _ -> false) alert_rules
-        in
-        let worker_busy () =
-          if (not wants_busy) || workers <= 1 then None
-          else
-            match
-              Wayfinder_obs.Metrics.histogram
-                (Wayfinder_obs.Recorder.snapshot obs)
-                "driver.worker.busy"
-            with
-            | Some h when h.Wayfinder_obs.Metrics.count > 0 ->
-              Some (Wayfinder_obs.Metrics.mean h /. float_of_int workers)
-            | Some _ | None -> None
-        in
-        (* The scrape file is rendered here and published in the
-           background: replacing a file can take tens of milliseconds,
-           which the search must not wait for.  The final export, after
-           a drain, is written synchronously. *)
-        let metrics_publisher = P.Durable.Publisher.create () in
-        let metrics_error e =
-          Printf.eprintf "wayfinder: metrics export: %s\n%!" (P.Durable.io_error_to_string e)
-        in
-        let render_metrics () =
-          let stats = Option.map M.Live_series.stats live_series in
-          M.Prom.render ?stats ~snapshot:(Wayfinder_obs.Recorder.snapshot obs) ()
-        in
-        let export_metrics () =
-          match metrics_out with
-          | None -> ()
-          | Some path -> (
-            let text = render_metrics () in
-            try P.Durable.Publisher.submit metrics_publisher ~path (fun () -> text)
-            with P.Durable.Io_error e -> metrics_error e)
-        in
-        let drain_metrics () =
-          try P.Durable.Publisher.drain metrics_publisher
-          with P.Durable.Io_error e -> metrics_error e
-        in
-        let on_record =
-          if ledger_writer = None && live_series = None then None
-          else
-            Some
-              (fun entry belief ->
-                let row = A.Ledger.row_of_entry entry belief in
-                (match ledger_writer with
-                | Some w -> A.Ledger.record_row w row
-                | None -> ());
-                match live_series with
-                | None -> ()
-                | Some ls -> (
-                  M.Live_series.observe ls row;
-                  let n = M.Live_series.length ls in
-                  List.iter
-                    (fun (f : M.Rules.firing) ->
-                      Wayfinder_obs.Recorder.alert obs ~rule:f.M.Rules.rule
-                        f.M.Rules.message;
-                      Printf.eprintf "wayfinder: ALERT %s: %s\n%!" f.M.Rules.rule
-                        f.M.Rules.message)
-                    (M.Rules.evaluate rules_state ?worker_busy:(worker_busy ()) ls);
-                  if n mod metrics_every = 0 then export_metrics ();
-                  match progress_every with
-                  | Some k when n mod k = 0 ->
-                    let snap =
-                      A.Progress.with_metrics ~workers
-                        (Wayfinder_obs.Recorder.snapshot obs)
-                        (M.Live_series.progress ls)
-                    in
-                    Printf.eprintf "%s\n%!"
-                      (A.Progress.to_line
-                         ~alerts:(M.Rules.active rules_state)
-                         ~metric:target.P.Target.metric snap)
-                  | Some _ | None -> ()))
-        in
-        (match resume_from with
-        | Some ck ->
-          Printf.printf "resuming from %s at iteration %d (t=%.0fs)\n%!"
-            (Option.get checkpoint) ck.P.Checkpoint.iterations ck.P.Checkpoint.clock_seconds
-        | None -> ());
-        (* --domains: for the run's duration, install a pool of that many
-           domains as the ambient default, so the numeric kernels (DTM
-           training, candidate-pool scoring) run data-parallel.  Results
-           are byte-for-byte identical to the unpooled run. *)
-        let with_domains f =
-          if domains <= 1 then f ()
-          else
-            let module Pool = Wayfinder_tensor.Domain_pool in
-            let p = Pool.create domains in
-            Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () ->
-                Pool.with_default (Some p) f)
-        in
-        match
-          Fun.protect ~finally:drain_metrics (fun () ->
-              with_domains (fun () ->
-                  P.Driver.run ~seed ~on_iteration:progress ?on_record ~obs ~resilience
-                    ?checkpoint_path:checkpoint ~checkpoint_every
-                    ~checkpoint_keep:keep_checkpoints ?resume_from ~workers ?batch ?image_cache
-                    ?scenario ~target ~algorithm:algo ~budget ()))
-        with
-        | exception Invalid_argument msg ->
-          (match trace_channel with Some oc -> close_out oc | None -> ());
-          (match ledger_writer with Some w -> A.Ledger.close_writer w | None -> ());
-          Error msg
-        | exception P.Durable.Io_error e ->
-          (match trace_channel with Some oc -> close_out oc | None -> ());
-          (match ledger_writer with Some w -> A.Ledger.close_writer w | None -> ());
-          Error (P.Durable.io_error_to_string e)
-        | result ->
-        (match trace_channel with
-        | Some oc ->
-          close_out oc;
-          Printf.printf "\ntrace written to %s\n" (Option.get trace_path)
-        | None -> ());
-        (match ledger_writer with
-        | Some w ->
-          A.Ledger.close_writer w;
-          Printf.printf "\nledger written to %s\n" (Option.get ledger_path)
-        | None -> ());
-        print_newline ();
-        print_string
-          (P.Report.to_text (P.Report.of_result ~algorithm ~target result));
-        (match result.P.Driver.stop_reason with
-        | P.Driver.Invalid_cap ->
-          Printf.printf
-            "  stopped early: %d consecutive invalid proposals (search is stuck)\n"
-            P.Driver.default_max_consecutive_invalid
-        | P.Driver.Space_exhausted ->
-          Printf.printf "  stopped early: the algorithm exhausted its configuration space\n"
-        | P.Driver.Budget_exhausted -> ());
-        if pareto then begin
-          let archive = result.P.Driver.pareto in
-          let spec = target.P.Target.objective_spec in
-          Printf.printf "\npareto front (%d points):\n" (P.Pareto.size archive);
-          List.iter
-            (fun (pt : P.Pareto.point) ->
-              Printf.printf "  #%-4d %s\n" pt.P.Pareto.index
-                (String.concat "  "
-                   (Array.to_list
-                      (Array.mapi
-                         (fun i v ->
-                           Printf.sprintf "%s=%.4f"
-                             (if i < Array.length spec then
-                                spec.(i).P.Metric.metric_name
-                              else string_of_int i)
-                             v)
-                         pt.P.Pareto.objectives))))
-            (P.Pareto.points archive)
-        end;
-        if timings then begin
-          print_newline ();
-          print_string
-            (Wayfinder_obs.Summary.to_text ~title:"== observability summary"
-               result.P.Driver.metrics)
-        end;
-        (match !deeptune_state with
-        | Some dt when D.Deeptune.observations dt > 20 ->
-          Printf.printf "\ntop-5 learned positive-impact parameters:\n";
-          let impacts = D.Deeptune.parameter_impacts dt in
-          Array.iteri
-            (fun i (name, impact) ->
-              if i < 5 then Printf.printf "  %+.3f %s\n" impact name)
-            impacts
-        | Some _ | None -> ());
-        let csv_result =
-          match csv_path with
-          | Some path -> (
-            match P.Durable.atomic_write ~path (P.History.to_csv result.P.Driver.history) with
-            | Ok () ->
-              Printf.printf "\nhistory written to %s\n" path;
-              Ok ()
-            | Error e -> Error ("history csv: " ^ P.Durable.io_error_to_string e))
-          | None -> Ok ()
-        in
-        (* --save-model: publish the trained DeepTune model to the registry
-           as a sealed fingerprint-keyed entry (atomic, one rotated
-           generation kept), with the run's summary statistics as the
-           training-distribution record the drift probe compares against. *)
-        let save_result =
-          match (save_model, registry, !deeptune_state) with
-          | false, _, _ | _, None, _ | _, _, None -> Ok ()
-          | true, Some dir, Some dt -> (
-            let space = target.P.Target.space in
-            let fp = P.Registry.fingerprint ~app:target.P.Target.target_name space in
-            let series = A.Series.of_history ~space result.P.Driver.history in
-            let st = A.Series.stats series in
-            let transfer = D.Deeptune.export dt in
-            let entry =
-              { P.Registry.fp;
-                meta =
-                  { P.Registry.algo = algorithm;
-                    seed;
-                    samples = D.Deeptune.observations dt;
-                    metric_name = target.P.Target.metric.P.Metric.metric_name;
-                    unit_name = target.P.Target.metric.P.Metric.unit_name;
-                    maximize = target.P.Target.metric.P.Metric.maximize;
-                    objectives =
-                      (match scenario_info with
-                      | Some (_, spec, _) ->
-                        Array.to_list
-                          (Array.map (fun (m : P.Metric.t) -> m.P.Metric.metric_name) spec)
-                      | None -> []);
-                    best_value = Option.map snd st.A.Running.best;
-                    mean_value = A.Running.mean_success series.A.Series.rows;
-                    crash_rate = st.A.Running.crash_rate;
-                    ledger = ledger_path };
-                model_kind = "dtm";
-                model = D.Dtm.snapshot_to_floats transfer.D.Deeptune.model;
-                incumbents = transfer.D.Deeptune.incumbents;
-                sealed = true }
-            in
-            match
-              try Ok (ensure_dir dir)
-              with Unix.Unix_error (e, _, arg) ->
-                Error (Printf.sprintf "registry %s: %s %s" dir (Unix.error_message e) arg)
-            with
-            | Error e -> Error e
-            | Ok () -> (
-              match P.Registry.save ~keep:2 ~dir entry with
-              | Ok path ->
-                Printf.printf "model saved to %s (%d samples, key %s)\n" path
-                  entry.P.Registry.meta.P.Registry.samples fp.P.Registry.key;
-                Ok ()
-              | Error e -> Error ("save-model: " ^ P.Registry.error_to_string e)))
-        in
-        (* Final Prometheus export, after the drain that followed the
-           run: the file always ends on the completed run's numbers,
-           whatever --metrics-every left behind. *)
-        (match metrics_out with
-        | Some path ->
-          (match P.Durable.atomic_write ~path (render_metrics ()) with
-          | Ok () -> ()
-          | Error e -> metrics_error e);
-          if not quiet then Printf.printf "metrics written to %s\n" path
-        | None -> ());
-        (match checkpoint with
-        | Some path when not quiet -> Printf.printf "checkpoint written to %s\n" path
-        | Some _ | None -> ());
-        (match csv_result with Error _ as e -> e | Ok () -> save_result)
-        end)))))
+    | Ok outcome -> print_outcome spec outcome)
 
 (* ------------------------------------------------------------------ *)
 (* probe                                                               *)
@@ -805,7 +140,7 @@ let run_probe ~emit_job =
 (* ------------------------------------------------------------------ *)
 
 let run_space ~os =
-  match target_for ~os ~app:"nginx" with
+  match Session.target ~os ~app:"nginx" with
   | Error e -> Error e
   | Ok target ->
     let space = target.P.Target.space in
@@ -1222,42 +557,44 @@ let handle = function
     1
 
 let run_cmd =
-  let job_file =
-    Arg.(value & opt (some file) None & info [ "job" ] ~docv:"FILE" ~doc:"YAML job file.")
+  let d = Spec.default in
+  let job =
+    Arg.(value & opt (some file) d.job & info [ "job" ] ~docv:"FILE" ~doc:"YAML job file.")
   in
   let os =
-    Arg.(value & opt string "sim-linux" & info [ "os" ] ~docv:"OS" ~doc:"Target OS simulator.")
+    Arg.(value & opt string d.os & info [ "os" ] ~docv:"OS" ~doc:"Target OS simulator.")
   in
   (* Named app_arg: Term.app would shadow a plain [app] inside Term.(...). *)
   let app_arg =
-    Arg.(value & opt string "nginx" & info [ "app" ] ~docv:"APP" ~doc:"Application under test.")
+    Arg.(value & opt string d.app & info [ "app" ] ~docv:"APP" ~doc:"Application under test.")
   in
   let algorithm =
     Arg.(
-      value & opt string "deeptune"
+      value & opt string d.algorithm
       & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc:"Search algorithm.")
   in
   let iterations =
-    Arg.(value & opt (some int) None & info [ "iterations"; "n" ] ~doc:"Iteration budget.")
+    Arg.(value & opt (some int) d.iterations & info [ "iterations"; "n" ] ~doc:"Iteration budget.")
   in
-  let budget_s =
-    Arg.(value & opt (some float) None & info [ "budget" ] ~doc:"Virtual time budget (seconds).")
+  let budget =
+    Arg.(
+      value & opt (some float) d.budget & info [ "budget" ] ~doc:"Virtual time budget (seconds).")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.") in
+  let seed = Arg.(value & opt int d.seed & info [ "seed" ] ~doc:"Random seed.") in
   let favor =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.favor
       & info [ "favor" ] ~docv:"STAGE" ~doc:"Favor varying one stage (runtime, boot, compile).")
   in
-  let csv = Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Write history CSV.") in
+  let csv = Arg.(value & opt (some string) d.csv & info [ "csv" ] ~doc:"Write history CSV.") in
   let trace =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.trace
       & info [ "trace" ] ~docv:"FILE" ~doc:"Write the JSONL observability trace.")
   in
   let ledger =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.ledger
       & info [ "ledger" ] ~docv:"FILE"
           ~doc:"Write the run ledger to $(docv): a versioned JSONL record of every iteration \
                 (config, outcome, virtual timings, and the searcher's pre-evaluation beliefs) \
@@ -1265,7 +602,7 @@ let run_cmd =
   in
   let progress =
     Arg.(
-      value & opt (some int) None
+      value & opt (some int) d.progress
       & info [ "progress" ] ~docv:"N"
           ~doc:"Print a one-line analytics snapshot (best, regret slope, crash rate, cache hit \
                 rate, worker busyness) to stderr every $(docv) iterations.")
@@ -1276,7 +613,7 @@ let run_cmd =
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-iteration output.") in
   let checkpoint =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.checkpoint
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:"Write a resumable checkpoint journal to $(docv): the run's first save writes \
                 it whole, and every later save appends the rows completed since the previous \
@@ -1284,7 +621,7 @@ let run_cmd =
   in
   let checkpoint_every =
     Arg.(
-      value & opt int 10
+      value & opt int d.checkpoint_every
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:"Save a checkpoint every $(docv) iterations.  A background writer appends \
                 and fsyncs each save in order, so the search never waits for the disk; every \
@@ -1295,7 +632,7 @@ let run_cmd =
   in
   let keep_checkpoints =
     Arg.(
-      value & opt int 1
+      value & opt int d.keep_checkpoints
       & info [ "keep-checkpoints" ] ~docv:"N"
           ~doc:"Retain $(docv) checkpoint generations.  Only a run's first save, which \
                 writes the journal whole, rotates the previous file to $(i,FILE.1), \
@@ -1315,14 +652,14 @@ let run_cmd =
   in
   let fault_rate =
     Arg.(
-      value & opt float 0.
+      value & opt float d.fault_rate
       & info [ "fault-rate" ] ~docv:"P"
           ~doc:"Inject transient testbed faults (hung boots, flaky builds, spurious failures, \
                 measurement outliers) at total probability $(docv) per evaluation.")
   in
   let workers =
     Arg.(
-      value & opt int 1
+      value & opt int d.workers
       & info [ "workers" ] ~docv:"N"
           ~doc:"Keep $(docv) virtual evaluation slots busy: build/boot/benchmark pipelines of \
                 several configurations overlap on the discrete-event virtual clock. $(docv)=1 \
@@ -1330,7 +667,7 @@ let run_cmd =
   in
   let batch =
     Arg.(
-      value & opt (some int) None
+      value & opt (some int) d.batch
       & info [ "batch" ] ~docv:"K"
           ~doc:"Ask the algorithm for up to $(docv) configurations at once (native \
                 $(i,propose_batch) when available). Only the first fill, before any outcome, \
@@ -1338,7 +675,7 @@ let run_cmd =
   in
   let image_cache =
     Arg.(
-      value & opt (some int) None
+      value & opt (some int) d.image_cache
       & info [ "image-cache" ] ~docv:"N"
           ~doc:"Keep up to $(docv) built images in the shared content-addressed cache (exact \
                 LRU, keyed by the configuration's compile+boot projection): any worker whose \
@@ -1347,7 +684,7 @@ let run_cmd =
   in
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt int d.domains
       & info [ "domains" ] ~docv:"N"
           ~doc:"Run the numeric kernels (DTM training, candidate-pool scoring) data-parallel \
                 on $(docv) OCaml domains (real CPU cores); evaluations stay inline, in launch \
@@ -1356,7 +693,7 @@ let run_cmd =
   in
   let scenario =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.scenario
       & info [ "scenario" ] ~docv:"KIND"
           ~doc:"Drive evaluations through a trace-replay workload instead of a static \
                 benchmark: $(b,flash-crowd), $(b,diurnal), $(b,ramp), $(b,steps), or the path \
@@ -1366,14 +703,14 @@ let run_cmd =
   in
   let scenario_stride =
     Arg.(
-      value & opt int 0
+      value & opt int d.scenario_stride
       & info [ "scenario-stride" ] ~docv:"N"
           ~doc:"Advance the trace cursor by $(docv) windows per evaluation (0 = every \
                 evaluation replays the same slice).")
   in
   let objectives =
     Arg.(
-      value & opt (some (list string)) None
+      value & opt (some (list string)) d.objectives
       & info [ "objectives" ] ~docv:"NAME,..."
           ~doc:"Objectives measured by the trace replay ($(b,throughput), $(b,p50), $(b,p95), \
                 $(b,p99), $(b,memory)); one objective degenerates to the plain scalar search. \
@@ -1381,7 +718,7 @@ let run_cmd =
   in
   let weights =
     Arg.(
-      value & opt (some (list float)) None
+      value & opt (some (list float)) d.weights
       & info [ "weights" ] ~docv:"W,..."
           ~doc:"Weighted-sum scalarization weights, aligned with $(b,--objectives) (default: \
                 all 1).  A single weight of 1 with the rest 0 reproduces that objective's \
@@ -1403,39 +740,39 @@ let run_cmd =
   in
   let retries =
     Arg.(
-      value & opt (some int) None
+      value & opt (some int) d.retries
       & info [ "retries" ] ~docv:"N" ~doc:"Retry transient failures up to $(docv) times.")
   in
   let build_timeout =
     Arg.(
-      value & opt (some float) None
+      value & opt (some float) d.build_timeout
       & info [ "build-timeout" ] ~docv:"S" ~doc:"Virtual build timeout in seconds.")
   in
   let boot_timeout =
     Arg.(
-      value & opt (some float) None
+      value & opt (some float) d.boot_timeout
       & info [ "boot-timeout" ] ~docv:"S" ~doc:"Virtual boot timeout in seconds.")
   in
   let run_timeout =
     Arg.(
-      value & opt (some float) None
+      value & opt (some float) d.run_timeout
       & info [ "run-timeout" ] ~docv:"S" ~doc:"Virtual benchmark timeout in seconds.")
   in
   let measure_repeats =
     Arg.(
-      value & opt (some int) None
+      value & opt (some int) d.measure_repeats
       & info [ "measure-repeats" ] ~docv:"N"
           ~doc:"Corroborate measurements with up to $(docv) samples (median on disagreement).")
   in
   let quarantine_after =
     Arg.(
-      value & opt (some int) None
+      value & opt (some int) d.quarantine_after
       & info [ "quarantine-after" ] ~docv:"N"
           ~doc:"Quarantine a configuration after $(docv) exhausted-retry episodes (0 = off).")
   in
   let registry =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.registry
       & info [ "registry" ] ~docv:"DIR"
           ~doc:"Model registry directory for $(b,--save-model)/$(b,--warm-start) (created on \
                 first save).  Inspect and maintain it with $(b,wayfinder models).")
@@ -1450,7 +787,7 @@ let run_cmd =
   in
   let warm_start =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.warm_start
       & info [ "warm-start" ] ~docv:"auto|KEY"
           ~doc:"Warm-start DeepTune from a registry donor: $(b,auto) picks the best match \
                 (an exact app/space fingerprint imports the model weights and skips the \
@@ -1459,7 +796,7 @@ let run_cmd =
   in
   let drift_ledger =
     Arg.(
-      value & opt (some file) None
+      value & opt (some file) d.drift_ledger
       & info [ "drift-ledger" ] ~docv:"FILE"
           ~doc:"Probe a recent run ledger of this workload against the donor's recorded \
                 training distribution before warm-starting; detected drift downgrades \
@@ -1467,7 +804,7 @@ let run_cmd =
   in
   let metrics_out =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.metrics_out
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:"Export run metrics as a Prometheus text file (exposition format 0.0.4) to \
                 $(docv): rendered every $(b,--metrics-every) iterations and atomically \
@@ -1478,13 +815,13 @@ let run_cmd =
   in
   let metrics_every =
     Arg.(
-      value & opt int 10
+      value & opt int d.metrics_every
       & info [ "metrics-every" ] ~docv:"N"
           ~doc:"Refresh $(b,--metrics-out) every $(docv) iterations.")
   in
   let alerts =
     Arg.(
-      value & opt (some string) None
+      value & opt (some string) d.alerts
       & info [ "alerts" ] ~docv:"SPEC"
           ~doc:"Evaluate alert rules after every iteration, e.g. \
                 $(b,crash>0.5\\@40,stall>30,drift).  Rules: $(b,crash>P[\\@W]) (windowed crash \
@@ -1495,7 +832,7 @@ let run_cmd =
                 the $(b,--trace) stream; active rules are flagged on the $(b,--progress) \
                 line.")
   in
-  let f job_file os app algorithm iterations budget_s seed favor csv
+  let f job os app algorithm iterations budget seed favor csv
       (trace, ledger, progress, timings, quiet)
       ( checkpoint,
         checkpoint_every,
@@ -1506,19 +843,19 @@ let run_cmd =
         batch,
         image_cache,
         domains )
-      (scenario_kind, scenario_stride, objective_names, weights, pareto)
+      (scenario, scenario_stride, objectives, weights, pareto)
       (resilient, retries, build_timeout, boot_timeout, run_timeout, measure_repeats,
        quarantine_after)
       (registry, save_model, warm_start, drift_ledger)
       (metrics_out, metrics_every, alerts) =
     handle
-      (run_search ~job_file ~os ~app ~metric_hint:() ~algorithm ~iterations ~budget_s ~seed
-         ~favor ~csv_path:csv ~trace_path:trace ~ledger_path:ledger ~progress_every:progress
-         ~timings ~quiet ~checkpoint ~checkpoint_every ~keep_checkpoints ~resume ~fault_rate
-         ~workers ~batch ~image_cache ~domains ~scenario_kind ~scenario_stride ~objective_names
-         ~weights ~pareto ~resilient ~retries ~build_timeout ~boot_timeout
-         ~run_timeout ~measure_repeats ~quarantine_after ~registry ~save_model ~warm_start
-         ~drift_ledger ~metrics_out ~metrics_every ~alerts)
+      (run_job
+         { Spec.job; os; app; algorithm; iterations; budget; seed; favor; csv; trace; ledger;
+           progress; timings; quiet; checkpoint; checkpoint_every; keep_checkpoints; resume;
+           fault_rate; workers; batch; image_cache; domains; scenario; scenario_stride;
+           objectives; weights; pareto; resilient; retries; build_timeout; boot_timeout;
+           run_timeout; measure_repeats; quarantine_after; registry; save_model; warm_start;
+           drift_ledger; metrics_out; metrics_every; alerts })
   in
   (* Cmdliner terms are applicative; tuple up the flag groups to keep the
      application chain readable. *)
@@ -1547,7 +884,7 @@ let run_cmd =
   let monitor_group = Term.(const tuple3 $ metrics_out $ metrics_every $ alerts) in
   let term =
     Term.(
-      const f $ job_file $ os $ app_arg $ algorithm $ iterations $ budget_s $ seed $ favor $ csv
+      const f $ job $ os $ app_arg $ algorithm $ iterations $ budget $ seed $ favor $ csv
       $ output_group $ checkpoint_group $ scenario_group $ resilience_group $ registry_group
       $ monitor_group)
   in

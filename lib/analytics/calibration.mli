@@ -34,10 +34,8 @@ type t = {
       (** [None] with fewer than two pairs (rank correlation undefined). *)
 }
 
-val default_bins : int
-(** 10. *)
-
 val of_series : ?bins:int -> Series.t -> t
+(** [bins] defaults to 10. *)
 
 (** {1 Pieces} — exposed for unit tests and custom reports. *)
 

@@ -25,11 +25,10 @@ type t = {
 }
 
 val make : ?budgets:int list -> (string * Series.t) list -> (t, string) result
-(** [Error] when runs measure different metrics, no run has an
-    iteration, or no requested budget fits the shortest run. *)
-
-val default_budgets : max_len:int -> int list
-(** 5, 10, 25, 50, 100, ... clipped below [max_len], plus [max_len]. *)
+(** [budgets] defaults to 5, 10, 25, 50, 100, … below the shortest
+    run's length, plus that length.  [Error] when runs measure different
+    metrics, no run has an iteration, or no requested budget fits the
+    shortest run. *)
 
 val to_text : t -> string
 val to_json : t -> Json.t

@@ -2,7 +2,7 @@
 
     A registry entry records the {e training distribution} its model saw:
     the crash rate and the mean successful metric value of the run that
-    trained it.  Before auto-warm-starting from a donor, the CLI can
+    trained it.  Before auto-warm-starting from a donor, [Session.plan] can
     probe a {e live} ledger of the same workload (e.g. yesterday's
     production run) against those recorded statistics: if the workload
     has drifted — configurations crash much more often than the donor
@@ -45,6 +45,5 @@ val probe :
     (default 0.5).  Fewer than [min_samples] live rows (default 5) is
     never drift — absence of evidence keeps the warm-start. *)
 
-val verdict_to_string : verdict -> string
 val to_string : probe -> string
 (** One-line report for the CLI warning. *)

@@ -30,8 +30,6 @@ type kind =
           quarantines corrupt entries to [.bak] so lookups skip them. *)
   | Tmp  (** A [.tmp] staging file from an interrupted atomic write. *)
 
-val kind_to_string : kind -> string
-
 type status =
   | Valid
   | Unsealed
@@ -40,8 +38,6 @@ type status =
           a killed run, reported distinctly from corruption. *)
   | Corrupt
   | Stray  (** A leftover [.tmp] file; loaders ignore it. *)
-
-val status_to_string : status -> string
 
 type finding = {
   path : string;

@@ -40,11 +40,6 @@ val parse : string -> (t, string) result
     the byte offset).  Accepts the non-finite tokens {!to_string} emits.
     [\u] escapes are decoded to UTF-8. *)
 
-exception Parse_error of string
-
-val parse_exn : string -> t
-(** @raise Parse_error on malformed input. *)
-
 (** {1 Accessors} — shape-checked projections, [None] on mismatch. *)
 
 val member : string -> t -> t option

@@ -86,8 +86,6 @@ let encode t config =
   out
 
 let feature_names t = Array.map (fun f -> f.label) t.features
-let feature_owner t = Array.map (fun f -> f.owner) t.features
-
 let param_importance t scores =
   if Array.length scores <> dim t then
     invalid_arg "Encoding.param_importance: score length mismatch";

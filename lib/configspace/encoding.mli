@@ -21,10 +21,6 @@ val feature_names : t -> string array
 (** One label per feature; one-hot features are suffixed with their
     category (e.g. ["default_qdisc=fq"]). *)
 
-val feature_owner : t -> int array
-(** For each feature, the index of the parameter it encodes — used to
-    aggregate per-feature importances back to parameters. *)
-
 val param_importance : t -> float array -> (string * float) array
 (** Aggregate per-feature scores into per-parameter scores (sum over a
     parameter's features), sorted descending.

@@ -264,27 +264,47 @@ let to_yaml t =
 
 (* Simulator parameter [i] under the job, and its pin if it has one.  An
    explorable int takes the job's range and default, keeping the
-   simulator's stage and log scale; a parameter the job does not list is
-   pinned to its default. *)
+   simulator's stage and log scale.  A categorical list of one value pins
+   it; a list of all the simulator's values, in any order, keeps it
+   explorable with the job's default mapped by name.  A parameter the job
+   does not list is pinned to its default. *)
 let under job sim i (p : Param.t) =
   match Space.index_of job.space p.Param.name with
   | exception Not_found -> Ok (p, Some p.Param.default)
   | j -> (
     let q = Space.param job.space j in
-    match (Space.fixed_value job.space j, p.Param.kind, q.Param.kind) with
-    | Some v, _, _ -> Ok (p, Some v)
-    | None, Param.Kint { lo; hi; log_scale }, Param.Kint { lo = job_lo; hi = job_hi; _ } ->
+    let with_default kind default =
+      Param.make ?description:p.Param.description ~name:p.Param.name ~stage:p.Param.stage ~kind
+        ~default ()
+    in
+    match (Space.fixed_value job.space j, p.Param.kind, q.Param.kind, q.Param.default) with
+    | Some v, _, _, _ -> Ok (p, Some v)
+    | None, Param.Kint { lo; hi; log_scale }, Param.Kint { lo = job_lo; hi = job_hi; _ }, d ->
       if job_lo < lo || job_hi > hi then
         Error
           (Printf.sprintf "job parameter %s: range [%d, %d] is not inside the simulator's [%d, %d]"
              p.Param.name job_lo job_hi lo hi)
       else
         Ok
-          ( Param.make ?description:p.Param.description ~name:p.Param.name ~stage:p.Param.stage
-              ~kind:(Param.Kint { lo = job_lo; hi = job_hi; log_scale })
-              ~default:q.Param.default (),
+          ( with_default (Param.Kint { lo = job_lo; hi = job_hi; log_scale }) d,
             Space.fixed_value sim i )
-    | None, _, _ -> Ok (p, Space.fixed_value sim i))
+    | None, Param.Kcategorical values, Param.Kcategorical job_values, Param.Vcat d -> (
+      let all =
+        Array.length job_values = Array.length values
+        && Array.for_all (fun v -> Array.mem v job_values) values
+      in
+      match (job_values, Array.find_index (String.equal job_values.(d)) values) with
+      | [| _ |], Some k -> Ok (p, Some (Param.Vcat k))
+      | _, Some k when all ->
+        Ok (with_default p.Param.kind (Param.Vcat k), Space.fixed_value sim i)
+      | _ ->
+        let list vs = String.concat ", " (Array.to_list vs) in
+        Error
+          (Printf.sprintf
+             "job parameter %s: values [%s] are neither one of the simulator's [%s] nor all of \
+              them"
+             p.Param.name (list job_values) (list values)))
+    | None, _, _, _ -> Ok (p, Space.fixed_value sim i))
 
 let restrict job sim =
   let params = Array.mapi (under job sim) (Space.params sim) in

@@ -64,8 +64,12 @@ val to_yaml : t -> Wayfinder_yamlite.Yamlite.t
 val restrict : t -> Space.t -> (Space.t, string) result
 (** [restrict job sim] is the simulator's space [sim] as the job sees it.
     An explorable int parameter takes the job's [min], [max] and
-    [default], keeping the simulator's stage and log scale.  The job's
-    [fixed] pins apply to the parameters [sim] has, and every parameter of
-    [sim] the job does not list is pinned to its default.  [Error] names
-    the parameter and both ranges when a job range is not inside the
-    simulator's, or carries the message of a pin [sim] cannot hold. *)
+    [default], keeping the simulator's stage and log scale.  A
+    categorical [values] list of one value pins the parameter to it; a
+    list of all the simulator's values, in any order, keeps it explorable
+    with the job's [default] mapped by name.  The job's [fixed] pins apply
+    to the parameters [sim] has, and every parameter of [sim] the job does
+    not list is pinned to its default.  [Error] names the parameter and
+    both ranges when a job range is not inside the simulator's, both lists
+    for any other categorical list, or carries the message of a pin [sim]
+    cannot hold. *)

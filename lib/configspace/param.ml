@@ -287,8 +287,6 @@ let perturb p rng v =
   | (Kbool | Ktristate | Kint _ | Kcategorical _), _ ->
     invalid_arg "Param.perturb: value kind mismatch"
 
-let pp_value kind ppf v = Format.pp_print_string ppf (value_to_string kind v)
-
 let pp ppf p =
   let kind_str =
     match p.kind with

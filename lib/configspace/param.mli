@@ -103,5 +103,4 @@ val perturb : t -> Wayfinder_tensor.Rng.t -> value -> value
     categorical values.  The result is always in-domain and (when the domain
     has more than one point) different from the input. *)
 
-val pp_value : kind -> Format.formatter -> value -> unit
 val pp : Format.formatter -> t -> unit

@@ -31,6 +31,3 @@ type report = {
 val probe : ?scale_steps:int -> iface -> report
 (** [scale_steps] bounds how many ×10 scalings are attempted per direction
     (default 4, i.e. up to default·10⁴ and default/10⁴). *)
-
-val range_for : ?scale_steps:int -> iface -> file:string -> default:int -> int * int
-(** The range-estimation step alone, exposed for testing. *)

@@ -62,8 +62,6 @@ let fix t pins =
   { t with fixed }
 
 let fixed_value t i = t.fixed.(i)
-let stage_of t i = t.params.(i).Param.stage
-
 let defaults t =
   Array.mapi
     (fun i p -> match t.fixed.(i) with Some v -> v | None -> p.Param.default)
@@ -262,12 +260,3 @@ let of_kconfig ?(stage = Param.Compile_time) descriptors =
       in
       Param.make ~name:d.d_name ~stage ~kind ~default ())
     descriptors
-
-let pp_configuration t ppf config =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i p ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%s = %s" p.Param.name (Param.value_to_string p.Param.kind config.(i)))
-    t.params;
-  Format.fprintf ppf "@]"

@@ -36,7 +36,6 @@ val fix : t -> (string * Param.value) list -> t
     names. *)
 
 val fixed_value : t -> int -> Param.value option
-val stage_of : t -> int -> Param.stage
 
 val defaults : t -> configuration
 val validate : t -> configuration -> (int * string) list
@@ -122,5 +121,3 @@ val of_kconfig : ?stage:Param.stage -> Wayfinder_kconfig.Space.descriptor list -
 (** Convert Kconfig descriptors into parameters (choice members and
     dependent symbols are included; strings become single-point categorical
     domains). *)
-
-val pp_configuration : t -> Format.formatter -> configuration -> unit

@@ -5,8 +5,6 @@ type t =
   | Squared_exponential of { lengthscale : float; variance : float }
   | Matern52 of { lengthscale : float; variance : float }
 
-let default = Squared_exponential { lengthscale = 1.; variance = 1. }
-
 (* The kernel as a function of the squared distance of its inputs: the
    one scalar formula behind [eval], [cross2_into] and [gram]. *)
 let of_sq_dist k r2 =

@@ -8,9 +8,6 @@ type t =
   | Squared_exponential of { lengthscale : float; variance : float }
   | Matern52 of { lengthscale : float; variance : float }
 
-val default : t
-(** Squared-exponential with lengthscale 1 and unit variance. *)
-
 val eval : t -> Wayfinder_tensor.Vec.t -> Wayfinder_tensor.Vec.t -> float
 
 val cross2_into :

@@ -80,15 +80,6 @@ let choices tree =
   in
   List.rev (List.fold_left collect [] tree)
 
-let rec expr_symbols = function
-  | Const _ -> []
-  | Symbol s -> [ s ]
-  | Eq (a, b) | Neq (a, b) ->
-    let keep s = if Tristate.of_string s = None && int_of_string_opt s = None then [ s ] else [] in
-    keep a @ keep b
-  | Not e -> expr_symbols e
-  | And (a, b) | Or (a, b) -> expr_symbols a @ expr_symbols b
-
 let rec pp_expr ppf = function
   | Const t -> Tristate.pp ppf t
   | Symbol s -> Format.pp_print_string ppf s

@@ -67,11 +67,5 @@ val find_entry : tree -> string -> entry option
 val choices : tree -> choice list
 (** All choice blocks, in document order, at any nesting depth. *)
 
-val expr_symbols : expr -> string list
-(** Symbol names referenced by an expression (with duplicates). *)
-
-val pp_expr : Format.formatter -> expr -> unit
-(** Kconfig concrete syntax, fully parenthesised. *)
-
 val print_tree : tree -> string
 (** Render back to Kconfig text parseable by {!Parser.parse}. *)

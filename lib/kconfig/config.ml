@@ -18,14 +18,7 @@ let create tree = { tree; values = Hashtbl.create 256 }
 let tree t = t.tree
 let copy t = { tree = t.tree; values = Hashtbl.copy t.values }
 let set t name v = Hashtbl.replace t.values name v
-let unset t name = Hashtbl.remove t.values name
 let get t name = Hashtbl.find_opt t.values name
-
-let bindings t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.values []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let cardinal t = Hashtbl.length t.values
 
 let tristate_of t name =
   match get t name with

@@ -22,13 +22,7 @@ val create : Ast.tree -> t
 val tree : t -> Ast.tree
 val copy : t -> t
 val set : t -> string -> value -> unit
-val unset : t -> string -> unit
 val get : t -> string -> value option
-val bindings : t -> (string * value) list
-(** Sorted by symbol name. *)
-
-val cardinal : t -> int
-
 val tristate_of : t -> string -> Tristate.t
 (** Value of a symbol in boolean context: its own value for
     bool/tristate symbols, [Y] for assigned value-typed symbols,

@@ -9,8 +9,6 @@
 
 module A = Wayfinder_analytics
 
-val seal_to_string : Tail.seal -> string
-
 val render :
   ?alerts:string list ->
   ?dropped:int ->

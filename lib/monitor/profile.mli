@@ -55,23 +55,12 @@ val self : clock -> node -> float
 
 val total : clock -> node -> float
 
-type hotspot = {
-  hot_name : string;
-  hot_count : int;
-  hot_self : float;
-  hot_total : float;
-}
-
-val hotspots : t -> clock -> top:int -> hotspot list
-(** Top [top] names by summed self time, ties broken by name. *)
-
 val render_tree : t -> string
 (** The dual-clock time tree, header line included. *)
 
 val render_hotspots : t -> clock -> top:int -> string
+(** The [top] names by summed self time, ties broken by name. *)
 
 val flamegraph : t -> clock -> string
 (** Collapsed stacks ([a;b;c value] per line, DFS order), self time in
     integer microseconds — input for standard flamegraph renderers. *)
-
-val clock_to_string : clock -> string

@@ -30,16 +30,13 @@ type rule =
   | Starve of { fraction : float }
   | Drift of { window : int }
 
-val rule_name : rule -> string
-(** ["crash"], ["stall"], ["starve"] or ["drift"] — the [Alert] event's
-    rule tag. *)
-
 val rule_to_string : rule -> string
 (** A spec string that parses back to the rule. *)
 
 val parse : string -> (rule list, string) result
 
 type firing = { rule : string; message : string }
+(** [rule] is [crash], [stall], [starve] or [drift]: the [Alert] event's tag. *)
 
 type state
 (** Per-rule edge-trigger latches plus the drift baseline. *)

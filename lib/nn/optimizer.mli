@@ -35,5 +35,3 @@ val step : t -> unit
 val moments : t -> (float array * float array) array
 (** Adam's first and second moment estimates, one pair per parameter in
     list order, as copies; [[||]] for SGD. *)
-
-val zero_grads : t -> unit

@@ -50,15 +50,12 @@ val add_json_float : Buffer.t -> float -> unit
 (** {!add_number}, or [null] for a non-finite value (JSON has no
     NaN/infinity): how traces write every float but their wall stamps. *)
 
-val add_value : Buffer.t -> value -> unit
-(** The JSON fragment of a value: strings escaped and quoted, floats
-    through {!add_json_float}. *)
-
 val add_json : Buffer.t -> t -> unit
 (** The whole list as a JSON object, e.g. [{"phase":"build","pool":96}]. *)
 
 val json_of_value : value -> string
-(** {!add_value} into a fresh string. *)
+(** The JSON fragment of a value: strings escaped and quoted, floats
+    through {!add_json_float}. *)
 
 val to_json : t -> string
 (** {!add_json} into a fresh string. *)

@@ -16,8 +16,6 @@ let create ?(now = Unix.gettimeofday) ?(virtual_now = fun () -> 0.) ?(sinks = []
 
 let null () = create ~now:(fun () -> 0.) ()
 
-let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
-
 let set_virtual_now t f = t.virtual_now <- f
 
 let metrics t = t.metrics

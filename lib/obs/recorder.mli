@@ -37,8 +37,6 @@ val create :
 val null : unit -> t
 (** A fresh sink-less recorder (still aggregates metrics). *)
 
-val add_sink : t -> Sink.t -> unit
-
 val set_virtual_now : t -> (unit -> float) -> unit
 (** The driver calls this with [fun () -> Vclock.now clock] so events are
     stamped with virtual time. *)

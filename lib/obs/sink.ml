@@ -5,8 +5,6 @@ let make ?(flush = fun () -> ()) ~emit () = { emit; flush }
 let emit t e = t.emit e
 let flush t = t.flush ()
 
-let null = { emit = (fun _ -> ()); flush = (fun () -> ()) }
-
 let tee sinks =
   { emit = (fun e -> List.iter (fun s -> s.emit e) sinks);
     flush = (fun () -> List.iter (fun s -> s.flush ()) sinks) }

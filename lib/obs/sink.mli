@@ -14,9 +14,6 @@ val make : ?flush:(unit -> unit) -> emit:(Event.t -> unit) -> unit -> t
 val emit : t -> Event.t -> unit
 val flush : t -> unit
 
-val null : t
-(** Swallows everything. *)
-
 val tee : t list -> t
 (** Forwards each event to every sink, in order. *)
 

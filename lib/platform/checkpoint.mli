@@ -152,9 +152,6 @@ val generation_path : string -> int -> string
 (** [generation_path path 0 = path]; [generation_path path i] is
     ["path.i"] for [i >= 1]. *)
 
-val max_generations : int
-(** The probe window of {!load_latest}: 64. *)
-
 val save : ?backend:Durable.backend -> ?keep:int -> path:string -> t -> unit
 (** Durable atomic publish of {!to_string} via [backend] (default
     {!Durable.fs}): stage to [path ^ ".tmp"], fsync, rotate generations
@@ -200,7 +197,7 @@ val notice_to_string : notice -> string
 val load_latest :
   ?backend:Durable.backend -> string -> (t * notice option, error) result
 (** Load the newest valid state record: from [path], or, when [path]
-    holds none, from [path.1], [path.2], … within {!max_generations}.
+    holds none, from [path.1], [path.2], … within 64 generations.
     [None] notice means the primary loaded to its last byte.  [Error]
     carries the {e primary}'s error when no generation holds a valid
     record, or {!Malformed} when no generation exists at all. *)

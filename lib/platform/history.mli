@@ -42,11 +42,10 @@ val crashes : t -> int
 
 val crash_rate : t -> float
 
-val transient_failures : t -> int
-(** Entries lost to the testbed rather than the configuration: transient
-    faults and timeouts. *)
-
 val transient_rate : t -> float
+(** The share of entries lost to the testbed rather than the
+    configuration: transient faults and timeouts. *)
+
 val windowed_crash_rate : t -> window:int -> float
 (** Crash rate over the last [window] entries. *)
 

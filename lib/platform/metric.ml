@@ -16,4 +16,3 @@ let of_app app =
 let score t v = if t.maximize then v else -.v
 let unscore t s = if t.maximize then s else -.s
 let better t a b = score t a > score t b
-let pp_value t ppf v = Format.fprintf ppf "%.2f %s" v t.unit_name

@@ -24,5 +24,3 @@ val unscore : t -> float -> float
 
 val better : t -> float -> float -> bool
 (** [better t a b] is true when raw value [a] beats raw value [b]. *)
-
-val pp_value : t -> Format.formatter -> float -> unit

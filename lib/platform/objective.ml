@@ -1,7 +1,5 @@
 type spec = Metric.t array
 
-let spec_names spec = Array.to_list (Array.map (fun m -> m.Metric.metric_name) spec)
-
 let builtin = function
   | "throughput" -> Some (Metric.make ~name:"throughput" ~unit_name:"req/s" ())
   | "p50" -> Some (Metric.make ~maximize:false ~name:"p50" ~unit_name:"s" ())

@@ -12,8 +12,6 @@ type spec = Metric.t array
 (** One metric per objective, in vector order.  The empty spec denotes
     a single-objective (scalar-only) target. *)
 
-val spec_names : spec -> string list
-
 val builtin : string -> Metric.t option
 (** Objectives the trace-replay targets know how to measure:
     ["throughput"] (req/s, maximize), ["p50"]/["p95"]/["p99"] (latency

@@ -8,7 +8,6 @@ let create ~spec = { spec; points = [] }
 let spec t = t.spec
 let points t = t.points
 let size t = List.length t.points
-let is_empty t = t.points = []
 
 let insert t ~index ~objectives =
   let beaten_by p =

@@ -24,7 +24,6 @@ val points : t -> point list
 (** The current front, sorted by ascending entry index. *)
 
 val size : t -> int
-val is_empty : t -> bool
 
 val to_list : t -> (int * float array) list
 (** Checkpoint view: [(index, raw vector)] sorted by index. *)

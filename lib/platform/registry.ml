@@ -308,11 +308,6 @@ type quality =
   | Exact
   | Overlap of { shared : int; donor_params : int; target_params : int }
 
-let quality_to_string = function
-  | Exact -> "exact"
-  | Overlap { shared; donor_params; target_params } ->
-    Printf.sprintf "overlap %d/%d donor, %d target params" shared donor_params target_params
-
 (* The transferable identity of a canonical param line: name, stage and
    kind — everything before " default=".  A re-defaulted or re-pinned
    parameter is still the same search dimension. *)

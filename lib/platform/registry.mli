@@ -37,7 +37,7 @@
 
     The model payload is deliberately {e opaque} here (a kind tag plus a
     flat float array, exactly [Dtm.snapshot_to_floats]): the platform
-    layer cannot depend on the search core, so the CLI glues
+    layer cannot depend on the search core, so [Session] glues
     [Registry] ↔ [Dtm.snapshot_of_floats] ↔ [Deeptune.create_from]. *)
 
 module Space = Wayfinder_configspace.Space
@@ -105,7 +105,7 @@ val save :
 (** Durable atomic publish of the sealed entry at
     [entry_path ~dir t.fp], rotating [keep] generations
     ({!Durable.atomic_publish}); returns the path written.  The
-    directory must already exist (the CLI creates it). *)
+    directory must already exist ([Session.run] creates it). *)
 
 val load : ?backend:Durable.backend -> string -> (t, error) result
 (** Load one entry by path (no fingerprint check — see {!load_for}). *)
@@ -121,8 +121,6 @@ type quality =
   | Exact  (** Same app, byte-identical canonical space text. *)
   | Overlap of { shared : int; donor_params : int; target_params : int }
       (** [shared] parameters agree in name, stage, kind and ranges. *)
-
-val quality_to_string : quality -> string
 
 val space_overlap : donor:string -> target:string -> int
 (** Shared-parameter count between two canonical space texts: lines that

@@ -58,11 +58,3 @@ let apply t ~spec v =
         end)
       bounds;
     Metric.score spec.(primary) v.(primary) -. (1e6 *. !violation)
-
-let describe = function
-  | Weighted_sum w ->
-    Printf.sprintf "weighted-sum(%s)"
-      (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%g") w)))
-  | Epsilon_constraint { primary; bounds } ->
-    Printf.sprintf "epsilon-constraint(primary=%d, bounds=%s)" primary
-      (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%g") bounds)))

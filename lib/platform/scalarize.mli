@@ -29,5 +29,3 @@ val validate : t -> n:int -> (unit, string) result
 val apply : t -> spec:Objective.spec -> float array -> float
 (** Collapse a raw vector.  @raise Invalid_argument on arity mismatch
     (call {!validate} first at the API boundary). *)
-
-val describe : t -> string

@@ -22,13 +22,6 @@ val of_cozart :
     of throughput and memory (eq. 4's normalisation is supplied by the
     caller, typically over the running history). *)
 
-val nominal_capacity_rps : float
-(** Service rate of the default configuration in trace-load units: 1000
-    requests/second.  Trace loads for {!of_sim_linux_trace} are offered
-    against this scale — a configuration's capacity is
-    [nominal_capacity_rps] times its relative performance versus the
-    default configuration. *)
-
 val of_sim_linux_trace :
   Simos.Sim_linux.t ->
   app:Simos.App.t ->
@@ -39,7 +32,8 @@ val of_sim_linux_trace :
   Target.t
 (** Trace-driven multi-objective target: each evaluation runs the
     analytic model once (crashes and noise as usual), derives a service
-    model — capacity from relative performance, base latency inflated by
+    model — capacity from relative performance (1000 req/s for the default
+    configuration), base latency inflated by
     the image's memory footprint — and replays the scenario's current
     trace slice through {!Simos.Trace_replay}, reporting the objective
     vector named by [objectives] (any of [throughput]/[p50]/[p95]/[p99]

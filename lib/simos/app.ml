@@ -34,5 +34,3 @@ let default_performance = function
 let cores_used = function Nginx | Npb -> 16 | Redis | Sqlite -> 1
 
 let score app v = if (metric app).maximize then v else -.v
-
-let pp ppf t = Format.pp_print_string ppf (name t)

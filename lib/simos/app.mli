@@ -35,5 +35,3 @@ val cores_used : t -> int
 val score : t -> float -> float
 (** Higher-is-better view of a raw metric value (negated for minimised
     metrics), so search code can always maximise. *)
-
-val pp : Format.formatter -> t -> unit

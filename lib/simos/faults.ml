@@ -27,12 +27,6 @@ type fault =
   | Spurious_failure
   | Outlier of { factor : float }
 
-let fault_to_string = function
-  | Boot_hang { stall_s } -> Printf.sprintf "boot-hang(%.0fs)" stall_s
-  | Flaky_build -> "flaky-build"
-  | Spurious_failure -> "spurious-failure"
-  | Outlier { factor } -> Printf.sprintf "outlier(%.2fx)" factor
-
 type t = { seed : int; rates : rates; hang_stall_s : float; outlier_sigma : float }
 
 let default_hang_stall_s = 3600.

@@ -24,7 +24,6 @@ type rates = {
 }
 
 val zero_rates : rates
-val rates_total : rates -> float
 
 val rates_of_total : float -> rates
 (** Split a total transient-fault probability across the four kinds with a
@@ -37,20 +36,15 @@ type fault =
   | Spurious_failure
   | Outlier of { factor : float }
 
-val fault_to_string : fault -> string
-
 type t
 (** An injection plan: seed + rates.  Immutable and stateless. *)
 
-val default_hang_stall_s : float
-(** 3600 virtual seconds — an hour-long hang, far beyond any boot. *)
-
-val default_outlier_sigma : float
-
 val create :
   ?rates:rates -> ?hang_stall_s:float -> ?outlier_sigma:float -> seed:int -> unit -> t
-(** @raise Invalid_argument on negative rates, a rate sum above 1, or a
-    non-positive stall. *)
+(** A hang stalls [hang_stall_s] (default 3600 virtual seconds, far beyond
+    any boot); an outlier's log-factor has deviation [outlier_sigma]
+    (default 1.2).  @raise Invalid_argument on negative rates, a rate sum
+    above 1, or a non-positive stall. *)
 
 val seed : t -> int
 val rates : t -> rates

@@ -25,8 +25,3 @@ let cozart_testbed =
 let riscv_qemu =
   { hw_name = "QEMU RISC-V (emulated)"; isa = Riscv64; cores = 4; ghz = 1.0; ram_mb = 2048;
     numa_nodes = 1; emulated = true }
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d cores @ %.2f GHz, %d MB RAM, %d NUMA node(s)%s" t.hw_name t.cores
-    t.ghz t.ram_mb t.numa_nodes
-    (if t.emulated then " (emulated)" else "")

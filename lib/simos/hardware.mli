@@ -18,10 +18,6 @@ type t = {
   emulated : bool;  (** QEMU TCG emulation (slow, but memory-faithful). *)
 }
 
-val xeon_e5_2697v2 : t
-(** The paper's main testbed: 2×24 cores @ 2.70 GHz, 128 GB RAM, 2 NUMA
-    nodes (experiments restricted to one). *)
-
 val xeon_e5_2697v2_one_node : t
 (** Single-node view used by the §4.1 experiments. *)
 
@@ -30,5 +26,3 @@ val cozart_testbed : t
 
 val riscv_qemu : t
 (** Emulated RISC-V board for the §4.4 memory-footprint experiment. *)
-
-val pp : Format.formatter -> t -> unit

@@ -77,8 +77,6 @@ let peaked ~v ~optimum ~width ~gain =
     gain *. exp (-.(x *. x))
   end
 
-let peaked_relative = peaked
-
 let level_penalty ~level ~neutral ~per_level =
   if level > neutral then -.(float_of_int (level - neutral) *. per_level) else 0.
 

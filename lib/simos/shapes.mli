@@ -51,11 +51,6 @@ val peaked : v:int -> optimum:int -> width:float -> gain:float -> float
 (** Gaussian bump in log-space: [gain·exp(-(log₁₀(v/opt)/width)²)],
     so the delta is [gain] at the optimum and ~0 far away. *)
 
-val peaked_relative : v:int -> optimum:int -> width:float -> gain:float -> float
-(** Like {!peaked} but centred so the *default* contributes 0 when the
-    default equals the optimum: returns [peaked v - 0] (alias kept for
-    call-site readability). *)
-
 val level_penalty : level:int -> neutral:int -> per_level:float -> float
 (** Linear penalty above a neutral level: [-(level - neutral)·per_level]
     when [level > neutral], else 0 (e.g. printk verbosity). *)

@@ -107,12 +107,6 @@ let named_compile_params =
     Param.bool_param ~stage:compile "JUMP_LABEL" true;
     Param.bool_param ~stage:compile "NO_HZ_FULL" false ]
 
-let documented_positive =
-  [ "net.core.somaxconn"; "net.core.rmem_default"; "net.ipv4.tcp_keepalive_time";
-    "vm.stat_interval"; "net.ipv4.tcp_max_syn_backlog"; "net.core.busy_poll" ]
-
-let documented_negative = [ "kernel.printk_level"; "kernel.printk_delay"; "vm.block_dump" ]
-
 let filler_prefixes = [| "net.ipv4"; "net.core"; "vm"; "kernel"; "fs"; "dev.raid" |]
 let filler_ranges = [| (0, 64); (1, 1024); (16, 65536); (1, 1048576); (0, 100) |]
 

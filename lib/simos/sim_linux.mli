@@ -77,12 +77,3 @@ val sysfs : t -> Probe.iface
     range-probing heuristic: reads return defaults, writes succeed exactly
     within the parameter's true range, and writes into a hidden crash
     region crash the probe VM. *)
-
-val documented_positive : string list
-(** Runtime parameters that tuning guides document as high-impact positive
-    knobs (§4.1): somaxconn, rmem_default, tcp_keepalive_time,
-    vm.stat_interval, ... *)
-
-val documented_negative : string list
-(** Parameters documented to degrade performance: printk verbosity/delay,
-    vm.block_dump, ... *)

@@ -61,5 +61,3 @@ let describe = function
     Printf.sprintf "NPB %s classes %s"
       (String.concat "/" (List.map program_name programs))
       (String.concat "/" (List.map class_name classes))
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

@@ -45,5 +45,3 @@ val duration_s : t -> float
 (** Virtual benchmark duration implied by the workload. *)
 
 val describe : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -148,7 +148,6 @@ let parallel_for ?chunk t n f =
    precisely because pooled results are bitwise equal to sequential ones. *)
 
 let default : t option Atomic.t = Atomic.make None
-let set_default p = Atomic.set default p
 let get_default () = Atomic.get default
 
 let with_default p f =

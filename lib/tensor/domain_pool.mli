@@ -36,7 +36,6 @@ val shutdown : t -> unit
     parallelizes without plumbing a pool argument through every layer —
     safe because pooled results are bitwise equal to sequential ones. *)
 
-val set_default : t option -> unit
 val get_default : unit -> t option
 
 val with_default : t option -> (unit -> 'a) -> 'a

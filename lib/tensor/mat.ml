@@ -12,7 +12,6 @@ let create rows cols x =
 let zeros rows cols = create rows cols 0.
 
 let numel m = m.rows * m.cols
-let get_flat m i = m.data.{i}
 let set_flat m i x = m.data.{i} <- x
 let fill m x = Bigarray.Array1.fill m.data x
 

@@ -25,9 +25,6 @@ val numel : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
-val get_flat : t -> int -> float
-(** Flat row-major access: [get_flat m i = m.data.{i}]. *)
-
 val set_flat : t -> int -> float -> unit
 
 val fill : t -> float -> unit

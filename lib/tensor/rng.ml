@@ -79,15 +79,6 @@ let normal t ?(mu = 0.) ?(sigma = 1.) () =
   in
   mu +. (sigma *. draw ())
 
-let log_normal t ~mu ~sigma = exp (normal t ~mu ~sigma ())
-
-let exponential t ~rate =
-  let rec positive () =
-    let u = float t 1.0 in
-    if u <= 0. then positive () else u
-  in
-  -.log (positive ()) /. rate
-
 let choice t a =
   if Array.length a = 0 then invalid_arg "Rng.choice: empty array";
   a.(int t (Array.length a))

@@ -56,12 +56,6 @@ val normal : t -> ?mu:float -> ?sigma:float -> unit -> float
 (** Gaussian sample via the Box–Muller transform.  Defaults: [mu = 0.],
     [sigma = 1.]. *)
 
-val log_normal : t -> mu:float -> sigma:float -> float
-(** Sample of [exp X] with [X ~ N(mu, sigma)]. *)
-
-val exponential : t -> rate:float -> float
-(** Exponential sample with the given [rate]. *)
-
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)

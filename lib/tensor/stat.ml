@@ -72,17 +72,6 @@ let moving_average w xs =
       done;
       !acc /. float_of_int (hi - lo + 1))
 
-let exp_smooth alpha xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n xs.(0) in
-    for i = 1 to n - 1 do
-      out.(i) <- (alpha *. xs.(i)) +. ((1. -. alpha) *. out.(i - 1))
-    done;
-    out
-  end
-
 let pearson xs ys =
   if Array.length xs <> Array.length ys then invalid_arg "Stat.pearson: length mismatch";
   let sx = std xs and sy = std ys in
@@ -120,9 +109,6 @@ let spearman xs ys =
   if Array.length xs = 0 then 0.
   else if Array.exists Float.is_nan xs || Array.exists Float.is_nan ys then Float.nan
   else pearson (ranks xs) (ranks ys)
-
-let argmax xs = Vec.max_index xs
-let argmin xs = Vec.min_index xs
 
 let mae preds targets =
   if Array.length preds <> Array.length targets then invalid_arg "Stat.mae: length mismatch";

@@ -43,9 +43,6 @@ val moving_average : int -> float array -> float array
     (the "smoothed for readability" treatment of the paper's figures).
     Returns an array of the same length. *)
 
-val exp_smooth : float -> float array -> float array
-(** Exponential smoothing with factor [alpha] in (0, 1]. *)
-
 val pearson : float array -> float array -> float
 (** Pearson correlation coefficient; 0 when either input is constant. *)
 
@@ -58,9 +55,6 @@ val spearman : float array -> float array -> float
     is constant (or empty); NaN if any sample is NaN (the NaN policy —
     propagate, never silently rank).
     @raise Invalid_argument on length mismatch. *)
-
-val argmax : float array -> int
-val argmin : float array -> int
 
 val mae : float array -> float array -> float
 (** Mean absolute error between predictions and targets. *)

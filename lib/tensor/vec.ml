@@ -22,8 +22,6 @@ let mul a b =
   check_dims "mul" a b;
   Array.mapi (fun i x -> x *. b.(i)) a
 
-let scale s a = Array.map (fun x -> s *. x) a
-
 let axpy a x y =
   check_dims "axpy" x y;
   for i = 0 to Array.length x - 1 do

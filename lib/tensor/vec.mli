@@ -26,8 +26,6 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 (** Element-wise (Hadamard) product. *)
 
-val scale : float -> t -> t
-
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] performs [y <- a*x + y] in place. *)
 

@@ -298,7 +298,6 @@ let type_error expected v =
 
 let get_string = function String s -> s | v -> type_error "string" v
 let get_bool = function Bool b -> b | v -> type_error "bool" v
-let get_int = function Int i -> i | v -> type_error "int" v
 
 let get_float = function
   | Float f -> f

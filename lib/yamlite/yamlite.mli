@@ -53,7 +53,6 @@ val get_string : t -> string
 (** @raise Invalid_argument if the value is not a [String]. *)
 
 val get_bool : t -> bool
-val get_int : t -> int
 
 val get_float : t -> float
 (** Accepts [Int] values too, widening them. *)

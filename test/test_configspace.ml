@@ -491,11 +491,54 @@ let test_jobfile_restrict () =
       Alcotest.(check bool) "an unlisted parameter stays at its default" true
         (Space.get s c "unlisted" = Param.Vint 60)
     done);
-  match Jobfile.restrict (Jobfile.parse (narrowing_job ~max:70000)) sim with
+  (match Jobfile.restrict (Jobfile.parse (narrowing_job ~max:70000)) sim with
   | Ok _ -> Alcotest.fail "a range past the simulator's was accepted"
   | Error e ->
     Alcotest.(check string) "the error names the parameter and both ranges"
-      "job parameter backlog: range [128, 70000] is not inside the simulator's [16, 65536]" e
+      "job parameter backlog: range [128, 70000] is not inside the simulator's [16, 65536]" e);
+  (* Categorical lists: one value pins, all of the simulator's values (in
+     any order) keep the parameter explorable with the default mapped by
+     name, anything else is refused. *)
+  let sim =
+    Space.create
+      [ Param.categorical_param "qdisc" [| "pfifo_fast"; "fq"; "fq_codel" |] ~default:0 ]
+  in
+  let restrict values default =
+    Jobfile.restrict
+      (Jobfile.parse
+         (Printf.sprintf
+            "name: q\nos: sim\napp: app\nmetric: throughput\nparams:\n  - name: qdisc\n    \
+             type: categorical\n    values: [%s]\n    default: %s\n"
+            values default))
+      sim
+  in
+  (match restrict "fq" "fq" with
+  | Error e -> Alcotest.failf "a one-value list was refused: %s" e
+  | Ok s ->
+    Alcotest.(check (option string)) "a one-value list pins the value" (Some "fq")
+      (Option.map
+         (Param.value_to_string (Space.param s 0).Param.kind)
+         (Space.fixed_value s 0)));
+  (match restrict "fq_codel, pfifo_fast, fq" "fq" with
+  | Error e -> Alcotest.failf "the simulator's values were refused: %s" e
+  | Ok s ->
+    let p = Space.param s 0 in
+    Alcotest.(check bool) "all values keep the simulator's order, the default by name" true
+      (Space.fixed_value s 0 = None
+      && p.Param.kind = Param.Kcategorical [| "pfifo_fast"; "fq"; "fq_codel" |]
+      && p.Param.default = Param.Vcat 1));
+  List.iter
+    (fun (values, default) ->
+      match restrict values default with
+      | Ok _ -> Alcotest.failf "values [%s] were accepted" values
+      | Error e ->
+        Alcotest.(check string) "the error names the parameter and both lists"
+          (Printf.sprintf
+             "job parameter qdisc: values [%s] are neither one of the simulator's [pfifo_fast, \
+              fq, fq_codel] nor all of them"
+             values)
+          e)
+    [ ("bbr", "bbr"); ("fq, fq_codel", "fq"); ("fq, fq_codel, pfifo_fast, bbr", "fq") ]
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
