@@ -824,10 +824,10 @@ let run_cmd =
       value & opt (some string) d.alerts
       & info [ "alerts" ] ~docv:"SPEC"
           ~doc:"Evaluate alert rules after every iteration, e.g. \
-                $(b,crash>0.5\\@40,stall>30,drift).  Rules: $(b,crash>P[\\@W]) (windowed crash \
+                $(b,crash>0.5@40,stall>30,drift).  Rules: $(b,crash>P[@W]) (windowed crash \
                 rate above the fraction $(i,P)), $(b,stall>N) (no best improvement in \
                 $(i,N) iterations), $(b,starve<F) (worker pool busy below $(i,F); needs \
-                $(b,--workers) > 1), $(b,drift[\\@W]) (trailing window drifts from the run's \
+                $(b,--workers) > 1), $(b,drift[@W]) (trailing window drifts from the run's \
                 first window).  Firings go to stderr and, as typed $(i,alert) events, into \
                 the $(b,--trace) stream; active rules are flagged on the $(b,--progress) \
                 line.")

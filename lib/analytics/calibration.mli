@@ -40,14 +40,14 @@ val of_series : ?bins:int -> Series.t -> t
 (** {1 Pieces} — exposed for unit tests and custom reports. *)
 
 val crash_pairs : Series.t -> (float * bool) list
-val value_pairs : Series.t -> (float * float) list
-val uncertainty_pairs : Series.t -> (float * float) list
-
-val brier : (float * bool) list -> float option
+(** Test hook: test_analytics checks the pairing on a hand-built series; {!of_series} is
+    built on it. *)
 
 val reliability : ?bins:int -> (float * bool) list -> reliability_bin array
 (** Equal-width bins over [\[0, 1\]]; out-of-range predictions clamp to
+    Test hook: test_analytics checks the binning on hand-made pairs; {!of_series} is
+    built on it.
     the edge bins.  @raise Invalid_argument if [bins <= 0]. *)
 
-val mae : (float * float) list -> float option
 val uncertainty_spearman : (float * float) list -> float option
+(** Test hook: test_analytics checks it on hand-made pairs; {!of_series} is built on it. *)

@@ -223,10 +223,6 @@ let close_writer w =
     close_out w.oc
   end
 
-let with_writer ?seed ?objectives ~algo ~space ~metric path f =
-  let w = create_writer ?seed ?objectives ~algo ~space ~metric path in
-  Fun.protect ~finally:(fun () -> close_writer w) (fun () -> f w)
-
 let to_string t =
   let lines =
     Obs.Sink.schema_header ~kind

@@ -38,12 +38,6 @@ module Metric = Wayfinder_platform.Metric
 module Failure = Wayfinder_platform.Failure
 module Search_algorithm = Wayfinder_platform.Search_algorithm
 
-val kind : string
-(** ["ledger"], the header's kind tag. *)
-
-val schema_version : int
-(** The schema this build writes and reads (= {!Wayfinder_obs.Sink.schema_version}). *)
-
 type error =
   | Missing_header  (** Line 1 is not a wayfinder schema header. *)
   | Unsupported_schema of int
@@ -96,7 +90,9 @@ val row_of_entry : History.entry -> Search_algorithm.belief option -> row
 
 val row_line : row -> string
 (** The row's iter line, without its newline: the row written directly,
-    with the bytes {!Json.to_string} gives the row as a tree. *)
+    with the bytes {!Json.to_string} gives the row as a tree.
+    Test hook: test_analytics pins it to the row renderer kept in test/oracle.ml;
+    writers render every row through it. *)
 
 (** {1 Writing} *)
 
@@ -144,20 +140,12 @@ val close_writer : writer -> unit
 (** Writes the [fin] seal (row count + CRC-32 over every byte written)
     and closes the channel.  Idempotent. *)
 
-val with_writer :
-  ?seed:int ->
-  ?objectives:Metric.t list ->
-  algo:string ->
-  space:Space.t ->
-  metric:Metric.t ->
-  string ->
-  (writer -> 'a) ->
-  'a
-
 val to_string : t -> string
 (** The bytes a writer produces for [t]: header, meta, one line per row,
     and a [fin] seal when [t.sealed].  [of_string (to_string t)] reads
-    back [t]. *)
+    back [t].
+    Test hook: test_durable's fuzz re-encodes every ledger it reads back with it; no
+    program writes a ledger whole. *)
 
 (** {1 Reading} *)
 
@@ -167,7 +155,9 @@ val of_lines : string list -> (t, error) result
 (** Blank lines between records are tolerated; an unknown schema version
     is rejected with {!Unsupported_schema} before any row is parsed.
     {!Malformed} messages name the line number and byte offset where
-    parsing stopped (["line 17 (byte 2310): ..."]). *)
+    parsing stopped (["line 17 (byte 2310): ..."]).
+    Test hook: test_analytics reads hand-built line lists with it; {!of_string} is built
+    on it. *)
 
 (** {1 Salvage}
 

@@ -69,13 +69,6 @@ let neighbors result i =
   Array.iteri (fun j adj -> if adj then out := j :: !out) result.adjacency.(i);
   List.rev !out
 
-let edge_count result =
-  let total = ref 0 in
-  Array.iteri
-    (fun i row -> Array.iteri (fun j adj -> if adj && i < j then incr total) row)
-    result.adjacency;
-  !total
-
 type cpdag = { directed : bool array array; undirected : bool array array }
 
 let orient result =

@@ -30,7 +30,9 @@ val skeleton : ?alpha:float -> ?max_cond:int -> Mat.t -> result
     @raise Invalid_argument on fewer than 2 columns. *)
 
 val neighbors : result -> int -> int list
-val edge_count : result -> int
+(** Test hook: the variables adjacent to one, ascending.  The conformance
+    harness's Unicorn adapter ranks the performance column's neighbours
+    with it. *)
 
 (** {1 Edge orientation (CPDAG)} *)
 
@@ -43,7 +45,10 @@ val orient : result -> cpdag
 (** Orient the skeleton into a completed partially directed acyclic graph:
     v-structures [i → j ← k] for every unshielded triple whose separating
     set excludes [j], then Meek's rules 1 and 2 to propagate orientations
-    without creating new v-structures or cycles. *)
+    without creating new v-structures or cycles.
+    Test hook: only test_causal calls it (v-structure and chain checks); the Unicorn
+    baseline reads the skeleton alone. *)
 
 val parents : cpdag -> int -> int list
-(** Variables with a directed edge into [i]. *)
+(** Variables with a directed edge into [i].
+    Test hook: test_causal reads an oriented graph's directed edges with it. *)

@@ -1,5 +1,4 @@
 module Mat = Wayfinder_tensor.Mat
-module Stat = Wayfinder_tensor.Stat
 
 type t = {
   alpha : float;
@@ -7,16 +6,11 @@ type t = {
   n_vars : int;
   mutable rows : float array list;  (* newest first *)
   mutable count : int;
-  mutable last_result : Pc.result option;
-  mutable last_data : Mat.t option;
 }
 
 let create ?(alpha = 0.05) ?(max_cond = 3) ~n_vars () =
   if n_vars < 2 then invalid_arg "Unicorn.create: need at least 2 variables";
-  { alpha; max_cond; n_vars; rows = []; count = 0; last_result = None; last_data = None }
-
-let n_vars t = t.n_vars
-let observations t = t.count
+  { alpha; max_cond; n_vars; rows = []; count = 0 }
 
 let add_observation t row =
   if Array.length row <> t.n_vars then invalid_arg "Unicorn.add_observation: wrong width";
@@ -36,18 +30,7 @@ let refit t =
   let data = Mat.of_rows (Array.of_list (List.rev t.rows)) in
   let result = Pc.skeleton ~alpha:t.alpha ~max_cond:t.max_cond data in
   let elapsed = Unix.gettimeofday () -. start in
-  t.last_result <- Some result;
-  t.last_data <- Some data;
   { wall_seconds = elapsed;
     ci_tests = result.Pc.stats.Pc.ci_tests;
     matrix_cells = result.Pc.stats.Pc.matrix_cells;
     stored_cells = t.count * t.n_vars }
-
-let influential_on t ~target =
-  match (t.last_result, t.last_data) with
-  | None, _ | _, None -> []
-  | Some result, Some data ->
-    let target_col = Mat.col data target in
-    Pc.neighbors result target
-    |> List.map (fun v -> (v, abs_float (Stat.pearson (Mat.col data v) target_col)))
-    |> List.sort (fun (_, a) (_, b) -> compare b a)

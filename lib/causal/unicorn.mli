@@ -16,9 +16,6 @@ type t
 val create : ?alpha:float -> ?max_cond:int -> n_vars:int -> unit -> t
 (** [n_vars] includes the target variable (by convention the last column). *)
 
-val n_vars : t -> int
-val observations : t -> int
-
 val add_observation : t -> float array -> unit
 (** @raise Invalid_argument on a row of the wrong width. *)
 
@@ -32,7 +29,3 @@ type iteration_cost = {
 val refit : t -> iteration_cost
 (** Recompute the skeleton from scratch over all observations.
     @raise Invalid_argument with fewer than 4 observations. *)
-
-val influential_on : t -> target:int -> (int * float) list
-(** Variables adjacent to [target] in the latest skeleton, ranked by
-    absolute correlation with it (empty before the first [refit]). *)

@@ -1,7 +1,5 @@
 module Vec = Wayfinder_tensor.Vec
 
-type feature = { owner : int; label : string }
-
 (* How an integer parameter's value maps into [0, 1]: [Flat] sends every
    value to ½.  The log10 of a log-scaled parameter's bounds are
    constants of the parameter, taken once per encoding. *)
@@ -9,7 +7,7 @@ type int_scale = Flat | Linear | Log of { l_lo : float; denom : float }
 
 type t = {
   space : Space.t;
-  features : feature array;
+  owners : int array;  (* per feature: the parameter it encodes *)
   offsets : int array;
   scales : int_scale array;  (* per parameter; [Linear] for non-integers *)
 }
@@ -29,14 +27,12 @@ let int_scale (p : Param.t) =
 
 let features_of_param i (p : Param.t) =
   match p.Param.kind with
-  | Param.Kbool | Param.Ktristate | Param.Kint _ -> [ { owner = i; label = p.Param.name } ]
-  | Param.Kcategorical choices ->
-    Array.to_list
-      (Array.map (fun c -> { owner = i; label = Printf.sprintf "%s=%s" p.Param.name c }) choices)
+  | Param.Kbool | Param.Ktristate | Param.Kint _ -> [ i ]
+  | Param.Kcategorical choices -> List.init (Array.length choices) (fun _ -> i)
 
 let create space =
   let params = Space.params space in
-  let features =
+  let owners =
     Array.to_list params
     |> List.mapi features_of_param
     |> List.concat
@@ -54,10 +50,9 @@ let create space =
           | Param.Kbool | Param.Ktristate | Param.Kint _ -> 1
           | Param.Kcategorical choices -> Array.length choices))
     params;
-  { space; features; offsets; scales = Array.map int_scale params }
+  { space; owners; offsets; scales = Array.map int_scale params }
 
-let space t = t.space
-let dim t = Array.length t.features
+let dim t = Array.length t.owners
 
 let encode_value (p : Param.t) scale v out pos =
   match (p.Param.kind, v) with
@@ -85,13 +80,12 @@ let encode t config =
     config;
   out
 
-let feature_names t = Array.map (fun f -> f.label) t.features
 let param_importance t scores =
   if Array.length scores <> dim t then
     invalid_arg "Encoding.param_importance: score length mismatch";
   let n = Space.size t.space in
   let acc = Array.make n 0. in
-  Array.iteri (fun j f -> acc.(f.owner) <- acc.(f.owner) +. scores.(j)) t.features;
+  Array.iteri (fun j owner -> acc.(owner) <- acc.(owner) +. scores.(j)) t.owners;
   let named = Array.mapi (fun i s -> ((Space.param t.space i).Param.name, s)) acc in
   Array.sort (fun (_, a) (_, b) -> compare b a) named;
   named

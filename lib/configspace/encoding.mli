@@ -10,16 +10,11 @@
 type t
 
 val create : Space.t -> t
-val space : t -> Space.t
 
 val dim : t -> int
 (** Number of features. *)
 
 val encode : t -> Space.configuration -> Wayfinder_tensor.Vec.t
-
-val feature_names : t -> string array
-(** One label per feature; one-hot features are suffixed with their
-    category (e.g. ["default_qdisc=fq"]). *)
 
 val param_importance : t -> float array -> (string * float) array
 (** Aggregate per-feature scores into per-parameter scores (sum over a
@@ -27,4 +22,5 @@ val param_importance : t -> float array -> (string * float) array
     @raise Invalid_argument if the score vector has the wrong length. *)
 
 val distance : t -> Space.configuration -> Space.configuration -> float
-(** Euclidean distance between encodings. *)
+(** Euclidean distance between encodings.
+    Test hook: only test_configspace calls it; no searcher measures encoded distances. *)

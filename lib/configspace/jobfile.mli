@@ -48,7 +48,9 @@ type t = {
 exception Schema_error of string
 
 val of_yaml : Wayfinder_yamlite.Yamlite.t -> t
-(** @raise Schema_error on missing or ill-typed fields. *)
+(** Test hook: tests parse job documents built in memory with it; {!load} reads files
+    through it.
+    @raise Schema_error on missing or ill-typed fields. *)
 
 val load : string -> t
 (** Parse a job file from disk.

@@ -133,28 +133,6 @@ let set t config name v =
   fresh.(i) <- v;
   fresh
 
-let to_assoc t config =
-  Array.to_list
-    (Array.mapi
-       (fun i p -> (p.Param.name, Param.value_to_string p.Param.kind config.(i)))
-       t.params)
-
-let of_assoc t pairs =
-  let config = defaults t in
-  let rec apply = function
-    | [] -> Ok config
-    | (name, value_str) :: rest -> (
-      match Hashtbl.find_opt t.index name with
-      | None -> Error (Printf.sprintf "unknown parameter %s" name)
-      | Some i -> (
-        match Param.value_of_string t.params.(i).Param.kind value_str with
-        | None -> Error (Printf.sprintf "invalid value %S for %s" value_str name)
-        | Some v ->
-          config.(i) <- v;
-          apply rest))
-  in
-  apply pairs
-
 let diff t a b =
   let out = ref [] in
   Array.iteri
@@ -238,7 +216,7 @@ let differs_only_in_stage t a b stage =
     t.params;
   !ok
 
-let of_kconfig ?(stage = Param.Compile_time) descriptors =
+let of_kconfig descriptors =
   List.map
     (fun d ->
       let open Kspace in
@@ -258,5 +236,5 @@ let of_kconfig ?(stage = Param.Compile_time) descriptors =
           (* Mismatched default (should not happen); fall back to bool-off. *)
           (Param.Kbool, Param.Vbool false)
       in
-      Param.make ~name:d.d_name ~stage ~kind ~default ())
+      Param.make ~name:d.d_name ~stage:Param.Compile_time ~kind ~default ())
     descriptors

@@ -23,6 +23,7 @@ val index_of : t -> string -> int
 (** @raise Not_found for unknown names. *)
 
 val mem : t -> string -> bool
+(** Test hook: tests check a space's parameter names with it. *)
 
 val log10_cardinality : t -> float
 (** Log₁₀ of the number of distinct configurations (fixed parameters
@@ -71,12 +72,9 @@ val crossover :
 
 val get : t -> configuration -> string -> Param.value
 val set : t -> configuration -> string -> Param.value -> configuration
-(** Functional update. @raise Invalid_argument on ill-typed values. *)
-
-val to_assoc : t -> configuration -> (string * string) list
-val of_assoc : t -> (string * string) list -> (configuration, string) result
-(** Missing parameters take defaults; unknown names or unparseable values
-    produce [Error]. *)
+(** Functional update.
+    Test hook: tests build configurations with it.
+    @raise Invalid_argument on ill-typed values. *)
 
 val diff : t -> configuration -> configuration -> (string * string * string) list
 (** [(name, old_value, new_value)] for differing positions. *)
@@ -84,12 +82,15 @@ val diff : t -> configuration -> configuration -> (string * string * string) lis
 val differs_only_in_stage : t -> configuration -> configuration -> Param.stage -> bool
 (** True when every differing parameter belongs to [stage] — the platform's
     rebuild-skip test (§3.1: skip the build task when only runtime
-    parameters changed). *)
+    parameters changed).
+    Test hook: test_configspace and test_image_cache's stage-key properties use it as
+    the oracle for {!stage_key} equality. *)
 
 val project_stages :
   t -> stages:Param.stage list -> configuration -> (string * Param.value) list
 (** The configuration restricted to the parameters of the given stages, as
     [(name, value)] pairs in parameter order.
+    Test hook: test_image_cache's stage-key property compares {!stage_key} against it.
     @raise Invalid_argument on a size mismatch. *)
 
 val stage_key : t -> configuration -> string
@@ -117,7 +118,8 @@ val canonical_description : t -> string
     persistent model registry.  Never compare truncated hashes of spaces;
     compare this text. *)
 
-val of_kconfig : ?stage:Param.stage -> Wayfinder_kconfig.Space.descriptor list -> Param.t list
-(** Convert Kconfig descriptors into parameters (choice members and
-    dependent symbols are included; strings become single-point categorical
-    domains). *)
+val of_kconfig : Wayfinder_kconfig.Space.descriptor list -> Param.t list
+(** Convert Kconfig descriptors into compile-time parameters (choice
+    members and dependent symbols are included; hex symbols become ints,
+    strings single-point categorical domains).  Table 1's bench extracts
+    Linux 6.0's space through it. *)

@@ -89,6 +89,8 @@ val rank : options -> weights:float array -> dissimilarity:float -> Dtm.predicti
     [bonus] eq. 3 of the dissimilarity and [σ̂], and the sum folded from
     [w_0·μ_0].  [weights] are the normalised per-metric weights; a single
     metric's are [\[| 1. |\]].
+    Test hook: test_deeptune checks the scoring rule on hand-made predictions; the
+    ranker scores every pool through it.
     @raise Invalid_argument on a weight/metric count mismatch. *)
 
 val dtm : t -> Dtm.t

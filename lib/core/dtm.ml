@@ -87,8 +87,6 @@ let create ?(config = default_config) ?(metrics = 1) rng ~in_dim =
     normalizer = None;
     feature_stats_frozen = false }
 
-let in_dim t = t.in_dim
-
 let normalizer t =
   match t.normalizer with
   | Some n -> n

@@ -60,8 +60,6 @@ val create : ?config:config -> ?metrics:int -> Rng.t -> in_dim:int -> t
     [rbf_centroids <= 0], [dropout] outside [0, 1), or a non-positive
     [learning_rate]. *)
 
-val in_dim : t -> int
-
 type prediction = {
   crash_probability : float;  (** k̂ ∈ (0, 1). *)
   performances : float array;  (** ŷ per metric, de-normalised to

@@ -26,8 +26,6 @@ let fit ?(n_trees = 64) ?(max_depth = 12) ?(min_samples = 4) ?features_per_split
   in
   { trees; n_features = d }
 
-let n_trees t = Array.length t.trees
-
 let predict t v =
   let acc = ref 0. in
   Array.iter (fun tree -> acc := !acc +. Tree.predict tree v) t.trees;

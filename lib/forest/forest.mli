@@ -23,10 +23,6 @@ val fit :
 (** Defaults: 64 trees, depth 12, [features_per_split = Some (d/3)]
     (regression heuristic), bootstrap resampling per tree. *)
 
-val n_trees : t -> int
-val predict : t -> Vec.t -> float
-(** Mean of the trees' predictions. *)
-
 val importance : t -> float array
 (** Per-feature impurity-decrease importance, normalised to sum to 1
     (all-zero if no split was ever made). *)

@@ -137,10 +137,6 @@ let depth t =
   in
   go t.root
 
-let leaf_count t =
-  let rec go = function Leaf _ -> 1 | Split { left; right; _ } -> go left + go right in
-  go t.root
-
 let accumulate_importance t acc =
   if Array.length acc < t.n_features then
     invalid_arg "Tree.accumulate_importance: accumulator too short";

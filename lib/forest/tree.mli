@@ -27,7 +27,8 @@ val fit :
 
 val predict : t -> Vec.t -> float
 val depth : t -> int
-val leaf_count : t -> int
+(** Test hook: test_forest checks the [max_depth] bound and that a constant target fits
+    one leaf. *)
 
 val accumulate_importance : t -> float array -> unit
 (** Add each split's impurity decrease (weighted by the fraction of samples

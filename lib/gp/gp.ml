@@ -54,27 +54,6 @@ let predict_batch t qs =
 
 let predict t q = (predict_batch t [| q |]).(0)
 
-let default_lengthscale_grid = [ 0.25; 0.5; 1.0; 1.5; 2.5; 4.0 ]
-
-let log_marginal_likelihood t =
-  let n = float_of_int (size t) in
-  let data_fit = -0.5 *. Vec.dot t.y t.alpha in
-  let complexity = -0.5 *. Mat.log_det_from_cholesky t.chol in
-  let norm = -0.5 *. n *. log (2. *. Float.pi) in
-  data_fit +. complexity +. norm
-
-let fit_auto ?noise ?(lengthscales = default_lengthscale_grid) x y =
-  match lengthscales with
-  | [] -> invalid_arg "Gp.fit_auto: empty lengthscale grid"
-  | first :: rest ->
-    let model_for l = fit ?noise (Kernel.Squared_exponential { lengthscale = l; variance = 1. }) x y in
-    List.fold_left
-      (fun best l ->
-        let candidate = model_for l in
-        if log_marginal_likelihood candidate > log_marginal_likelihood best then candidate
-        else best)
-      (model_for first) rest
-
 let std_normal_pdf x = exp (-0.5 *. x *. x) /. sqrt (2. *. Float.pi)
 
 (* Abramowitz & Stegun 7.1.26 rational erf approximation. *)

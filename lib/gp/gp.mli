@@ -25,15 +25,6 @@ val fit : ?noise:float -> ?gram:Mat.t -> Kernel.t -> Mat.t -> Vec.t -> t
     @raise Invalid_argument if row/target counts differ, [gram] is not
     [n × n], or there is no data. *)
 
-val fit_auto : ?noise:float -> ?lengthscales:float list -> Mat.t -> Vec.t -> t
-(** Squared-exponential GP with the lengthscale selected by log marginal
-    likelihood over a small grid (default
-    [\[0.25; 0.5; 1.0; 1.5; 2.5; 4.0\]]) — the standard type-II maximum
-    likelihood model selection. *)
-
-val size : t -> int
-(** Number of training points. *)
-
 val predict : t -> Vec.t -> float * float
 (** [(posterior mean, posterior variance)]; the variance includes the
     observation noise floor and is clamped at 0.  The batch of one. *)
@@ -42,11 +33,16 @@ val predict_batch : t -> Vec.t array -> (float * float) array
 (** {!predict} of every candidate, in order, two candidates per pass over
     the training rows; each element is bitwise the same whatever its
     position or partner.
+    Test hook: test_gp's batched-posterior property pins it bitwise to the per-candidate
+    oracle; {!expected_improvement_batch} is built on it.
     @raise Invalid_argument if a candidate's dimension is not the inputs'. *)
 
-val log_marginal_likelihood : t -> float
+(** {1 Standard-normal helpers}
 
-(** {1 Standard-normal helpers} (for acquisition functions) *)
+    Test hooks: {!expected_improvement} uses both internally; test_gp
+    checks the cdf against known quantiles and the pdf against the cdf's
+    slope, and its batched-EI property rebuilds the per-candidate EI
+    from both. *)
 
 val std_normal_pdf : float -> float
 val std_normal_cdf : float -> float

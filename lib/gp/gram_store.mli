@@ -39,7 +39,9 @@ val length : t -> int
     newest [max_points] of. *)
 
 val held : t -> int
-(** Rows of Gram entries held; never more than [max_points]. *)
+(** Rows of Gram entries held; never more than [max_points].
+    Test hook: test_gp's store property checks that the window never holds more than
+    [max_points]. *)
 
 val window : t -> Mat.t * Vec.t * Mat.t
 (** [(x, y, gram)] of the newest [max_points] points, newest first (the

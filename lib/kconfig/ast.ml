@@ -61,7 +61,6 @@ let fold_entries f init tree =
   !acc
 
 let entries tree = List.rev (fold_entries (fun acc e -> e :: acc) [] tree)
-let entry_count tree = fold_entries (fun acc _ -> acc + 1) 0 tree
 
 let find_entry tree name =
   let found = ref None in

@@ -60,7 +60,6 @@ val iter_entries : (entry -> unit) -> tree -> unit
 
 val fold_entries : ('a -> entry -> 'a) -> 'a -> tree -> 'a
 val entries : tree -> entry list
-val entry_count : tree -> int
 
 val find_entry : tree -> string -> entry option
 

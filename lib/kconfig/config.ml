@@ -5,17 +5,9 @@ let value_to_string = function
   | V_string s -> s
   | V_int i -> string_of_int i
 
-let value_equal a b =
-  match (a, b) with
-  | V_tristate x, V_tristate y -> x = y
-  | V_string x, V_string y -> String.equal x y
-  | V_int x, V_int y -> x = y
-  | (V_tristate _ | V_string _ | V_int _), _ -> false
-
 type t = { tree : Ast.tree; values : (string, value) Hashtbl.t }
 
 let create tree = { tree; values = Hashtbl.create 256 }
-let tree t = t.tree
 let copy t = { tree = t.tree; values = Hashtbl.copy t.values }
 let set t name v = Hashtbl.replace t.values name v
 let get t name = Hashtbl.find_opt t.values name
@@ -278,19 +270,3 @@ let validate t =
   List.rev !violations
 
 let is_valid t = validate t = []
-
-let diff a b =
-  let names = Hashtbl.create 256 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace names k ()) a.values;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace names k ()) b.values;
-  Hashtbl.fold
-    (fun name () acc ->
-      let va = get a name and vb = get b name in
-      let same = match (va, vb) with
-        | None, None -> true
-        | Some x, Some y -> value_equal x y
-        | None, Some _ | Some _, None -> false
-      in
-      if same then acc else (name, va, vb) :: acc)
-    names []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)

@@ -10,28 +10,25 @@
 
 type value = V_tristate of Tristate.t | V_string of string | V_int of int
 
-val value_to_string : value -> string
-val value_equal : value -> value -> bool
-
 type t
 (** A mutable symbol → value assignment over a fixed tree. *)
 
-val create : Ast.tree -> t
-(** Empty assignment (every symbol reads as unset / [n]). *)
-
-val tree : t -> Ast.tree
 val copy : t -> t
+(** Test hook: test_kconfig derives invalid configurations from the defaults with it. *)
+
 val set : t -> string -> value -> unit
+(** Test hook: test_kconfig sets symbols with it; {!defaults} is built on it. *)
+
 val get : t -> string -> value option
 val tristate_of : t -> string -> Tristate.t
 (** Value of a symbol in boolean context: its own value for
     bool/tristate symbols, [Y] for assigned value-typed symbols,
-    [N] when unset. *)
+    [N] when unset.
+    Test hook: test_kconfig reads symbols with it; {!defaults} is built on it. *)
 
 val eval_expr : t -> Ast.expr -> Tristate.t
-
-val dependency_limit : t -> Ast.entry -> Tristate.t
-(** Conjunction of the entry's [depends on] expressions ([Y] if none). *)
+(** Test hook: test_kconfig checks expression semantics with it; {!defaults} is built on
+    it. *)
 
 val defaults : Ast.tree -> t
 (** The default configuration: entries processed in document order, first
@@ -39,7 +36,9 @@ val defaults : Ast.tree -> t
     selected, then [select]s propagated to fixpoint. *)
 
 val apply_selects : t -> unit
-(** Force-enable selected symbols until fixpoint (bounded iteration). *)
+(** Force-enable selected symbols until fixpoint (bounded iteration).
+    Test hook: test_kconfig checks select propagation with it; {!defaults} is built on
+    it. *)
 
 type violation =
   | Unknown_symbol of string
@@ -51,11 +50,13 @@ type violation =
   | Choice_violation of { prompt : string; enabled : string list }
 
 val pp_violation : Format.formatter -> violation -> unit
+(** Test hook: test_kconfig prints the violations {!validate} finds with it. *)
 
 val validate : t -> violation list
-(** Empty list iff the configuration is valid on paper. *)
+(** Empty list iff the configuration is valid on paper.
+    Test oracle: no program validates a configuration; test_kconfig checks with it that
+    {!defaults}, which {!Space.descriptors} reads, yields a valid configuration, and
+    that each kind of violation is caught. *)
 
 val is_valid : t -> bool
-
-val diff : t -> t -> (string * value option * value option) list
-(** Symbols whose values differ, as [(name, in_first, in_second)]. *)
+(** Test oracle: {!validate} as a predicate, for test_kconfig. *)

@@ -15,5 +15,5 @@ val parse : string -> Ast.tree
 
 val parse_expr : string -> Ast.expr
 (** Parse a dependency expression, e.g. ["NET && (PCI || !EMBEDDED)"].
-    Exposed for direct testing and for boot-parameter constraints.
+    Test hook: test_kconfig parses standalone expressions with it.
     @raise Error (with line 0) on malformed expressions. *)

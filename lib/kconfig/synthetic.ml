@@ -49,15 +49,6 @@ let linux_profiles =
 
 let profile_for_version v = List.find_opt (fun p -> p.version = v) linux_profiles
 
-let scaled p ~factor =
-  let s n = max 1 (int_of_float (float_of_int n *. factor)) in
-  { p with
-    n_bool = s p.n_bool;
-    n_tristate = s p.n_tristate;
-    n_string = s p.n_string;
-    n_hex = s p.n_hex;
-    n_int = s p.n_int }
-
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)
 (* ------------------------------------------------------------------ *)

@@ -12,7 +12,6 @@ val compare : t -> t -> int
 
 val ( <= ) : t -> t -> bool
 val min : t -> t -> t
-val max : t -> t -> t
 
 val band : t -> t -> t
 (** Kconfig [&&]. *)
@@ -31,6 +30,7 @@ val to_int : t -> int
 (** [N ↦ 0], [M ↦ 1], [Y ↦ 2]. *)
 
 val of_int : int -> t
-(** Clamps into [\[0, 2\]]. *)
+(** Clamps into [\[0, 2\]].
+    Test hook: test_kconfig's De Morgan property draws tristates with it. *)
 
 val pp : Format.formatter -> t -> unit

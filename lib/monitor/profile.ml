@@ -155,23 +155,7 @@ let load path =
 (* Aggregates                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let dur clock (sp : span) = match clock with Wall -> sp.wall_s | Virtual -> sp.virtual_s
 let total clock n = match clock with Wall -> n.wall_total | Virtual -> n.virtual_total
-
-(* Per-name duration totals in file order — the accumulation order
-   Metrics uses, so sums are bitwise-comparable to Metrics.sum of
-   "<name>.wall_s" / "<name>.virtual_s". *)
-let phase_totals t clock =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun sp ->
-      match Hashtbl.find_opt tbl sp.name with
-      | Some r -> r := !r +. dur clock sp
-      | None -> Hashtbl.add tbl sp.name (ref (dur clock sp)))
-    t.spans;
-  List.sort
-    (fun (a, _) (b, _) -> compare (a : string) b)
-    (Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl [])
 
 let self clock n =
   total clock n

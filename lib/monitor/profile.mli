@@ -6,11 +6,11 @@
     virtual) total and self times, a top-N hotspot table, and
     collapsed-stack flamegraph output.
 
-    Per-name {!phase_totals} accumulate in file order — the same order
-    the recorder fed its histograms — so a trace's virtual phase totals
+    {!t.spans} keep file order — the same order the recorder fed its
+    histograms — so per-name duration totals summed in that order
     reconcile {e bitwise} with [Driver.result.metrics]
-    ([Metrics.sum "<phase>.virtual_s"]); the conformance suite pins
-    this for single-worker runs.  (With several recording domains the
+    ([Metrics.sum "<phase>.virtual_s"]); test_monitor's "reconciles with
+    driver metrics" case pins this.  (With several recording domains the
     per-name emission order is not stable between the trace and the
     registry, so only the multiset of samples — not the float
     accumulation order — is shared.)  Undecodable lines (torn tails included) are counted and
@@ -43,17 +43,14 @@ type t = {
 }
 
 val of_string : string -> (t, string) result
-val load : string -> (t, string) result
+(** Test hook: tests decode in-memory traces with it; {!load} reads files through it. *)
 
-val phase_totals : t -> clock -> (string * float) list
-(** Per-span-name duration totals, accumulated in file order, sorted by
-    name — the reconciliation surface against [Driver.result.metrics]. *)
+val load : string -> (t, string) result
 
 val self : clock -> node -> float
 (** Total minus direct children's totals.  Can be negative on degenerate
-    (equal-stamp) traces; renderers clamp at 0. *)
-
-val total : clock -> node -> float
+    (equal-stamp) traces; renderers clamp at 0.
+    Test hook: test_monitor checks self times with it; the renderers use it. *)
 
 val render_tree : t -> string
 (** The dual-clock time tree, header line included. *)

@@ -13,7 +13,9 @@ module Obs = Wayfinder_obs
 
 val metric_name : string -> string
 (** [wayfinder_] + the name with every character outside
-    [[a-zA-Z0-9_:]] replaced by ['_']. *)
+    [[a-zA-Z0-9_:]] replaced by ['_'].
+    Test hook: test_monitor checks name sanitising with it; the exporter names every
+    series through it. *)
 
 val render :
   ?stats:Wayfinder_analytics.Running.stats ->

@@ -19,12 +19,6 @@ let rule_name = function
   | Starve _ -> "starve"
   | Drift _ -> "drift"
 
-let rule_to_string = function
-  | Crash { threshold; window } -> Printf.sprintf "crash>%g@%d" threshold window
-  | Stall { iterations } -> Printf.sprintf "stall>%d" iterations
-  | Starve { fraction } -> Printf.sprintf "starve<%g" fraction
-  | Drift { window } -> Printf.sprintf "drift@%d" window
-
 (* ------------------------------------------------------------------ *)
 (* Spec grammar                                                        *)
 (* ------------------------------------------------------------------ *)

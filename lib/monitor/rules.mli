@@ -30,9 +30,6 @@ type rule =
   | Starve of { fraction : float }
   | Drift of { window : int }
 
-val rule_to_string : rule -> string
-(** A spec string that parses back to the rule. *)
-
 val parse : string -> (rule list, string) result
 
 type firing = { rule : string; message : string }

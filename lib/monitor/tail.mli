@@ -44,7 +44,9 @@ val resume :
     (default 0) is the number of iter rows in the consumed prefix, so a
     later [fin] seal's row count can still be checked.  Drop line
     numbers are then relative to the resume point, and a seal can only
-    verify as {!Sealed_unverified}. *)
+    verify as {!Sealed_unverified}.
+    Test hook: only test_monitor calls it; [wayfinder watch] tails every ledger from its
+    start. *)
 
 val step : t -> (step, A.Ledger.error) result
 (** Read and parse everything new.  [Error] on a missing/unreadable
@@ -55,7 +57,10 @@ val meta : t -> A.Ledger.meta option
 
 val seal : t -> seal
 val offset : t -> int
-(** Bytes consumed (complete lines only). *)
+(** Bytes consumed (complete lines only).
+    Test hook: test_monitor resumes a tail from it. *)
 
 val rows_read : t -> int
+(** Test hook: test_monitor resumes a tail from it. *)
+
 val dropped : t -> int

@@ -22,8 +22,6 @@ module Dense = struct
     done;
     { w; b = tensor_zeros 1 out_dim; last_input = None }
 
-  let in_dim t = t.w.value.Mat.rows
-  let out_dim t = t.w.value.Mat.cols
 
   let forward t x =
     t.last_input <- Some x;
@@ -69,7 +67,6 @@ module Dense = struct
       b = { value = Mat.copy t.b.value; grad = Mat.zeros 1 t.b.value.Mat.cols };
       last_input = None }
 
-  let weights t = t.w.value
 end
 
 module Relu = struct

@@ -16,7 +16,10 @@ type tensor = { value : Mat.t; grad : Mat.t }
 (** A parameter and its gradient accumulator (same shape). *)
 
 val tensor_zeros : int -> int -> tensor
+(** Test hook: tests build parameters with it; the layers allocate theirs through it. *)
+
 val zero_grad : tensor -> unit
+(** Test hook: test_nn and the oracle in test/oracle.ml clear gradients with it. *)
 
 (** {1 Dense} *)
 
@@ -26,8 +29,6 @@ module Dense : sig
   val create : Rng.t -> in_dim:int -> out_dim:int -> t
   (** He-initialised weights, zero bias. *)
 
-  val in_dim : t -> int
-  val out_dim : t -> int
   val forward : t -> Mat.t -> Mat.t
   val backward : t -> Mat.t -> Mat.t
   (** [backward t dy] accumulates weight/bias gradients and returns
@@ -40,9 +41,6 @@ module Dense : sig
   val params : t -> tensor list
   val copy : t -> t
   (** Deep copy of weights (gradients reset); used for transfer learning. *)
-
-  val weights : t -> Mat.t
-  (** The weight matrix itself ([in_dim × out_dim]); read-only use. *)
 end
 
 (** {1 ReLU} *)
@@ -81,7 +79,6 @@ module Rbf : sig
       activation is [exp(-‖z - c‖² / 2γ²)].  The paper uses γ = 0.1 on
       z-scored inputs. *)
 
-  val centroid_count : t -> int
   val centroid_matrix : t -> Mat.t
   (** [centroids × in_dim]; row k is prototype [c_k]. *)
 
@@ -89,7 +86,9 @@ module Rbf : sig
   (** [batch × in_dim] → [batch × centroids] activations. *)
 
   val backward : t -> Mat.t -> Mat.t
-  (** Accumulates centroid gradients; returns [dL/dz]. *)
+  (** Accumulates centroid gradients; returns [dL/dz].  Test hook: only
+      test_nn calls it (a finite-difference check); the DTM moves its
+      centroids through the Chamfer loss alone. *)
 
   val params : t -> tensor list
 end

@@ -23,31 +23,6 @@ let bce_with_logits ?(pos_weight = 1.) ~logits ~targets () =
     (!loss /. float_of_int n, grad)
   end
 
-let softmax_cce ~logits ~classes =
-  let n = logits.Mat.rows and k = logits.Mat.cols in
-  if Array.length classes <> n then invalid_arg "Loss.softmax_cce: batch size mismatch";
-  let grad = Mat.zeros n k in
-  let loss = ref 0. in
-  for i = 0 to n - 1 do
-    let row_max = ref neg_infinity in
-    for j = 0 to k - 1 do
-      if Mat.get logits i j > !row_max then row_max := Mat.get logits i j
-    done;
-    let denom = ref 0. in
-    for j = 0 to k - 1 do
-      denom := !denom +. exp (Mat.get logits i j -. !row_max)
-    done;
-    let target = classes.(i) in
-    if target < 0 || target >= k then invalid_arg "Loss.softmax_cce: class out of range";
-    loss := !loss -. (Mat.get logits i target -. !row_max -. log !denom);
-    for j = 0 to k - 1 do
-      let p = exp (Mat.get logits i j -. !row_max) /. !denom in
-      let indicator = if j = target then 1. else 0. in
-      Mat.set grad i j ((p -. indicator) /. float_of_int n)
-    done
-  done;
-  (!loss /. float_of_int n, grad)
-
 let heteroscedastic ~mu ~log_var ~targets ~mask =
   let n = Array.length mu in
   if Array.length log_var <> n || Array.length targets <> n || Array.length mask <> n then

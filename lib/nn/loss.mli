@@ -19,10 +19,6 @@ val bce_with_logits :
     (§4.3 trusts failure accuracy, not run accuracy).  Returns
     [(loss, dL/dlogits)]. *)
 
-val softmax_cce : logits:Mat.t -> classes:int array -> float * Mat.t
-(** Multiclass categorical cross-entropy (row-wise softmax).  Provided for
-    multi-metric extensions; [classes.(i)] is the target class of row [i]. *)
-
 val heteroscedastic :
   mu:Vec.t -> log_var:Vec.t -> targets:Vec.t -> mask:bool array -> float * (Vec.t * Vec.t)
 (** [L_Reg], the regression-with-uncertainty loss of Kendall & Gal [41]:

@@ -35,9 +35,6 @@ let create rng ~in_dim spec =
   in
   { layers = Array.of_list layers; in_dim; out_dim = !width; hidden = [] }
 
-let in_dim t = t.in_dim
-let out_dim t = t.out_dim
-
 let forward t ?(train = true) rng x =
   t.hidden <- [];
   Array.fold_left

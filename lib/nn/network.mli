@@ -17,9 +17,6 @@ val create : Rng.t -> in_dim:int -> spec list -> t
 (** @raise Invalid_argument on an empty spec or a spec whose first layer is
     not [`Dense]. *)
 
-val in_dim : t -> int
-val out_dim : t -> int
-
 val forward : t -> ?train:bool -> Rng.t -> Mat.t -> Mat.t
 (** With [train = false], dropout is disabled (inference mode). *)
 
@@ -33,6 +30,7 @@ val accumulate : t -> Mat.t -> unit
 
 val params : t -> Layer.tensor list
 val copy : t -> t
+(** Test hook: only test_nn calls it; transfer learning copies through {!Dtm} snapshots. *)
 
 val hidden_after_forward : t -> Mat.t list
 (** Outputs of each dense layer recorded by the latest [forward] call, in

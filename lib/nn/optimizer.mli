@@ -1,26 +1,15 @@
-(** First-order optimizers over {!Layer.tensor} parameters.
+(** The Adam optimizer over {!Layer.tensor} parameters.
 
     DeepTune needs *incremental* training — the ability to fold each new
     observation into the model at O(1) amortised cost, which is precisely
-    what Gaussian-process baselines lack (§2.3).  Both optimizers mutate
-    parameter values in place from accumulated gradients and then reset the
+    what Gaussian-process baselines lack (§2.3).  A step mutates parameter
+    values in place from accumulated gradients and then resets the
     gradients. *)
 
 type t
 
-val sgd : ?momentum:float -> ?weight_decay:float -> lr:float -> Layer.tensor list -> t
-(** Stochastic gradient descent, optional classical momentum.
-    [weight_decay] applies decoupled multiplicative decay each step. *)
-
-val adam :
-  ?beta1:float ->
-  ?beta2:float ->
-  ?epsilon:float ->
-  ?weight_decay:float ->
-  lr:float ->
-  Layer.tensor list ->
-  t
-(** Adam with the usual defaults (β₁ = 0.9, β₂ = 0.999, ε = 1e-8);
+val adam : ?weight_decay:float -> lr:float -> Layer.tensor list -> t
+(** Adam with the usual constants (β₁ = 0.9, β₂ = 0.999, ε = 1e-8);
     [weight_decay] applies decoupled (AdamW-style) decay each step.  A
     step reads and writes each element once: the update, the decay and
     the zeroed gradient.
@@ -33,5 +22,7 @@ val step : t -> unit
     them. *)
 
 val moments : t -> (float array * float array) array
-(** Adam's first and second moment estimates, one pair per parameter in
-    list order, as copies; [[||]] for SGD. *)
+(** Test hook: the first and second moment estimates, one pair per
+    parameter in list order, as copies.  test_nn's "oracle" property
+    compares them bit for bit with the three-pass step in
+    [test/oracle.ml]. *)

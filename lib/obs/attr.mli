@@ -15,10 +15,13 @@ val empty : t
 
 val string : string -> string -> string * value
 val float : string -> float -> string * value
+(** Test hook: tests build float attributes with it. *)
+
 val int : string -> int -> string * value
 val bool : string -> bool -> string * value
 
 val find : t -> string -> value option
+(** Test hook: test_obs reads attributes back with it. *)
 
 val add_json_string : Buffer.t -> string -> unit
 (** Append [s] as a quoted JSON string literal: double quote and
@@ -58,4 +61,6 @@ val json_of_value : value -> string
     through {!add_json_float}. *)
 
 val to_json : t -> string
-(** {!add_json} into a fresh string. *)
+(** {!add_json} into a fresh string.
+    Test hook: test_obs checks the attribute rendering with it; sinks render through
+    {!Event}. *)

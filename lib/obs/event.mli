@@ -27,7 +27,8 @@ type t =
           the rule's name, [message] the human-readable condition. *)
 
 val name : t -> string
-(** The event's name; for [Alert] this is the rule name. *)
+(** The event's name; for [Alert] this is the rule name.
+    Test hook: test_obs reads captured events with it. *)
 
 val add_json : Buffer.t -> t -> unit
 (** The event as one line of JSON (no trailing newline) — the JSONL sink
@@ -41,4 +42,5 @@ val add_json : Buffer.t -> t -> unit
       "began_wall_s":0.930125,"began_virtual_s":4031,"attrs":{"built":true}}] *)
 
 val to_json : t -> string
-(** {!add_json} into a fresh string. *)
+(** {!add_json} into a fresh string.
+    Test hook: test_obs and test_conformance render captured events with it. *)

@@ -11,21 +11,26 @@ type t
 
 val min_exp : int
 (** Smallest bucket exponent: bucket 0 catches samples [<= 2^min_exp]
-    (including zero, negatives, and NaN). *)
+    (including zero, negatives, and NaN).
+    Test hook: test_obs checks the histogram bucket layout with it. *)
 
 val max_exp : int
 (** Largest finite bucket exponent; the last bucket catches everything
-    above [2^max_exp]. *)
+    above [2^max_exp].
+    Test hook: test_obs checks the histogram bucket layout with it. *)
 
 val n_buckets : int
-(** Total bucket count, [max_exp - min_exp + 2]. *)
+(** Total bucket count, [max_exp - min_exp + 2].
+    Test hook: test_obs checks the histogram bucket layout with it. *)
 
 val bucket_index : float -> int
 (** The bucket a sample lands in.  Non-positive values and NaN land in
-    bucket 0. *)
+    bucket 0.
+    Test hook: test_obs checks the histogram bucket layout with it. *)
 
 val bucket_bound : int -> float
-(** Inclusive upper bound of a bucket; [infinity] for the last. *)
+(** Inclusive upper bound of a bucket; [infinity] for the last.
+    Test hook: test_obs checks the histogram bucket layout with it. *)
 
 val create : unit -> t
 

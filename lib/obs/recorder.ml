@@ -18,7 +18,6 @@ let null () = create ~now:(fun () -> 0.) ()
 
 let set_virtual_now t f = t.virtual_now <- f
 
-let metrics t = t.metrics
 let snapshot t = Metrics.snapshot t.metrics
 
 (* Wall stamps and span wall durations are whole microseconds, the

@@ -35,13 +35,13 @@ val create :
     microseconds. *)
 
 val null : unit -> t
-(** A fresh sink-less recorder (still aggregates metrics). *)
+(** A fresh sink-less recorder (still aggregates metrics).
+    Test hook: tests pass it where a recorder must keep nothing. *)
 
 val set_virtual_now : t -> (unit -> float) -> unit
 (** The driver calls this with [fun () -> Vclock.now clock] so events are
     stamped with virtual time. *)
 
-val metrics : t -> Metrics.t
 val snapshot : t -> Metrics.snapshot
 
 val incr : t -> ?by:float -> ?quiet:bool -> string -> unit

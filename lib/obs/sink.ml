@@ -5,10 +5,6 @@ let make ?(flush = fun () -> ()) ~emit () = { emit; flush }
 let emit t e = t.emit e
 let flush t = t.flush ()
 
-let tee sinks =
-  { emit = (fun e -> List.iter (fun s -> s.emit e) sinks);
-    flush = (fun () -> List.iter (fun s -> s.flush ()) sinks) }
-
 (* Every JSONL artifact the platform writes opens with a self-describing
    schema line, so readers can reject files from a different era with a
    typed error instead of a parse crash further down. *)

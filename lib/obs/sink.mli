@@ -1,8 +1,9 @@
 (** Pluggable event sinks.
 
-    A sink consumes the {!Event.t} stream a {!Recorder} produces.  Three
-    are provided: a bounded in-memory ring (tests, live dashboards), a
-    JSONL writer (offline analysis of long unattended runs), and a tee.
+    A sink consumes the {!Event.t} stream a {!Recorder} produces.  Two
+    are provided: a bounded in-memory ring (tests) and a JSONL writer
+    (offline analysis of long unattended runs); a recorder forwards each
+    event to all of its sinks, in order.
     Recorders with no sinks still aggregate {!Metrics} — event fan-out is
     strictly opt-in. *)
 
@@ -13,9 +14,6 @@ val make : ?flush:(unit -> unit) -> emit:(Event.t -> unit) -> unit -> t
 
 val emit : t -> Event.t -> unit
 val flush : t -> unit
-
-val tee : t list -> t
-(** Forwards each event to every sink, in order. *)
 
 val schema_version : int
 (** Version of the JSONL trace format; bumped on incompatible change. *)
@@ -32,7 +30,9 @@ val jsonl : ?flush:(unit -> unit) -> (string -> unit) -> t
     socket.  The {!schema_header} line is written immediately at sink
     creation.  [flush] (default no-op) is invoked by {!val-flush}: pass the
     callback owner's flush so buffered lines reach stable storage — a sink
-    whose owner buffers but never flushes loses the tail on crash. *)
+    whose owner buffers but never flushes loses the tail on crash.
+    Test hook: tests stream traces into buffers with it; the CLI writes through
+    {!jsonl_channel}. *)
 
 val jsonl_channel : out_channel -> t
 (** JSONL straight to a channel; [flush] flushes the channel.  Writes the
@@ -45,15 +45,22 @@ module Memory : sig
   type store
 
   val create : ?capacity:int -> unit -> store
-  (** Default capacity 4096 events. *)
+  (** Default capacity 4096 events.  Test hook: tests capture a recorder's
+      events with it; no program does. *)
 
   val sink : store -> t
+  (** Test hook: the sink that fills the store. *)
+
   val events : store -> Event.t list
-  (** Oldest retained first. *)
+  (** Oldest retained first.  Test hook: tests read the captured events. *)
 
   val length : store -> int
+  (** Test hook: test_obs checks the capacity bound with it. *)
+
   val dropped : store -> int
-  (** Events evicted by the capacity bound. *)
+  (** Events evicted by the capacity bound.  Test hook: test_obs checks
+      the bound with it. *)
 
   val clear : store -> unit
+  (** Test hook: test_obs empties a store with it. *)
 end

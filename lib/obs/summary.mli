@@ -20,4 +20,5 @@ val phase_line :
 (** One-line breakdown, e.g.
     [phase_line s ~phases:["build", "driver.build"; ...] ~suffix:".virtual_s"]
     renders ["build 812.0s (54%) | boot 96.1s (6%) | ..."] from the
-    histogram sums.  Phases with no samples render as 0. *)
+    histogram sums.  Phases with no samples render as 0.
+    Test hook: test_obs checks the phase line's format with it. *)

@@ -95,16 +95,6 @@ type error =
 
 val error_to_string : error -> string
 
-val version : int
-(** Current format version: 6.  Files written by earlier versions are
-    rejected with {!Unsupported_version} (v2 persisted per-slot baseline
-    images instead of the shared cache; v3 keyed quarantine strikes on
-    the truncated polymorphic hash, which conflated configurations
-    differing past the ~10th parameter; v4 predates objective vectors,
-    the Pareto archive and the scenario trace cursor; v5 was one sealed
-    envelope that every save rewrote whole, where v6 is the append-only
-    journal). *)
-
 val to_string : t -> string
 (** The compacted journal: the header, every entry of [t], and one
     state record. *)
@@ -146,11 +136,14 @@ val scan : string -> (scan, error) result
 
 val of_string : string -> (t, error) result
 (** {!scan}'s state: the newest valid record, any bytes after it dropped
-    silently. *)
+    silently.
+    Test hook: tests decode journals in memory with it; runs resume through
+    {!load_latest}. *)
 
 val generation_path : string -> int -> string
 (** [generation_path path 0 = path]; [generation_path path i] is
-    ["path.i"] for [i >= 1]. *)
+    ["path.i"] for [i >= 1].
+    Test hook: test_durable reads rotated generations with it. *)
 
 val save : ?backend:Durable.backend -> ?keep:int -> path:string -> t -> unit
 (** Durable atomic publish of {!to_string} via [backend] (default
@@ -165,9 +158,11 @@ val save : ?backend:Durable.backend -> ?keep:int -> path:string -> t -> unit
     @raise Invalid_argument if [keep < 1]. *)
 
 val load : path:string -> (t, error) result
-(** {!load_from} on the real filesystem. *)
+(** {!load_from} on the real filesystem.
+    Test hook: tests read a journal whole with it; runs resume through {!load_latest}. *)
 
 val load_from : backend:Durable.backend -> path:string -> (t, error) result
+(** Test hook: test_durable reads journals from the fault backend with it. *)
 
 type notice =
   | Recovered_from_generation of {

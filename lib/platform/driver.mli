@@ -87,10 +87,12 @@ type result = {
 val virtual_phases : (string * string) list
 (** [(label, span name)] for every phase charged to the virtual clock:
     build, boot, run, invalid, retry, quarantined, negative-cache,
-    replay. *)
+    replay.
+    Test hook: test_monitor reconciles trace spans with the metrics over these phases. *)
 
 val default_invalid_floor_s : float
-(** 1 virtual second. *)
+(** 1 virtual second.
+    Test hook: test_resilience checks that an invalid proposal is charged this floor. *)
 
 val default_max_consecutive_invalid : int
 (** 1000. *)

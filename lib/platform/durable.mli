@@ -174,35 +174,45 @@ module Mem : sig
       crash.  At crash time, un-fsynced bytes either survive up to the
       kill point ([keep_unsynced = true], the torn-tail case) or are
       lost entirely ([false], the lost-page-cache case); un-fsynced
-      renames either survive ([keep_renames = true]) or roll back. *)
+      renames either survive ([keep_renames = true]) or roll back.
+      Test hook: fault injection for test_durable and test_registry; no program uses
+      {!Mem}. *)
 
   val backend : fs -> backend
+  (** Test hook: fault injection for test_durable and test_registry. *)
 
   val set_fuel : fs -> int -> unit
   (** Arm (or re-arm) the crash budget — lets a test build a valid
       baseline state with unlimited fuel, then inject the kill into the
-      operation under test. *)
+      operation under test.
+      Test hook: fault injection for test_durable and test_registry. *)
 
   val crash : fs -> unit
   (** Apply the post-crash state: truncate or drop un-fsynced bytes per
       the plan, roll back un-fsynced renames if the plan says so, and
-      clear the fuel so recovery code can run against the result. *)
+      clear the fuel so recovery code can run against the result.
+      Test hook: fault injection for test_durable and test_registry. *)
 
   val cost : fs -> int
   (** Total I/O cost units consumed so far — run the protocol once
-      uninterrupted to learn the sweep range for the crash matrix. *)
+      uninterrupted to learn the sweep range for the crash matrix.
+      Test hook: fault injection for test_durable and test_registry. *)
 
   val set_file : fs -> string -> string -> unit
-  (** God-mode: install durable, fsynced content directly. *)
+  (** God-mode: install durable, fsynced content directly.
+      Test hook: fault injection for test_durable and test_registry. *)
 
   val get_file : fs -> string -> string option
-  (** Durable content as a post-crash reader would see it. *)
+  (** Durable content as a post-crash reader would see it.
+      Test hook: fault injection for test_durable. *)
 
   val list_files : fs -> string list
-  (** Paths that currently exist, sorted. *)
+  (** Paths that currently exist, sorted.
+      Test hook: fault injection for test_durable. *)
 
   val flip_bit : fs -> string -> int -> unit
   (** Flip bit [i] (0-based over the whole file, MSB-first within each
       byte) of a file's durable content — the fsck corruption seeder.
+      Test hook: fault injection for test_durable.
       @raise Invalid_argument if out of range or the file is absent. *)
 end

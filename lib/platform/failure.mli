@@ -58,4 +58,5 @@ val of_string : string -> t
 (** Total inverse of {!to_string}: unrecognised strings become {!Other}. *)
 
 val all_named : t list
-(** Every constructor except [Other] — for exhaustive round-trip tests. *)
+(** Every constructor except [Other] — for exhaustive round-trip tests.
+    Test hook: test_analytics and test_resilience enumerate every failure through it. *)

@@ -38,17 +38,6 @@ type state = {
   mutable exhausted : bool;
 }
 
-let grid_size ?(steps = 4) space =
-  let params = Space.params space in
-  let acc = ref 1. in
-  Array.iteri
-    (fun i p ->
-      match Space.fixed_value space i with
-      | Some _ -> ()
-      | None -> acc := !acc *. float_of_int (Array.length (candidates ~steps p)))
-    params;
-  !acc
-
 let create ?(steps = 4) () =
   let state = ref None in
   let init space =

@@ -15,6 +15,3 @@ val create : ?steps:int -> unit -> Search_algorithm.t
     The returned algorithm has a native [propose_batch]: the next [k]
     points of the enumeration, with a final partial batch (fewer than
     [k]) when the grid runs out mid-ask. *)
-
-val grid_size : ?steps:int -> Wayfinder_configspace.Space.t -> float
-(** Number of grid points (as a float; can be astronomically large). *)

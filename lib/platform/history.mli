@@ -63,7 +63,9 @@ val mean_decide_seconds : t -> float
 val csv_field : string -> string
 (** RFC 4180 field quoting: the string unchanged unless it contains a
     comma, quote or line break, in which case it is double-quoted with
-    embedded quotes doubled. *)
+    embedded quotes doubled.
+    Test hook: test_platform checks RFC 4180 quoting with it; the CSV export quotes
+    every field through it. *)
 
 val to_csv : t -> string
 (** One row per entry:

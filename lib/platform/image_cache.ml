@@ -85,7 +85,6 @@ let add t key value =
     end
 
 let mem t key = Hashtbl.mem t.tbl key
-let length t = Hashtbl.length t.tbl
 let cap t = t.cap
 
 let to_alist t =

@@ -54,9 +54,6 @@ val add : t -> string -> entry -> (string * entry) option
     returns the evicted least-recently-used binding when the insert
     overflowed the capacity. *)
 
-val mem : t -> string -> bool
-val length : t -> int
-
 val cap : t -> int
 (** The configured capacity. *)
 
@@ -66,5 +63,6 @@ val to_alist : t -> (string * entry) list
 val of_alist : config -> (string * entry) list -> t
 (** Rebuild a cache from a most-recently-used-first listing (the exact
     inverse of {!to_alist}).
+    Test hook: test_image_cache builds caches in a given state with it.
     @raise Invalid_argument on duplicate keys or more entries than the
     capacity. *)

@@ -3,7 +3,6 @@ type t = { metric_name : string; unit_name : string; maximize : bool }
 let make ?(maximize = true) ~name ~unit_name () = { metric_name = name; unit_name; maximize }
 
 let throughput = make ~name:"throughput" ~unit_name:"req/s" ()
-let latency_us = make ~maximize:false ~name:"operation latency" ~unit_name:"us/op" ()
 let memory_mb = make ~maximize:false ~name:"memory footprint" ~unit_name:"MB" ()
 let composite_score = make ~name:"throughput-memory score" ~unit_name:"score" ()
 
@@ -14,5 +13,4 @@ let of_app app =
     maximize = m.Wayfinder_simos.App.maximize }
 
 let score t v = if t.maximize then v else -.v
-let unscore t s = if t.maximize then s else -.s
 let better t a b = score t a > score t b

@@ -9,7 +9,6 @@ type t = { metric_name : string; unit_name : string; maximize : bool }
 
 val make : ?maximize:bool -> name:string -> unit_name:string -> unit -> t
 val throughput : t
-val latency_us : t
 val memory_mb : t
 val composite_score : t
 (** The §4.4 throughput–memory score of eq. (4). *)
@@ -18,9 +17,6 @@ val of_app : Wayfinder_simos.App.t -> t
 
 val score : t -> float -> float
 (** Higher-is-better view of a raw value. *)
-
-val unscore : t -> float -> float
-(** Inverse of {!score}. *)
 
 val better : t -> float -> float -> bool
 (** [better t a b] is true when raw value [a] beats raw value [b]. *)

@@ -15,7 +15,8 @@ type spec = Metric.t array
 val builtin : string -> Metric.t option
 (** Objectives the trace-replay targets know how to measure:
     ["throughput"] (req/s, maximize), ["p50"]/["p95"]/["p99"] (latency
-    seconds, minimize), ["memory"] (MiB, minimize). *)
+    seconds, minimize), ["memory"] (MiB, minimize).
+    Test hook: test_trace resolves objective names with it. *)
 
 val spec_of_names : string list -> (spec, string) result
 (** Resolve a list of {!builtin} names; [Error] names the first

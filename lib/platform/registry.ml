@@ -32,18 +32,12 @@ type t = {
 type error =
   | Unsupported_version of { found : int; expected : int }
   | Malformed of string
-  | Fingerprint_mismatch of { expected : string; found : string }
   | Io of Durable.io_error
 
 let error_to_string = function
   | Unsupported_version { found; expected } ->
     Printf.sprintf "model entry format version %d (this build reads %d)" found expected
   | Malformed msg -> "malformed model entry: " ^ msg
-  | Fingerprint_mismatch { expected; found } ->
-    Printf.sprintf
-      "fingerprint mismatch: entry was trained on a different app/space (expected %s, entry \
-       verifies as %s)"
-      expected found
   | Io e -> Durable.io_error_to_string e
 
 let version = 1
@@ -295,11 +289,6 @@ let load ?backend path =
   | Error e -> Error (Io e)
   | Ok s -> of_string s
 
-let load_for ?backend ~dir fp =
-  let* entry = load ?backend (entry_path ~dir fp) in
-  if entry.fp.app = fp.app && entry.fp.space_text = fp.space_text then Ok entry
-  else Error (Fingerprint_mismatch { expected = fp.key; found = entry.fp.key })
-
 (* ------------------------------------------------------------------ *)
 (* Matching                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -339,33 +328,33 @@ let list ~dir =
            let path = Filename.concat dir name in
            (path, load path))
 
-let lookup ~dir ~app space =
-  let target = Space.canonical_description space in
-  let target_params = List.length (param_lines target) in
+(* The stored app and full canonical text decide [Exact]; the key, a
+   hash, is only ever a filename. *)
+let classify fp e =
+  if e.fp.app = fp.app && e.fp.space_text = fp.space_text then Some Exact
+  else
+    let shared = space_overlap ~donor:e.fp.space_text ~target:fp.space_text in
+    if shared = 0 then None
+    else
+      Some
+        (Overlap
+           { shared;
+             donor_params = List.length (param_lines e.fp.space_text);
+             target_params = List.length (param_lines fp.space_text) })
+
+let lookup ~dir fp =
   let candidates =
     List.filter_map
       (fun (path, r) ->
         match r with
         | Error _ -> None
-        | Ok e ->
-          if e.fp.app = app && e.fp.space_text = target then Some (path, e, Exact)
-          else
-            let shared = space_overlap ~donor:e.fp.space_text ~target in
-            if shared = 0 then None
-            else
-              Some
-                ( path,
-                  e,
-                  Overlap
-                    { shared;
-                      donor_params = List.length (param_lines e.fp.space_text);
-                      target_params } ))
+        | Ok e -> Option.map (fun q -> (path, e, q)) (classify fp e))
       (list ~dir)
   in
   let rank (_, e, q) =
     match q with
     | Exact -> (2, 0, 0)
-    | Overlap { shared; _ } -> ((if e.fp.app = app then 1 else 0), shared, 0)
+    | Overlap { shared; _ } -> ((if e.fp.app = fp.app then 1 else 0), shared, 0)
   in
   List.stable_sort (fun a b -> compare (rank b) (rank a)) candidates
 

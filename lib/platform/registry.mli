@@ -14,7 +14,7 @@
     ["sim-unikraft/nginx"]) and the {e full canonical space text}
     ({!Wayfinder_configspace.Space.canonical_description}: every
     parameter's name, stage, kind, ranges, default and pin).  The CRC-32
-    [key] over both is only the {e filename}; every load re-compares the
+    [key] over both is only the {e filename}; {!classify} re-compares the
     stored text against the requesting space, so a hash collision can
     never smuggle a donor trained on a different space into a search
     (the truncated-hash lesson of the quarantine-key bug).
@@ -75,25 +75,20 @@ type t = {
 type error =
   | Unsupported_version of { found : int; expected : int }
   | Malformed of string  (** Unreadable file or corrupt content. *)
-  | Fingerprint_mismatch of { expected : string; found : string }
-      (** The entry's verified identity does not match the requesting
-          fingerprint — the stored canonical text disagrees, whatever
-          the filename said. *)
   | Io of Durable.io_error
 
 val error_to_string : error -> string
 
-val version : int
-(** Current entry format version: 1. *)
-
 val fingerprint : app:string -> Space.t -> fingerprint
 
 val entry_path : dir:string -> fingerprint -> string
-(** [dir ^ "/" ^ key ^ ".model"]. *)
+(** [dir ^ "/" ^ key ^ ".model"].
+    Test hook: test_registry plants entries at a fingerprint's path with it. *)
 
 val to_string : t -> string
 (** The sealed envelope (body + CRC trailer); [sealed] is ignored —
-    rendering always seals. *)
+    rendering always seals.
+    Test hook: tests plant and corrupt entries with it; {!save} writes through it. *)
 
 val of_string : string -> (t, error) result
 (** Verifies the CRC trailer when present ([sealed = true]); a parseable
@@ -108,13 +103,7 @@ val save :
     directory must already exist ([Session.run] creates it). *)
 
 val load : ?backend:Durable.backend -> string -> (t, error) result
-(** Load one entry by path (no fingerprint check — see {!load_for}). *)
-
-val load_for :
-  ?backend:Durable.backend -> dir:string -> fingerprint -> (t, error) result
-(** Load the entry for a fingerprint and {e verify} it: the stored app
-    and full canonical space text must equal the request's, else
-    {!Fingerprint_mismatch}.  Never trusts the filename hash. *)
+(** Load one entry by path (no fingerprint check — see {!classify}). *)
 
 (** How well a donor entry matches a requesting space. *)
 type quality =
@@ -122,21 +111,25 @@ type quality =
   | Overlap of { shared : int; donor_params : int; target_params : int }
       (** [shared] parameters agree in name, stage, kind and ranges. *)
 
-val space_overlap : donor:string -> target:string -> int
-(** Shared-parameter count between two canonical space texts: lines that
-    agree in name, stage and kind (defaults and pins may differ — a
-    re-defaulted parameter is still transferable). *)
+val classify : fingerprint -> t -> quality option
+(** How an entry matches a requesting fingerprint, {e verified}:
+    [Exact] only when the entry's stored app and full canonical space
+    text equal the request's, whatever its filename hash says; else
+    [Overlap] when the two spaces share a parameter (name, stage and
+    kind agree — defaults and pins may differ, a re-defaulted parameter
+    is still transferable); [None] when they share none. *)
 
 val list : dir:string -> (string * (t, error) result) list
 (** Every primary entry ([*.model], no rotated [.N], [.tmp] or [.bak]
     suffix) in the directory, sorted by filename; real filesystem only.
     An empty or missing directory lists nothing. *)
 
-val lookup : dir:string -> app:string -> Space.t -> (string * t * quality) list
-(** Donor candidates for a search, best first: exact-fingerprint matches,
-    then same-app entries by descending shared-parameter overlap, then
-    other-app entries by overlap.  Entries that fail to load and donors
-    sharing no parameter are skipped.  Real filesystem only. *)
+val lookup : dir:string -> fingerprint -> (string * t * quality) list
+(** Donor candidates for a search, each {!classify}d, best first:
+    exact-fingerprint matches, then same-app entries by descending
+    shared-parameter overlap, then other-app entries by overlap.  Entries
+    that fail to load and donors sharing no parameter are skipped.  Real
+    filesystem only. *)
 
 val project_incumbents : t -> Space.t -> Space.configuration list
 (** The donor's incumbent configurations re-expressed in a (possibly

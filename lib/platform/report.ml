@@ -78,43 +78,38 @@ let of_result ?default ~algorithm ~target result =
     phase_seconds = Driver.phase_virtual_seconds result;
     best }
 
-let render ~heading ~bullet ~emphasis t =
+let to_text t =
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "%s %s specialized by %s" heading t.target_name t.algorithm_name;
-  line "%s%d iterations over %.1f virtual hours (%d image builds charged)" bullet t.iterations
+  line "== %s specialized by %s" t.target_name t.algorithm_name;
+  line "  %d iterations over %.1f virtual hours (%d image builds charged)" t.iterations
     (t.virtual_seconds /. 3600.) t.builds_charged;
-  line "%scrash rate %.2f overall, %.2f over the last 50 iterations" bullet t.crash_rate
+  line "  crash rate %.2f overall, %.2f over the last 50 iterations" t.crash_rate
     t.late_crash_rate;
   if t.transient_rate > 0. || t.retries > 0 || t.quarantined_configs > 0 then
-    line "%stestbed faults: %.2f of iterations lost to transient failures, %d retries, %d \
+    line "  testbed faults: %.2f of iterations lost to transient failures, %d retries, %d \
           configs quarantined"
-      bullet t.transient_rate t.retries t.quarantined_configs;
-  line "%smean decision time %.3f s per iteration" bullet t.mean_decide_seconds;
+      t.transient_rate t.retries t.quarantined_configs;
+  line "  mean decision time %.3f s per iteration" t.mean_decide_seconds;
   (let total = List.fold_left (fun acc (_, v) -> acc +. v) 0. t.phase_seconds in
    if total > 0. then
-     line "%svirtual time by phase: %s" bullet
+     line "  virtual time by phase: %s"
        (String.concat " | "
           (List.map
              (fun (phase, v) ->
                Printf.sprintf "%s %.0fs (%.0f%%)" phase v (100. *. v /. total))
              t.phase_seconds)));
   (match t.best with
-  | None -> line "%sno valid configuration found" bullet
+  | None -> line "  no valid configuration found"
   | Some b ->
-    line "%sbest value %s%.2f%s at iteration %d (t = %.0f s)%s" bullet emphasis b.value emphasis
-      b.found_at_iteration b.found_at_seconds
+    line "  best value %.2f at iteration %d (t = %.0f s)%s" b.value b.found_at_iteration
+      b.found_at_seconds
       (match b.relative with
       | Some (Ratio r) -> Printf.sprintf " — %.2fx the default" r
       | Some Not_applicable -> " — n/a vs the default"
       | None -> "");
     if b.changed <> [] then begin
-      line "%schanged parameters (%d):" bullet (List.length b.changed);
-      List.iter
-        (fun (name, from_v, to_v) -> line "%s  %s: %s -> %s" bullet name from_v to_v)
-        b.changed
+      line "  changed parameters (%d):" (List.length b.changed);
+      List.iter (fun (name, from_v, to_v) -> line "    %s: %s -> %s" name from_v to_v) b.changed
     end);
   Buffer.contents buf
-
-let to_text t = render ~heading:"==" ~bullet:"  " ~emphasis:"" t
-let to_markdown t = render ~heading:"##" ~bullet:"- " ~emphasis:"**" t

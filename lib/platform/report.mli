@@ -49,5 +49,3 @@ val of_result :
 val to_text : t -> string
 (** Plain-text rendering (what the CLI prints). *)
 
-val to_markdown : t -> string
-(** A markdown section suitable for a PR or review document. *)

@@ -15,8 +15,6 @@ let create ?(stride = 0) ?span ?(cursor = 0) trace =
     invalid_arg "Scenario.create: span must be positive";
   { trace; stride; span; cursor }
 
-let trace t = t.trace
-let stride t = t.stride
 let cursor t = t.cursor
 
 let set_cursor t c =

@@ -22,8 +22,6 @@ val create : ?stride:int -> ?span:int -> ?cursor:int -> Wayfinder_simos.Trace.t 
     the whole trace).  @raise Invalid_argument on negative [stride],
     negative [cursor], or non-positive [span]. *)
 
-val trace : t -> Wayfinder_simos.Trace.t
-val stride : t -> int
 val cursor : t -> int
 
 val set_cursor : t -> int -> unit

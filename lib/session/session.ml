@@ -170,10 +170,6 @@ type warm_plan =
       (** Space overlap only: the donor's projected incumbents seed the
           search; the model stays cold. *)
 
-let exact_for fp (entry : P.Registry.t) =
-  entry.P.Registry.fp.P.Registry.app = fp.P.Registry.app
-  && entry.P.Registry.fp.P.Registry.space_text = fp.P.Registry.space_text
-
 (* Staleness probe (DESIGN.md §16): a live ledger of the same workload
    votes on whether the donor's training distribution still holds.
    Drift downgrades an [auto] warm-start to a cold start — an explicit
@@ -205,32 +201,28 @@ let drift_keeps_warm ~hooks ~drift_ledger ~auto (entry : P.Registry.t) =
           Ok true
         end))
 
-let resolve_warm_start ~hooks ~dir ~fp ~key ~drift_ledger space =
-  let classify path (entry : P.Registry.t) ~auto =
+let resolve_warm_start ~hooks ~dir ~fp ~key ~drift_ledger =
+  let apply path (entry : P.Registry.t) quality ~auto =
     match drift_keeps_warm ~hooks ~drift_ledger ~auto entry with
     | Error e -> Error e
     | Ok false -> Ok Cold
-    | Ok true ->
-      if exact_for fp entry && entry.P.Registry.model_kind = "dtm" then
+    | Ok true -> (
+      match quality with
+      | Some P.Registry.Exact when entry.P.Registry.model_kind = "dtm" ->
         Ok (Import (path, entry))
-      else if
-        P.Registry.space_overlap ~donor:entry.P.Registry.fp.P.Registry.space_text
-          ~target:fp.P.Registry.space_text
-        > 0
-      then Ok (Seed_only (path, entry))
-      else if auto then Ok Cold
-      else
+      | Some (P.Registry.Exact | P.Registry.Overlap _) -> Ok (Seed_only (path, entry))
+      | None ->
         Error
-          (Printf.sprintf "warm-start %s: donor shares no parameters with this space" path)
+          (Printf.sprintf "warm-start %s: donor shares no parameters with this space" path))
   in
   match key with
   | "auto" -> (
-    match P.Registry.lookup ~dir ~app:fp.P.Registry.app space with
+    match P.Registry.lookup ~dir fp with
     | [] ->
       hooks.notice
         (Printf.sprintf "no registry donor for %s — starting cold" fp.P.Registry.app);
       Ok Cold
-    | (path, entry, _) :: _ -> classify path entry ~auto:true)
+    | (path, entry, quality) :: _ -> apply path entry (Some quality) ~auto:true)
   | key -> (
     (* A key (filename stem), or a path for entries outside the registry. *)
     let path =
@@ -238,7 +230,7 @@ let resolve_warm_start ~hooks ~dir ~fp ~key ~drift_ledger space =
     in
     match P.Registry.load path with
     | Error e -> Error (Printf.sprintf "warm-start %s: %s" path (P.Registry.error_to_string e))
-    | Ok entry -> classify path entry ~auto:false)
+    | Ok entry -> apply path entry (P.Registry.classify fp entry) ~auto:false)
 
 (* The searcher, and the DeepTune state behind it when there is one. *)
 let searcher ~hooks (s : Spec.t) ~favor ~seed ~objectives (target : P.Target.t) kind =
@@ -252,7 +244,7 @@ let searcher ~hooks (s : Spec.t) ~favor ~seed ~objectives (target : P.Target.t) 
       | None, _ | _, None -> Ok Cold
       | Some key, Some dir ->
         let fp = P.Registry.fingerprint ~app:target.P.Target.target_name space in
-        resolve_warm_start ~hooks ~dir ~fp ~key ~drift_ledger:s.drift_ledger space
+        resolve_warm_start ~hooks ~dir ~fp ~key ~drift_ledger:s.drift_ledger
     in
     let* dt =
       match warm with
@@ -387,11 +379,17 @@ let plan ?(hooks = silent) (s : Spec.t) =
       (ck.P.Checkpoint.seed, ck.P.Checkpoint.workers, Some ck.P.Checkpoint.cache_capacity)
     | None -> (seed, s.workers, s.image_cache)
   in
-  let favor =
+  let* favor =
     match (s.favor, job) with
-    | Some f, _ -> CS.Param.stage_of_string f
-    | None, Some j -> j.CS.Jobfile.favor
-    | None, None -> None
+    | Some f, _ -> (
+      match CS.Param.stage_of_string f with
+      | Some stage -> Ok (Some stage)
+      | None ->
+        Error
+          (Printf.sprintf
+             "unknown stage %S in --favor (runtime/run, boot-time/boot, compile-time/compile)" f))
+    | None, Some j -> Ok j.CS.Jobfile.favor
+    | None, None -> Ok None
   in
   let* scenario = scenario_of s ~seed in
   let* target = target_of s ~job ~seed scenario in

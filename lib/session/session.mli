@@ -21,8 +21,6 @@ type hooks = {
 }
 (** Called at the moment each line happens, in the run's order. *)
 
-val silent : hooks
-
 val target : os:string -> app:string -> (P.Target.t, string) result
 (** The simulator target [os] runs [app] on.  [Error] names the known
     OSes or applications. *)

@@ -6,7 +6,6 @@ type t = {
   sim : Sim_linux.t;
   app : App.t;
   traced : string list;
-  debloated : Space.configuration;
   reduced : Space.t;
   throughput_scale : float;
   memory_scale : float;
@@ -62,7 +61,7 @@ let create sim ~app =
   let reduced = Space.fix space !pins in
   let debloated = Space.defaults reduced in
   let tmp =
-    { sim; app; traced = List.rev !traced; debloated; reduced; throughput_scale = 1.;
+    { sim; app; traced = List.rev !traced; reduced; throughput_scale = 1.;
       memory_scale = 1. }
   in
   (* Re-anchor to the Table 4 testbed: the debloated default reads exactly
@@ -79,7 +78,6 @@ let create sim ~app =
     memory_scale = table4_memory_mb /. raw_memory }
 
 let traced_options t = t.traced
-let debloated_config t = t.debloated
 let reduced_space t = t.reduced
 
 let baseline_throughput (_ : t) = table4_throughput

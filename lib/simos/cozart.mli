@@ -22,16 +22,13 @@ val create : Sim_linux.t -> app:App.t -> t
 val traced_options : t -> string list
 (** Compile-time options the workload trace marked as exercised. *)
 
-val debloated_config : t -> Space.configuration
-(** The Cozart output: stock defaults with every untraced compile-time
-    option disabled. *)
-
 val reduced_space : t -> Space.t
 (** The original space with all untraced compile-time options pinned off —
-    what Wayfinder explores on top of Cozart. *)
+    what Wayfinder explores on top of Cozart.  Its defaults are the Cozart
+    output, the debloated configuration. *)
 
 val baseline_throughput : t -> float
-(** Noise-free throughput of {!debloated_config} on the Table 4 testbed
+(** Noise-free throughput of the debloated configuration on the Table 4 testbed
     (≈46 855 req/s for Nginx). *)
 
 val baseline_memory_mb : t -> float

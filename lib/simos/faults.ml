@@ -41,9 +41,6 @@ let create ?(rates = zero_rates) ?(hang_stall_s = default_hang_stall_s)
   if hang_stall_s <= 0. then invalid_arg "Faults.create: hang_stall_s must be positive";
   { seed; rates; hang_stall_s; outlier_sigma }
 
-let seed t = t.seed
-let rates t = t.rates
-
 (* Each (seed, trial) pair keys its own throwaway generator, so the fault
    schedule is a pure function of the plan — evaluating trials in any
    order, or re-evaluating one, always sees the same fault.  The trial is

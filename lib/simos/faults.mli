@@ -24,6 +24,7 @@ type rates = {
 }
 
 val zero_rates : rates
+(** Test hook: test_resilience builds a plan that never strikes with it. *)
 
 val rates_of_total : float -> rates
 (** Split a total transient-fault probability across the four kinds with a
@@ -45,9 +46,6 @@ val create :
     any boot); an outlier's log-factor has deviation [outlier_sigma]
     (default 1.2).  @raise Invalid_argument on negative rates, a rate sum
     above 1, or a non-positive stall. *)
-
-val seed : t -> int
-val rates : t -> rates
 
 val draw : t -> trial:int -> fault option
 (** The fault (if any) striking evaluation [trial].  Deterministic: equal

@@ -21,7 +21,3 @@ let xeon_e5_2697v2_one_node =
 let cozart_testbed =
   { hw_name = "Cozart testbed (4 cores)"; isa = X86_64; cores = 4; ghz = 2.60; ram_mb = 16384;
     numa_nodes = 1; emulated = false }
-
-let riscv_qemu =
-  { hw_name = "QEMU RISC-V (emulated)"; isa = Riscv64; cores = 4; ghz = 1.0; ram_mb = 2048;
-    numa_nodes = 1; emulated = true }

@@ -23,6 +23,3 @@ val xeon_e5_2697v2_one_node : t
 
 val cozart_testbed : t
 (** The 4-core setup of the Cozart comparison (Table 4 caption). *)
-
-val riscv_qemu : t
-(** Emulated RISC-V board for the §4.4 memory-footprint experiment. *)

@@ -80,4 +80,3 @@ let peaked ~v ~optimum ~width ~gain =
 let level_penalty ~level ~neutral ~per_level =
   if level > neutral then -.(float_of_int (level - neutral) *. per_level) else 0.
 
-let step_penalty flag loss = if flag then -.loss else 0.

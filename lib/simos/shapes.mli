@@ -54,6 +54,3 @@ val peaked : v:int -> optimum:int -> width:float -> gain:float -> float
 val level_penalty : level:int -> neutral:int -> per_level:float -> float
 (** Linear penalty above a neutral level: [-(level - neutral)·per_level]
     when [level > neutral], else 0 (e.g. printk verbosity). *)
-
-val step_penalty : bool -> float -> float
-(** [-loss] when the flag is set, else 0. *)

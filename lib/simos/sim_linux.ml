@@ -16,11 +16,6 @@ type t = {
 
 type failure_stage = Build_failure | Boot_failure | Runtime_crash
 
-let failure_stage_to_string = function
-  | Build_failure -> "build-failure"
-  | Boot_failure -> "boot-failure"
-  | Runtime_crash -> "runtime-crash"
-
 type durations = { build_s : float; boot_s : float; run_s : float }
 type outcome = { result : (float, failure_stage) result; durations : durations }
 
@@ -246,8 +241,6 @@ let create ?(n_filler_runtime = 80) ?(n_filler_compile = 60) ?(seed = 0)
   { space; hardware; seed; crash_fraction; conflict_pairs; build_conflicts; filler_memory_mb }
 
 let space t = t.space
-let hardware t = t.hardware
-let seed t = t.seed
 
 (* ------------------------------------------------------------------ *)
 (* Accessors over a configuration                                      *)

@@ -39,12 +39,8 @@ val create :
     seed 0, the paper's single-NUMA-node Xeon. *)
 
 val space : t -> Space.t
-val hardware : t -> Hardware.t
-val seed : t -> int
 
 type failure_stage = Build_failure | Boot_failure | Runtime_crash
-
-val failure_stage_to_string : failure_stage -> string
 
 type durations = { build_s : float; boot_s : float; run_s : float }
 (** Virtual seconds.  [build_s] is the full-image build cost; the platform

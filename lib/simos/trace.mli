@@ -31,31 +31,35 @@ type t = {
   loads : float array;  (** offered load per window, requests/second; finite, >= 0 *)
 }
 
-val version : int
-(** Current trace format version (1). *)
-
 val duration_s : t -> float
 (** Total virtual time covered: [window_s *. float (Array.length loads)]. *)
 
 val validate : t -> (unit, string) result
 (** [Ok ()] iff [window_s] is finite and positive and every load is
     finite and non-negative.  An empty [loads] array is valid: the
-    empty trace replays to an empty sample set. *)
+    empty trace replays to an empty sample set.
+    Test hook: test_trace checks the invariants with it. *)
 
 val equal : t -> t -> bool
 (** Structural equality, bitwise on floats (NaN-safe via
-    [Int64.bits_of_float]). *)
+    [Int64.bits_of_float]).
+    Test hook: test_trace compares round-tripped traces with it. *)
 
 (** {1 Codec} *)
 
 val to_string : t -> string
-(** Serialize to the versioned text format above. *)
+(** Serialize to the versioned text format above.
+    Test hook: test_trace checks the codec round trip with it. *)
 
 val of_string : string -> (t, string) result
 (** Parse; rejects unknown versions, malformed lines, and traces that
-    fail {!validate}. *)
+    fail {!validate}.
+    Test hook: test_trace checks the codec round trip with it; {!load} reads files
+    through it. *)
 
 val save : path:string -> t -> (unit, string) result
+(** Test hook: test_trace writes the files {!load} reads back. *)
+
 val load : path:string -> (t, string) result
 
 (** {1 Builders}
@@ -65,7 +69,8 @@ val load : path:string -> (t, string) result
     load shapes, etc.), so a built trace always passes {!validate}. *)
 
 val constant : window_s:float -> windows:int -> float -> t
-(** [windows] copies of the given load. *)
+(** [windows] copies of the given load.
+    Test hook: test_trace builds flat traces with it. *)
 
 val diurnal :
   ?jitter:float ->

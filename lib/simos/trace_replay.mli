@@ -46,7 +46,8 @@ type summary = {
 }
 
 val window : service -> offered_rps:float -> sample
-(** Evaluate a single load window. *)
+(** Evaluate a single load window.
+    Test hook: test_trace checks one window with it; {!replay} is built on it. *)
 
 val replay : Trace.t -> service -> summary
 (** Evaluate every window of the trace.  @raise Invalid_argument if the

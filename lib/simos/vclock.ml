@@ -38,8 +38,6 @@ let advance_to t x =
   t.seconds <- x;
   List.iter (fun f -> f dt) t.observers
 
-let minutes t = t.seconds /. 60.
-
 (* ---------------- Discrete-event scheduler ---------------- *)
 
 let earlier a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
@@ -91,10 +89,6 @@ let pop t =
   done;
   top
 
-let pending t = t.size
-
-let peek_next t = if t.size = 0 then None else Some t.heap.(0).at
-
 let schedule t ~at run =
   if Float.is_nan at then invalid_arg "Vclock.schedule: NaN completion time";
   if at < t.seconds then invalid_arg "Vclock.schedule: completion time is in the past";
@@ -129,9 +123,3 @@ let run_next t =
     ev.run ();
     true
   end
-
-let reset t =
-  t.seconds <- 0.;
-  t.size <- 0;
-  Array.fill t.heap 0 (Array.length t.heap) dummy_event;
-  t.next_seq <- 0

@@ -21,14 +21,8 @@ val now : t -> float
 (** Seconds since creation. *)
 
 val advance : t -> float -> unit
-(** @raise Invalid_argument on negative durations. *)
-
-val advance_to : t -> float -> unit
-(** Set the clock to an absolute reading, notifying observers with the
-    delta.  Unlike [advance t (x -. now t)], the clock lands on the target
-    bit-exactly (float subtraction then addition can be off by an ulp) —
-    checkpoint resume depends on this.
-    @raise Invalid_argument if the target is in the past. *)
+(** Test hook: tests drive the clock by hand with it.
+    @raise Invalid_argument on negative durations. *)
 
 val on_advance : t -> (float -> unit) -> unit
 (** Subscribe to advancement: each registered observer is called with the
@@ -55,18 +49,7 @@ val schedule_chain : t -> deltas:float list -> (unit -> unit) -> float
     with a single delta.
     @raise Invalid_argument on negative or NaN deltas. *)
 
-val pending : t -> int
-(** Number of scheduled events not yet run. *)
-
-val peek_next : t -> float option
-(** Completion time of the earliest pending event. *)
-
 val run_next : t -> bool
 (** Pop the earliest pending event (FIFO among ties), advance the clock
     to its completion time, run its callback.  [false] when no events are
     pending. *)
-
-val minutes : t -> float
-
-val reset : t -> unit
-(** Back to 0 s; drops all pending events (their callbacks never run). *)

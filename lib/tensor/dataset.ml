@@ -27,9 +27,6 @@ let rows t =
 
 let row t i = (rows t).(i)
 
-let feature_dim t =
-  match t.data with [] -> 0 | r :: _ -> Vec.dim r.features
-
 let target_dim t =
   match t.data with [] -> 0 | r :: _ -> Array.length r.targets
 
@@ -83,9 +80,6 @@ let fit_normalizer t =
     done;
   { means; stds; t_means; t_stds }
 
-let normalize_features nz v =
-  Array.mapi (fun j x -> Stat.zscore ~mean:nz.means.(j) ~std:nz.stds.(j) x) v
-
 let normalize_target nz ~metric y = Stat.zscore ~mean:nz.t_means.(metric) ~std:nz.t_stds.(metric) y
 let denormalize_target nz ~metric y = (y *. nz.t_stds.(metric)) +. nz.t_means.(metric)
 let denormalize_std nz ~metric s = s *. nz.t_stds.(metric)
@@ -102,16 +96,3 @@ let batches t rng ~batch_size =
       cut (start + len) (Array.sub all start len :: acc)
   in
   cut 0 []
-
-let split t rng ~train_fraction =
-  let all = rows t in
-  Rng.shuffle rng all;
-  let n = Array.length all in
-  let n_train = int_of_float (train_fraction *. float_of_int n) in
-  let train = create () and test = create () in
-  Array.iteri
-    (fun i r ->
-      let dst = if i < n_train then train else test in
-      add_targets dst r.features ~targets:r.targets ~crashed:r.crashed)
-    all;
-  (train, test)

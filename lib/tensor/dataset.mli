@@ -23,9 +23,7 @@ val add_targets : t -> Vec.t -> targets:float array -> crashed:bool -> unit
 val size : t -> int
 val rows : t -> row array
 val row : t -> int -> row
-
-val feature_dim : t -> int
-(** 0 when the dataset is empty. *)
+(** Test hook: test_tensor reads rows back with it. *)
 
 val target_dim : t -> int
 (** Targets per row; 0 when the dataset is empty. *)
@@ -43,7 +41,6 @@ type normalizer = {
 val fit_normalizer : t -> normalizer
 (** @raise Invalid_argument on an empty dataset. *)
 
-val normalize_features : normalizer -> Vec.t -> Vec.t
 val normalize_target : normalizer -> metric:int -> float -> float
 val denormalize_target : normalizer -> metric:int -> float -> float
 val denormalize_std : normalizer -> metric:int -> float -> float
@@ -52,6 +49,3 @@ val denormalize_std : normalizer -> metric:int -> float -> float
 val batches : t -> Rng.t -> batch_size:int -> row array list
 (** Shuffled mini-batches covering the dataset once; the last batch may be
     smaller.  Empty dataset yields the empty list. *)
-
-val split : t -> Rng.t -> train_fraction:float -> t * t
-(** Random split into train/test subsets. *)

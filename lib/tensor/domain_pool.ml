@@ -91,8 +91,6 @@ let create size =
     t.workers <- Array.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
   t
 
-let size t = t.size
-
 let shutdown t =
   Mutex.lock t.mu;
   let already = t.stopped in

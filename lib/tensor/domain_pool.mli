@@ -15,9 +15,6 @@ val create : int -> t
     the remaining lane.  [size <= 1] creates an inline pool that spawns
     nothing. *)
 
-val size : t -> int
-(** Total lanes, including the calling domain. *)
-
 val parallel_for : ?chunk:int -> t -> int -> (int -> int -> unit) -> unit
 (** [parallel_for t n f] partitions [0, n) into chunks and calls
     [f lo hi] for disjoint ranges covering every index, in parallel across

@@ -74,17 +74,6 @@ let of_rows rows =
       rows;
     m
 
-let transpose m =
-  let r = m.rows and c = m.cols in
-  let t = { rows = c; cols = r; data = alloc (r * c) } in
-  let src = m.data and dst = t.data in
-  for i = 0 to r - 1 do
-    for j = 0 to c - 1 do
-      Bigarray.Array1.unsafe_set dst ((j * r) + i) (Bigarray.Array1.unsafe_get src ((i * c) + j))
-    done
-  done;
-  t
-
 let check_same name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg (Printf.sprintf "Mat.%s: shape mismatch (%dx%d vs %dx%d)" name a.rows a.cols b.rows b.cols)
@@ -390,13 +379,6 @@ let solve_upper l b =
 
 let cholesky_solve l b = solve_upper l (solve_lower l b)
 
-let log_det_from_cholesky l =
-  let acc = ref 0. in
-  for i = 0 to l.rows - 1 do
-    acc := !acc +. log (get l i i)
-  done;
-  2. *. !acc
-
 (* Columns go two at a time through the forward substitution; a lone
    last column is solved twice. *)
 let inverse_spd a =
@@ -415,11 +397,3 @@ let inverse_spd a =
     done
   done;
   inv
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    if i > 0 then Format.fprintf ppf "@,";
-    Vec.pp ppf (row m i)
-  done;
-  Format.fprintf ppf "@]"

@@ -14,6 +14,8 @@ type t = { rows : int; cols : int; data : buffer }
 (** Row-major storage: element [(i, j)] lives at [data.{i * cols + j}]. *)
 
 val create : int -> int -> float -> t
+(** Test hook: tests allocate matrices with it. *)
+
 val zeros : int -> int -> t
 val eye : int -> t
 val init : int -> int -> (int -> int -> float) -> t
@@ -35,6 +37,7 @@ val to_array : t -> float array
 
 val of_array : int -> int -> float array -> t
 (** [of_array rows cols a] copies the flat row-major [a].
+    Test hook: the oracle in test/oracle.ml builds matrices with it.
     @raise Invalid_argument if [Array.length a <> rows * cols]. *)
 
 val blit_from_array : ?src_pos:int -> float array -> t -> unit
@@ -45,13 +48,14 @@ val row : t -> int -> Vec.t
 
 val col : t -> int -> Vec.t
 val set_row : t -> int -> Vec.t -> unit
+(** Test hook: tests build matrices row by row with it. *)
 
 val of_rows : Vec.t array -> t
 (** @raise Invalid_argument if rows have differing lengths or there are none. *)
 
-val transpose : t -> t
 val add : t -> t -> t
 val scale : float -> t -> t
+(** Test hook: test_nn's quadratic loss gradient uses it. *)
 
 val add_into : dst:t -> t -> unit
 (** [add_into ~dst src] accumulates [src] into [dst] elementwise. *)
@@ -68,19 +72,21 @@ val matmul : t -> t -> t
 
 val matmul_nt : t -> t -> t
 (** [matmul_nt a b = a · bᵀ] with [a : m×k] and [b : n×k], bitwise
-    [matmul a (transpose b)] without the copy.
+    the product of [a] with a transposed copy of [b], without the copy.
     @raise Invalid_argument unless [a] and [b] have the same columns. *)
 
 val matmul_tn : t -> t -> t
 (** [matmul_tn a b = aᵀ · b] with [a : k×m] and [b : k×n], bitwise
-    [matmul (transpose a) b] without the copy.
+    the product of a transposed copy of [a] with [b], without the copy.
     @raise Invalid_argument unless [a] and [b] have the same rows. *)
 
 val mat_vec : t -> Vec.t -> Vec.t
-(** [mat_vec a x = a · x]. *)
+(** [mat_vec a x = a · x].
+    Test hook: test_tensor checks it and builds linear systems with it. *)
 
 val vec_mat : Vec.t -> t -> Vec.t
-(** [vec_mat x a = xᵀ · a]. *)
+(** [vec_mat x a = xᵀ · a].
+    Test hook: test_tensor checks it. *)
 
 val add_jitter : t -> float -> t
 (** [add_jitter a eps] adds [eps] to the diagonal (numerical stabilisation
@@ -94,23 +100,16 @@ val cholesky : t -> t
 
 val solve_lower : t -> Vec.t -> Vec.t
 (** [solve_lower l b] solves [L·x = b] by forward substitution, each
-    row's sum over [j] in ascending order. *)
+    row's sum over [j] in ascending order.
+    Test hook: test_tensor pins it bitwise to a reference solve; {!cholesky_solve} is
+    built on it. *)
 
 val solve_lower2 : t -> Vec.t -> Vec.t -> Vec.t * Vec.t
 (** [solve_lower2 l b c] is [(solve_lower l b, solve_lower l c)], bitwise,
     solved together so that each load of [L] serves both systems. *)
 
-val solve_upper : t -> Vec.t -> Vec.t
-(** [solve_upper u b] solves [U·x = b] by back substitution, where [u] is
-    interpreted as the transpose of a lower-triangular factor. *)
-
 val cholesky_solve : t -> Vec.t -> Vec.t
 (** [cholesky_solve l b] solves [A·x = b] given the Cholesky factor [l]. *)
 
-val log_det_from_cholesky : t -> float
-(** [log det A] computed from its Cholesky factor. *)
-
 val inverse_spd : t -> t
 (** Inverse of a symmetric positive-definite matrix via Cholesky. *)
-
-val pp : Format.formatter -> t -> unit

@@ -83,19 +83,6 @@ let choice t a =
   if Array.length a = 0 then invalid_arg "Rng.choice: empty array";
   a.(int t (Array.length a))
 
-let choice_weighted t a =
-  if Array.length a = 0 then invalid_arg "Rng.choice_weighted: empty array";
-  let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0. a in
-  if total <= 0. then invalid_arg "Rng.choice_weighted: total weight is 0";
-  let target = float t total in
-  let rec scan i acc =
-    if i = Array.length a - 1 then fst a.(i)
-    else
-      let acc = acc +. snd a.(i) in
-      if target < acc then fst a.(i) else scan (i + 1) acc
-  in
-  scan 0 0.
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -103,11 +90,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let permutation t n =
-  let a = Array.init n (fun i -> i) in
-  shuffle t a;
-  a
 
 let sample_without_replacement t k n =
   if k > n then invalid_arg "Rng.sample_without_replacement: k > n";

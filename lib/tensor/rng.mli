@@ -17,20 +17,23 @@ val create : int -> t
     state 0. *)
 
 val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
+(** [copy t] is an independent generator with the same current state.
+    Test hook: tests replay a stream with it. *)
 
 val state : t -> int64
 (** The raw 64-bit state, for checkpointing.  Restoring it with
     {!set_state} resumes the stream exactly where it left off. *)
 
 val set_state : t -> int64 -> unit
+(** Test hook: test_tensor's stream property restores states with it. *)
 
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
 
 val bits64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Next raw 64-bit output.
+    Test hook: test_tensor pins the stream with it; every draw is built on it. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
@@ -60,10 +63,6 @@ val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)
 
-val choice_weighted : t -> ('a * float) array -> 'a
-(** Element sampled proportionally to its non-negative weight.
-    @raise Invalid_argument if the array is empty or total weight is 0. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
@@ -71,5 +70,3 @@ val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] is [k] distinct indices drawn
     uniformly from [\[0, n)].  @raise Invalid_argument if [k > n]. *)
 
-val permutation : t -> int -> int array
-(** [permutation t n] is a uniform permutation of [\[0, n)]. *)

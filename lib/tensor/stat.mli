@@ -6,10 +6,10 @@
     (eq. 4), and the smoothing applied to the published curves. *)
 
 val mean : float array -> float
-val variance : float array -> float
-(** Population variance (divides by [n]). *)
 
 val std : float array -> float
+(** Test hook: test_tensor checks it. *)
+
 val min : float array -> float
 val max : float array -> float
 val median : float array -> float
@@ -46,18 +46,11 @@ val moving_average : int -> float array -> float array
 val pearson : float array -> float array -> float
 (** Pearson correlation coefficient; 0 when either input is constant. *)
 
-val ranks : float array -> float array
-(** 1-based fractional ranks; ties receive the average (mid-) rank of the
-    positions they occupy. *)
-
 val spearman : float array -> float array -> float
 (** Spearman rank correlation: Pearson over {!ranks}.  0 when either input
     is constant (or empty); NaN if any sample is NaN (the NaN policy —
     propagate, never silently rank).
     @raise Invalid_argument on length mismatch. *)
-
-val mae : float array -> float array -> float
-(** Mean absolute error between predictions and targets. *)
 
 val normalized_mae : float array -> float array -> float
 (** MAE divided by the target range ([max - min]); the paper's Table 3

@@ -1,7 +1,6 @@
 type t = float array
 
 let create n x = Array.make n x
-let init = Array.init
 let zeros n = Array.make n 0.
 let copy = Array.copy
 let dim = Array.length
@@ -36,8 +35,6 @@ let dot a b =
   done;
   !acc
 
-let norm2 a = sqrt (dot a a)
-
 let sq_dist a b =
   check_dims "sq_dist" a b;
   let acc = ref 0. in
@@ -53,12 +50,6 @@ let sum = Array.fold_left ( +. ) 0.
 let mean a =
   if Array.length a = 0 then 0. else sum a /. float_of_int (Array.length a)
 
-let map = Array.map
-
-let map2 f a b =
-  check_dims "map2" a b;
-  Array.mapi (fun i x -> f x b.(i)) a
-
 let extreme_index name better a =
   if Array.length a = 0 then invalid_arg ("Vec." ^ name ^ ": empty vector");
   let best = ref 0 in
@@ -69,14 +60,3 @@ let extreme_index name better a =
 
 let max_index a = extreme_index "max_index" ( > ) a
 let min_index a = extreme_index "min_index" ( < ) a
-let concat = Array.concat
-let of_list = Array.of_list
-
-let pp ppf a =
-  Format.fprintf ppf "[";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf ppf "; ";
-      Format.fprintf ppf "%.4g" x)
-    a;
-  Format.fprintf ppf "]"

@@ -291,21 +291,6 @@ let find v key =
     invalid_arg (Printf.sprintf "Yamlite.find: expected map, got %s" (type_name v))
 
 let find_opt v key = match v with Map entries -> List.assoc_opt key entries | _ -> None
-let mem v key = match find_opt v key with Some _ -> true | None -> false
-
-let type_error expected v =
-  invalid_arg (Printf.sprintf "Yamlite: expected %s, got %s" expected (type_name v))
-
-let get_string = function String s -> s | v -> type_error "string" v
-let get_bool = function Bool b -> b | v -> type_error "bool" v
-
-let get_float = function
-  | Float f -> f
-  | Int i -> float_of_int i
-  | v -> type_error "float" v
-
-let get_list = function List l -> l | v -> type_error "list" v
-let keys = function Map entries -> List.map fst entries | v -> type_error "map" v
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -35,35 +35,24 @@ val parse_file : string -> t
 
 val scalar_of_string : string -> t
 (** Type inference used for scalars; exposed for testing.  Quoted input
-    always yields [String]. *)
+    always yields [String].
+    Test hook: test_yamlite checks scalar inference with it; the parser types every
+    scalar through it. *)
 
 (** {1 Accessors}
 
-    The [find]/[get_*] helpers make schema code concise; the [*_opt]
-    variants return [None] instead of raising. *)
+    [find] raises on a missing key; [find_opt] returns [None] instead. *)
 
 val find : t -> string -> t
 (** [find map key] looks up [key] in a [Map].
+    Test hook: test_yamlite reads parsed documents with it.
     @raise Not_found if absent; @raise Invalid_argument on non-maps. *)
 
 val find_opt : t -> string -> t option
-val mem : t -> string -> bool
-
-val get_string : t -> string
-(** @raise Invalid_argument if the value is not a [String]. *)
-
-val get_bool : t -> bool
-
-val get_float : t -> float
-(** Accepts [Int] values too, widening them. *)
-
-val get_list : t -> t list
-
-val keys : t -> string list
-(** Keys of a [Map] in document order. *)
 
 val to_string : t -> string
 (** Render back to YAML text ([parse (to_string v)] is structurally [v]
     for values produced by this module). *)
 
 val pp : Format.formatter -> t -> unit
+(** Test hook: test_yamlite prints mismatching documents with it. *)

@@ -9,7 +9,9 @@
 open Wayfinder_platform
 module S = Wayfinder_simos
 module D = Wayfinder_deeptune
-module Unicorn = Wayfinder_causal.Unicorn
+module Pc = Wayfinder_causal.Pc
+module Mat = Wayfinder_tensor.Mat
+module Stat = Wayfinder_tensor.Stat
 module Space = Wayfinder_configspace.Space
 module Param = Wayfinder_configspace.Param
 module Rng = Wayfinder_tensor.Rng
@@ -76,7 +78,7 @@ let with_fault_rate ~fault_rate ~seed t =
    observe appends a row and periodically refits the causal graph. *)
 let unicorn_algorithm ~space () =
   let n_params = Space.size space in
-  let u = Unicorn.create ~n_vars:(n_params + 1) () in
+  let rows = ref [] and n = ref 0 in
   let best = ref None in
   let influential = ref [] in
   let encode_value = function
@@ -104,16 +106,23 @@ let unicorn_algorithm ~space () =
     let row =
       Array.append (Array.map encode_value entry.History.config) [| score |]
     in
-    Unicorn.add_observation u row;
+    rows := row :: !rows;
+    incr n;
     (match (entry.History.value, !best) with
     | Some _, None -> best := Some (score, entry.History.config)
     | Some _, Some (bs, _) when score > bs -> best := Some (score, entry.History.config)
     | _ -> ());
-    let n = Unicorn.observations u in
-    if n >= 4 && n mod 5 = 0 then begin
-      ignore (Unicorn.refit u);
+    if !n >= 4 && !n mod 5 = 0 then begin
+      (* Unicorn's refit: the PC skeleton over every row so far, at its
+         defaults, then the performance column's neighbours ranked by
+         absolute correlation. *)
+      let data = Mat.of_rows (Array.of_list (List.rev !rows)) in
+      let target_col = Mat.col data n_params in
       influential :=
-        List.filter (fun (v, _) -> v < n_params) (Unicorn.influential_on u ~target:n_params)
+        Pc.neighbors (Pc.skeleton data) n_params
+        |> List.map (fun v -> (v, abs_float (Stat.pearson (Mat.col data v) target_col)))
+        |> List.sort (fun (_, a) (_, b) -> compare b a)
+        |> List.filter (fun (v, _) -> v < n_params)
     end
   in
   Search_algorithm.make ~name:"unicorn" ~propose ~observe ()

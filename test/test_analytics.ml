@@ -147,6 +147,11 @@ let row_equal (a : A.Series.row) (b : A.Series.row) =
 (* Run one search, recording a ledger file and the in-memory beliefs; the
    series rebuilt from the ledger must match the live one row-for-row
    (bit-exact floats) and render identical analyze reports and CSVs. *)
+(* A sealed ledger of what [f] records, closed even when [f] raises. *)
+let with_writer ~seed ~algo ~space ~metric path f =
+  let w = A.Ledger.create_writer ~seed ~algo ~space ~metric path in
+  Fun.protect ~finally:(fun () -> A.Ledger.close_writer w) (fun () -> f w)
+
 let check_ledger_matches_live ~algo ~workers ~seed ~fault_rate =
   let path = Filename.temp_file "wayfinder" ".ledger" in
   Fun.protect
@@ -155,7 +160,7 @@ let check_ledger_matches_live ~algo ~workers ~seed ~fault_rate =
       let space = Conformance.space () in
       let beliefs = Hashtbl.create 32 in
       let outcome =
-        A.Ledger.with_writer ~seed ~algo ~space ~metric:Metric.throughput path
+        with_writer ~seed ~algo ~space ~metric:Metric.throughput path
           (fun w ->
             Conformance.run ~workers ~seed ~fault_rate
               ~budget:(Driver.Iterations 14)
@@ -254,7 +259,7 @@ let test_ledger_reopen () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let outcome =
-        A.Ledger.with_writer ~seed ~algo:"random" ~space ~metric path (fun w ->
+        with_writer ~seed ~algo:"random" ~space ~metric path (fun w ->
             Conformance.run ~workers:1 ~seed ~budget:(Driver.Iterations 8)
               ~on_record:(A.Ledger.record w) "random")
       in

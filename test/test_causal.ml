@@ -65,7 +65,7 @@ let test_pc_skeleton_chain () =
    | Some [ 1 ] -> ()
    | Some s -> Alcotest.failf "unexpected sepset [%s]" (String.concat ";" (List.map string_of_int s))
    | None -> Alcotest.fail "no sepset recorded");
-  Alcotest.(check int) "edge count" 2 (Pc.edge_count result)
+  Alcotest.(check (list int)) "x1's neighbours" [ 0; 2 ] (Pc.neighbors result 1)
 
 let test_pc_stats_counted () =
   let rng = Rng.create 4 in
@@ -136,7 +136,6 @@ let test_pc_chain_stays_undirected () =
 let test_unicorn_driver () =
   let rng = Rng.create 6 in
   let u = Unicorn.create ~n_vars:4 () in
-  Alcotest.(check int) "empty" 0 (Unicorn.observations u);
   Alcotest.(check bool) "refit needs data" true
     (try
        ignore (Unicorn.refit u);
@@ -146,14 +145,9 @@ let test_unicorn_driver () =
   for i = 0 to 199 do
     Unicorn.add_observation u (Mat.row data i)
   done;
-  Alcotest.(check int) "count" 200 (Unicorn.observations u);
   let cost = Unicorn.refit u in
   Alcotest.(check bool) "wall time recorded" true (cost.Unicorn.wall_seconds >= 0.);
-  Alcotest.(check int) "stored cells" 800 cost.Unicorn.stored_cells;
-  (* Influence on x2 should rank x1 first (its true parent). *)
-  match Unicorn.influential_on u ~target:2 with
-  | (v, _) :: _ -> Alcotest.(check int) "x1 most influential on x2" 1 v
-  | [] -> Alcotest.fail "no influential variables found"
+  Alcotest.(check int) "stored cells" 800 cost.Unicorn.stored_cells
 
 let test_unicorn_cost_grows_with_history () =
   (* Memory (stored cells) grows linearly with observations and the refit

@@ -558,7 +558,10 @@ let test_transient_rule_single () = observe_rule ()
 let test_transient_rule_three () =
   observe_rule
     ~objectives:
-      { Deeptune.spec = [| P.Metric.throughput; P.Metric.latency_us; P.Metric.memory_mb |];
+      { Deeptune.spec =
+          [| P.Metric.throughput;
+             P.Metric.make ~maximize:false ~name:"operation latency" ~unit_name:"us/op" ();
+             P.Metric.memory_mb |];
         weights = [| 1.; 1.; 1. |] }
     ()
 

@@ -25,15 +25,14 @@ let test_tree_respects_max_depth () =
   let x = Mat.init 200 1 (fun i _ -> float_of_int i) in
   let y = Array.init 200 (fun i -> float_of_int (i mod 7)) in
   let tree = Tree.fit ~max_depth:3 rng x y in
-  Alcotest.(check bool) "depth bounded" true (Tree.depth tree <= 3);
-  Alcotest.(check bool) "leaves bounded" true (Tree.leaf_count tree <= 8)
+  Alcotest.(check bool) "depth bounded" true (Tree.depth tree <= 3)
 
 let test_tree_constant_target_is_leaf () =
   let rng = Rng.create 3 in
   let x = Mat.init 20 2 (fun i j -> float_of_int (i + j)) in
   let y = Array.make 20 5. in
   let tree = Tree.fit rng x y in
-  Alcotest.(check int) "single leaf" 1 (Tree.leaf_count tree);
+  Alcotest.(check int) "single leaf" 0 (Tree.depth tree);
   Alcotest.(check (float 1e-9)) "predicts the constant" 5. (Tree.predict tree [| 0.; 0. |])
 
 let test_tree_importance_identifies_signal () =

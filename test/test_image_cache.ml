@@ -126,7 +126,7 @@ let test_lru_eviction_order () =
   | Some ("c", _) -> ()
   | Some (k, _) -> Alcotest.failf "evicted %S, expected \"c\"" k
   | None -> Alcotest.fail "expected an eviction");
-  Alcotest.(check int) "length stays at capacity" 2 (Image_cache.length c);
+  Alcotest.(check int) "length stays at capacity" 2 (List.length (Image_cache.to_alist c));
   Alcotest.(check bool) "MRU-first listing" true
     (List.map fst (Image_cache.to_alist c) = [ "d"; "b" ])
 
@@ -152,7 +152,7 @@ let test_overwrite_promotes_without_growth () =
   ignore (Image_cache.add c "b" (built 0));
   Alcotest.(check bool) "overwrite evicts nothing" true
     (Image_cache.add c "a" { Image_cache.status = Image_cache.Built; origin = 3 } = None);
-  Alcotest.(check int) "no growth" 2 (Image_cache.length c);
+  Alcotest.(check int) "no growth" 2 (List.length (Image_cache.to_alist c));
   (match Image_cache.peek c "a" with
   | Some e -> Alcotest.(check int) "entry replaced" 3 e.Image_cache.origin
   | None -> Alcotest.fail "overwritten key vanished");

@@ -748,17 +748,16 @@ let test_golden_compare () =
 
 let test_rules_parse_roundtrip () =
   let rules =
-    [ M.Rules.Crash { threshold = 0.5; window = 40 };
-      M.Rules.Stall { iterations = 30 };
-      M.Rules.Starve { fraction = 0.25 };
-      M.Rules.Drift { window = 12 } ]
+    [ ("crash>0.5@40", M.Rules.Crash { threshold = 0.5; window = 40 });
+      ("stall>30", M.Rules.Stall { iterations = 30 });
+      ("starve<0.25", M.Rules.Starve { fraction = 0.25 });
+      ("drift@12", M.Rules.Drift { window = 12 }) ]
   in
   List.iter
-    (fun r ->
-      match M.Rules.parse (M.Rules.rule_to_string r) with
-      | Ok [ r' ] ->
-        Alcotest.(check bool) (M.Rules.rule_to_string r) true (r = r')
-      | Ok _ | Error _ -> Alcotest.failf "round-trip failed: %s" (M.Rules.rule_to_string r))
+    (fun (spec, r) ->
+      match M.Rules.parse spec with
+      | Ok [ r' ] -> Alcotest.(check bool) spec true (r = r')
+      | Ok _ | Error _ -> Alcotest.failf "misparsed: %s" spec)
     rules;
   (match M.Rules.parse "crash>0.5@40,stall>30,drift" with
   | Ok [ M.Rules.Crash { threshold = 0.5; window = 40 }; M.Rules.Stall { iterations = 30 };
@@ -874,6 +873,21 @@ let test_rules_drift () =
 (* Profile                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-name span durations summed in file order: the accumulation order
+   of the recorder's histograms. *)
+let phase_totals (t : M.Profile.t) clock =
+  let dur (sp : M.Profile.span) =
+    match clock with M.Profile.Wall -> sp.wall_s | M.Profile.Virtual -> sp.virtual_s
+  in
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (sp : M.Profile.span) ->
+      match Hashtbl.find_opt tbl sp.name with
+      | Some r -> r := !r +. dur sp
+      | None -> Hashtbl.add tbl sp.name (ref (dur sp)))
+    t.M.Profile.spans;
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl []
+
 (* Drive a real (unfrozen) recorder through the driver with a JSONL sink
    attached; per-phase virtual and wall sums recovered from the trace
    must equal the driver's own metrics registry bitwise — the spans ARE
@@ -896,8 +910,8 @@ let test_profile_reconciles_with_metrics () =
       | Error e -> Alcotest.failf "profile: %s" e
       | Ok t ->
         Alcotest.(check int) "no dropped lines in a clean trace" 0 t.M.Profile.dropped;
-        let virt = M.Profile.phase_totals t M.Profile.Virtual in
-        let wall = M.Profile.phase_totals t M.Profile.Wall in
+        let virt = phase_totals t M.Profile.Virtual in
+        let wall = phase_totals t M.Profile.Wall in
         let m = result.P.Driver.metrics in
         List.iter
           (fun (_, span_name) ->

@@ -236,12 +236,12 @@ let test_jsonl_sink_flush_visibility () =
       Alcotest.(check string) "header first" (Sink.schema_header ~kind:"trace")
         (List.nth lines 0))
 
+(* A recorder fans each event out to its sinks, in list order. *)
 let test_tee_forwards_in_order () =
   let seen = ref [] in
   let make tag = Sink.make ~emit:(fun e -> seen := (tag, Event.name e) :: !seen) () in
-  let tee = Sink.tee [ make "a"; make "b" ] in
-  Sink.emit tee
-    (Event.Count { name = "x"; delta = 1.; at = { Event.wall_s = 0.; virtual_s = 0. } });
+  let r = Recorder.create ~now:(fun () -> 0.) ~sinks:[ make "a"; make "b" ] () in
+  Recorder.incr r "x";
   Alcotest.(check (list (pair string string)))
     "both sinks, in order"
     [ ("a", "x"); ("b", "x") ]

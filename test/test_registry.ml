@@ -129,25 +129,33 @@ let test_fingerprint_mismatch_is_typed () =
   (match Registry.save ~backend ~dir entry with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Registry.error_to_string e));
+  (* Load the entry stored under [fp]'s filename and classify it
+     against [fp]. *)
+  let load_for fp =
+    match Registry.load ~backend (Registry.entry_path ~dir fp) with
+    | Ok e -> (e, Registry.classify fp e)
+    | Error e -> Alcotest.fail (Registry.error_to_string e)
+  in
   (* The honest path verifies. *)
-  (match Registry.load_for ~backend ~dir entry.Registry.fp with
-  | Ok e -> Alcotest.(check bool) "honest load verifies" true (entry_equal_strings e entry)
-  | Error e -> Alcotest.fail (Registry.error_to_string e));
+  (match load_for entry.Registry.fp with
+  | e, Some Registry.Exact ->
+    Alcotest.(check bool) "honest load verifies" true (entry_equal_strings e entry)
+  | _, (Some (Registry.Overlap _) | None) -> Alcotest.fail "the honest entry is not exact");
   (* A colliding filename cannot smuggle a foreign donor in: plant the
      space_a entry at the path that space_b's fingerprint hashes to. *)
   let fp_b = Registry.fingerprint ~app:"sim-test/app" space_b in
   Mem.set_file fs (Registry.entry_path ~dir fp_b) (Registry.to_string entry);
-  (match Registry.load_for ~backend ~dir fp_b with
-  | Error (Registry.Fingerprint_mismatch _) -> ()
-  | Error e -> Alcotest.failf "expected Fingerprint_mismatch, got %s" (Registry.error_to_string e)
-  | Ok _ -> Alcotest.fail "a planted foreign entry loaded as a match");
+  (match load_for fp_b with
+  | _, Some (Registry.Overlap _) -> ()
+  | _, Some Registry.Exact -> Alcotest.fail "a planted foreign entry classified as exact"
+  | _, None -> Alcotest.fail "space_a and space_b share parameters");
   (* Likewise a different app over the identical space. *)
   let fp_other_app = Registry.fingerprint ~app:"sim-test/other" space_a in
   Mem.set_file fs (Registry.entry_path ~dir fp_other_app) (Registry.to_string entry);
-  match Registry.load_for ~backend ~dir fp_other_app with
-  | Error (Registry.Fingerprint_mismatch _) -> ()
-  | Error e -> Alcotest.failf "expected Fingerprint_mismatch, got %s" (Registry.error_to_string e)
-  | Ok _ -> Alcotest.fail "an entry for another app loaded as a match"
+  match load_for fp_other_app with
+  | _, Some (Registry.Overlap _) -> ()
+  | _, Some Registry.Exact -> Alcotest.fail "an entry for another app classified as exact"
+  | _, None -> Alcotest.fail "the identical space shares every parameter"
 
 (* ------------------------------------------------------------------ *)
 (* Save: crash matrix                                                  *)
@@ -253,7 +261,7 @@ let test_lookup_ranking () =
           | Ok _ -> ()
           | Error err -> Alcotest.fail (Registry.error_to_string err))
         [ overlap; other_app; exact ];
-      match Registry.lookup ~dir ~app:"sim-test/app" space_a with
+      match Registry.lookup ~dir (Registry.fingerprint ~app:"sim-test/app" space_a) with
       | (_, e1, Registry.Exact) :: (_, e2, Registry.Overlap o2) :: (_, e3, Registry.Overlap _) :: []
         ->
         Alcotest.(check bool) "exact first" true (entry_equal_strings e1 exact);

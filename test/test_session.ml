@@ -166,6 +166,10 @@ let refusals =
     ( "an unknown algorithm",
       (fun _ s -> { s with Spec.algorithm = "foo" }),
       fixed "unknown algorithm \"foo\" (random, grid, bayes, deeptune, deeptune-multi)" );
+    ( "an unknown --favor stage",
+      (fun _ s -> { s with Spec.favor = Some "bogus" }),
+      fixed
+        "unknown stage \"bogus\" in --favor (runtime/run, boot-time/boot, compile-time/compile)" );
     ( "an unknown scenario",
       (fun _ s -> { s with Spec.scenario = Some "foo" }),
       fixed "unknown scenario \"foo\" (flash-crowd, diurnal, ramp, steps, or a trace file)" );

@@ -46,22 +46,22 @@ let test_nested_mapping () =
   let os = Yamlite.find doc "os" in
   Alcotest.check yaml "os name" (Yamlite.String "linux") (Yamlite.find os "name");
   Alcotest.check yaml "version string" (Yamlite.String "4.19") (Yamlite.find os "version");
-  Alcotest.(check bool) "maximize" true
-    (Yamlite.get_bool (Yamlite.find (Yamlite.find doc "metric") "maximize"))
+  Alcotest.check yaml "maximize" (Yamlite.Bool true)
+    (Yamlite.find (Yamlite.find doc "metric") "maximize")
 
 let test_sequences () =
   let doc = Yamlite.parse "apps:\n  - nginx\n  - redis\n  - sqlite\n" in
-  let apps = Yamlite.get_list (Yamlite.find doc "apps") in
-  Alcotest.(check (list string)) "items" [ "nginx"; "redis"; "sqlite" ]
-    (List.map Yamlite.get_string apps)
+  Alcotest.check yaml "items"
+    (Yamlite.List [ Yamlite.String "nginx"; Yamlite.String "redis"; Yamlite.String "sqlite" ])
+    (Yamlite.find doc "apps")
 
 let test_sequence_of_mappings () =
   let doc =
     Yamlite.parse
       "params:\n  - name: somaxconn\n    type: int\n    default: 128\n  - name: printk\n    type: bool\n"
   in
-  match Yamlite.get_list (Yamlite.find doc "params") with
-  | [ p1; p2 ] ->
+  match Yamlite.find doc "params" with
+  | Yamlite.List [ p1; p2 ] ->
     Alcotest.check yaml "p1 name" (Yamlite.String "somaxconn") (Yamlite.find p1 "name");
     Alcotest.check yaml "p1 default" (Yamlite.Int 128) (Yamlite.find p1 "default");
     Alcotest.check yaml "p2 type" (Yamlite.String "bool") (Yamlite.find p2 "type")
@@ -104,8 +104,8 @@ let test_null_value_key () =
 let test_deep_nesting () =
   let doc = Yamlite.parse "a:\n  b:\n    c:\n      - d: 1\n        e: [2, 3]\n" in
   let c = Yamlite.find (Yamlite.find (Yamlite.find doc "a") "b") "c" in
-  match Yamlite.get_list c with
-  | [ item ] ->
+  match c with
+  | Yamlite.List [ item ] ->
     Alcotest.check yaml "d" (Yamlite.Int 1) (Yamlite.find item "d");
     Alcotest.check yaml "e" (Yamlite.List [ Yamlite.Int 2; Yamlite.Int 3 ]) (Yamlite.find item "e")
   | _ -> Alcotest.fail "expected singleton list"
@@ -128,10 +128,6 @@ let test_error_line_number () =
 
 let test_accessors () =
   let doc = Yamlite.parse "a: 1\nb: 2.5\n" in
-  Alcotest.(check (float 1e-9)) "int widens to float" 1. (Yamlite.get_float (Yamlite.find doc "a"));
-  Alcotest.(check (list string)) "keys in order" [ "a"; "b" ] (Yamlite.keys doc);
-  Alcotest.(check bool) "mem present" true (Yamlite.mem doc "a");
-  Alcotest.(check bool) "mem absent" false (Yamlite.mem doc "z");
   Alcotest.(check bool) "find_opt absent" true (Yamlite.find_opt doc "z" = None);
   Alcotest.check_raises "find on scalar"
     (Invalid_argument "Yamlite.find: expected map, got int") (fun () ->
