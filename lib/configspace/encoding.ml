@@ -71,13 +71,19 @@ let encode_value (p : Param.t) scale v out pos =
   | (Param.Kbool | Param.Ktristate | Param.Kint _ | Param.Kcategorical _), _ ->
     invalid_arg (Printf.sprintf "Encoding.encode: kind mismatch for %s" p.Param.name)
 
-let encode t config =
+(* Every feature belongs to exactly one parameter, which writes it, so
+   no element of [out] keeps what it held before. *)
+let encode_into t config out =
   if Array.length config <> Space.size t.space then
     invalid_arg "Encoding.encode: configuration size mismatch";
-  let out = Vec.zeros (dim t) in
+  if Array.length out <> dim t then invalid_arg "Encoding.encode_into: buffer size mismatch";
   Array.iteri
     (fun i v -> encode_value (Space.param t.space i) t.scales.(i) v out t.offsets.(i))
-    config;
+    config
+
+let encode t config =
+  let out = Vec.zeros (dim t) in
+  encode_into t config out;
   out
 
 let param_importance t scores =

@@ -15,6 +15,14 @@ val dim : t -> int
 (** Number of features. *)
 
 val encode : t -> Space.configuration -> Wayfinder_tensor.Vec.t
+(** A fresh vector holding {!encode_into}'s result. *)
+
+val encode_into : t -> Space.configuration -> Wayfinder_tensor.Vec.t -> unit
+(** [encode_into t config out] overwrites every element of [out] with
+    [config]'s encoding, bitwise what {!encode} returns, whatever [out]
+    held before.
+    @raise Invalid_argument if [config] is not of the space's size or
+    [out] is not {!dim} long. *)
 
 val param_importance : t -> float array -> (string * float) array
 (** Aggregate per-feature scores into per-parameter scores (sum over a

@@ -3,7 +3,14 @@ module Encoding = Wayfinder_configspace.Encoding
 module Gp = Wayfinder_gp.Gp
 module Kernel = Wayfinder_gp.Kernel
 module Gram_store = Wayfinder_gp.Gram_store
+module Rng = Wayfinder_tensor.Rng
+module Vec = Wayfinder_tensor.Vec
 module Obs = Wayfinder_obs
+
+(* The acquisition's workspace, one slot per pool candidate: its
+   encoding, written in place, and the generator state just before its
+   draw. *)
+type workspace = { rows : Vec.t array; snapshots : Rng.t array }
 
 type state = {
   encoding : Encoding.t;
@@ -13,6 +20,7 @@ type state = {
   mutable model : (Gp.t * float * float) option;
       (* Last fitted surrogate with its target standardisation (mean, std)
          — kept solely for the pure [predict] introspection hook. *)
+  mutable workspace : workspace option;  (* allocated by the first acquisition *)
 }
 
 let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale = 1.5)
@@ -26,7 +34,7 @@ let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale 
     | None ->
       let st =
         { encoding = Encoding.create space; store = Gram_store.create kernel ~max_points;
-          best = None; worst = 0.; model = None }
+          best = None; worst = 0.; model = None; workspace = None }
       in
       state := Some st;
       st
@@ -59,18 +67,36 @@ let create ?favor ?(n_init = 8) ?(pool = 200) ?(max_points = 200) ?(lengthscale 
       let best = Array.fold_left max neg_infinity y_std in
       (* Textbook BO: EI maximised over a random candidate pool (no
          model-free exploitation seeds — that is DeepTune's trick).  The
-         first strict maximum wins; [fallback] stands if none beats -∞. *)
+         first strict maximum wins; [fallback] stands if none beats -∞.
+         Each candidate dies once encoded, so a minor collection during
+         the pass finds no pool to promote; the winner is drawn again
+         from its slot's snapshot, which gives the same configuration. *)
       Obs.Recorder.with_span ctx.Search_algorithm.obs
         ~attrs:[ Obs.Attr.int "points" points; Obs.Attr.int "candidates" pool ]
         "bayes.acquire"
         (fun () ->
+          let ws =
+            match st.workspace with
+            | Some ws -> ws
+            | None ->
+              let dim = Encoding.dim st.encoding in
+              let ws =
+                { rows = Array.init pool (fun _ -> Vec.zeros dim);
+                  snapshots = Array.init pool (fun _ -> Rng.copy rng) }
+              in
+              st.workspace <- Some ws;
+              ws
+          in
           let fallback = Random_search.sampler ?favor space rng in
-          let candidates = Array.init pool (fun _ -> Random_search.sampler ?favor space rng) in
-          let encoded = Array.map (Encoding.encode st.encoding) candidates in
-          let eis = Gp.expected_improvement_batch gp ~best encoded in
-          let chosen = ref fallback and best_ei = ref neg_infinity in
-          Array.iteri (fun i ei -> if ei > !best_ei then (chosen := candidates.(i); best_ei := ei)) eis;
-          !chosen)
+          for i = 0 to pool - 1 do
+            Rng.set_state ws.snapshots.(i) (Rng.state rng);
+            Encoding.encode_into st.encoding (Random_search.sampler ?favor space rng) ws.rows.(i)
+          done;
+          let eis = Gp.expected_improvement_batch gp ~best ws.rows in
+          let winner = ref (-1) and best_ei = ref neg_infinity in
+          Array.iteri (fun i ei -> if ei > !best_ei then (winner := i; best_ei := ei)) eis;
+          if !winner < 0 then fallback
+          else Random_search.sampler ?favor space (Rng.copy ws.snapshots.(!winner)))
     end
   in
   let propose ctx = pick (get_state ctx.Search_algorithm.space) ctx in

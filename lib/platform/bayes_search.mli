@@ -30,7 +30,9 @@ val create :
   unit ->
   Search_algorithm.t
 (** [n_init] random warm-up draws (default 8); [pool] candidates per
-    iteration (default 200), scored in one batch; [max_points] caps the
+    iteration (default 200), scored in one batch from a [pool × dim]
+    workspace that the first acquisition allocates, with only the winner
+    drawn again as a configuration; [max_points] caps the
     GP training set at the most recent observations (default 200) so the
     cubic refit — still a full O(n³) refit per proposal, as in the paper
     — stays tractable; [lengthscale] defaults to 1.5.  [seed] is unused:

@@ -17,15 +17,14 @@ val create : int -> t
     state 0. *)
 
 val copy : t -> t
-(** [copy t] is an independent generator with the same current state.
-    Test hook: tests replay a stream with it. *)
+(** [copy t] is an independent generator with the same current state. *)
 
 val state : t -> int64
 (** The raw 64-bit state, for checkpointing.  Restoring it with
     {!set_state} resumes the stream exactly where it left off. *)
 
 val set_state : t -> int64 -> unit
-(** Test hook: test_tensor's stream property restores states with it. *)
+(** [set_state t s] makes [t] continue from state [s], in place. *)
 
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is

@@ -106,44 +106,82 @@ let scan_lines text =
 (* Flow sequences                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let split_flow_items lineno body =
-  (* Split on top-level commas, respecting quotes and nested brackets. *)
-  let items = ref [] and buf = Buffer.create 16 in
-  let depth = ref 0 and quote = ref None in
-  let flush () =
-    items := Buffer.contents buf :: !items;
-    Buffer.clear buf
-  in
-  String.iter
-    (fun c ->
-      match (!quote, c) with
-      | Some q, _ when c = q ->
-        quote := None;
-        Buffer.add_char buf c
-      | Some _, _ -> Buffer.add_char buf c
-      | None, ('"' | '\'') ->
-        quote := Some c;
-        Buffer.add_char buf c
-      | None, '[' ->
-        incr depth;
-        Buffer.add_char buf c
-      | None, ']' ->
-        decr depth;
-        if !depth < 0 then fail lineno "unbalanced ']' in flow sequence";
-        Buffer.add_char buf c
-      | None, ',' when !depth = 0 -> flush ()
-      | None, _ -> Buffer.add_char buf c)
-    body;
-  if !depth <> 0 then fail lineno "unbalanced '[' in flow sequence";
-  flush ();
-  List.rev_map String.trim !items |> List.filter (fun s -> s <> "")
+(* [String.trim]'s whitespace. *)
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
 
-let rec parse_flow lineno s =
+let unbalanced_close = "unbalanced ']' in flow sequence"
+
+(* A flow sequence is read by index, in one pass over its text and one
+   walk.  The pass tracks quotes and bracket depth: it rejects an
+   unbalanced body and records where each unquoted '[' closes and which
+   commas are unquoted.  The walk splits each level's body at those
+   commas and steps over every nested group in one jump, so each
+   character is visited once per phase.  Every body and every item
+   starts outside any quote, so the pass's quote state is the one a
+   level's own scan would see.  The errors are those of checking a whole
+   level's brackets before parsing any of its items, in order: inside a
+   balanced body only a group that closes before its item ends can fail
+   that check, with an unbalanced ']'. *)
+let parse_flow lineno s =
   let s = String.trim s in
   let n = String.length s in
   if n >= 2 && s.[0] = '[' && s.[n - 1] = ']' then begin
-    let body = String.sub s 1 (n - 2) in
-    List (List.map (parse_flow lineno) (split_flow_items lineno body))
+    (* close.(i): where the unquoted '[' at i closes; [comma] marks an
+       unquoted ','; -1 anything else. *)
+    let comma = -2 in
+    let close = Array.make n (-1) in
+    (* [opened]: the unquoted '['s not closed yet, innermost first;
+       [quote]: the open quote character, '\000' outside quotes. *)
+    let opened = ref [] and quote = ref '\000' in
+    for i = 1 to n - 2 do
+      let c = String.unsafe_get s i in
+      if !quote <> '\000' then (if c = !quote then quote := '\000')
+      else
+        match c with
+        | '"' | '\'' -> quote := c
+        | '[' -> opened := i :: !opened
+        | ']' -> (
+          match !opened with
+          | o :: rest ->
+            close.(o) <- i;
+            opened := rest
+          | [] -> fail lineno unbalanced_close)
+        | ',' -> close.(i) <- comma
+        | _ -> ()
+    done;
+    if !opened <> [] then fail lineno "unbalanced '[' in flow sequence";
+    (* The items of the body [lo, hi), which holds no unmatched bracket. *)
+    let rec items lo hi =
+      let acc = ref [] and start = ref lo and i = ref lo in
+      while !i < hi do
+        let c = close.(!i) in
+        if c >= 0 then i := c + 1
+        else begin
+          if c = comma then begin
+            item acc !start !i;
+            start := !i + 1
+          end;
+          incr i
+        end
+      done;
+      item acc !start hi;
+      List (List.rev !acc)
+    and item acc a b =
+      let a = ref a and b = ref b in
+      while !a < !b && is_space s.[!a] do incr a done;
+      while !b > !a && is_space s.[!b - 1] do decr b done;
+      let a = !a and b = !b in
+      if a < b then begin
+        let v =
+          if s.[a] <> '[' then scalar_of_string (String.sub s a (b - a))
+          else if b - a < 2 || s.[b - 1] <> ']' then fail lineno "unterminated flow sequence"
+          else if close.(a) <> b - 1 then fail lineno unbalanced_close
+          else items (a + 1) (b - 1)
+        in
+        acc := v :: !acc
+      end
+    in
+    items 1 (n - 1)
   end
   else if n >= 1 && s.[0] = '[' then fail lineno "unterminated flow sequence"
   else scalar_of_string s

@@ -8,7 +8,9 @@
    values and the string-building [hash_combine] and [stage_key] are
    here too, for test_durable's, test_simos's and test_image_cache's
    properties, as are SplitMix64 on a mutable [int64] field
-   (test_tensor) and the ledger row as a [Json] tree (test_analytics). *)
+   (test_tensor), the ledger row as a [Json] tree (test_analytics) and
+   yamlite's flow-sequence parser that re-split every level
+   (test_yamlite). *)
 
 module Mat = Wayfinder_tensor.Mat
 module Vec = Wayfinder_tensor.Vec
@@ -371,4 +373,56 @@ module Ledger_row = struct
       match r.A.Ledger.objectives with
       | None -> []
       | Some v -> [ ("obj", Json.List (Array.to_list (Array.map (fun x -> Json.Num x) v))) ])
+end
+
+(* [Yamlite]'s flow-sequence parser as it was: it copied each body with
+   [String.sub] and split it again at every nesting level, quadratic in
+   the depth.  Its values and its [Parse_error]s, line and message, are
+   the reference for the one-pass parser. *)
+module Yamlite_flow = struct
+  module Yamlite = Wayfinder_yamlite.Yamlite
+
+  let fail line message = raise (Yamlite.Parse_error { line; message })
+
+  let split_flow_items lineno body =
+    (* Split on top-level commas, respecting quotes and nested brackets. *)
+    let items = ref [] and buf = Buffer.create 16 in
+    let depth = ref 0 and quote = ref None in
+    let flush () =
+      items := Buffer.contents buf :: !items;
+      Buffer.clear buf
+    in
+    String.iter
+      (fun c ->
+        match (!quote, c) with
+        | Some q, _ when c = q ->
+          quote := None;
+          Buffer.add_char buf c
+        | Some _, _ -> Buffer.add_char buf c
+        | None, ('"' | '\'') ->
+          quote := Some c;
+          Buffer.add_char buf c
+        | None, '[' ->
+          incr depth;
+          Buffer.add_char buf c
+        | None, ']' ->
+          decr depth;
+          if !depth < 0 then fail lineno "unbalanced ']' in flow sequence";
+          Buffer.add_char buf c
+        | None, ',' when !depth = 0 -> flush ()
+        | None, _ -> Buffer.add_char buf c)
+      body;
+    if !depth <> 0 then fail lineno "unbalanced '[' in flow sequence";
+    flush ();
+    List.rev_map String.trim !items |> List.filter (fun s -> s <> "")
+
+  let rec parse_flow lineno s =
+    let s = String.trim s in
+    let n = String.length s in
+    if n >= 2 && s.[0] = '[' && s.[n - 1] = ']' then begin
+      let body = String.sub s 1 (n - 2) in
+      Yamlite.List (List.map (parse_flow lineno) (split_flow_items lineno body))
+    end
+    else if n >= 1 && s.[0] = '[' then fail lineno "unterminated flow sequence"
+    else Yamlite.scalar_of_string s
 end

@@ -537,6 +537,35 @@ let prop_random_configs_encode_bounded =
       let c = Space.random s (Rng.create seed) in
       Array.for_all (fun x -> x >= 0. && x <= 1.) (Encoding.encode e c))
 
+(* [encode_into] writes every element of its buffer: over a buffer filled
+   with garbage (signed zeros, non-finite values, many magnitudes) it
+   gives bitwise what [encode] returns, on the three simulators' spaces,
+   for uniform and runtime-favoured draws. *)
+let prop_encode_into_overwrites_garbage =
+  let module Sim = Wayfinder_simos in
+  let spaces =
+    lazy
+      [| Sim.Sim_linux.space (Sim.Sim_linux.create ());
+         Sim.Sim_unikraft.space (Sim.Sim_unikraft.create ());
+         Sim.Sim_riscv.space (Sim.Sim_riscv.create ()) |]
+  in
+  QCheck2.Test.make ~name:"encode_into over garbage is bitwise encode" ~count:150
+    QCheck2.Gen.(quad (int_range 0 2) bool (int_range 0 100_000) (int_range 0 100_000))
+    (fun (which, favored, seed, fill) ->
+      let space = (Lazy.force spaces).(which) in
+      let enc = Encoding.create space in
+      let rng = Rng.create seed in
+      let config =
+        if favored then
+          Space.sample_biased space rng ~vary_probability:(Space.favor_stage Param.Runtime)
+        else Space.random space rng
+      in
+      let garbage = Rng.create fill in
+      let out = Array.init (Encoding.dim enc) (fun _ -> Oracle.value ~special:true garbage) in
+      Encoding.encode_into enc config out;
+      List.map Oracle.bits (Array.to_list out)
+      = List.map Oracle.bits (Array.to_list (Encoding.encode enc config)))
+
 let prop_mutate_preserves_validity =
   QCheck2.Test.make ~name:"mutation preserves validity" ~count:100
     QCheck2.Gen.(pair (int_range 0 10000) (int_range 1 6))
@@ -723,6 +752,7 @@ let () =
             test_jobfile_restrict ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_random_configs_encode_bounded; prop_mutate_preserves_validity;
+          [ prop_random_configs_encode_bounded; prop_encode_into_overwrites_garbage;
+            prop_mutate_preserves_validity;
             prop_config_key_injective; prop_config_key_tokens_decode;
             prop_tokens_match_reference; prop_int_scaling_matches_oracle ] ) ]

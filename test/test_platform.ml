@@ -532,6 +532,37 @@ let test_bayes_window_trajectory () =
   Golden_file.check "bayes_window_seed5.txt"
     (trajectory ~max_points:16 1 @ trajectory ~max_points:16 4 @ trajectory ~max_points:23 3)
 
+(* The runtime-favoured sampler (n=40, seed 3, workers 1 and 4): every
+   warm-up draw, every pool candidate and the acquisition's re-draw of
+   its winner go through [Space.sample_biased].  Recorded while the
+   acquisition kept every candidate of its pool alive. *)
+let test_bayes_favor_trajectory () =
+  let trajectory workers =
+    bayes_redis_trajectory ~seed:3 ~n:40 ~workers (Bayes_search.create ~favor:Param.Runtime ())
+  in
+  Golden_file.check "bayes_favor_seed3.txt" (trajectory 1 @ trajectory 4)
+
+(* The acquisition keeps no candidate pool alive.  A 60-step run on
+   sim-linux redis (pool 200, 52 acquisitions) may promote at most
+   [bound] words from the minor heap to the major heap.  An acquisition
+   that held its 200 candidates and their encodings through the EI pass
+   promoted about 150 k words, 7.6 M over this run; with an RNG snapshot
+   per candidate the run promotes about 0.18 M.  The test bounds
+   survivors, not speed. *)
+let test_bayes_promotes_no_pool () =
+  let bound = 1_500_000. in
+  let target = Targets.of_sim_linux (S.Sim_linux.create ()) ~app:S.App.Redis in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  let r =
+    Driver.run ~seed:1 ~target ~algorithm:(Bayes_search.create ())
+      ~budget:(Driver.Iterations 60) ()
+  in
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  Alcotest.(check int) "iterations" 60 r.Driver.iterations;
+  if promoted > bound then
+    Alcotest.failf "a 60-step Bayes run promoted %.0f words (bound %.0f)" promoted bound
+
 (* The searcher driven directly through constant-liar batches of one to
    five picks between observations, which a driver run asks for only at
    its first fill: the lies then carry the incumbent score, stack past a
@@ -723,6 +754,8 @@ let () =
           Alcotest.test_case "handles crashes" `Quick test_bayes_handles_crashes;
           Alcotest.test_case "golden trajectory" `Quick test_bayes_golden_trajectory;
           Alcotest.test_case "sliding window trajectory" `Quick test_bayes_window_trajectory;
+          Alcotest.test_case "favoured sampler trajectory" `Quick test_bayes_favor_trajectory;
+          Alcotest.test_case "acquisition promotes no pool" `Quick test_bayes_promotes_no_pool;
           Alcotest.test_case "constant-liar batches" `Quick test_bayes_liar_trajectory ] );
       ( "report",
         [ Alcotest.test_case "of_result and rendering" `Quick test_report_of_result;
