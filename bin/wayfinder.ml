@@ -311,7 +311,9 @@ let run_watch ~path ~follow ~interval ~alerts =
         match !live with
         | Some ls -> ls
         | None ->
-          let ls = M.Live_series.of_meta (Option.get (M.Tail.meta tail)) in
+          let ls =
+            M.Live_series.of_meta ?window:(M.Rules.window rules) (Option.get (M.Tail.meta tail))
+          in
           live := Some ls;
           ls
       in

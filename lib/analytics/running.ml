@@ -54,8 +54,8 @@ type t = {
   mutable total_eval : float;
   mutable last_at : float;
   (* Rows not yet keyed into the distinct sets.  Only [stats] reads the
-     sets, so keying (the costly part of a row) waits for it: a scan
-     that never asks for them does not pay for it. *)
+     sets, so keying (the costly part of a row) waits for it or for
+     [key_pending]: a scan that never asks for them does not pay for it. *)
   mutable unkeyed : Ledger.row list;
   configs : (string, unit) Hashtbl.t;
   stage_keys : (string, unit) Hashtbl.t;
@@ -163,13 +163,16 @@ type stats = {
   total_eval_seconds : float;
 }
 
-let stats t =
+let key_pending t =
   List.iter
     (fun (r : Ledger.row) ->
       Hashtbl.replace t.configs (String.concat ";" (Array.to_list r.tokens)) ();
       Hashtbl.replace t.stage_keys (stage_key t.stages r) ())
     t.unkeyed;
-  t.unkeyed <- [];
+  t.unkeyed <- []
+
+let stats t =
+  key_pending t;
   { length = t.n;
     best = t.best;
     best_so_far = best_so_far t;

@@ -5,7 +5,8 @@
     same code, so a batch report and a live view of the same rows agree
     bit for bit.  Each {!observe} costs O(1) amortised, plus a Pareto
     insert linear in the front; the distinct config and stage-key sets,
-    the costly part, are keyed only when {!stats} reads them. *)
+    the costly part, are keyed only when {!stats} reads them or
+    {!key_pending} asks. *)
 
 module Param = Wayfinder_configspace.Param
 module Metric = Wayfinder_platform.Metric
@@ -75,6 +76,12 @@ type stats = {
   virtual_seconds : float;
   total_eval_seconds : float;
 }
+
+val key_pending : t -> unit
+(** Key the rows observed since the last call (or {!stats}) into the
+    distinct sets and let go of them.  A caller that keeps only a window
+    of rows calls it before a row leaves the window, so the fold holds no
+    more rows than the caller does. *)
 
 val stats : t -> stats
 (** Every statistic at once, as its accessor above reads it; the

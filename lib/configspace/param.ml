@@ -29,6 +29,23 @@ type t = {
   description : string option;
 }
 
+(* The small values are shared: every [Vbool], [Vtristate] in range and
+   [Vcat] below [shared_cats] that the samplers, moves and parsers return
+   is one of these preallocated blocks, so a stored configuration costs
+   one word per such value instead of three.  Values are immutable and
+   compared structurally, so sharing changes no result.  [vbool] indexes
+   rather than branches: a branch on a random draw mispredicts half the
+   time (drawing a sim-linux configuration took 30% longer with one). *)
+let vbool_false = Vbool false
+let vbool_true = Vbool true
+let vbools = [| vbool_false; vbool_true |]
+let vbool b = Array.unsafe_get vbools (Bool.to_int b)
+let vtristates = [| Vtristate 0; Vtristate 1; Vtristate 2 |]
+let vtristate t = if t >= 0 && t <= 2 then Array.unsafe_get vtristates t else Vtristate t
+let shared_cats = 64
+let vcats = Array.init shared_cats (fun i -> Vcat i)
+let vcat i = if i >= 0 && i < shared_cats then Array.unsafe_get vcats i else Vcat i
+
 let value_ok kind v =
   match (kind, v) with
   | Kbool, Vbool _ -> true
@@ -39,12 +56,12 @@ let value_ok kind v =
 
 let clamp kind v =
   match (kind, v) with
-  | Kbool, Vbool _ -> v
-  | Ktristate, Vtristate t -> Vtristate (max 0 (min 2 t))
+  | Kbool, Vbool b -> vbool b
+  | Ktristate, Vtristate t -> vtristate (max 0 (min 2 t))
   | Kint { lo; hi; _ }, Vint i -> Vint (max lo (min hi i))
   | Kcategorical choices, Vcat i ->
     let n = Array.length choices in
-    if n = 0 then Vcat 0 else Vcat (((i mod n) + n) mod n)
+    if n = 0 then vcat 0 else vcat (((i mod n) + n) mod n)
   | (Kbool | Ktristate | Kint _ | Kcategorical _), _ ->
     invalid_arg "Param.clamp: value kind mismatch"
 
@@ -54,7 +71,7 @@ let make ?description ~name ~stage ~kind ~default () =
   { name; stage; kind; default; description }
 
 let bool_param ?(stage = Runtime) name default =
-  make ~name ~stage ~kind:Kbool ~default:(Vbool default) ()
+  make ~name ~stage ~kind:Kbool ~default:(vbool default) ()
 
 let int_param ?(stage = Runtime) ?(log_scale = false) name ~lo ~hi ~default =
   if lo > hi then invalid_arg "Param.int_param: lo > hi";
@@ -62,10 +79,10 @@ let int_param ?(stage = Runtime) ?(log_scale = false) name ~lo ~hi ~default =
 
 let categorical_param ?(stage = Runtime) name choices ~default =
   if Array.length choices = 0 then invalid_arg "Param.categorical_param: empty choice set";
-  make ~name ~stage ~kind:(Kcategorical choices) ~default:(Vcat default) ()
+  make ~name ~stage ~kind:(Kcategorical choices) ~default:(vcat default) ()
 
 let tristate_param ?(stage = Compile_time) name default =
-  make ~name ~stage ~kind:Ktristate ~default:(Vtristate default) ()
+  make ~name ~stage ~kind:Ktristate ~default:(vtristate default) ()
 
 let value_equal a b =
   match (a, b) with
@@ -189,11 +206,11 @@ let value_of_token s =
   else
     let body = String.sub s 1 (String.length s - 1) in
     match (s.[0], int_of_string_opt body) with
-    | 'b', Some 0 -> Some (Vbool false)
-    | 'b', Some 1 -> Some (Vbool true)
-    | 't', Some i -> Some (Vtristate i)
+    | 'b', Some 0 -> Some vbool_false
+    | 'b', Some 1 -> Some vbool_true
+    | 't', Some i -> Some (vtristate i)
     | 'i', Some n -> Some (Vint n)
-    | 'c', Some i -> Some (Vcat i)
+    | 'c', Some i -> Some (vcat i)
     | _ -> None
 
 let value_to_string kind v =
@@ -210,14 +227,14 @@ let value_of_string kind s =
   match kind with
   | Kbool -> (
     match s with
-    | "1" | "true" | "y" | "yes" | "on" -> Some (Vbool true)
-    | "0" | "false" | "n" | "no" | "off" -> Some (Vbool false)
+    | "1" | "true" | "y" | "yes" | "on" -> Some vbool_true
+    | "0" | "false" | "n" | "no" | "off" -> Some vbool_false
     | _ -> None)
   | Ktristate -> (
     match s with
-    | "n" | "0" -> Some (Vtristate 0)
-    | "m" | "1" -> Some (Vtristate 1)
-    | "y" | "2" -> Some (Vtristate 2)
+    | "n" | "0" -> Some (vtristate 0)
+    | "m" | "1" -> Some (vtristate 1)
+    | "y" | "2" -> Some (vtristate 2)
     | _ -> None)
   | Kint { lo; hi; _ } -> (
     match int_of_string_opt s with
@@ -226,7 +243,7 @@ let value_of_string kind s =
   | Kcategorical choices -> (
     let rec find i =
       if i >= Array.length choices then None
-      else if String.equal choices.(i) s then Some (Vcat i)
+      else if String.equal choices.(i) s then Some (vcat i)
       else find (i + 1)
     in
     find 0)
@@ -239,8 +256,8 @@ let cardinality = function
 
 let sample p =
   match p.kind with
-  | Kbool -> fun rng -> Vbool (Rng.bool rng)
-  | Ktristate -> fun rng -> Vtristate (Rng.int rng 3)
+  | Kbool -> fun rng -> vbool (Rng.bool rng)
+  | Ktristate -> fun rng -> vtristate (Rng.int rng 3)
   | Kint { lo; hi; log_scale } when log_scale && hi > 0 ->
     (* Uniform over orders of magnitude between lo and hi, then uniform
        within the chosen decade.  The bounds' log10 are constants of the
@@ -252,15 +269,15 @@ let sample p =
   | Kint { lo; hi; _ } -> fun rng -> Vint (Rng.int_in rng lo hi)
   | Kcategorical choices ->
     let n = Array.length choices in
-    fun rng -> Vcat (Rng.int rng n)
+    fun rng -> vcat (Rng.int rng n)
 
 let perturb p rng v =
   match (p.kind, v) with
-  | Kbool, Vbool b -> Vbool (not b)
+  | Kbool, Vbool b -> vbool (not b)
   | Ktristate, Vtristate t ->
     let delta = if Rng.bool rng then 1 else -1 in
     let t' = t + delta in
-    Vtristate (if t' < 0 then 1 else if t' > 2 then 1 else t')
+    vtristate (if t' < 0 then 1 else if t' > 2 then 1 else t')
   | Kint { lo; hi; log_scale }, Vint i ->
     if lo = hi then Vint lo
     else begin
@@ -279,10 +296,10 @@ let perturb p rng v =
     end
   | Kcategorical choices, Vcat i ->
     let n = Array.length choices in
-    if n <= 1 then Vcat 0
+    if n <= 1 then vcat 0
     else begin
       let j = Rng.int rng (n - 1) in
-      Vcat (if j >= i then j + 1 else j)
+      vcat (if j >= i then j + 1 else j)
     end
   | (Kbool | Ktristate | Kint _ | Kcategorical _), _ ->
     invalid_arg "Param.perturb: value kind mismatch"

@@ -19,6 +19,11 @@ type kind =
   | Kcategorical of string array  (** Fixed value set, e.g. qdisc names. *)
 
 type value = Vbool of bool | Vtristate of int  (** 0 = n, 1 = m, 2 = y *) | Vint of int | Vcat of int
+(** Values are immutable and compared structurally.  Every [Vbool],
+    in-range [Vtristate] and [Vcat] below 64 that {!sample}, {!perturb},
+    {!clamp}, {!value_of_token}, {!value_of_string} and the constructors'
+    defaults return is a shared preallocated block, so a stored
+    configuration costs one word per such value. *)
 
 type t = {
   name : string;

@@ -99,6 +99,14 @@ let parse spec =
       (Ok []) parts
     |> Result.map List.rev
 
+let window rules =
+  List.fold_left
+    (fun acc rule ->
+      match rule with
+      | Crash { window; _ } | Drift { window } -> Some (max window (Option.value acc ~default:0))
+      | Stall _ | Starve _ -> acc)
+    None rules
+
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -152,7 +160,7 @@ let condition entry ?worker_busy live =
        trailing window once a full second window exists, so baseline and
        probe rows never overlap. *)
     (if entry.baseline = None && n >= window then begin
-       let head = Array.sub (Live_series.series live).A.Series.rows 0 window in
+       let head = (Live_series.head_series live ~window).A.Series.rows in
        entry.baseline <- Some (A.Running.crash_share head, A.Running.mean_success head)
      end);
     (match entry.baseline with

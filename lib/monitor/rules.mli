@@ -32,6 +32,11 @@ type rule =
 
 val parse : string -> (rule list, string) result
 
+val window : rule list -> int option
+(** The largest crash or drift window: the rows a {!Live_series} must
+    keep for these rules ({!Live_series.create}'s [window]); [None] when
+    no rule reads rows. *)
+
 type firing = { rule : string; message : string }
 (** [rule] is [crash], [stall], [starve] or [drift]: the [Alert] event's tag. *)
 

@@ -143,34 +143,48 @@ let add_state buf t =
     t.inflight;
   line "end"
 
-type journal = { crc : Crc32.t; entries : int }
+(* [bytes] is the length of the journal's newest record and [added] the
+   entries it added: the next record sizes its buffer from them. *)
+type journal = { crc : Crc32.t; entries : int; bytes : int; added : int }
 
 let journal_entries j = j.entries
+
+(* "crc " and eight hex digits and a newline. *)
+let crc_line_length = 13
 
 (* [prefix], [t]'s entry lines and its state record, sealed onto a
    journal whose bytes so far have the running CRC [crc]: the crc line
    covers every byte of the file before it, so one record vouches for
-   every entry before it too. *)
-let record crc ~entries prefix (t : t) =
-  let buf = Buffer.create 4096 in
+   every entry before it too.  The crc line is written into the same
+   buffer, over a placeholder, so the record is copied out once. *)
+let record crc ~size ~entries prefix (t : t) =
+  let buf = Buffer.create size in
   Buffer.add_string buf prefix;
   add_entries buf t.entries;
   add_state buf t;
-  let body = Buffer.contents buf in
-  let crc = Crc32.update crc body in
-  let trailer = "crc " ^ Crc32.to_hex (Crc32.finish crc) ^ "\n" in
-  (body ^ trailer, { crc = Crc32.update crc trailer; entries })
+  let body = Buffer.length buf in
+  Buffer.add_string buf "crc 00000000\n";
+  let b = Buffer.to_bytes buf in
+  let crc = Crc32.update_bytes crc b ~pos:0 ~len:body in
+  Bytes.blit_string (Crc32.to_hex (Crc32.finish crc)) 0 b (body + 4) 8;
+  let crc = Crc32.update_bytes crc b ~pos:body ~len:crc_line_length in
+  ( Bytes.unsafe_to_string b,
+    { crc; entries; bytes = Bytes.length b; added = List.length t.entries } )
 
 let start (t : t) =
-  record Crc32.init ~entries:(List.length t.entries)
+  record Crc32.init ~size:4096 ~entries:(List.length t.entries)
     (Printf.sprintf "wayfinder-checkpoint %d\n" version)
     t
 
 let extend j (t : t) =
-  let entries = j.entries + List.length t.entries in
+  let added = List.length t.entries in
+  let entries = j.entries + added in
   if t.iterations <> entries then
     invalid_arg "Checkpoint.extend: iterations must count the journal's entries plus the new ones";
-  record j.crc ~entries "" t
+  (* The newest record's bytes per entry, its state counted as one
+     more, with an eighth to spare. *)
+  let size = j.bytes / (j.added + 1) * (added + 1) in
+  record j.crc ~size:(size + (size / 8)) ~entries "" t
 
 let to_string t = fst (start t)
 

@@ -22,17 +22,18 @@ let tables =
 
 let init = 0xFFFFFFFFl
 
-let update state s =
+let update_bytes state s ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length s - len then invalid_arg "Crc32.update_bytes";
   let t = Lazy.force tables in
-  let n = String.length s in
+  let n = pos + len in
   let crc = ref (Int32.to_int state land 0xFFFFFFFF) in
-  let i = ref 0 in
+  let i = ref pos in
   (* Eight bytes per step, read as two little-endian words: each byte
      indexes the table of the zero bytes that follow it in the step.
      Every index is masked to a byte, inside its table. *)
   while !i + 8 <= n do
-    let lo = !crc lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
-    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
+    let lo = !crc lxor (Int32.to_int (Bytes.get_int32_le s !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (Bytes.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
     crc :=
       Array.unsafe_get t (0x700 lor (lo land 0xFF))
       lxor Array.unsafe_get t (0x600 lor ((lo lsr 8) land 0xFF))
@@ -46,10 +47,14 @@ let update state s =
   done;
   for j = !i to n - 1 do
     crc :=
-      Array.unsafe_get t ((!crc lxor Char.code (String.unsafe_get s j)) land 0xFF)
+      Array.unsafe_get t ((!crc lxor Char.code (Bytes.unsafe_get s j)) land 0xFF)
       lxor (!crc lsr 8)
   done;
   Int32.of_int !crc
+
+(* Read only: the string is never written through the alias. *)
+let update state s =
+  update_bytes state (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let finish state = Int32.logxor state 0xFFFFFFFFl
 let digest s = finish (update init s)

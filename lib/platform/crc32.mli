@@ -19,6 +19,11 @@ val update : t -> string -> t
     [update init (a ^ b)] — the streaming property the ledger writer
     relies on to seal without re-reading the file. *)
 
+val update_bytes : t -> bytes -> pos:int -> len:int -> t
+(** [update_bytes st b ~pos ~len] is [update st (Bytes.sub_string b pos
+    len)] without the copy: a record sealed in place in its own buffer.
+    @raise Invalid_argument if the range is not inside [b]. *)
+
 val finish : t -> int32
 (** Final CRC-32 value of everything folded in so far. *)
 

@@ -488,7 +488,8 @@ let search (p : plan) ~ledger ~trace =
     else
       let params = CS.Space.params target.P.Target.space in
       Some
-        (M.Live_series.create ~metric:target.P.Target.metric
+        (M.Live_series.create ?window:(M.Rules.window p.alert_rules)
+           ~metric:target.P.Target.metric
            ~names:(Array.map (fun (q : CS.Param.t) -> q.CS.Param.name) params)
            ~stages:(Array.map (fun (q : CS.Param.t) -> q.CS.Param.stage) params)
            ~objectives:(Option.value ~default:[||] p.objectives)

@@ -57,11 +57,12 @@ let replay trace service =
       peak_memory_mb = service.memory_mb }
   else
     let latencies = Array.map (fun s -> s.latency_s) samples in
+    let q = Stat.quantiles latencies [| 0.50; 0.95; 0.99 |] in
     { samples;
       mean_throughput_rps =
         Stat.mean (Array.map (fun s -> s.throughput_rps) samples);
-      p50_latency_s = Stat.quantile latencies 0.50;
-      p95_latency_s = Stat.quantile latencies 0.95;
-      p99_latency_s = Stat.quantile latencies 0.99;
+      p50_latency_s = q.(0);
+      p95_latency_s = q.(1);
+      p99_latency_s = q.(2);
       peak_memory_mb =
         Array.fold_left (fun acc s -> Float.max acc s.memory_mb) neg_infinity samples }

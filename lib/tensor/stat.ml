@@ -24,15 +24,22 @@ let fold_nonempty name f xs =
 let min xs = fold_nonempty "min" Stdlib.min xs
 let max xs = fold_nonempty "max" Stdlib.max xs
 
-let quantile xs q =
-  if Array.length xs = 0 then invalid_arg "Stat.quantile: empty input";
-  if q < 0. || q > 1. then invalid_arg "Stat.quantile: q outside [0, 1]";
+let sorted_copy name xs qs =
+  if Array.length xs = 0 then invalid_arg ("Stat." ^ name ^ ": empty input");
+  Array.iter
+    (fun q -> if q < 0. || q > 1. then invalid_arg ("Stat." ^ name ^ ": q outside [0, 1]"))
+    qs;
   let sorted = Array.copy xs in
   (* Float.compare, not polymorphic compare: the latter is not a total
      order in the presence of NaN, so a single NaN sample silently
      corrupts the sort.  Float.compare sorts NaN first; the NaN policy is
      to propagate — any NaN sample makes the quantile NaN. *)
   Array.sort Float.compare sorted;
+  sorted
+
+(* The [q] quantile of a sorted non-empty array, by linear
+   interpolation. *)
+let sorted_quantile sorted q =
   if Float.is_nan sorted.(0) then Float.nan
   else
   let n = Array.length sorted in
@@ -43,6 +50,9 @@ let quantile xs q =
   else
     let frac = pos -. float_of_int lo in
     ((1. -. frac) *. sorted.(lo)) +. (frac *. sorted.(hi))
+
+let quantile xs q = sorted_quantile (sorted_copy "quantile" xs [| q |]) q
+let quantiles xs qs = Array.map (sorted_quantile (sorted_copy "quantiles" xs qs)) qs
 
 let median xs = quantile xs 0.5
 

@@ -25,6 +25,12 @@ val quantile : float array -> float -> float
     (and the same holds for {!median} and {!mad}, which derive from it).
     @raise Invalid_argument on empty input or [q] outside [\[0, 1\]]. *)
 
+val quantiles : float array -> float array -> float array
+(** [quantiles xs qs] is [Array.map (quantile xs) qs], bit for bit, from
+    one sorted copy of [xs].
+    @raise Invalid_argument on empty [xs] or any [q] outside
+    [\[0, 1\]]. *)
+
 val epsilon_std : float
 (** The floor of every z-score standard deviation, [1e-9]. *)
 

@@ -426,3 +426,225 @@ module Yamlite_flow = struct
     else if n >= 1 && s.[0] = '[' then fail lineno "unterminated flow sequence"
     else Yamlite.scalar_of_string s
 end
+
+(* [Param]'s draws, moves, clamp and parsers as they were, each value a
+   fresh block.  The shared-value versions must return equal values and
+   leave the generator where these did. *)
+module Param_values = struct
+  let clamp kind v =
+    match (kind, v) with
+    | Param.Kbool, Param.Vbool _ -> v
+    | Param.Ktristate, Param.Vtristate t -> Param.Vtristate (max 0 (min 2 t))
+    | Param.Kint { lo; hi; _ }, Param.Vint i -> Param.Vint (max lo (min hi i))
+    | Param.Kcategorical choices, Param.Vcat i ->
+      let n = Array.length choices in
+      if n = 0 then Param.Vcat 0 else Param.Vcat (((i mod n) + n) mod n)
+    | (Param.Kbool | Param.Ktristate | Param.Kint _ | Param.Kcategorical _), _ ->
+      invalid_arg "Param.clamp: value kind mismatch"
+
+  let value_of_token s =
+    if String.length s < 2 then None
+    else
+      let body = String.sub s 1 (String.length s - 1) in
+      match (s.[0], int_of_string_opt body) with
+      | 'b', Some 0 -> Some (Param.Vbool false)
+      | 'b', Some 1 -> Some (Param.Vbool true)
+      | 't', Some i -> Some (Param.Vtristate i)
+      | 'i', Some n -> Some (Param.Vint n)
+      | 'c', Some i -> Some (Param.Vcat i)
+      | _ -> None
+
+  let value_of_string kind s =
+    match kind with
+    | Param.Kbool -> (
+      match s with
+      | "1" | "true" | "y" | "yes" | "on" -> Some (Param.Vbool true)
+      | "0" | "false" | "n" | "no" | "off" -> Some (Param.Vbool false)
+      | _ -> None)
+    | Param.Ktristate -> (
+      match s with
+      | "n" | "0" -> Some (Param.Vtristate 0)
+      | "m" | "1" -> Some (Param.Vtristate 1)
+      | "y" | "2" -> Some (Param.Vtristate 2)
+      | _ -> None)
+    | Param.Kint { lo; hi; _ } -> (
+      match int_of_string_opt s with
+      | Some i when i >= lo && i <= hi -> Some (Param.Vint i)
+      | Some _ | None -> None)
+    | Param.Kcategorical choices -> (
+      let rec find i =
+        if i >= Array.length choices then None
+        else if String.equal choices.(i) s then Some (Param.Vcat i)
+        else find (i + 1)
+      in
+      find 0)
+
+  let sample (p : Param.t) =
+    match p.Param.kind with
+    | Param.Kbool -> fun rng -> Param.Vbool (Rng.bool rng)
+    | Param.Ktristate -> fun rng -> Param.Vtristate (Rng.int rng 3)
+    | Param.Kint { lo; hi; log_scale } when log_scale && hi > 0 ->
+      let log_lo = log10 (float_of_int (max 1 lo)) and log_hi = log10 (float_of_int (max 1 hi)) in
+      fun rng ->
+        let x = 10. ** Rng.uniform rng log_lo log_hi in
+        Param.Vint (max lo (min hi (int_of_float x)))
+    | Param.Kint { lo; hi; _ } -> fun rng -> Param.Vint (Rng.int_in rng lo hi)
+    | Param.Kcategorical choices ->
+      let n = Array.length choices in
+      fun rng -> Param.Vcat (Rng.int rng n)
+
+  let perturb (p : Param.t) rng v =
+    match (p.Param.kind, v) with
+    | Param.Kbool, Param.Vbool b -> Param.Vbool (not b)
+    | Param.Ktristate, Param.Vtristate t ->
+      let delta = if Rng.bool rng then 1 else -1 in
+      let t' = t + delta in
+      Param.Vtristate (if t' < 0 then 1 else if t' > 2 then 1 else t')
+    | Param.Kint { lo; hi; log_scale }, Param.Vint i ->
+      if lo = hi then Param.Vint lo
+      else begin
+        let candidate =
+          if log_scale then begin
+            let factor = Rng.choice rng [| 0.1; 0.5; 2.; 10. |] in
+            int_of_float (float_of_int (max 1 i) *. factor)
+          end
+          else begin
+            let span = max 1 ((hi - lo) / 10) in
+            i + Rng.int_in rng (-span) span
+          end
+        in
+        let clamped = max lo (min hi candidate) in
+        if clamped = i then Param.Vint (if i < hi then i + 1 else i - 1) else Param.Vint clamped
+      end
+    | Param.Kcategorical choices, Param.Vcat i ->
+      let n = Array.length choices in
+      if n <= 1 then Param.Vcat 0
+      else begin
+        let j = Rng.int rng (n - 1) in
+        Param.Vcat (if j >= i then j + 1 else j)
+      end
+    | (Param.Kbool | Param.Ktristate | Param.Kint _ | Param.Kcategorical _), _ ->
+      invalid_arg "Param.perturb: value kind mismatch"
+end
+
+(* [Monitor.Live_series] as it was, keeping every row in a doubling
+   array, with [Monitor.Rules]'s evaluation over it as it was: the
+   trailing window and the drift baseline sliced out of the whole
+   history.  The windowed series must fire, report and fold the same. *)
+module Live_series_all = struct
+  module A = Wayfinder_analytics
+  module Rules = Wayfinder_monitor.Rules
+
+  let dummy_row : A.Series.row =
+    { index = -1; tokens = [||]; value = None; failure = None; at_seconds = 0.;
+      eval_seconds = 0.; built = false; decide_seconds = 0.; belief = None;
+      objectives = None }
+
+  type t = {
+    metric : Wayfinder_platform.Metric.t;
+    names : string array;
+    stages : Param.stage array;
+    objectives : Wayfinder_platform.Metric.t array;
+    running : A.Running.t;
+    mutable buf : A.Series.row array;
+    mutable n : int;
+  }
+
+  let create ~metric ~names ~stages ~objectives () =
+    { metric; names; stages; objectives;
+      running = A.Running.create ~metric ~stages ~objectives ();
+      buf = Array.make 64 dummy_row; n = 0 }
+
+  let observe t (r : A.Series.row) =
+    if t.n = Array.length t.buf then begin
+      let bigger = Array.make (2 * t.n) dummy_row in
+      Array.blit t.buf 0 bigger 0 t.n;
+      t.buf <- bigger
+    end;
+    t.buf.(t.n) <- r;
+    t.n <- t.n + 1;
+    A.Running.observe t.running r
+
+  let stats t = A.Running.stats t.running
+  let progress t = A.Progress.of_running t.running
+  let rows t = Array.sub t.buf 0 t.n
+
+  let tail_rows t ~window =
+    let k = min t.n window in
+    Array.sub t.buf (t.n - k) k
+
+  let tail_series t ~window =
+    { A.Series.metric = t.metric; names = t.names; stages = t.stages;
+      rows = tail_rows t ~window; objectives = t.objectives }
+
+  type entry = {
+    spec : Rules.rule;
+    mutable firing : bool;
+    mutable baseline : (float * float) option;
+  }
+
+  let rules rules = List.map (fun spec -> { spec; firing = false; baseline = None }) rules
+
+  let rule_name = function
+    | Rules.Crash _ -> "crash"
+    | Rules.Stall _ -> "stall"
+    | Rules.Starve _ -> "starve"
+    | Rules.Drift _ -> "drift"
+
+  let condition entry ?worker_busy live =
+    let n = live.n in
+    match entry.spec with
+    | Rules.Crash { threshold; window } ->
+      let rate = A.Running.crash_share (tail_rows live ~window) in
+      if rate > threshold then
+        Some
+          (fun () ->
+            Printf.sprintf "windowed crash rate %.0f%% > %.0f%% (window %d)" (100. *. rate)
+              (100. *. threshold) window)
+      else None
+    | Rules.Stall { iterations } ->
+      let stalled = n - A.Running.last_improvement live.running in
+      if n > 0 && stalled >= iterations then
+        Some
+          (fun () ->
+            Printf.sprintf "no best improvement in %d iterations (threshold %d)" stalled
+              iterations)
+      else None
+    | Rules.Starve { fraction } -> (
+      match worker_busy with
+      | Some busy when busy < fraction ->
+        Some
+          (fun () ->
+            Printf.sprintf "worker pool %.0f%% busy < %.0f%%" (100. *. busy) (100. *. fraction))
+      | Some _ | None -> None)
+    | Rules.Drift { window } ->
+      (if entry.baseline = None && n >= window then begin
+         let head = Array.sub (rows live) 0 window in
+         entry.baseline <- Some (A.Running.crash_share head, A.Running.mean_success head)
+       end);
+      (match entry.baseline with
+      | Some (donor_crash_rate, donor_mean) when n >= 2 * window -> (
+        let probe =
+          A.Drift.probe ~window ~donor_crash_rate ~donor_mean (tail_series live ~window)
+        in
+        match probe.A.Drift.verdict with
+        | A.Drift.Fresh -> None
+        | A.Drift.Stale reasons -> Some (fun () -> String.concat "; " reasons))
+      | _ -> None)
+
+  let evaluate state ?worker_busy live =
+    List.filter_map
+      (fun entry ->
+        match condition entry ?worker_busy live with
+        | Some message ->
+          let fresh = not entry.firing in
+          entry.firing <- true;
+          if fresh then Some { Rules.rule = rule_name entry.spec; message = message () } else None
+        | None ->
+          entry.firing <- false;
+          None)
+      state
+
+  let active state =
+    List.filter_map (fun entry -> if entry.firing then Some (rule_name entry.spec) else None) state
+end

@@ -710,6 +710,93 @@ let prop_int_scaling_matches_oracle =
       && encodes (bounds (fun lo hi -> Rng.int_in rng lo hi))
       && List.for_all (fun _ -> draws ()) (List.init 20 Fun.id))
 
+(* Parameters of every kind, categorical ones with more choices than
+   the shared [Vcat] blocks cover among them. *)
+let gen_param =
+  QCheck2.Gen.(
+    let* k = int_range 0 3 in
+    match k with
+    | 0 -> pure (Param.bool_param "b" false)
+    | 1 -> pure (Param.tristate_param "t" 0)
+    | 2 ->
+      let* lo = oneof [ oneofl [ 0; 1; -1; 16 ]; int_range (-1000) 1000 ] in
+      let* span = oneof [ pure 0; int_range 1 10; int_range 1 1_000_000 ] in
+      let* log_scale = bool in
+      pure (Param.int_param ~log_scale "i" ~lo ~hi:(lo + span) ~default:lo)
+    | _ ->
+      let* n = oneof [ int_range 1 8; int_range 60 80 ] in
+      pure (Param.categorical_param "c" (Array.init n (Printf.sprintf "l%d")) ~default:0))
+
+(* [sample], [perturb], [clamp] and the two parsers return shared
+   blocks for the small values: the values must equal the old fresh
+   ones, and every draw must leave the generator where the old one
+   did. *)
+let prop_shared_values_match_oracle =
+  QCheck2.Test.make ~name:"shared small values equal the old fresh ones" ~count:500
+    QCheck2.Gen.(
+      triple (list_size (int_range 1 8) gen_param) (int_range 0 100_000)
+        (list_size (int_range 0 8) (oneof [ int_range (-3) 90; oneofl [ min_int; max_int ] ])))
+    (fun (params, seed, ints) ->
+      let module O = Oracle.Param_values in
+      let rng = Rng.create seed in
+      let attempt f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      List.for_all
+        (fun (p : Param.t) ->
+          let kind = p.Param.kind in
+          let draw f =
+            let mine = Rng.copy rng in
+            let v = f mine in
+            (v, Rng.state mine)
+          in
+          let v, st = draw (Param.sample p) in
+          let v', st' = draw (O.sample p) in
+          let moved, mst = draw (fun r -> Param.perturb p r v) in
+          let moved', mst' = draw (fun r -> O.perturb p r v) in
+          Rng.set_state rng st;
+          let arbitrary =
+            List.concat_map
+              (fun i -> [ Param.Vbool (i land 1 = 1); Param.Vtristate i; Param.Vint i; Param.Vcat i ])
+              ints
+          in
+          let texts =
+            [ Param.value_to_string kind v; Param.value_token v; "b2"; "t"; "c-1"; "yes"; "m" ]
+            @ (match kind with Param.Kcategorical labels -> Array.to_list labels | _ -> [])
+            @ List.map string_of_int ints
+            @ List.concat_map (fun i -> [ "t" ^ string_of_int i; "c" ^ string_of_int i ]) ints
+          in
+          v = v' && st = st' && moved = moved' && mst = mst'
+          && List.for_all
+               (fun x -> attempt (fun () -> Param.clamp kind x) = attempt (fun () -> O.clamp kind x))
+               (v :: arbitrary)
+          && List.for_all
+               (fun s ->
+                 Param.value_of_token s = O.value_of_token s
+                 && Param.value_of_string kind s = O.value_of_string kind s)
+               texts)
+        params)
+
+(* A stored configuration costs one word per boolean, tristate or
+   categorical value: 1,000 draws from such a space reach their arrays
+   and a constant's worth of shared blocks, where fresh values cost
+   three words each. *)
+let test_shared_values_memory () =
+  let n = 120 in
+  let space =
+    Space.create
+      (List.init n (fun i ->
+           let name = Printf.sprintf "p%d" i in
+           match i mod 3 with
+           | 0 -> Param.bool_param name false
+           | 1 -> Param.tristate_param name 0
+           | _ -> Param.categorical_param name (Array.init (2 + (i mod 7)) string_of_int) ~default:0))
+  in
+  let rng = Rng.create 5 in
+  let configs = Array.init 1000 (fun _ -> Space.random space rng) in
+  let words = Obj.reachable_words (Obj.repr configs) in
+  let bound = 1001 + (1000 * (n + 1)) + 512 in
+  if words > bound then
+    Alcotest.failf "1,000 configurations reach %d words, more than %d" words bound
+
 let () =
   Alcotest.run "configspace"
     [ ( "param",
@@ -721,7 +808,9 @@ let () =
           Alcotest.test_case "perturb changes value" `Quick test_param_perturb_changes_value;
           Alcotest.test_case "cardinality" `Quick test_param_cardinality;
           Alcotest.test_case "config_key beats the truncated hash" `Quick
-            test_config_key_beats_truncated_hash ] );
+            test_config_key_beats_truncated_hash;
+          Alcotest.test_case "stored configurations share small values" `Quick
+            test_shared_values_memory ] );
       ( "space",
         [ Alcotest.test_case "basics" `Quick test_space_basics;
           Alcotest.test_case "duplicate names" `Quick test_space_duplicate_names;
@@ -755,4 +844,5 @@ let () =
           [ prop_random_configs_encode_bounded; prop_encode_into_overwrites_garbage;
             prop_mutate_preserves_validity;
             prop_config_key_injective; prop_config_key_tokens_decode;
-            prop_tokens_match_reference; prop_int_scaling_matches_oracle ] ) ]
+            prop_tokens_match_reference; prop_int_scaling_matches_oracle;
+            prop_shared_values_match_oracle ] ) ]

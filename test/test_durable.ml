@@ -45,7 +45,8 @@ let prop_crc_streaming =
       Crc32.finish (Crc32.update (Crc32.update Crc32.init a) b) = Crc32.digest s)
 
 (* The sliced fold equals the byte-at-a-time [Int32] one at every split
-   point of a streamed string of up to 4 KB.  Besides the random cuts,
+   point of a streamed string of up to 4 KB, over the pieces or over
+   their ranges in one byte buffer.  Besides the random cuts,
    one cut falls on every residue mod 8, so pieces start and end at
    every offset within an eight-byte step. *)
 let prop_crc_matches_oracle =
@@ -69,7 +70,16 @@ let prop_crc_matches_oracle =
         List.fold_left (fun acc piece -> update (List.hd acc) piece :: acc) [ Crc32.init ]
           (List.rev pieces)
       in
-      states Crc32.update = states Oracle.crc32_update)
+      let in_place =
+        let b = Bytes.of_string s in
+        fst
+          (List.fold_left
+             (fun (acc, from) cut ->
+               (Crc32.update_bytes (List.hd acc) b ~pos:from ~len:(cut - from) :: acc, cut))
+             ([ Crc32.init ], 0) cuts)
+      in
+      let want = states Oracle.crc32_update in
+      states Crc32.update = want && in_place = want)
 
 (* ------------------------------------------------------------------ *)
 (* Atomic write: crash matrix                                          *)

@@ -19,6 +19,7 @@ module Obs = Wayfinder_obs
 module CS = Wayfinder_configspace
 module Ls = M.Live_series
 module R = A.Running
+module Old_series = Oracle.Live_series_all
 
 (* ------------------------------------------------------------------ *)
 (* Oracle: the batch formulas, one whole-array loop per statistic      *)
@@ -869,6 +870,121 @@ let test_rules_drift () =
   Alcotest.(check int) "drifted tail fires once" 1 !fired;
   Alcotest.(check (list string)) "drift active" [ "drift" ] (M.Rules.active st)
 
+(* A row over three parameters, one per stage, whose tokens are a
+   function of the configuration number [config]. *)
+let stream_row ~index ~config ~value ~failure =
+  { A.Series.index;
+    tokens = [| Printf.sprintf "b%d" (config land 1); Printf.sprintf "t%d" (config mod 3);
+                Printf.sprintf "i%d" config |];
+    value = (if failure = None then Some value else None);
+    failure;
+    at_seconds = float_of_int (index + 1) *. 1.5;
+    eval_seconds = 1. +. float_of_int (config mod 5);
+    built = config mod 2 = 0;
+    decide_seconds = 0.;
+    belief = None;
+    objectives = None }
+
+let stream_names = [| "b"; "t"; "i" |]
+let stream_stages = CS.Param.[| Compile_time; Boot_time; Runtime |]
+
+let snapshot_eq (a : A.Progress.snapshot) (b : A.Progress.snapshot) =
+  a.iteration = b.iteration
+  && opt_eq fl_eq a.best b.best
+  && fl_eq a.regret_slope b.regret_slope
+  && fl_eq a.crash_rate b.crash_rate
+  && opt_eq fl_eq a.cache_hit_rate b.cache_hit_rate
+  && opt_eq fl_eq a.worker_busy b.worker_busy
+  && fl_eq a.virtual_seconds b.virtual_seconds
+
+(* The windowed series against the old full-row one: random streams of
+   successes, crashes and transients over repeated configurations, with
+   crash, stall and drift rules at windows 1–60.  Progress must agree
+   after every row; firings, messages and active rules after every
+   [every]-th row, where both evaluate (at 3, a drift rule may first
+   see its baseline window after the ring has moved past it); and stats
+   after every [stride]-th row and the last (a stride past the stream
+   never asks before the end, so the fold keys only its pending rows). *)
+let windowed_series_prop =
+  QCheck2.Test.make ~count:300 ~name:"windowed live series == full-row series"
+    QCheck2.Gen.(
+      let rule =
+        oneof
+          [ map2 (fun threshold window -> M.Rules.Crash { threshold; window })
+              (oneofl [ 0.; 0.2; 0.5; 0.9 ]) (int_range 1 60);
+            map (fun iterations -> M.Rules.Stall { iterations }) (int_range 1 30);
+            map (fun window -> M.Rules.Drift { window }) (int_range 1 60) ]
+      in
+      let cell =
+        triple (int_range 0 7)
+          (oneof [ float_range 0. 100.; float_range 100. 1000.; pure 50. ])
+          (frequency
+             [ (5, pure None); (2, pure (Some P.Failure.Runtime_crash));
+               (1, pure (Some P.Failure.Spurious_failure));
+               (1, pure (Some P.Failure.Build_failure)) ])
+      in
+      quad (list_size (int_range 0 3) rule) (list_size (int_range 0 200) cell)
+        (oneofl [ 1; 7; 1_000 ]) (oneofl [ 1; 1; 3 ]))
+    (fun (rules, cells, stride, every) ->
+      let metric = P.Metric.throughput in
+      let live =
+        Ls.create ?window:(M.Rules.window rules) ~metric ~names:stream_names
+          ~stages:stream_stages ~objectives:[||] ()
+      in
+      let old =
+        Old_series.create ~metric ~names:stream_names ~stages:stream_stages ~objectives:[||] ()
+      in
+      let st = M.Rules.create rules and old_st = Old_series.rules rules in
+      let n = List.length cells in
+      List.for_all
+        (fun (index, (config, value, failure)) ->
+          let row = stream_row ~index ~config ~value ~failure in
+          Ls.observe live row;
+          Old_series.observe old row;
+          let evaluated = (index + 1) mod every = 0 in
+          let fired = if evaluated then M.Rules.evaluate st live else [] in
+          let old_fired = if evaluated then Old_series.evaluate old_st old else [] in
+          let stats_ok =
+            ((index + 1) mod stride <> 0 && index + 1 <> n)
+            || stats_eq (Ls.stats live) (Old_series.stats old)
+               && stats_eq (Ls.stats live)
+                    (Oracle.stats
+                       { A.Series.metric; names = stream_names; stages = stream_stages;
+                         rows = Old_series.rows old; objectives = [||] })
+          in
+          fired = old_fired
+          && M.Rules.active st = Old_series.active old_st
+          && snapshot_eq (Ls.progress live) (Old_series.progress old)
+          && stats_ok)
+        (List.mapi (fun i c -> (i, c)) cells))
+
+(* A series keeps a window, not the run: 8,000 rows over 16
+   configurations, with rules installed and [stats] never called, reach
+   no more words than 1,000 rows do (a fold that kept its pending rows
+   grew 7.9×). *)
+let test_series_memory_bounded () =
+  let rules =
+    match M.Rules.parse "crash>0.2@10,stall>20,drift" with Ok r -> r | Error e -> Alcotest.fail e
+  in
+  let words rows =
+    let live =
+      Ls.create ?window:(M.Rules.window rules) ~metric:P.Metric.throughput ~names:stream_names
+        ~stages:stream_stages ~objectives:[||] ()
+    in
+    let st = M.Rules.create rules in
+    for index = 0 to rows - 1 do
+      let config = index * 7 mod 16 in
+      let failure = if index mod 5 = 0 then Some P.Failure.Runtime_crash else None in
+      Ls.observe live
+        (stream_row ~index ~config ~value:(float_of_int (config * 10)) ~failure);
+      ignore (M.Rules.evaluate st live)
+    done;
+    Obj.reachable_words (Obj.repr live)
+  in
+  let small = words 1_000 and large = words 8_000 in
+  if float_of_int large >= 1.05 *. float_of_int small then
+    Alcotest.failf "8,000 rows reach %d words, 1,000 rows %d" large small
+
 (* ------------------------------------------------------------------ *)
 (* Profile                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1076,7 +1192,19 @@ let test_prom_histogram_format () =
       (* ...with the mandatory +Inf bucket equal to the count. *)
       "wayfinder_phase_virtual_s_bucket{le=\"+Inf\"} 4\n";
       "wayfinder_phase_virtual_s_sum 15\n";
-      "wayfinder_phase_virtual_s_count 4\n" ]
+      "wayfinder_phase_virtual_s_count 4\n" ];
+  (* One sample on every finite bound: each bound's text is the number
+     writer's (an integer, else %.17g), fractions from 2^-20 up. *)
+  let m = Obs.Metrics.create () in
+  let bounds = List.init (Obs.Metrics.n_buckets - 1) Obs.Metrics.bucket_bound in
+  List.iter (Obs.Metrics.observe m "all") bounds;
+  let text = M.Prom.render ~snapshot:(Obs.Metrics.snapshot m) () in
+  List.iteri
+    (fun i b ->
+      let le = if Float.is_integer b then string_of_int (int_of_float b) else Printf.sprintf "%.17g" b in
+      let needle = Printf.sprintf "wayfinder_all_bucket{le=\"%s\"} %d\n" le (i + 1) in
+      Alcotest.(check bool) needle true (contains text needle))
+    bounds
 
 let test_prom_stats_gauges () =
   let live = scalar_live () in
@@ -1102,7 +1230,9 @@ let () =
         [ QCheck_alcotest.to_alcotest prefix_parity_prop;
           Alcotest.test_case "scenario prefixes (multi-objective)" `Quick
             test_prefix_parity_scenario;
-          QCheck_alcotest.to_alcotest slice_helpers_prop ] );
+          QCheck_alcotest.to_alcotest slice_helpers_prop;
+          QCheck_alcotest.to_alcotest windowed_series_prop;
+          Alcotest.test_case "memory stays bounded" `Quick test_series_memory_bounded ] );
       ( "tail",
         [ Alcotest.test_case "whole file" `Quick test_tail_whole_file;
           Alcotest.test_case "torn writes stay pending" `Quick test_tail_torn_writes;

@@ -487,6 +487,27 @@ let prop_moving_average_preserves_bounds =
       let lo = Stat.min xs -. 1e-9 and hi = Stat.max xs +. 1e-9 in
       Array.for_all (fun x -> x >= lo && x <= hi) sm)
 
+(* One sorted copy for many quantiles: bit for bit [quantile] at each
+   [q], on inputs with duplicates, NaN and a single sample. *)
+let prop_quantiles_match_quantile =
+  QCheck2.Test.make ~name:"quantiles bitwise equal quantile" ~count:500
+    QCheck2.Gen.(
+      pair
+        (array_size (int_range 1 40)
+           (frequency
+              [ (6, oneofl [ 0.; -0.; 1.; 2.5; 2.5; 1e-300; infinity; neg_infinity ]);
+                (6, float_range (-1e3) 1e3); (1, pure Float.nan) ]))
+        (array_size (int_range 0 6)
+           (oneof [ oneofl [ 0.; 1.; 0.5; 0.95; 0.99; 1. /. 3. ]; float_range 0. 1. ])))
+    (fun (xs, qs) ->
+      let bits = Array.map Int64.bits_of_float in
+      let raises qs =
+        match Stat.quantiles xs qs with _ -> false | exception Invalid_argument _ -> true
+      in
+      bits (Stat.quantiles xs qs) = bits (Array.map (Stat.quantile xs) qs)
+      && raises [| 0.5; 1.5 |] && raises [| -0.1 |]
+      && match Stat.quantiles [||] qs with _ -> false | exception Invalid_argument _ -> true)
+
 let prop_cholesky_roundtrip =
   QCheck2.Test.make ~name:"cholesky reconstructs SPD matrix" ~count:50
     QCheck2.Gen.(pair (int_range 1 8) (int_range 0 10000))
@@ -676,7 +697,7 @@ let qcheck_cases =
     [ prop_vec_add_commutes; prop_vec_dot_symmetric; prop_vec_triangle_inequality;
       prop_stat_mean_bounded; prop_stat_zscore_normalizes; prop_moving_average_preserves_bounds;
       prop_cholesky_roundtrip; prop_cholesky_bitwise_reference; prop_permutation_valid;
-      prop_products_match_oracle; prop_normalizer_matches_oracle ]
+      prop_products_match_oracle; prop_normalizer_matches_oracle; prop_quantiles_match_quantile ]
 
 let () =
   Alcotest.run "tensor"
